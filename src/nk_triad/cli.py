@@ -280,7 +280,7 @@ def _print_rows(rows: list[dict]) -> None:
 
 _JACOBI_DEFAULT = [("a", n) for n in range(1, 5)] + [("b", n) for n in (2, 3, 4)] \
     + [("c", n) for n in (2, 3, 4)] + [("d", 4), ("g", 2), ("f", 4)]
-_JACOBI_DEEP = [("a", 8), ("b", 8), ("c", 8), ("d", 8), ("e", 6), ("e", 7)]
+_JACOBI_DEEP = [("a", 8), ("b", 8), ("c", 8), ("d", 8), ("e", 6), ("e", 7), ("e", 8)]
 
 
 def _verify_jacobi(tol: float, deep: bool) -> list[str]:

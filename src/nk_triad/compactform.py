@@ -218,40 +218,77 @@ class CompactAlgebra:
             raise JacobiFailure(-1, -1, -1, hi - lo)
         return 0.5 * (lo + hi)
 
+    def _bracket_tensor(self) -> sp.csr_matrix:
+        """Structure constants C[(i, j), l] = <[e_i, e_j], e_l>/<e_l, e_l> as a
+        (dim^2, dim) sparse matrix, holding both orders of every pair."""
+        d = self.dim
+        rows, cols, vals = [], [], []
+        for (i, j), terms in self._table.items():
+            for l, c in terms:
+                rows += (i * d + j, j * d + i)
+                cols += (l, l)
+                vals += (c, -c)
+        return sp.csr_matrix((vals, (rows, cols)), shape=(d * d, d))
+
+    def _jacobi_worst(self) -> tuple[float, tuple[int, int, int]]:
+        """Largest Jacobi residual over all basis triples, and a triple (i, j, k)
+        where it occurs.
+
+        The residual of (i, j, k) is ad([e_i, e_j]) e_k - [ad e_i, ad e_j] e_k,
+        i.e. [[e_i, e_j], e_k] - [e_i, [e_j, e_k]] + [e_j, [e_i, e_k]].  It is
+        computed one slab of i at a time, each slab by three sparse products over
+        all j, so the working set stays O(dim^3) sparse entries per slab.
+        """
+        d = self.dim
+        c = self._bracket_tensor()
+        coo = c.tocoo()
+        first, second = np.divmod(coo.row, d)
+        # T[l, (k, m)] = C[l, k, m] and S[l, (j, m)] = C[j, l, m]
+        t = sp.csr_matrix((coo.data, (first, second * d + coo.col)), shape=(d, d * d))
+        s = sp.csr_matrix((coo.data, (second, first * d + coo.col)), shape=(d, d * d))
+        worst, where = 0.0, (0, 0, 0)
+        for i in range(d):
+            ci = c[i * d:(i + 1) * d]
+            lhs = (ci @ t).tocoo()                    # [j, (k, m)]: [[e_i, e_j], e_k]
+            outer = (c @ ci).tocoo()                  # [(j, k), m]: [e_i, [e_j, e_k]]
+            inner = (ci @ s).tocoo()                  # [k, (j, m)]: [e_j, [e_i, e_k]]
+            oj, ok = np.divmod(outer.row, d)
+            ij, im = np.divmod(inner.col, d)
+            res = sp.coo_matrix(
+                (np.concatenate([lhs.data, -outer.data, inner.data]),
+                 (np.concatenate([lhs.row, oj, ij]),
+                  np.concatenate([lhs.col, ok * d + outer.col, inner.row * d + im]))),
+                shape=(d, d * d))
+            res.sum_duplicates()
+            if res.nnz:
+                n = int(np.abs(res.data).argmax())
+                local = float(abs(res.data[n]))
+                if local > worst:
+                    worst, where = local, (i, int(res.row[n]), int(res.col[n]) // d)
+        return worst, where
+
     def jacobi_max_residual(self) -> float:
         """Max norm of [[x,y],z]+[[y,z],x]+[[z,x],y] over all basis triples.
 
-        Runs over pairs using ad([x,y]) = [ad x, ad y]; sparse products keep
-        this quadratic in the dimension.
+        Exhaustive: every triple is covered by the slab-wise sparse products
+        of ``_jacobi_worst``, whose bracket tensor is built per call and not
+        kept on the algebra.
         """
-        worst = 0.0
-        ads = [self.ad(i) for i in range(self.dim)]
-        for i in range(self.dim):
-            ai = ads[i]
-            for j in range(i + 1, self.dim):
-                lhs = sp.csr_matrix((self.dim, self.dim))
-                for k, c in self.bracket_terms(i, j):
-                    lhs = lhs + c * ads[k]
-                res = lhs - (ai @ ads[j] - ads[j] @ ai)
-                if res.nnz:
-                    local = float(np.abs(res.data).max())
-                    if local > worst:
-                        worst = local
-        return worst
+        return self._jacobi_worst()[0]
 
     def assert_jacobi(self, tol: float = 1e-9) -> float:
-        res = self.jacobi_max_residual()
+        res, (i, j, k) = self._jacobi_worst()
         if res > tol:
-            raise JacobiFailure(-1, -1, -1, res)
+            raise JacobiFailure(i, j, k, res)
         return res
 
     def antisymmetry_max_residual(self) -> float:
-        worst = 0.0
-        for i in range(self.dim):
-            res = self.ad(i) @ np.eye(self.dim)[:, i]
-            local = float(np.abs(res).max())
-            worst = max(worst, local)
-        return worst
+        """Max |C[i,j,k] + C[i,k,j]|: every ad(e_i) must be skew for the
+        invariant form, i.e. the structure constants are totally skew."""
+        c = self._bracket_tensor().tocoo()
+        i, j = np.divmod(c.row, self.dim)
+        swapped = sp.coo_matrix((c.data, (i * self.dim + c.col, j)), shape=c.shape)
+        return float(abs(c + swapped).max())
 
 
 def build_compact_form(rs: RootSystem, cd: ChevalleyData | None = None) -> CompactAlgebra:

@@ -6,7 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nk_triad.compactform import adjoint_action_exp, build_compact_form
+from nk_triad.compactform import (
+    CompactAlgebra,
+    JacobiFailure,
+    adjoint_action_exp,
+    build_compact_form,
+)
 from nk_triad.rootsys import build_root_system
 
 DIMS = {("a", 1): 3, ("a", 2): 8, ("g", 2): 14, ("b", 3): 21, ("c", 3): 21,
@@ -24,8 +29,13 @@ def test_su2_bracket_table(algebra):
     assert dict(ca.bracket_terms(u0, u1)) == {0: 2.0}
     assert dict(ca.bracket_terms(0, u0)) == {u1: 2.0}
     assert dict(ca.bracket_terms(0, u1)) == {u0: -2.0}
-    # su(2) Jacobi is degenerate but the table must still be antisymmetric
+    # su(2) Jacobi is degenerate but ad must still be skew for the stored form
     assert ca.antisymmetry_max_residual() == 0.0
+
+
+@pytest.mark.parametrize("family,rank", [("g", 2), ("e", 7)])
+def test_structure_constants_totally_skew(family, rank, algebra):
+    assert algebra(family, rank).antisymmetry_max_residual() == 0.0
 
 
 def test_stored_form_is_minus_two_identity(algebra):
@@ -38,9 +48,37 @@ def test_stored_form_is_minus_two_identity(algebra):
 @pytest.mark.parametrize("family,rank", [("a", 1), ("a", 2), ("a", 3), ("a", 4),
                                          ("b", 2), ("b", 3), ("b", 4),
                                          ("c", 2), ("c", 3), ("c", 4),
-                                         ("d", 4), ("g", 2), ("f", 4)])
+                                         ("d", 4), ("g", 2), ("f", 4), ("e", 8)])
 def test_jacobi_sweep(family, rank, algebra):
     assert algebra(family, rank).assert_jacobi(1e-9) < 1e-12
+
+
+def _dense_jacobi_residual(ca):
+    """Reference: R[i,j,k,m] = [[e_i,e_j],e_k] - [e_i,[e_j,e_k]] + [e_j,[e_i,e_k]],
+    component m, from a dense structure-constant array."""
+    c = np.zeros((ca.dim,) * 3)
+    for i in range(ca.dim):
+        for j in range(ca.dim):
+            for k, coef in ca.bracket_terms(i, j):
+                c[i, j, k] = coef
+    return (np.einsum("ijl,lkm->ijkm", c, c) - np.einsum("jkl,ilm->ijkm", c, c)
+            + np.einsum("ikl,jlm->ijkm", c, c))
+
+
+def test_sign_flip_is_detected_and_located(algebra):
+    cached = algebra("g", 2)
+    ca = CompactAlgebra(cached.rs, cached.cd)  # fresh table; the cached one stays intact
+    a, b = next(key for key, terms in ca._table.items() if min(key) >= ca.rank and len(terms) == 1)
+    (l, coef), = ca._table[(a, b)]
+    ca._table[(a, b)] = ((l, -coef),)
+    assert ca.antisymmetry_max_residual() == pytest.approx(2 * abs(coef))
+    ref = np.abs(_dense_jacobi_residual(ca))
+    with pytest.raises(JacobiFailure) as exc:
+        ca.assert_jacobi(1e-9)
+    assert exc.value.residual == pytest.approx(ref.max(), abs=1e-12)
+    assert ref[exc.value.triple].max() == pytest.approx(ref.max(), abs=1e-12)
+    assert {a, b} & set(exc.value.triple)
+    assert cached.antisymmetry_max_residual() == 0.0
 
 
 def test_trace_form_proportional_to_stored(algebra):

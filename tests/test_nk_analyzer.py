@@ -8,6 +8,7 @@ import pytest
 from nk_triad.automorph import realize_cyclic_c3, realize_triality_d4
 from nk_triad.nk_analyzer import (
     KAPPA,
+    IdentityViolation,
     build_report,
     canonical_J,
     einstein_check,
@@ -130,6 +131,18 @@ def test_min_connection_curvature(g2_twistor):
     assert np.abs(m01 + m01.T).max() < 1e-12          # metric skew
     assert np.abs(m01 @ j - j @ m01).max() < 1e-12    # commutes with J
     assert verify_min_connection_identity(sp) < 1e-9
+
+
+def test_min_connection_identity_checks_every_tuple():
+    """One perturbed k-component of a horizontal bracket, on a space with
+    dm = 84 and over a million (x, u, v1, v2) tuples, must be caught."""
+    sp = realize("e", 7, "A3III", (2,))
+    _, kc, ak = sp.tensors()
+    vert, horiz = sp.layers["V"], sp.layers["H"]
+    s = int(np.abs(ak[:, vert][:, :, vert]).sum(axis=(1, 2)).argmax())
+    kc[horiz[len(horiz) // 2], 3, s] += 0.5
+    with pytest.raises(IdentityViolation):
+        verify_min_connection_identity(sp)
 
 
 def test_min_connection_identity_so10():
