@@ -19,6 +19,7 @@ squares; determinism here is what makes downstream tables reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .rootsys import Coeffs, NotARoot, RootSystem, root_string
@@ -33,15 +34,15 @@ class IdentityViolation(AssertionError):
 
 
 def _neg(c: Coeffs) -> Coeffs:
-    return tuple(-x for x in c)
+    return tuple(map(operator.neg, c))
 
 
 def _add(a: Coeffs, b: Coeffs) -> Coeffs:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _sub(a: Coeffs, b: Coeffs) -> Coeffs:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _sqrt_fraction(q: Fraction) -> Fraction | None:
@@ -55,44 +56,56 @@ def _sqrt_fraction(q: Fraction) -> Fraction | None:
     return None
 
 
+def _root_pairs(rs: RootSystem):
+    """Every ordered pair of roots (a, b) whose sum gamma is a root, as
+    (a, b, gamma, p, q) with (p, q) the bounds of the a-string through b.
+
+    Each root is encoded as one integer, its coefficients read as signed digits
+    in a base above 4 * (largest mark).  The encoding is additive, and every
+    vector probed below is a sum of two roots (digits at most 2 * largest mark
+    in size), so a sum or string step is an int addition and a dict lookup.
+    """
+    base = 4 * max(rs.marks) + 1
+    by_key = {sum(c * base ** i for i, c in enumerate(r.coeffs)): r.coeffs
+              for r in rs.all_roots()}
+    for ka, a in by_key.items():
+        for kb, b in by_key.items():
+            gamma = by_key.get(ka + kb)
+            if gamma is None:
+                continue
+            q = 1  # a + b is a root
+            while kb + (q + 1) * ka in by_key:
+                q += 1
+            p = 0
+            while kb + (p - 1) * ka in by_key:
+                p -= 1
+            yield a, b, gamma, p, q
+
+
 class ChevalleyData:
     """Structure-constant table over a root system."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self._pos = [r.coeffs for r in rs.positive_roots]
         # height-then-lex order drives the extraspecial-pair convention
-        self._order = {c: k for k, c in enumerate(sorted(self._pos, key=lambda c: (sum(c), c)))}
-        self._roots = set(self._pos) | {_neg(c) for c in self._pos}
+        pos = [r.coeffs for r in rs.positive_roots]
+        self._order = {c: k for k, c in enumerate(sorted(pos, key=lambda c: (sum(c), c)))}
+        self._roots = rs._roots
         self.n_sq: dict[tuple[Coeffs, Coeffs], Fraction] = {}
         self._sign: dict[tuple[Coeffs, Coeffs], int] = {}
+        # extraspecial pair of gamma: the decomposition a + b of positive roots
+        # with a first in the order
         self._extraspecial: dict[Coeffs, tuple[Coeffs, Coeffs]] = {}
-        for gamma in self._pos:
-            pair = self._minimal_decomposition(gamma)
-            if pair is not None:
-                self._extraspecial[gamma] = pair
-        for a in self._roots:
-            for b in self._roots:
-                s = _add(a, b)
-                if any(s) and s in self._roots:
-                    self.n_sq[(a, b)] = self._magnitude_sq(a, b)
+        # N_{a,b}^2 = q(1-p)/2 * <a,a> = q(1-p) * 6<a,a> / 12, with 6<a,a> an int
+        norm6 = {r.coeffs: int(6 * r.norm_sq) for r in rs.all_roots()}
+        for a, b, gamma, p, q in _root_pairs(rs):
+            self.n_sq[(a, b)] = Fraction(q * (1 - p) * norm6[a], 12)
+            if a in self._order and b in self._order:
+                best = self._extraspecial.get(gamma)
+                if best is None or self._order[a] < self._order[best[0]]:
+                    self._extraspecial[gamma] = (a, b)
         for key in self.n_sq:
             self._sign[key] = self._resolve_sign(*key)
-
-    # -- magnitudes ----------------------------------------------------------
-
-    def _magnitude_sq(self, a: Coeffs, b: Coeffs) -> Fraction:
-        p, q = root_string(self.rs, a, b)
-        return Fraction(q * (1 - p), 2) * self.rs.norm_sq(a)
-
-    def _minimal_decomposition(self, gamma: Coeffs) -> tuple[Coeffs, Coeffs] | None:
-        best = None
-        for alpha in self._pos:
-            beta = _sub(gamma, alpha)
-            if alpha != gamma and beta in self._order:
-                if best is None or self._order[alpha] < self._order[best]:
-                    best = alpha
-        return None if best is None else (best, _sub(gamma, best))
 
     # -- signs ---------------------------------------------------------------
 
@@ -140,11 +153,11 @@ class ChevalleyData:
                 if mid in self._roots and any(mid):
                     s1 = self._resolve_sign(*x)
                     s2 = self._resolve_sign(*y)
-                    qq = self._lookup_sq(*x) * self._lookup_sq(*y)
+                    qq = self.n_sq[x] * self.n_sq[y]
                     t.append((s1 * s2, qq))
             if not t:
                 raise SignInconsistency(f"no contraction terms for {a}+{b}")
-            lhs_sq = self._lookup_sq(a, b) * self._lookup_sq(gamma, _neg(eps))
+            lhs_sq = self.n_sq[(a, b)] * self.n_sq[(gamma, _neg(eps))]
             if len(t) == 1:
                 rhs_sign = -t[0][0]
                 rhs_sq = t[0][1]
@@ -164,11 +177,6 @@ class ChevalleyData:
             s = rhs_sign * self._resolve_sign(gamma, _neg(eps))
         self._sign[key] = s
         return s
-
-    def _lookup_sq(self, a: Coeffs, b: Coeffs) -> Fraction:
-        if (a, b) not in self.n_sq:
-            self.n_sq[(a, b)] = self._magnitude_sq(a, b)
-        return self.n_sq[(a, b)]
 
     # -- public access -------------------------------------------------------
 
@@ -232,6 +240,7 @@ def verify_square_formula(cd: ChevalleyData) -> int:
         p, q = root_string(rs, a, b)
         expect = Fraction(q * (1 - p), 2) * rs.norm_sq(a)
         if value != expect:
-            raise IdentityViolation(f"square mismatch at {a}, {b}")
+            raise IdentityViolation(f"square mismatch at {a}, {b}: stored {value}, "
+                                    f"string scan {expect}")
         count += 1
     return count

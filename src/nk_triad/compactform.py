@@ -52,6 +52,18 @@ class JacobiFailure(AssertionError):
         self.residual = residual
 
 
+class TraceFormFailure(AssertionError):
+    """tr(ad e_i ad e_i)/B0(e_i, e_i) is not constant over the sampled basis
+    vectors; ``indices`` holds those with the lowest and the highest ratio."""
+
+    def __init__(self, lo_index, lo, hi_index, hi):
+        lo, hi = float(lo), float(hi)
+        super().__init__(f"trace-form ratio spread {hi - lo:.3e}: {lo!r} at basis "
+                         f"index {lo_index}, {hi!r} at basis index {hi_index}")
+        self.indices = (lo_index, hi_index)
+        self.spread = hi - lo
+
+
 @dataclass(frozen=True)
 class BasisVector:
     kind: str            # "cartan" | "u"
@@ -88,10 +100,7 @@ class CompactAlgebra:
         self._chol_inv = np.linalg.inv(np.linalg.cholesky(g2))
         # w[k, i] = coefficient of the bracket between U-vectors of root k and
         # the i-th orthonormal Cartan vector
-        pairings = np.array(
-            [[float(rs.inner(r.coeffs, s.coeffs)) for s in rs.simple_roots]
-             for r in rs.positive_roots]
-        )
+        pairings = np.array([r.coeffs for r in rs.positive_roots]) @ np.array(rs.gram6) / 6
         self.w = pairings @ self._chol_inv.T
         self._table: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
         self._build_table()
@@ -131,14 +140,16 @@ class CompactAlgebra:
             for kb in range(ka + 1, self.n_pos):
                 rb = rs.positive_roots[kb]
                 a, b = ra.coeffs, rb.coeffs
-                if not (cd.n_squared(a, b) or cd.n_squared(_neg(a), b)):
+                n_ab = cd.n_value(a, b), cd.n_value(_neg(a), b)
+                if not any(n_ab):
                     continue
+                n_ba = cd.n_value(b, a), cd.n_value(_neg(b), a)
                 for p in (0, 1):
                     for q in (0, 1):
                         if p <= q:
-                            raw = self._uu_bracket(a, p, b, q)
+                            raw = self._uu_bracket(a, p, b, q, *n_ab)
                         else:  # [x, y] = -[y, x], with the parity-ordered rule
-                            raw = [(r, pr, -c) for r, pr, c in self._uu_bracket(b, q, a, p)]
+                            raw = [(r, pr, -c) for r, pr, c in self._uu_bracket(b, q, a, p, *n_ba)]
                         terms = []
                         for root, parity, coef in raw:
                             t = self._u_terms(root, parity, coef)
@@ -147,13 +158,13 @@ class CompactAlgebra:
                         if terms:
                             table[(self.u_index(ka, p), self.u_index(kb, q))] = tuple(terms)
 
-    def _uu_bracket(self, a: Coeffs, p: int, b: Coeffs, q: int):
-        """[U^p_a, U^q_b] for distinct positive roots, valid for p <= q."""
+    @staticmethod
+    def _uu_bracket(a: Coeffs, p: int, b: Coeffs, q: int, nab: float, nnab: float):
+        """[U^p_a, U^q_b] for distinct positive roots, valid for p <= q, given
+        nab = N_{a,b} and nnab = N_{-a,b}."""
         out = []
-        nab = self.cd.n_value(a, b)
         if nab:
             out.append((_add(a, b), (p + q) % 2, (-1.0) ** (p * q) * nab))
-        nnab = self.cd.n_value(_neg(a), b)
         if nnab:
             out.append((_sub(a, b), (p + q) % 2, (-1.0) ** (p + q) * nnab))
         return out
@@ -212,10 +223,10 @@ class CompactAlgebra:
         for _ in range(samples):
             i = int(rng.integers(self.dim))
             t = (self.ad(i) @ self.ad(i)).diagonal().sum()
-            ratios.append(t / self.killing_entry(i, i))
-        lo, hi = min(ratios), max(ratios)
+            ratios.append((t / self.killing_entry(i, i), i))
+        (lo, i_lo), (hi, i_hi) = min(ratios), max(ratios)
         if abs(hi - lo) > 1e-6 * max(1.0, abs(hi)):
-            raise JacobiFailure(-1, -1, -1, hi - lo)
+            raise TraceFormFailure(i_lo, lo, i_hi, hi)
         return 0.5 * (lo + hi)
 
     def _bracket_tensor(self) -> sp.csr_matrix:

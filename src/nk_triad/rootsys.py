@@ -3,7 +3,9 @@
 Roots are stored as integer coefficient vectors over a fixed simple-root basis
 ``alpha_1 .. alpha_l``.  Inner products are exact fractions, normalized so that
 the highest root mu has squared length 2 (written ``kappa`` in reports).  With
-this normalization the squared length of any root is 2, 1 or 2/3.
+this normalization the squared length of any root is 2, 1 or 2/3, so 6 x Gram
+is an integer matrix: inner products are summed in Python ints over it and
+returned as one exact ``Fraction(total, 6)``.
 
 Node numbering follows the convention where the exceptional chains read
 
@@ -117,6 +119,9 @@ class RootSystem:
         for i, j in edges:
             gram[i][j] = gram[j][i] = -max(norms[i], norms[j]) / 2
         self.gram: tuple[tuple[Fraction, ...], ...] = tuple(tuple(r) for r in gram)
+        gram6 = [[6 * x for x in r] for r in gram]
+        assert all(x.denominator == 1 for r in gram6 for x in r), "6 x Gram must be integral"
+        self.gram6: tuple[tuple[int, ...], ...] = tuple(tuple(int(x) for x in r) for r in gram6)
         self.cartan_matrix: tuple[tuple[int, ...], ...] = tuple(
             tuple(int(2 * gram[i][j] / gram[j][j]) for j in range(rank))
             for i in range(rank)
@@ -150,6 +155,7 @@ class RootSystem:
                             new.append(up)
             frontier = new
         ordered = sorted(known)
+        self._roots: set[Coeffs] = set(ordered) | {tuple(-c for c in r) for r in ordered}
         self.positive_roots: tuple[Root, ...] = tuple(
             Root(c, self._inner(c, c)) for c in ordered
         )
@@ -167,15 +173,11 @@ class RootSystem:
     # -- exact arithmetic ----------------------------------------------------
 
     def _inner(self, a: Sequence[int], b: Sequence[int]) -> Fraction:
-        total = Fraction(0)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            row = self.gram[i]
-            for j, bj in enumerate(b):
-                if bj:
-                    total += ai * bj * row[j]
-        return total
+        total = 0
+        for ai, row in zip(a, self.gram6):
+            if ai:
+                total += ai * sum(g * bj for g, bj in zip(row, b))
+        return Fraction(total, 6)
 
     def inner(self, a, b) -> Fraction:
         """Exact inner product of two coefficient vectors."""
@@ -186,8 +188,7 @@ class RootSystem:
         return self._inner(c, c)
 
     def is_root(self, a) -> bool:
-        c = _as_coeffs(a)
-        return c in self._index or tuple(-x for x in c) in self._index
+        return _as_coeffs(a) in self._roots
 
     def index(self, a) -> int:
         """Position of a positive root in the lexicographic enumeration."""

@@ -370,9 +370,11 @@ TABLES = {
 }
 
 
-def diff_table(name: str, deep: bool = False) -> list[str]:
-    """Row-level differences between computed and golden data."""
-    computed = TABLES[name](deep=deep)
+def diff_table(name: str, deep: bool = False, computed: list[dict] | None = None) -> list[str]:
+    """Row-level differences between computed (by default, freshly computed)
+    and golden data."""
+    if computed is None:
+        computed = TABLES[name](deep=deep)
     golden = load_golden(name)
     diffs = []
     if not deep and name in ("table_aiii", "fibrations_aiii"):
@@ -389,15 +391,18 @@ def diff_table(name: str, deep: bool = False) -> list[str]:
     return diffs
 
 
-def check_table(name: str, deep: bool = False) -> None:
-    diffs = diff_table(name, deep)
+def check_table(name: str, deep: bool = False, computed: list[dict] | None = None) -> None:
+    diffs = diff_table(name, deep, computed)
     if diffs:
         raise TableMismatch(name, diffs)
 
 
-def regenerate_matches_bytes(name: str, deep: bool = True) -> bool:
+def regenerate_matches_bytes(name: str, deep: bool = True,
+                             computed: list[dict] | None = None) -> bool:
     """Byte-level comparison of regenerated serialization against golden."""
-    return dumps_rows(TABLES[name](deep=deep)) == golden_text(name)
+    if computed is None:
+        computed = TABLES[name](deep=deep)
+    return dumps_rows(computed) == golden_text(name)
 
 
 # -- Einstein families -----------------------------------------------------------------

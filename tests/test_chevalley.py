@@ -1,6 +1,7 @@
 """Structure-constant table: squares against an independent oracle, signs."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -43,7 +44,7 @@ def test_a2_squares_and_triples():
 
 
 @pytest.mark.parametrize("family,rank", [("a", 2), ("a", 3), ("g", 2), ("b", 3),
-                                         ("c", 3), ("d", 4), ("f", 4)])
+                                         ("c", 3), ("d", 4), ("f", 4), ("e", 6), ("e", 7)])
 def test_squares_match_oracle(family, rank):
     rs = build_root_system(family, rank)
     cd = build_structure_constants(rs)
@@ -58,6 +59,14 @@ def test_squares_match_oracle(family, rank):
             assert cd.n_squared(a, b) == 0
     assert pair_count == len(cd.n_sq)
     assert verify_square_formula(cd) == pair_count
+
+
+def test_square_formula_detects_a_changed_square():
+    cd = build_structure_constants(build_root_system("g", 2))  # fresh table
+    a, b = sorted(cd.n_sq)[0]
+    cd.n_sq[(a, b)] *= 2
+    with pytest.raises(IdentityViolation, match=re.escape(f"at {a}, {b}:")):
+        verify_square_formula(cd)
 
 
 def test_g2_short_root_square():

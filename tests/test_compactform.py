@@ -9,6 +9,7 @@ import pytest
 from nk_triad.compactform import (
     CompactAlgebra,
     JacobiFailure,
+    TraceFormFailure,
     adjoint_action_exp,
     build_compact_form,
 )
@@ -85,6 +86,36 @@ def test_trace_form_proportional_to_stored(algebra):
     for family, rank in [("a", 2), ("b", 3), ("c", 3), ("d", 4), ("g", 2), ("f", 4)]:
         ca = algebra(family, rank)
         assert abs(ca.trace_form_ratio() - 2 * ca.dual_coxeter) < 1e-8
+
+
+def _scaled_su2(algebra):
+    """A fresh su(2) table with [U0, U1] doubled: tr(ad X ad X)/B0(X, X) goes
+    from 4 to 8 on both U-vectors and stays 4 on h."""
+    cached = algebra("a", 1)
+    ca = CompactAlgebra(cached.rs, cached.cd)
+    u0, u1 = ca.u_index(0, 0), ca.u_index(0, 1)
+    ca._table[(u0, u1)] = tuple((l, 2 * c) for l, c in ca._table[(u0, u1)])
+    return ca
+
+
+def test_trace_form_failure_names_its_indices(algebra):
+    ca = _scaled_su2(algebra)
+    with pytest.raises(TraceFormFailure) as exc:
+        ca.trace_form_ratio()
+    lo, hi = exc.value.indices
+    assert lo == 0 and hi in (ca.u_index(0, 0), ca.u_index(0, 1))
+    assert exc.value.spread == pytest.approx(4.0)
+    assert algebra("a", 1).trace_form_ratio() == pytest.approx(4.0)
+
+
+def test_cli_reports_trace_form_failure(algebra, monkeypatch, capsys):
+    from nk_triad import cli
+
+    broken = _scaled_su2(algebra)
+    monkeypatch.setattr(cli, "_JACOBI_DEFAULT", [("a", 1)])
+    monkeypatch.setattr(cli, "cached_algebra", lambda family, rank: broken)
+    assert cli.main(["verify", "jacobi"]) == 1
+    assert '"trace-form:a1:trace-form ratio spread 4.000e+00' in capsys.readouterr().out
 
 
 def test_ad_skew_and_invariance(algebra):

@@ -1,5 +1,6 @@
 """Root system construction, strings, and subsystem classification."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,30 @@ def test_highest_root_normalization_and_dominance():
             assert all(m >= c for m, c in zip(rs.highest_root.coeffs, r.coeffs))
             assert all(c >= 0 for c in r.coeffs)
             assert r.norm_sq in (Fraction(2), Fraction(1), Fraction(2, 3))
+
+
+@pytest.mark.parametrize("family,rank", [("g", 2), ("f", 4), ("b", 3), ("c", 3)])
+def test_inner_product_and_membership_match_reference(family, rank):
+    """The integer 6 x Gram sums and the all-roots set against a Fraction sum
+    over rs.gram and membership in +-positive_roots, both computed here."""
+    rs = build_root_system(family, rank)
+
+    def reference(a, b):
+        return sum((Fraction(x * y) * rs.gram[i][j]
+                    for i, x in enumerate(a) for j, y in enumerate(b)), Fraction(0))
+
+    roots = rs.all_roots()
+    for a in roots:
+        assert a.norm_sq == reference(a.coeffs, a.coeffs) == rs.norm_sq(a)
+        for b in roots:
+            assert rs.inner(a, b) == reference(a.coeffs, b.coeffs)
+    members = {r.coeffs for r in rs.positive_roots}
+    members |= {tuple(-x for x in c) for c in members}
+    bound = max(rs.marks) + 1
+    box = list(itertools.product(range(-bound, bound + 1), repeat=rank))
+    assert (0,) * rank in box and not rs.is_root((0,) * rank)
+    for c in box:
+        assert rs.is_root(c) == (c in members)
 
 
 def test_cartan_matrix_recomputed_from_gram():

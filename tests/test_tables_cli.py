@@ -132,8 +132,47 @@ def test_cli_usage_error_exit_2():
     assert main(["classify", "d", "3"]) == 2  # invalid rank
 
 
-def test_cli_verify_tables_scope():
+def test_cli_verify_tables_scope(monkeypatch):
+    calls = {}
+    for name, fn in list(tables.TABLES.items()):
+        def counted(deep=False, name=name, fn=fn):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(deep=deep)
+        monkeypatch.setitem(tables.TABLES, name, counted)
     assert main(["verify", "tables"]) == 0
+    assert calls == dict.fromkeys(["table_ai", "table_aii", "table_aiii", "table_aiv",
+                                   "table_bc"], 1)
+
+
+def _golden_rows(name):
+    """Golden rows as the non-deep computation returns them."""
+    rows = tables.load_golden(name)
+    if name == "table_aiii":
+        rows = [r for r in rows if not (r["family"] == "e" and r["rank"] in (7, 8))]
+    return rows
+
+
+@pytest.mark.parametrize("change,failure", [
+    (lambda rows: rows, None),
+    (lambda rows: rows[::-1], "tables:table_bc:serialization drift"),
+    (lambda rows: [dict(rows[0], m_dim=99)] + rows[1:],
+     "tables:table_bc:['missing computed row: Spin(8)/[SU(3)/Z3]', "
+     "'unexpected computed row: Spin(8)/[SU(3)/Z3]']"),
+])
+def test_cli_verify_tables_failures(monkeypatch, capsys, change, failure):
+    """Row diffs and byte drift are both reported, from one computation."""
+    for name in ("table_ai", "table_aii", "table_aiii", "table_aiv", "table_bc"):
+        rows = _golden_rows(name)
+        if name == "table_bc":
+            rows = change(rows)
+        monkeypatch.setitem(tables.TABLES, name, lambda deep=False, rows=rows: rows)
+    rc = main(["verify", "tables"])
+    text = capsys.readouterr().out
+    if failure is None:
+        assert rc == 0
+    else:
+        assert rc == 1
+        assert json.loads(text[text.index("{"):])["failures"] == [failure]
 
 
 def test_cli_entry_point_installed():
