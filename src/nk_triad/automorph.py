@@ -117,6 +117,7 @@ class OrderThreeSymmetricSpace:
         self.dim_k = k_cols.shape[1]
         self.dim_m = m_cols.shape[1]
         self._tensors = None
+        self._curvature = None   # nk_analyzer.Curvature, built on first use
         self._sigma_m = None
 
     # -- geometry ------------------------------------------------------------

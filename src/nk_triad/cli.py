@@ -394,7 +394,8 @@ def cmd_verify(args) -> int:
 def _add_common(p):
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted and unused: every identity suite is exhaustive")
     p.add_argument("--deep", action="store_true",
                    help="include the e7/e8 checks")
 

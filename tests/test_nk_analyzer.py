@@ -11,6 +11,7 @@ from nk_triad.nk_analyzer import (
     IdentityViolation,
     build_report,
     canonical_J,
+    curvature,
     einstein_check,
     exact_r_eigenvalues,
     layer_epsilon,
@@ -157,8 +158,24 @@ def test_curvature_identities_full_sweep(su3_flag, g2_twistor):
         res = verify_curvature_identities(sp)
         assert res["bianchi"] < 1e-9
         assert res["pair_symmetry"] < 1e-9
+        assert res["antisymmetry"] < 1e-9
         assert res["curvature_J_defect"] < 1e-9
         assert res["r_identity"] < 1e-9
+
+
+def test_curvature_identities_check_every_tuple():
+    """One perturbed k-component on a dm = 84 space must show in the
+    curvature residuals.  The entry kc[a, b, s] pairs a Cartan direction s
+    with a root plane that ad(k_s) kills, so Ric, Ric* and r do not move and
+    only the four-index identities can see it."""
+    sp = realize("e", 7, "A3III", (2,))
+    _, kc, ak = sp.tensors()
+    s = 0                                               # k_idx starts with the Cartan
+    moved = np.abs(ak[s]).any(axis=1)
+    a, b = int(np.flatnonzero(moved)[0]), int(np.flatnonzero(~moved)[0])
+    kc[a, b, s] += 0.5
+    res = verify_curvature_identities(sp)
+    assert max(res.values()) > 1e-6
 
 
 def test_structure_identities(su3_flag):
@@ -192,11 +209,51 @@ def _ambient_nat_reductive(space, x, y, z, t):
 ])
 def test_riemann_matches_nested_bracket_oracle(maker):
     sp = maker()
+    op = curvature(sp).riemann
     rng = np.random.default_rng(9)
     for _ in range(12):
         x, y, z, t = rng.standard_normal((4, sp.dim_m))
-        assert abs(riemann_value(sp, x, y, z, t)
-                   - _ambient_nat_reductive(sp, x, y, z, t)) < 1e-9
+        want = _ambient_nat_reductive(sp, x, y, z, t)
+        assert abs(riemann_value(sp, x, y, z, t) - want) < 1e-9
+        assert abs(np.kron(x, y) @ (op @ np.kron(z, t)) - want) < 1e-9
+
+
+def _dense_riemann(space):
+    """Reference R[a,b,c,d] from dense einsums over the tensors."""
+    xi, kc, ak = space.tensors()
+    g2 = np.einsum("abk,cdk->abcd", xi, xi)
+    r4 = np.einsum("abs,sdc->abcd", kc, ak)
+    return r4 + 2.0 * g2 - np.einsum("acbd->abcd", g2) + np.einsum("adbc->abcd", g2)
+
+
+def _dense_ricci(space, j):
+    """Reference (Ric, Ric*): Ric(X,Y) = R(X,e_i,Y,e_i), Ric*(X,Y) = R(X,e_i,JY,Je_i)."""
+    r4 = _dense_riemann(space)
+    return (np.einsum("aibi->ab", r4),
+            np.einsum("aicd,cb,di->ab", r4, j, j))
+
+
+@pytest.mark.parametrize("maker", [
+    lambda: realize("a", 2, "A3II", (1, 2)),
+    lambda: realize("g", 2, "A3III", (2,)),
+    lambda: realize_cyclic_c3(__import__("nk_triad.tables", fromlist=["cached_algebra"]).cached_algebra("a", 1)),
+    lambda: realize_triality_d4(__import__("nk_triad.tables", fromlist=["cached_algebra"]).cached_algebra("d", 4)),
+])
+def test_sparse_curvature_matches_dense_reference(maker):
+    sp = maker()
+    dm = sp.dim_m
+    r4 = _dense_riemann(sp)
+    ric, ric_star = _dense_ricci(sp, canonical_J(sp))
+    op = curvature(sp).riemann
+    assert np.abs(op.toarray().reshape(dm, dm, dm, dm) - r4).max() < 1e-12
+    got_ric, got_star, got_c = ricci_tensors(sp)
+    assert np.abs(got_ric - ric).max() < 1e-12
+    assert np.abs(got_star - ric_star).max() < 1e-12
+    assert np.abs(got_c - (ric - 5.0 * ric_star)).max() < 1e-11
+    # built once per space, and the memoised arrays are not writable
+    assert curvature(sp) is curvature(sp)
+    assert ricci_tensors(sp)[0] is got_ric and not got_ric.flags.writeable
+    assert tensor_r(sp) is tensor_r(sp)
 
 
 def test_s3xs3_sectional_curvature_nonnegative():
