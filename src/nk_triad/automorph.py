@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from .compactform import CompactAlgebra, adjoint_action_exp
 from .chevalley import _add
@@ -34,6 +35,10 @@ class NotOrderThree(ValueError):
 
 class TrialityInconsistent(RuntimeError):
     """No sign adjustment makes the diagram rotation an automorphism."""
+
+
+class ClassificationMismatch(RuntimeError):
+    """The action of k on m contradicts the type its automorphism class names."""
 
 
 @dataclass(frozen=True)
@@ -151,19 +156,27 @@ class OrderThreeSymmetricSpace:
             self._tensors = _build_tensors(self)
         return self._tensors
 
-    def bracket_preservation_residual(self, rng=None, samples: int = 40) -> float:
-        """max |sigma[x,y] - [sigma x, sigma y]| over sampled basis pairs."""
-        ca = self.algebra
-        d = ca.dim
-        rng = rng or np.random.default_rng(0)
-        worst = 0.0
-        eye = np.eye(d)
-        pairs = [(int(rng.integers(d)), int(rng.integers(d))) for _ in range(samples)]
-        for i, j in pairs:
-            lhs = self.sigma @ ca.bracket_vectors(eye[:, i], eye[:, j])
-            rhs = ca.bracket_vectors(self.sigma[:, i], self.sigma[:, j])
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
-        return worst
+    def bracket_preservation_residual(self) -> float:
+        """max |sigma[e_i, e_j] - [sigma e_i, sigma e_j]| over every basis pair."""
+        return self._bracket_preservation_worst()[0]
+
+    def _bracket_preservation_worst(self) -> tuple[float, tuple[int, int]]:
+        """The largest bracket-preservation residual and a pair (i, j) where it
+        occurs, from the algebra's bracket tensor C, one slab of i at a time:
+        sigma[e_i, e_j] is row j of C_i sigma^T, and [sigma e_i, sigma e_j] is
+        row j of sigma^T M_i with M_i[b, l] = sum_a sigma[a, i] C[(a, b), l]."""
+        d = self.algebra.dim
+        c = self.algebra._bracket_tensor()
+        by_first = c.reshape((d, d * d)).T.tocsr()      # [(b, l), a] = C[(a, b), l]
+        worst, where = 0.0, (0, 0)
+        for i in range(d):
+            lhs = c[i * d:(i + 1) * d] @ self.sigma.T
+            rhs = self.sigma.T @ (by_first @ self.sigma[:, i]).reshape(d, d)
+            res = np.abs(lhs - rhs).max(axis=1)
+            j = int(res.argmax())
+            if res[j] > worst:
+                worst, where = float(res[j]), (i, j)
+        return worst, where
 
 
 def _build_tensors(space: OrderThreeSymmetricSpace):
@@ -349,8 +362,11 @@ def realize_triality_d4(ca: CompactAlgebra) -> OrderThreeSymmetricSpace:
         ca, "B3", sigma, k_cols, m_cols, name="Spin(8)/G2 (triality fixed points)",
     )
     space.check_invariants()
-    if space.bracket_preservation_residual(samples=120) > 1e-9:
-        raise TrialityInconsistent("rescaled rotation fails to preserve brackets")
+    residual, (i, j) = space._bracket_preservation_worst()
+    if residual > 1e-9:
+        raise TrialityInconsistent(
+            f"rescaled rotation fails to preserve the bracket of basis pair "
+            f"({i}, {j}): residual {residual:.3e}")
 
     # reorder the m-basis along the two invariant halves, with J E as second
     halves = invariant_halves(space)
@@ -387,6 +403,16 @@ class TripleAlgebra:
             return ()
         off = ci[0] * d
         return tuple((off + k, c) for k, c in self.base.bracket_terms(ci[1], cj[1]))
+
+    def _bracket_tensor(self) -> sp.csr_matrix:
+        """Block-diagonal structure constants, in the layout of
+        ``CompactAlgebra._bracket_tensor``."""
+        d, n = self.base.dim, self.dim
+        c = self.base._bracket_tensor().tocoo()
+        i, j = np.divmod(c.row, d)
+        offs = np.repeat(np.arange(3) * d, c.nnz)
+        i, j, l = np.tile(i, 3) + offs, np.tile(j, 3) + offs, np.tile(c.col, 3) + offs
+        return sp.csr_matrix((np.tile(c.data, 3), (i * n + j, l)), shape=(n * n, n))
 
     def bracket_vectors(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         out = np.zeros(self.dim)
@@ -471,45 +497,108 @@ class TypeDecision:
 
 def orbit_span_dim(space: OrderThreeSymmetricSpace, seed_vector: np.ndarray,
                    tol: float = 1e-8) -> int:
-    """Dimension of the smallest ad(k)-invariant subspace containing the vector."""
-    xi, kc, ak = space.tensors()
-    basis = [seed_vector / np.linalg.norm(seed_vector)]
-    frontier = list(basis)
-    while frontier:
-        new = []
-        for v in frontier:
-            for s in range(space.dim_k):
-                w = ak[s] @ v
-                for u in basis + new:
-                    w = w - (u @ w) * u
-                n = np.linalg.norm(w)
-                if n > tol:
-                    new.append(w / n)
-        basis.extend(new)
-        frontier = new
-        if len(basis) >= space.dim_m:
-            break
-    return len(basis)
+    """Dimension of the smallest ad(k)-invariant subspace containing the vector.
+
+    Block Krylov iteration: every ad(k_s) is applied to a few pending basis
+    vectors at once (about dim m columns per step), the span so far is
+    projected out, and the left singular vectors above ``tol`` join the
+    orthonormal basis and the pending queue.  It stops when the queue is
+    empty or the span reaches dim m.
+    """
+    _, _, ak = space.tensors()
+    dm = space.dim_m
+    step = max(1, dm // len(ak))
+    basis = (seed_vector / np.linalg.norm(seed_vector))[:, None]
+    pending = basis
+    while pending.shape[1] and basis.shape[1] < dm:
+        block, pending = pending[:, :step], pending[:, step:]
+        cand = np.einsum("sij,jf->isf", ak, block).reshape(dm, -1)
+        for _ in range(2):                  # twice, so the projection is clean
+            cand -= basis @ (basis.T @ cand)
+        u, sv, _ = np.linalg.svd(cand, full_matrices=False)
+        new = u[:, sv > tol]
+        basis = np.hstack([basis, new])
+        pending = np.hstack([pending, new])
+    return basis.shape[1]
+
+
+_BLOCK_SEED = 0          # seeds the element X of k whose X^T X cuts m into blocks
+_CLUSTER_RTOL = 1e-6     # eigenvalues of X^T X closer than this share a block
+_GRAM_SLAB_ENTRIES = 1 << 15    # Gram entries formed per slab of rows
+
+
+def commutant_basis(space: OrderThreeSymmetricSpace, tol: float = 1e-7) -> list[np.ndarray]:
+    """A basis of the operators on m that commute with every ad(k_s)|m.
+
+    Any such S commutes with X = sum_s c_s ad(k_s) for every c, hence with the
+    symmetric X^T X, so S preserves its eigenspaces: in an eigenbasis Q of
+    X^T X, Q^T S Q is block diagonal, and each block S_i commutes with the
+    block X_i of Q^T X Q.  X is a seeded random combination; that only keeps
+    the blocks small (root planes for inner classes), since both statements
+    hold for every X.  Eigenvalues are clustered loosely, so a multiplet is
+    never split; merging two close ones only enlarges a block.
+
+    The unknowns are the coordinates of the S_i in the commutant of X_i
+    (2 per root plane), dim m of them for inner classes instead of dim m^2.
+    With A_s = Q^T ad(k_s) Q and C = sum_s A_s^2, sum_s |[A_s, S]|^2 has, on
+    the block entries, the Gram matrix
+    G[(p,q),(r,t)] = 2 sum_s A_s[p,r] A_s[t,q] - C[p,r] d_qt - d_pr C[t,q]
+    (d the Kronecker delta), formed in row slabs; the null space (eigenvalues
+    below ``tol``) of G restricted to those coordinates is the commutant.
+    """
+    _, _, ak = space.tensors()
+    dm = space.dim_m
+    x = np.tensordot(np.random.default_rng(_BLOCK_SEED).standard_normal(len(ak)), ak, axes=1)
+    vals, q = np.linalg.eigh(x.T @ x)
+    cuts = np.flatnonzero(np.diff(vals) > _CLUSTER_RTOL * max(vals[-1], 1.0)) + 1
+    blocks = list(zip(np.concatenate([[0], cuts]), np.concatenate([cuts, [dm]])))
+    rows = np.concatenate([np.repeat(np.arange(a, b), b - a) for a, b in blocks])
+    cols = np.concatenate([np.tile(np.arange(a, b), b - a) for a, b in blocks])
+    n = len(rows)
+    step = max(1, _GRAM_SLAB_ENTRIES // n)
+    gram = np.zeros((n, n))
+    casimir = np.zeros((dm, dm))
+    for ad_s in ak:
+        at = q.T @ ad_s @ q
+        casimir += at @ at
+        for lo in range(0, n, step):              # A[p, r] A[t, q] = -A[p, r] A[q, t]
+            p, t = rows[lo:lo + step], cols[lo:lo + step]
+            gram[lo:lo + step] -= at[p][:, rows] * at[t][:, cols]
+    gram *= 2.0
+    xt = q.T @ x @ q
+    coords = []                                   # per block, the commutant of X_i
+    start = 0
+    for a, b in blocks:
+        eye, end = np.eye(b - a), start + (b - a) ** 2
+        c = casimir[a:b, a:b]                     # the C terms live on diagonal blocks
+        gram[start:end, start:end] -= np.kron(c, eye) + np.kron(eye, c)
+        op = np.kron(xt[a:b, a:b], eye) - np.kron(eye, xt[a:b, a:b].T)
+        w, v = np.linalg.eigh(op.T @ op)
+        coords.append(v[:, w < tol])
+        start = end
+    frame = sp.block_diag(coords, format="csr")
+    gram = frame.T @ gram @ frame                 # rebinding frees the full Gram
+    vals, vecs = np.linalg.eigh(gram)
+    out = []
+    for v in (frame @ vecs[:, vals < tol]).T:
+        block = np.zeros((dm, dm))
+        block[rows, cols] = v
+        out.append(q @ block @ q.T)
+    return out
 
 
 def invariant_halves(space: OrderThreeSymmetricSpace, tol: float = 1e-7):
     """Split m into two ad(k)-invariant halves, or None if real-irreducible.
 
-    Works through the symmetric part of the commutant of ad(k)|m: a strict
-    nontrivial symmetric commuting operator exists exactly when the action is
-    real-reducible; its eigenspaces are the halves.
+    Works through the symmetric part of the commutant of ad(k)|m
+    (``commutant_basis``, solved block by block, at every dim m): a strict
+    nontrivial symmetric commuting operator exists exactly when the action
+    is real-reducible; its eigenspaces are the halves.
     """
-    _, _, ak = space.tensors()
     dm = space.dim_m
-    normal = np.zeros((dm * dm, dm * dm))
     eye = np.eye(dm)
-    for s in range(space.dim_k):
-        op = np.kron(ak[s], eye) - np.kron(eye, ak[s].T)
-        normal += op.T @ op
-    vals, vecs = np.linalg.eigh(normal)
-    commutant = [vecs[:, k].reshape(dm, dm) for k in range(dm * dm) if vals[k] < tol]
     sym = []
-    for mtx in commutant:
+    for mtx in commutant_basis(space, tol):
         s = (mtx + mtx.T) / 2.0
         if np.abs(s).max() > 1e-6:
             sym.append(s)
@@ -529,9 +618,14 @@ def invariant_halves(space: OrderThreeSymmetricSpace, tol: float = 1e-7):
     return half, other
 
 
-def classify_type(space: OrderThreeSymmetricSpace, seed: int = 11,
-                  confirm: bool | None = None) -> TypeDecision:
-    """Assign the nearly Kahler structure type of a realized space."""
+def classify_type(space: OrderThreeSymmetricSpace, seed: int = 11) -> TypeDecision:
+    """Assign the nearly Kahler structure type of a realized space.
+
+    Types I and II are confirmed on every space, whatever its dim m: a type-I
+    label needs a generic ad(k)-orbit spanning m and no invariant halves, a
+    type-II label two invariant halves of equal dimension.  Anything else
+    raises ``ClassificationMismatch``.
+    """
     label_map = {"A3IV": "I", "A3II": "III", "A3III": "IV", "C3": "II"}
     evidence: dict = {}
     if space.type_label == "A3I":
@@ -543,9 +637,7 @@ def classify_type(space: OrderThreeSymmetricSpace, seed: int = 11,
         evidence["half_dims"] = (halves[0].shape[1], halves[1].shape[1])
         return TypeDecision("II", evidence)
     label = label_map[space.type_label]
-    if confirm is None:
-        confirm = space.dim_m <= 64
-    if confirm and label in ("I", "II"):
+    if label in ("I", "II"):
         rng = np.random.default_rng(seed)
         spans = []
         for _ in range(3):
@@ -554,8 +646,18 @@ def classify_type(space: OrderThreeSymmetricSpace, seed: int = 11,
                 break
         evidence["generic_orbit_span"] = max(spans)
         halves = invariant_halves(space)
-        if label == "I" and halves is not None:
-            evidence["unexpected_halves"] = True
-        if label == "II" and halves is not None:
-            evidence["half_dims"] = (halves[0].shape[1], halves[1].shape[1])
+        dims = None if halves is None else (halves[0].shape[1], halves[1].shape[1])
+        if label == "I" and evidence["generic_orbit_span"] < space.dim_m:
+            raise ClassificationMismatch(
+                f"{space.name}: type I, but a generic ad(k)-orbit spans only "
+                f"{evidence['generic_orbit_span']} of dim m = {space.dim_m}")
+        if label == "I" and dims is not None:
+            raise ClassificationMismatch(
+                f"{space.name}: type I, but m splits into invariant halves {dims}")
+        if label == "II" and (dims is None or dims[0] != dims[1]):
+            raise ClassificationMismatch(
+                f"{space.name}: type II needs two equal invariant halves, found "
+                f"{dims if dims else 'none'}")
+        if dims is not None:
+            evidence["half_dims"] = dims
     return TypeDecision(label, evidence)

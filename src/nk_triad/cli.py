@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from . import tables
 from .automorph import (
+    ClassificationMismatch,
     NotOrderThree,
     classify_type,
     enumerate_inner_order3,
@@ -126,7 +127,10 @@ def cmd_classify(args) -> int:
 
 
 def _realize_from_args(args):
+    rs = cached_root_system(args.family, args.rank)      # rejects a bad type first
     if args.triality:
+        if (args.family, args.rank) != ("d", 4):
+            raise InvalidRank(f"--triality needs the algebra d 4, got {args.family} {args.rank}")
         return realize_triality_d4(cached_algebra(args.family, args.rank))
     if args.cyclic:
         return realize_cyclic_c3(cached_algebra(args.family, args.rank))
@@ -134,7 +138,6 @@ def _realize_from_args(args):
         nodes = tuple(int(t) for t in args.nodes.split(","))
     except ValueError:
         raise InvalidRank(f"--nodes expects integers, got {args.nodes!r}")
-    rs = cached_root_system(args.family, args.rank)
     if not nodes or len(nodes) > 2 or any(not 1 <= n <= rs.rank for n in nodes):
         raise InvalidRank(f"--nodes must name one or two of 1..{rs.rank}")
     marks = [rs.marks[n - 1] for n in nodes]
@@ -322,6 +325,7 @@ def _verify_identities(tol: float, seed: int, deep: bool) -> list[str]:
     failures = []
     for space in identity_spaces(deep):
         try:
+            decision = classify_type(space)      # first, so a mismatch is named as one
             res = {}
             res.update(verify_structure_identities(space, tol=tol))
             res.update(verify_curvature_identities(space, tol=tol, seed=seed))
@@ -330,7 +334,7 @@ def _verify_identities(tol: float, seed: int, deep: bool) -> list[str]:
                 res["min_connection"] = verify_min_connection_identity(
                     space, tol=tol, seed=seed)
                 res.update(verify_sat_identities(space, tol=tol, seed=seed))
-            report = build_report(space)
+            report = build_report(space, classify=decision)
             verify_prop_table_relations(report)
             einstein_check(report)
             bad = {k: v for k, v in res.items() if v > tol}
@@ -447,6 +451,9 @@ def main(argv=None) -> int:
     except (InvalidRank, NotOrderThree) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ClassificationMismatch as exc:
+        print(f"classification mismatch: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

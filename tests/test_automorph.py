@@ -1,14 +1,19 @@
 """Order-3 automorphism enumeration and realization."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from nk_triad import automorph, cli, tables
 from nk_triad.automorph import (
+    ClassificationMismatch,
     InnerClass,
     NotOrderThree,
+    TrialityInconsistent,
     classify_type,
+    commutant_basis,
     enumerate_inner_order3,
     fixed_algebra_root_signature,
     invariant_halves,
@@ -117,7 +122,7 @@ def test_triality_dimensions_and_fixed_vectors(algebra):
         for p in (0, 1):
             idx = ca.u_index(rs.index(root), p)
             assert abs(sp.sigma[idx, idx] - 1) < 1e-12
-    assert sp.bracket_preservation_residual(samples=150) < 1e-12
+    assert sp.bracket_preservation_residual() < 1e-12
 
 
 def test_triality_fixed_algebra_is_g2(algebra):
@@ -142,6 +147,7 @@ def test_triality_halves_are_invariant(algebra):
 def test_cyclic_su2(algebra):
     sp = realize_cyclic_c3(algebra("a", 1))
     assert sp.algebra.dim == 9 and sp.dim_k == 3 and sp.dim_m == 6
+    assert sp.bracket_preservation_residual() == 0.0     # every pair, block-diagonal C
     dec = classify_type(sp)
     assert dec.label == "II"
 
@@ -172,3 +178,130 @@ def test_orbit_span_half_inside_invariant_subspace(algebra):
     assert orbit_span_dim(sp, seed) == 3
     halves = invariant_halves(sp)
     assert halves is not None and halves[0].shape[1] == 3
+
+
+def test_bracket_preservation_checks_every_pair(algebra, monkeypatch):
+    ca = algebra("d", 4)
+    sp = realize_triality_d4(ca)
+    col = ca.u_index(5, 0)
+    row = int(np.flatnonzero(sp.sigma[:, col])[0])
+    sp.sigma[row, col] *= -1.0                   # one U-plane entry of a fresh space
+    eye = np.eye(ca.dim)
+    dense = np.array([[np.abs(sp.sigma @ ca.bracket_vectors(eye[:, i], eye[:, j])
+                              - ca.bracket_vectors(sp.sigma[:, i], sp.sigma[:, j])).max()
+                       for j in range(ca.dim)] for i in range(ca.dim)])
+    assert sp.bracket_preservation_residual() > 1e-9
+    residual, (i, j) = sp._bracket_preservation_worst()
+    assert residual == pytest.approx(dense.max(), abs=1e-12)
+    assert dense[i, j] == pytest.approx(dense.max(), abs=1e-12)
+    # the realization names the pair: flip one sign bit, past the order-3 check
+    solve = automorph._solve_gf2
+    monkeypatch.setattr(automorph, "_solve_gf2",
+                        lambda rows, n: [b ^ (k == 5) for k, b in enumerate(solve(rows, n))])
+    monkeypatch.setattr(automorph.OrderThreeSymmetricSpace, "check_invariants",
+                        lambda self, tol=1e-9: None)
+    with pytest.raises(TrialityInconsistent, match=r"basis pair \(\d+, \d+\): residual"):
+        realize_triality_d4(ca)
+
+
+def dense_invariant_halves(space, tol=1e-7):
+    """Reference: the commutant from the dim m^2 x dim m^2 normal matrix of the
+    kron-product commutator map; returns (commutant dim, halves or None)."""
+    _, _, ak = space.tensors()
+    dm = space.dim_m
+    normal = np.zeros((dm * dm, dm * dm))
+    eye = np.eye(dm)
+    for s in range(space.dim_k):
+        op = np.kron(ak[s], eye) - np.kron(eye, ak[s].T)
+        normal += op.T @ op
+    vals, vecs = np.linalg.eigh(normal)
+    commutant = [vecs[:, k].reshape(dm, dm) for k in range(dm * dm) if vals[k] < tol]
+    sym = [(m + m.T) / 2.0 for m in commutant if np.abs(m + m.T).max() > 2e-6]
+    flat = np.array([s.ravel() / np.linalg.norm(s) for s in sym] + [eye.ravel() / np.sqrt(dm)])
+    if np.linalg.matrix_rank(flat, tol=1e-6) <= 1:
+        return len(commutant), None
+    probe = next(s for s in sym if np.linalg.norm(s - (np.trace(s) / dm) * eye) > 1e-6)
+    vals, vecs = np.linalg.eigh(probe - (np.trace(probe) / dm) * eye)
+    return len(commutant), (vecs[:, vals > 0], vecs[:, vals <= 0])
+
+
+def _leak(space, halves):
+    _, _, ak = space.tensors()
+    return max(np.abs(halves[1].T @ a @ halves[0]).max() for a in ak)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: realize("g", 2, "A3IV", (1,)),
+    lambda: realize("f", 4, "A3IV", (2,)),
+    lambda: realize_triality_d4(tables.cached_algebra("d", 4)),
+    lambda: realize_cyclic_c3(tables.cached_algebra("a", 1)),
+    lambda: realize_cyclic_c3(tables.cached_algebra("a", 2)),
+    lambda: realize_cyclic_c3(tables.cached_algebra("a", 3)),
+], ids=["g2-node1", "f4-node2", "d4-triality", "a1-cyclic", "a2-cyclic", "a3-cyclic"])
+def test_block_commutant_matches_dense_reference(make):
+    sp = make()
+    dim, ref = dense_invariant_halves(sp)
+    basis = commutant_basis(sp)
+    assert len(basis) == dim
+    _, _, ak = sp.tensors()
+    assert max(np.abs(a @ s - s @ a).max() for a in ak for s in basis) < 1e-9
+    halves = invariant_halves(sp)
+    if ref is None:
+        assert halves is None
+        return
+    assert (halves[0].shape[1], halves[1].shape[1]) == (ref[0].shape[1], ref[1].shape[1])
+    assert _leak(sp, halves) < 1e-9 and _leak(sp, ref) < 1e-9
+
+
+def test_every_type_i_and_ii_space_is_confirmed(algebra):
+    """No size cutoff: every A3IV class up to e8 (dim m 168) and every cyclic
+    triple up to a4 gets a confirmed type, in bounded time."""
+    spaces = [realize_inner(algebra(f, r), cls)
+              for f, r in [("g", 2), ("f", 4), ("e", 6), ("e", 7), ("e", 8)]
+              for cls in enumerate_inner_order3(algebra(f, r).rs, dedup=True)
+              if cls.kind == "A3IV"]
+    spaces += [realize_cyclic_c3(algebra(f, r))
+               for f, r in [("a", 1), ("a", 2), ("a", 3), ("a", 4), ("b", 2), ("b", 3),
+                            ("c", 3), ("g", 2)]]
+    assert max(sp.dim_m for sp in spaces) == 168
+    for sp in spaces:
+        sp.tensors()
+    start = time.process_time()
+    for sp in spaces:
+        dec = classify_type(sp)
+        assert dec.evidence["generic_orbit_span"] == sp.dim_m
+        if sp.type_label == "A3IV":
+            assert dec.label == "I" and "half_dims" not in dec.evidence
+        else:
+            assert dec.label == "II"
+            assert dec.evidence["half_dims"] == (sp.dim_m // 2, sp.dim_m // 2)
+    assert time.process_time() - start < 20.0
+
+
+def _looks_reducible():
+    """A fresh g2 node 1 space whose ad(k)|m has its off-block entries zeroed."""
+    sp = realize("g", 2, "A3IV", (1,))
+    _, _, ak = sp.tensors()
+    h = sp.dim_m // 2
+    ak[:, :h, h:] = 0.0
+    ak[:, h:, :h] = 0.0
+    return sp
+
+
+def test_classification_mismatch_fails_loudly(monkeypatch, capsys):
+    with pytest.raises(ClassificationMismatch, match="type I"):
+        classify_type(_looks_reducible())
+    monkeypatch.setattr(tables, "realize", lambda *args: _looks_reducible())
+    assert cli.main(["analyze", "g", "2", "--nodes", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("classification mismatch: G2/SU(3): type I") and err.count("\n") == 1
+    monkeypatch.setattr(cli, "identity_spaces", lambda deep=False: [_looks_reducible()])
+    assert cli.main(["verify", "identities"]) == 1
+    assert "identities:G2/SU(3):ClassificationMismatch:" in capsys.readouterr().out
+    # the other two checks, each reached with the ones before it passing
+    monkeypatch.setattr(automorph, "orbit_span_dim", lambda space, v: space.dim_m)
+    with pytest.raises(ClassificationMismatch, match="splits into invariant halves"):
+        classify_type(_looks_reducible())
+    monkeypatch.setattr(automorph, "invariant_halves", lambda space: None)
+    with pytest.raises(ClassificationMismatch, match="type II needs two equal invariant halves"):
+        classify_type(realize_cyclic_c3(tables.cached_algebra("a", 1)))

@@ -132,6 +132,32 @@ def test_cli_usage_error_exit_2():
     assert main(["classify", "d", "3"]) == 2  # invalid rank
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["classify", "d", "3"], "error: no simple type d3"),
+    (["analyze", "e", "9", "--nodes", "1"], "error: no simple type e9"),
+    (["analyze", "a", "0", "--cyclic"], "error: no simple type a0"),
+    (["analyze", "a", "1", "--triality"], "error: --triality needs the algebra d 4, got a 1"),
+    (["analyze", "b", "3", "--triality"], "error: --triality needs the algebra d 4, got b 3"),
+    (["analyze", "g", "2", "--nodes", "x"], "error: --nodes expects integers, got 'x'"),
+    (["analyze", "g", "2", "--nodes", "3"], "error: --nodes must name one or two of 1..2"),
+    (["analyze", "g", "2", "--nodes", "1,2"], "error: a node pair needs two distinct mark-1 nodes"),
+    (["analyze", "a", "2", "--nodes", "1,1"], "error: a node pair needs two distinct mark-1 nodes"),
+])
+def test_cli_error_paths_exit_2(argv, message, monkeypatch, capsys):
+    """Each bad input ends with exit 2 and one line on stderr, before any
+    algebra is built."""
+    from nk_triad import cli
+
+    def no_algebra(*args):
+        raise AssertionError("an algebra was built for a rejected input")
+
+    monkeypatch.setattr(cli, "cached_algebra", no_algebra)
+    monkeypatch.setattr(tables, "cached_algebra", no_algebra)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+
+
 def test_cli_verify_tables_scope(monkeypatch):
     calls = {}
     for name, fn in list(tables.TABLES.items()):
