@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .compactform import CompactAlgebra, adjoint_action_exp
 from .chevalley import _add
-from .rootsys import Coeffs, RootSystem, diagram_automorphisms
+from .rootsys import Coeffs, RootSystem, alpha_levels, diagram_automorphisms
 
 
 class NotOrderThree(ValueError):
@@ -55,6 +55,10 @@ class InnerClass:
         for node, c in zip(self.nodes, self.coeffs):
             total += c * Fraction(root[node - 1], rs.marks[node - 1])
         return total
+
+    def levels(self, rs: RootSystem) -> tuple[dict[Coeffs, int], int]:
+        """a(H) mod 1 on every positive root as int numerators over d (``alpha_levels``)."""
+        return alpha_levels(rs, zip(self.nodes, self.coeffs))
 
     def describe(self) -> str:
         inner = " + ".join(
@@ -123,6 +127,7 @@ class OrderThreeSymmetricSpace:
         self.dim_m = m_cols.shape[1]
         self._tensors = None
         self._curvature = None   # nk_analyzer.Curvature, built on first use
+        self._layer_traces = None  # nk_analyzer.layer_traces, built on first use
         self._sigma_m = None
 
     # -- geometry ------------------------------------------------------------
@@ -219,19 +224,18 @@ def _build_tensors(space: OrderThreeSymmetricSpace):
 
 def realize_inner(ca: CompactAlgebra, spec: InnerClass, name: str = "") -> OrderThreeSymmetricSpace:
     rs = ca.rs
-    sigma = adjoint_action_exp(ca, lambda c: spec.alpha_value(rs, c))
+    levels, d = spec.levels(rs)
+    layer_of = {c: Fraction(t, d) for c, t in levels.items() if t}
+    sigma = adjoint_action_exp(ca, lambda c: layer_of.get(c, 0))
     k_idx = list(range(rs.rank))
     m_idx: list[int] = []
     delta_h: list[Coeffs] = []
-    layer_of: dict[Coeffs, Fraction] = {}
     for k, r in enumerate(rs.positive_roots):
-        t = spec.alpha_value(rs, r.coeffs) % 1
-        if t == 0:
+        if r.coeffs in layer_of:
+            m_idx.extend((ca.u_index(k, 0), ca.u_index(k, 1)))
+        else:
             delta_h.append(r.coeffs)
             k_idx.extend((ca.u_index(k, 0), ca.u_index(k, 1)))
-        else:
-            layer_of[r.coeffs] = t
-            m_idx.extend((ca.u_index(k, 0), ca.u_index(k, 1)))
 
     layers: dict[str, list[int]] = {}
     layer_roots: dict[str, list[Coeffs]] = {}

@@ -60,14 +60,11 @@ def _root_pairs(rs: RootSystem):
     """Every ordered pair of roots (a, b) whose sum gamma is a root, as
     (a, b, gamma, p, q) with (p, q) the bounds of the a-string through b.
 
-    Each root is encoded as one integer, its coefficients read as signed digits
-    in a base above 4 * (largest mark).  The encoding is additive, and every
-    vector probed below is a sum of two roots (digits at most 2 * largest mark
-    in size), so a sum or string step is an int addition and a dict lookup.
+    Roots are walked through their additive int keys (``RootSystem.key``):
+    every vector probed below is a sum of two roots, so a sum or string step
+    is an int addition and a dict lookup.
     """
-    base = 4 * max(rs.marks) + 1
-    by_key = {sum(c * base ** i for i, c in enumerate(r.coeffs)): r.coeffs
-              for r in rs.all_roots()}
+    by_key = rs._coeffs_of
     for ka, a in by_key.items():
         for kb, b in by_key.items():
             gamma = by_key.get(ka + kb)
@@ -90,7 +87,7 @@ class ChevalleyData:
         # height-then-lex order drives the extraspecial-pair convention
         pos = [r.coeffs for r in rs.positive_roots]
         self._order = {c: k for k, c in enumerate(sorted(pos, key=lambda c: (sum(c), c)))}
-        self._roots = rs._roots
+        self._roots = rs._key_of
         self.n_sq: dict[tuple[Coeffs, Coeffs], Fraction] = {}
         self._sign: dict[tuple[Coeffs, Coeffs], int] = {}
         # extraspecial pair of gamma: the decomposition a + b of positive roots

@@ -43,7 +43,7 @@ from .nk_analyzer import (
     verify_structure_identities,
 )
 from .rootsys import InvalidRank
-from .tables import TABLES, TableMismatch, cached_algebra, cached_root_system
+from .tables import TABLES, GoldenFileError, TableMismatch, cached_algebra, cached_root_system
 
 SCHEMA_VERSION = "1.0"
 
@@ -230,6 +230,7 @@ _TABLE_NAMES = {"AI": "table_ai", "AII": "table_aii", "AIII": "table_aiii",
 
 def cmd_table(args) -> int:
     name = _TABLE_NAMES[args.which]
+    tables.load_golden(name)  # a bad golden file exits 2 before any work
     rows = TABLES[name](deep=args.deep)
     if args.json:
         print(tables.dumps_rows(rows), end="")
@@ -448,7 +449,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidRank, NotOrderThree) as exc:
+    except (InvalidRank, NotOrderThree, GoldenFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ClassificationMismatch as exc:

@@ -10,19 +10,21 @@ canonical fibration is Gbar_V / K with tangent space V, and the base is
 G / Gbar_V.  Everything here is exact root combinatorics: subalgebras are
 closed root subsets plus Cartan directions, and types are read off through
 the Dynkin classification of the subsystem, never from dimension counts.
+Root subsets are sets of the additive int root keys of ``rootsys``, so the
+closure, the closure check on V + k and the ideal check are int additions
+and set lookups, and the involution angles are int numerators over the lcm
+of the denominators of c_k / m_k.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .automorph import OrderThreeSymmetricSpace
-from .chevalley import _add, _neg
-from .rootsys import Coeffs, RootSystem, SubsystemType, _rational_rank, subsystem_type
+from .rootsys import RootSystem, SubsystemType, _bareiss_rank, alpha_levels, subsystem_type
 
 
 class NonClosedSubalgebra(RuntimeError):
@@ -74,17 +76,13 @@ def check_lie_triple_system(space: OrderThreeSymmetricSpace, nu,
     return True
 
 
-def _root_closure(rs: RootSystem, seed: set[Coeffs]) -> set[Coeffs]:
-    full = set(seed) | {_neg(c) for c in seed}
-    grew = True
-    while grew:
-        grew = False
-        for x, y in itertools.combinations(sorted(full), 2):
-            s = _add(x, y)
-            if any(s) and rs.is_root(s) and s not in full:
-                full.add(s)
-                full.add(_neg(s))
-                grew = True
+def _root_closure(rs: RootSystem, seed: set[int]) -> set[int]:
+    """Keys of the smallest negation-symmetric, closed root set containing seed."""
+    full = seed | {-k for k in seed}
+    new = full
+    while new:
+        new = rs.root_sums(full, new) - full
+        full |= new
     return full
 
 
@@ -93,25 +91,22 @@ def involution_fixed_points(rs: RootSystem, h_nodes: tuple[tuple[int, Fraction],
 
     Raises unless the rotation is an involution (every angle a half-turn).
     """
-    def value(root: Coeffs) -> Fraction:
-        return sum((c * Fraction(root[n - 1], rs.marks[n - 1]) for n, c in h_nodes),
-                   Fraction(0))
-
+    levels, d = alpha_levels(rs, h_nodes)
     fixed = []
-    for r in rs.positive_roots:
-        t = value(r.coeffs) % 1
+    for root, t in levels.items():
         if t == 0:
-            fixed.append(r.coeffs)
-        elif t != Fraction(1, 2):
-            raise NotInvolutive(f"root angle {t} is not a half-turn")
+            fixed.append(root)
+        elif 2 * t != d:
+            raise NotInvolutive(f"root angle {Fraction(t, d)} is not a half-turn")
     return fixed
 
 
+_HALF, _ONE = Fraction(1, 2), Fraction(1)
 _INVOLUTION_RULES = {
-    ("A3II", "V1"): lambda i, j: ((i, Fraction(1, 2)), (j, Fraction(1, 2))),
-    ("A3II", "V2"): lambda i, j: ((j, Fraction(1, 2)),),
-    ("A3II", "V3"): lambda i, j: ((i, Fraction(1, 2)),),
-    ("A3III", "V"): lambda i: ((i, Fraction(1)),),
+    ("A3II", "V1"): lambda i, j: ((i, _HALF), (j, _HALF)),
+    ("A3II", "V2"): lambda i, j: ((j, _HALF),),
+    ("A3II", "V3"): lambda i, j: ((i, _HALF),),
+    ("A3III", "V"): lambda i: ((i, _ONE),),
 }
 
 
@@ -123,31 +118,27 @@ def fibration_subalgebras(space: OrderThreeSymmetricSpace,
     if vertical_label not in space.layer_roots:
         raise KeyError(f"no vertical layer {vertical_label}")
     rs = space.algebra.rs
-    v_roots = set(space.layer_roots[vertical_label])
+    coeffs = rs._coeffs_of
+    v_keys = {rs.key(c) for c in space.layer_roots[vertical_label]}
 
-    closure = _root_closure(rs, v_roots)
-    pos = sorted(c for c in closure if c in rs._index)
-    g_v_rank = _rational_rank(pos)
-    g_v_type = subsystem_type(rs, closure, ambient_rank=g_v_rank)
+    closure = _root_closure(rs, v_keys)
+    pos = [coeffs[k] for k in closure & rs.positive_keys]
+    g_v_rank = _bareiss_rank(pos)
+    g_v_type = subsystem_type(rs, [coeffs[k] for k in closure], ambient_rank=g_v_rank)
     g_v_dim = 2 * len(pos) + g_v_rank
 
-    gbar_pos = sorted(v_roots | set(space.delta_plus_h))
-    gbar = {c for c in gbar_pos} | {_neg(c) for c in gbar_pos}
-    for x, y in itertools.combinations(sorted(gbar), 2):
-        s = _add(x, y)
-        if any(s) and rs.is_root(s) and s not in gbar:
-            raise NonClosedSubalgebra("V + k is not bracket-closed")
-    gbar_v_type = subsystem_type(rs, gbar, ambient_rank=rs.rank)
+    gbar_pos = v_keys | {rs.key(c) for c in space.delta_plus_h}
+    gbar = gbar_pos | {-k for k in gbar_pos}
+    if rs.root_sums(gbar_pos, gbar) - gbar:
+        raise NonClosedSubalgebra("V + k is not bracket-closed")
+    gbar_v_type = subsystem_type(rs, [coeffs[k] for k in gbar], ambient_rank=rs.rank)
     gbar_v_dim = 2 * len(gbar_pos) + rs.rank
 
-    # g_V must be an ideal of gbar_V
-    for x in gbar:
-        for y in closure:
-            s = _add(x, y)
-            if any(s) and rs.is_root(s) and s not in closure:
-                raise NonClosedSubalgebra("V + [V,V] is not an ideal of V + k")
+    # g_V must be an ideal of gbar_V (both sets are negation-symmetric)
+    if rs.root_sums(gbar_pos, closure) - closure:
+        raise NonClosedSubalgebra("V + [V,V] is not an ideal of V + k")
 
-    fiber_dim = 2 * len(v_roots)
+    fiber_dim = 2 * len(v_keys)
     base_dim = space.algebra.dim - gbar_v_dim
     if fiber_dim != gbar_v_dim - (space.algebra.dim - space.dim_m):
         raise NonClosedSubalgebra("fiber dimension bookkeeping failed")
@@ -155,7 +146,7 @@ def fibration_subalgebras(space: OrderThreeSymmetricSpace,
     nodes = space.h_spec.nodes
     invol = _INVOLUTION_RULES[(space.type_label, vertical_label)](*nodes)
     fixed = involution_fixed_points(rs, invol)
-    if sorted(fixed) != gbar_pos:
+    if {rs.key(c) for c in fixed} != gbar_pos:
         raise NonClosedSubalgebra("involution fixed points differ from V + k")
 
     note = ""

@@ -27,6 +27,7 @@ its nonzero entries, so memory follows the nonzeros, never dm^4.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -35,8 +36,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .automorph import OrderThreeSymmetricSpace
-from .chevalley import _add, _neg, _sub
+from .chevalley import _neg
 from .compactform import DUAL_COXETER
+from .rootsys import Coeffs
 
 KAPPA = Fraction(2)
 
@@ -293,69 +295,72 @@ class EigenData:
     dim: int
 
 
-def _layer_fraction(space, root):
-    return space.h_spec.alpha_value(space.algebra.rs, root) % 1
+def layer_traces(space: OrderThreeSymmetricSpace) -> dict[str, dict[Coeffs, tuple[int, ...]]]:
+    """Exact torsion traces of every m-root against every layer, memoised.
+
+    ``out[L][alpha][j]`` is 12 sum N^2 over the roots beta of the j-th layer
+    of ``space.layer_roots`` for which alpha + beta is a root with
+    a(alpha) + a(beta) != 0 mod 1, or alpha - beta is a root with
+    a(alpha) != a(beta) (N^2 taken at (-alpha, beta) there).  That is the
+    trace 4 sum_v |xi_X v|^2 over the frame of the layer, X a unit vector of
+    the plane of alpha, in units of kappa / 12.  One pass over the root pairs
+    of ``cd.n_sq``, in ints.
+    """
+    if space._layer_traces is None:
+        levels, d = space.h_spec.levels(space.algebra.rs)
+        col = {r: j for j, roots in enumerate(space.layer_roots.values()) for r in roots}
+        rows = {r: [0] * len(space.layer_roots) for r in col}
+        neg = {_neg(r): r for r in col}
+        for (a, b), n_sq in space.algebra.cd.n_sq.items():
+            j = col.get(b)
+            if j is None:
+                continue
+            if a in rows:
+                if (levels[a] + levels[b]) % d:
+                    rows[a][j] += n_sq.numerator * 12 // n_sq.denominator
+            elif a in neg and levels[neg[a]] != levels[b]:
+                rows[neg[a]][j] += n_sq.numerator * 12 // n_sq.denominator
+        space._layer_traces = {label: {r: tuple(rows[r]) for r in roots}
+                               for label, roots in space.layer_roots.items()}
+    return space._layer_traces
+
+
+def _layer_value(label: str, values: dict[Coeffs, int], what: str) -> int:
+    """The one value of a layer, or NonRationalEigenvalue naming a root off it."""
+    common = Counter(values.values()).most_common(1)[0][0]
+    for root, v in values.items():
+        if v != common:
+            raise NonRationalEigenvalue(
+                f"layer {label} is not an r-eigenbundle: {what} is {Fraction(v, 12)}"
+                f" kappa at root {root}, {Fraction(common, 12)} kappa on the rest")
+    return common
 
 
 def exact_r_eigenvalues(space: OrderThreeSymmetricSpace) -> dict[str, Fraction]:
-    """r-eigenvalue per root layer, in units of kappa, from exact N^2 sums.
+    """r-eigenvalue per root layer, in units of kappa: the row sums of
+    ``layer_traces``.
 
     Every root of a layer must produce the same value; anything else means
     the layer fails to be an eigenbundle and is reported as an error.
     """
-    rs = space.algebra.rs
-    cd = space.algebra.cd
-    m_roots = [r for roots in space.layer_roots.values() for r in roots]
-    t_of = {r: _layer_fraction(space, r) for r in m_roots}
-    out: dict[str, Fraction] = {}
-    for label, roots in space.layer_roots.items():
-        values = {_exact_r_on_root(cd, rs, r, t_of) for r in roots}
-        if len(values) != 1:
-            raise NonRationalEigenvalue(f"layer {label} is not an r-eigenbundle: {values}")
-        out[label] = values.pop() / KAPPA
-    return out
+    return {label: Fraction(_layer_value(label, {r: sum(v) for r, v in rows.items()},
+                                         "the r-trace"), 12)
+            for label, rows in layer_traces(space).items()}
 
 
-def _exact_r_on_root(cd, rs, alpha, t_of) -> Fraction:
-    total = Fraction(0)
-    ta = t_of[alpha]
-    for beta, tb in t_of.items():
-        if beta == alpha:
-            continue
-        s = _add(alpha, beta)
-        if rs.is_root(s) and (ta + tb) % 1 != 0:
-            total += cd.n_squared(alpha, beta)
-        d = _sub(alpha, beta)
-        if any(d) and rs.is_root(d) and ta != tb:
-            total += cd.n_squared(_neg(alpha), beta)
-    return 2 * total
-
-
-def exact_r_cross_layer(space, cd=None) -> dict[tuple[str, str], Fraction]:
+def exact_r_cross_layer(space) -> dict[tuple[str, str], Fraction]:
     """Torsion trace of one layer against another: r^s restricted, exact.
 
     Entry (L, S) is 4 sum_{v in S-frame} |xi_X v|^2 for X a unit vector of
-    layer L, the per-layer summand of the Ricci trace formula.
+    layer L, the per-layer summand of the Ricci trace formula: the column of
+    S in ``layer_traces`` on the roots of L, which must be constant there.
     """
-    rs = space.algebra.rs
-    cd = cd or space.algebra.cd
-    t_of = {r: _layer_fraction(space, r)
-            for roots in space.layer_roots.values() for r in roots}
     out: dict[tuple[str, str], Fraction] = {}
-    for label, roots in space.layer_roots.items():
-        alpha = roots[0]
-        ta = t_of[alpha]
-        for other, oroots in space.layer_roots.items():
-            total = Fraction(0)
-            for beta in oroots:
-                if beta == alpha:
-                    continue
-                if rs.is_root(_add(alpha, beta)) and (ta + t_of[beta]) % 1 != 0:
-                    total += cd.n_squared(alpha, beta)
-                d = _sub(alpha, beta)
-                if any(d) and rs.is_root(d) and ta != t_of[beta]:
-                    total += cd.n_squared(_neg(alpha), beta)
-            out[(label, other)] = 2 * total
+    for label, rows in layer_traces(space).items():
+        for j, other in enumerate(space.layer_roots):
+            value = _layer_value(label, {r: v[j] for r, v in rows.items()},
+                                 f"the trace against {other}")
+            out[(label, other)] = Fraction(value, 6)
     return out
 
 
@@ -378,7 +383,8 @@ def exact_ricci_eigenvalues(space: OrderThreeSymmetricSpace) -> dict[str, Fracti
 
 
 def verify_r_cross_consistency(space) -> None:
-    """sum_S r^S|L must equal the full eigenvalue lambda_L, exactly."""
+    """Check the ``layer_traces`` matrix: every column is constant on each
+    layer, and sum_S r^S|L equals the full eigenvalue lambda_L, exactly."""
     lam = exact_r_eigenvalues(space)
     cross = exact_r_cross_layer(space)
     for label in space.layer_roots:

@@ -1,11 +1,19 @@
-"""Root systems of the compact simple Lie algebras, in exact rational arithmetic.
+"""Root systems of the compact simple Lie algebras, in exact integer arithmetic.
 
 Roots are stored as integer coefficient vectors over a fixed simple-root basis
-``alpha_1 .. alpha_l``.  Inner products are exact fractions, normalized so that
-the highest root mu has squared length 2 (written ``kappa`` in reports).  With
-this normalization the squared length of any root is 2, 1 or 2/3, so 6 x Gram
-is an integer matrix: inner products are summed in Python ints over it and
-returned as one exact ``Fraction(total, 6)``.
+``alpha_1 .. alpha_l``, normalized so that the highest root mu has squared
+length 2 (``kappa`` in reports).  Squared lengths are then 2, 1 or 2/3, so
+6 x Gram (``gram6``) is an integer matrix, and inner products are int sums
+over it returned as one exact ``Fraction(total, 6)``.
+
+Each root also has one additive int key (``key``): its coefficients as signed
+digits in base ``key_base = 4 * (largest mark) + 1``.  A sum of two roots has
+digits of size at most 2 * (largest mark), so there key(a) + key(b) =
+key(a + b) and addition closure is an int sum plus a lookup in ``root_keys``.
+Membership is checked on the tuple before encoding, so no vector aliases a
+root.  Closed subsystems (Dynkin, Mat. Sb. 30 (1952)) are classified on keys:
+indecomposables by key subtraction, the rank by Bareiss elimination, and the
+Cartan matrix from ``gram6`` in ints.
 
 Node numbering follows the convention where the exceptional chains read
 
@@ -23,7 +31,7 @@ safe.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -154,10 +162,8 @@ class RootSystem:
                             known.add(up)
                             new.append(up)
             frontier = new
-        ordered = sorted(known)
-        self._roots: set[Coeffs] = set(ordered) | {tuple(-c for c in r) for r in ordered}
         self.positive_roots: tuple[Root, ...] = tuple(
-            Root(c, self._inner(c, c)) for c in ordered
+            Root(c, self._inner(c, c)) for c in sorted(known)
         )
         self._index = {r.coeffs: k for k, r in enumerate(self.positive_roots)}
         self.highest_root: Root = max(self.positive_roots, key=lambda r: (r.height, r.coeffs))
@@ -169,6 +175,15 @@ class RootSystem:
         self.simple_roots: tuple[Root, ...] = tuple(
             Root(c, self._inner(c, c)) for c in simple
         )
+        self.key_base = 4 * max(self.marks) + 1
+        self._key_of: dict[Coeffs, int] = {
+            r.coeffs: sum(c * self.key_base ** i for i, c in enumerate(r.coeffs))
+            for r in self.all_roots()
+        }
+        self._coeffs_of: dict[int, Coeffs] = {k: c for c, k in self._key_of.items()}
+        self.root_keys: frozenset[int] = frozenset(self._coeffs_of)
+        self.positive_keys: frozenset[int] = frozenset(
+            self._key_of[r.coeffs] for r in self.positive_roots)
 
     # -- exact arithmetic ----------------------------------------------------
 
@@ -188,7 +203,18 @@ class RootSystem:
         return self._inner(c, c)
 
     def is_root(self, a) -> bool:
-        return _as_coeffs(a) in self._roots
+        return _as_coeffs(a) in self._key_of
+
+    def key(self, a) -> int:
+        """The additive int key of a root; NotARoot for any other vector."""
+        c = _as_coeffs(a)
+        if c not in self._key_of:
+            raise NotARoot(f"{c} is not a root of {self.type_label}")
+        return self._key_of[c]
+
+    def root_sums(self, xs: set[int], ys: set[int]) -> set[int]:
+        """Keys of the roots x + y, for root keys x in xs and y in ys."""
+        return {x + y for x in xs for y in ys} & self.root_keys
 
     def index(self, a) -> int:
         """Position of a positive root in the lexicographic enumeration."""
@@ -217,6 +243,20 @@ class RootSystem:
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the root system of a compact simple type."""
     return RootSystem(family, rank)
+
+
+def alpha_levels(rs: RootSystem, h_nodes) -> tuple[dict[Coeffs, int], int]:
+    """a(H) mod 1 on every positive root, as int numerators over one denominator.
+
+    H = sum_k c_k H_{n_k} for the pairs (n_k, c_k) of ``h_nodes``, with
+    alpha_j(H_i) = delta_ij / m_i.  Returns (levels, d) with
+    a(H) = levels[root] / d mod 1, d the lcm of the denominators of the
+    c_k / m_k (3 on every order-3 class).
+    """
+    steps = [(n - 1, c.numerator, c.denominator * rs.marks[n - 1]) for n, c in h_nodes]
+    d = math.lcm(*(den // math.gcd(num, den) for _, num, den in steps))
+    return {r.coeffs: sum(num * d // den * r.coeffs[i] for i, num, den in steps) % d
+            for r in rs.positive_roots}, d
 
 
 def root_string(rs: RootSystem, alpha, beta) -> tuple[int, int]:
@@ -265,89 +305,49 @@ class SubsystemType:
         return "+".join(parts) if parts else "0"
 
 
-def _rational_rank(vectors: list[Coeffs]) -> int:
-    rows = [[Fraction(c) for c in v] for v in vectors]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
+def _bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination: every
+    entry stays a minor of the input, so each division by the last pivot is exact."""
+    rows = [list(r) for r in rows]
+    rank, prev = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
-            col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col] / lead
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        top = rows[rank]
+        lead = top[col]
+        for r in range(rank + 1, len(rows)):
+            row = rows[r]
+            rows[r] = [(lead * x - row[col] * y) // prev for x, y in zip(row, top)]
+        prev = lead
         rank += 1
-        col += 1
     return rank
 
 
-def _cartan_of(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
-    return RootSystem(family, rank).cartan_matrix if rank > 0 else ()
-
-
-_CANDIDATE_CACHE: dict[tuple[str, int], tuple[tuple[int, ...], ...]] = {}
-
-
-def _candidates(rank: int) -> list[tuple[str, int]]:
-    cands = [("a", rank)]
-    if rank >= 2:
-        cands.append(("b", rank))
-    if rank >= 3:
-        cands.append(("c", rank))
-    if rank >= 4:
-        cands.append(("d", rank))
-    if rank in (6, 7, 8):
-        cands.append(("e", rank))
-    if rank == 4:
-        cands.append(("f", 4))
-    if rank == 2:
-        cands.append(("g", 2))
-    return cands
-
-
-def _matrices_isomorphic(a, b) -> bool:
-    n = len(a)
-    if len(b) != n:
-        return False
-    sig = lambda m, i: tuple(sorted(m[i][j] * m[j][i] for j in range(n) if j != i and m[i][j]))
-    asig = [(a[i][i], sig(a, i)) for i in range(n)]
-    bsig = [(b[i][i], sig(b, i)) for i in range(n)]
-    if sorted(asig) != sorted(bsig):
-        return False
-
-    def extend(mapping: dict[int, int]) -> bool:
-        if len(mapping) == n:
-            return True
-        i = len(mapping)
-        used = set(mapping.values())
-        for j in range(n):
-            if j in used or asig[i] != bsig[j]:
-                continue
-            if all(a[i][k] == b[j][mapping[k]] and a[k][i] == b[mapping[k]][j]
-                   for k in mapping):
-                mapping[i] = j
-                if extend(mapping):
-                    return True
-                del mapping[i]
-        return False
-
-    return extend({})
-
-
-def _identify_component(cartan: list[list[int]]) -> tuple[str, int]:
-    rank = len(cartan)
-    for family, r in _candidates(rank):
-        key = (family, r)
-        if key not in _CANDIDATE_CACHE:
-            _CANDIDATE_CACHE[key] = _cartan_of(family, r)
-        if _matrices_isomorphic(cartan, _CANDIDATE_CACHE[key]):
-            return family, r
-    raise NotClosed(f"rank-{rank} component matches no simple type")
+def _component_type(cartan: list[list[int]], norms: list[int]) -> tuple[str, int]:
+    """Dynkin type of a connected Cartan matrix whose nodes have the squared
+    lengths ``norms``: bond multiplicities, the count of short nodes, and the
+    arm lengths at a branch node."""
+    n = len(cartan)
+    bonds = {cartan[i][j] * cartan[j][i] for i in range(n) for j in range(i)}
+    if 3 in bonds:
+        return "g", 2
+    if 2 in bonds:
+        short = sum(x < max(norms) for x in norms)
+        return ("b" if short == 1 else "f" if (n, short) == (4, 2) else "c"), n
+    nbrs = [[j for j in range(n) if j != i and cartan[i][j]] for i in range(n)]
+    branch = next((i for i in range(n) if len(nbrs[i]) == 3), None)
+    if branch is None:
+        return "a", n
+    arms = []
+    for node in nbrs[branch]:
+        prev, length = branch, 1
+        while len(nbrs[node]) == 2:
+            prev, node = node, sum(nbrs[node]) - prev
+            length += 1
+        arms.append(length)
+    return ("d" if sorted(arms)[1] == 1 else "e"), n
 
 
 def subsystem_type(rs: RootSystem, roots: Iterable, ambient_rank: int | None = None) -> SubsystemType:
@@ -356,56 +356,34 @@ def subsystem_type(rs: RootSystem, roots: Iterable, ambient_rank: int | None = N
     Components are named canonically: rank-1 pieces as a1, the rank-2
     double-bond system as b2, and a 3-chain as a3.
     """
-    subset = {_as_coeffs(r) for r in roots}
-    for c in subset:
-        if not rs.is_root(c):
-            raise NotARoot(f"{c} is not a root")
-        if tuple(-x for x in c) not in subset:
-            raise NotClosed("subsystem is not closed under negation")
-    for x, y in itertools.combinations(subset, 2):
-        s = tuple(a + b for a, b in zip(x, y))
-        if any(s) and rs.is_root(s) and s not in subset:
-            raise NotClosed("subsystem is not closed under addition")
+    subset = {rs.key(r) for r in roots}
+    if any(-k not in subset for k in subset):
+        raise NotClosed("subsystem is not closed under negation")
+    positives = subset & rs.positive_keys
+    # with subset symmetric, x + y outside it implies -x - y outside it too
+    if rs.root_sums(positives, subset) - subset:
+        raise NotClosed("subsystem is not closed under addition")
 
+    # every positive root of a closed subsystem is a sum of its indecomposable
+    # positives, so those simples span the same space as all the positives
+    simples = sorted(rs._coeffs_of[k]
+                     for k in positives - rs.root_sums(positives, positives))
     ambient = rs.rank if ambient_rank is None else ambient_rank
-    positives = sorted(c for c in subset if c in rs._index)
-    torus = ambient - (_rational_rank(positives) if positives else 0)
-    if not positives:
+    torus = ambient - _bareiss_rank(simples)
+    if not simples:
         return SubsystemType((), torus)
 
-    posset = set(positives)
-    simples = []
-    for beta in positives:
-        decomposable = any(
-            tuple(b - g for b, g in zip(beta, gamma)) in posset
-            for gamma in positives if gamma != beta
-        )
-        if not decomposable:
-            simples.append(beta)
-
     m = len(simples)
-    cartan = [[int(2 * rs.inner(simples[i], simples[j]) / rs.norm_sq(simples[j]))
-               for j in range(m)] for i in range(m)]
+    cols = [[sum(g * c for g, c in zip(row, s)) for row in rs.gram6] for s in simples]
+    gram6 = [[sum(a * b for a, b in zip(si, col)) for col in cols] for si in simples]
+    cartan = [[2 * gram6[i][j] // gram6[j][j] for j in range(m)] for i in range(m)]
 
-    comps: list[list[int]] = []
-    seen: set[int] = set()
-    for start in range(m):
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            comp.append(node)
-            stack.extend(j for j in range(m) if j not in seen and cartan[node][j])
-        comps.append(sorted(comp))
-
-    names = []
-    for comp in comps:
-        sub = [[cartan[i][j] for j in comp] for i in comp]
-        names.append(_identify_component(sub))
+    comps: list[set[int]] = []   # connected components of the Dynkin diagram
+    for i in range(m):
+        touching = [c for c in comps if any(cartan[i][j] for j in c)]
+        comps = [c for c in comps if c not in touching] + [{i}.union(*touching)]
+    names = [_component_type([[cartan[i][j] for j in c] for i in c], [gram6[i][i] for i in c])
+             for c in map(sorted, comps)]
     return SubsystemType(tuple(sorted(names)), torus)
 
 

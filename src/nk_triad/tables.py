@@ -25,12 +25,17 @@ import json
 import os
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 from .automorph import InnerClass, enumerate_inner_order3, realize_inner
 from .compactform import CompactAlgebra, build_compact_form
 from .fibration import all_fibrations
 from .nk_analyzer import build_report
 from .rootsys import RootSystem, build_root_system, subsystem_type
+
+
+class GoldenFileError(ValueError):
+    """A golden file is missing, unreadable or not valid golden JSON."""
 
 
 class TableMismatch(AssertionError):
@@ -142,16 +147,28 @@ def dumps_rows(rows: list[dict]) -> str:
                       indent=1, sort_keys=True) + "\n"
 
 
-def golden_text(name: str) -> str:
+def _golden_path(name: str):
     override = os.environ.get("NK_TRIAD_GOLDEN_DIR")
     if override:
-        with open(os.path.join(override, f"{name}.json"), encoding="utf-8") as fh:
-            return fh.read()
-    return resources.files("nk_triad").joinpath(f"golden/{name}.json").read_text("utf-8")
+        return Path(override) / f"{name}.json"
+    return resources.files("nk_triad").joinpath(f"golden/{name}.json")
+
+
+def golden_text(name: str) -> str:
+    path = _golden_path(name)
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise GoldenFileError(f"cannot read golden file {path}: {exc.strerror or exc}") from None
 
 
 def load_golden(name: str) -> list[dict]:
-    return json.loads(golden_text(name))["rows"]
+    text = golden_text(name)
+    try:
+        return json.loads(text)["rows"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise GoldenFileError(f"malformed golden file {_golden_path(name)}: "
+                              f"{type(exc).__name__}: {exc}") from None
 
 
 # -- sweeps -----------------------------------------------------------------------
@@ -194,8 +211,7 @@ def realize(family: str, rank: int, kind: str, nodes: tuple[int, ...]):
 
 
 def _isotropy(rs: RootSystem, spec: InnerClass):
-    fixed = [r.coeffs for r in rs.positive_roots
-             if spec.alpha_value(rs, r.coeffs) % 1 == 0]
+    fixed = [c for c, t in spec.levels(rs)[0].items() if t == 0]
     full = fixed + [tuple(-x for x in c) for c in fixed]
     st = subsystem_type(rs, full)
     return [list(c) for c in st.components], st.torus_rank
@@ -260,9 +276,7 @@ def compute_table_ai() -> list[dict]:
                 "family": family, "rank": rank, "node": cls.nodes[0],
                 "space": space_name(family, rank, "A3I", cls.nodes),
                 "k_components": comps, "k_torus": torus,
-                "m_dim": 2 * sum(
-                    1 for r in rs.positive_roots
-                    if cls.alpha_value(rs, r.coeffs) % 1 != 0),
+                "m_dim": 2 * sum(1 for t in cls.levels(rs)[0].values() if t),
             })
     return rows
 
@@ -285,9 +299,7 @@ def compute_table_aiv() -> list[dict]:
                 "family": family, "rank": rank, "node": cls.nodes[0],
                 "space": key[0],
                 "k_components": comps, "k_torus": torus,
-                "m_dim": 2 * sum(
-                    1 for r in rs.positive_roots
-                    if cls.alpha_value(rs, r.coeffs) % 1 != 0),
+                "m_dim": 2 * sum(1 for t in cls.levels(rs)[0].values() if t),
             })
     return rows
 

@@ -71,6 +71,17 @@ def test_alpha_value_is_exact(rootsys):
     assert cls.alpha_value(rs, (1, 1)) == F(1, 3)
 
 
+def test_levels_match_alpha_value(rootsys):
+    """The int numerators of a(H) mod 1 against the exact Fraction value."""
+    for family, rank in [("a", 5), ("c", 4), ("g", 2), ("f", 4), ("e", 6), ("e", 8)]:
+        rs = rootsys(family, rank)
+        for cls in enumerate_inner_order3(rs):
+            levels, d = cls.levels(rs)
+            assert d == 3
+            assert levels == {r.coeffs: cls.alpha_value(rs, r.coeffs) % 1 * d
+                              for r in rs.positive_roots}
+
+
 def test_realize_su3_flag(algebra):
     sp = realize_inner(algebra("a", 2), InnerClass("A3II", (1, 2), (F(1, 3), F(1, 3))))
     assert sp.dim_k == 2 and sp.dim_m == 6

@@ -1,10 +1,12 @@
 """Lie triple systems and canonical fibration subalgebras."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from nk_triad import tables
 from nk_triad.fibration import (
     NotInvolutive,
     all_fibrations,
@@ -127,3 +129,42 @@ def test_type_iii_bases_hermitian_type_iv_not():
 def test_odd_projective_metric_note():
     rep = fibration_subalgebras(realize("c", 3, "A3III", (1,)), "V")
     assert "symplectic" in rep.note
+
+
+def _tuple_closure(rs, seed):
+    """Reference closure on coefficient tuples: pairwise sums until stable."""
+    full = set(seed) | {tuple(-x for x in c) for c in seed}
+    grew = True
+    while grew:
+        grew = False
+        for x, y in itertools.combinations(sorted(full), 2):
+            s = tuple(a + b for a, b in zip(x, y))
+            if any(s) and rs.is_root(s) and s not in full:
+                full |= {s, tuple(-a for a in s)}
+                grew = True
+    return full
+
+
+def test_all_fibrations_match_fraction_oracle(subsystem_oracle, rank_oracle, fraction_count):
+    """g_V and gbar_V of all 350 catalogue fibrations against tuple closures
+    classified by the Fraction reference; the int path builds no Fraction."""
+    spaces = [realize(f, r, "A3II", n) for f, r, n in tables.a3ii_sweep()]
+    spaces += [realize(f, r, "A3III", (n,)) for f, r, n in tables.a3iii_sweep(deep=True)]
+    checked = 0
+    for sp in spaces:
+        reports, built = fraction_count(all_fibrations, sp)
+        assert built == 0, sp.name
+        rs = sp.algebra.rs
+        for rep in reports:
+            v_roots = sp.layer_roots[rep.vertical_label]
+            closure = _tuple_closure(rs, v_roots)
+            pos = [c for c in closure if c in rs._index]
+            rank = rank_oracle(pos)
+            assert rep.g_v_type == subsystem_oracle(rs, closure, ambient_rank=rank), sp.name
+            assert rep.g_v_dim == 2 * len(pos) + rank
+            gbar = set(v_roots) | set(sp.delta_plus_h)
+            gbar |= {tuple(-x for x in c) for c in gbar}
+            assert rep.gbar_v_type == subsystem_oracle(rs, gbar), sp.name
+            assert rep.gbar_v_dim == len(gbar) + rs.rank
+            checked += 1
+    assert checked == 350

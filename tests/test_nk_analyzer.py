@@ -1,20 +1,25 @@
 """Canonical structure, torsion and curvature: identities and frozen values."""
 
+import copy
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from nk_triad import tables
 from nk_triad.automorph import realize_cyclic_c3, realize_triality_d4
 from nk_triad.nk_analyzer import (
     KAPPA,
     IdentityViolation,
+    NonRationalEigenvalue,
     build_report,
     canonical_J,
     curvature,
     einstein_check,
+    exact_r_cross_layer,
     exact_r_eigenvalues,
     layer_epsilon,
+    layer_traces,
     lk_classification,
     min_connection_curvature,
     exact_ricci_eigenvalues,
@@ -335,3 +340,61 @@ def test_riemann_tensor_symmetries_small(su3_flag):
     r4 = riemann_tensor(su3_flag)
     assert np.abs(r4 + np.einsum("bacd->abcd", r4)).max() < 1e-12
     assert np.abs(r4 - np.einsum("cdab->abcd", r4)).max() < 1e-12
+
+
+def _exact_r_on_root(cd, rs, alpha, t_of, betas=None) -> Fraction:
+    """Reference trace of one m-root, summed in Fraction over the m-roots
+    ``betas`` (all of them by default): 2 sum N^2 over the torsion pairs."""
+    total = Fraction(0)
+    ta = t_of[alpha]
+    for beta in t_of if betas is None else betas:
+        tb = t_of[beta]
+        if beta == alpha:
+            continue
+        s = tuple(a + b for a, b in zip(alpha, beta))
+        if rs.is_root(s) and (ta + tb) % 1 != 0:
+            total += cd.n_squared(alpha, beta)
+        d = tuple(a - b for a, b in zip(alpha, beta))
+        if any(d) and rs.is_root(d) and ta != tb:
+            total += cd.n_squared(tuple(-a for a in alpha), beta)
+    return 2 * total
+
+
+def test_layer_traces_match_fraction_oracle(fraction_count):
+    """Every entry and every row sum of the int trace matrix against the
+    Fraction reference on the 170 catalogue spaces; the int pass builds no
+    Fraction."""
+    spaces = [realize(f, r, "A3II", n) for f, r, n in tables.a3ii_sweep()]
+    spaces += [realize(f, r, "A3III", (n,)) for f, r, n in tables.a3iii_sweep(deep=True)]
+    assert len(spaces) == 170
+    for sp in spaces:
+        traces, built = fraction_count(layer_traces, sp)
+        assert built == 0, sp.name
+        rs, cd = sp.algebra.rs, sp.algebra.cd
+        t_of = {r: sp.h_spec.alpha_value(rs, r) % 1
+                for roots in sp.layer_roots.values() for r in roots}
+        for rows in traces.values():
+            for alpha, row in rows.items():
+                assert F(sum(row), 6) == _exact_r_on_root(cd, rs, alpha, t_of), sp.name
+                for value, betas in zip(row, sp.layer_roots.values()):
+                    assert F(value, 6) == _exact_r_on_root(cd, rs, alpha, t_of, betas)
+
+
+def test_changed_n_squared_entry_is_caught():
+    """One N^2 entry off by one breaks the eigenbundle check at its root."""
+    sp = realize("a", 5, "A3II", (2, 4))
+    levels, d = sp.h_spec.levels(sp.algebra.rs)
+    layer_of = {r: lbl for lbl, roots in sp.layer_roots.items() for r in roots}
+    cd = copy.copy(sp.algebra.cd)
+    alpha, beta = next((a, b) for a, b in cd.n_sq
+                       if a in layer_of and b in layer_of and (levels[a] + levels[b]) % d)
+    cd.n_sq = dict(cd.n_sq)
+    cd.n_sq[(alpha, beta)] += 1
+    sp.algebra = copy.copy(sp.algebra)
+    sp.algebra.cd = cd
+    assert len(sp.layer_roots[layer_of[alpha]]) >= 3
+    for check in (verify_r_cross_consistency, exact_r_cross_layer, exact_r_eigenvalues):
+        with pytest.raises(NonRationalEigenvalue) as exc:
+            check(sp)
+        assert f"layer {layer_of[alpha]} " in str(exc.value)
+        assert f"at root {alpha}" in str(exc.value)

@@ -158,6 +158,33 @@ def test_cli_error_paths_exit_2(argv, message, monkeypatch, capsys):
     assert captured.err == message + "\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("argv,files,message", [
+    (["verify", "tables"], {},
+     "error: cannot read golden file {dir}/table_ai.json: No such file or directory"),
+    (["table", "BC"], {"table_bc.json": '{"rows": [\n'},
+     "error: malformed golden file {dir}/table_bc.json: "
+     "JSONDecodeError: Expecting value: line 2 column 1 (char 11)"),
+    (["table", "BC"], {"table_bc.json": '{"schema_version": "1.0"}\n'},
+     "error: malformed golden file {dir}/table_bc.json: KeyError: 'rows'"),
+])
+def test_cli_golden_file_errors_exit_2(argv, files, message, tmp_path, monkeypatch, capsys):
+    """A missing or malformed golden file ends with exit 2 and one stderr
+    line naming the file, before any algebra is built."""
+    from nk_triad import cli
+
+    def no_algebra(*args):
+        raise AssertionError("an algebra was built for a rejected input")
+
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.setenv("NK_TRIAD_GOLDEN_DIR", str(tmp_path))
+    monkeypatch.setattr(cli, "cached_algebra", no_algebra)
+    monkeypatch.setattr(tables, "cached_algebra", no_algebra)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message.format(dir=tmp_path) + "\n" and captured.out == ""
+
+
 def test_cli_verify_tables_scope(monkeypatch):
     calls = {}
     for name, fn in list(tables.TABLES.items()):
