@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .compactform import CompactAlgebra, adjoint_action_exp
+from .compactform import CompactAlgebra, adjoint_action_exp, drop_noise
 from .chevalley import _add
 from .rootsys import Coeffs, RootSystem, alpha_levels, diagram_automorphisms
 
@@ -101,13 +101,14 @@ def enumerate_inner_order3(rs: RootSystem, dedup: bool = False) -> list[InnerCla
 class OrderThreeSymmetricSpace:
     """A realized pair (g, sigma) with the orthogonal split g = k + m.
 
-    For inner classes the k- and m-bases are subsets of the algebra basis
-    (``k_idx``/``m_idx``); the outer and cyclic constructions carry dense
-    orthonormal column blocks instead.
+    ``k_cols`` and ``m_cols`` are orthonormal column blocks in the algebra
+    basis: columns of the identity for inner classes, dense columns for the
+    outer and cyclic constructions.  Both kinds reach the tensors the same
+    way, as one sparse change of basis of the algebra's structure constants
+    (``tensors``).
     """
 
-    def __init__(self, algebra, type_label, sigma, k_cols, m_cols,
-                 h_spec=None, k_idx=None, m_idx=None,
+    def __init__(self, algebra, type_label, sigma, k_cols, m_cols, h_spec=None,
                  layers=None, layer_values=None, layer_roots=None,
                  delta_plus_h=None, name=""):
         self.algebra = algebra
@@ -116,8 +117,6 @@ class OrderThreeSymmetricSpace:
         self.k_cols = k_cols
         self.m_cols = m_cols
         self.h_spec = h_spec
-        self.k_idx = k_idx
-        self.m_idx = m_idx
         self.layers = layers or {}
         self.layer_values = layer_values or {}
         self.layer_roots = layer_roots or {}
@@ -156,7 +155,14 @@ class OrderThreeSymmetricSpace:
             raise NotOrderThree("dim m must be even")
 
     def tensors(self):
-        """(Xi, Kc, Ak): torsion 3-tensor, k-components of [m,m], ad(k)|m."""
+        """(X, K, A), memoised CSR matrices over the m- and k-bases:
+
+            X[(a, b), c] = xi[a, b, c] = -(1/2)<[m_a, m_b], m_c>   (dm^2, dm)
+            K[(a, b), s] = <[m_a, m_b], k_s>                       (dm^2, dk)
+            A[(s, p), q] = <[k_s, m_q], m_p>  (ad(k_s)|m)         (dk dm, dm)
+
+        Entries below ``compactform.ZERO_DROP`` are dropped as float noise.
+        """
         if self._tensors is None:
             self._tensors = _build_tensors(self)
         return self._tensors
@@ -167,11 +173,11 @@ class OrderThreeSymmetricSpace:
 
     def _bracket_preservation_worst(self) -> tuple[float, tuple[int, int]]:
         """The largest bracket-preservation residual and a pair (i, j) where it
-        occurs, from the algebra's bracket tensor C, one slab of i at a time:
+        occurs, from the algebra's structure constants C, one slab of i at a time:
         sigma[e_i, e_j] is row j of C_i sigma^T, and [sigma e_i, sigma e_j] is
         row j of sigma^T M_i with M_i[b, l] = sum_a sigma[a, i] C[(a, b), l]."""
         d = self.algebra.dim
-        c = self.algebra._bracket_tensor()
+        c = self.algebra.C
         by_first = c.reshape((d, d * d)).T.tocsr()      # [(b, l), a] = C[(a, b), l]
         worst, where = 0.0, (0, 0)
         for i in range(d):
@@ -185,37 +191,16 @@ class OrderThreeSymmetricSpace:
 
 
 def _build_tensors(space: OrderThreeSymmetricSpace):
-    ca = space.algebra
-    dm, dk = space.dim_m, space.dim_k
-    xi = np.zeros((dm, dm, dm))
-    kc = np.zeros((dm, dm, dk))
-    ak = np.zeros((dk, dm, dm))
-    if space.m_idx is not None:
-        mpos = {amb: p for p, amb in enumerate(space.m_idx)}
-        kpos = {amb: p for p, amb in enumerate(space.k_idx)}
-        for a, ia in enumerate(space.m_idx):
-            for b, ib in enumerate(space.m_idx):
-                for t, c in ca.bracket_terms(ia, ib):
-                    if t in mpos:
-                        xi[a, b, mpos[t]] = -0.5 * c
-                    else:
-                        kc[a, b, kpos[t]] = c
-        for s, ks in enumerate(space.k_idx):
-            for b, ib in enumerate(space.m_idx):
-                for t, c in ca.bracket_terms(ks, ib):
-                    ak[s, mpos[t], b] = c
-    else:
-        mc, kcols = space.m_cols, space.k_cols
-        for a in range(dm):
-            for b in range(a + 1, dm):
-                v = ca.bracket_vectors(mc[:, a], mc[:, b])
-                xi[a, b] = -0.5 * (mc.T @ v)
-                xi[b, a] = -xi[a, b]
-                kc[a, b] = kcols.T @ v
-                kc[b, a] = -kc[a, b]
-        for s in range(dk):
-            for b in range(dm):
-                ak[s, :, b] = mc.T @ ca.bracket_vectors(kcols[:, s], mc[:, b])
+    """X = -(1/2) (M kron M)^T C M, K = (M kron M)^T C Kc and A from
+    (Kc kron M)^T C M, with M = m_cols and Kc = k_cols as sparse matrices."""
+    c, dm = space.algebra.C, space.dim_m
+    m, k = sp.csr_matrix(space.m_cols), sp.csr_matrix(space.k_cols)
+    mmc = sp.kron(m, m, format="csr").T @ c                 # [(a, b), l]: [m_a, m_b]
+    xi = drop_noise((-0.5 * (mmc @ m)).tocsr())
+    kc = drop_noise((mmc @ k).tocsr())
+    act = (sp.kron(k, m, format="csr").T @ c @ m).tocoo()   # [(s, q), p]
+    s, q = np.divmod(act.row, dm)
+    ak = drop_noise(sp.csr_matrix((act.data, (s * dm + act.col, q)), shape=(space.dim_k * dm, dm)))
     return xi, kc, ak
 
 
@@ -262,8 +247,7 @@ def realize_inner(ca: CompactAlgebra, spec: InnerClass, name: str = "") -> Order
     eye = np.eye(ca.dim)
     space = OrderThreeSymmetricSpace(
         ca, spec.kind, sigma,
-        eye[:, k_idx], eye[:, m_idx],
-        h_spec=spec, k_idx=k_idx, m_idx=m_idx,
+        eye[:, k_idx], eye[:, m_idx], h_spec=spec,
         layers=layers, layer_values=layer_values, layer_roots=layer_roots,
         delta_plus_h=delta_h, name=name or f"{rs.type_label} {spec.describe()}",
     )
@@ -394,39 +378,18 @@ def realize_triality_d4(ca: CompactAlgebra) -> OrderThreeSymmetricSpace:
 
 
 class TripleAlgebra:
-    """Direct sum l + l + l of one compact algebra, with componentwise brackets."""
+    """Direct sum l + l + l of one compact algebra: its block-diagonal structure
+    constants C, in the layout of ``CompactAlgebra.C``."""
 
     def __init__(self, base: CompactAlgebra):
         self.base = base
-        self.dim = 3 * base.dim
-
-    def bracket_terms(self, i: int, j: int):
-        d = self.base.dim
-        ci, cj = divmod(i, d), divmod(j, d)
-        if ci[0] != cj[0]:
-            return ()
-        off = ci[0] * d
-        return tuple((off + k, c) for k, c in self.base.bracket_terms(ci[1], cj[1]))
-
-    def _bracket_tensor(self) -> sp.csr_matrix:
-        """Block-diagonal structure constants, in the layout of
-        ``CompactAlgebra._bracket_tensor``."""
-        d, n = self.base.dim, self.dim
-        c = self.base._bracket_tensor().tocoo()
+        d, n = base.dim, 3 * base.dim
+        self.dim = n
+        c = base.C.tocoo()
         i, j = np.divmod(c.row, d)
         offs = np.repeat(np.arange(3) * d, c.nnz)
         i, j, l = np.tile(i, 3) + offs, np.tile(j, 3) + offs, np.tile(c.col, 3) + offs
-        return sp.csr_matrix((np.tile(c.data, 3), (i * n + j, l)), shape=(n * n, n))
-
-    def bracket_vectors(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim)
-        xi = np.nonzero(x)[0]
-        yi = np.nonzero(y)[0]
-        for i in xi:
-            for j in yi:
-                for k, c in self.bracket_terms(i, j):
-                    out[k] += x[i] * y[j] * c
-        return out
+        self.C = sp.csr_matrix((np.tile(c.data, 3), (i * n + j, l)), shape=(n * n, n))
 
 
 def realize_cyclic_c3(component: CompactAlgebra) -> OrderThreeSymmetricSpace:
@@ -477,8 +440,8 @@ def fixed_algebra_root_signature(space: OrderThreeSymmetricSpace,
               if vals[i] > 1 - tol]
     mats = []
     for c in cartan:
-        ad_c = sum(c[i] * ca.ad_dense(i) for i in np.nonzero(np.abs(c) > tol)[0])
-        mats.append(k.T @ ad_c @ k)
+        ad_c = sum(c[i] * ca.ad(i) for i in np.nonzero(np.abs(c) > tol)[0])
+        mats.append(k.T @ (ad_c @ k))
     mix = mats[0] + math.pi * mats[1] if len(mats) > 1 else mats[0]
     eigvals, eigvecs = np.linalg.eig(mix)
     norms = []
@@ -510,13 +473,14 @@ def orbit_span_dim(space: OrderThreeSymmetricSpace, seed_vector: np.ndarray,
     empty or the span reaches dim m.
     """
     _, _, ak = space.tensors()
-    dm = space.dim_m
-    step = max(1, dm // len(ak))
+    dm, dk = space.dim_m, space.dim_k
+    step = max(1, dm // dk)
     basis = (seed_vector / np.linalg.norm(seed_vector))[:, None]
     pending = basis
     while pending.shape[1] and basis.shape[1] < dm:
         block, pending = pending[:, :step], pending[:, step:]
-        cand = np.einsum("sij,jf->isf", ak, block).reshape(dm, -1)
+        # cand[i, (s, f)] = (ad(k_s) block)[i, f]
+        cand = (ak @ block).reshape(dk, dm, -1).transpose(1, 0, 2).reshape(dm, -1)
         for _ in range(2):                  # twice, so the projection is clean
             cand -= basis @ (basis.T @ cand)
         u, sv, _ = np.linalg.svd(cand, full_matrices=False)
@@ -551,8 +515,9 @@ def commutant_basis(space: OrderThreeSymmetricSpace, tol: float = 1e-7) -> list[
     below ``tol``) of G restricted to those coordinates is the commutant.
     """
     _, _, ak = space.tensors()
-    dm = space.dim_m
-    x = np.tensordot(np.random.default_rng(_BLOCK_SEED).standard_normal(len(ak)), ak, axes=1)
+    dm, dk = space.dim_m, space.dim_k
+    weights = np.random.default_rng(_BLOCK_SEED).standard_normal(dk)
+    x = (weights @ ak.reshape((dk, dm * dm))).reshape(dm, dm)
     vals, q = np.linalg.eigh(x.T @ x)
     cuts = np.flatnonzero(np.diff(vals) > _CLUSTER_RTOL * max(vals[-1], 1.0)) + 1
     blocks = list(zip(np.concatenate([[0], cuts]), np.concatenate([cuts, [dm]])))
@@ -562,8 +527,8 @@ def commutant_basis(space: OrderThreeSymmetricSpace, tol: float = 1e-7) -> list[
     step = max(1, _GRAM_SLAB_ENTRIES // n)
     gram = np.zeros((n, n))
     casimir = np.zeros((dm, dm))
-    for ad_s in ak:
-        at = q.T @ ad_s @ q
+    for s in range(dk):
+        at = q.T @ (ak[s * dm:(s + 1) * dm] @ q)
         casimir += at @ at
         for lo in range(0, n, step):              # A[p, r] A[t, q] = -A[p, r] A[q, t]
             p, t = rows[lo:lo + step], cols[lo:lo + step]

@@ -1,4 +1,4 @@
-"""Compact real form g = h + sum_a (R U0_a + R U1_a) with its bracket table.
+"""Compact real form g = h + sum_a (R U0_a + R U1_a) with its structure constants.
 
 Basis vectors are normalized to unit length for the metric <.,.> = -(1/2)B,
 i.e. to norm sqrt(2) for -B.  The Cartan part uses an orthonormalized basis
@@ -17,9 +17,11 @@ U^1_{-c} = U^1_c for negative roots.  The stored invariant form equals
 -2 * identity on this basis; the genuine Killing form is 2h* times it,
 with h* the dual Coxeter number.
 
-Tables are immutable after construction (the ad cache only memoizes pure
-lookups), so read-only sharing across threads is safe; the Jacobi sweep
-is a pure read.
+The bracket is held once, as the (dim^2, dim) CSR matrix
+C[(i, j), l] = <[e_i, e_j], e_l>/<e_l, e_l> built in the constructor; ad(e_i)
+is a transposed slab of it and [x, y] = kron(x, y) @ C.  C is never modified
+after construction, so read-only sharing across threads is safe; the Jacobi,
+trace-form and antisymmetry checks are pure reads of it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,16 @@ DUAL_COXETER = {
 }
 
 
+ZERO_DROP = 1e-13   # entries below this are float noise on exact zeros
+
+
+def drop_noise(mat: sp.csr_matrix) -> sp.csr_matrix:
+    """``mat`` with its entries below ``ZERO_DROP`` removed, in place."""
+    mat.data[np.abs(mat.data) < ZERO_DROP] = 0.0
+    mat.eliminate_zeros()
+    return mat
+
+
 class JacobiFailure(AssertionError):
     def __init__(self, i, j, k, residual):
         super().__init__(f"Jacobi residual {residual:.3e} at basis triple ({i},{j},{k})")
@@ -53,15 +65,14 @@ class JacobiFailure(AssertionError):
 
 
 class TraceFormFailure(AssertionError):
-    """tr(ad e_i ad e_i)/B0(e_i, e_i) is not constant over the sampled basis
-    vectors; ``indices`` holds those with the lowest and the highest ratio."""
+    """tr(ad e_i ad e_j) is not one multiple of B0(e_i, e_j) = -2 delta_ij on
+    every basis pair; ``pair`` is the (i, j) farthest from the mean ratio."""
 
-    def __init__(self, lo_index, lo, hi_index, hi):
-        lo, hi = float(lo), float(hi)
-        super().__init__(f"trace-form ratio spread {hi - lo:.3e}: {lo!r} at basis "
-                         f"index {lo_index}, {hi!r} at basis index {hi_index}")
-        self.indices = (lo_index, hi_index)
-        self.spread = hi - lo
+    def __init__(self, i, j, residual, ratio):
+        super().__init__(f"trace-form residual {residual:.3e} at basis pair ({i}, {j}) "
+                         f"against the mean ratio {ratio!r}")
+        self.pair = (i, j)
+        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -78,7 +89,7 @@ class BasisVector:
 
 
 class CompactAlgebra:
-    """Bracket table of the compact real form over an orthonormal basis."""
+    """Structure constants C of the compact real form over an orthonormal basis."""
 
     def __init__(self, rs: RootSystem, cd: ChevalleyData):
         if cd.rs is not rs:
@@ -102,44 +113,29 @@ class CompactAlgebra:
         # the i-th orthonormal Cartan vector
         pairings = np.array([r.coeffs for r in rs.positive_roots]) @ np.array(rs.gram6) / 6
         self.w = pairings @ self._chol_inv.T
-        self._table: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
-        self._build_table()
-        self._ad_cache: dict[int, sp.csr_matrix] = {}
+        self.C = self._structure_constants()
 
     # -- indexing ------------------------------------------------------------
 
-    def u_index(self, root_pos: int, parity: int) -> int:
+    def u_index(self, root_pos, parity: int):
         return self.rank + 2 * root_pos + parity
 
-    def _u_terms(self, coeffs: Coeffs, parity: int, coef: float) -> tuple[int, float] | None:
-        """Resolve U^parity of a possibly-negative root into the basis."""
-        if coeffs in self.rs._index:
-            return self.u_index(self.rs._index[coeffs], parity), coef
-        pos = _neg(coeffs)
-        if pos in self.rs._index:
-            fold = -1.0 if parity == 0 else 1.0
-            return self.u_index(self.rs._index[pos], parity), fold * coef
-        return None
-
-    def _build_table(self) -> None:
-        rs, cd = self.rs, self.cd
-        table = self._table
-        for k, r in enumerate(rs.positive_roots):
-            a = r.coeffs
-            for p in (0, 1):
-                i = self.u_index(k, p)
-                for c in range(self.rank):
-                    # [h_c, U^p_a] = -(-1)^(p+1) w U^(p+1) = (-1)^p w U^(p+1)
-                    coef = (1.0 if p == 0 else -1.0) * self.w[k, c]
-                    table[(c, i)] = ((self.u_index(k, 1 - p), coef),)
-            # [U^0_a, U^1_a] = 2 sqrt(-1)H_a = sum_i w[k,i] h_i
-            table[(self.u_index(k, 0), self.u_index(k, 1))] = tuple(
-                (c, self.w[k, c]) for c in range(self.rank) if abs(self.w[k, c]) > 0
-            )
+    def _structure_constants(self) -> sp.csr_matrix:
+        """C[(i, j), l] = <[e_i, e_j], e_l>/<e_l, e_l> as a (dim^2, dim) CSR
+        matrix, holding both orders of every pair and no explicit zeros."""
+        rs, cd, d = self.rs, self.cd, self.dim
+        # Cartan rows, over the nonzero w[k, c]: [h_c, U^0_a] = w U^1_a,
+        # [h_c, U^1_a] = -w U^0_a and [U^0_a, U^1_a] = 2 sqrt(-1)H_a = sum_c w h_c;
+        # the Cholesky factor leaves exact zeros of w as noise below ZERO_DROP
+        k, c = np.nonzero(np.abs(self.w) >= ZERO_DROP)
+        w = self.w[k, c]
+        u0, u1 = self.u_index(k, 0), self.u_index(k, 1)
+        first, second, out, vals = [c, c, u0], [u0, u1, u1], [u1, u0, c], [w, -w, w]
+        pos = rs._index
+        terms: list[tuple[int, int, int, float]] = []
         for ka, ra in enumerate(rs.positive_roots):
             for kb in range(ka + 1, self.n_pos):
-                rb = rs.positive_roots[kb]
-                a, b = ra.coeffs, rb.coeffs
+                a, b = ra.coeffs, rs.positive_roots[kb].coeffs
                 n_ab = cd.n_value(a, b), cd.n_value(_neg(a), b)
                 if not any(n_ab):
                     continue
@@ -149,14 +145,18 @@ class CompactAlgebra:
                         if p <= q:
                             raw = self._uu_bracket(a, p, b, q, *n_ab)
                         else:  # [x, y] = -[y, x], with the parity-ordered rule
-                            raw = [(r, pr, -c) for r, pr, c in self._uu_bracket(b, q, a, p, *n_ba)]
-                        terms = []
+                            raw = [(r, pr, -x) for r, pr, x in self._uu_bracket(b, q, a, p, *n_ba)]
+                        i, j = self.u_index(ka, p), self.u_index(kb, q)
                         for root, parity, coef in raw:
-                            t = self._u_terms(root, parity, coef)
-                            if t:
-                                terms.append(t)
-                        if terms:
-                            table[(self.u_index(ka, p), self.u_index(kb, q))] = tuple(terms)
+                            if root not in pos:   # fold U^0_{-c} = -U^0_c, U^1_{-c} = U^1_c
+                                root, coef = _neg(root), (-coef if parity == 0 else coef)
+                            terms.append((i, j, self.u_index(pos[root], parity), coef))
+        if terms:
+            i, j, l, x = (np.array(t) for t in zip(*terms))
+            first, second, out, vals = first + [i], second + [j], out + [l], vals + [x]
+        i, j, l, x = (np.concatenate(t) for t in (first, second, out, vals))
+        return sp.csr_matrix((np.concatenate([x, -x]), (np.concatenate([i * d + j, j * d + i]),
+                                                        np.concatenate([l, l]))), shape=(d * d, d))
 
     @staticmethod
     def _uu_bracket(a: Coeffs, p: int, b: Coeffs, q: int, nab: float, nnab: float):
@@ -169,42 +169,10 @@ class CompactAlgebra:
             out.append((_sub(a, b), (p + q) % 2, (-1.0) ** (p + q) * nnab))
         return out
 
-    # -- bracket access ------------------------------------------------------
-
-    def bracket_terms(self, i: int, j: int) -> tuple[tuple[int, float], ...]:
-        """Sparse expansion of [e_i, e_j] over the basis."""
-        if i == j:
-            return ()
-        if i < j:
-            return self._table.get((i, j), ())
-        return tuple((k, -c) for k, c in self._table.get((j, i), ()))
-
-    def bracket_vectors(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim)
-        xi = np.nonzero(x)[0]
-        yi = np.nonzero(y)[0]
-        for i in xi:
-            for j in yi:
-                for k, c in self.bracket_terms(i, j):
-                    out[k] += x[i] * y[j] * c
-        return out
-
     def ad(self, i: int) -> sp.csr_matrix:
-        """Sparse matrix of ad(e_i) acting on column vectors."""
-        if i not in self._ad_cache:
-            rows, cols, vals = [], [], []
-            for j in range(self.dim):
-                for k, c in self.bracket_terms(i, j):
-                    rows.append(k)
-                    cols.append(j)
-                    vals.append(c)
-            self._ad_cache[i] = sp.csr_matrix(
-                (vals, (rows, cols)), shape=(self.dim, self.dim)
-            )
-        return self._ad_cache[i]
-
-    def ad_dense(self, i: int) -> np.ndarray:
-        return self.ad(i).toarray()
+        """Sparse matrix of ad(e_i) acting on column vectors: the transposed
+        slab C[(i, j), l] of the structure constants."""
+        return self.C[i * self.dim:(i + 1) * self.dim].T.tocsr()
 
     # -- invariant checks ----------------------------------------------------
 
@@ -212,34 +180,27 @@ class CompactAlgebra:
     def dual_coxeter(self) -> int:
         return DUAL_COXETER[self.rs.family](self.rs.rank)
 
-    def killing_entry(self, i: int, j: int) -> float:
-        """Stored invariant form: -2 on the orthonormal basis."""
-        return -2.0 if i == j else 0.0
+    def trace_form_ratio(self) -> float:
+        """Ratio of the trace form tr(ad X ad Y) to the stored form B0 = -2 id,
+        constant = 2h* on valid input; checked on every basis pair.
 
-    def trace_form_ratio(self, samples: int = 10, seed: int = 7) -> float:
-        """Ratio tr(ad X ad Y)/B0(X, Y), constant = 2h* on valid input."""
-        rng = np.random.default_rng(seed)
-        ratios = []
-        for _ in range(samples):
-            i = int(rng.integers(self.dim))
-            t = (self.ad(i) @ self.ad(i)).diagonal().sum()
-            ratios.append((t / self.killing_entry(i, i), i))
-        (lo, i_lo), (hi, i_hi) = min(ratios), max(ratios)
-        if abs(hi - lo) > 1e-6 * max(1.0, abs(hi)):
-            raise TraceFormFailure(i_lo, lo, i_hi, hi)
-        return 0.5 * (lo + hi)
-
-    def _bracket_tensor(self) -> sp.csr_matrix:
-        """Structure constants C[(i, j), l] = <[e_i, e_j], e_l>/<e_l, e_l> as a
-        (dim^2, dim) sparse matrix, holding both orders of every pair."""
+        tr(ad e_i ad e_j) = sum_{k,l} C[(i,k), l] C[(j,l), k] is one sparse
+        product of two reshapes of C.  Raises ``TraceFormFailure`` when some
+        pair departs from the mean diagonal ratio by more than 1e-6 of it.
+        """
         d = self.dim
-        rows, cols, vals = [], [], []
-        for (i, j), terms in self._table.items():
-            for l, c in terms:
-                rows += (i * d + j, j * d + i)
-                cols += (l, l)
-                vals += (c, -c)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(d * d, d))
+        c = self.C.tocoo()
+        i, k = np.divmod(c.row, d)
+        # left[i, (k, l)] = C[(i, k), l] and right[j, (k, l)] = C[(j, l), k]
+        left = sp.csr_matrix((c.data, (i, k * d + c.col)), shape=(d, d * d))
+        right = sp.csr_matrix((c.data, (i, c.col * d + k)), shape=(d, d * d))
+        ratios = (left @ right.T).toarray() / -2.0
+        ratio = float(np.trace(ratios)) / d
+        res = np.abs(ratios - ratio * np.eye(d))
+        i, j = np.unravel_index(res.argmax(), res.shape)
+        if res[i, j] > 1e-6 * max(1.0, abs(ratio)):
+            raise TraceFormFailure(int(i), int(j), float(res[i, j]), ratio)
+        return ratio
 
     def _jacobi_worst(self) -> tuple[float, tuple[int, int, int]]:
         """Largest Jacobi residual over all basis triples, and a triple (i, j, k)
@@ -250,8 +211,7 @@ class CompactAlgebra:
         computed one slab of i at a time, each slab by three sparse products over
         all j, so the working set stays O(dim^3) sparse entries per slab.
         """
-        d = self.dim
-        c = self._bracket_tensor()
+        d, c = self.dim, self.C
         coo = c.tocoo()
         first, second = np.divmod(coo.row, d)
         # T[l, (k, m)] = C[l, k, m] and S[l, (j, m)] = C[j, l, m]
@@ -282,8 +242,7 @@ class CompactAlgebra:
         """Max norm of [[x,y],z]+[[y,z],x]+[[z,x],y] over all basis triples.
 
         Exhaustive: every triple is covered by the slab-wise sparse products
-        of ``_jacobi_worst``, whose bracket tensor is built per call and not
-        kept on the algebra.
+        of ``_jacobi_worst``, which read the structure constants ``C``.
         """
         return self._jacobi_worst()[0]
 
@@ -296,7 +255,7 @@ class CompactAlgebra:
     def antisymmetry_max_residual(self) -> float:
         """Max |C[i,j,k] + C[i,k,j]|: every ad(e_i) must be skew for the
         invariant form, i.e. the structure constants are totally skew."""
-        c = self._bracket_tensor().tocoo()
+        c = self.C.tocoo()
         i, j = np.divmod(c.row, self.dim)
         swapped = sp.coo_matrix((c.data, (i * self.dim + c.col, j)), shape=c.shape)
         return float(abs(c + swapped).max())

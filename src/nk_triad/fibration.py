@@ -63,15 +63,14 @@ def check_lie_triple_system(space: OrderThreeSymmetricSpace, nu,
         cols = np.eye(dm)[:, list(nu)]
     proj_out = np.eye(dm) - cols @ cols.T
     r = cols.shape[1]
-    # m-closure: [nu_a, nu_b]_m = -2 xi(nu_a, nu_b)
+    act = ak.reshape((space.dim_k, dm * dm)).T.tocsr()     # [(p, q), s] = ak[s, p, q]
     for a in range(r):
         for b in range(a + 1, r):
-            mvec = -2.0 * np.einsum("i,j,ijk->k", cols[:, a], cols[:, b], xi)
-            if np.abs(proj_out @ mvec).max() > tol:
+            pair = np.kron(cols[:, a], cols[:, b])
+            # m-closure: [nu_a, nu_b]_m = -2 xi(nu_a, nu_b)
+            if np.abs(proj_out @ (-2.0 * (xi.T @ pair))).max() > tol:
                 return False
-            kvec = np.einsum("i,j,ijs->s", cols[:, a], cols[:, b], kc)
-            act = np.einsum("s,spq->pq", kvec, ak)
-            if np.abs(proj_out @ act @ cols).max() > tol:
+            if np.abs(proj_out @ (act @ (kc.T @ pair)).reshape(dm, dm) @ cols).max() > tol:
                 return False
     return True
 

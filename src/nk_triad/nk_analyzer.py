@@ -37,7 +37,7 @@ import scipy.sparse as sp
 
 from .automorph import OrderThreeSymmetricSpace
 from .chevalley import _neg
-from .compactform import DUAL_COXETER
+from .compactform import DUAL_COXETER, drop_noise
 from .rootsys import Coeffs
 
 KAPPA = Fraction(2)
@@ -87,34 +87,25 @@ def layer_epsilon(space: OrderThreeSymmetricSpace) -> dict[str, int]:
     return out
 
 
-def torsion(space: OrderThreeSymmetricSpace) -> np.ndarray:
-    """xi as a 3-tensor: xi[i, j, :] = xi_{e_i} e_j in the m-basis."""
+def torsion(space: OrderThreeSymmetricSpace) -> sp.csr_matrix:
+    """xi as X[(i, j), k] = <xi_{e_i} e_j, e_k> in the m-basis, CSR (dm^2, dm)."""
     return space.tensors()[0]
 
 
 def min_connection_curvature(space: OrderThreeSymmetricSpace, a: int, b: int) -> np.ndarray:
     """Endomorphism R^min_{e_a e_b} = ad([e_a, e_b]_k)|m."""
     _, kc, ak = space.tensors()
-    return np.einsum("s,spq->pq", kc[a, b], ak)
-
-
-def riemann_tensor(space: OrderThreeSymmetricSpace) -> np.ndarray:
-    """Full Riemannian curvature R[a,b,c,d] = R(e_a, e_b, e_c, e_d), dense."""
     dm = space.dim_m
-    return curvature(space).riemann.toarray().reshape(dm, dm, dm, dm)
+    return (kc[a * dm + b] @ ak.reshape((space.dim_k, dm * dm))).toarray().reshape(dm, dm)
 
 
 def riemann_value(space, x, y, z, t) -> float:
     """R on arbitrary m-vectors, without materializing the 4-tensor."""
     xi, kc, ak = space.tensors()
-    kv = np.einsum("a,b,abs->s", x, y, kc)
-    out = float(np.einsum("s,sdc,c,d->", kv, ak, z, t))
-    xy = np.einsum("a,b,abk->k", x, y, xi)
-    zt = np.einsum("a,b,abk->k", z, t, xi)
-    xz = np.einsum("a,b,abk->k", x, z, xi)
-    yt = np.einsum("a,b,abk->k", y, t, xi)
-    xt = np.einsum("a,b,abk->k", x, t, xi)
-    yz = np.einsum("a,b,abk->k", y, z, xi)
+    dm = space.dim_m
+    out = float((kc.T @ np.kron(x, y)) @ (ak.reshape((space.dim_k, dm * dm)) @ np.kron(t, z)))
+    xy, zt, xz, yt, xt, yz = (xi.T @ np.kron(u, v)
+                              for u, v in ((x, y), (z, t), (x, z), (y, t), (x, t), (y, z)))
     return out + 2.0 * xy @ zt - xz @ yt + xt @ yz
 
 
@@ -194,6 +185,16 @@ def _max_abs(mat) -> float:
     return float(np.abs(mat.data).max(initial=0.0))
 
 
+def _rows(mat, first, second, dm: int):
+    """Rows (p, q) of a (dm^2, w) operator, p in first and q in second, in order."""
+    return mat[(np.asarray(first)[:, None] * dm + np.asarray(second)).ravel()]
+
+
+def _block(mat, first, second, dm: int) -> np.ndarray:
+    """``_rows`` as a dense (len(first), len(second), w) array."""
+    return _rows(mat, first, second, dm).toarray().reshape(len(first), len(second), -1)
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -202,15 +203,17 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class Curvature:
     """Sparse torsion and curvature operators of one space, each built on first use.
 
-    ``xi`` is X[(a,b), k] = xi[a,b,k] and ``kc`` is K[(a,b), s] = kc[a,b,s];
+    ``xi`` and ``kc`` are the space's X[(a,b), k] = xi[a,b,k] and
+    K[(a,b), s] (``OrderThreeSymmetricSpace.tensors``), used as they stand;
     ``g``, ``riemann`` and ``riemann_jj`` are (dm^2, dm^2) CSR operators
 
         G[(a,b),(c,d)]   = <xi_a e_b, xi_c e_d>                  (X X^T)
-        R                = R^min + 2G - G[a,c,b,d] + G[a,d,b,c]   (R^min = K A)
+        R                = R^min + 2G - G[a,c,b,d] + G[a,d,b,c]   (R^min = K A')
         RJJ[(a,b),(c,d)] = R(e_a, e_b, J e_c, J e_d)             (R kron(J, J))
 
-    with A[s, (c,d)] = ak[s,d,c].  Ric and Ric* are the traces
-    sum_i R[a,i,b,i] and sum_i RJJ[a,i,b,i].
+    with A'[s, (c,d)] = A[(s,d), c] = <[k_s, m_c], m_d>.  Ric and Ric* are the
+    traces sum_i R[a,i,b,i] and sum_i RJJ[a,i,b,i].  ``j_sparse``, like the
+    tensors, drops entries below ``compactform.ZERO_DROP``.
     """
 
     def __init__(self, space: OrderThreeSymmetricSpace, j: np.ndarray | None = None):
@@ -225,16 +228,15 @@ class Curvature:
 
     @cached_property
     def j_sparse(self) -> sp.csr_matrix:
-        return sp.csr_matrix(self.j)
+        return drop_noise(sp.csr_matrix(self.j))
 
     @cached_property
     def xi(self) -> sp.csr_matrix:
-        return sp.csr_matrix(self.space.tensors()[0].reshape(self.dm * self.dm, self.dm))
+        return self.space.tensors()[0]
 
     @cached_property
     def kc(self) -> sp.csr_matrix:
-        kc = self.space.tensors()[1]
-        return sp.csr_matrix(kc.reshape(self.dm * self.dm, kc.shape[2]))
+        return self.space.tensors()[1]
 
     @cached_property
     def g(self) -> sp.csr_matrix:
@@ -242,10 +244,10 @@ class Curvature:
 
     @cached_property
     def riemann(self) -> sp.csr_matrix:
-        ak = self.space.tensors()[2]
+        ak = self.space.tensors()[2].tocoo()
         dm = self.dm
-        s, d, c = np.nonzero(ak)
-        a = sp.csr_matrix((ak[s, d, c], (s, c * dm + d)), shape=(ak.shape[0], dm * dm))
+        s, d = np.divmod(ak.row, dm)
+        a = sp.csr_matrix((ak.data, (s, ak.col * dm + d)), shape=(self.space.dim_k, dm * dm))
         terms = ((1.0, self.kc @ a, "abcd"), (2.0, self.g, "abcd"),
                  (-1.0, self.g, "acbd"), (1.0, self.g, "adbc"))
         return sp.vstack(list(_slabs(dm, *terms)), format="csr")
@@ -573,7 +575,6 @@ def lk_classification(report: NKReport) -> tuple[Fraction, str] | None:
 
 def verify_structure_identities(space, j=None, tol=1e-9) -> dict[str, float]:
     """Torsion/J identities that need no curvature tensors, over every index."""
-    xi = space.tensors()[0]
     cv = curvature(space, j)
     j, js, x = cv.j, cv.j_sparse, cv.xi
     dm = space.dim_m
@@ -581,18 +582,15 @@ def verify_structure_identities(space, j=None, tol=1e-9) -> dict[str, float]:
     res: dict[str, float] = {}
     res["J_squared"] = float(np.abs(j @ j + np.eye(dm)).max())
     res["J_isometry"] = float(np.abs(j.T @ j - np.eye(dm)).max())
-    diag = np.arange(dm)
-    res["xi_XX"] = float(np.abs(xi[diag, diag]).max(initial=0.0))
+    res["xi_XX"] = _max_abs(x[np.arange(dm) * (dm + 1)])
     # rows (i, p) of xi_i J + J xi_i
     res["xi_J_anticommute"] = _max_abs(x @ js + sp.kron(eye, js) @ x)
-    # both sums are symmetric under their swap, so the support of xi covers
-    # every index triple
+    # xi[a,b,k] + xi[b,a,k] and xi[a,b,k] + xi[a,k,b] over every index triple
     nz = x.tocoo()
     a, b, k = nz.row // dm, nz.row % dm, nz.col
-    res["xi_totally_skew"] = max(
-        float(np.abs(xi[a, b, k] + xi[b, a, k]).max(initial=0.0)),
-        float(np.abs(xi[a, b, k] + xi[a, k, b]).max(initial=0.0)),
-    )
+    moved = lambda rows, cols: sp.csr_matrix((nz.data, (rows, cols)), shape=x.shape)
+    res["xi_totally_skew"] = max(_max_abs(x + moved(b * dm + a, k)),
+                                 _max_abs(x + moved(a * dm + k, b)))
     jj = sp.kron(js, js, format="csr")
     res["bracket_JJ_k"] = _max_abs(jj.T @ cv.kc - cv.kc)
     mm = -2.0 * x  # m-part of the bracket
@@ -647,20 +645,22 @@ def verify_min_connection_identity(space, tol=1e-9, seed=0) -> float:
     else:
         raise IdentityViolation("minimal-connection identity needs a vertical split")
     xi, kc, ak = space.tensors()
-    xv = xi[vert]
-    akv = ak[:, vert][:, :, vert]
+    dm, everything = space.dim_m, np.arange(space.dim_m)
+    xv = _block(xi, vert, everything, dm)
+    akv = _block(ak, range(space.dim_k), vert, dm)[:, :, vert]
     xvv = xv[:, vert]
     worst = 0.0
-    step = max(1, MIN_CONNECTION_BLOCK // (space.dim_m * len(vert) ** 2))
+    step = max(1, MIN_CONNECTION_BLOCK // (dm * len(vert) ** 2))
     for start in range(0, len(horiz), step):
         h = horiz[start:start + step]
+        xh, kh = _block(xi, h, everything, dm), _block(kc, h, everything, dm)
         # rhs[x, u, a, b] / 4 = <[xi_va, xi_vb] e_x, e_u> - <xi_x e_u, xi_va e_vb>
         rhs = np.einsum("auj,bjx->xuab", xv, xv[:, :, h], optimize=True)
         rhs -= rhs.swapaxes(2, 3).copy()
-        rhs -= np.einsum("xuk,abk->xuab", xi[h], xvv, optimize=True)
+        rhs -= np.einsum("xuk,abk->xuab", xh, xvv, optimize=True)
         rhs *= 4.0
         # R^min(e_x, e_u, e_va, e_vb) = <ad([e_x, e_u]_k) e_vb, e_va>
-        rhs -= np.einsum("xus,sba->xuab", kc[h], akv, optimize=True)
+        rhs -= np.einsum("xus,sba->xuab", kh, akv, optimize=True)
         worst = max(worst, float(np.abs(rhs).max(initial=0.0)))
     if worst > tol:
         raise IdentityViolation(f"minimal-connection identity residual {worst:.2e}")
@@ -675,18 +675,15 @@ def verify_sat_identities(space, tol=1e-9, seed=0) -> dict[str, float]:
     ``seed`` is unused; it is kept so that every identity suite takes the
     same arguments.
     """
-    xi, _, _ = space.tensors()
+    x = space.tensors()[0]
     lam = exact_r_eigenvalues(space)
     res: dict[str, float] = {}
-
-    def block_max(rows, cols, out):
-        worst = 0.0
-        for i in rows:
-            sub = xi[i][np.ix_(cols, out)]
-            worst = max(worst, float(np.abs(sub).max()) if sub.size else 0.0)
-        return worst
-
     dm = space.dim_m
+
+    def block_max(first, second, out):
+        """max |xi[p, q, k]| over p in first, q in second, k in out."""
+        return _max_abs(_rows(x, first, second, dm)[:, list(out)])
+
     if space.type_label == "A3III":
         v, h = space.layers["V"], space.layers["H"]
         res["xi_VV"] = block_max(v, v, range(dm))
@@ -709,24 +706,18 @@ def verify_sat_identities(space, tol=1e-9, seed=0) -> dict[str, float]:
         raise IdentityViolation("special algebraic torsion needs type III/IV")
 
     # double-torsion containments and the frame-trace identity on horizontals
-    x = curvature(space).xi
-
-    def rows(first, second):
-        """Rows (p, q) of X for p in first, q in second."""
-        return x[(np.asarray(first)[:, None] * dm + np.asarray(second)).ravel()]
-
     everything = np.arange(dm)
     # [(u, p), (x1, x2)] = <xi_u e_p, xi_x1 x2>, and the same with V, H swapped
-    res["xi_V_xi_HH"] = _max_abs(rows(vert, everything) @ rows(horiz, horiz).T)
-    res["xi_H_xi_VV"] = _max_abs(rows(horiz, everything) @ rows(vert, vert).T)
+    res["xi_V_xi_HH"] = _max_abs(_rows(x, vert, everything, dm) @ _rows(x, horiz, horiz, dm).T)
+    res["xi_H_xi_VV"] = _max_abs(_rows(x, horiz, everything, dm) @ _rows(x, vert, vert, dm).T)
 
     r = tensor_r(space)
-    frame_v = 8.0 * np.einsum("iak,ibk->ab", xi[vert][:, horiz][:, :, :],
-                              xi[vert][:, horiz][:, :, :])
+    xvh = _block(x, vert, horiz, dm)
+    frame_v = 8.0 * np.einsum("iak,ibk->ab", xvh, xvh)
     sub = r[np.ix_(horiz, horiz)]
     res["trace_identity_vertical_frame"] = float(np.abs(frame_v - sub).max())
-    frame_h = 8.0 * np.einsum("iak,ibk->ab", xi[horiz][:, horiz][:, :, :],
-                              xi[horiz][:, horiz][:, :, :])
+    xhh = _block(x, horiz, horiz, dm)
+    frame_h = 8.0 * np.einsum("iak,ibk->ab", xhh, xhh)
     res["trace_identity_horizontal_frame"] = float(np.abs(frame_h - sub).max())
 
     bad = {k: v for k, v in res.items() if v > tol}

@@ -203,7 +203,7 @@ def test_criterion_8_triality_and_cyclic():
     halves = invariant_halves(sp)
     assert halves is not None
     assert halves[0].shape[1] == halves[1].shape[1] == 7
-    _, _, ak = sp.tensors()
+    ak = sp.tensors()[2].toarray().reshape(sp.dim_k, sp.dim_m, sp.dim_m)
     for s in range(sp.dim_k):
         assert np.abs(ak[s][np.ix_(sp.layers["JE"], sp.layers["E"])]).max() < TOL
     seed = np.zeros(sp.dim_m)
@@ -218,10 +218,10 @@ def test_criterion_8_triality_and_cyclic():
     assert np.abs(c3.sigma @ c3.sigma @ c3.sigma - np.eye(9)).max() == 0.0
     halves_c = invariant_halves(c3)
     assert halves_c is not None and halves_c[0].shape[1] == 3
-    _, _, akc = c3.tensors()
+    akc = c3.tensors()[2].toarray().reshape(c3.dim_k, c3.dim_m, c3.dim_m)
     base = cached_algebra("a", 1)
     for s in range(3):
-        assert np.abs(akc[s][:3, :3] - base.ad_dense(s) / np.sqrt(3)).max() < TOL
+        assert np.abs(akc[s][:3, :3] - base.ad(s).toarray() / np.sqrt(3)).max() < TOL
     _line(8, "triality quotient: fixed algebra dim 14 with the (2, 12, x3) "
              "root signature; m = E + JE invariant halves, complex- but not "
              "real-irreducible; cyclic triple verified equivariant")

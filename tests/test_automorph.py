@@ -22,10 +22,18 @@ from nk_triad.automorph import (
     realize_inner,
     realize_triality_d4,
 )
+from nk_triad.compactform import ZERO_DROP, CompactAlgebra
+from nk_triad.nk_analyzer import curvature
 from nk_triad.rootsys import subsystem_type
 from nk_triad.tables import realize
 
 F = Fraction
+
+
+def ad_k(space):
+    """ad(k_s)|m of ``space.tensors()`` as a dense (dim k, dim m, dim m) array."""
+    dm = space.dim_m
+    return space.tensors()[2].toarray().reshape(space.dim_k, dm, dm)
 
 
 def kinds(rs, dedup=False):
@@ -145,7 +153,7 @@ def test_triality_fixed_algebra_is_g2(algebra):
 
 def test_triality_halves_are_invariant(algebra):
     sp = realize_triality_d4(algebra("d", 4))
-    _, _, ak = sp.tensors()
+    ak = ad_k(sp)
     e_pos, je_pos = sp.layers["E"], sp.layers["JE"]
     for s in range(sp.dim_k):
         block = ak[s][np.ix_(je_pos, e_pos)]
@@ -167,10 +175,10 @@ def test_cyclic_diagonal_action_matches_component(algebra):
     """ad of the diagonal on the first half acts as the component algebra."""
     base = algebra("a", 2)
     sp = realize_cyclic_c3(base)
-    _, _, ak = sp.tensors()
+    ak = ad_k(sp)
     d = base.dim
     for s in range(d):
-        expect = base.ad_dense(s) / np.sqrt(3.0)
+        expect = base.ad(s).toarray() / np.sqrt(3.0)
         assert np.abs(ak[s][:d, :d] - expect).max() < 1e-12
 
 
@@ -198,8 +206,9 @@ def test_bracket_preservation_checks_every_pair(algebra, monkeypatch):
     row = int(np.flatnonzero(sp.sigma[:, col])[0])
     sp.sigma[row, col] *= -1.0                   # one U-plane entry of a fresh space
     eye = np.eye(ca.dim)
-    dense = np.array([[np.abs(sp.sigma @ ca.bracket_vectors(eye[:, i], eye[:, j])
-                              - ca.bracket_vectors(sp.sigma[:, i], sp.sigma[:, j])).max()
+    br = lambda x, y: np.kron(x, y) @ ca.C
+    dense = np.array([[np.abs(sp.sigma @ br(eye[:, i], eye[:, j])
+                              - br(sp.sigma[:, i], sp.sigma[:, j])).max()
                        for j in range(ca.dim)] for i in range(ca.dim)])
     assert sp.bracket_preservation_residual() > 1e-9
     residual, (i, j) = sp._bracket_preservation_worst()
@@ -218,7 +227,7 @@ def test_bracket_preservation_checks_every_pair(algebra, monkeypatch):
 def dense_invariant_halves(space, tol=1e-7):
     """Reference: the commutant from the dim m^2 x dim m^2 normal matrix of the
     kron-product commutator map; returns (commutant dim, halves or None)."""
-    _, _, ak = space.tensors()
+    ak = ad_k(space)
     dm = space.dim_m
     normal = np.zeros((dm * dm, dm * dm))
     eye = np.eye(dm)
@@ -237,8 +246,7 @@ def dense_invariant_halves(space, tol=1e-7):
 
 
 def _leak(space, halves):
-    _, _, ak = space.tensors()
-    return max(np.abs(halves[1].T @ a @ halves[0]).max() for a in ak)
+    return max(np.abs(halves[1].T @ a @ halves[0]).max() for a in ad_k(space))
 
 
 @pytest.mark.parametrize("make", [
@@ -254,8 +262,7 @@ def test_block_commutant_matches_dense_reference(make):
     dim, ref = dense_invariant_halves(sp)
     basis = commutant_basis(sp)
     assert len(basis) == dim
-    _, _, ak = sp.tensors()
-    assert max(np.abs(a @ s - s @ a).max() for a in ak for s in basis) < 1e-9
+    assert max(np.abs(a @ s - s @ a).max() for a in ad_k(sp) for s in basis) < 1e-9
     halves = invariant_halves(sp)
     if ref is None:
         assert halves is None
@@ -294,8 +301,9 @@ def _looks_reducible():
     sp = realize("g", 2, "A3IV", (1,))
     _, _, ak = sp.tensors()
     h = sp.dim_m // 2
-    ak[:, :h, h:] = 0.0
-    ak[:, h:, :h] = 0.0
+    p = np.repeat(np.arange(ak.shape[0]), np.diff(ak.indptr)) % sp.dim_m   # A[(s, p), q]
+    ak.data[(p < h) != (ak.indices < h)] = 0.0
+    ak.eliminate_zeros()
     return sp
 
 
@@ -316,3 +324,88 @@ def test_classification_mismatch_fails_loudly(monkeypatch, capsys):
     monkeypatch.setattr(automorph, "invariant_halves", lambda space: None)
     with pytest.raises(ClassificationMismatch, match="type II needs two equal invariant halves"):
         classify_type(realize_cyclic_c3(tables.cached_algebra("a", 1)))
+
+
+# -- the tensors as one sparse product of C ------------------------------------------
+
+
+def dense_reference_tensors(space):
+    """Reference (xi, kc, ak) as dense 3-tensors, by tensordot over a dense C:
+    xi[a, b, p] = -(1/2)<[m_a, m_b], m_p>, kc[a, b, s] = <[m_a, m_b], k_s> and
+    ak[s, p, q] = <[k_s, m_q], m_p>."""
+    d = space.algebra.dim
+    c = space.algebra.C.toarray().reshape(d, d, d)
+    m, k = space.m_cols, space.k_cols
+
+    def on_pair(x, y, t):       # t[i, j, ...] -> [a, b, ...] = sum x[i, a] y[j, b] t[i, j, ...]
+        return np.tensordot(x, np.tensordot(y, t, axes=(0, 1)), axes=(0, 1))
+
+    cm = np.tensordot(c, m, axes=(2, 0))
+    return (-0.5 * on_pair(m, m, cm), on_pair(m, m, np.tensordot(c, k, axes=(2, 0))),
+            on_pair(k, m, cm).transpose(0, 2, 1))
+
+
+ORACLE_SPACES = {
+    "g2-node1": lambda: realize("g", 2, "A3IV", (1,)),
+    "e7-node2": lambda: realize("e", 7, "A3III", (2,)),
+    "d4-triality": lambda: realize_triality_d4(tables.cached_algebra("d", 4)),
+    "a1-cyclic": lambda: realize_cyclic_c3(tables.cached_algebra("a", 1)),
+    "a2-cyclic": lambda: realize_cyclic_c3(tables.cached_algebra("a", 2)),
+    "g2-cyclic": lambda: realize_cyclic_c3(tables.cached_algebra("g", 2)),
+    "f4-cyclic": lambda: realize_cyclic_c3(tables.cached_algebra("f", 4)),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SPACES))
+def test_tensors_match_dense_reference(name):
+    """Bit-identical on inner classes (M selects basis columns); within 1e-15
+    on the dense-column constructions, once the reference loses the float
+    noise below ZERO_DROP that ``tensors()`` drops (up to 2e-15 on d4
+    triality, whose columns come from an eigensolver)."""
+    space = ORACLE_SPACES[name]()
+    dm, dk = space.dim_m, space.dim_k
+    got = [t.toarray() for t in space.tensors()]
+    ref = [t.reshape(shape) for t, shape in zip(
+        dense_reference_tensors(space), ((dm * dm, dm), (dm * dm, dk), (dk * dm, dm)))]
+    if space.h_spec is not None:
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+    else:
+        for r in ref:
+            r[np.abs(r) < ZERO_DROP] = 0.0
+        assert max(np.abs(g - r).max() for g, r in zip(got, ref)) < 1e-15
+
+
+def test_tensors_are_sparse_memoised_and_noise_free():
+    for space in (realize_cyclic_c3(tables.cached_algebra("f", 4)),
+                  realize_triality_d4(tables.cached_algebra("d", 4))):
+        first = space.tensors()
+        assert space.tensors() is first
+        for t in first + (curvature(space).j_sparse,):
+            assert t.format == "csr" and np.abs(t.data).min() >= ZERO_DROP
+
+
+def test_one_flipped_entry_moves_jacobi_preservation_and_xi(algebra):
+    """C is the algebra's one bracket: negating one entry of it (both orders)
+    on a fresh g2 shows in the Jacobi sweep, in bracket preservation by sigma
+    and in xi, at that entry."""
+    cached = algebra("g", 2)
+    spec = next(c for c in enumerate_inner_order3(cached.rs) if c.kind == "A3IV")
+    before = realize_inner(cached, spec)
+    dm = before.dim_m
+    x = before.tensors()[0].tocoo()
+    (a, b), p = divmod(int(x.row[0]), dm), int(x.col[0])
+    i, j, l = before.m_cols.argmax(axis=0)[[a, b, p]]   # their ambient basis vectors
+    fresh = CompactAlgebra(cached.rs, cached.cd)
+    c = fresh.C
+    for r in (i * fresh.dim + j, j * fresh.dim + i):
+        lo = c.indptr[r]
+        c.data[lo + np.flatnonzero(c.indices[lo:c.indptr[r + 1]] == l)] *= -1.0
+    assert cached.jacobi_max_residual() < 1e-12 < 1e-6 < fresh.jacobi_max_residual()
+    after = realize_inner(fresh, spec)
+    assert before.bracket_preservation_residual() < 1e-12
+    assert after.bracket_preservation_residual() > 1e-6
+    diff = (after.tensors()[0] - before.tensors()[0]).tocoo()
+    diff.eliminate_zeros()
+    moved = dict(zip(zip(diff.row.tolist(), diff.col.tolist()), diff.data.tolist()))
+    assert moved == pytest.approx({(a * dm + b, p): -2.0 * x.data[0],
+                                   (b * dm + a, p): 2.0 * x.data[0]})

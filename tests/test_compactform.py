@@ -1,10 +1,11 @@
-"""Compact real form: bracket table, Jacobi, invariant form, rotations."""
+"""Compact real form: structure constants C, Jacobi, invariant form, rotations."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from nk_triad.compactform import (
     CompactAlgebra,
@@ -24,12 +25,27 @@ def test_dimensions(family, rank, algebra):
     assert algebra(family, rank).dim == DIMS[(family, rank)]
 
 
+def _terms(ca, i, j):
+    """[e_i, e_j] as {l: coefficient}, read off row (i, j) of C."""
+    row = ca.C[i * ca.dim + j]
+    return dict(zip(row.indices.tolist(), row.data.tolist()))
+
+
+def _scale_pair(ca, i, j, factor):
+    """Multiply [e_i, e_j] and [e_j, e_i] in C by ``factor``, in place."""
+    c = ca.C
+    for r in (i * ca.dim + j, j * ca.dim + i):
+        c.data[c.indptr[r]:c.indptr[r + 1]] *= factor
+
+
 def test_su2_bracket_table(algebra):
     ca = algebra("a", 1)
     u0, u1 = ca.u_index(0, 0), ca.u_index(0, 1)
-    assert dict(ca.bracket_terms(u0, u1)) == {0: 2.0}
-    assert dict(ca.bracket_terms(0, u0)) == {u1: 2.0}
-    assert dict(ca.bracket_terms(0, u1)) == {u0: -2.0}
+    assert _terms(ca, u0, u1) == {0: 2.0}
+    assert _terms(ca, u1, u0) == {0: -2.0}
+    assert _terms(ca, 0, u0) == {u1: 2.0}
+    assert _terms(ca, 0, u1) == {u0: -2.0}
+    assert _terms(ca, u0, u0) == {}
     # su(2) Jacobi is degenerate but ad must still be skew for the stored form
     assert ca.antisymmetry_max_residual() == 0.0
 
@@ -39,11 +55,22 @@ def test_structure_constants_totally_skew(family, rank, algebra):
     assert algebra(family, rank).antisymmetry_max_residual() == 0.0
 
 
+def _dense_trace_form(ca):
+    """Reference: tr(ad e_i ad e_j) on every pair, from dense ad matrices."""
+    ads = np.array([ca.ad(i).toarray() for i in range(ca.dim)])
+    return np.einsum("ikl,jlk->ij", ads, ads)
+
+
 def test_stored_form_is_minus_two_identity(algebra):
-    ca = algebra("d", 4)
-    for i in range(ca.dim):
-        assert ca.killing_entry(i, i) == -2.0
-        assert ca.killing_entry(i, (i + 1) % ca.dim) == 0.0
+    """The trace form is 2h* times the stored form B0 = -2 id, on every basis
+    pair: tr(ad e_i ad e_j) = -4h* delta_ij."""
+    for family, rank in [("a", 1), ("g", 2), ("d", 4), ("f", 4)]:
+        ca = algebra(family, rank)
+        want = -4.0 * ca.dual_coxeter * np.eye(ca.dim)
+        assert np.abs(_dense_trace_form(ca) - want).max() < 1e-12
+    for family, rank in [("a", 1), ("g", 2), ("f", 4), ("e", 7), ("e", 8), ("a", 8), ("b", 5)]:
+        ca = algebra(family, rank)
+        assert abs(ca.trace_form_ratio() - 2 * ca.dual_coxeter) < 1e-12 * ca.dual_coxeter
 
 
 @pytest.mark.parametrize("family,rank", [("a", 1), ("a", 2), ("a", 3), ("a", 4),
@@ -57,21 +84,18 @@ def test_jacobi_sweep(family, rank, algebra):
 def _dense_jacobi_residual(ca):
     """Reference: R[i,j,k,m] = [[e_i,e_j],e_k] - [e_i,[e_j,e_k]] + [e_j,[e_i,e_k]],
     component m, from a dense structure-constant array."""
-    c = np.zeros((ca.dim,) * 3)
-    for i in range(ca.dim):
-        for j in range(ca.dim):
-            for k, coef in ca.bracket_terms(i, j):
-                c[i, j, k] = coef
+    c = ca.C.toarray().reshape((ca.dim,) * 3)
     return (np.einsum("ijl,lkm->ijkm", c, c) - np.einsum("jkl,ilm->ijkm", c, c)
             + np.einsum("ikl,jlm->ijkm", c, c))
 
 
 def test_sign_flip_is_detected_and_located(algebra):
     cached = algebra("g", 2)
-    ca = CompactAlgebra(cached.rs, cached.cd)  # fresh table; the cached one stays intact
-    a, b = next(key for key, terms in ca._table.items() if min(key) >= ca.rank and len(terms) == 1)
-    (l, coef), = ca._table[(a, b)]
-    ca._table[(a, b)] = ((l, -coef),)
+    ca = CompactAlgebra(cached.rs, cached.cd)  # fresh C; the cached one stays intact
+    a, b = next((i, j) for i in range(ca.rank, ca.dim) for j in range(i + 1, ca.dim)
+                if len(_terms(ca, i, j)) == 1)
+    (coef,) = _terms(ca, a, b).values()
+    _scale_pair(ca, a, b, -1.0)
     assert ca.antisymmetry_max_residual() == pytest.approx(2 * abs(coef))
     ref = np.abs(_dense_jacobi_residual(ca))
     with pytest.raises(JacobiFailure) as exc:
@@ -89,12 +113,20 @@ def test_trace_form_proportional_to_stored(algebra):
 
 
 def _scaled_su2(algebra):
-    """A fresh su(2) table with [U0, U1] doubled: tr(ad X ad X)/B0(X, X) goes
-    from 4 to 8 on both U-vectors and stays 4 on h."""
+    """A fresh su(2) with [U0, U1] doubled (both orders in C): tr(ad X ad X)/B0(X, X)
+    goes from 4 to 8 on both U-vectors and stays 4 on h, so the mean ratio is
+    20/3 and h departs most from it, by 8/3."""
     cached = algebra("a", 1)
     ca = CompactAlgebra(cached.rs, cached.cd)
-    u0, u1 = ca.u_index(0, 0), ca.u_index(0, 1)
-    ca._table[(u0, u1)] = tuple((l, 2 * c) for l, c in ca._table[(u0, u1)])
+    _scale_pair(ca, ca.u_index(0, 0), ca.u_index(0, 1), 2.0)
+    return ca
+
+
+def _flipped_g2(algebra):
+    """A fresh g2 with one U-U bracket negated in both orders of C."""
+    cached = algebra("g", 2)
+    ca = CompactAlgebra(cached.rs, cached.cd)
+    _scale_pair(ca, ca.u_index(0, 0), ca.u_index(1, 1), -1.0)
     return ca
 
 
@@ -102,10 +134,17 @@ def test_trace_form_failure_names_its_indices(algebra):
     ca = _scaled_su2(algebra)
     with pytest.raises(TraceFormFailure) as exc:
         ca.trace_form_ratio()
-    lo, hi = exc.value.indices
-    assert lo == 0 and hi in (ca.u_index(0, 0), ca.u_index(0, 1))
-    assert exc.value.spread == pytest.approx(4.0)
+    assert exc.value.pair == (0, 0)
+    assert exc.value.residual == pytest.approx(8.0 / 3.0)
     assert algebra("a", 1).trace_form_ratio() == pytest.approx(4.0)
+    # every pair is checked: the named pair is the worst of the dense reference
+    for ca in (_scaled_su2(algebra), _flipped_g2(algebra)):
+        ratios = _dense_trace_form(ca) / -2.0
+        dev = np.abs(ratios - np.trace(ratios) / ca.dim * np.eye(ca.dim))
+        with pytest.raises(TraceFormFailure) as exc:
+            ca.trace_form_ratio()
+        assert exc.value.residual == pytest.approx(dev.max(), abs=1e-12)
+        assert dev[exc.value.pair] == pytest.approx(dev.max(), abs=1e-12)
 
 
 def test_cli_reports_trace_form_failure(algebra, monkeypatch, capsys):
@@ -115,7 +154,8 @@ def test_cli_reports_trace_form_failure(algebra, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_JACOBI_DEFAULT", [("a", 1)])
     monkeypatch.setattr(cli, "cached_algebra", lambda family, rank: broken)
     assert cli.main(["verify", "jacobi"]) == 1
-    assert '"trace-form:a1:trace-form ratio spread 4.000e+00' in capsys.readouterr().out
+    assert '"trace-form:a1:trace-form residual 2.667e+00 at basis pair (0, 0)' \
+        in capsys.readouterr().out
 
 
 def test_ad_skew_and_invariance(algebra):
@@ -125,12 +165,12 @@ def test_ad_skew_and_invariance(algebra):
     for _ in range(10):
         i, j, k = rng.integers(0, ca.dim, size=3)
         x, y, z = eye[:, i], eye[:, j], eye[:, k]
-        bxy = ca.bracket_vectors(x, y)
-        bxz = ca.bracket_vectors(x, z)
+        bxy = np.kron(x, y) @ ca.C
+        bxz = np.kron(x, z) @ ca.C
         # invariance of the stored form B0 = -2 id
         assert abs(-2 * bxy @ z + -2 * y @ bxz) < 1e-12
     for i in range(ca.dim):
-        ad = ca.ad_dense(i)
+        ad = ca.ad(i).toarray()
         assert np.abs(ad + ad.T).max() < 1e-12
 
 
@@ -166,15 +206,19 @@ def test_rotation_is_automorphism_and_order_three(algebra):
             eye = np.eye(ca.dim)
             for _ in range(6):
                 i, j = rng.integers(0, ca.dim, size=2)
-                lhs = mat @ ca.bracket_vectors(eye[:, i], eye[:, j])
-                rhs = ca.bracket_vectors(mat[:, i], mat[:, j])
+                lhs = mat @ (np.kron(eye[:, i], eye[:, j]) @ ca.C)
+                rhs = np.kron(mat[:, i], mat[:, j]) @ ca.C
                 assert np.abs(lhs - rhs).max() < 1e-9
 
 
 def test_bracket_closes_on_basis(algebra):
+    """C is (dim^2, dim), finite, free of explicit zeros, and holds both orders
+    of every pair: C[(j, i), l] = -C[(i, j), l]."""
     ca = algebra("c", 3)
-    for i in range(ca.dim):
-        for j in range(ca.dim):
-            for k, coef in ca.bracket_terms(i, j):
-                assert 0 <= k < ca.dim
-                assert math.isfinite(coef)
+    d = ca.dim
+    c = ca.C.tocoo()
+    assert c.shape == (d * d, d)
+    assert np.isfinite(c.data).all() and (c.data != 0).all()
+    i, j = np.divmod(c.row, d)
+    swapped = sparse.csr_matrix((c.data, (j * d + i, c.col)), shape=c.shape)
+    assert abs(ca.C + swapped).max() == 0.0

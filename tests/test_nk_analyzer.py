@@ -23,7 +23,6 @@ from nk_triad.nk_analyzer import (
     lk_classification,
     min_connection_curvature,
     exact_ricci_eigenvalues,
-    riemann_tensor,
     riemann_value,
     ricci_tensors,
     sectional_curvature_samples,
@@ -40,6 +39,19 @@ from nk_triad.nk_analyzer import (
 from nk_triad.tables import realize
 
 F = Fraction
+
+
+def dense_tensors(space):
+    """``space.tensors()`` as dense 3-tensors xi[a, b, k], kc[a, b, s], ak[s, p, q]."""
+    dm = space.dim_m
+    xi, kc, ak = (t.toarray() for t in space.tensors())
+    return xi.reshape(dm, dm, dm), kc.reshape(dm, dm, -1), ak.reshape(-1, dm, dm)
+
+
+def riemann_tensor(space):
+    """R[a, b, c, d] = R(e_a, e_b, e_c, e_d) from the sparse operator, dense."""
+    dm = space.dim_m
+    return curvature(space).riemann.toarray().reshape(dm, dm, dm, dm)
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +85,8 @@ def test_J_layer_rule(g2_twistor):
 
 
 def test_torsion_totally_skew(su3_flag):
-    xi = torsion(su3_flag)
+    dm = su3_flag.dim_m
+    xi = torsion(su3_flag).toarray().reshape(dm, dm, dm)
     rng = np.random.default_rng(0)
     for _ in range(50):
         x, y, z = rng.standard_normal((3, su3_flag.dim_m))
@@ -84,8 +97,9 @@ def test_torsion_totally_skew(su3_flag):
 
 
 def test_torsion_nonzero_in_every_direction(g2_twistor):
-    xi = torsion(g2_twistor)
-    norms = [np.linalg.norm(xi[i]) for i in range(g2_twistor.dim_m)]
+    dm = g2_twistor.dim_m
+    xi = torsion(g2_twistor).toarray().reshape(dm, dm, dm)
+    norms = [np.linalg.norm(xi[i]) for i in range(dm)]
     assert min(norms) > 0.5
 
 
@@ -139,14 +153,16 @@ def test_min_connection_curvature(g2_twistor):
     assert verify_min_connection_identity(sp) < 1e-9
 
 
+@pytest.mark.filterwarnings("ignore::scipy.sparse.SparseEfficiencyWarning")
 def test_min_connection_identity_checks_every_tuple():
     """One perturbed k-component of a horizontal bracket, on a space with
     dm = 84 and over a million (x, u, v1, v2) tuples, must be caught."""
     sp = realize("e", 7, "A3III", (2,))
-    _, kc, ak = sp.tensors()
+    _, kc, _ = sp.tensors()
+    ak = dense_tensors(sp)[2]
     vert, horiz = sp.layers["V"], sp.layers["H"]
     s = int(np.abs(ak[:, vert][:, :, vert]).sum(axis=(1, 2)).argmax())
-    kc[horiz[len(horiz) // 2], 3, s] += 0.5
+    kc[horiz[len(horiz) // 2] * sp.dim_m + 3, s] += 0.5
     with pytest.raises(IdentityViolation):
         verify_min_connection_identity(sp)
 
@@ -168,6 +184,7 @@ def test_curvature_identities_full_sweep(su3_flag, g2_twistor):
         assert res["r_identity"] < 1e-9
 
 
+@pytest.mark.filterwarnings("ignore::scipy.sparse.SparseEfficiencyWarning")
 def test_curvature_identities_check_every_tuple():
     """One perturbed k-component on a dm = 84 space must show in the
     curvature residuals.  The entry kc[a, b, s] pairs a Cartan direction s
@@ -175,10 +192,10 @@ def test_curvature_identities_check_every_tuple():
     only the four-index identities can see it."""
     sp = realize("e", 7, "A3III", (2,))
     _, kc, ak = sp.tensors()
-    s = 0                                               # k_idx starts with the Cartan
-    moved = np.abs(ak[s]).any(axis=1)
+    s, dm = 0, sp.dim_m                                 # k_cols starts with the Cartan
+    moved = np.abs(ak[s * dm:(s + 1) * dm].toarray()).any(axis=1)
     a, b = int(np.flatnonzero(moved)[0]), int(np.flatnonzero(~moved)[0])
-    kc[a, b, s] += 0.5
+    kc[a * dm + b, s] += 0.5
     res = verify_curvature_identities(sp)
     assert max(res.values()) > 1e-6
 
@@ -200,7 +217,7 @@ def _ambient_nat_reductive(space, x, y, z, t):
     xa, ya, za, ta = (mc @ v for v in (x, y, z, t))
     pm = lambda v: mc @ (mc.T @ v)
     pk = lambda v: kc @ (kc.T @ v)
-    br = alg.bracket_vectors
+    br = lambda u, v: np.kron(u, v) @ alg.C
     out = br(pk(br(xa, ya)), za) @ ta
     out += 0.5 * pm(br(pm(br(xa, ya)), za)) @ ta
     out -= 0.25 * pm(br(xa, pm(br(ya, za)))) @ ta
@@ -225,7 +242,7 @@ def test_riemann_matches_nested_bracket_oracle(maker):
 
 def _dense_riemann(space):
     """Reference R[a,b,c,d] from dense einsums over the tensors."""
-    xi, kc, ak = space.tensors()
+    xi, kc, ak = dense_tensors(space)
     g2 = np.einsum("abk,cdk->abcd", xi, xi)
     r4 = np.einsum("abs,sdc->abcd", kc, ak)
     return r4 + 2.0 * g2 - np.einsum("acbd->abcd", g2) + np.einsum("adbc->abcd", g2)
