@@ -25,7 +25,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .compactform import CompactAlgebra, adjoint_action_exp, drop_noise
-from .chevalley import _add
 from .rootsys import Coeffs, RootSystem, alpha_levels, diagram_automorphisms
 
 
@@ -313,13 +312,13 @@ def realize_triality_d4(ca: CompactAlgebra) -> OrderThreeSymmetricSpace:
 
     pos = [r.coeffs for r in rs.positive_roots]
     var = {c: k for k, c in enumerate(pos)}
+    image = [var[s_map(c)] for c in pos]
+    plus, sign = ca.cd.plus, ca.cd.sign
     rows: list[tuple[list[int], int]] = []
-    for a, b in itertools.combinations(pos, 2):
-        g = _add(a, b)
-        if g not in var:
-            continue
-        ratio = ca.cd.n_exact(a, b)[0] * ca.cd.n_exact(s_map(a), s_map(b))[0]
-        rows.append(([var[a], var[b], var[g]], 0 if ratio == 1 else 1))
+    for a, b in itertools.combinations(range(len(pos)), 2):
+        if plus[a, b] >= 0:
+            ratio = sign[a, b] * sign[image[a], image[b]]
+            rows.append(([a, b, int(plus[a, b])], 0 if ratio == 1 else 1))
     simple = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     rows.append(([var[simple[1]]], 0))
     rows.append(([var[simple[0]], var[simple[2]], var[simple[3]]], 0))

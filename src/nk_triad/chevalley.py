@@ -7,22 +7,33 @@ to 1.  In that normalization the constants satisfy
     N_{a,b} = N_{b,c} = N_{c,a}          whenever a + b + c = 0,
     N_{a,b}^2 = q(1-p)/2 * <a,a>         with (p, q) the a-string through b.
 
-Only the squares are rational in general; the table stores exact squares plus
-a sign, fixing signs by assigning +1 to the extraspecial pair of every
-positive root (minimal decomposition in height-then-lex order) and
+The table is held over root indices.  With n = ``rs.n_positive``, positive
+root k of ``rs.positive_roots`` has index k and its negative has index n + k
+(the order of ``rs.all_roots()``).  Three (2n, 2n) int arrays hold it:
+
+    plus[i, j]   index of root i + root j, or -1 when the sum is not a root;
+    n12[i, j]    12 N_{i,j}^2, an int because 6<a,a> is; 0 off the pairs;
+    sign[i, j]   the sign of N_{i,j}, +1 or -1; 0 off the pairs.
+
+``plus`` comes from broadcasting the additive int keys of ``rootsys`` and
+every string bound from stepping through ``plus``.  Only the squares are
+rational in general; signs are fixed by assigning +1 to the extraspecial pair
+of every positive root (minimal decomposition in height-then-lex order) and
 propagating through the antisymmetries, the zero-sum triple identity, and the
 four-term contraction that expresses any other decomposition of a positive
-root against its extraspecial one.  Any consistent choice produces the same
-squares; determinism here is what makes downstream tables reproducible.
+root against its extraspecial one (Carter, Simple Groups of Lie Type, ch. 4).
+Any consistent choice produces the same squares; determinism here is what
+makes downstream tables reproducible.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
-from .rootsys import Coeffs, NotARoot, RootSystem, root_string
+import numpy as np
+
+from .rootsys import NotARoot, RootSystem, root_string
 
 
 class SignInconsistency(RuntimeError):
@@ -33,173 +44,155 @@ class IdentityViolation(AssertionError):
     """An algebraic identity of the constants failed."""
 
 
-def _neg(c: Coeffs) -> Coeffs:
-    return tuple(map(operator.neg, c))
-
-
-def _add(a: Coeffs, b: Coeffs) -> Coeffs:
-    return tuple(map(operator.add, a, b))
-
-
-def _sub(a: Coeffs, b: Coeffs) -> Coeffs:
-    return tuple(map(operator.sub, a, b))
-
-
-def _sqrt_fraction(q: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative fraction, or None."""
-    if q < 0:
-        return None
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
-    return None
-
-
-def _root_pairs(rs: RootSystem):
-    """Every ordered pair of roots (a, b) whose sum gamma is a root, as
-    (a, b, gamma, p, q) with (p, q) the bounds of the a-string through b.
-
-    Roots are walked through their additive int keys (``RootSystem.key``):
-    every vector probed below is a sum of two roots, so a sum or string step
-    is an int addition and a dict lookup.
-    """
-    by_key = rs._coeffs_of
-    for ka, a in by_key.items():
-        for kb, b in by_key.items():
-            gamma = by_key.get(ka + kb)
-            if gamma is None:
-                continue
-            q = 1  # a + b is a root
-            while kb + (q + 1) * ka in by_key:
-                q += 1
-            p = 0
-            while kb + (p - 1) * ka in by_key:
-                p -= 1
-            yield a, b, gamma, p, q
-
-
 class ChevalleyData:
-    """Structure-constant table over a root system."""
+    """Structure-constant table over the root indices of a root system."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        # height-then-lex order drives the extraspecial-pair convention
-        pos = [r.coeffs for r in rs.positive_roots]
-        self._order = {c: k for k, c in enumerate(sorted(pos, key=lambda c: (sum(c), c)))}
-        self._roots = rs._key_of
-        self.n_sq: dict[tuple[Coeffs, Coeffs], Fraction] = {}
-        self._sign: dict[tuple[Coeffs, Coeffs], int] = {}
-        # extraspecial pair of gamma: the decomposition a + b of positive roots
-        # with a first in the order
-        self._extraspecial: dict[Coeffs, tuple[Coeffs, Coeffs]] = {}
-        # N_{a,b}^2 = q(1-p)/2 * <a,a> = q(1-p) * 6<a,a> / 12, with 6<a,a> an int
-        norm6 = {r.coeffs: int(6 * r.norm_sq) for r in rs.all_roots()}
-        for a, b, gamma, p, q in _root_pairs(rs):
-            self.n_sq[(a, b)] = Fraction(q * (1 - p) * norm6[a], 12)
-            if a in self._order and b in self._order:
-                best = self._extraspecial.get(gamma)
-                if best is None or self._order[a] < self._order[best[0]]:
-                    self._extraspecial[gamma] = (a, b)
-        for key in self.n_sq:
-            self._sign[key] = self._resolve_sign(*key)
+        n = self.n = rs.n_positive
+        pos = np.array([r.coeffs for r in rs.positive_roots], dtype=np.int64)
+        self.roots = [r.coeffs for r in rs.all_roots()]
+        self.index = {c: k for k, c in enumerate(self.roots)}
+        self.neg = np.r_[np.arange(n, 2 * n), np.arange(n)]
+        # sums of two roots have digits of size at most 2 * (largest mark), so
+        # their keys are distinct and a key lookup finds exactly the root sums
+        keys = pos @ rs.key_base ** np.arange(rs.rank, dtype=np.int64)
+        keys = np.r_[keys, -keys]
+        order = np.argsort(keys)
+        sums = keys[:, None] + keys[None, :]
+        at = np.minimum(np.searchsorted(keys[order], sums), 2 * n - 1)
+        self.plus = plus = np.where(keys[order][at] == sums, order[at], -1)
+        # (p, q) of the i-string through j: step through plus from j + i and j - i
+        rows = np.arange(2 * n)[:, None]
+        q, cur = np.zeros_like(plus), plus
+        while (cur >= 0).any():
+            q += cur >= 0
+            cur = np.where(cur >= 0, plus[rows, cur], -1)
+        p, cur = np.zeros_like(plus), plus[self.neg]
+        while (cur >= 0).any():
+            p -= cur >= 0
+            cur = np.where(cur >= 0, plus[self.neg[:, None], cur], -1)
+        norm6 = np.einsum("ki,ij,kj->k", pos, np.array(rs.gram6, dtype=np.int64), pos)
+        # N^2 = q(1-p)/2 * <a,a>, so 12 N^2 = q(1-p) * 6<a,a>
+        self.n12 = np.where(plus >= 0, q * (1 - p) * np.r_[norm6, norm6][:, None], 0)
+        self.sign = self._signs()
 
     # -- signs ---------------------------------------------------------------
 
-    def _resolve_sign(self, a: Coeffs, b: Coeffs) -> int:
-        key = (a, b)
-        if key in self._sign:
-            return self._sign[key]
-        a_pos = a in self._order
-        b_pos = b in self._order
-        if a_pos and b_pos:
-            s = self._positive_pair_sign(a, b)
-        elif not a_pos and not b_pos:
-            s = -self._resolve_sign(_neg(a), _neg(b))
-        else:
-            # one sign each: rotate through the zero-sum triple (a, b, c),
-            # c = -(a+b), onto the pair avoiding the mixed signs
-            c = _neg(_add(a, b))
-            if c in self._order:  # a+b negative
-                s = self._resolve_sign(b, c) if b_pos else self._resolve_sign(c, a)
-            else:  # a+b positive: land on an all-negative pair, then negate
-                s = -self._resolve_sign(_neg(b), _neg(c)) if not b_pos \
-                    else -self._resolve_sign(_neg(c), _neg(a))
-        self._sign[key] = s
-        return s
+    def _signs(self) -> np.ndarray:
+        """sign[i, j] for every pair, from the signs of the positive pairs.
 
-    def _positive_pair_sign(self, a: Coeffs, b: Coeffs) -> int:
-        key = (a, b)
-        if key in self._sign:
-            return self._sign[key]
-        if self._order[a] > self._order[b]:
-            s = -self._positive_pair_sign(b, a)
-            self._sign[key] = s
-            return s
-        gamma = _add(a, b)
-        eps, eta = self._extraspecial[gamma]
-        if (a, b) == (eps, eta):
-            s = 1
-        else:
-            # contract the two decompositions of gamma through E_{-eps}:
-            # N_{a,b} N_{gamma,-eps} = -N_{-eps,a} N_{a-eps,b} - N_{b,-eps} N_{b-eps,a}
-            t = []
-            for x, y in (((_neg(eps), a), (_sub(a, eps), b)),
-                         ((b, _neg(eps)), (_sub(b, eps), a))):
-                mid = _add(*x)
-                if mid in self._roots and any(mid):
-                    s1 = self._resolve_sign(*x)
-                    s2 = self._resolve_sign(*y)
-                    qq = self.n_sq[x] * self.n_sq[y]
-                    t.append((s1 * s2, qq))
-            if not t:
-                raise SignInconsistency(f"no contraction terms for {a}+{b}")
-            lhs_sq = self.n_sq[(a, b)] * self.n_sq[(gamma, _neg(eps))]
-            if len(t) == 1:
-                rhs_sign = -t[0][0]
-                rhs_sq = t[0][1]
-            else:
-                if t[0][0] == t[1][0]:
-                    rhs_sign = -t[0][0]
-                elif t[0][1] == t[1][1]:
-                    raise SignInconsistency(f"cancelling contraction at {a}+{b}")
+        Each pair maps onto a positive pair times a factor: a negative pair by
+        N_{a,b} = -N_{-a,-b}, a mixed one through the zero-sum triple
+        (a, b, c), c = -(a+b), onto the pair avoiding the mixed signs (with one
+        more negation when a+b is positive).
+        """
+        n, plus = self.n, self.plus
+        i, j = np.indices(plus.shape)
+        c = np.where(plus >= 0, self.neg[plus], 0)
+        same, turn = (i < n) == (j < n), (j < n) == (c < n)
+        first = np.where(same, i, np.where(turn, j, c)) % n
+        second = np.where(same, j, np.where(turn, c, i)) % n
+        factor = np.where(np.where(same, i < n, c < n), 1, -1)
+
+        heights = np.array([r.height for r in self.rs.positive_roots])
+        place = np.empty(n, dtype=np.int64)
+        place[np.lexsort((np.arange(n), heights))] = np.arange(n)  # height-then-lex
+        # extraspecial pair (eps, eta) of gamma: gamma = eps + eta with eps first
+        a, b = np.nonzero(plus[:n, :n] >= 0)
+        g = plus[a, b]
+        by = np.lexsort((place[a], g))
+        head = np.diff(g[by], prepend=-1) != 0
+        self.extraspecial = np.full((n, 2), -1)
+        self.extraspecial[g[by][head]] = np.stack([a[by][head], b[by][head]], axis=1)
+
+        sums, sq, extra, place = plus.tolist(), self.n12.tolist(), self.extraspecial.tolist(), \
+            place.tolist()
+        lfirst, lsecond, lfactor, neg = first.tolist(), second.tolist(), factor.tolist(), \
+            self.neg.tolist()
+        memo = [[0] * n for _ in range(n)]
+
+        def any_sign(x: int, y: int) -> int:
+            return lfactor[x][y] * positive(lfirst[x][y], lsecond[x][y])
+
+        def positive(x: int, y: int) -> int:
+            if not memo[x][y]:
+                if place[x] > place[y]:
+                    memo[x][y] = -positive(y, x)
+                elif [x, y] == extra[sums[x][y]]:
+                    memo[x][y] = 1
                 else:
-                    rhs_sign = -t[0][0] if t[0][1] > t[1][1] else -t[1][0]
-                cross = _sqrt_fraction(t[0][1] * t[1][1])
-                if cross is None:
-                    raise SignInconsistency(f"irrational contraction at {a}+{b}")
-                rhs_sq = t[0][1] + t[1][1] + 2 * t[0][0] * t[1][0] * cross
-            if rhs_sq != lhs_sq:
-                raise SignInconsistency(f"magnitude mismatch at {a}+{b}")
-            s = rhs_sign * self._resolve_sign(gamma, _neg(eps))
-        self._sign[key] = s
-        return s
+                    memo[x][y] = contracted(x, y)
+            return memo[x][y]
+
+        def contracted(x: int, y: int) -> int:
+            """Sign of N_{x,y} for a positive pair other than the extraspecial
+            (eps, eta) of gamma = x + y, contracting both through E_{-eps}:
+
+                N_{x,y} N_{gamma,-eps} = -N_{-eps,x} N_{x-eps,y} - N_{y,-eps} N_{y-eps,x}
+
+            All magnitudes are products of 12 N^2 in ints, so every comparison
+            is exact."""
+            gamma = sums[x][y]
+            eps = neg[extra[gamma][0]]
+            terms = [(any_sign(u, v) * any_sign(sums[u][v], w), sq[u][v] * sq[sums[u][v]][w])
+                     for u, v, w in ((eps, x, y), (y, eps, x)) if sums[u][v] >= 0]
+            where = f"{self.roots[x]}+{self.roots[y]}"
+            if not terms:
+                raise SignInconsistency(f"no contraction terms for {where}")
+            (s0, t0), (s1, t1) = terms[0], terms[-1]
+            if len(terms) == 1:
+                rhs_sign, rhs_sq = -s0, t0
+            else:
+                if s0 == s1:
+                    rhs_sign = -s0
+                elif t0 == t1:
+                    raise SignInconsistency(f"cancelling contraction at {where}")
+                else:
+                    rhs_sign = -s0 if t0 > t1 else -s1
+                cross = math.isqrt(t0 * t1)
+                if cross * cross != t0 * t1:
+                    raise SignInconsistency(f"irrational contraction at {where}")
+                rhs_sq = t0 + t1 + 2 * s0 * s1 * cross
+            if rhs_sq != sq[x][y] * sq[gamma][eps]:
+                raise SignInconsistency(f"magnitude mismatch at {where}")
+            return rhs_sign * any_sign(gamma, eps)
+
+        for x, y in zip(a.tolist(), b.tolist()):
+            positive(x, y)
+        out = factor * np.array(memo, dtype=np.int64)[first, second]
+        return np.where(plus >= 0, out, 0).astype(np.int8)
 
     # -- public access -------------------------------------------------------
 
+    def _pair(self, a, b) -> tuple[int, int] | None:
+        """Root indices of (a, b) when a + b is a root, else None."""
+        i, j = self.index.get(tuple(a)), self.index.get(tuple(b))
+        if i is None or j is None or self.plus[i, j] < 0:
+            return None
+        return i, j
+
     def n_sign(self, a, b) -> int:
-        key = (tuple(a), tuple(b))
-        if key not in self._sign:
-            raise NotARoot(f"{key[0]} + {key[1]} is not a root")
-        return self._sign[key]
+        pair = self._pair(a, b)
+        if pair is None:
+            raise NotARoot(f"{tuple(a)} + {tuple(b)} is not a root")
+        return int(self.sign[pair])
 
     def n_squared(self, a, b) -> Fraction:
         """Exact N^2; zero when a+b is not a root."""
-        key = (tuple(a), tuple(b))
-        return self.n_sq.get(key, Fraction(0))
+        pair = self._pair(a, b)
+        return Fraction(0) if pair is None else Fraction(int(self.n12[pair]), 12)
 
     def n_value(self, a, b) -> float:
         """N as a float (exact sign, possibly irrational magnitude)."""
-        key = (tuple(a), tuple(b))
-        if key not in self.n_sq:
-            return 0.0
-        return self._sign[key] * math.sqrt(float(self.n_sq[key]))
+        pair = self._pair(a, b)
+        return 0.0 if pair is None else int(self.sign[pair]) * math.sqrt(self.n12[pair] / 12)
 
     def n_exact(self, a, b) -> tuple[int, Fraction]:
-        key = (tuple(a), tuple(b))
-        if key not in self.n_sq:
+        pair = self._pair(a, b)
+        if pair is None:
             return 0, Fraction(0)
-        return self._sign[key], self.n_sq[key]
+        return int(self.sign[pair]), Fraction(int(self.n12[pair]), 12)
 
 
 def build_structure_constants(rs: RootSystem) -> ChevalleyData:
@@ -207,37 +200,37 @@ def build_structure_constants(rs: RootSystem) -> ChevalleyData:
 
 
 def verify_triangle_identity(cd: ChevalleyData) -> int:
-    """Check N_{a,b} = N_{b,c} = N_{c,a} on all zero-sum triples; return count."""
-    roots = sorted(cd._roots)
-    count = 0
-    seen = set()
-    for a in roots:
-        for b in roots:
-            if b <= a:
-                continue
-            c = _neg(_add(a, b))
-            if c not in cd._roots or not any(_add(a, b)):
-                continue
-            triple = tuple(sorted((a, b, c)))
-            if triple in seen:
-                continue
-            seen.add(triple)
-            vals = {cd.n_exact(a, b), cd.n_exact(b, c), cd.n_exact(c, a)}
-            if len(vals) != 1:
-                raise IdentityViolation(f"triple {a}, {b}, {c}: {vals}")
-            count += 1
-    return count
+    """Check N_{a,b} = N_{b,c} on every pair with c = -(a+b) a root, which
+    chains round each zero-sum triple in both orientations; return the number
+    of triples."""
+    i, j = np.nonzero(cd.plus >= 0)
+    c = cd.neg[cd.plus[i, j]]
+    bad = np.flatnonzero((cd.sign[i, j] != cd.sign[j, c]) | (cd.n12[i, j] != cd.n12[j, c]))
+    if bad.size:
+        x, y, z = i[bad[0]], j[bad[0]], c[bad[0]]
+        raise IdentityViolation(
+            f"triple {cd.roots[x]}, {cd.roots[y]}, {cd.roots[z]}: "
+            f"12 N^2 = {cd.sign[x, y] * cd.n12[x, y]} at the first pair, "
+            f"{cd.sign[y, z] * cd.n12[y, z]} at the second")
+    return i.size // 6    # each triple of distinct roots gives six ordered pairs
 
 
 def verify_square_formula(cd: ChevalleyData) -> int:
-    """Recheck every stored square against an independent string scan."""
-    rs = cd.rs
+    """Recheck every stored square against an independent string scan, and
+    that no square is stored off the pairs."""
+    rs, roots = cd.rs, cd.roots
+    stray = np.argwhere((cd.plus < 0) & (cd.n12 != 0))
+    if stray.size:
+        a, b = (roots[k] for k in stray[0])
+        raise IdentityViolation(f"square stored at {a}, {b}, whose sum is not a root")
     count = 0
-    for (a, b), value in cd.n_sq.items():
+    for i, j in zip(*np.nonzero(cd.plus >= 0)):
+        a, b = roots[i], roots[j]
         p, q = root_string(rs, a, b)
         expect = Fraction(q * (1 - p), 2) * rs.norm_sq(a)
-        if value != expect:
-            raise IdentityViolation(f"square mismatch at {a}, {b}: stored {value}, "
+        stored = Fraction(int(cd.n12[i, j]), 12)
+        if stored != expect:
+            raise IdentityViolation(f"square mismatch at {a}, {b}: stored {stored}, "
                                     f"string scan {expect}")
         count += 1
     return count

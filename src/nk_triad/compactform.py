@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .chevalley import ChevalleyData, _add, _neg, _sub
+from .chevalley import ChevalleyData
 from .rootsys import Coeffs, RootSystem
 
 DUAL_COXETER = {
@@ -123,7 +123,7 @@ class CompactAlgebra:
     def _structure_constants(self) -> sp.csr_matrix:
         """C[(i, j), l] = <[e_i, e_j], e_l>/<e_l, e_l> as a (dim^2, dim) CSR
         matrix, holding both orders of every pair and no explicit zeros."""
-        rs, cd, d = self.rs, self.cd, self.dim
+        cd, d = self.cd, self.dim
         # Cartan rows, over the nonzero w[k, c]: [h_c, U^0_a] = w U^1_a,
         # [h_c, U^1_a] = -w U^0_a and [U^0_a, U^1_a] = 2 sqrt(-1)H_a = sum_c w h_c;
         # the Cholesky factor leaves exact zeros of w as noise below ZERO_DROP
@@ -131,43 +131,33 @@ class CompactAlgebra:
         w = self.w[k, c]
         u0, u1 = self.u_index(k, 0), self.u_index(k, 1)
         first, second, out, vals = [c, c, u0], [u0, u1, u1], [u1, u0, c], [w, -w, w]
-        pos = rs._index
-        terms: list[tuple[int, int, int, float]] = []
-        for ka, ra in enumerate(rs.positive_roots):
-            for kb in range(ka + 1, self.n_pos):
-                a, b = ra.coeffs, rs.positive_roots[kb].coeffs
-                n_ab = cd.n_value(a, b), cd.n_value(_neg(a), b)
-                if not any(n_ab):
-                    continue
-                n_ba = cd.n_value(b, a), cd.n_value(_neg(b), a)
-                for p in (0, 1):
-                    for q in (0, 1):
-                        if p <= q:
-                            raw = self._uu_bracket(a, p, b, q, *n_ab)
-                        else:  # [x, y] = -[y, x], with the parity-ordered rule
-                            raw = [(r, pr, -x) for r, pr, x in self._uu_bracket(b, q, a, p, *n_ba)]
-                        i, j = self.u_index(ka, p), self.u_index(kb, q)
-                        for root, parity, coef in raw:
-                            if root not in pos:   # fold U^0_{-c} = -U^0_c, U^1_{-c} = U^1_c
-                                root, coef = _neg(root), (-coef if parity == 0 else coef)
-                            terms.append((i, j, self.u_index(pos[root], parity), coef))
-        if terms:
-            i, j, l, x = (np.array(t) for t in zip(*terms))
-            first, second, out, vals = first + [i], second + [j], out + [l], vals + [x]
+        n, plus = self.n_pos, cd.plus
+        nf = cd.sign * np.sqrt(cd.n12 / 12.0)          # N_{i,j} over root indices
+        # positive pairs a < b with a + b or b - a a root
+        ka, kb = np.nonzero(np.triu((plus[:n, :n] >= 0) | (plus[n:, :n] >= 0), 1))
+        add, sub = plus[ka, kb], plus[n + ka, kb]      # a + b and b - a, or -1
+        nab, nnab, nba, nnba = nf[ka, kb], nf[n + ka, kb], nf[kb, ka], nf[n + kb, ka]
+        a0, a1, b0, b1 = self.u_index(ka, 0), self.u_index(ka, 1), self.u_index(kb, 0), \
+            self.u_index(kb, 1)
+        # [U^p_a, U^q_b] = (-1)^(pq) N_{a,b} U^(p+q)_{a+b} + (-1)^(p+q) N_{-a,b} U^(p+q)_{a-b}
+        # for p <= q, and [U^1_a, U^0_b] = -[U^0_b, U^1_a] by the same rule
+        minus = np.where(sub >= 0, cd.neg[sub], -1)   # a - b
+        for i, j, root, parity, coef in (
+                (a0, b0, add, 0, nab), (a0, b0, minus, 0, nnab),
+                (a0, b1, add, 1, nab), (a0, b1, minus, 1, -nnab),
+                (a1, b1, add, 0, -nab), (a1, b1, minus, 0, nnab),
+                (a1, b0, add, 1, -nba), (a1, b0, sub, 1, nnba)):
+            keep = root >= 0
+            root, coef = root[keep], coef[keep]
+            if parity == 0:   # fold U^0_{-c} = -U^0_c, U^1_{-c} = U^1_c
+                coef = np.where(root >= n, -coef, coef)
+            first.append(i[keep])
+            second.append(j[keep])
+            out.append(self.u_index(root % n, parity))
+            vals.append(coef)
         i, j, l, x = (np.concatenate(t) for t in (first, second, out, vals))
         return sp.csr_matrix((np.concatenate([x, -x]), (np.concatenate([i * d + j, j * d + i]),
                                                         np.concatenate([l, l]))), shape=(d * d, d))
-
-    @staticmethod
-    def _uu_bracket(a: Coeffs, p: int, b: Coeffs, q: int, nab: float, nnab: float):
-        """[U^p_a, U^q_b] for distinct positive roots, valid for p <= q, given
-        nab = N_{a,b} and nnab = N_{-a,b}."""
-        out = []
-        if nab:
-            out.append((_add(a, b), (p + q) % 2, (-1.0) ** (p * q) * nab))
-        if nnab:
-            out.append((_sub(a, b), (p + q) % 2, (-1.0) ** (p + q) * nnab))
-        return out
 
     def ad(self, i: int) -> sp.csr_matrix:
         """Sparse matrix of ad(e_i) acting on column vectors: the transposed

@@ -36,7 +36,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .automorph import OrderThreeSymmetricSpace
-from .chevalley import _neg
 from .compactform import DUAL_COXETER, drop_noise
 from .rootsys import Coeffs
 
@@ -90,23 +89,6 @@ def layer_epsilon(space: OrderThreeSymmetricSpace) -> dict[str, int]:
 def torsion(space: OrderThreeSymmetricSpace) -> sp.csr_matrix:
     """xi as X[(i, j), k] = <xi_{e_i} e_j, e_k> in the m-basis, CSR (dm^2, dm)."""
     return space.tensors()[0]
-
-
-def min_connection_curvature(space: OrderThreeSymmetricSpace, a: int, b: int) -> np.ndarray:
-    """Endomorphism R^min_{e_a e_b} = ad([e_a, e_b]_k)|m."""
-    _, kc, ak = space.tensors()
-    dm = space.dim_m
-    return (kc[a * dm + b] @ ak.reshape((space.dim_k, dm * dm))).toarray().reshape(dm, dm)
-
-
-def riemann_value(space, x, y, z, t) -> float:
-    """R on arbitrary m-vectors, without materializing the 4-tensor."""
-    xi, kc, ak = space.tensors()
-    dm = space.dim_m
-    out = float((kc.T @ np.kron(x, y)) @ (ak.reshape((space.dim_k, dm * dm)) @ np.kron(t, z)))
-    xy, zt, xz, yt, xt, yz = (xi.T @ np.kron(u, v)
-                              for u, v in ((x, y), (z, t), (x, z), (y, t), (x, t), (y, z)))
-    return out + 2.0 * xy @ zt - xz @ yt + xt @ yz
 
 
 def tensor_r(space: OrderThreeSymmetricSpace) -> np.ndarray:
@@ -212,8 +194,10 @@ class Curvature:
         RJJ[(a,b),(c,d)] = R(e_a, e_b, J e_c, J e_d)             (R kron(J, J))
 
     with A'[s, (c,d)] = A[(s,d), c] = <[k_s, m_c], m_d>.  Ric and Ric* are the
-    traces sum_i R[a,i,b,i] and sum_i RJJ[a,i,b,i].  ``j_sparse``, like the
-    tensors, drops entries below ``compactform.ZERO_DROP``.
+    traces sum_i R[a,i,b,i] and sum_i RJJ[a,i,b,i].  ``j_sparse``, ``riemann``
+    and ``riemann_jj``, like the tensors, drop entries below
+    ``compactform.ZERO_DROP``: cancellation in the sum of the four terms
+    leaves float noise on exact zeros.
     """
 
     def __init__(self, space: OrderThreeSymmetricSpace, j: np.ndarray | None = None):
@@ -250,12 +234,12 @@ class Curvature:
         a = sp.csr_matrix((ak.data, (s, ak.col * dm + d)), shape=(self.space.dim_k, dm * dm))
         terms = ((1.0, self.kc @ a, "abcd"), (2.0, self.g, "abcd"),
                  (-1.0, self.g, "acbd"), (1.0, self.g, "adbc"))
-        return sp.vstack(list(_slabs(dm, *terms)), format="csr")
+        return drop_noise(sp.vstack(list(_slabs(dm, *terms)), format="csr"))
 
     @cached_property
     def riemann_jj(self) -> sp.csr_matrix:
         jj = sp.kron(self.j_sparse, self.j_sparse, format="csr")
-        return (self.riemann @ jj).tocsr()
+        return drop_noise((self.riemann @ jj).tocsr())
 
     @cached_property
     def ric(self) -> np.ndarray:
@@ -305,23 +289,21 @@ def layer_traces(space: OrderThreeSymmetricSpace) -> dict[str, dict[Coeffs, tupl
     a(alpha) + a(beta) != 0 mod 1, or alpha - beta is a root with
     a(alpha) != a(beta) (N^2 taken at (-alpha, beta) there).  That is the
     trace 4 sum_v |xi_X v|^2 over the frame of the layer, X a unit vector of
-    the plane of alpha, in units of kappa / 12.  One pass over the root pairs
-    of ``cd.n_sq``, in ints.
+    the plane of alpha, in units of kappa / 12: sums of ``cd.n12`` over the
+    positive (rows alpha) and negative (rows -alpha) halves of the table.
     """
     if space._layer_traces is None:
+        cd = space.algebra.cd
         levels, d = space.h_spec.levels(space.algebra.rs)
-        col = {r: j for j, roots in enumerate(space.layer_roots.values()) for r in roots}
-        rows = {r: [0] * len(space.layer_roots) for r in col}
-        neg = {_neg(r): r for r in col}
-        for (a, b), n_sq in space.algebra.cd.n_sq.items():
-            j = col.get(b)
-            if j is None:
-                continue
-            if a in rows:
-                if (levels[a] + levels[b]) % d:
-                    rows[a][j] += n_sq.numerator * 12 // n_sq.denominator
-            elif a in neg and levels[neg[a]] != levels[b]:
-                rows[neg[a]][j] += n_sq.numerator * 12 // n_sq.denominator
+        sizes = [len(layer) for layer in space.layer_roots.values()]
+        roots = [r for layer in space.layer_roots.values() for r in layer]
+        m = np.array([cd.index[r] for r in roots], dtype=np.int64)
+        lev = np.array([levels[r] for r in roots])[:, None]
+        sums = np.where((lev + lev.T) % d != 0, cd.n12[np.ix_(m, m)], 0)
+        diffs = np.where(lev != lev.T, cd.n12[np.ix_(m + cd.n, m)], 0)
+        # column j of the traces sums the columns of the roots of layer j
+        onehot = np.repeat(np.eye(len(sizes), dtype=np.int64), sizes, axis=0)
+        rows = dict(zip(roots, ((sums + diffs) @ onehot).tolist()))
         space._layer_traces = {label: {r: tuple(rows[r]) for r in roots}
                                for label, roots in space.layer_roots.items()}
     return space._layer_traces
@@ -779,15 +761,3 @@ def verify_prop_table_relations(report: NKReport) -> None:
             if e.value != 0:
                 raise RIdentityMismatch("Einstein space with nonzero C")
 
-
-def sectional_curvature_samples(space, count=30, seed=3) -> list[float]:
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        x = rng.standard_normal(space.dim_m)
-        y = rng.standard_normal(space.dim_m)
-        x /= np.linalg.norm(x)
-        y -= (x @ y) * x
-        y /= np.linalg.norm(y)
-        out.append(riemann_value(space, x, y, x, y))
-    return out

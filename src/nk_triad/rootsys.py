@@ -146,8 +146,9 @@ class RootSystem:
         while frontier:
             new: list[Coeffs] = []
             for gamma in frontier:
-                for i in range(rank):
-                    pairing = 2 * self._inner(gamma, simple[i]) / self.gram[i][i]
+                for i, col in enumerate(self.gram6):
+                    # 2<gamma, alpha_i>/<alpha_i, alpha_i> is pairing6 / col[i], in ints
+                    pairing6 = 2 * sum(g * c for g, c in zip(col, gamma))
                     down = 0
                     probe = list(gamma)
                     while True:
@@ -156,7 +157,7 @@ class RootSystem:
                             down += 1
                         else:
                             break
-                    if down - pairing > 0:
+                    if down * col[i] > pairing6:
                         up = tuple(c + int(i == j) for j, c in enumerate(gamma))
                         if up not in known:
                             known.add(up)

@@ -1,11 +1,17 @@
 import cProfile
 import functools
 import itertools
+import math
+import operator
 import pstats
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from nk_triad.chevalley import SignInconsistency
+from nk_triad.compactform import ZERO_DROP
 from nk_triad.rootsys import RootSystem, SubsystemType
 from nk_triad.tables import cached_algebra, cached_root_system
 
@@ -156,3 +162,189 @@ def fraction_count():
         return result, sum(stat[1] for (path, _, name), stat in pstats.Stats(prof).stats.items()
                            if name == "__new__" and path.endswith("fractions.py"))
     return count
+
+
+# -- reference structure constants -------------------------------------------------
+
+
+def _neg(c):
+    return tuple(map(operator.neg, c))
+
+
+def _add(a, b):
+    return tuple(map(operator.add, a, b))
+
+
+def _sub(a, b):
+    return tuple(map(operator.sub, a, b))
+
+
+def _sqrt_fraction(q):
+    """Exact square root of a nonnegative fraction, or None."""
+    if q < 0:
+        return None
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num == q.numerator and den * den == q.denominator:
+        return Fraction(num, den)
+    return None
+
+
+class ReferenceChevalley:
+    """The structure constants on coefficient tuples, with exact Fraction
+    squares and dict-held signs: every pair (a, b) with a + b a root from
+    string scans over the root keys, the extraspecial pair of each positive
+    root first in height-then-lex order, and the signs propagated by
+    recursion through the antisymmetries, the zero-sum triples and the
+    four-term contraction against the extraspecial pair."""
+
+    def __init__(self, rs):
+        self.rs = rs
+        pos = [r.coeffs for r in rs.positive_roots]
+        self._order = {c: k for k, c in enumerate(sorted(pos, key=lambda c: (sum(c), c)))}
+        self._roots = {r.coeffs for r in rs.all_roots()}
+        self.n_sq, self._sign, self._extraspecial = {}, {}, {}
+        norm = {r.coeffs: r.norm_sq for r in rs.all_roots()}
+        by_key = {rs.key(c): c for c in self._roots}
+        for ka, a in by_key.items():
+            for kb, b in by_key.items():
+                gamma = by_key.get(ka + kb)
+                if gamma is None:
+                    continue
+                q = 1
+                while kb + (q + 1) * ka in by_key:
+                    q += 1
+                p = 0
+                while kb + (p - 1) * ka in by_key:
+                    p -= 1
+                self.n_sq[(a, b)] = Fraction(q * (1 - p), 2) * norm[a]
+                if a in self._order and b in self._order:
+                    best = self._extraspecial.get(gamma)
+                    if best is None or self._order[a] < self._order[best[0]]:
+                        self._extraspecial[gamma] = (a, b)
+        for key in self.n_sq:
+            self._resolve_sign(*key)
+
+    def _resolve_sign(self, a, b):
+        key = (a, b)
+        if key in self._sign:
+            return self._sign[key]
+        a_pos, b_pos = a in self._order, b in self._order
+        if a_pos and b_pos:
+            s = self._positive_pair_sign(a, b)
+        elif not a_pos and not b_pos:
+            s = -self._resolve_sign(_neg(a), _neg(b))
+        else:
+            c = _neg(_add(a, b))
+            if c in self._order:
+                s = self._resolve_sign(b, c) if b_pos else self._resolve_sign(c, a)
+            else:
+                s = -self._resolve_sign(_neg(b), _neg(c)) if not b_pos \
+                    else -self._resolve_sign(_neg(c), _neg(a))
+        self._sign[key] = s
+        return s
+
+    def _positive_pair_sign(self, a, b):
+        key = (a, b)
+        if key in self._sign:
+            return self._sign[key]
+        if self._order[a] > self._order[b]:
+            s = -self._positive_pair_sign(b, a)
+            self._sign[key] = s
+            return s
+        gamma = _add(a, b)
+        eps, eta = self._extraspecial[gamma]
+        if (a, b) == (eps, eta):
+            s = 1
+        else:
+            # N_{a,b} N_{gamma,-eps} = -N_{-eps,a} N_{a-eps,b} - N_{b,-eps} N_{b-eps,a}
+            t = []
+            for x, y in (((_neg(eps), a), (_sub(a, eps), b)),
+                         ((b, _neg(eps)), (_sub(b, eps), a))):
+                mid = _add(*x)
+                if mid in self._roots and any(mid):
+                    t.append((self._resolve_sign(*x) * self._resolve_sign(*y),
+                              self.n_sq[x] * self.n_sq[y]))
+            if not t:
+                raise SignInconsistency(f"no contraction terms for {a}+{b}")
+            lhs_sq = self.n_sq[(a, b)] * self.n_sq[(gamma, _neg(eps))]
+            if len(t) == 1:
+                rhs_sign, rhs_sq = -t[0][0], t[0][1]
+            else:
+                if t[0][0] == t[1][0]:
+                    rhs_sign = -t[0][0]
+                elif t[0][1] == t[1][1]:
+                    raise SignInconsistency(f"cancelling contraction at {a}+{b}")
+                else:
+                    rhs_sign = -t[0][0] if t[0][1] > t[1][1] else -t[1][0]
+                cross = _sqrt_fraction(t[0][1] * t[1][1])
+                if cross is None:
+                    raise SignInconsistency(f"irrational contraction at {a}+{b}")
+                rhs_sq = t[0][1] + t[1][1] + 2 * t[0][0] * t[1][0] * cross
+            if rhs_sq != lhs_sq:
+                raise SignInconsistency(f"magnitude mismatch at {a}+{b}")
+            s = rhs_sign * self._resolve_sign(gamma, _neg(eps))
+        self._sign[key] = s
+        return s
+
+    def n_value(self, a, b):
+        key = (tuple(a), tuple(b))
+        return self._sign[key] * math.sqrt(float(self.n_sq[key])) if key in self.n_sq else 0.0
+
+
+def _uu_bracket(a, p, b, q, nab, nnab):
+    """[U^p_a, U^q_b] for distinct positive roots, valid for p <= q."""
+    out = []
+    if nab:
+        out.append((_add(a, b), (p + q) % 2, (-1.0) ** (p * q) * nab))
+    if nnab:
+        out.append((_sub(a, b), (p + q) % 2, (-1.0) ** (p + q) * nnab))
+    return out
+
+
+def reference_structure_constants(ca, ref):
+    """C of ``ca`` rebuilt by a Python loop over the positive pairs, from the
+    constants of ``ref`` (a ``ReferenceChevalley``) and the Cartan pairings
+    ``ca.w``."""
+    rs, d = ca.rs, ca.dim
+    k, c = np.nonzero(np.abs(ca.w) >= ZERO_DROP)
+    w = ca.w[k, c]
+    u0, u1 = ca.u_index(k, 0), ca.u_index(k, 1)
+    first, second, out, vals = [c, c, u0], [u0, u1, u1], [u1, u0, c], [w, -w, w]
+    pos = rs._index
+    terms = []
+    for ka, ra in enumerate(rs.positive_roots):
+        for kb in range(ka + 1, ca.n_pos):
+            a, b = ra.coeffs, rs.positive_roots[kb].coeffs
+            n_ab = ref.n_value(a, b), ref.n_value(_neg(a), b)
+            if not any(n_ab):
+                continue
+            n_ba = ref.n_value(b, a), ref.n_value(_neg(b), a)
+            for p in (0, 1):
+                for q in (0, 1):
+                    if p <= q:
+                        raw = _uu_bracket(a, p, b, q, *n_ab)
+                    else:
+                        raw = [(r, pr, -x) for r, pr, x in _uu_bracket(b, q, a, p, *n_ba)]
+                    i, j = ca.u_index(ka, p), ca.u_index(kb, q)
+                    for root, parity, coef in raw:
+                        if root not in pos:   # fold U^0_{-c} = -U^0_c, U^1_{-c} = U^1_c
+                            root, coef = _neg(root), (-coef if parity == 0 else coef)
+                        terms.append((i, j, ca.u_index(pos[root], parity), coef))
+    if terms:
+        i, j, l, x = (np.array(t) for t in zip(*terms))
+        first, second, out, vals = first + [i], second + [j], out + [l], vals + [x]
+    i, j, l, x = (np.concatenate(t) for t in (first, second, out, vals))
+    return sp.csr_matrix((np.concatenate([x, -x]), (np.concatenate([i * d + j, j * d + i]),
+                                                    np.concatenate([l, l]))), shape=(d * d, d))
+
+
+@pytest.fixture(scope="session")
+def chevalley_oracle():
+    """The tuple/Fraction reference for ``chevalley.ChevalleyData``."""
+    return ReferenceChevalley
+
+
+@pytest.fixture(scope="session")
+def bracket_oracle():
+    """The pair-loop reference for ``CompactAlgebra.C``: (ca, ref) -> C."""
+    return reference_structure_constants

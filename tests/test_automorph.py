@@ -380,7 +380,8 @@ def test_tensors_are_sparse_memoised_and_noise_free():
                   realize_triality_d4(tables.cached_algebra("d", 4))):
         first = space.tensors()
         assert space.tensors() is first
-        for t in first + (curvature(space).j_sparse,):
+        cv = curvature(space)
+        for t in first + (cv.j_sparse, cv.riemann, cv.riemann_jj):
             assert t.format == "csr" and np.abs(t.data).min() >= ZERO_DROP
 
 

@@ -4,15 +4,22 @@ import itertools
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nk_triad.chevalley import (
+    ChevalleyData,
     IdentityViolation,
     build_structure_constants,
     verify_square_formula,
     verify_triangle_identity,
 )
+from nk_triad.compactform import CompactAlgebra
 from nk_triad.rootsys import build_root_system
+
+ALL_TYPES = ([("a", r) for r in range(1, 9)] + [("b", r) for r in range(2, 9)]
+             + [("c", r) for r in range(2, 9)] + [("d", r) for r in range(4, 9)]
+             + [("e", 6), ("e", 7), ("e", 8), ("f", 4), ("g", 2)])
 
 
 def _neg(c):
@@ -32,7 +39,7 @@ def _oracle_square(rs, a, b):
 
 def test_a1_table_empty():
     cd = build_structure_constants(build_root_system("a", 1))
-    assert not cd.n_sq
+    assert not (cd.plus >= 0).any() and not cd.n12.any() and not cd.sign.any()
     assert verify_triangle_identity(cd) == 0
 
 
@@ -57,16 +64,43 @@ def test_squares_match_oracle(family, rank):
             pair_count += 1
         else:
             assert cd.n_squared(a, b) == 0
-    assert pair_count == len(cd.n_sq)
+    assert pair_count == np.count_nonzero(cd.plus >= 0) == np.count_nonzero(cd.n12)
     assert verify_square_formula(cd) == pair_count
+
+
+def _first_pair(cd):
+    """Root indices and roots of the lexicographically first pair (a, b)."""
+    i, j = min(np.argwhere(cd.plus >= 0).tolist(),
+               key=lambda ij: (cd.roots[ij[0]], cd.roots[ij[1]]))
+    return i, j, cd.roots[i], cd.roots[j]
 
 
 def test_square_formula_detects_a_changed_square():
     cd = build_structure_constants(build_root_system("g", 2))  # fresh table
-    a, b = sorted(cd.n_sq)[0]
-    cd.n_sq[(a, b)] *= 2
+    i, j, a, b = _first_pair(cd)
+    cd.n12[i, j] *= 2
     with pytest.raises(IdentityViolation, match=re.escape(f"at {a}, {b}:")):
         verify_square_formula(cd)
+
+
+def test_square_formula_detects_a_square_off_the_pairs():
+    cd = build_structure_constants(build_root_system("b", 3))
+    i, j = np.argwhere(cd.plus < 0)[-1]
+    cd.n12[i, j] = 12
+    with pytest.raises(IdentityViolation,
+                       match=re.escape(f"stored at {cd.roots[i]}, {cd.roots[j]},")):
+        verify_square_formula(cd)
+
+
+@pytest.mark.parametrize("table", ["sign", "n12"])
+def test_triangle_identity_detects_a_changed_entry(table):
+    cd = build_structure_constants(build_root_system("g", 2))
+    i, j, a, b = _first_pair(cd)
+    getattr(cd, table)[i, j] *= -1 if table == "sign" else 2
+    c = cd.roots[cd.neg[cd.plus[i, j]]]
+    with pytest.raises(IdentityViolation) as exc:
+        verify_triangle_identity(cd)
+    assert all(str(r) in str(exc.value) for r in (a, b, c))
 
 
 def test_g2_short_root_square():
@@ -80,11 +114,17 @@ def test_g2_short_root_square():
 def test_antisymmetries():
     rs = build_root_system("b", 3)
     cd = build_structure_constants(rs)
-    for (a, b), sq in cd.n_sq.items():
-        assert cd.n_sq[(b, a)] == sq
-        assert cd.n_sign(b, a) == -cd.n_sign(a, b)
-        assert cd.n_sq[(_neg(a), _neg(b))] == sq
-        assert cd.n_sign(_neg(a), _neg(b)) == -cd.n_sign(a, b)
+    neg = np.ix_(cd.neg, cd.neg)
+    pairs = cd.plus >= 0
+    assert np.array_equal(cd.plus, cd.plus.T)
+    assert np.array_equal(pairs, cd.plus[neg] >= 0)
+    assert np.array_equal(cd.n12, cd.n12.T) and np.array_equal(cd.n12, cd.n12[neg])
+    assert np.array_equal(cd.sign, -cd.sign.T) and np.array_equal(cd.sign, -cd.sign[neg])
+    assert set(np.abs(cd.sign[pairs]).tolist()) == {1}
+    for i, j in np.argwhere(pairs):
+        a, b = cd.roots[i], cd.roots[j]
+        assert cd.n_sign(b, a) == -cd.n_sign(a, b) == -cd.sign[i, j]
+        assert cd.n_squared(_neg(a), _neg(b)) == cd.n_squared(a, b) == Fraction(cd.n12[i, j], 12)
 
 
 def test_zero_sum_triples_counted_by_brute_force():
@@ -103,9 +143,15 @@ def test_zero_sum_triples_counted_by_brute_force():
 def test_extraspecial_pairs_are_positive():
     rs = build_root_system("d", 4)
     cd = build_structure_constants(rs)
-    for gamma, (eps, eta) in cd._extraspecial.items():
-        assert cd.n_sign(eps, eta) == 1
-        assert tuple(x + y for x, y in zip(eps, eta)) == gamma
+    decomposable = 0
+    for gamma, (eps, eta) in enumerate(cd.extraspecial.tolist()):
+        if eps < 0:
+            assert sum(cd.roots[gamma]) == 1        # a simple root
+            continue
+        decomposable += 1
+        assert cd.sign[eps, eta] == 1 and cd.plus[eps, eta] == gamma
+        assert tuple(x + y for x, y in zip(cd.roots[eps], cd.roots[eta])) == cd.roots[gamma]
+    assert decomposable == rs.n_positive - rs.rank
 
 
 def test_determinism_across_builds():
@@ -113,5 +159,31 @@ def test_determinism_across_builds():
     rs2 = build_root_system("c", 3)
     cd1 = build_structure_constants(rs1)
     cd2 = build_structure_constants(rs2)
-    assert cd1.n_sq == cd2.n_sq
-    assert {k: cd1.n_sign(*k) for k in cd1.n_sq} == {k: cd2.n_sign(*k) for k in cd2.n_sq}
+    for table in ("plus", "n12", "sign"):
+        assert np.array_equal(getattr(cd1, table), getattr(cd2, table))
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_table_and_bracket_match_the_reference(family, rank, chevalley_oracle, bracket_oracle):
+    """Every sign and 12 N^2 against the tuple/Fraction reference, and C bit
+    for bit (indptr, indices, data) against the pair-loop reference."""
+    rs = build_root_system(family, rank)
+    cd, ref = ChevalleyData(rs), chevalley_oracle(rs)
+    assert np.count_nonzero(cd.plus >= 0) == len(ref.n_sq)
+    for (a, b), sq in ref.n_sq.items():
+        i, j = cd.index[a], cd.index[b]
+        assert cd.roots[cd.plus[i, j]] == tuple(x + y for x, y in zip(a, b))
+        assert (cd.sign[i, j], cd.n12[i, j]) == (ref._sign[(a, b)], 12 * sq), (a, b)
+    ca = CompactAlgebra(rs, cd)
+    want = bracket_oracle(ca, ref)
+    for part in ("indptr", "indices", "data"):
+        got, exp = getattr(ca.C, part), getattr(want, part)
+        assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes(), part
+
+
+def test_e8_table_and_bracket_build_no_fraction(fraction_count):
+    rs = build_root_system("e", 8)
+    cd, built = fraction_count(ChevalleyData, rs)
+    assert built == 0
+    _, built = fraction_count(CompactAlgebra, rs, cd)
+    assert built == 0

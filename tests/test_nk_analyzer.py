@@ -21,11 +21,8 @@ from nk_triad.nk_analyzer import (
     layer_epsilon,
     layer_traces,
     lk_classification,
-    min_connection_curvature,
     exact_ricci_eigenvalues,
-    riemann_value,
     ricci_tensors,
-    sectional_curvature_samples,
     tensor_r,
     torsion,
     verify_curvature_identities,
@@ -52,6 +49,37 @@ def riemann_tensor(space):
     """R[a, b, c, d] = R(e_a, e_b, e_c, e_d) from the sparse operator, dense."""
     dm = space.dim_m
     return curvature(space).riemann.toarray().reshape(dm, dm, dm, dm)
+
+
+def min_connection_curvature(space, a: int, b: int) -> np.ndarray:
+    """Endomorphism R^min_{e_a e_b} = ad([e_a, e_b]_k)|m."""
+    _, kc, ak = space.tensors()
+    dm = space.dim_m
+    return (kc[a * dm + b] @ ak.reshape((space.dim_k, dm * dm))).toarray().reshape(dm, dm)
+
+
+def riemann_value(space, x, y, z, t) -> float:
+    """R on arbitrary m-vectors, without materializing the 4-tensor."""
+    xi, kc, ak = space.tensors()
+    dm = space.dim_m
+    out = float((kc.T @ np.kron(x, y)) @ (ak.reshape((space.dim_k, dm * dm)) @ np.kron(t, z)))
+    xy, zt, xz, yt, xt, yz = (xi.T @ np.kron(u, v)
+                              for u, v in ((x, y), (z, t), (x, z), (y, t), (x, t), (y, z)))
+    return out + 2.0 * xy @ zt - xz @ yt + xt @ yz
+
+
+def sectional_curvature_samples(space, count=30, seed=3) -> list[float]:
+    """R(x, y, x, y) on ``count`` random orthonormal pairs (x, y)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        x = rng.standard_normal(space.dim_m)
+        y = rng.standard_normal(space.dim_m)
+        x /= np.linalg.norm(x)
+        y -= (x @ y) * x
+        y /= np.linalg.norm(y)
+        out.append(riemann_value(space, x, y, x, y))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -403,10 +431,11 @@ def test_changed_n_squared_entry_is_caught():
     levels, d = sp.h_spec.levels(sp.algebra.rs)
     layer_of = {r: lbl for lbl, roots in sp.layer_roots.items() for r in roots}
     cd = copy.copy(sp.algebra.cd)
-    alpha, beta = next((a, b) for a, b in cd.n_sq
-                       if a in layer_of and b in layer_of and (levels[a] + levels[b]) % d)
-    cd.n_sq = dict(cd.n_sq)
-    cd.n_sq[(alpha, beta)] += 1
+    alpha, beta = next((cd.roots[i], cd.roots[j]) for i, j in np.argwhere(cd.plus >= 0)
+                       if cd.roots[i] in layer_of and cd.roots[j] in layer_of
+                       and (levels[cd.roots[i]] + levels[cd.roots[j]]) % d)
+    cd.n12 = cd.n12.copy()
+    cd.n12[cd.index[alpha], cd.index[beta]] += 12      # N^2 up by one
     sp.algebra = copy.copy(sp.algebra)
     sp.algebra.cd = cd
     assert len(sp.layer_roots[layer_of[alpha]]) >= 3
