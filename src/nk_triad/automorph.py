@@ -108,8 +108,7 @@ class OrderThreeSymmetricSpace:
     """
 
     def __init__(self, algebra, type_label, sigma, k_cols, m_cols, h_spec=None,
-                 layers=None, layer_values=None, layer_roots=None,
-                 delta_plus_h=None, name=""):
+                 layers=None, layer_roots=None, delta_plus_h=None, name=""):
         self.algebra = algebra
         self.type_label = type_label
         self.sigma = sigma
@@ -117,7 +116,6 @@ class OrderThreeSymmetricSpace:
         self.m_cols = m_cols
         self.h_spec = h_spec
         self.layers = layers or {}
-        self.layer_values = layer_values or {}
         self.layer_roots = layer_roots or {}
         self.delta_plus_h = delta_plus_h
         self.name = name or type_label
@@ -223,7 +221,6 @@ def realize_inner(ca: CompactAlgebra, spec: InnerClass, name: str = "") -> Order
 
     layers: dict[str, list[int]] = {}
     layer_roots: dict[str, list[Coeffs]] = {}
-    layer_values: dict[str, Fraction] = {}
 
     def label_for(root: Coeffs) -> str:
         if spec.kind == "A3II":
@@ -240,15 +237,14 @@ def realize_inner(ca: CompactAlgebra, spec: InnerClass, name: str = "") -> Order
         lbl = label_for(r.coeffs)
         layers.setdefault(lbl, []).extend((mpos, mpos + 1))
         layer_roots.setdefault(lbl, []).append(r.coeffs)
-        layer_values.setdefault(lbl, layer_of[r.coeffs])
         mpos += 2
 
     eye = np.eye(ca.dim)
     space = OrderThreeSymmetricSpace(
         ca, spec.kind, sigma,
         eye[:, k_idx], eye[:, m_idx], h_spec=spec,
-        layers=layers, layer_values=layer_values, layer_roots=layer_roots,
-        delta_plus_h=delta_h, name=name or f"{rs.type_label} {spec.describe()}",
+        layers=layers, layer_roots=layer_roots, delta_plus_h=delta_h,
+        name=name or f"{rs.type_label} {spec.describe()}",
     )
     space.check_invariants()
     return space
@@ -469,7 +465,9 @@ def orbit_span_dim(space: OrderThreeSymmetricSpace, seed_vector: np.ndarray,
     vectors at once (about dim m columns per step), the span so far is
     projected out, and the left singular vectors above ``tol`` join the
     orthonormal basis and the pending queue.  It stops when the queue is
-    empty or the span reaches dim m.
+    empty or the span reaches dim m.  Columns below ``tol`` are dropped
+    before each projection: from a basis vector such as a root vector most
+    ad(k_s) images vanish or already lie in the span.
     """
     _, _, ak = space.tensors()
     dm, dk = space.dim_m, space.dim_k
@@ -481,6 +479,7 @@ def orbit_span_dim(space: OrderThreeSymmetricSpace, seed_vector: np.ndarray,
         # cand[i, (s, f)] = (ad(k_s) block)[i, f]
         cand = (ak @ block).reshape(dk, dm, -1).transpose(1, 0, 2).reshape(dm, -1)
         for _ in range(2):                  # twice, so the projection is clean
+            cand = cand[:, np.linalg.norm(cand, axis=0) > tol]
             cand -= basis @ (basis.T @ cand)
         u, sv, _ = np.linalg.svd(cand, full_matrices=False)
         new = u[:, sv > tol]
@@ -586,13 +585,14 @@ def invariant_halves(space: OrderThreeSymmetricSpace, tol: float = 1e-7):
     return half, other
 
 
-def classify_type(space: OrderThreeSymmetricSpace, seed: int = 11) -> TypeDecision:
+def classify_type(space: OrderThreeSymmetricSpace) -> TypeDecision:
     """Assign the nearly Kahler structure type of a realized space.
 
     Types I and II are confirmed on every space, whatever its dim m: a type-I
-    label needs a generic ad(k)-orbit spanning m and no invariant halves, a
-    type-II label two invariant halves of equal dimension.  Anything else
-    raises ``ClassificationMismatch``.
+    label needs the ad(k)-orbit of the first m-basis vector to span m (under
+    an irreducible action every nonzero vector's orbit does) and no invariant
+    halves, a type-II label two invariant halves of equal dimension.
+    Anything else raises ``ClassificationMismatch``.
     """
     label_map = {"A3IV": "I", "A3II": "III", "A3III": "IV", "C3": "II"}
     evidence: dict = {}
@@ -605,27 +605,24 @@ def classify_type(space: OrderThreeSymmetricSpace, seed: int = 11) -> TypeDecisi
         evidence["half_dims"] = (halves[0].shape[1], halves[1].shape[1])
         return TypeDecision("II", evidence)
     label = label_map[space.type_label]
-    if label in ("I", "II"):
-        rng = np.random.default_rng(seed)
-        spans = []
-        for _ in range(3):
-            spans.append(orbit_span_dim(space, rng.standard_normal(space.dim_m)))
-            if spans[-1] == space.dim_m:
-                break
-        evidence["generic_orbit_span"] = max(spans)
-        halves = invariant_halves(space)
-        dims = None if halves is None else (halves[0].shape[1], halves[1].shape[1])
-        if label == "I" and evidence["generic_orbit_span"] < space.dim_m:
+    if label in ("III", "IV"):
+        return TypeDecision(label, evidence)
+    if label == "I":
+        span = orbit_span_dim(space, np.eye(space.dim_m)[0])
+        evidence["generic_orbit_span"] = span
+        if span < space.dim_m:
             raise ClassificationMismatch(
-                f"{space.name}: type I, but a generic ad(k)-orbit spans only "
-                f"{evidence['generic_orbit_span']} of dim m = {space.dim_m}")
-        if label == "I" and dims is not None:
-            raise ClassificationMismatch(
-                f"{space.name}: type I, but m splits into invariant halves {dims}")
-        if label == "II" and (dims is None or dims[0] != dims[1]):
-            raise ClassificationMismatch(
-                f"{space.name}: type II needs two equal invariant halves, found "
-                f"{dims if dims else 'none'}")
-        if dims is not None:
-            evidence["half_dims"] = dims
+                f"{space.name}: type I, but the ad(k)-orbit of the first m-basis vector "
+                f"spans only {span} of dim m = {space.dim_m}")
+    halves = invariant_halves(space)
+    dims = None if halves is None else (halves[0].shape[1], halves[1].shape[1])
+    if label == "I" and dims is not None:
+        raise ClassificationMismatch(
+            f"{space.name}: type I, but m splits into invariant halves {dims}")
+    if label == "II" and (dims is None or dims[0] != dims[1]):
+        raise ClassificationMismatch(
+            f"{space.name}: type II needs two equal invariant halves, found "
+            f"{dims if dims else 'none'}")
+    if dims is not None:
+        evidence["half_dims"] = dims
     return TypeDecision(label, evidence)

@@ -188,12 +188,6 @@ class ChevalleyData:
         pair = self._pair(a, b)
         return 0.0 if pair is None else int(self.sign[pair]) * math.sqrt(self.n12[pair] / 12)
 
-    def n_exact(self, a, b) -> tuple[int, Fraction]:
-        pair = self._pair(a, b)
-        if pair is None:
-            return 0, Fraction(0)
-        return int(self.sign[pair]), Fraction(int(self.n12[pair]), 12)
-
 
 def build_structure_constants(rs: RootSystem) -> ChevalleyData:
     return ChevalleyData(rs)

@@ -24,26 +24,22 @@ from . import tables
 from .automorph import (
     ClassificationMismatch,
     NotOrderThree,
-    classify_type,
     enumerate_inner_order3,
     realize_cyclic_c3,
     realize_triality_d4,
 )
 from .compactform import TraceFormFailure
-from .fibration import all_fibrations
+from .fibration import NonClosedSubalgebra, NotInvolutive, all_fibrations
 from .nk_analyzer import (
+    FixedVectorInM,
+    IdentityViolation,
     NKReport,
-    build_report,
-    einstein_check,
-    verify_curvature_identities,
-    verify_min_connection_identity,
-    verify_prop_table_relations,
-    verify_ricci_oracle,
-    verify_sat_identities,
-    verify_structure_identities,
+    NonRationalEigenvalue,
+    RIdentityMismatch,
+    verify_space,
 )
 from .rootsys import InvalidRank
-from .tables import TABLES, GoldenFileError, TableMismatch, cached_algebra, cached_root_system
+from .tables import TABLES, GoldenFileError, cached_algebra, cached_root_system
 
 SCHEMA_VERSION = "1.0"
 
@@ -152,23 +148,8 @@ def _realize_from_args(args):
 
 def cmd_analyze(args) -> int:
     space = _realize_from_args(args)
-    report = build_report(space)
-    fibs = []
-    verification: dict[str, float] = {}
-    if not report.kahler:
-        verification.update(verify_structure_identities(space, tol=args.tol))
-        verification.update(verify_curvature_identities(space, tol=args.tol,
-                                                        seed=args.seed))
-        verification["ricci_oracle"] = verify_ricci_oracle(space, tol=args.tol)
-        verify_prop_table_relations(report)
-        verification["eigenvalue_table_relations"] = 0.0
-        if report.nk_type in ("III", "IV"):
-            verification["min_connection_identity"] = \
-                verify_min_connection_identity(space, tol=args.tol, seed=args.seed)
-            verification.update(verify_sat_identities(space, tol=args.tol,
-                                                      seed=args.seed))
-            fibs = all_fibrations(space)
-        einstein_check(report)
+    report, verification = verify_space(space, args.tol)
+    fibs = all_fibrations(space) if report.nk_type in ("III", "IV") else []
     ok = all(v <= args.tol for v in verification.values())
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -238,10 +219,9 @@ def cmd_table(args) -> int:
         _print_csv(rows)
     else:
         _print_rows(rows)
-    try:
-        tables.check_table(name, deep=args.deep, computed=rows)
-    except TableMismatch as exc:
-        print(f"GOLDEN MISMATCH: {exc}", file=sys.stderr)
+    diffs = tables.diff_table(name, deep=args.deep, computed=rows)
+    if diffs:
+        print(f"GOLDEN MISMATCH: table {name}: {diffs[:3]}", file=sys.stderr)
         return 1
     print(f"# {len(rows)} rows; matches golden data", file=sys.stderr)
     return 0
@@ -322,22 +302,11 @@ def identity_spaces(deep: bool = False):
     return spaces
 
 
-def _verify_identities(tol: float, seed: int, deep: bool) -> list[str]:
+def _verify_identities(tol: float, deep: bool) -> list[str]:
     failures = []
     for space in identity_spaces(deep):
         try:
-            decision = classify_type(space)      # first, so a mismatch is named as one
-            res = {}
-            res.update(verify_structure_identities(space, tol=tol))
-            res.update(verify_curvature_identities(space, tol=tol, seed=seed))
-            res["ricci_oracle"] = verify_ricci_oracle(space, tol=tol)
-            if space.type_label in ("A3II", "A3III"):
-                res["min_connection"] = verify_min_connection_identity(
-                    space, tol=tol, seed=seed)
-                res.update(verify_sat_identities(space, tol=tol, seed=seed))
-            report = build_report(space, classify=decision)
-            verify_prop_table_relations(report)
-            einstein_check(report)
+            _, res = verify_space(space, tol)
             bad = {k: v for k, v in res.items() if v > tol}
             if bad:
                 failures.append(f"identities:{space.name}:{bad}")
@@ -346,30 +315,19 @@ def _verify_identities(tol: float, seed: int, deep: bool) -> list[str]:
     return failures
 
 
-def _verify_tables(deep: bool) -> list[str]:
+_GOLDEN_SCOPES = {
+    "tables": ["table_ai", "table_aii", "table_aiii", "table_aiv", "table_bc"],
+    "fibrations": ["fibrations_aii", "fibrations_aiii"],
+}
+
+
+def _verify_golden(scope: str, deep: bool) -> list[str]:
     failures = []
-    names = ["table_ai", "table_aii", "table_aiii", "table_aiv", "table_bc"]
-    for name in names:
-        rows = TABLES[name](deep=deep)
-        # without --deep, table_aiii lacks its e7/e8 rows: compare rows, not bytes
-        bytes_checked = name != "table_aiii" or deep
-        if bytes_checked and tables.regenerate_matches_bytes(name, computed=rows):
-            continue
-        diffs = tables.diff_table(name, deep, computed=rows)
+    for name in _GOLDEN_SCOPES[scope]:
+        diffs = tables.diff_table(name, deep)
         if diffs:
-            failures.append(f"tables:{name}:{diffs[:3]}")
-        elif bytes_checked:
-            failures.append(f"tables:{name}:serialization drift")
-    return failures
-
-
-def _verify_fibrations(deep: bool) -> list[str]:
-    failures = []
-    for name in ("fibrations_aii", "fibrations_aiii"):
-        try:
-            tables.check_table(name, deep=deep)
-        except TableMismatch as exc:
-            failures.append(f"fibrations:{name}:{exc.diffs[:3]}")
+            shown = diffs[0] if diffs == [tables.SERIALIZATION_DRIFT] else diffs[:3]
+            failures.append(f"{scope}:{name}:{shown}")
     return failures
 
 
@@ -381,11 +339,9 @@ def cmd_verify(args) -> int:
         if scope == "jacobi":
             failures += _verify_jacobi(args.tol, args.deep)
         elif scope == "identities":
-            failures += _verify_identities(args.tol, args.seed, args.deep)
-        elif scope == "tables":
-            failures += _verify_tables(args.deep)
-        elif scope == "fibrations":
-            failures += _verify_fibrations(args.deep)
+            failures += _verify_identities(args.tol, args.deep)
+        else:
+            failures += _verify_golden(scope, args.deep)
         print(f"verify {scope}: {'ok' if not failures else f'{len(failures)} failures'}")
     if failures:
         print(json.dumps({"failures": failures}, indent=1))
@@ -454,6 +410,10 @@ def main(argv=None) -> int:
         return 2
     except ClassificationMismatch as exc:
         print(f"classification mismatch: {exc}", file=sys.stderr)
+        return 1
+    except (IdentityViolation, RIdentityMismatch, NonRationalEigenvalue, FixedVectorInM,
+            NonClosedSubalgebra, NotInvolutive) as exc:
+        print(f"verification failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -27,14 +27,13 @@ trace-form and antisymmetry checks are pure reads of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
 
 from .chevalley import ChevalleyData
-from .rootsys import Coeffs, RootSystem
+from .rootsys import RootSystem
 
 DUAL_COXETER = {
     "a": lambda n: n + 1,
@@ -75,19 +74,6 @@ class TraceFormFailure(AssertionError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class BasisVector:
-    kind: str            # "cartan" | "u"
-    index: int           # cartan row, or position of the positive root
-    root: Coeffs | None = None
-    parity: int | None = None
-
-    def __str__(self) -> str:
-        if self.kind == "cartan":
-            return f"h{self.index}"
-        return f"U{self.parity}{self.root}"
-
-
 class CompactAlgebra:
     """Structure constants C of the compact real form over an orthonormal basis."""
 
@@ -99,11 +85,6 @@ class CompactAlgebra:
         self.rank = rs.rank
         self.n_pos = rs.n_positive
         self.dim = self.rank + 2 * self.n_pos
-        self.basis: list[BasisVector] = (
-            [BasisVector("cartan", i) for i in range(self.rank)]
-            + [BasisVector("u", k, r.coeffs, a)
-               for k, r in enumerate(rs.positive_roots) for a in (0, 1)]
-        )
 
         # orthonormalize the Cartan directions: gram of sqrt(-1)H_{alpha_i}
         # under the metric is <alpha_i, alpha_j>/2
@@ -251,10 +232,8 @@ class CompactAlgebra:
         return float(abs(c + swapped).max())
 
 
-def build_compact_form(rs: RootSystem, cd: ChevalleyData | None = None) -> CompactAlgebra:
-    if cd is None:
-        cd = ChevalleyData(rs)
-    return CompactAlgebra(rs, cd)
+def build_compact_form(rs: RootSystem) -> CompactAlgebra:
+    return CompactAlgebra(rs, ChevalleyData(rs))
 
 
 def adjoint_action_exp(ca: CompactAlgebra, alpha_value) -> np.ndarray:

@@ -35,8 +35,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .automorph import OrderThreeSymmetricSpace
-from .compactform import DUAL_COXETER, drop_noise
+from .automorph import OrderThreeSymmetricSpace, classify_type
+from .compactform import drop_noise
 from .rootsys import Coeffs
 
 KAPPA = Fraction(2)
@@ -96,13 +96,10 @@ def tensor_r(space: OrderThreeSymmetricSpace) -> np.ndarray:
     return curvature(space).r
 
 
-def ricci_tensors(space: OrderThreeSymmetricSpace, j: np.ndarray | None = None):
-    """(Ric, Ric*, C) as traces of the sparse curvature operator.
-
-    Ric and Ric* are memoised on the space (read-only); a ``j`` other than
-    the canonical J is traced afresh.
-    """
-    cv = curvature(space, j)
+def ricci_tensors(space: OrderThreeSymmetricSpace):
+    """(Ric, Ric*, C) as traces of the sparse curvature operator; Ric and Ric*
+    are memoised on the space (read-only)."""
+    cv = curvature(space)
     return cv.ric, cv.ric_star, cv.ric - 5.0 * cv.ric_star
 
 
@@ -200,11 +197,9 @@ class Curvature:
     leaves float noise on exact zeros.
     """
 
-    def __init__(self, space: OrderThreeSymmetricSpace, j: np.ndarray | None = None):
+    def __init__(self, space: OrderThreeSymmetricSpace):
         self.space = space
         self.dm = space.dim_m
-        if j is not None:
-            self.j = j      # shadows the canonical J below
 
     @cached_property
     def j(self) -> np.ndarray:
@@ -260,15 +255,11 @@ class Curvature:
         return _read_only(-4.0 * (p @ q.T).toarray())
 
 
-def curvature(space: OrderThreeSymmetricSpace, j: np.ndarray | None = None) -> Curvature:
-    """The space's memoised ``Curvature``; a ``j`` other than the canonical J
-    gets a fresh one that is not memoised."""
+def curvature(space: OrderThreeSymmetricSpace) -> Curvature:
+    """The space's memoised ``Curvature``."""
     if space._curvature is None:
         space._curvature = Curvature(space)
-    cv = space._curvature
-    if j is not None and not np.array_equal(j, cv.j):
-        return Curvature(space, j)
-    return cv
+    return space._curvature
 
 
 # -- exact layer eigenvalues -----------------------------------------------------
@@ -325,8 +316,14 @@ def exact_r_eigenvalues(space: OrderThreeSymmetricSpace) -> dict[str, Fraction]:
     ``layer_traces``.
 
     Every root of a layer must produce the same value; anything else means
-    the layer fails to be an eigenbundle and is reported as an error.
+    the layer fails to be an eigenbundle and is reported as an error.  The
+    triality and cyclic spaces have no root layers: there r is the scalar
+    2h*/3 on all of m (layer "m"), h* the dual Coxeter number of the algebra
+    (of one component, for the cyclic triple).
     """
+    if not space.layer_roots:
+        base = space.algebra.base if space.type_label == "C3" else space.algebra
+        return {"m": Fraction(2 * base.dual_coxeter, 3)}
     return {label: Fraction(_layer_value(label, {r: sum(v) for r, v in rows.items()},
                                          "the r-trace"), 12)
             for label, rows in layer_traces(space).items()}
@@ -355,6 +352,8 @@ def exact_ricci_eigenvalues(space: OrderThreeSymmetricSpace) -> dict[str, Fracti
     layer decomposition; an independent closed form for the curvature trace.
     """
     lam = exact_r_eigenvalues(space)           # kappa units
+    if not space.layer_roots:                  # one layer: Ric = (5/4) r
+        return {"m": Fraction(5, 4) * lam["m"]}
     cross = exact_r_cross_layer(space)         # absolute units
     out: dict[str, Fraction] = {}
     for label in space.layer_roots:
@@ -364,17 +363,6 @@ def exact_ricci_eigenvalues(space: OrderThreeSymmetricSpace) -> dict[str, Fracti
             acc += (lam[other] * KAPPA) * cross[(label, other)] / lam_abs
         out[label] = acc / KAPPA
     return out
-
-
-def verify_r_cross_consistency(space) -> None:
-    """Check the ``layer_traces`` matrix: every column is constant on each
-    layer, and sum_S r^S|L equals the full eigenvalue lambda_L, exactly."""
-    lam = exact_r_eigenvalues(space)
-    cross = exact_r_cross_layer(space)
-    for label in space.layer_roots:
-        total = sum(cross[(label, other)] for other in space.layer_roots)
-        if total != lam[label] * KAPPA:
-            raise NonRationalEigenvalue(f"layer traces of {label} do not sum to lambda")
 
 
 # -- report ---------------------------------------------------------------------
@@ -411,10 +399,9 @@ def _sorted_layers(layers: dict[str, list[int]]) -> list[str]:
     return sorted(layers, key=lambda s: (_LAYER_ORDER.get(s, 9), s))
 
 
-def build_report(space: OrderThreeSymmetricSpace, classify=None) -> NKReport:
-    from .automorph import classify_type
-
-    decision = classify if classify is not None else classify_type(space)
+def build_report(space: OrderThreeSymmetricSpace) -> NKReport:
+    """Type and exact eigenvalues of a space; builds no curvature operator."""
+    decision = classify_type(space)
     auto = space.h_spec.describe() if space.h_spec else space.type_label
     alg = getattr(space.algebra, "rs", None)
     alg_label = alg.type_label if alg is not None else space.name
@@ -426,26 +413,14 @@ def build_report(space: OrderThreeSymmetricSpace, classify=None) -> NKReport:
                         {"m": space.dim_m}, [], [], [], True, None, None, None, None,
                         kahler=True)
 
-    if space.layer_roots:
-        lam = exact_r_eigenvalues(space)
-        ric = exact_ricci_eigenvalues(space)
-        splitting = {lbl: len(space.layers[lbl]) for lbl in _sorted_layers(space.layers)}
-        labels = _sorted_layers(space.layer_roots)
-    else:
-        # outer / cyclic constructions: the single eigenvalue is 2h*/3 kappa
-        base = space.algebra.base if space.type_label == "C3" else space.algebra
-        hstar = DUAL_COXETER[base.rs.family](base.rs.rank)
-        lam = {"m": Fraction(2 * hstar, 3)}
-        ric = {"m": lam["m"] * Fraction(5, 4)}
-        splitting = {lbl: len(space.layers[lbl]) for lbl in _sorted_layers(space.layers)} \
-            or {"m": space.dim_m}
-        labels = ["m"]
-        _check_scalar_r(space, lam["m"])
-
-    r_eigs = [EigenData(lbl, lam[lbl], _layer_dim(space, lbl)) for lbl in labels]
-    ric_eigs = [EigenData(lbl, ric[lbl], _layer_dim(space, lbl)) for lbl in labels]
-    c_eigs = [EigenData(lbl, 5 * lam[lbl] - 4 * ric[lbl], _layer_dim(space, lbl))
-              for lbl in labels]
+    lam = exact_r_eigenvalues(space)
+    ric = exact_ricci_eigenvalues(space)
+    splitting = {lbl: len(space.layers[lbl]) for lbl in _sorted_layers(space.layers)}
+    labels = _sorted_layers(lam)
+    dims = {lbl: len(_layer_positions(space, lbl)) for lbl in labels}
+    r_eigs = [EigenData(lbl, lam[lbl], dims[lbl]) for lbl in labels]
+    ric_eigs = [EigenData(lbl, ric[lbl], dims[lbl]) for lbl in labels]
+    c_eigs = [EigenData(lbl, 5 * lam[lbl] - 4 * ric[lbl], dims[lbl]) for lbl in labels]
 
     einstein = len({e.value for e in r_eigs}) == 1
     constant = ric_eigs[0].value if einstein else None
@@ -462,18 +437,11 @@ def build_report(space: OrderThreeSymmetricSpace, classify=None) -> NKReport:
                     mu2, ratio, lk_label)
 
 
-def _layer_dim(space, label):
+def _layer_positions(space, label: str) -> list[int]:
+    """m-basis positions of an eigenvalue layer; "m" off the root layers is all of m."""
     if label == "m" and "m" not in space.layers:
-        return space.dim_m
-    return len(space.layers[label])
-
-
-def _check_scalar_r(space, expect_kappa: Fraction, tol: float = 1e-9) -> None:
-    r = tensor_r(space)
-    target = float(expect_kappa * KAPPA)
-    if np.abs(r - target * np.eye(space.dim_m)).max() > tol * max(1.0, target):
-        raise NonRationalEigenvalue(
-            f"r is not the expected scalar {expect_kappa}*kappa on {space.name}")
+        return list(range(space.dim_m))
+    return space.layers[label]
 
 
 # -- Einstein / twistor ratio ----------------------------------------------------
@@ -555,9 +523,9 @@ def lk_classification(report: NKReport) -> tuple[Fraction, str] | None:
 # -- identity suites ---------------------------------------------------------------
 
 
-def verify_structure_identities(space, j=None, tol=1e-9) -> dict[str, float]:
+def verify_structure_identities(space, tol=1e-9) -> dict[str, float]:
     """Torsion/J identities that need no curvature tensors, over every index."""
-    cv = curvature(space, j)
+    cv = curvature(space)
     j, js, x = cv.j, cv.j_sparse, cv.xi
     dm = space.dim_m
     eye = sp.identity(dm, format="csr")
@@ -580,15 +548,15 @@ def verify_structure_identities(space, j=None, tol=1e-9) -> dict[str, float]:
     return res
 
 
-def verify_curvature_identities(space, j=None, tol=1e-9, seed=0) -> dict[str, float]:
+def verify_curvature_identities(space, tol=1e-9, seed=0) -> dict[str, float]:
     """First Bianchi, pair symmetry, antisymmetry, the J-curvature defect
     R(X,Y,Z,T) - R(X,Y,JZ,JT) = 4<xi_X Y, xi_Z T>, and Ricci facts.
 
     Every residual is a maximum over all (a, b, c, d), read off the memoised
-    sparse operators of ``curvature``.  ``seed`` is unused; it is kept so
-    that every identity suite takes the same arguments.
+    sparse operators of ``curvature``.  ``seed`` is unused; it stays until
+    ``bench/workloads.py`` stops passing it.
     """
-    cv = curvature(space, j)
+    cv = curvature(space)
     dm = space.dim_m
     rr = cv.riemann
     res: dict[str, float] = {
@@ -615,8 +583,8 @@ def verify_min_connection_identity(space, tol=1e-9, seed=0) -> float:
     For X horizontal, U arbitrary and V1, V2 vertical:
     R^min(X,U,V1,V2) = 4(<[xi_V1, xi_V2]X, U> - <xi_X U, xi_V1 V2>),
     checked on every basis tuple (x, u, v1, v2).  Only defined on
-    special-algebraic-torsion splittings.  ``seed`` is unused; it is kept so
-    that every identity suite takes the same arguments.
+    special-algebraic-torsion splittings.  ``seed`` is unused; it stays
+    until ``bench/workloads.py`` stops passing it.
     """
     if space.type_label == "A3III":
         vert = space.layers["V"]
@@ -654,8 +622,7 @@ def verify_sat_identities(space, tol=1e-9, seed=0) -> dict[str, float]:
 
     The double-torsion containments xi_V xi_H H = 0 and xi_H xi_V V = 0 are
     checked on every (u, x1, x2) by sparse products of torsion rows.
-    ``seed`` is unused; it is kept so that every identity suite takes the
-    same arguments.
+    ``seed`` is unused; it stays until ``bench/workloads.py`` stops passing it.
     """
     x = space.tensors()[0]
     lam = exact_r_eigenvalues(space)
@@ -709,21 +676,24 @@ def verify_sat_identities(space, tol=1e-9, seed=0) -> dict[str, float]:
 
 
 def verify_ricci_oracle(space, tol=1e-9) -> float:
-    """Trace-of-curvature Ricci against the exact layer closed form."""
-    ric, _, _ = ricci_tensors(space)
-    if space.layer_roots:
-        exact = exact_ricci_eigenvalues(space)
+    """The float torsion trace r and trace-of-curvature Ricci against the
+    exact layer eigenvalues (``exact_r_eigenvalues``, ``exact_ricci_eigenvalues``).
+
+    Each must be diagonal with the exact value on every layer, up to ``tol``
+    relative to the largest eigenvalue; returns the worst absolute residual.
+    """
+    cv = curvature(space)
+    worst = 0.0
+    for name, got, exact, error in (
+            ("r", cv.r, exact_r_eigenvalues(space), NonRationalEigenvalue),
+            ("Ricci", cv.ric, exact_ricci_eigenvalues(space), RIdentityMismatch)):
         expect = np.zeros(space.dim_m)
-        for label, positions in space.layers.items():
-            expect[positions] = float(exact[label] * KAPPA)
-    else:
-        base = space.algebra.base if space.type_label == "C3" else space.algebra
-        hstar = DUAL_COXETER[base.rs.family](base.rs.rank)
-        # scalar case: r = (2h*/3) kappa, Ric = (5/4) r
-        expect = np.full(space.dim_m, float(Fraction(5, 4) * Fraction(2 * hstar, 3) * KAPPA))
-    worst = float(np.abs(ric - np.diag(expect)).max())
-    if worst > tol * max(1.0, float(np.abs(expect).max())):
-        raise RIdentityMismatch(f"Ricci oracle residual {worst:.3e} on {space.name}")
+        for label, value in exact.items():
+            expect[_layer_positions(space, label)] = float(value * KAPPA)
+        res = float(np.abs(got - np.diag(expect)).max())
+        if res > tol * max(1.0, float(np.abs(expect).max())):
+            raise error(f"{name} oracle residual {res:.3e} on {space.name}")
+        worst = max(worst, res)
     return worst
 
 
@@ -761,3 +731,30 @@ def verify_prop_table_relations(report: NKReport) -> None:
             if e.value != 0:
                 raise RIdentityMismatch("Einstein space with nonzero C")
 
+
+# -- one space, every check -------------------------------------------------------
+
+
+def verify_space(space: OrderThreeSymmetricSpace, tol: float) -> tuple[NKReport, dict[str, float]]:
+    """The report of a space with every check that applies to it.
+
+    Builds the report (which confirms the type), then runs the structure,
+    curvature and Ricci-oracle suites and the table relations, the
+    minimal-connection and special-torsion suites on types III and IV, and
+    the Einstein certificate.  Returns the report and the residuals by check
+    name; a Kahler space has none.  A check that fails outright raises.
+    """
+    report = build_report(space)
+    res: dict[str, float] = {}
+    if report.kahler:
+        return report, res
+    res.update(verify_structure_identities(space, tol=tol))
+    res.update(verify_curvature_identities(space, tol=tol))
+    res["ricci_oracle"] = verify_ricci_oracle(space, tol=tol)
+    verify_prop_table_relations(report)
+    res["eigenvalue_table_relations"] = 0.0
+    if report.nk_type in ("III", "IV"):
+        res["min_connection_identity"] = verify_min_connection_identity(space, tol=tol)
+        res.update(verify_sat_identities(space, tol=tol))
+    einstein_check(report)
+    return report, res

@@ -38,13 +38,6 @@ class GoldenFileError(ValueError):
     """A golden file is missing, unreadable or not valid golden JSON."""
 
 
-class TableMismatch(AssertionError):
-    def __init__(self, table, diffs):
-        super().__init__(f"table {table}: {len(diffs)} row mismatches: {diffs[:3]}")
-        self.table = table
-        self.diffs = diffs
-
-
 # -- algebra cache -------------------------------------------------------------
 
 
@@ -174,24 +167,29 @@ def load_golden(name: str) -> list[dict]:
 # -- sweeps -----------------------------------------------------------------------
 
 
-def a3ii_sweep(max_su: int = 9, max_so: int = 8) -> list[tuple[str, int, tuple[int, int]]]:
+MAX_SU = 9      # the three-layer sweep covers su(3) .. su(MAX_SU)
+MAX_SO = 8      # and so(2n) for n = 4 .. MAX_SO
+MAX_RANK = 8    # the two-layer sweep covers b, c, d up to this rank
+
+
+def a3ii_sweep() -> list[tuple[str, int, tuple[int, int]]]:
     out = []
-    for n in range(3, max_su + 1):
+    for n in range(3, MAX_SU + 1):
         for i, j in itertools.combinations(range(1, n), 2):
             out.append(("a", n - 1, (i, j)))
-    for n in range(4, max_so + 1):
+    for n in range(4, MAX_SO + 1):
         out.append(("d", n, (n - 1, n)))
     out.append(("e", 6, (1, 6)))
     return out
 
 
-def a3iii_sweep(max_rank: int = 8, deep: bool = False) -> list[tuple[str, int, int]]:
+def a3iii_sweep(deep: bool = False) -> list[tuple[str, int, int]]:
     out = []
-    for n in range(3, max_rank + 1):
+    for n in range(3, MAX_RANK + 1):
         out.extend(("b", n, i) for i in range(2, n + 1))
-    for n in range(2, max_rank + 1):
+    for n in range(2, MAX_RANK + 1):
         out.extend(("c", n, i) for i in range(1, n))
-    for n in range(4, max_rank + 1):
+    for n in range(4, MAX_RANK + 1):
         out.extend(("d", n, i) for i in range(2, n - 1))
     out.append(("g", 2, 2))
     out.extend((("f", 4, 1), ("f", 4, 4)))
@@ -220,9 +218,9 @@ def _isotropy(rs: RootSystem, spec: InnerClass):
 # -- table rows -------------------------------------------------------------------
 
 
-def compute_table_aii(max_su: int = 9, max_so: int = 8) -> list[dict]:
+def compute_table_aii() -> list[dict]:
     rows = []
-    for family, rank, nodes in a3ii_sweep(max_su, max_so):
+    for family, rank, nodes in a3ii_sweep():
         space = realize(family, rank, "A3II", nodes)
         report = build_report(space)
         lam = report.eig_by_layer("r")
@@ -238,9 +236,9 @@ def compute_table_aii(max_su: int = 9, max_so: int = 8) -> list[dict]:
     return rows
 
 
-def compute_table_aiii(max_rank: int = 8, deep: bool = False) -> list[dict]:
+def compute_table_aiii(deep: bool = False) -> list[dict]:
     rows = []
-    for family, rank, node in a3iii_sweep(max_rank, deep):
+    for family, rank, node in a3iii_sweep(deep):
         space = realize(family, rank, "A3III", (node,))
         report = build_report(space)
         lam = report.eig_by_layer("r")
@@ -331,9 +329,9 @@ def _aiii_item(family: str, rank: int, node: int) -> str:
     return _AIII_ITEM[(key, node)]
 
 
-def compute_fibrations_aiii(max_rank: int = 8, deep: bool = False) -> list[dict]:
+def compute_fibrations_aiii(deep: bool = False) -> list[dict]:
     rows = []
-    for family, rank, node in a3iii_sweep(max_rank, deep):
+    for family, rank, node in a3iii_sweep(deep):
         space = realize(family, rank, "A3III", (node,))
         rep = all_fibrations(space)[0]
         rows.append({
@@ -349,9 +347,9 @@ def compute_fibrations_aiii(max_rank: int = 8, deep: bool = False) -> list[dict]
     return rows
 
 
-def compute_fibrations_aii(max_su: int = 9, max_so: int = 8) -> list[dict]:
+def compute_fibrations_aii() -> list[dict]:
     rows = []
-    for family, rank, nodes in a3ii_sweep(max_su, max_so):
+    for family, rank, nodes in a3ii_sweep():
         space = realize(family, rank, "A3II", nodes)
         item = {"a": "i", "d": "ii+iii", "e": "iv"}[family]
         for rep in all_fibrations(space):
@@ -382,14 +380,28 @@ TABLES = {
 }
 
 
+SERIALIZATION_DRIFT = "serialization drift"
+
+
 def diff_table(name: str, deep: bool = False, computed: list[dict] | None = None) -> list[str]:
-    """Row-level differences between computed (by default, freshly computed)
-    and golden data."""
+    """Differences between computed (by default, freshly computed) and golden
+    data; empty when they agree.
+
+    When the whole table was computed (always, except the two-layer tables
+    without ``deep``, which lack their e7/e8 rows), the serialization must
+    match the golden file byte for byte; otherwise the rows are compared as
+    a set.  A byte mismatch is reported as its row differences, or as
+    ``SERIALIZATION_DRIFT`` when the row sets agree (reordered or duplicated
+    rows, or a change in formatting).
+    """
     if computed is None:
         computed = TABLES[name](deep=deep)
+    whole = deep or name not in ("table_aiii", "fibrations_aiii")
+    if whole and regenerate_matches_bytes(name, computed=computed):
+        return []
     golden = load_golden(name)
     diffs = []
-    if not deep and name in ("table_aiii", "fibrations_aiii"):
+    if not whole:
         golden = [r for r in golden if not (r.get("family") == "e" and r.get("rank") in (7, 8))]
     key = lambda r: json.dumps(r, sort_keys=True)
     gmap = {key(r): r for r in golden}
@@ -400,13 +412,7 @@ def diff_table(name: str, deep: bool = False, computed: list[dict] | None = None
     for k in cmap:
         if k not in gmap:
             diffs.append(f"unexpected computed row: {cmap[k].get('space', k)}")
-    return diffs
-
-
-def check_table(name: str, deep: bool = False, computed: list[dict] | None = None) -> None:
-    diffs = diff_table(name, deep, computed)
-    if diffs:
-        raise TableMismatch(name, diffs)
+    return diffs or ([SERIALIZATION_DRIFT] if whole else [])
 
 
 def regenerate_matches_bytes(name: str, deep: bool = True,
@@ -420,18 +426,17 @@ def regenerate_matches_bytes(name: str, deep: bool = True,
 # -- Einstein families -----------------------------------------------------------------
 
 
-def einstein_expected_aii(max_su: int = 9, max_so: int = 8) -> set[str]:
+def einstein_expected_aii() -> set[str]:
     """Closed-form Einstein list for the three-layer sweep."""
     out = set()
-    for a in range(1, max_su // 3 + 1):
+    for a in range(1, MAX_SU // 3 + 1):
         out.add(space_name("a", 3 * a - 1, "A3II", (a, 2 * a)))
-    if max_so >= 4:
-        out.add(space_name("d", 4, "A3II", (3, 4)))
+    out.add(space_name("d", 4, "A3II", (3, 4)))
     out.add(space_name("e", 6, "A3II", (1, 6)))
     return out
 
 
-def einstein_expected_aiii(max_rank: int = 8) -> set[str]:
+def einstein_expected_aiii() -> set[str]:
     """Closed-form Einstein list for the two-layer sweep.
 
     The so(even) series is derived from the dimension balance
@@ -440,15 +445,15 @@ def einstein_expected_aiii(max_rank: int = 8) -> set[str]:
     """
     out = set()
     a = 2
-    while 3 * a - 1 <= max_rank:      # so(6a-1): rank n = 3a-1, node 2a
+    while 3 * a - 1 <= MAX_RANK:      # so(6a-1): rank n = 3a-1, node 2a
         out.add(space_name("b", 3 * a - 1, "A3III", (2 * a,)))
         a += 1
     a = 1
-    while 3 * a - 1 <= max_rank:      # sp(3a-1): node 2a-1
+    while 3 * a - 1 <= MAX_RANK:      # sp(3a-1): node 2a-1
         out.add(space_name("c", 3 * a - 1, "A3III", (2 * a - 1,)))
         a += 1
     a = 2
-    while 3 * a + 1 <= max_rank:      # so(6a+2): rank n = 3a+1, node 2a+1
+    while 3 * a + 1 <= MAX_RANK:      # so(6a+2): rank n = 3a+1, node 2a+1
         out.add(space_name("d", 3 * a + 1, "A3III", (2 * a + 1,)))
         a += 1
     return out

@@ -21,14 +21,10 @@ from nk_triad.automorph import (
 )
 from nk_triad.nk_analyzer import (
     build_report,
-    einstein_check,
-    verify_curvature_identities,
-    verify_min_connection_identity,
-    verify_prop_table_relations,
-    verify_r_cross_consistency,
+    exact_r_cross_layer,
+    exact_r_eigenvalues,
     verify_ricci_oracle,
-    verify_sat_identities,
-    verify_structure_identities,
+    verify_space,
 )
 from nk_triad.tables import cached_algebra, realize
 
@@ -146,14 +142,10 @@ def test_criterion_5_identity_suite(sweep_spaces):
     jac = time.time() - t0
 
     for sp in sweep_spaces:
-        res = {}
-        res.update(verify_structure_identities(sp, tol=TOL))
-        res.update(verify_curvature_identities(sp, tol=TOL, seed=17))
-        res["min_connection"] = verify_min_connection_identity(sp, tol=TOL, seed=17)
-        res.update(verify_sat_identities(sp, tol=TOL, seed=17))
+        _, res = verify_space(sp, TOL)
+        assert "min_connection_identity" in res, sp.name
         bad = {k: v for k, v in res.items() if v > TOL}
         assert not bad, (sp.name, bad)
-        verify_prop_table_relations(build_report(sp))
     _line(5, f"Jacobi full sweeps on {len(JACOBI_FULL)} algebras (dims <= 133, "
              f"{jac:.0f}s); torsion/curvature identity suite on "
              f"{len(sweep_spaces)} spaces exhaustively and 0 sampled, "
@@ -170,8 +162,9 @@ def test_criterion_6_ricci_oracle(sweep_spaces):
     ]
     for sp in sweep_spaces + extras:
         assert verify_ricci_oracle(sp, tol=TOL) < TOL, sp.name
-        if sp.layer_roots:
-            verify_r_cross_consistency(sp)
+        if sp.layer_roots:      # each raises unless every layer is an eigenbundle
+            exact_r_eigenvalues(sp)
+            exact_r_cross_layer(sp)
     _line(6, f"trace-of-curvature Ricci equals the layer closed form on "
              f"{len(sweep_spaces) + len(extras)} spaces at 1e-9")
 

@@ -28,7 +28,6 @@ from nk_triad.nk_analyzer import (
     verify_curvature_identities,
     verify_min_connection_identity,
     verify_prop_table_relations,
-    verify_r_cross_consistency,
     verify_ricci_oracle,
     verify_sat_identities,
     verify_structure_identities,
@@ -329,7 +328,22 @@ def test_scalar_r_for_irreducible_types():
     repc = build_report(c3)
     assert repc.eig_by_layer("r") == {"m": F(2)}      # 2h*/3 with h* = 3
     for sp in (s6, spin8, c3):
+        assert sp._curvature is None                   # the report builds no curvature
         assert verify_ricci_oracle(sp) < 1e-9
+
+
+@pytest.mark.parametrize("maker", [
+    lambda: realize("g", 2, "A3III", (2,)),
+    lambda: realize_cyclic_c3(tables.cached_algebra("a", 1)),
+])
+def test_ricci_oracle_checks_the_float_r(maker):
+    """A float r 1% off its exact layer eigenvalues fails the oracle, on an
+    inner space as on a cyclic one."""
+    sp = maker()
+    cv = curvature(sp)
+    cv.r = 1.01 * cv.r                                 # replaces the memoised r
+    with pytest.raises(NonRationalEigenvalue, match="r oracle residual"):
+        verify_ricci_oracle(sp)
 
 
 def test_layer_closed_form_equals_trace_ricci():
@@ -337,7 +351,8 @@ def test_layer_closed_form_equals_trace_ricci():
                  ("a", 3, "A3II", (1, 3)), ("f", 4, "A3III", (4,))]:
         sp = realize(*args)
         assert verify_ricci_oracle(sp) < 1e-9
-        verify_r_cross_consistency(sp)
+        exact_r_eigenvalues(sp)
+        exact_r_cross_layer(sp)
 
 
 def test_ricci_star_symmetric_and_J_invariant(g2_twistor):
@@ -439,7 +454,7 @@ def test_changed_n_squared_entry_is_caught():
     sp.algebra = copy.copy(sp.algebra)
     sp.algebra.cd = cd
     assert len(sp.layer_roots[layer_of[alpha]]) >= 3
-    for check in (verify_r_cross_consistency, exact_r_cross_layer, exact_r_eigenvalues):
+    for check in (exact_r_cross_layer, exact_r_eigenvalues):
         with pytest.raises(NonRationalEigenvalue) as exc:
             check(sp)
         assert f"layer {layer_of[alpha]} " in str(exc.value)

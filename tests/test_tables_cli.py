@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from nk_triad import tables
-from nk_triad.cli import main
+from nk_triad.cli import _GOLDEN_SCOPES, main
+from nk_triad.compactform import build_compact_form
+from nk_triad.rootsys import build_root_system
 
 
 def test_tables_match_golden_fast():
@@ -106,6 +108,35 @@ def test_cli_analyze_json_roundtrip(capsys):
     assert '"value": {' in json.dumps(rep)
 
 
+def test_cli_seed_is_inert(capsys):
+    """--seed is accepted and changes nothing: every check is exhaustive."""
+    outs = []
+    for seed in ("0", "9"):
+        assert main(["analyze", "g", "2", "--nodes", "2", "--json", "--seed", seed]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert main(["verify", "identities", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == "verify identities: ok\n"
+
+
+def test_cli_analyze_check_failure_exit_1(monkeypatch, capsys):
+    """A check that fails inside the suites ends with exit 1 and one stderr
+    line naming the exception, not a traceback: g2 with one bracket entry
+    doubled in both orders."""
+    ca = build_compact_form(build_root_system("g", 2))
+    d, c = ca.dim, ca.C.tolil()
+    i, j, l = 2, 10, 12
+    assert c[i * d + j, l] != 0
+    c[i * d + j, l] *= 2
+    c[j * d + i, l] *= 2
+    ca.C = c.tocsr()
+    monkeypatch.setattr(tables, "cached_algebra", lambda family, rank: ca)
+    assert main(["analyze", "g", "2", "--nodes", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "verification failure: RIdentityMismatch: |Ric - Ric* - r| = 7.50e-01\n"
+    assert captured.out == ""
+
+
 def test_cli_analyze_triality(capsys):
     assert main(["analyze", "d", "4", "--triality", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -200,7 +231,7 @@ def test_cli_verify_tables_scope(monkeypatch):
 def _golden_rows(name):
     """Golden rows as the non-deep computation returns them."""
     rows = tables.load_golden(name)
-    if name == "table_aiii":
+    if name in ("table_aiii", "fibrations_aiii"):
         rows = [r for r in rows if not (r["family"] == "e" and r["rank"] in (7, 8))]
     return rows
 
@@ -211,15 +242,19 @@ def _golden_rows(name):
     (lambda rows: [dict(rows[0], m_dim=99)] + rows[1:],
      "tables:table_bc:['missing computed row: Spin(8)/[SU(3)/Z3]', "
      "'unexpected computed row: Spin(8)/[SU(3)/Z3]']"),
+    (lambda rows: rows[::-1], "fibrations:fibrations_aii:serialization drift"),
 ])
 def test_cli_verify_tables_failures(monkeypatch, capsys, change, failure):
-    """Row diffs and byte drift are both reported, from one computation."""
-    for name in ("table_ai", "table_aii", "table_aiii", "table_aiv", "table_bc"):
+    """Row diffs and byte drift are both reported, from one computation; the
+    scope and the changed table are the ones the failure names (by default
+    ``verify tables`` with table_bc)."""
+    scope, changed = (failure or "tables:table_bc").split(":")[:2]
+    for name in _GOLDEN_SCOPES[scope]:
         rows = _golden_rows(name)
-        if name == "table_bc":
+        if name == changed:
             rows = change(rows)
         monkeypatch.setitem(tables.TABLES, name, lambda deep=False, rows=rows: rows)
-    rc = main(["verify", "tables"])
+    rc = main(["verify", scope])
     text = capsys.readouterr().out
     if failure is None:
         assert rc == 0
