@@ -28,7 +28,7 @@ from .automorph import (
     realize_cyclic_c3,
     realize_triality_d4,
 )
-from .compactform import TraceFormFailure
+from .compactform import JacobiFailure, TraceFormFailure
 from .fibration import NonClosedSubalgebra, NotInvolutive, all_fibrations
 from .nk_analyzer import (
     FixedVectorInM,
@@ -174,6 +174,7 @@ def _print_analysis(doc: dict) -> None:
     print(f"{rep['name']}  [{rep['algebra']}; {rep['automorphism']}]")
     if rep["kahler"]:
         print("  Kahler (Hermitian symmetric); torsion vanishes")
+        _print_verification(doc["verification"])
         return
     print(f"  NK type {rep['nk_type']}   dim m = {rep['dim_m']}   "
           f"splitting {rep['splitting']}")
@@ -196,8 +197,12 @@ def _print_analysis(doc: dict) -> None:
         print(f"  fibration {fib['vertical']}: g_V = {gv}, gbar_V = {gbar}, "
               f"fiber dim {fib['fiber_dim']}, base dim {fib['base_dim']}, "
               f"{'Hermitian' if fib['base_hermitian'] else 'non-Hermitian'} base")
-    worst = max(doc["verification"]["residuals"].values(), default=0.0)
-    print(f"  verification: {'pass' if doc['verification']['pass'] else 'FAIL'}"
+    _print_verification(doc["verification"])
+
+
+def _print_verification(verification: dict) -> None:
+    worst = max(verification["residuals"].values(), default=0.0)
+    print(f"  verification: {'pass' if verification['pass'] else 'FAIL'}"
           f" (worst residual {worst:.2e})")
 
 
@@ -272,9 +277,10 @@ def _verify_jacobi(tol: float, deep: bool) -> list[str]:
     failures = []
     for family, rank in _JACOBI_DEFAULT + (_JACOBI_DEEP if deep else []):
         ca = cached_algebra(family, rank)
-        res = ca.jacobi_max_residual()
-        if res > tol:
-            failures.append(f"jacobi:{family}{rank}:residual={res:.3e}")
+        try:
+            ca.assert_jacobi(tol)
+        except JacobiFailure as exc:
+            failures.append(f"jacobi:{family}{rank}:{exc}")
         try:
             ratio = ca.trace_form_ratio()
         except TraceFormFailure as exc:

@@ -21,7 +21,9 @@ The bracket is held once, as the (dim^2, dim) CSR matrix
 C[(i, j), l] = <[e_i, e_j], e_l>/<e_l, e_l> built in the constructor; ad(e_i)
 is a transposed slab of it and [x, y] = kron(x, y) @ C.  C is never modified
 after construction, so read-only sharing across threads is safe; the Jacobi,
-trace-form and antisymmetry checks are pure reads of it.
+trace-form and antisymmetry checks are pure reads of it.  Total skewness is a
+module function of C (``antisymmetry_max_residual``), so it reads any algebra
+in this layout, such as the cyclic triple's block-diagonal C.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ DUAL_COXETER = {
 }
 
 
-ZERO_DROP = 1e-13   # entries below this are float noise on exact zeros
+ZERO_DROP = 1e-13         # entries below this are float noise on exact zeros
+SLAB_ENTRIES = 1 << 18    # sparse entries gathered per slab of a blocked sum or product
 
 
 def drop_noise(mat: sp.csr_matrix) -> sp.csr_matrix:
@@ -173,14 +176,34 @@ class CompactAlgebra:
             raise TraceFormFailure(int(i), int(j), float(res[i, j]), ratio)
         return ratio
 
+    def _jacobi_blocks(self) -> list[tuple[int, int]]:
+        """Blocks [i0, i1) of consecutive i for the Jacobi sweep, cut where the
+        running count of product entries crosses a multiple of SLAB_ENTRIES.
+
+        Each i contributes at most sum_{(j, l): C[i, j, l] != 0} nnz(C[l, :, :])
+        entries to each of the sweep's three products (equal bounds for totally
+        skew C), so a block gathers about SLAB_ENTRIES entries of all three.
+        """
+        d = self.dim
+        c = self.C.tocoo()
+        first = c.row // d
+        per_i = 3 * np.bincount(first, weights=np.bincount(first, minlength=d)[c.col], minlength=d)
+        start = np.cumsum(per_i) - per_i
+        cuts = [0, *(np.flatnonzero(np.diff(start // SLAB_ENTRIES)) + 1).tolist(), d]
+        return list(zip(cuts[:-1], cuts[1:]))
+
     def _jacobi_worst(self) -> tuple[float, tuple[int, int, int]]:
-        """Largest Jacobi residual over all basis triples, and a triple (i, j, k)
-        where it occurs.
+        """Largest Jacobi residual over all basis triples, and the first triple
+        (i, j, k) in lexicographic order where it occurs.
 
         The residual of (i, j, k) is ad([e_i, e_j]) e_k - [ad e_i, ad e_j] e_k,
         i.e. [[e_i, e_j], e_k] - [e_i, [e_j, e_k]] + [e_j, [e_i, e_k]].  It is
-        computed one slab of i at a time, each slab by three sparse products over
-        all j, so the working set stays O(dim^3) sparse entries per slab.
+        computed over the blocks of i of ``_jacobi_blocks``, each by three sparse
+        products over all j and k, as the CSR matrix [(i, j), (k, m)] of
+        lhs + (inner - outer): a COO duplicate sum of the three terms, in that
+        order, rounds the same way.  The two re-indexed terms are grouped by row
+        with a counting sort, so no (row, col) sort is needed, and working memory
+        follows the block's SLAB_ENTRIES entries.
         """
         d, c = self.dim, self.C
         coo = c.tocoo()
@@ -189,31 +212,32 @@ class CompactAlgebra:
         t = sp.csr_matrix((coo.data, (first, second * d + coo.col)), shape=(d, d * d))
         s = sp.csr_matrix((coo.data, (second, first * d + coo.col)), shape=(d, d * d))
         worst, where = 0.0, (0, 0, 0)
-        for i in range(d):
-            ci = c[i * d:(i + 1) * d]
-            lhs = (ci @ t).tocoo()                    # [j, (k, m)]: [[e_i, e_j], e_k]
-            outer = (c @ ci).tocoo()                  # [(j, k), m]: [e_i, [e_j, e_k]]
-            inner = (ci @ s).tocoo()                  # [k, (j, m)]: [e_j, [e_i, e_k]]
-            oj, ok = np.divmod(outer.row, d)
-            ij, im = np.divmod(inner.col, d)
-            res = sp.coo_matrix(
-                (np.concatenate([lhs.data, -outer.data, inner.data]),
-                 (np.concatenate([lhs.row, oj, ij]),
-                  np.concatenate([lhs.col, ok * d + outer.col, inner.row * d + im]))),
-                shape=(d, d * d))
-            res.sum_duplicates()
-            if res.nnz:
-                n = int(np.abs(res.data).argmax())
-                local = float(abs(res.data[n]))
-                if local > worst:
-                    worst, where = local, (i, int(res.row[n]), int(res.col[n]) // d)
+        for i0, i1 in self._jacobi_blocks():
+            shape = ((i1 - i0) * d, d * d)
+            ci = c[i0 * d:i1 * d]
+            p = (c @ s[:, i0 * d:i1 * d]).tocoo()     # [(j, k), (i, m)]: [e_i, [e_j, e_k]]
+            (j, k), (i, m) = np.divmod(p.row, d), np.divmod(p.col, d)
+            outer = _row_grouped(i * d + j, k * d + m, p.data, shape)
+            p = (ci @ s).tocoo()                      # [(i, k), (j, m)]: [e_j, [e_i, e_k]]
+            (i, k), (j, m) = np.divmod(p.row, d), np.divmod(p.col, d)
+            res = _row_grouped(i * d + j, k * d + m, p.data, shape) - outer
+            del outer                                 # freed before the lhs product
+            res = ci @ t + res                        # [(i, j), (k, m)]: [[e_i, e_j], e_k]
+            mag = np.abs(res.data)
+            top = mag.max(initial=0.0)
+            if top > worst:   # columns are unsorted within a row: take the first (row, col)
+                at = np.flatnonzero(mag == top)
+                key = (np.searchsorted(res.indptr, at, side="right") - 1) * shape[1] \
+                    + res.indices[at]
+                row, col = divmod(int(key.min()), shape[1])
+                worst, where = float(top), (i0 + row // d, row % d, col // d)
         return worst, where
 
     def jacobi_max_residual(self) -> float:
         """Max norm of [[x,y],z]+[[y,z],x]+[[z,x],y] over all basis triples.
 
-        Exhaustive: every triple is covered by the slab-wise sparse products
-        of ``_jacobi_worst``, which read the structure constants ``C``.
+        Exhaustive: every triple is covered by the blocked sparse products of
+        ``_jacobi_worst``, which read the structure constants ``C``.
         """
         return self._jacobi_worst()[0]
 
@@ -223,13 +247,23 @@ class CompactAlgebra:
             raise JacobiFailure(i, j, k, res)
         return res
 
-    def antisymmetry_max_residual(self) -> float:
-        """Max |C[i,j,k] + C[i,k,j]|: every ad(e_i) must be skew for the
-        invariant form, i.e. the structure constants are totally skew."""
-        c = self.C.tocoo()
-        i, j = np.divmod(c.row, self.dim)
-        swapped = sp.coo_matrix((c.data, (i * self.dim + c.col, j)), shape=c.shape)
-        return float(abs(c + swapped).max())
+
+def antisymmetry_max_residual(c: sp.csr_matrix) -> float:
+    """Max |C[i,j,k] + C[i,k,j]| over structure constants C[(i, j), k]: every
+    ad(e_i) must be skew for the invariant form, i.e. C is totally skew."""
+    d = c.shape[1]
+    c = c.tocoo()
+    i, j = np.divmod(c.row, d)
+    swapped = sp.coo_matrix((c.data, (i * d + c.col, j)), shape=c.shape)
+    return float(abs(c + swapped).max())
+
+
+def _row_grouped(rows, cols, data, shape) -> sp.csr_matrix:
+    """CSR matrix of entries at distinct (rows, cols), grouped by row with one
+    stable counting sort (a CSR-to-CSC transposition); columns stay unsorted."""
+    order = sp.csr_matrix((np.arange(rows.size, dtype=np.int32), rows, [0, rows.size]),
+                          shape=(1, shape[0])).tocsc()
+    return sp.csr_matrix((data[order.data], cols[order.data], order.indptr), shape=shape)
 
 
 def build_compact_form(rs: RootSystem) -> CompactAlgebra:

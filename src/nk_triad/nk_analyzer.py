@@ -36,13 +36,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .automorph import OrderThreeSymmetricSpace, classify_type
-from .compactform import drop_noise
+from .compactform import SLAB_ENTRIES, antisymmetry_max_residual, drop_noise
 from .rootsys import Coeffs
 
 KAPPA = Fraction(2)
 
 MIN_CONNECTION_BLOCK = 1 << 21  # tuples per block of the min-connection check
-SLAB_ENTRIES = 1 << 18          # nonzeros gathered per slab of a four-index sum
 
 
 class FixedVectorInM(ValueError):
@@ -191,10 +190,10 @@ class Curvature:
         RJJ[(a,b),(c,d)] = R(e_a, e_b, J e_c, J e_d)             (R kron(J, J))
 
     with A'[s, (c,d)] = A[(s,d), c] = <[k_s, m_c], m_d>.  Ric and Ric* are the
-    traces sum_i R[a,i,b,i] and sum_i RJJ[a,i,b,i].  ``j_sparse``, ``riemann``
-    and ``riemann_jj``, like the tensors, drop entries below
-    ``compactform.ZERO_DROP``: cancellation in the sum of the four terms
-    leaves float noise on exact zeros.
+    traces sum_i R[a,i,b,i] and sum_i RJJ[a,i,b,i].  ``j_sparse``, ``g``,
+    ``riemann`` and ``riemann_jj``, like the tensors, drop entries below
+    ``compactform.ZERO_DROP``: cancellation in their sums of products leaves
+    float noise on exact zeros.
     """
 
     def __init__(self, space: OrderThreeSymmetricSpace):
@@ -219,7 +218,7 @@ class Curvature:
 
     @cached_property
     def g(self) -> sp.csr_matrix:
-        return (self.xi @ self.xi.T).tocsr()
+        return drop_noise((self.xi @ self.xi.T).tocsr())
 
     @cached_property
     def riemann(self) -> sp.csr_matrix:
@@ -738,14 +737,16 @@ def verify_prop_table_relations(report: NKReport) -> None:
 def verify_space(space: OrderThreeSymmetricSpace, tol: float) -> tuple[NKReport, dict[str, float]]:
     """The report of a space with every check that applies to it.
 
-    Builds the report (which confirms the type), then runs the structure,
-    curvature and Ricci-oracle suites and the table relations, the
+    Builds the report (which confirms the type), then reads the total
+    skewness of the algebra's structure constants C (O(nnz C)), runs the
+    structure, curvature and Ricci-oracle suites and the table relations, the
     minimal-connection and special-torsion suites on types III and IV, and
     the Einstein certificate.  Returns the report and the residuals by check
-    name; a Kahler space has none.  A check that fails outright raises.
+    name; a Kahler space has only the skewness.  A check that fails outright
+    raises.
     """
     report = build_report(space)
-    res: dict[str, float] = {}
+    res = {"bracket_total_skew": antisymmetry_max_residual(space.algebra.C)}
     if report.kahler:
         return report, res
     res.update(verify_structure_identities(space, tol=tol))

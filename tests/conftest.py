@@ -348,3 +348,40 @@ def chevalley_oracle():
 def bracket_oracle():
     """The pair-loop reference for ``CompactAlgebra.C``: (ca, ref) -> C."""
     return reference_structure_constants
+
+
+def reference_jacobi_worst(ca):
+    """The per-i Jacobi sweep: for each basis index i, three sparse products over
+    all j and k and one COO sum of [[e_i,e_j],e_k] - [e_i,[e_j,e_k]] + [e_j,[e_i,e_k]];
+    returns the largest residual and the first triple (i, j, k) where it occurs."""
+    d, c = ca.dim, ca.C
+    coo = c.tocoo()
+    first, second = np.divmod(coo.row, d)
+    t = sp.csr_matrix((coo.data, (first, second * d + coo.col)), shape=(d, d * d))
+    s = sp.csr_matrix((coo.data, (second, first * d + coo.col)), shape=(d, d * d))
+    worst, where = 0.0, (0, 0, 0)
+    for i in range(d):
+        ci = c[i * d:(i + 1) * d]
+        lhs = (ci @ t).tocoo()                    # [j, (k, m)]: [[e_i, e_j], e_k]
+        outer = (c @ ci).tocoo()                  # [(j, k), m]: [e_i, [e_j, e_k]]
+        inner = (ci @ s).tocoo()                  # [k, (j, m)]: [e_j, [e_i, e_k]]
+        oj, ok = np.divmod(outer.row, d)
+        ij, im = np.divmod(inner.col, d)
+        res = sp.coo_matrix(
+            (np.concatenate([lhs.data, -outer.data, inner.data]),
+             (np.concatenate([lhs.row, oj, ij]),
+              np.concatenate([lhs.col, ok * d + outer.col, inner.row * d + im]))),
+            shape=(d, d * d))
+        res.sum_duplicates()
+        if res.nnz:
+            n = int(np.abs(res.data).argmax())
+            local = float(abs(res.data[n]))
+            if local > worst:
+                worst, where = local, (i, int(res.row[n]), int(res.col[n]) // d)
+    return worst, where
+
+
+@pytest.fixture(scope="session")
+def jacobi_oracle():
+    """The per-i reference for ``CompactAlgebra._jacobi_worst``: ca -> (worst, triple)."""
+    return reference_jacobi_worst

@@ -381,7 +381,7 @@ def test_tensors_are_sparse_memoised_and_noise_free():
         first = space.tensors()
         assert space.tensors() is first
         cv = curvature(space)
-        for t in first + (cv.j_sparse, cv.riemann, cv.riemann_jj):
+        for t in first + (cv.j_sparse, cv.g, cv.riemann, cv.riemann_jj):
             assert t.format == "csr" and np.abs(t.data).min() >= ZERO_DROP
 
 

@@ -1,17 +1,21 @@
 """Compact real form: structure constants C, Jacobi, invariant form, rotations."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+from nk_triad import compactform
+from nk_triad.cli import _JACOBI_DEEP, _JACOBI_DEFAULT
 from nk_triad.compactform import (
     CompactAlgebra,
     JacobiFailure,
     TraceFormFailure,
     adjoint_action_exp,
+    antisymmetry_max_residual,
     build_compact_form,
 )
 from nk_triad.rootsys import build_root_system
@@ -47,12 +51,12 @@ def test_su2_bracket_table(algebra):
     assert _terms(ca, 0, u1) == {u0: -2.0}
     assert _terms(ca, u0, u0) == {}
     # su(2) Jacobi is degenerate but ad must still be skew for the stored form
-    assert ca.antisymmetry_max_residual() == 0.0
+    assert antisymmetry_max_residual(ca.C) == 0.0
 
 
 @pytest.mark.parametrize("family,rank", [("g", 2), ("e", 7)])
 def test_structure_constants_totally_skew(family, rank, algebra):
-    assert algebra(family, rank).antisymmetry_max_residual() == 0.0
+    assert antisymmetry_max_residual(algebra(family, rank).C) == 0.0
 
 
 def _dense_trace_form(ca):
@@ -89,6 +93,50 @@ def _dense_jacobi_residual(ca):
             + np.einsum("ikl,jlm->ijkm", c, c))
 
 
+@pytest.mark.parametrize("family,rank", _JACOBI_DEFAULT + _JACOBI_DEEP)
+def test_blocked_jacobi_sweep_matches_per_i_sweep(family, rank, algebra, jacobi_oracle):
+    """The blocked sweep returns the per-i sweep's worst residual, bit for bit,
+    and its first triple, on every algebra ``verify jacobi --deep`` covers."""
+    ca = algebra(family, rank)
+    assert ca._jacobi_worst() == jacobi_oracle(ca)
+
+
+def test_blocked_jacobi_sweep_locates_flips_in_late_blocks(algebra, jacobi_oracle, monkeypatch):
+    """With a small entry budget f4 is swept in several blocks of i.  Negating
+    [U^0_a, U^1_a] in that order only puts the worst residual at a triple
+    (U^0_a, U^1_a, k): once on a block's first index, once in the last block."""
+    monkeypatch.setattr(compactform, "SLAB_ENTRIES", 1 << 15)
+    cached = algebra("f", 4)
+    blocks = cached._jacobi_blocks()
+    assert len(blocks) > 4 and blocks[0][0] == 0 and blocks[-1][1] == cached.dim
+    assert all(i1 == j0 for (_, i1), (j0, _) in zip(blocks, blocks[1:]))
+    boundary = next(i0 for i0, _ in blocks[1:-1] if (i0 - cached.rank) % 2 == 0)
+    last = cached.u_index(cached.n_pos - 1, 0)
+    assert last > blocks[-1][0]
+    for u0 in (boundary, last):
+        ca = CompactAlgebra(cached.rs, cached.cd)
+        c, r = ca.C, u0 * ca.dim + u0 + 1
+        c.data[c.indptr[r]:c.indptr[r + 1]] *= -1.0
+        worst, triple = ca._jacobi_worst()
+        assert triple[:2] == (u0, u0 + 1)
+        assert (worst, triple) == jacobi_oracle(ca)
+        ref = np.abs(_dense_jacobi_residual(ca))
+        assert worst == pytest.approx(ref.max(), abs=1e-12)
+        assert ref[triple].max() == pytest.approx(worst, abs=1e-12)
+
+
+def test_jacobi_sweep_memory_is_bounded(algebra):
+    """The e8 sweep's working set follows SLAB_ENTRIES (about 10 MiB traced)."""
+    ca = algebra("e", 8)
+    tracemalloc.start()
+    try:
+        assert ca.jacobi_max_residual() < 1e-12
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def test_sign_flip_is_detected_and_located(algebra):
     cached = algebra("g", 2)
     ca = CompactAlgebra(cached.rs, cached.cd)  # fresh C; the cached one stays intact
@@ -96,14 +144,14 @@ def test_sign_flip_is_detected_and_located(algebra):
                 if len(_terms(ca, i, j)) == 1)
     (coef,) = _terms(ca, a, b).values()
     _scale_pair(ca, a, b, -1.0)
-    assert ca.antisymmetry_max_residual() == pytest.approx(2 * abs(coef))
+    assert antisymmetry_max_residual(ca.C) == pytest.approx(2 * abs(coef))
     ref = np.abs(_dense_jacobi_residual(ca))
     with pytest.raises(JacobiFailure) as exc:
         ca.assert_jacobi(1e-9)
     assert exc.value.residual == pytest.approx(ref.max(), abs=1e-12)
     assert ref[exc.value.triple].max() == pytest.approx(ref.max(), abs=1e-12)
     assert {a, b} & set(exc.value.triple)
-    assert cached.antisymmetry_max_residual() == 0.0
+    assert antisymmetry_max_residual(cached.C) == 0.0
 
 
 def test_trace_form_proportional_to_stored(algebra):
@@ -155,6 +203,17 @@ def test_cli_reports_trace_form_failure(algebra, monkeypatch, capsys):
     monkeypatch.setattr(cli, "cached_algebra", lambda family, rank: broken)
     assert cli.main(["verify", "jacobi"]) == 1
     assert '"trace-form:a1:trace-form residual 2.667e+00 at basis pair (0, 0)' \
+        in capsys.readouterr().out
+
+
+def test_cli_reports_jacobi_failure(algebra, monkeypatch, capsys):
+    from nk_triad import cli
+
+    broken = _flipped_g2(algebra)
+    monkeypatch.setattr(cli, "_JACOBI_DEFAULT", [("g", 2)])
+    monkeypatch.setattr(cli, "cached_algebra", lambda family, rank: broken)
+    assert cli.main(["verify", "jacobi"]) == 1
+    assert '"jacobi:g2:Jacobi residual 3.464e+00 at basis triple (0,3,5)"' \
         in capsys.readouterr().out
 
 

@@ -137,6 +137,31 @@ def test_cli_analyze_check_failure_exit_1(monkeypatch, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("family,rank,nodes,i,j,l", [("g", 2, "2", 0, 4, 5),
+                                                     ("g", 2, "2", 4, 5, 0),
+                                                     ("a", 3, "1", 0, 5, 6)])
+def test_cli_analyze_fails_on_corrupted_isotropy_bracket(family, rank, nodes, i, j, l,
+                                                         monkeypatch, capsys):
+    """One entry of the isotropy bracket [k, k] doubled in both orders leaves
+    every torsion and curvature suite passing (g2 node 2), or runs none of them
+    (the Kahler a3 node 1); the total skewness of C reads it, as
+    |C[i,j,l] + C[i,l,j]| = |C[i,j,l]|, and analyze exits 1."""
+    ca = build_compact_form(build_root_system(family, rank))
+    d, c = ca.dim, ca.C.tolil()
+    entry = c[i * d + j, l]
+    assert entry != 0
+    c[i * d + j, l] *= 2
+    c[j * d + i, l] *= 2
+    ca.C = c.tocsr()
+    monkeypatch.setattr(tables, "cached_algebra", lambda family, rank: ca)
+    assert main(["analyze", family, str(rank), "--nodes", nodes, "--json"]) == 1
+    verification = json.loads(capsys.readouterr().out)["verification"]
+    assert verification["pass"] is False
+    assert verification["residuals"]["bracket_total_skew"] == pytest.approx(abs(entry))
+    assert all(v < 1e-9 for k, v in verification["residuals"].items()
+               if k != "bracket_total_skew")
+
+
 def test_cli_analyze_triality(capsys):
     assert main(["analyze", "d", "4", "--triality", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
