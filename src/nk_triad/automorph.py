@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .compactform import CompactAlgebra, adjoint_action_exp, drop_noise
-from .rootsys import Coeffs, RootSystem, alpha_levels, diagram_automorphisms
+from .rootsys import Coeffs, InvalidRank, RootSystem, alpha_levels, diagram_automorphisms
 
 
 class NotOrderThree(ValueError):
@@ -40,6 +40,14 @@ class ClassificationMismatch(RuntimeError):
     """The action of k on m contradicts the type its automorphism class names."""
 
 
+_INVARIANT_TOL = 1e-9    # sigma^3 = 1, orthogonality and the k + m split
+_SPAN_TOL = 1e-8         # numerical rank of orbit spans and of the fixed Cartan
+_COMMUTANT_TOL = 1e-7    # null eigenvalues of the commutant equations
+
+_SINGLE_KIND = {1: "A3I", 2: "A3III", 3: "A3IV"}   # by the mark of the node
+_PAIR_LAYER = {(1, 1): "V1", (1, 0): "V2", (0, 1): "V3"}  # by (n_i, n_j) on the pair
+
+
 @dataclass(frozen=True)
 class InnerClass:
     """An inner order-3 conjugacy class, H = sum_k coeff_k * H_{node_k}."""
@@ -48,16 +56,52 @@ class InnerClass:
     nodes: tuple[int, ...]         # 1-based simple-root indices
     coeffs: tuple[Fraction, ...]
 
-    def alpha_value(self, rs: RootSystem, root: Coeffs) -> Fraction:
-        """Exact a(H), using alpha_j(H_i) = delta_ij / m_i."""
-        total = Fraction(0)
-        for node, c in zip(self.nodes, self.coeffs):
-            total += c * Fraction(root[node - 1], rs.marks[node - 1])
-        return total
+    @classmethod
+    def of_nodes(cls, rs: RootSystem, nodes: tuple[int, ...]) -> InnerClass:
+        """The class of one node of mark m in {1, 2, 3} (H = (m/3) H_node) or of
+        two distinct mark-1 nodes (H = (H_i + H_j)/3); ``InvalidRank`` otherwise."""
+        if not nodes or len(nodes) > 2 or any(not 1 <= n <= rs.rank for n in nodes):
+            raise InvalidRank(f"--nodes must name one or two of 1..{rs.rank}")
+        marks = [rs.marks[n - 1] for n in nodes]
+        if len(nodes) == 2:
+            if marks != [1, 1] or nodes[0] == nodes[1]:
+                raise InvalidRank("a node pair needs two distinct mark-1 nodes")
+            return cls("A3II", tuple(nodes), (Fraction(1, 3), Fraction(1, 3)))
+        if marks[0] not in _SINGLE_KIND:
+            raise InvalidRank(f"node {nodes[0]} has mark {marks[0]}; an order-3 class "
+                              f"needs a node of mark 1, 2 or 3")
+        return cls(_SINGLE_KIND[marks[0]], tuple(nodes), (Fraction(marks[0], 3),))
 
     def levels(self, rs: RootSystem) -> tuple[dict[Coeffs, int], int]:
         """a(H) mod 1 on every positive root as int numerators over d (``alpha_levels``)."""
         return alpha_levels(rs, zip(self.nodes, self.coeffs))
+
+    def split(self, rs: RootSystem) -> tuple[dict[str, list[Coeffs]], list[Coeffs]]:
+        """(layer roots, k roots): the positive roots of each m-layer and of k.
+
+        k holds the roots with a(H) = 0 mod 1 (Wolf-Gray).  The m-roots are
+        layered by their coefficients on the defining nodes: V1/V2/V3 by
+        (n_i, n_j) = (1, 1)/(1, 0)/(0, 1) on a pair, V/H by n_i = 2/1 on a
+        mark-2 node, and one layer m otherwise.  Both keep the order of
+        ``rs.positive_roots``.
+        """
+        levels, _ = self.levels(rs)
+        layers: dict[str, list[Coeffs]] = {}
+        k_roots: list[Coeffs] = []
+        for r in rs.positive_roots:
+            c = r.coeffs
+            if not levels[c]:
+                k_roots.append(c)
+                continue
+            if self.kind == "A3II":
+                i, j = self.nodes
+                label = _PAIR_LAYER[(c[i - 1], c[j - 1])]
+            elif self.kind == "A3III":
+                label = "V" if c[self.nodes[0] - 1] == 2 else "H"
+            else:
+                label = "m"
+            layers.setdefault(label, []).append(c)
+        return layers, k_roots
 
     def describe(self) -> str:
         inner = " + ".join(
@@ -69,18 +113,11 @@ class InnerClass:
 def enumerate_inner_order3(rs: RootSystem, dedup: bool = False) -> list[InnerClass]:
     """All inner order-3 classes; optionally one per diagram-symmetry orbit."""
     marks = rs.marks
-    out: list[InnerClass] = []
-    for i in range(1, rs.rank + 1):
-        m = marks[i - 1]
-        if m == 1:
-            out.append(InnerClass("A3I", (i,), (Fraction(1, 3),)))
-        elif m == 2:
-            out.append(InnerClass("A3III", (i,), (Fraction(2, 3),)))
-        elif m == 3:
-            out.append(InnerClass("A3IV", (i,), (Fraction(1),)))
-    for i, j in itertools.combinations(range(1, rs.rank + 1), 2):
-        if marks[i - 1] == 1 and marks[j - 1] == 1:
-            out.append(InnerClass("A3II", (i, j), (Fraction(1, 3), Fraction(1, 3))))
+    out = [InnerClass.of_nodes(rs, (i,)) for i in range(1, rs.rank + 1)
+           if marks[i - 1] in _SINGLE_KIND]
+    out += [InnerClass.of_nodes(rs, pair)
+            for pair in itertools.combinations(range(1, rs.rank + 1), 2)
+            if marks[pair[0] - 1] == marks[pair[1] - 1] == 1]
     out.sort(key=lambda c: (c.kind, c.nodes))
     if not dedup:
         return out
@@ -108,7 +145,7 @@ class OrderThreeSymmetricSpace:
     """
 
     def __init__(self, algebra, type_label, sigma, k_cols, m_cols, h_spec=None,
-                 layers=None, layer_roots=None, delta_plus_h=None, name=""):
+                 layers=None, layer_roots=None, name=""):
         self.algebra = algebra
         self.type_label = type_label
         self.sigma = sigma
@@ -117,7 +154,6 @@ class OrderThreeSymmetricSpace:
         self.h_spec = h_spec
         self.layers = layers or {}
         self.layer_roots = layer_roots or {}
-        self.delta_plus_h = delta_plus_h
         self.name = name or type_label
         self.dim_k = k_cols.shape[1]
         self.dim_m = m_cols.shape[1]
@@ -134,8 +170,8 @@ class OrderThreeSymmetricSpace:
             self._sigma_m = self.m_cols.T @ self.sigma @ self.m_cols
         return self._sigma_m
 
-    def check_invariants(self, tol: float = 1e-9) -> None:
-        s = self.sigma
+    def check_invariants(self) -> None:
+        s, tol = self.sigma, _INVARIANT_TOL
         d = s.shape[0]
         if np.abs(s @ s @ s - np.eye(d)).max() > tol:
             raise NotOrderThree("sigma^3 != id")
@@ -205,45 +241,21 @@ def _build_tensors(space: OrderThreeSymmetricSpace):
 
 
 def realize_inner(ca: CompactAlgebra, spec: InnerClass, name: str = "") -> OrderThreeSymmetricSpace:
+    """The space of an inner class: sigma = Ad(exp 2 pi sqrt(-1) H) and k, m
+    spanned by basis columns, as ``spec.split`` assigns the roots."""
     rs = ca.rs
+    layer_roots, k_roots = spec.split(rs)
     levels, d = spec.levels(rs)
-    layer_of = {c: Fraction(t, d) for c, t in levels.items() if t}
-    sigma = adjoint_action_exp(ca, lambda c: layer_of.get(c, 0))
-    k_idx = list(range(rs.rank))
-    m_idx: list[int] = []
-    delta_h: list[Coeffs] = []
-    for k, r in enumerate(rs.positive_roots):
-        if r.coeffs in layer_of:
-            m_idx.extend((ca.u_index(k, 0), ca.u_index(k, 1)))
-        else:
-            delta_h.append(r.coeffs)
-            k_idx.extend((ca.u_index(k, 0), ca.u_index(k, 1)))
-
-    layers: dict[str, list[int]] = {}
-    layer_roots: dict[str, list[Coeffs]] = {}
-
-    def label_for(root: Coeffs) -> str:
-        if spec.kind == "A3II":
-            i, j = spec.nodes
-            return {(1, 1): "V1", (1, 0): "V2", (0, 1): "V3"}[(root[i - 1], root[j - 1])]
-        if spec.kind == "A3III":
-            return "V" if root[spec.nodes[0] - 1] == 2 else "H"
-        return "m"
-
-    mpos = 0
-    for k, r in enumerate(rs.positive_roots):
-        if r.coeffs not in layer_of:
-            continue
-        lbl = label_for(r.coeffs)
-        layers.setdefault(lbl, []).extend((mpos, mpos + 1))
-        layer_roots.setdefault(lbl, []).append(r.coeffs)
-        mpos += 2
-
+    m_roots = [r.coeffs for r in rs.positive_roots if levels[r.coeffs]]
+    at = {c: p for p, c in enumerate(m_roots)}
+    layers = {lbl: [2 * at[c] + e for c in roots for e in (0, 1)]
+              for lbl, roots in layer_roots.items()}
+    planes = lambda roots: [ca.u_index(rs.index(c), e) for c in roots for e in (0, 1)]
     eye = np.eye(ca.dim)
     space = OrderThreeSymmetricSpace(
-        ca, spec.kind, sigma,
-        eye[:, k_idx], eye[:, m_idx], h_spec=spec,
-        layers=layers, layer_roots=layer_roots, delta_plus_h=delta_h,
+        ca, spec.kind, adjoint_action_exp(ca, levels, d),
+        eye[:, list(range(rs.rank)) + planes(k_roots)], eye[:, planes(m_roots)], h_spec=spec,
+        layers=layers, layer_roots=layer_roots,
         name=name or f"{rs.type_label} {spec.describe()}",
     )
     space.check_invariants()
@@ -417,15 +429,14 @@ def realize_cyclic_c3(component: CompactAlgebra) -> OrderThreeSymmetricSpace:
 # -- type classification ---------------------------------------------------------
 
 
-def fixed_algebra_root_signature(space: OrderThreeSymmetricSpace,
-                                 tol: float = 1e-8):
+def fixed_algebra_root_signature(space: OrderThreeSymmetricSpace):
     """(cartan rank, nonzero root count, length ratio) of the fixed algebra.
 
     The Cartan is taken inside the ambient Cartan; adjoint weights of the
     fixed algebra acting on itself are extracted numerically, so the result
     identifies small fixed algebras (g2 reads as (2, 12, 3.0)).
     """
-    ca = space.algebra
+    ca, tol = space.algebra, _SPAN_TOL
     rank = ca.rs.rank
     k = space.k_cols
     p_fix = k @ k.T
@@ -451,21 +462,25 @@ def fixed_algebra_root_signature(space: OrderThreeSymmetricSpace,
     return len(cartan), count, ratio
 
 
+# the nearly Kahler type each automorphism class names
+NK_TYPE = {"A3I": "hermitian-symmetric", "A3II": "III", "A3III": "IV", "A3IV": "I",
+           "B3": "II", "C3": "II"}
+
+
 @dataclass
 class TypeDecision:
     label: str                     # I | II | III | IV | hermitian-symmetric
     evidence: dict = field(default_factory=dict)
 
 
-def orbit_span_dim(space: OrderThreeSymmetricSpace, seed_vector: np.ndarray,
-                   tol: float = 1e-8) -> int:
+def orbit_span_dim(space: OrderThreeSymmetricSpace, seed_vector: np.ndarray) -> int:
     """Dimension of the smallest ad(k)-invariant subspace containing the vector.
 
     Block Krylov iteration: every ad(k_s) is applied to a few pending basis
     vectors at once (about dim m columns per step), the span so far is
-    projected out, and the left singular vectors above ``tol`` join the
+    projected out, and the left singular vectors above ``_SPAN_TOL`` join the
     orthonormal basis and the pending queue.  It stops when the queue is
-    empty or the span reaches dim m.  Columns below ``tol`` are dropped
+    empty or the span reaches dim m.  Columns below ``_SPAN_TOL`` are dropped
     before each projection: from a basis vector such as a root vector most
     ad(k_s) images vanish or already lie in the span.
     """
@@ -479,10 +494,10 @@ def orbit_span_dim(space: OrderThreeSymmetricSpace, seed_vector: np.ndarray,
         # cand[i, (s, f)] = (ad(k_s) block)[i, f]
         cand = (ak @ block).reshape(dk, dm, -1).transpose(1, 0, 2).reshape(dm, -1)
         for _ in range(2):                  # twice, so the projection is clean
-            cand = cand[:, np.linalg.norm(cand, axis=0) > tol]
+            cand = cand[:, np.linalg.norm(cand, axis=0) > _SPAN_TOL]
             cand -= basis @ (basis.T @ cand)
         u, sv, _ = np.linalg.svd(cand, full_matrices=False)
-        new = u[:, sv > tol]
+        new = u[:, sv > _SPAN_TOL]
         basis = np.hstack([basis, new])
         pending = np.hstack([pending, new])
     return basis.shape[1]
@@ -493,7 +508,7 @@ _CLUSTER_RTOL = 1e-6     # eigenvalues of X^T X closer than this share a block
 _GRAM_SLAB_ENTRIES = 1 << 15    # Gram entries formed per slab of rows
 
 
-def commutant_basis(space: OrderThreeSymmetricSpace, tol: float = 1e-7) -> list[np.ndarray]:
+def commutant_basis(space: OrderThreeSymmetricSpace) -> list[np.ndarray]:
     """A basis of the operators on m that commute with every ad(k_s)|m.
 
     Any such S commutes with X = sum_s c_s ad(k_s) for every c, hence with the
@@ -510,7 +525,7 @@ def commutant_basis(space: OrderThreeSymmetricSpace, tol: float = 1e-7) -> list[
     the block entries, the Gram matrix
     G[(p,q),(r,t)] = 2 sum_s A_s[p,r] A_s[t,q] - C[p,r] d_qt - d_pr C[t,q]
     (d the Kronecker delta), formed in row slabs; the null space (eigenvalues
-    below ``tol``) of G restricted to those coordinates is the commutant.
+    below ``_COMMUTANT_TOL``) of G restricted to those coordinates is the commutant.
     """
     _, _, ak = space.tensors()
     dm, dk = space.dim_m, space.dim_k
@@ -541,20 +556,20 @@ def commutant_basis(space: OrderThreeSymmetricSpace, tol: float = 1e-7) -> list[
         gram[start:end, start:end] -= np.kron(c, eye) + np.kron(eye, c)
         op = np.kron(xt[a:b, a:b], eye) - np.kron(eye, xt[a:b, a:b].T)
         w, v = np.linalg.eigh(op.T @ op)
-        coords.append(v[:, w < tol])
+        coords.append(v[:, w < _COMMUTANT_TOL])
         start = end
     frame = sp.block_diag(coords, format="csr")
     gram = frame.T @ gram @ frame                 # rebinding frees the full Gram
     vals, vecs = np.linalg.eigh(gram)
     out = []
-    for v in (frame @ vecs[:, vals < tol]).T:
+    for v in (frame @ vecs[:, vals < _COMMUTANT_TOL]).T:
         block = np.zeros((dm, dm))
         block[rows, cols] = v
         out.append(q @ block @ q.T)
     return out
 
 
-def invariant_halves(space: OrderThreeSymmetricSpace, tol: float = 1e-7):
+def invariant_halves(space: OrderThreeSymmetricSpace):
     """Split m into two ad(k)-invariant halves, or None if real-irreducible.
 
     Works through the symmetric part of the commutant of ad(k)|m
@@ -565,7 +580,7 @@ def invariant_halves(space: OrderThreeSymmetricSpace, tol: float = 1e-7):
     dm = space.dim_m
     eye = np.eye(dm)
     sym = []
-    for mtx in commutant_basis(space, tol):
+    for mtx in commutant_basis(space):
         s = (mtx + mtx.T) / 2.0
         if np.abs(s).max() > 1e-6:
             sym.append(s)
@@ -594,17 +609,10 @@ def classify_type(space: OrderThreeSymmetricSpace) -> TypeDecision:
     halves, a type-II label two invariant halves of equal dimension.
     Anything else raises ``ClassificationMismatch``.
     """
-    label_map = {"A3IV": "I", "A3II": "III", "A3III": "IV", "C3": "II"}
+    label = NK_TYPE[space.type_label]
     evidence: dict = {}
-    if space.type_label == "A3I":
-        return TypeDecision("hermitian-symmetric", {"kahler": True})
-    if space.type_label == "B3":
-        halves = invariant_halves(space)
-        if halves is None:
-            return TypeDecision("I", {"real_irreducible": True})
-        evidence["half_dims"] = (halves[0].shape[1], halves[1].shape[1])
-        return TypeDecision("II", evidence)
-    label = label_map[space.type_label]
+    if label == "hermitian-symmetric":
+        return TypeDecision(label, {"kahler": True})
     if label in ("III", "IV"):
         return TypeDecision(label, evidence)
     if label == "I":

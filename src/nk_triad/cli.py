@@ -22,7 +22,9 @@ from fractions import Fraction
 
 from . import tables
 from .automorph import (
+    NK_TYPE,
     ClassificationMismatch,
+    InnerClass,
     NotOrderThree,
     enumerate_inner_order3,
     realize_cyclic_c3,
@@ -42,9 +44,6 @@ from .rootsys import InvalidRank
 from .tables import TABLES, GoldenFileError, cached_algebra, cached_root_system
 
 SCHEMA_VERSION = "1.0"
-
-_CLASSIFY_NK = {"A3I": "hermitian-symmetric (Kahler)", "A3II": "III",
-                "A3III": "IV", "A3IV": "I"}
 
 
 def _frac(x):
@@ -101,7 +100,7 @@ def cmd_classify(args) -> int:
             "kind": cls.kind,
             "nodes": list(cls.nodes),
             "h": cls.describe(),
-            "nk_type": _CLASSIFY_NK[cls.kind],
+            "nk_type": NK_TYPE[cls.kind] + (" (Kahler)" if cls.kind == "A3I" else ""),
             "space": tables.space_name(args.family, args.rank, cls.kind, cls.nodes),
         })
     if (args.family, args.rank) == ("d", 4):
@@ -134,22 +133,15 @@ def _realize_from_args(args):
         nodes = tuple(int(t) for t in args.nodes.split(","))
     except ValueError:
         raise InvalidRank(f"--nodes expects integers, got {args.nodes!r}")
-    if not nodes or len(nodes) > 2 or any(not 1 <= n <= rs.rank for n in nodes):
-        raise InvalidRank(f"--nodes must name one or two of 1..{rs.rank}")
-    marks = [rs.marks[n - 1] for n in nodes]
-    if len(nodes) == 2:
-        if marks != [1, 1] or nodes[0] == nodes[1]:
-            raise InvalidRank("a node pair needs two distinct mark-1 nodes")
-        kind = "A3II"
-    else:
-        kind = {1: "A3I", 2: "A3III", 3: "A3IV"}[marks[0]]
-    return tables.realize(args.family, args.rank, kind, nodes)
+    spec = InnerClass.of_nodes(rs, nodes)
+    return tables.realize(args.family, args.rank, spec.kind, spec.nodes)
 
 
 def cmd_analyze(args) -> int:
     space = _realize_from_args(args)
     report, verification = verify_space(space, args.tol)
-    fibs = all_fibrations(space) if report.nk_type in ("III", "IV") else []
+    fibs = all_fibrations(space.algebra.rs, space.h_spec) \
+        if report.nk_type in ("III", "IV") else []
     ok = all(v <= args.tol for v in verification.values())
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -29,7 +29,6 @@ in this layout, such as the cyclic triple's block-diagonal C.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -270,17 +269,23 @@ def build_compact_form(rs: RootSystem) -> CompactAlgebra:
     return CompactAlgebra(rs, ChevalleyData(rs))
 
 
-def adjoint_action_exp(ca: CompactAlgebra, alpha_value) -> np.ndarray:
+def adjoint_action_exp(ca: CompactAlgebra, levels: dict[tuple[int, ...], int],
+                       d: int) -> np.ndarray:
     """Matrix of Ad(exp 2*pi*sqrt(-1) H) on the compact form.
 
-    ``alpha_value`` maps a positive root's coefficient tuple to the exact
-    rational a(H); each U-plane rotates by the angle 2*pi*a(H) and the Cartan
-    part stays fixed.
+    ``levels`` maps a positive root's coefficient tuple to a(H) mod 1 as an int
+    numerator over ``d`` (``InnerClass.levels``); each U-plane rotates by the
+    angle 2*pi*a(H) and the Cartan part stays fixed.  The angles 0, 1/3 and
+    2/3 take exact cosines and sines, so sigma is bit-identical on every
+    order-3 class.
     """
     mat = np.eye(ca.dim)
     for k, r in enumerate(ca.rs.positive_roots):
-        t = Fraction(alpha_value(r.coeffs)) % 1
-        c, s = _cos_sin_2pi(t)
+        t = levels[r.coeffs]
+        if 3 * t % d == 0:
+            c, s = _THIRDS[3 * t // d]
+        else:
+            c, s = math.cos(2 * math.pi * (t / d)), math.sin(2 * math.pi * (t / d))
         i0, i1 = ca.u_index(k, 0), ca.u_index(k, 1)
         mat[i0, i0] = c
         mat[i1, i0] = s
@@ -290,20 +295,4 @@ def adjoint_action_exp(ca: CompactAlgebra, alpha_value) -> np.ndarray:
 
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
-
-_EXACT_ANGLES = {
-    Fraction(0): (1.0, 0.0),
-    Fraction(1, 2): (-1.0, 0.0),
-    Fraction(1, 3): (-0.5, _SQRT3_2),
-    Fraction(2, 3): (-0.5, -_SQRT3_2),
-    Fraction(1, 4): (0.0, 1.0),
-    Fraction(3, 4): (0.0, -1.0),
-    Fraction(1, 6): (0.5, _SQRT3_2),
-    Fraction(5, 6): (0.5, -_SQRT3_2),
-}
-
-
-def _cos_sin_2pi(t: Fraction) -> tuple[float, float]:
-    if t in _EXACT_ANGLES:
-        return _EXACT_ANGLES[t]
-    return math.cos(2 * math.pi * float(t)), math.sin(2 * math.pi * float(t))
+_THIRDS = ((1.0, 0.0), (-0.5, _SQRT3_2), (-0.5, -_SQRT3_2))   # (cos, sin) of 2 pi j/3

@@ -10,10 +10,11 @@ canonical fibration is Gbar_V / K with tangent space V, and the base is
 G / Gbar_V.  Everything here is exact root combinatorics: subalgebras are
 closed root subsets plus Cartan directions, and types are read off through
 the Dynkin classification of the subsystem, never from dimension counts.
-Root subsets are sets of the additive int root keys of ``rootsys``, so the
-closure, the closure check on V + k and the ideal check are int additions
-and set lookups, and the involution angles are int numerators over the lcm
-of the denominators of c_k / m_k.
+V and k are the root sets of the inner class's split (``InnerClass.split``),
+so no space is realized.  Root subsets are sets of the additive int root
+keys of ``rootsys``, so the closure, the closure check on V + k and the ideal
+check are int additions and set lookups, and the involution angles are int
+numerators over the lcm of the denominators of c_k / m_k.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .automorph import OrderThreeSymmetricSpace
+from .automorph import InnerClass, OrderThreeSymmetricSpace
 from .rootsys import RootSystem, SubsystemType, _bareiss_rank, alpha_levels, subsystem_type
 
 
@@ -49,8 +50,10 @@ class FibrationReport:
     note: str = ""
 
 
-def check_lie_triple_system(space: OrderThreeSymmetricSpace, nu,
-                            tol: float = 1e-9) -> bool:
+_LTS_TOL = 1e-9
+
+
+def check_lie_triple_system(space: OrderThreeSymmetricSpace, nu) -> bool:
     """[nu,nu]_m inside nu and [[nu,nu]_k, nu] inside nu, to tolerance.
 
     ``nu`` is either a list of m-basis positions or a dm x r column matrix.
@@ -68,9 +71,9 @@ def check_lie_triple_system(space: OrderThreeSymmetricSpace, nu,
         for b in range(a + 1, r):
             pair = np.kron(cols[:, a], cols[:, b])
             # m-closure: [nu_a, nu_b]_m = -2 xi(nu_a, nu_b)
-            if np.abs(proj_out @ (-2.0 * (xi.T @ pair))).max() > tol:
+            if np.abs(proj_out @ (-2.0 * (xi.T @ pair))).max() > _LTS_TOL:
                 return False
-            if np.abs(proj_out @ (act @ (kc.T @ pair)).reshape(dm, dm) @ cols).max() > tol:
+            if np.abs(proj_out @ (act @ (kc.T @ pair)).reshape(dm, dm) @ cols).max() > _LTS_TOL:
                 return False
     return True
 
@@ -109,16 +112,17 @@ _INVOLUTION_RULES = {
 }
 
 
-def fibration_subalgebras(space: OrderThreeSymmetricSpace,
+def fibration_subalgebras(rs: RootSystem, spec: InnerClass,
                           vertical_label: str) -> FibrationReport:
-    """Compute (g_V, gbar_V) for one vertical layer and classify both."""
-    if space.type_label not in ("A3II", "A3III"):
+    """Compute (g_V, gbar_V) for one vertical layer of an inner class and
+    classify both, from the root split of the class alone."""
+    if spec.kind not in ("A3II", "A3III"):
         raise NonClosedSubalgebra("canonical fibrations need a type III/IV space")
-    if vertical_label not in space.layer_roots:
+    layer_roots, k_roots = spec.split(rs)
+    if vertical_label not in layer_roots:
         raise KeyError(f"no vertical layer {vertical_label}")
-    rs = space.algebra.rs
     coeffs = rs._coeffs_of
-    v_keys = {rs.key(c) for c in space.layer_roots[vertical_label]}
+    v_keys = {rs.key(c) for c in layer_roots[vertical_label]}
 
     closure = _root_closure(rs, v_keys)
     pos = [coeffs[k] for k in closure & rs.positive_keys]
@@ -126,7 +130,7 @@ def fibration_subalgebras(space: OrderThreeSymmetricSpace,
     g_v_type = subsystem_type(rs, [coeffs[k] for k in closure], ambient_rank=g_v_rank)
     g_v_dim = 2 * len(pos) + g_v_rank
 
-    gbar_pos = v_keys | {rs.key(c) for c in space.delta_plus_h}
+    gbar_pos = v_keys | {rs.key(c) for c in k_roots}
     gbar = gbar_pos | {-k for k in gbar_pos}
     if rs.root_sums(gbar_pos, gbar) - gbar:
         raise NonClosedSubalgebra("V + k is not bracket-closed")
@@ -137,29 +141,24 @@ def fibration_subalgebras(space: OrderThreeSymmetricSpace,
     if rs.root_sums(gbar_pos, closure) - closure:
         raise NonClosedSubalgebra("V + [V,V] is not an ideal of V + k")
 
-    fiber_dim = 2 * len(v_keys)
-    base_dim = space.algebra.dim - gbar_v_dim
-    if fiber_dim != gbar_v_dim - (space.algebra.dim - space.dim_m):
-        raise NonClosedSubalgebra("fiber dimension bookkeeping failed")
-
-    nodes = space.h_spec.nodes
-    invol = _INVOLUTION_RULES[(space.type_label, vertical_label)](*nodes)
+    invol = _INVOLUTION_RULES[(spec.kind, vertical_label)](*spec.nodes)
     fixed = involution_fixed_points(rs, invol)
     if {rs.key(c) for c in fixed} != gbar_pos:
         raise NonClosedSubalgebra("involution fixed points differ from V + k")
 
+    fiber_dim = 2 * len(v_keys)
     note = ""
-    if space.type_label == "A3III" and fiber_dim == 2 and rs.family == "c" \
-            and nodes == (1,):
+    if spec.kind == "A3III" and fiber_dim == 2 and rs.family == "c" \
+            and spec.nodes == (1,):
         note = ("odd projective space carries the symplectic-group metric here, "
                 "not the symmetric one")
     return FibrationReport(
         vertical_label, g_v_type, gbar_v_type, g_v_dim, gbar_v_dim,
-        fiber_dim, base_dim, invol,
+        fiber_dim, rs.rank + 2 * rs.n_positive - gbar_v_dim, invol,
         base_hermitian=gbar_v_type.torus_rank >= 1, note=note,
     )
 
 
-def all_fibrations(space: OrderThreeSymmetricSpace) -> list[FibrationReport]:
-    labels = ("V1", "V2", "V3") if space.type_label == "A3II" else ("V",)
-    return [fibration_subalgebras(space, lbl) for lbl in labels]
+def all_fibrations(rs: RootSystem, spec: InnerClass) -> list[FibrationReport]:
+    labels = ("V1", "V2", "V3") if spec.kind == "A3II" else ("V",)
+    return [fibration_subalgebras(rs, spec, lbl) for lbl in labels]

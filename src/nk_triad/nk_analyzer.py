@@ -42,6 +42,7 @@ from .rootsys import Coeffs
 KAPPA = Fraction(2)
 
 MIN_CONNECTION_BLOCK = 1 << 21  # tuples per block of the min-connection check
+_FIXED_VECTOR_TOL = 1e-9        # smallest singular value of sigma|m - id
 
 
 class FixedVectorInM(ValueError):
@@ -63,11 +64,11 @@ class IdentityViolation(AssertionError):
 # -- basic structure -----------------------------------------------------------
 
 
-def canonical_J(space: OrderThreeSymmetricSpace, tol: float = 1e-9) -> np.ndarray:
+def canonical_J(space: OrderThreeSymmetricSpace) -> np.ndarray:
     """J = (2 sigma|m + id)/sqrt(3); raises if sigma|m has a fixed vector."""
     sm = space.sigma_m
     dm = space.dim_m
-    if dm and np.linalg.svd(sm - np.eye(dm), compute_uv=False).min() < tol:
+    if dm and np.linalg.svd(sm - np.eye(dm), compute_uv=False).min() < _FIXED_VECTOR_TOL:
         raise FixedVectorInM("sigma|m has eigenvalue 1")
     j = (2.0 * sm + np.eye(dm)) / np.sqrt(3.0)
     if np.abs(j @ j + np.eye(dm)).max() > 1e-12:
@@ -77,12 +78,9 @@ def canonical_J(space: OrderThreeSymmetricSpace, tol: float = 1e-9) -> np.ndarra
 
 def layer_epsilon(space: OrderThreeSymmetricSpace) -> dict[str, int]:
     """Sign eps with J U0 = eps U1 per layer: +1 on a(H) = 1/3, -1 on 2/3."""
-    out = {}
-    for label, roots in space.layer_roots.items():
-        rep = roots[0]
-        t = space.h_spec.alpha_value(space.algebra.rs, rep) % 1
-        out[label] = 1 if t == Fraction(1, 3) else -1
-    return out
+    levels, d = space.h_spec.levels(space.algebra.rs)
+    return {label: 1 if 3 * levels[roots[0]] == d else -1
+            for label, roots in space.layer_roots.items()}
 
 
 def torsion(space: OrderThreeSymmetricSpace) -> sp.csr_matrix:

@@ -31,7 +31,7 @@ from .automorph import InnerClass, enumerate_inner_order3, realize_inner
 from .compactform import CompactAlgebra, build_compact_form
 from .fibration import all_fibrations
 from .nk_analyzer import build_report
-from .rootsys import RootSystem, build_root_system, subsystem_type
+from .rootsys import InvalidRank, RootSystem, build_root_system, subsystem_type
 
 
 class GoldenFileError(ValueError):
@@ -201,18 +201,20 @@ def a3iii_sweep(deep: bool = False) -> list[tuple[str, int, int]]:
 
 
 def realize(family: str, rank: int, kind: str, nodes: tuple[int, ...]):
-    ca = cached_algebra(family, rank)
-    coeff = {"A3I": (Fraction(1, 3),), "A3III": (Fraction(2, 3),),
-             "A3IV": (Fraction(1),), "A3II": (Fraction(1, 3), Fraction(1, 3))}[kind]
-    spec = InnerClass(kind, nodes, coeff[: len(nodes)] if kind != "A3II" else coeff)
-    return realize_inner(ca, spec, name=space_name(family, rank, kind, nodes))
+    """The inner space of ``nodes``, which must give the class ``kind``."""
+    spec = InnerClass.of_nodes(cached_root_system(family, rank), nodes)
+    if spec.kind != kind:
+        raise InvalidRank(f"nodes {list(nodes)} of {family}{rank} give {spec.kind}, not {kind}")
+    return realize_inner(cached_algebra(family, rank), spec,
+                         name=space_name(family, rank, kind, nodes))
 
 
 def _isotropy(rs: RootSystem, spec: InnerClass):
-    fixed = [c for c, t in spec.levels(rs)[0].items() if t == 0]
-    full = fixed + [tuple(-x for x in c) for c in fixed]
-    st = subsystem_type(rs, full)
-    return [list(c) for c in st.components], st.torus_rank
+    """(components, torus rank) of k and dim m, from the root split of ``spec``."""
+    layer_roots, k_roots = spec.split(rs)
+    st = subsystem_type(rs, k_roots + [tuple(-x for x in c) for c in k_roots])
+    return ([list(c) for c in st.components], st.torus_rank,
+            2 * sum(map(len, layer_roots.values())))
 
 
 # -- table rows -------------------------------------------------------------------
@@ -224,7 +226,7 @@ def compute_table_aii() -> list[dict]:
         space = realize(family, rank, "A3II", nodes)
         report = build_report(space)
         lam = report.eig_by_layer("r")
-        comps, torus = _isotropy(cached_root_system(family, rank), space.h_spec)
+        comps, torus, _ = _isotropy(cached_root_system(family, rank), space.h_spec)
         rows.append({
             "family": family, "rank": rank, "nodes": list(nodes),
             "space": space.name,
@@ -242,7 +244,7 @@ def compute_table_aiii(deep: bool = False) -> list[dict]:
         space = realize(family, rank, "A3III", (node,))
         report = build_report(space)
         lam = report.eig_by_layer("r")
-        comps, torus = _isotropy(cached_root_system(family, rank), space.h_spec)
+        comps, torus, _ = _isotropy(cached_root_system(family, rank), space.h_spec)
         printed = None
         if family in ("b", "d"):
             printed = [frac_json(lam["V"] / 2), frac_json(lam["H"] / 2)]
@@ -269,12 +271,11 @@ def compute_table_ai() -> list[dict]:
         for cls in enumerate_inner_order3(rs, dedup=True):
             if cls.kind != "A3I":
                 continue
-            comps, torus = _isotropy(rs, cls)
+            comps, torus, m_dim = _isotropy(rs, cls)
             rows.append({
                 "family": family, "rank": rank, "node": cls.nodes[0],
                 "space": space_name(family, rank, "A3I", cls.nodes),
-                "k_components": comps, "k_torus": torus,
-                "m_dim": 2 * sum(1 for t in cls.levels(rs)[0].values() if t),
+                "k_components": comps, "k_torus": torus, "m_dim": m_dim,
             })
     return rows
 
@@ -287,7 +288,7 @@ def compute_table_aiv() -> list[dict]:
         for cls in enumerate_inner_order3(rs):
             if cls.kind != "A3IV":
                 continue
-            comps, torus = _isotropy(rs, cls)
+            comps, torus, m_dim = _isotropy(rs, cls)
             key = (space_name(family, rank, "A3IV", cls.nodes),
                    json.dumps(comps), torus)
             if key in seen:
@@ -296,8 +297,7 @@ def compute_table_aiv() -> list[dict]:
             rows.append({
                 "family": family, "rank": rank, "node": cls.nodes[0],
                 "space": key[0],
-                "k_components": comps, "k_torus": torus,
-                "m_dim": 2 * sum(1 for t in cls.levels(rs)[0].values() if t),
+                "k_components": comps, "k_torus": torus, "m_dim": m_dim,
             })
     return rows
 
@@ -332,11 +332,12 @@ def _aiii_item(family: str, rank: int, node: int) -> str:
 def compute_fibrations_aiii(deep: bool = False) -> list[dict]:
     rows = []
     for family, rank, node in a3iii_sweep(deep):
-        space = realize(family, rank, "A3III", (node,))
-        rep = all_fibrations(space)[0]
+        rs = cached_root_system(family, rank)
+        rep = all_fibrations(rs, InnerClass.of_nodes(rs, (node,)))[0]
         rows.append({
             "family": family, "rank": rank, "node": node,
-            "space": space.name, "item": _aiii_item(family, rank, node),
+            "space": space_name(family, rank, "A3III", (node,)),
+            "item": _aiii_item(family, rank, node),
             "vertical": rep.vertical_label,
             "g_v": [list(c) for c in rep.g_v_type.components],
             "gbar_v": [list(c) for c in rep.gbar_v_type.components],
@@ -350,12 +351,13 @@ def compute_fibrations_aiii(deep: bool = False) -> list[dict]:
 def compute_fibrations_aii() -> list[dict]:
     rows = []
     for family, rank, nodes in a3ii_sweep():
-        space = realize(family, rank, "A3II", nodes)
+        rs = cached_root_system(family, rank)
+        name = space_name(family, rank, "A3II", nodes)
         item = {"a": "i", "d": "ii+iii", "e": "iv"}[family]
-        for rep in all_fibrations(space):
+        for rep in all_fibrations(rs, InnerClass.of_nodes(rs, nodes)):
             rows.append({
                 "family": family, "rank": rank, "nodes": list(nodes),
-                "space": space.name, "item": item,
+                "space": name, "item": item,
                 "vertical": rep.vertical_label,
                 "g_v": [list(c) for c in rep.g_v_type.components],
                 "gbar_v": [list(c) for c in rep.gbar_v_type.components],

@@ -164,6 +164,45 @@ def fraction_count():
     return count
 
 
+# -- reference a(H) and sigma -------------------------------------------------------
+
+
+def alpha_value(cls, rs, root) -> Fraction:
+    """Exact a(H) of an inner class on a root, using alpha_j(H_i) = delta_ij / m_i."""
+    total = Fraction(0)
+    for node, c in zip(cls.nodes, cls.coeffs):
+        total += c * Fraction(root[node - 1], rs.marks[node - 1])
+    return total
+
+
+_SQRT3_2 = math.sqrt(3.0) / 2.0
+_THIRD_TURNS = {Fraction(0): (1.0, 0.0), Fraction(1, 3): (-0.5, _SQRT3_2),
+                Fraction(2, 3): (-0.5, -_SQRT3_2)}
+
+
+def fraction_sigma(ca, cls) -> np.ndarray:
+    """Ad(exp 2 pi sqrt(-1) H) of an order-3 inner class, each U-plane turned
+    by the exact (cos, sin) of its Fraction angle a(H) mod 1."""
+    mat = np.eye(ca.dim)
+    for k, r in enumerate(ca.rs.positive_roots):
+        c, s = _THIRD_TURNS[alpha_value(cls, ca.rs, r.coeffs) % 1]
+        i0, i1 = ca.u_index(k, 0), ca.u_index(k, 1)
+        mat[i0, i0], mat[i1, i0], mat[i0, i1], mat[i1, i1] = c, s, -s, c
+    return mat
+
+
+@pytest.fixture(scope="session")
+def alpha_oracle():
+    """The Fraction reference for ``InnerClass.levels``: (cls, rs, root) -> a(H)."""
+    return alpha_value
+
+
+@pytest.fixture(scope="session")
+def sigma_oracle():
+    """The Fraction-angle reference for ``compactform.adjoint_action_exp``: (ca, cls) -> sigma."""
+    return fraction_sigma
+
+
 # -- reference structure constants -------------------------------------------------
 
 

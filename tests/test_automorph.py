@@ -22,9 +22,9 @@ from nk_triad.automorph import (
     realize_inner,
     realize_triality_d4,
 )
-from nk_triad.compactform import ZERO_DROP, CompactAlgebra
+from nk_triad.compactform import ZERO_DROP, CompactAlgebra, adjoint_action_exp
 from nk_triad.nk_analyzer import curvature
-from nk_triad.rootsys import subsystem_type
+from nk_triad.rootsys import InvalidRank, subsystem_type
 from nk_triad.tables import realize
 
 F = Fraction
@@ -72,35 +72,59 @@ def test_enumeration_dn_pairs(rootsys):
     assert ("A3II", (1, 5)) not in dd            # 4 ~ 5 merges (1,4) and (1,5)
 
 
-def test_alpha_value_is_exact(rootsys):
+def test_alpha_value_is_exact(rootsys, alpha_oracle):
     rs = rootsys("g", 2)
     cls = InnerClass("A3IV", (1,), (F(1),))
-    assert cls.alpha_value(rs, (3, 2)) == 1      # highest root, n1/m1 = 3/3
-    assert cls.alpha_value(rs, (1, 1)) == F(1, 3)
+    assert alpha_oracle(cls, rs, (3, 2)) == 1      # highest root, n1/m1 = 3/3
+    assert alpha_oracle(cls, rs, (1, 1)) == F(1, 3)
+    levels, d = cls.levels(rs)
+    assert (levels[(3, 2)], levels[(1, 1)], d) == (0, 1, 3)
 
 
-def test_levels_match_alpha_value(rootsys):
-    """The int numerators of a(H) mod 1 against the exact Fraction value."""
+def test_levels_match_alpha_value(rootsys, alpha_oracle):
+    """The int numerators of a(H) mod 1 against the exact Fraction value, and
+    the root split: k holds exactly the roots with a(H) = 0 mod 1, and the
+    m-layers the others, each once, in positive-root order."""
     for family, rank in [("a", 5), ("c", 4), ("g", 2), ("f", 4), ("e", 6), ("e", 8)]:
         rs = rootsys(family, rank)
         for cls in enumerate_inner_order3(rs):
             levels, d = cls.levels(rs)
             assert d == 3
-            assert levels == {r.coeffs: cls.alpha_value(rs, r.coeffs) % 1 * d
-                              for r in rs.positive_roots}
+            exact = {r.coeffs: alpha_oracle(cls, rs, r.coeffs) % 1 for r in rs.positive_roots}
+            assert levels == {c: t * d for c, t in exact.items()}
+            layer_roots, k_roots = cls.split(rs)
+            assert k_roots == [c for c, t in exact.items() if t == 0]
+            m_roots = [c for roots in layer_roots.values() for c in roots]
+            assert sorted(m_roots, key=rs.index) == [c for c, t in exact.items() if t]
+            assert all(roots == sorted(roots, key=rs.index) for roots in layer_roots.values())
+
+
+def test_of_nodes_picks_the_class_from_the_marks(rootsys):
+    """The class of a node set is the one ``enumerate_inner_order3`` lists for
+    it; nodes of mark above 3 and bad sets raise ``InvalidRank``."""
+    for family, rank in [("a", 3), ("d", 5), ("e", 6), ("e", 8), ("f", 4), ("g", 2)]:
+        rs = rootsys(family, rank)
+        for cls in enumerate_inner_order3(rs):
+            assert InnerClass.of_nodes(rs, cls.nodes) == cls
+    rs = rootsys("e", 8)
+    for nodes in [(4,), (3,), (5,), (), (1, 2, 3), (0,), (9,), (1, 8), (1, 1)]:
+        with pytest.raises(InvalidRank):
+            InnerClass.of_nodes(rs, nodes)
+    with pytest.raises(InvalidRank, match="give A3III, not A3IV"):
+        realize("g", 2, "A3IV", (2,))
 
 
 def test_realize_su3_flag(algebra):
     sp = realize_inner(algebra("a", 2), InnerClass("A3II", (1, 2), (F(1, 3), F(1, 3))))
     assert sp.dim_k == 2 and sp.dim_m == 6
-    assert sp.delta_plus_h == []
+    assert sp.h_spec.split(sp.algebra.rs)[1] == []
     assert {k: len(v) for k, v in sp.layers.items()} == {"V1": 2, "V2": 2, "V3": 2}
     assert classify_type(sp).label == "III"
 
 
 def test_realize_g2_twistor(algebra):
     sp = realize_inner(algebra("g", 2), InnerClass("A3III", (2,), (F(2, 3),)))
-    assert sp.delta_plus_h == [(1, 0)]
+    assert sp.h_spec.split(sp.algebra.rs)[1] == [(1, 0)]
     assert sp.dim_k == 4 and sp.dim_m == 10
     assert len(sp.layers["V"]) == 2 and len(sp.layers["H"]) == 8
     assert classify_type(sp).label == "IV"
@@ -108,9 +132,10 @@ def test_realize_g2_twistor(algebra):
 
 def test_realize_f4_node1_isotropy_is_c3(algebra):
     sp = realize_inner(algebra("f", 4), InnerClass("A3III", (1,), (F(2, 3),)))
-    assert len(sp.delta_plus_h) == 9
     rs = sp.algebra.rs
-    full = sp.delta_plus_h + [tuple(-x for x in c) for c in sp.delta_plus_h]
+    k_roots = sp.h_spec.split(rs)[1]
+    assert len(k_roots) == 9 and sp.dim_k == rs.rank + 2 * 9
+    full = k_roots + [tuple(-x for x in c) for c in k_roots]
     st = subsystem_type(rs, full)
     assert st.components == (("c", 3),) and st.torus_rank == 1
 
@@ -123,6 +148,22 @@ def test_sigma_cubes_for_all_table_classes(algebra):
             sp.check_invariants()
             assert sp.dim_m % 2 == 0
             assert sp.dim_k + sp.dim_m == ca.dim
+
+
+ALL_TYPES = ([("a", n) for n in range(1, 9)] + [("b", n) for n in range(2, 9)]
+             + [("c", n) for n in range(2, 9)] + [("d", n) for n in range(4, 9)]
+             + [("e", 6), ("e", 7), ("e", 8), ("f", 4), ("g", 2)])
+
+
+def test_sigma_from_levels_is_bit_identical_to_fraction_angles(algebra, sigma_oracle):
+    """sigma from the int levels against the Fraction-angle reference, byte for
+    byte, on every inner class of all 32 types up to rank 8."""
+    assert len(ALL_TYPES) == 32
+    for family, rank in ALL_TYPES:
+        ca = algebra(family, rank)
+        for cls in enumerate_inner_order3(ca.rs):
+            got = adjoint_action_exp(ca, *cls.levels(ca.rs))
+            assert got.tobytes() == sigma_oracle(ca, cls).tobytes(), (family, rank, cls)
 
 
 def test_bad_h_spec_raises(algebra):

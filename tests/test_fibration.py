@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nk_triad import tables
+from nk_triad import automorph, compactform, tables
+from nk_triad.automorph import InnerClass
 from nk_triad.fibration import (
     NotInvolutive,
     all_fibrations,
@@ -14,9 +15,15 @@ from nk_triad.fibration import (
     fibration_subalgebras,
     involution_fixed_points,
 )
-from nk_triad.tables import realize
+from nk_triad.tables import cached_root_system, realize
 
 F = Fraction
+
+
+def inner(family, rank, nodes):
+    """(root system, inner class) of a node set: the arguments of the fibrations."""
+    rs = cached_root_system(family, rank)
+    return rs, InnerClass.of_nodes(rs, nodes)
 
 
 def test_vertical_layers_are_lie_triple_systems():
@@ -38,7 +45,7 @@ def test_random_plane_usually_fails_lts():
 
 
 def test_g2_fibration():
-    rep = fibration_subalgebras(realize("g", 2, "A3III", (2,)), "V")
+    rep = fibration_subalgebras(*inner("g", 2, (2,)), "V")
     assert rep.g_v_type.components == (("a", 1),)
     assert rep.gbar_v_type.components == (("a", 1), ("a", 1))
     assert rep.gbar_v_type.torus_rank == 0
@@ -47,7 +54,7 @@ def test_g2_fibration():
 
 
 def test_f4_node4_fibration_is_so9():
-    rep = fibration_subalgebras(realize("f", 4, "A3III", (4,)), "V")
+    rep = fibration_subalgebras(*inner("f", 4, (4,)), "V")
     assert rep.g_v_type.components == (("b", 4),)
     assert rep.gbar_v_type.components == (("b", 4),)
     assert rep.g_v_dim == rep.gbar_v_dim == 36
@@ -56,8 +63,7 @@ def test_f4_node4_fibration_is_so9():
 
 def test_so2n_flag_fibrations():
     """The two fibration shapes of SO(2n)/(U(n-1)xSO(2)), at n = 5."""
-    sp = realize("d", 5, "A3II", (4, 5))
-    reps = {r.vertical_label: r for r in all_fibrations(sp)}
+    reps = {r.vertical_label: r for r in all_fibrations(*inner("d", 5, (4, 5)))}
     assert reps["V1"].g_v_type.components == (("d", 4),)
     assert reps["V1"].gbar_v_type.components == (("d", 4),)
     assert reps["V1"].gbar_v_type.torus_rank == 1
@@ -69,8 +75,7 @@ def test_so2n_flag_fibrations():
 
 
 def test_su_flag_fibrations_cyclic_pattern():
-    sp = realize("a", 5, "A3II", (2, 4))  # SU(6)/S(U(2)^3)
-    reps = {r.vertical_label: r for r in all_fibrations(sp)}
+    reps = {r.vertical_label: r for r in all_fibrations(*inner("a", 5, (2, 4)))}  # SU(6)/S(U(2)^3)
     for label in ("V1", "V2", "V3"):
         assert reps[label].g_v_type.components == (("a", 3),)
         assert reps[label].gbar_v_type.components == (("a", 1), ("a", 3))
@@ -102,17 +107,17 @@ def test_involution_fixed_points_bn():
 
 
 def test_involutions_match_gbar_everywhere():
-    for args, label in [(("b", 4, "A3III", (2,)), "V"),
-                        (("c", 4, "A3III", (3,)), "V"),
-                        (("a", 4, "A3II", (2, 3)), "V2"),
-                        (("e", 6, "A3III", (3,)), "V")]:
-        rep = fibration_subalgebras(realize(*args), label)
+    for args, label in [(("b", 4, (2,)), "V"),
+                        (("c", 4, (3,)), "V"),
+                        (("a", 4, (2, 3)), "V2"),
+                        (("e", 6, (3,)), "V")]:
+        rep = fibration_subalgebras(*inner(*args), label)
         assert rep.gbar_v_dim + rep.base_dim == \
             {"b": 36, "c": 36, "a": 24, "e": 78}[args[0]]
 
 
 def test_e8_sphere_fiber():
-    rep = fibration_subalgebras(realize("e", 8, "A3III", (8,)), "V")
+    rep = fibration_subalgebras(*inner("e", 8, (8,)), "V")
     assert rep.g_v_type.components == (("a", 1),)
     assert rep.gbar_v_type.components == (("a", 1), ("e", 7))
     assert (rep.fiber_dim, rep.base_dim) == (2, 112)
@@ -120,14 +125,12 @@ def test_e8_sphere_fiber():
 
 
 def test_type_iii_bases_hermitian_type_iv_not():
-    iii = realize("a", 4, "A3II", (1, 2))
-    assert all(r.base_hermitian for r in all_fibrations(iii))
-    iv = realize("c", 3, "A3III", (2,))
-    assert not any(r.base_hermitian for r in all_fibrations(iv))
+    assert all(r.base_hermitian for r in all_fibrations(*inner("a", 4, (1, 2))))
+    assert not any(r.base_hermitian for r in all_fibrations(*inner("c", 3, (2,))))
 
 
 def test_odd_projective_metric_note():
-    rep = fibration_subalgebras(realize("c", 3, "A3III", (1,)), "V")
+    rep = fibration_subalgebras(*inner("c", 3, (1,)), "V")
     assert "symplectic" in rep.note
 
 
@@ -148,23 +151,40 @@ def _tuple_closure(rs, seed):
 def test_all_fibrations_match_fraction_oracle(subsystem_oracle, rank_oracle, fraction_count):
     """g_V and gbar_V of all 350 catalogue fibrations against tuple closures
     classified by the Fraction reference; the int path builds no Fraction."""
-    spaces = [realize(f, r, "A3II", n) for f, r, n in tables.a3ii_sweep()]
-    spaces += [realize(f, r, "A3III", (n,)) for f, r, n in tables.a3iii_sweep(deep=True)]
+    classes = [inner(f, r, n) for f, r, n in tables.a3ii_sweep()]
+    classes += [inner(f, r, (n,)) for f, r, n in tables.a3iii_sweep(deep=True)]
     checked = 0
-    for sp in spaces:
-        reports, built = fraction_count(all_fibrations, sp)
-        assert built == 0, sp.name
-        rs = sp.algebra.rs
+    for rs, spec in classes:
+        reports, built = fraction_count(all_fibrations, rs, spec)
+        assert built == 0, spec
+        layer_roots, k_roots = spec.split(rs)
         for rep in reports:
-            v_roots = sp.layer_roots[rep.vertical_label]
+            v_roots = layer_roots[rep.vertical_label]
             closure = _tuple_closure(rs, v_roots)
             pos = [c for c in closure if c in rs._index]
             rank = rank_oracle(pos)
-            assert rep.g_v_type == subsystem_oracle(rs, closure, ambient_rank=rank), sp.name
+            assert rep.g_v_type == subsystem_oracle(rs, closure, ambient_rank=rank), spec
             assert rep.g_v_dim == 2 * len(pos) + rank
-            gbar = set(v_roots) | set(sp.delta_plus_h)
+            gbar = set(v_roots) | set(k_roots)
             gbar |= {tuple(-x for x in c) for c in gbar}
-            assert rep.gbar_v_type == subsystem_oracle(rs, gbar), sp.name
+            assert rep.gbar_v_type == subsystem_oracle(rs, gbar), spec
             assert rep.gbar_v_dim == len(gbar) + rs.rank
             checked += 1
     assert checked == 350
+
+
+def test_fibration_tables_realize_no_space(monkeypatch):
+    """Both fibration tables come from root splits alone: with the realization,
+    sigma and the algebra cache refusing, they match their golden files byte
+    for byte."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fibration table built an algebra or a space")
+
+    for owner, name in [(automorph, "realize_inner"), (tables, "realize_inner"),
+                        (compactform, "adjoint_action_exp"), (automorph, "adjoint_action_exp"),
+                        (tables, "cached_algebra")]:
+        monkeypatch.setattr(owner, name, refuse)
+    assert tables.dumps_rows(tables.compute_fibrations_aii()) \
+        == tables.golden_text("fibrations_aii")
+    assert tables.dumps_rows(tables.compute_fibrations_aiii(deep=True)) \
+        == tables.golden_text("fibrations_aiii")

@@ -420,7 +420,7 @@ def _exact_r_on_root(cd, rs, alpha, t_of, betas=None) -> Fraction:
     return 2 * total
 
 
-def test_layer_traces_match_fraction_oracle(fraction_count):
+def test_layer_traces_match_fraction_oracle(fraction_count, alpha_oracle):
     """Every entry and every row sum of the int trace matrix against the
     Fraction reference on the 170 catalogue spaces; the int pass builds no
     Fraction."""
@@ -431,7 +431,7 @@ def test_layer_traces_match_fraction_oracle(fraction_count):
         traces, built = fraction_count(layer_traces, sp)
         assert built == 0, sp.name
         rs, cd = sp.algebra.rs, sp.algebra.cd
-        t_of = {r: sp.h_spec.alpha_value(rs, r) % 1
+        t_of = {r: alpha_oracle(sp.h_spec, rs, r) % 1
                 for roots in sp.layer_roots.values() for r in roots}
         for rows in traces.values():
             for alpha, row in rows.items():

@@ -250,7 +250,7 @@ def test_subsystem_type_matches_fraction_oracle(family, rank, subsystem_oracle,
     rs = build_root_system(family, rank)
     subsets = [[r.coeffs for r in rs.all_roots()]]
     for cls in enumerate_inner_order3(rs):
-        fixed = [r.coeffs for r in rs.positive_roots if cls.alpha_value(rs, r.coeffs) % 1 == 0]
+        fixed = [c for c, t in cls.levels(rs)[0].items() if t == 0]
         subsets.append(fixed + [tuple(-x for x in c) for c in fixed])
     types, built = fraction_count(lambda: [subsystem_type(rs, s) for s in subsets])
     assert built == 0

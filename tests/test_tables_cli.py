@@ -1,9 +1,12 @@
 """Table regeneration against golden data, and the command-line surface."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,23 @@ def test_byte_identical_regeneration():
     assert tables.regenerate_matches_bytes("table_ai")
     assert tables.regenerate_matches_bytes("table_aiv")
     assert tables.regenerate_matches_bytes("table_bc")
+
+
+def test_generate_golden_writes_the_golden_files(tmp_path, monkeypatch, capsys):
+    """tools/generate_golden.py, pointed at an empty directory, writes all 7
+    golden files byte for byte as the package holds them."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "generate_golden.py"
+    spec = importlib.util.spec_from_file_location("generate_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))     # the script prepends src/
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "OUT", str(tmp_path))
+    module.main()
+    golden = Path(tables.__file__).with_name("golden")
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in golden.glob("*.json")) and len(written) == 7
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def test_printed_lk_deviation_is_the_factor_two():
@@ -198,6 +218,12 @@ def test_cli_usage_error_exit_2():
     (["analyze", "g", "2", "--nodes", "3"], "error: --nodes must name one or two of 1..2"),
     (["analyze", "g", "2", "--nodes", "1,2"], "error: a node pair needs two distinct mark-1 nodes"),
     (["analyze", "a", "2", "--nodes", "1,1"], "error: a node pair needs two distinct mark-1 nodes"),
+    (["analyze", "e", "8", "--nodes", "4"],
+     "error: node 4 has mark 6; an order-3 class needs a node of mark 1, 2 or 3"),
+    (["analyze", "e", "8", "--nodes", "3"],
+     "error: node 3 has mark 4; an order-3 class needs a node of mark 1, 2 or 3"),
+    (["analyze", "f", "4", "--nodes", "3"],
+     "error: node 3 has mark 4; an order-3 class needs a node of mark 1, 2 or 3"),
 ])
 def test_cli_error_paths_exit_2(argv, message, monkeypatch, capsys):
     """Each bad input ends with exit 2 and one line on stderr, before any
