@@ -10,12 +10,18 @@ l + l + l of one simple algebra.
 Wolf-Gray labels: A3I (mark-1 node, Hermitian symmetric), A3II (mark-1 pair),
 A3III (mark-2 node), A3IV (mark-3 node), B3 (d4 triality), C3 (cyclic).
 
+An inner class holds its exact data: the levels a(H) and the root split
+into k and the m-layers, memoised (``InnerClass.levels``, ``.split``).  The
+exact eigenvalues, fibrations and tables read them from the class; a
+realization adds only sigma and the k/m columns.
+
 Realized spaces are immutable apart from memoized tensor caches; realizing
 independent spaces over one shared algebra is embarrassingly parallel.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -24,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
+from .chevalley import ChevalleyData
 from .compactform import CompactAlgebra, adjoint_action_exp, drop_noise
 from .rootsys import Coeffs, InvalidRank, RootSystem, alpha_levels, diagram_automorphisms
 
@@ -33,7 +40,7 @@ class NotOrderThree(ValueError):
 
 
 class TrialityInconsistent(RuntimeError):
-    """No sign adjustment makes the diagram rotation an automorphism."""
+    """The sign-adjusted diagram rotation is not an automorphism."""
 
 
 class ClassificationMismatch(RuntimeError):
@@ -72,10 +79,15 @@ class InnerClass:
                               f"needs a node of mark 1, 2 or 3")
         return cls(_SINGLE_KIND[marks[0]], tuple(nodes), (Fraction(marks[0], 3),))
 
+    # memoised per (class, root system): equal classes share one entry, and
+    # the cached dicts and lists are shared, so callers must not modify them
+
+    @functools.cache
     def levels(self, rs: RootSystem) -> tuple[dict[Coeffs, int], int]:
         """a(H) mod 1 on every positive root as int numerators over d (``alpha_levels``)."""
         return alpha_levels(rs, zip(self.nodes, self.coeffs))
 
+    @functools.cache
     def split(self, rs: RootSystem) -> tuple[dict[str, list[Coeffs]], list[Coeffs]]:
         """(layer roots, k roots): the positive roots of each m-layer and of k.
 
@@ -145,7 +157,7 @@ class OrderThreeSymmetricSpace:
     """
 
     def __init__(self, algebra, type_label, sigma, k_cols, m_cols, h_spec=None,
-                 layers=None, layer_roots=None, name=""):
+                 layers=None, name=""):
         self.algebra = algebra
         self.type_label = type_label
         self.sigma = sigma
@@ -153,13 +165,11 @@ class OrderThreeSymmetricSpace:
         self.m_cols = m_cols
         self.h_spec = h_spec
         self.layers = layers or {}
-        self.layer_roots = layer_roots or {}
         self.name = name or type_label
         self.dim_k = k_cols.shape[1]
         self.dim_m = m_cols.shape[1]
         self._tensors = None
         self._curvature = None   # nk_analyzer.Curvature, built on first use
-        self._layer_traces = None  # nk_analyzer.layer_traces, built on first use
         self._sigma_m = None
 
     # -- geometry ------------------------------------------------------------
@@ -242,21 +252,20 @@ def _build_tensors(space: OrderThreeSymmetricSpace):
 
 def realize_inner(ca: CompactAlgebra, spec: InnerClass, name: str = "") -> OrderThreeSymmetricSpace:
     """The space of an inner class: sigma = Ad(exp 2 pi sqrt(-1) H) and k, m
-    spanned by basis columns, as ``spec.split`` assigns the roots."""
+    spanned by basis columns, as ``spec.split`` assigns the roots (the m-roots
+    in ``rs.positive_roots`` order)."""
     rs = ca.rs
     layer_roots, k_roots = spec.split(rs)
-    levels, d = spec.levels(rs)
-    m_roots = [r.coeffs for r in rs.positive_roots if levels[r.coeffs]]
+    m_roots = sorted((c for roots in layer_roots.values() for c in roots), key=rs.index)
     at = {c: p for p, c in enumerate(m_roots)}
     layers = {lbl: [2 * at[c] + e for c in roots for e in (0, 1)]
               for lbl, roots in layer_roots.items()}
     planes = lambda roots: [ca.u_index(rs.index(c), e) for c in roots for e in (0, 1)]
     eye = np.eye(ca.dim)
     space = OrderThreeSymmetricSpace(
-        ca, spec.kind, adjoint_action_exp(ca, levels, d),
+        ca, spec.kind, adjoint_action_exp(ca, *spec.levels(rs)),
         eye[:, list(range(rs.rank)) + planes(k_roots)], eye[:, planes(m_roots)], h_spec=spec,
-        layers=layers, layer_roots=layer_roots,
-        name=name or f"{rs.type_label} {spec.describe()}",
+        layers=layers, name=name or f"{rs.type_label} {spec.describe()}",
     )
     space.check_invariants()
     return space
@@ -265,47 +274,31 @@ def realize_inner(ca: CompactAlgebra, spec: InnerClass, name: str = "") -> Order
 # -- d4 triality ---------------------------------------------------------------
 
 
-def _solve_gf2(rows: list[tuple[list[int], int]], nvars: int) -> list[int] | None:
-    """Solve a sparse GF(2) system; rows are (support indices, rhs bit)."""
-    mat = [(set(sup), rhs) for sup, rhs in rows]
-    assign: dict[int, tuple[set[int], int]] = {}
-    for sup, rhs in mat:
-        sup = set(sup)
-        # reduce by known pivots
-        changed = True
-        while changed:
-            changed = False
-            for v in list(sup):
-                if v in assign:
-                    psup, prhs = assign[v]
-                    sup ^= psup
-                    rhs ^= prhs
-                    changed = True
-        if not sup:
-            if rhs:
-                return None
-            continue
-        pivot = min(sup)
-        assign[pivot] = (sup, rhs)
-    # back-substitute with free variables = 0
-    values = [0] * nvars
-    for pivot in sorted(assign, reverse=True):
-        sup, rhs = assign[pivot]
-        acc = rhs
-        for v in sup:
-            if v != pivot:
-                acc ^= values[v]
-        values[pivot] = acc
-    return values
+def _rotation_signs(cd: ChevalleyData, image: list[int]) -> list[int]:
+    """eps per positive root, with sigma(E_a) = eps_a E_{s(a)} for the diagram
+    rotation s (``image[k]`` the index of s(root k)): +1 on the simple roots,
+    then, in order of height,
+
+        eps_g = eps_e eps_h sign[e, h] sign[s(e), s(h)]
+
+    for the extraspecial pair (e, h) of g, so that sigma preserves the bracket
+    [E_e, E_h] = N_{e,h} E_g; |N| is rotation invariant.  The other
+    decompositions are left to the bracket-preservation check."""
+    eps = [1] * cd.n
+    for g in sorted(range(cd.n), key=lambda k: sum(cd.roots[k])):
+        e, h = cd.extraspecial[g]
+        if e >= 0:
+            eps[g] = eps[e] * eps[h] * int(cd.sign[e, h] * cd.sign[image[e], image[h]])
+    return eps
 
 
 def realize_triality_d4(ca: CompactAlgebra) -> OrderThreeSymmetricSpace:
     """Outer order-3 automorphism of so(8) induced by the diagram rotation.
 
     The rotation alpha_1 -> alpha_3 -> alpha_4 -> alpha_1 need not preserve a
-    given sign convention; a diagonal +/-1 rescaling of the root vectors is
-    solved over GF(2) so that sigma(E_a) = eps_a E_{s(a)} is an automorphism
-    of order three.
+    given sign convention; the root vectors are rescaled by the signs of
+    ``_rotation_signs``, and sigma(E_a) = eps_a E_{s(a)} is then checked to
+    preserve the bracket on every basis pair.
     """
     rs = ca.rs
     if (rs.family, rs.rank) != ("d", 4):
@@ -318,22 +311,8 @@ def realize_triality_d4(ca: CompactAlgebra) -> OrderThreeSymmetricSpace:
             out[perm[i]] = ci
         return tuple(out)
 
-    pos = [r.coeffs for r in rs.positive_roots]
-    var = {c: k for k, c in enumerate(pos)}
-    image = [var[s_map(c)] for c in pos]
-    plus, sign = ca.cd.plus, ca.cd.sign
-    rows: list[tuple[list[int], int]] = []
-    for a, b in itertools.combinations(range(len(pos)), 2):
-        if plus[a, b] >= 0:
-            ratio = sign[a, b] * sign[image[a], image[b]]
-            rows.append(([a, b, int(plus[a, b])], 0 if ratio == 1 else 1))
-    simple = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-    rows.append(([var[simple[1]]], 0))
-    rows.append(([var[simple[0]], var[simple[2]], var[simple[3]]], 0))
-    bits = _solve_gf2(rows, len(pos))
-    if bits is None:
-        raise TrialityInconsistent("no sign rescaling makes the rotation equivariant")
-    eps = {c: (-1.0) ** bits[k] for c, k in var.items()}
+    image = [rs.index(s_map(r.coeffs)) for r in rs.positive_roots]
+    eps = _rotation_signs(ca.cd, image)
 
     sigma = np.zeros((ca.dim, ca.dim))
     # Cartan block: iH_{alpha_j} -> iH_{alpha_{perm(j)}} expressed on the
@@ -343,11 +322,9 @@ def realize_triality_d4(ca: CompactAlgebra) -> OrderThreeSymmetricSpace:
     for j in range(4):
         pmat[perm[j], j] = 1.0
     sigma[:4, :4] = np.linalg.inv(cmat.T) @ pmat @ cmat.T
-    for k, r in enumerate(rs.positive_roots):
-        img = s_map(r.coeffs)
-        ki = rs.index(img)
+    for k, ki in enumerate(image):
         for p in (0, 1):
-            sigma[ca.u_index(ki, p), ca.u_index(k, p)] = eps[r.coeffs]
+            sigma[ca.u_index(ki, p), ca.u_index(k, p)] = eps[k]
 
     proj = (np.eye(ca.dim) + sigma + sigma @ sigma) / 3.0
     vals, vecs = np.linalg.eigh((proj + proj.T) / 2.0)

@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -401,6 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if not 0 <= args.tol < math.inf:       # NaN fails both comparisons
+        print(f"error: --tol must be a finite number >= 0, got {args.tol}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (InvalidRank, NotOrderThree, GoldenFileError) as exc:

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .automorph import InnerClass, OrderThreeSymmetricSpace
-from .rootsys import RootSystem, SubsystemType, _bareiss_rank, alpha_levels, subsystem_type
+from .rootsys import RootSystem, SubsystemType, alpha_levels, subsystem_type
 
 
 class NonClosedSubalgebra(RuntimeError):
@@ -124,17 +124,17 @@ def fibration_subalgebras(rs: RootSystem, spec: InnerClass,
     coeffs = rs._coeffs_of
     v_keys = {rs.key(c) for c in layer_roots[vertical_label]}
 
+    # g_V is semisimple: its rank is that of its simple roots, and it has no torus
     closure = _root_closure(rs, v_keys)
-    pos = [coeffs[k] for k in closure & rs.positive_keys]
-    g_v_rank = _bareiss_rank(pos)
-    g_v_type = subsystem_type(rs, [coeffs[k] for k in closure], ambient_rank=g_v_rank)
-    g_v_dim = 2 * len(pos) + g_v_rank
+    g_v = subsystem_type(rs, [coeffs[k] for k in closure])
+    g_v_type = SubsystemType(g_v.components, 0)
+    g_v_dim = len(closure) + rs.rank - g_v.torus_rank
 
     gbar_pos = v_keys | {rs.key(c) for c in k_roots}
     gbar = gbar_pos | {-k for k in gbar_pos}
     if rs.root_sums(gbar_pos, gbar) - gbar:
         raise NonClosedSubalgebra("V + k is not bracket-closed")
-    gbar_v_type = subsystem_type(rs, [coeffs[k] for k in gbar], ambient_rank=rs.rank)
+    gbar_v_type = subsystem_type(rs, [coeffs[k] for k in gbar])
     gbar_v_dim = 2 * len(gbar_pos) + rs.rank
 
     # g_V must be an ideal of gbar_V (both sets are negation-symmetric)

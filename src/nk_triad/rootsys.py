@@ -351,11 +351,12 @@ def _component_type(cartan: list[list[int]], norms: list[int]) -> tuple[str, int
     return ("d" if sorted(arms)[1] == 1 else "e"), n
 
 
-def subsystem_type(rs: RootSystem, roots: Iterable, ambient_rank: int | None = None) -> SubsystemType:
+def subsystem_type(rs: RootSystem, roots: Iterable) -> SubsystemType:
     """Classify a closed, negation-symmetric subsystem up to isomorphism.
 
     Components are named canonically: rank-1 pieces as a1, the rank-2
-    double-bond system as b2, and a 3-chain as a3.
+    double-bond system as b2, and a 3-chain as a3.  The torus rank is the
+    rank of ``rs`` less that of the subsystem.
     """
     subset = {rs.key(r) for r in roots}
     if any(-k not in subset for k in subset):
@@ -369,8 +370,7 @@ def subsystem_type(rs: RootSystem, roots: Iterable, ambient_rank: int | None = N
     # positives, so those simples span the same space as all the positives
     simples = sorted(rs._coeffs_of[k]
                      for k in positives - rs.root_sums(positives, positives))
-    ambient = rs.rank if ambient_rank is None else ambient_rank
-    torus = ambient - _bareiss_rank(simples)
+    torus = rs.rank - _bareiss_rank(simples)
     if not simples:
         return SubsystemType((), torus)
 

@@ -30,7 +30,7 @@ from pathlib import Path
 from .automorph import InnerClass, enumerate_inner_order3, realize_inner
 from .compactform import CompactAlgebra, build_compact_form
 from .fibration import all_fibrations
-from .nk_analyzer import build_report
+from .nk_analyzer import inner_report
 from .rootsys import InvalidRank, RootSystem, build_root_system, subsystem_type
 
 
@@ -220,16 +220,22 @@ def _isotropy(rs: RootSystem, spec: InnerClass):
 # -- table rows -------------------------------------------------------------------
 
 
+def _class_report(family: str, rank: int, kind: str, nodes: tuple[int, ...]):
+    """(class, report) of the inner class of ``nodes``, from its root split."""
+    spec = InnerClass.of_nodes(cached_root_system(family, rank), nodes)
+    return spec, inner_report(cached_algebra(family, rank).cd, spec,
+                              space_name(family, rank, kind, nodes))
+
+
 def compute_table_aii() -> list[dict]:
     rows = []
     for family, rank, nodes in a3ii_sweep():
-        space = realize(family, rank, "A3II", nodes)
-        report = build_report(space)
+        spec, report = _class_report(family, rank, "A3II", nodes)
         lam = report.eig_by_layer("r")
-        comps, torus, _ = _isotropy(cached_root_system(family, rank), space.h_spec)
+        comps, torus, _ = _isotropy(cached_root_system(family, rank), spec)
         rows.append({
             "family": family, "rank": rank, "nodes": list(nodes),
-            "space": space.name,
+            "space": report.name,
             "k_components": comps, "k_torus": torus,
             "lkm": [frac_json(lam[l]) for l in ("V1", "V2", "V3")],
             "dims": [report.splitting[l] for l in ("V1", "V2", "V3")],
@@ -241,16 +247,15 @@ def compute_table_aii() -> list[dict]:
 def compute_table_aiii(deep: bool = False) -> list[dict]:
     rows = []
     for family, rank, node in a3iii_sweep(deep):
-        space = realize(family, rank, "A3III", (node,))
-        report = build_report(space)
+        spec, report = _class_report(family, rank, "A3III", (node,))
         lam = report.eig_by_layer("r")
-        comps, torus, _ = _isotropy(cached_root_system(family, rank), space.h_spec)
+        comps, torus, _ = _isotropy(cached_root_system(family, rank), spec)
         printed = None
         if family in ("b", "d"):
             printed = [frac_json(lam["V"] / 2), frac_json(lam["H"] / 2)]
         rows.append({
             "family": family, "rank": rank, "node": node,
-            "space": space.name,
+            "space": report.name,
             "k_components": comps, "k_torus": torus,
             "lk": [frac_json(lam["V"]), frac_json(lam["H"])],
             "lk_printed": printed,

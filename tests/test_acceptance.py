@@ -162,9 +162,9 @@ def test_criterion_6_ricci_oracle(sweep_spaces):
     ]
     for sp in sweep_spaces + extras:
         assert verify_ricci_oracle(sp, tol=TOL) < TOL, sp.name
-        if sp.layer_roots:      # each raises unless every layer is an eigenbundle
-            exact_r_eigenvalues(sp)
-            exact_r_cross_layer(sp)
+        if sp.h_spec is not None:   # each raises unless every layer is an eigenbundle
+            exact_r_eigenvalues(sp.algebra.cd, sp.h_spec)
+            exact_r_cross_layer(sp.algebra.cd, sp.h_spec)
     _line(6, f"trace-of-curvature Ricci equals the layer closed form on "
              f"{len(sweep_spaces) + len(extras)} spaces at 1e-9")
 

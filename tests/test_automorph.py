@@ -255,10 +255,11 @@ def test_bracket_preservation_checks_every_pair(algebra, monkeypatch):
     residual, (i, j) = sp._bracket_preservation_worst()
     assert residual == pytest.approx(dense.max(), abs=1e-12)
     assert dense[i, j] == pytest.approx(dense.max(), abs=1e-12)
-    # the realization names the pair: flip one sign bit, past the order-3 check
-    solve = automorph._solve_gf2
-    monkeypatch.setattr(automorph, "_solve_gf2",
-                        lambda rows, n: [b ^ (k == 5) for k, b in enumerate(solve(rows, n))])
+    # the realization names the pair: flip one sign, past the order-3 check
+    signs = automorph._rotation_signs
+    monkeypatch.setattr(automorph, "_rotation_signs",
+                        lambda cd, image: [-e if k == 5 else e
+                                           for k, e in enumerate(signs(cd, image))])
     monkeypatch.setattr(automorph.OrderThreeSymmetricSpace, "check_invariants",
                         lambda self, tol=1e-9: None)
     with pytest.raises(TrialityInconsistent, match=r"basis pair \(\d+, \d+\): residual"):

@@ -174,17 +174,21 @@ def test_all_fibrations_match_fraction_oracle(subsystem_oracle, rank_oracle, fra
 
 
 def test_fibration_tables_realize_no_space(monkeypatch):
-    """Both fibration tables come from root splits alone: with the realization,
-    sigma and the algebra cache refusing, they match their golden files byte
-    for byte."""
+    """All seven tables come from root splits and structure constants alone:
+    with the realization, sigma and the space constructor refusing, each
+    matches its golden file byte for byte, and the two fibration tables build
+    no algebra either."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a fibration table built an algebra or a space")
+        raise AssertionError("a table built a space, or a fibration table an algebra")
 
     for owner, name in [(automorph, "realize_inner"), (tables, "realize_inner"),
                         (compactform, "adjoint_action_exp"), (automorph, "adjoint_action_exp"),
-                        (tables, "cached_algebra")]:
+                        (automorph.OrderThreeSymmetricSpace, "__init__")]:
         monkeypatch.setattr(owner, name, refuse)
-    assert tables.dumps_rows(tables.compute_fibrations_aii()) \
-        == tables.golden_text("fibrations_aii")
-    assert tables.dumps_rows(tables.compute_fibrations_aiii(deep=True)) \
-        == tables.golden_text("fibrations_aiii")
+    fibrations = ("fibrations_aii", "fibrations_aiii")
+    for name, compute in tables.TABLES.items():
+        if name not in fibrations:
+            assert tables.dumps_rows(compute(deep=True)) == tables.golden_text(name), name
+    monkeypatch.setattr(tables, "cached_algebra", refuse)
+    for name in fibrations:
+        assert tables.dumps_rows(tables.TABLES[name](deep=True)) == tables.golden_text(name)

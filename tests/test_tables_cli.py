@@ -224,6 +224,12 @@ def test_cli_usage_error_exit_2():
      "error: node 3 has mark 4; an order-3 class needs a node of mark 1, 2 or 3"),
     (["analyze", "f", "4", "--nodes", "3"],
      "error: node 3 has mark 4; an order-3 class needs a node of mark 1, 2 or 3"),
+    (["verify", "jacobi", "--tol", "nan"], "error: --tol must be a finite number >= 0, got nan"),
+    (["analyze", "c", "2", "--nodes", "1", "--tol", "nan"],
+     "error: --tol must be a finite number >= 0, got nan"),
+    (["analyze", "g", "2", "--nodes", "2", "--tol", "-1"],
+     "error: --tol must be a finite number >= 0, got -1.0"),
+    (["verify", "tables", "--tol", "inf"], "error: --tol must be a finite number >= 0, got inf"),
 ])
 def test_cli_error_paths_exit_2(argv, message, monkeypatch, capsys):
     """Each bad input ends with exit 2 and one line on stderr, before any
