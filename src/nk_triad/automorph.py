@@ -79,8 +79,9 @@ class InnerClass:
                               f"needs a node of mark 1, 2 or 3")
         return cls(_SINGLE_KIND[marks[0]], tuple(nodes), (Fraction(marks[0], 3),))
 
-    # memoised per (class, root system): equal classes share one entry, and
-    # the cached dicts and lists are shared, so callers must not modify them
+    # memoised per (class, root system) for the life of the process: equal
+    # classes share one entry, and the cached dicts and lists are shared, so
+    # callers must not modify them
 
     @functools.cache
     def levels(self, rs: RootSystem) -> tuple[dict[Coeffs, int], int]:

@@ -29,7 +29,6 @@ its nonzero entries, so memory follows the nonzeros, never dm^4.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -273,9 +272,8 @@ class EigenData:
     dim: int
 
 
-@functools.cache
 def layer_traces(cd: ChevalleyData, spec: InnerClass) -> dict[str, dict[Coeffs, tuple[int, ...]]]:
-    """Exact torsion traces of every m-root against every layer, memoised.
+    """Exact torsion traces of every m-root against every layer.
 
     ``out[L][alpha][j]`` is 12 sum N^2 over the roots beta of the j-th layer
     of ``spec.split`` for which alpha + beta is a root with
@@ -310,26 +308,15 @@ def _layer_value(label: str, values: dict[Coeffs, int], what: str) -> int:
     return common
 
 
-def exact_r_eigenvalues(cd: ChevalleyData, spec: InnerClass) -> dict[str, Fraction]:
-    """r-eigenvalue per root layer of an inner class, in units of kappa: the
-    row sums of ``layer_traces``.
-
-    Every root of a layer must produce the same value; anything else means
-    the layer fails to be an eigenbundle and is reported as an error.
-    """
+def _r_of(traces) -> dict[str, Fraction]:
+    """r-eigenvalue per layer (kappa units): the row sums of the traces."""
     return {label: Fraction(_layer_value(label, {r: sum(v) for r, v in rows.items()},
                                          "the r-trace"), 12)
-            for label, rows in layer_traces(cd, spec).items()}
+            for label, rows in traces.items()}
 
 
-def exact_r_cross_layer(cd: ChevalleyData, spec: InnerClass) -> dict[tuple[str, str], Fraction]:
-    """Torsion trace of one layer against another: r^s restricted, exact.
-
-    Entry (L, S) is 4 sum_{v in S-frame} |xi_X v|^2 for X a unit vector of
-    layer L, the per-layer summand of the Ricci trace formula: the column of
-    S in ``layer_traces`` on the roots of L, which must be constant there.
-    """
-    traces = layer_traces(cd, spec)
+def _cross_of(traces) -> dict[tuple[str, str], Fraction]:
+    """Entry (L, S): the column of S on the roots of L, constant there."""
     out: dict[tuple[str, str], Fraction] = {}
     for label, rows in traces.items():
         for j, other in enumerate(traces):
@@ -339,17 +326,36 @@ def exact_r_cross_layer(cd: ChevalleyData, spec: InnerClass) -> dict[tuple[str, 
     return out
 
 
-def exact_ricci_eigenvalues(cd: ChevalleyData, spec: InnerClass) -> dict[str, Fraction]:
-    """Ricci eigenvalue per layer of an inner class (kappa units) via the
-    layer-trace formula.
-
-    Ric|L = lambda_L/4 + (1/lambda_L) sum_S lambda_S r^S|L over the parallel
-    layer decomposition; an independent closed form for the curvature trace.
+def exact_r_eigenvalues(cd: ChevalleyData, spec: InnerClass) -> dict[str, Fraction]:
+    """r-eigenvalue per root layer of an inner class, in units of kappa: the
+    row sums of ``layer_traces``, which must agree on every root of a layer
+    (else the layer is no eigenbundle: NonRationalEigenvalue).
     """
-    lam = exact_r_eigenvalues(cd, spec)        # kappa units
-    cross = exact_r_cross_layer(cd, spec)      # absolute units
-    return {label: lam[label] / 4 + sum(lam[other] * cross[(label, other)] for other in lam)
-            / (lam[label] * KAPPA) for label in lam}
+    return _r_of(layer_traces(cd, spec))
+
+
+def exact_r_cross_layer(cd: ChevalleyData, spec: InnerClass) -> dict[tuple[str, str], Fraction]:
+    """Torsion trace of one layer against another, exact: entry (L, S) is
+    4 sum_{v in S-frame} |xi_X v|^2 for X a unit vector of layer L, the column
+    of S in ``layer_traces`` on the roots of L, which must be constant there.
+    """
+    return _cross_of(layer_traces(cd, spec))
+
+
+def exact_ricci_eigenvalues(cd: ChevalleyData, spec: InnerClass) -> dict[str, Fraction]:
+    """Ricci eigenvalue per layer of an inner class (kappa units) by the
+    layer-trace formula Ric|L = lambda_L/4 + (1/lambda_L) sum_S lambda_S r^S|L
+    over the parallel layers; a closed form independent of the curvature trace.
+    """
+    return _inner_eigenvalues(cd, spec)[1]
+
+
+def _inner_eigenvalues(cd: ChevalleyData, spec: InnerClass) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
+    """(r, Ric) per layer of an inner class from one ``layer_traces`` table."""
+    traces = layer_traces(cd, spec)
+    lam, cross = _r_of(traces), _cross_of(traces)     # kappa, absolute units
+    return lam, {label: lam[label] / 4 + sum(lam[other] * cross[(label, other)] for other in lam)
+                 / (lam[label] * KAPPA) for label in lam}
 
 
 def _exact_eigenvalues(space: OrderThreeSymmetricSpace) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
@@ -361,8 +367,7 @@ def _exact_eigenvalues(space: OrderThreeSymmetricSpace) -> tuple[dict[str, Fract
     cyclic triple), and Ric = (5/4) r.
     """
     if space.h_spec is not None:
-        cd = space.algebra.cd
-        return exact_r_eigenvalues(cd, space.h_spec), exact_ricci_eigenvalues(cd, space.h_spec)
+        return _inner_eigenvalues(space.algebra.cd, space.h_spec)
     base = space.algebra.base if space.type_label == "C3" else space.algebra
     r = Fraction(2 * base.dual_coxeter, 3)
     return {"m": r}, {"m": Fraction(5, 4) * r}
@@ -429,11 +434,11 @@ def inner_report(cd: ChevalleyData, spec: InnerClass, name: str) -> NKReport:
     if spec.kind == "A3I":
         return NKReport(name, rs.type_label, spec.describe(), nk_type, splitting["m"],
                         splitting, [], [], [], True, None, None, None, None, kahler=True)
-    lam = exact_r_eigenvalues(cd, spec)
+    lam, ric = _inner_eigenvalues(cd, spec)
     mu2 = (sum(lam.values()) if spec.kind == "A3II"
            else lam["V"] + 2 * lam["H"] if spec.kind == "A3III" else None)
     return _report(name, rs.type_label, spec.describe(), nk_type, splitting, lam,
-                   exact_ricci_eigenvalues(cd, spec), mu2, lk_ratio(rs, spec, lam))
+                   ric, mu2, lk_ratio(rs, spec, lam))
 
 
 def build_report(space: OrderThreeSymmetricSpace) -> NKReport:

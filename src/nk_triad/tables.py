@@ -131,10 +131,6 @@ def frac_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
-def frac_load(d: dict) -> Fraction:
-    return Fraction(d["num"], d["den"])
-
-
 def dumps_rows(rows: list[dict]) -> str:
     return json.dumps({"schema_version": "1.0", "rows": rows},
                       indent=1, sort_keys=True) + "\n"
@@ -200,12 +196,17 @@ def a3iii_sweep(deep: bool = False) -> list[tuple[str, int, int]]:
     return out
 
 
-def realize(family: str, rank: int, kind: str, nodes: tuple[int, ...]):
-    """The inner space of ``nodes``, which must give the class ``kind``."""
+def _inner_class(family: str, rank: int, kind: str, nodes: tuple[int, ...]) -> InnerClass:
+    """The inner class of ``nodes``, which must be of kind ``kind``."""
     spec = InnerClass.of_nodes(cached_root_system(family, rank), nodes)
     if spec.kind != kind:
         raise InvalidRank(f"nodes {list(nodes)} of {family}{rank} give {spec.kind}, not {kind}")
-    return realize_inner(cached_algebra(family, rank), spec,
+    return spec
+
+
+def realize(family: str, rank: int, kind: str, nodes: tuple[int, ...]):
+    """The inner space of ``nodes``, which must give the class ``kind``."""
+    return realize_inner(cached_algebra(family, rank), _inner_class(family, rank, kind, nodes),
                          name=space_name(family, rank, kind, nodes))
 
 
@@ -222,7 +223,7 @@ def _isotropy(rs: RootSystem, spec: InnerClass):
 
 def _class_report(family: str, rank: int, kind: str, nodes: tuple[int, ...]):
     """(class, report) of the inner class of ``nodes``, from its root split."""
-    spec = InnerClass.of_nodes(cached_root_system(family, rank), nodes)
+    spec = _inner_class(family, rank, kind, nodes)
     return spec, inner_report(cached_algebra(family, rank).cd, spec,
                               space_name(family, rank, kind, nodes))
 
@@ -338,7 +339,7 @@ def compute_fibrations_aiii(deep: bool = False) -> list[dict]:
     rows = []
     for family, rank, node in a3iii_sweep(deep):
         rs = cached_root_system(family, rank)
-        rep = all_fibrations(rs, InnerClass.of_nodes(rs, (node,)))[0]
+        rep = all_fibrations(rs, _inner_class(family, rank, "A3III", (node,)))[0]
         rows.append({
             "family": family, "rank": rank, "node": node,
             "space": space_name(family, rank, "A3III", (node,)),
@@ -359,7 +360,7 @@ def compute_fibrations_aii() -> list[dict]:
         rs = cached_root_system(family, rank)
         name = space_name(family, rank, "A3II", nodes)
         item = {"a": "i", "d": "ii+iii", "e": "iv"}[family]
-        for rep in all_fibrations(rs, InnerClass.of_nodes(rs, nodes)):
+        for rep in all_fibrations(rs, _inner_class(family, rank, "A3II", nodes)):
             rows.append({
                 "family": family, "rank": rank, "nodes": list(nodes),
                 "space": name, "item": item,

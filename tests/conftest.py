@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from nk_triad.automorph import InnerClass
 from nk_triad.chevalley import SignInconsistency
 from nk_triad.compactform import ZERO_DROP
 from nk_triad.rootsys import RootSystem, SubsystemType
@@ -155,8 +156,13 @@ def rank_oracle():
 
 @pytest.fixture(scope="session")
 def fraction_count():
-    """fn(*args) and the number of Fraction objects it constructed, by cProfile."""
+    """fn(*args) and the number of Fraction objects it constructed, by cProfile.
+
+    The memoised ``InnerClass.levels`` and ``split`` are emptied first, so the
+    count covers them whatever ran before."""
     def count(fn, *args):
+        InnerClass.levels.cache_clear()
+        InnerClass.split.cache_clear()
         prof = cProfile.Profile()
         result = prof.runcall(fn, *args)
         return result, sum(stat[1] for (path, _, name), stat in pstats.Stats(prof).stats.items()
