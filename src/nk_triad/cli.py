@@ -285,20 +285,17 @@ def _verify_jacobi(tol: float, deep: bool) -> list[str]:
 
 
 def identity_spaces(deep: bool = False):
-    """Spaces the identity suites run over."""
+    """Spaces the identity suites run over, realized one at a time."""
     picks = [("b", 3, 2), ("b", 4, 2), ("c", 2, 1), ("c", 3, 1), ("c", 3, 2),
              ("d", 4, 2), ("g", 2, 2), ("f", 4, 1), ("f", 4, 4)]
-    if deep:
-        picks = tables.a3iii_sweep(deep=True)
-    spaces = [tables.realize(f, r, "A3III", (n,)) for f, r, n in picks]
     aii = [("a", 2, (1, 2)), ("a", 3, (1, 3)), ("a", 4, (2, 3)), ("d", 4, (3, 4))]
     if deep:
-        aii = tables.a3ii_sweep()
-    spaces += [tables.realize(f, r, "A3II", n) for f, r, n in aii]
-    spaces.append(tables.realize("g", 2, "A3IV", (1,)))
-    spaces.append(realize_triality_d4(cached_algebra("d", 4)))
-    spaces.append(realize_cyclic_c3(cached_algebra("a", 1)))
-    return spaces
+        picks, aii = tables.a3iii_sweep(deep=True), tables.a3ii_sweep()
+    yield from (tables.realize(f, r, "A3III", (n,)) for f, r, n in picks)
+    yield from (tables.realize(f, r, "A3II", n) for f, r, n in aii)
+    yield tables.realize("g", 2, "A3IV", (1,))
+    yield realize_triality_d4(cached_algebra("d", 4))
+    yield realize_cyclic_c3(cached_algebra("a", 1))
 
 
 def _verify_identities(tol: float, deep: bool) -> list[str]:
@@ -336,12 +333,13 @@ def cmd_verify(args) -> int:
     failures: list[str] = []
     for scope in scopes:
         if scope == "jacobi":
-            failures += _verify_jacobi(args.tol, args.deep)
+            found = _verify_jacobi(args.tol, args.deep)
         elif scope == "identities":
-            failures += _verify_identities(args.tol, args.deep)
+            found = _verify_identities(args.tol, args.deep)
         else:
-            failures += _verify_golden(scope, args.deep)
-        print(f"verify {scope}: {'ok' if not failures else f'{len(failures)} failures'}")
+            found = _verify_golden(scope, args.deep)
+        print(f"verify {scope}: {'ok' if not found else f'{len(found)} failures'}")
+        failures += found
     if failures:
         print(json.dumps({"failures": failures}, indent=1))
         return 1

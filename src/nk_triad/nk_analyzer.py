@@ -20,11 +20,16 @@ root split, read from the class and the algebra's ``ChevalleyData`` alone
 (``inner_report``), so no space is realized; on a realized space they are
 cross-checked against the floating-point trace computations.
 
-The floating-point side is one sparse operator per space, built once
-(``curvature``): R as a (dm^2, dm^2) matrix R[(a,b),(c,d)] = R(e_a,e_b,e_c,e_d),
-from which Ric, Ric* and every curvature identity over all (a, b, c, d) are
-read.  Index permutations of a four-index operator are integer arithmetic on
-its nonzero entries, so memory follows the nonzeros, never dm^4.
+The floating-point side is a few sparse operators per space, each built once
+(``curvature``): G = X X^T with G[(a,b),(c,d)] = <xi_a e_b, xi_c e_d>,
+A'[s,(c,d)] = <[k_s, m_c], m_d>, and R as a (dm^2, dm^2) matrix
+R[(a,b),(c,d)] = R(e_a,e_b,e_c,e_d).  The suites read them through one slab
+reader (``_worst``) and one partial trace (``_trace_bd``): Ric, Ric* and the
+torsion frame traces are traces of R, RJJ and G, and each four-index
+identity, the minimal-connection one included, is a maximum over all
+(a, b, c, d), or over the layers it names.  Index permutations of a
+four-index operator are integer arithmetic on its nonzero entries, so memory
+follows the nonzeros, never dm^4.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from .rootsys import Coeffs, RootSystem
 
 KAPPA = Fraction(2)
 
-MIN_CONNECTION_BLOCK = 1 << 21  # tuples per block of the min-connection check
 _FIXED_VECTOR_TOL = 1e-9        # smallest singular value of sigma|m - id
 
 
@@ -147,31 +151,38 @@ def _slabs(dm: int, *terms):
         yield sum(pieces[1:], pieces[0])
 
 
-def _worst(dm: int, *terms) -> float:
-    """max |sum of coef * M[perm]| over every (a, b, c, d); see ``_slabs``."""
-    return max(_max_abs(slab) for slab in _slabs(dm, *terms))
+def _worst(dm: int, *terms, only=None) -> float:
+    """max |sum of coef * M[perm]| over every (a, b, c, d); see ``_slabs``.
+
+    ``only`` = (first, last) reads a in ``first`` and c, d in ``last`` alone.
+    """
+    if only is None:
+        return max(_max_abs(slab) for slab in _slabs(dm, *terms))
+    first, last = (np.isin(np.arange(dm), idx) for idx in only)
+    worst, a0 = 0.0, 0
+    for slab in _slabs(dm, *terms):
+        slab = slab.tocoo()
+        c, d = np.divmod(slab.col, dm)
+        keep = first[a0 + slab.row // dm] & last[c] & last[d]
+        worst = max(worst, float(np.abs(slab.data[keep]).max(initial=0.0)))
+        a0 += slab.shape[0] // dm
+    return worst
 
 
-def _trace_bd(mat, dm: int) -> np.ndarray:
-    """T[a, c] = sum_i M[a, i, c, i], the Ricci-type trace of an operator."""
+def _trace_bd(mat, dm: int, over=None) -> np.ndarray:
+    """T[a, c] = sum_i M[a, i, c, i], the Ricci-type trace of an operator,
+    with i in ``over`` alone if given."""
     mat = mat.tocoo()
-    keep = mat.row % dm == mat.col % dm
+    i = mat.row % dm
+    keep = i == mat.col % dm
+    if over is not None:
+        keep &= np.isin(i, over)
     return sp.coo_matrix((mat.data[keep], (mat.row[keep] // dm, mat.col[keep] // dm)),
                          shape=(dm, dm)).toarray()
 
 
 def _max_abs(mat) -> float:
     return float(np.abs(mat.data).max(initial=0.0))
-
-
-def _rows(mat, first, second, dm: int):
-    """Rows (p, q) of a (dm^2, w) operator, p in first and q in second, in order."""
-    return mat[(np.asarray(first)[:, None] * dm + np.asarray(second)).ravel()]
-
-
-def _block(mat, first, second, dm: int) -> np.ndarray:
-    """``_rows`` as a dense (len(first), len(second), w) array."""
-    return _rows(mat, first, second, dm).toarray().reshape(len(first), len(second), -1)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -182,17 +193,20 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class Curvature:
     """Sparse torsion and curvature operators of one space, each built on first use.
 
-    ``xi`` and ``kc`` are the space's X[(a,b), k] = xi[a,b,k] and
-    K[(a,b), s] (``OrderThreeSymmetricSpace.tensors``), used as they stand;
-    ``g``, ``riemann`` and ``riemann_jj`` are (dm^2, dm^2) CSR operators
+    From the space's X[(a,b), k] = xi[a,b,k], K[(a,b), s] and A
+    (``OrderThreeSymmetricSpace.tensors``) it builds
+    A'[s, (c,d)] = A[(s,d), c] = <[k_s, m_c], m_d>, so that K A' = R^min, and
+    the (dm^2, dm^2) CSR operators
 
         G[(a,b),(c,d)]   = <xi_a e_b, xi_c e_d>                  (X X^T)
-        R                = R^min + 2G - G[a,c,b,d] + G[a,d,b,c]   (R^min = K A')
+        R                = K A' + 2G - G[a,c,b,d] + G[a,d,b,c]
         RJJ[(a,b),(c,d)] = R(e_a, e_b, J e_c, J e_d)             (R kron(J, J))
 
-    with A'[s, (c,d)] = A[(s,d), c] = <[k_s, m_c], m_d>.  Ric and Ric* are the
-    traces sum_i R[a,i,b,i] and sum_i RJJ[a,i,b,i].  ``j_sparse``, ``g``,
-    ``riemann`` and ``riemann_jj``, like the tensors, drop entries below
+    Ric and Ric* are the traces sum_i R[a,i,b,i] and sum_i RJJ[a,i,b,i].  r is
+    the torsion trace -4 tr xi_a xi_b, read off X alone: 4 sum_i G[a,i,b,i]
+    would be the trace of R - RJJ = 4G, so r = Ric - Ric* would only restate
+    the J-curvature defect.  ``j_sparse``, ``g``, ``riemann`` and
+    ``riemann_jj``, like the tensors, drop entries below
     ``compactform.ZERO_DROP``: cancellation in their sums of products leaves
     float noise on exact zeros.
     """
@@ -210,26 +224,22 @@ class Curvature:
         return drop_noise(sp.csr_matrix(self.j))
 
     @cached_property
-    def xi(self) -> sp.csr_matrix:
-        return self.space.tensors()[0]
-
-    @cached_property
-    def kc(self) -> sp.csr_matrix:
-        return self.space.tensors()[1]
-
-    @cached_property
-    def g(self) -> sp.csr_matrix:
-        return drop_noise((self.xi @ self.xi.T).tocsr())
-
-    @cached_property
-    def riemann(self) -> sp.csr_matrix:
+    def a_prime(self) -> sp.csr_matrix:
         ak = self.space.tensors()[2].tocoo()
         dm = self.dm
         s, d = np.divmod(ak.row, dm)
-        a = sp.csr_matrix((ak.data, (s, ak.col * dm + d)), shape=(self.space.dim_k, dm * dm))
-        terms = ((1.0, self.kc @ a, "abcd"), (2.0, self.g, "abcd"),
-                 (-1.0, self.g, "acbd"), (1.0, self.g, "adbc"))
-        return drop_noise(sp.vstack(list(_slabs(dm, *terms)), format="csr"))
+        return sp.csr_matrix((ak.data, (s, ak.col * dm + d)), shape=(self.space.dim_k, dm * dm))
+
+    @cached_property
+    def g(self) -> sp.csr_matrix:
+        x = self.space.tensors()[0]
+        return drop_noise((x @ x.T).tocsr())
+
+    @cached_property
+    def riemann(self) -> sp.csr_matrix:
+        terms = ((1.0, self.space.tensors()[1] @ self.a_prime, "abcd"),
+                 (2.0, self.g, "abcd"), (-1.0, self.g, "acbd"), (1.0, self.g, "adbc"))
+        return drop_noise(sp.vstack(list(_slabs(self.dm, *terms)), format="csr"))
 
     @cached_property
     def riemann_jj(self) -> sp.csr_matrix:
@@ -247,7 +257,7 @@ class Curvature:
     @cached_property
     def r(self) -> np.ndarray:
         dm = self.dm
-        x = self.xi.tocoo()
+        x = self.space.tensors()[0].tocoo()
         a, i, j = x.row // dm, x.row % dm, x.col
         shape = (dm, dm * dm)
         p = sp.csr_matrix((x.data, (a, i * dm + j)), shape=shape)   # [a, (i,j)] = xi[a,i,j]
@@ -532,7 +542,8 @@ def lk_classification(report: NKReport) -> tuple[Fraction, str] | None:
 def verify_structure_identities(space, tol=1e-9) -> dict[str, float]:
     """Torsion/J identities that need no curvature tensors, over every index."""
     cv = curvature(space)
-    j, js, x = cv.j, cv.j_sparse, cv.xi
+    j, js = cv.j, cv.j_sparse
+    x, kc, _ = space.tensors()
     dm = space.dim_m
     eye = sp.identity(dm, format="csr")
     res: dict[str, float] = {}
@@ -548,7 +559,7 @@ def verify_structure_identities(space, tol=1e-9) -> dict[str, float]:
     res["xi_totally_skew"] = max(_max_abs(x + moved(b * dm + a, k)),
                                  _max_abs(x + moved(a * dm + k, b)))
     jj = sp.kron(js, js, format="csr")
-    res["bracket_JJ_k"] = _max_abs(jj.T @ cv.kc - cv.kc)
+    res["bracket_JJ_k"] = _max_abs(jj.T @ kc - kc)
     mm = -2.0 * x  # m-part of the bracket
     res["bracket_J_m"] = _max_abs(sp.kron(js.T, eye) @ mm + mm @ js.T)
     return res
@@ -588,36 +599,24 @@ def verify_min_connection_identity(space, tol=1e-9, seed=0) -> float:
 
     For X horizontal, U arbitrary and V1, V2 vertical:
     R^min(X,U,V1,V2) = 4(<[xi_V1, xi_V2]X, U> - <xi_X U, xi_V1 V2>),
-    checked on every basis tuple (x, u, v1, v2).  Only defined on
-    special-algebraic-torsion splittings.  ``seed`` is unused; it stays
+    checked on every basis tuple (x, u, v1, v2).  With (a, b, c, d) =
+    (x, u, v1, v2) and xi_v e_j = -xi_j e_v, the residual is
+    K A' + 4G + 4G[c,b,d,a] - 4G[d,b,c,a], read on horizontal a and vertical
+    c and d; G is symmetric, so the last two are read as G[d,a,c,b] and
+    G[c,a,d,b], off rows of G rather than of a transposed copy.  Only defined
+    on special-algebraic-torsion splittings.  ``seed`` is unused; it stays
     until ``bench/workloads.py`` stops passing it.
     """
     if space.type_label == "A3III":
-        vert = space.layers["V"]
-        horiz = space.layers["H"]
+        vert, horiz = space.layers["V"], space.layers["H"]
     elif space.type_label == "A3II":
-        vert = space.layers["V1"]
-        horiz = space.layers["V2"] + space.layers["V3"]
+        vert, horiz = space.layers["V1"], space.layers["V2"] + space.layers["V3"]
     else:
         raise IdentityViolation("minimal-connection identity needs a vertical split")
-    xi, kc, ak = space.tensors()
-    dm, everything = space.dim_m, np.arange(space.dim_m)
-    xv = _block(xi, vert, everything, dm)
-    akv = _block(ak, range(space.dim_k), vert, dm)[:, :, vert]
-    xvv = xv[:, vert]
-    worst = 0.0
-    step = max(1, MIN_CONNECTION_BLOCK // (dm * len(vert) ** 2))
-    for start in range(0, len(horiz), step):
-        h = horiz[start:start + step]
-        xh, kh = _block(xi, h, everything, dm), _block(kc, h, everything, dm)
-        # rhs[x, u, a, b] / 4 = <[xi_va, xi_vb] e_x, e_u> - <xi_x e_u, xi_va e_vb>
-        rhs = np.einsum("auj,bjx->xuab", xv, xv[:, :, h], optimize=True)
-        rhs -= rhs.swapaxes(2, 3).copy()
-        rhs -= np.einsum("xuk,abk->xuab", xh, xvv, optimize=True)
-        rhs *= 4.0
-        # R^min(e_x, e_u, e_va, e_vb) = <ad([e_x, e_u]_k) e_vb, e_va>
-        rhs -= np.einsum("xus,sba->xuab", kh, akv, optimize=True)
-        worst = max(worst, float(np.abs(rhs).max(initial=0.0)))
+    cv = curvature(space)
+    g = cv.g
+    worst = _worst(space.dim_m, (1.0, space.tensors()[1] @ cv.a_prime, "abcd"),
+                   (4.0, g, "abcd"), (4.0, g, "dacb"), (-4.0, g, "cadb"), only=(horiz, vert))
     if worst > tol:
         raise IdentityViolation(f"minimal-connection identity residual {worst:.2e}")
     return worst
@@ -627,8 +626,11 @@ def verify_sat_identities(space, tol=1e-9, seed=0) -> dict[str, float]:
     """Layer facts of special algebraic torsion plus the trace identities.
 
     The double-torsion containments xi_V xi_H H = 0 and xi_H xi_V V = 0 are
-    checked on every (u, x1, x2) by sparse products of torsion rows.
-    ``seed`` is unused; it stays until ``bench/workloads.py`` stops passing it.
+    the blocks G[(u,p),(x1,x2)] with u in one of V, H and x1, x2 in the other;
+    the frame traces 8 sum_{i in V} G[a,i,b,i] and 8 sum_{i in H} G[a,i,b,i]
+    must both equal the torsion trace r on the horizontals.  Every index is
+    checked.  ``seed`` is unused; it stays until ``bench/workloads.py`` stops
+    passing it.
     """
     if space.type_label not in ("A3II", "A3III"):
         raise IdentityViolation("special algebraic torsion needs type III/IV")
@@ -639,7 +641,8 @@ def verify_sat_identities(space, tol=1e-9, seed=0) -> dict[str, float]:
 
     def block_max(first, second, out):
         """max |xi[p, q, k]| over p in first, q in second, k in out."""
-        return _max_abs(_rows(x, first, second, dm)[:, list(out)])
+        rows = (np.asarray(first)[:, None] * dm + np.asarray(second)).ravel()
+        return _max_abs(x[rows][:, list(out)])
 
     if space.type_label == "A3III":
         v, h = space.layers["V"], space.layers["H"]
@@ -661,19 +664,14 @@ def verify_sat_identities(space, tol=1e-9, seed=0) -> dict[str, float]:
         res["balance"] = 0.0
 
     # double-torsion containments and the frame-trace identity on horizontals
-    everything = np.arange(dm)
-    # [(u, p), (x1, x2)] = <xi_u e_p, xi_x1 x2>, and the same with V, H swapped
-    res["xi_V_xi_HH"] = _max_abs(_rows(x, vert, everything, dm) @ _rows(x, horiz, horiz, dm).T)
-    res["xi_H_xi_VV"] = _max_abs(_rows(x, horiz, everything, dm) @ _rows(x, vert, vert, dm).T)
-
-    r = tensor_r(space)
-    xvh = _block(x, vert, horiz, dm)
-    frame_v = 8.0 * np.einsum("iak,ibk->ab", xvh, xvh)
-    sub = r[np.ix_(horiz, horiz)]
-    res["trace_identity_vertical_frame"] = float(np.abs(frame_v - sub).max())
-    xhh = _block(x, horiz, horiz, dm)
-    frame_h = 8.0 * np.einsum("iak,ibk->ab", xhh, xhh)
-    res["trace_identity_horizontal_frame"] = float(np.abs(frame_h - sub).max())
+    g = curvature(space).g
+    res["xi_V_xi_HH"] = _worst(dm, (1.0, g, "abcd"), only=(vert, horiz))
+    res["xi_H_xi_VV"] = _worst(dm, (1.0, g, "abcd"), only=(horiz, vert))
+    hh = np.ix_(horiz, horiz)
+    sub = tensor_r(space)[hh]
+    for name, frame in (("vertical", vert), ("horizontal", horiz)):
+        traced = 8.0 * _trace_bd(g, dm, over=frame)[hh]
+        res[f"trace_identity_{name}_frame"] = float(np.abs(traced - sub).max())
 
     bad = {k: v for k, v in res.items() if v > tol}
     if bad:

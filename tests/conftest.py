@@ -13,6 +13,7 @@ import scipy.sparse as sp
 from nk_triad.automorph import InnerClass
 from nk_triad.chevalley import SignInconsistency
 from nk_triad.compactform import ZERO_DROP
+from nk_triad.nk_analyzer import tensor_r
 from nk_triad.rootsys import RootSystem, SubsystemType
 from nk_triad.tables import cached_algebra, cached_root_system
 
@@ -430,3 +431,72 @@ def reference_jacobi_worst(ca):
 def jacobi_oracle():
     """The per-i reference for ``CompactAlgebra._jacobi_worst``: ca -> (worst, triple)."""
     return reference_jacobi_worst
+
+
+# -- reference minimal-connection identity and frame traces ---------------------------
+
+
+def _dense_rows(mat, first, second, dm):
+    """Rows (p, q) of a (dm^2, w) operator, p in first and q in second, as a
+    dense (len(first), len(second), w) array."""
+    rows = (np.asarray(first)[:, None] * dm + np.asarray(second)).ravel()
+    return mat[rows].toarray().reshape(len(first), len(second), -1)
+
+
+def _vertical_split(space):
+    if space.type_label == "A3III":
+        return space.layers["V"], space.layers["H"]
+    return space.layers["V1"], space.layers["V2"] + space.layers["V3"]
+
+
+def reference_min_connection_worst(space, block=1 << 21):
+    """max |R^min(x,u,v1,v2) - 4(<[xi_v1, xi_v2] x, u> - <xi_x u, xi_v1 v2>)| over
+    every (x, u, v1, v2), x horizontal and v1, v2 vertical, by three dense
+    einsums per block of about ``block`` tuples of horizontal x."""
+    vert, horiz = _vertical_split(space)
+    xi, kc, ak = space.tensors()
+    dm, everything = space.dim_m, np.arange(space.dim_m)
+    xv = _dense_rows(xi, vert, everything, dm)
+    akv = _dense_rows(ak, range(space.dim_k), vert, dm)[:, :, vert]
+    xvv = xv[:, vert]
+    worst = 0.0
+    step = max(1, block // (dm * len(vert) ** 2))
+    for start in range(0, len(horiz), step):
+        h = horiz[start:start + step]
+        xh, kh = _dense_rows(xi, h, everything, dm), _dense_rows(kc, h, everything, dm)
+        # rhs[x, u, a, b] / 4 = <[xi_va, xi_vb] e_x, e_u> - <xi_x e_u, xi_va e_vb>
+        rhs = np.einsum("auj,bjx->xuab", xv, xv[:, :, h], optimize=True)
+        rhs -= rhs.swapaxes(2, 3).copy()
+        rhs -= np.einsum("xuk,abk->xuab", xh, xvv, optimize=True)
+        rhs *= 4.0
+        # R^min(e_x, e_u, e_va, e_vb) = <ad([e_x, e_u]_k) e_vb, e_va>
+        rhs -= np.einsum("xus,sba->xuab", kh, akv, optimize=True)
+        worst = max(worst, float(np.abs(rhs).max(initial=0.0)))
+    return worst
+
+
+def reference_frame_traces(space):
+    """The two frame-trace residuals of the special-torsion suite by dense
+    einsums: 8 sum_{i in F, k} xi[i,a,k] xi[i,b,k] against r on horizontal
+    a, b, for the vertical and the horizontal frame F."""
+    vert, horiz = _vertical_split(space)
+    x, dm = space.tensors()[0], space.dim_m
+    sub = tensor_r(space)[np.ix_(horiz, horiz)]
+    out = {}
+    for name, frame in (("vertical", vert), ("horizontal", horiz)):
+        xf = _dense_rows(x, frame, horiz, dm)
+        traced = 8.0 * np.einsum("iak,ibk->ab", xf, xf)
+        out[f"trace_identity_{name}_frame"] = float(np.abs(traced - sub).max())
+    return out
+
+
+@pytest.fixture(scope="session")
+def min_connection_oracle():
+    """The blocked-einsum reference for ``verify_min_connection_identity``."""
+    return reference_min_connection_worst
+
+
+@pytest.fixture(scope="session")
+def frame_trace_oracle():
+    """The einsum reference for the frame traces of ``verify_sat_identities``."""
+    return reference_frame_traces

@@ -21,6 +21,7 @@ def workloads():
     ("identity-sweep", ("space", "A3II", "a", 6, (2, 3))),
     ("identity-sweep", ("space", "A3III", "b", 5, (4,))),
     ("analyze-irreducible", ("analyze", "g", 2, "--nodes", "1")),
+    ("identity-sweep", ("space", "A3III", "e", 7, (2,))),    # dm 84, the heaviest min-connection
 ])
 def test_workload_item_passes(workloads, workload, item):
     """One item of each kind the identity-sweep and analyze-irreducible

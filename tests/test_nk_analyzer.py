@@ -194,11 +194,62 @@ def test_min_connection_identity_checks_every_tuple():
         verify_min_connection_identity(sp)
 
 
+@pytest.mark.filterwarnings("ignore::scipy.sparse.SparseEfficiencyWarning")
+def test_min_connection_identity_reads_every_torsion_row(min_connection_oracle):
+    """One changed entry of X in a (vertical, horizontal) row must be caught,
+    with the residual the einsum reference finds."""
+    sp = realize("e", 7, "A3III", (2,))
+    xi = sp.tensors()[0]
+    v0, (h0, h1) = sp.layers["V"][0], sp.layers["H"][:2]
+    xi[v0 * sp.dim_m + h0, h1] += 0.5
+    with pytest.raises(IdentityViolation):
+        verify_min_connection_identity(sp)
+    assert verify_min_connection_identity(sp, tol=2.0) == pytest.approx(
+        min_connection_oracle(sp), abs=1e-12)
+
+
+def _special_torsion_spaces():
+    from nk_triad.cli import identity_spaces
+
+    yield from (sp for sp in identity_spaces() if sp.type_label in ("A3II", "A3III"))
+    yield realize("e", 8, "A3III", (1,))                  # dm 156
+
+
+def test_min_connection_and_frame_traces_match_einsum_reference(min_connection_oracle,
+                                                                frame_trace_oracle):
+    """The slab reads of G and K A' against the dense einsums they replaced."""
+    checked = 0
+    for sp in _special_torsion_spaces():
+        worst = verify_min_connection_identity(sp)
+        assert abs(worst - min_connection_oracle(sp)) < 1e-12, sp.name
+        res = verify_sat_identities(sp)
+        for key, want in frame_trace_oracle(sp).items():
+            assert abs(res[key] - want) < 1e-12, (sp.name, key)
+        checked += 1
+    assert checked == 14
+
+
 def test_min_connection_identity_so10():
     sp = realize("d", 5, "A3III", (2,))
     assert verify_min_connection_identity(sp) < 1e-9
     res = verify_sat_identities(sp)
     assert res["xi_V_xi_HH"] < 1e-12                  # xi_V xi_H H = 0 layer fact
+
+
+@pytest.mark.filterwarnings("ignore::scipy.sparse.SparseEfficiencyWarning")
+@pytest.mark.parametrize("key,pair,other", [("xi_V_xi_HH", "H", "V"), ("xi_H_xi_VV", "V", "H")])
+def test_double_torsion_containments_can_fail(key, pair, other):
+    """A horizontal component 1/2 added to xi on a pair of one layer shows in
+    the containment read on the other: as 1/2 of the largest horizontal
+    component of xi_u, u in the other layer."""
+    sp = realize("d", 5, "A3III", (2,))
+    xi, dm = sp.tensors()[0], sp.dim_m
+    p0, p1 = sp.layers[pair][:2]
+    h0 = sp.layers["H"][0]
+    reach = np.abs(xi[:, h0].toarray().reshape(dm, dm)[sp.layers[other]]).max()
+    xi[p0 * dm + p1, h0] += 0.5
+    res = verify_sat_identities(sp, tol=np.inf)
+    assert reach > 0 and res[key] == pytest.approx(0.5 * reach, abs=1e-12)
 
 
 def test_curvature_identities_full_sweep(su3_flag, g2_twistor):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from nk_triad import tables
+from nk_triad import cli, tables
 from nk_triad.cli import _GOLDEN_SCOPES, main
 from nk_triad.compactform import build_compact_form
 from nk_triad.rootsys import build_root_system
@@ -283,6 +283,16 @@ def test_cli_verify_tables_scope(monkeypatch):
     assert main(["verify", "tables"]) == 0
     assert calls == dict.fromkeys(["table_ai", "table_aii", "table_aiii", "table_aiv",
                                    "table_bc"], 1)
+
+
+def test_cli_verify_counts_failures_per_scope(monkeypatch, capsys):
+    """A failing scope among passing ones: each status line counts its own scope."""
+    monkeypatch.setattr(cli, "_verify_jacobi", lambda tol, deep: ["jacobi:a1:forced"])
+    assert main(["verify", "all"]) == 1
+    text = capsys.readouterr().out
+    assert text.splitlines()[:4] == ["verify jacobi: 1 failures", "verify identities: ok",
+                                     "verify tables: ok", "verify fibrations: ok"]
+    assert json.loads(text[text.index("{"):])["failures"] == ["jacobi:a1:forced"]
 
 
 def _golden_rows(name):
