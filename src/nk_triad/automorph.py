@@ -158,7 +158,7 @@ class OrderThreeSymmetricSpace:
     """
 
     def __init__(self, algebra, type_label, sigma, k_cols, m_cols, h_spec=None,
-                 layers=None, name=""):
+                 layers=None, name="", halves=None):
         self.algebra = algebra
         self.type_label = type_label
         self.sigma = sigma
@@ -167,6 +167,7 @@ class OrderThreeSymmetricSpace:
         self.h_spec = h_spec
         self.layers = layers or {}
         self.name = name or type_label
+        self.halves = halves     # invariant halves of m, when the construction split it
         self.dim_k = k_cols.shape[1]
         self.dim_m = m_cols.shape[1]
         self._tensors = None
@@ -349,11 +350,13 @@ def realize_triality_d4(ca: CompactAlgebra) -> OrderThreeSymmetricSpace:
     e_amb = space.m_cols @ halves[0]
     je_amb = space.m_cols @ (j @ halves[0])
     half_dim = e_amb.shape[1]
+    m_cols = np.hstack([e_amb, je_amb])
     space = OrderThreeSymmetricSpace(
-        ca, "B3", sigma, k_cols, np.hstack([e_amb, je_amb]),
+        ca, "B3", sigma, k_cols, m_cols,
         layers={"E": list(range(half_dim)),
                 "JE": list(range(half_dim, 2 * half_dim))},
         name="Spin(8)/G2 (triality fixed points)",
+        halves=tuple(m_cols.T @ (space.m_cols @ h) for h in halves),   # the same m, new basis
     )
     space.check_invariants()
     return space
@@ -600,7 +603,7 @@ def classify_type(space: OrderThreeSymmetricSpace) -> TypeDecision:
             raise ClassificationMismatch(
                 f"{space.name}: type I, but the ad(k)-orbit of the first m-basis vector "
                 f"spans only {span} of dim m = {space.dim_m}")
-    halves = invariant_halves(space)
+    halves = space.halves or invariant_halves(space)
     dims = None if halves is None else (halves[0].shape[1], halves[1].shape[1])
     if label == "I" and dims is not None:
         raise ClassificationMismatch(

@@ -15,13 +15,14 @@ root k of ``rs.positive_roots`` has index k and its negative has index n + k
     n12[i, j]    12 N_{i,j}^2, an int because 6<a,a> is; 0 off the pairs;
     sign[i, j]   the sign of N_{i,j}, +1 or -1; 0 off the pairs.
 
-``plus`` comes from broadcasting the additive int keys of ``rootsys`` and
-every string bound from stepping through ``plus``.  Only the squares are
-rational in general; signs are fixed by assigning +1 to the extraspecial pair
-of every positive root (minimal decomposition in height-then-lex order) and
-propagating through the antisymmetries, the zero-sum triple identity, and the
-four-term contraction that expresses any other decomposition of a positive
-root against its extraspecial one (Carter, Simple Groups of Lie Type, ch. 4).
+``plus`` is the root system's own addition table (``RootSystem.plus``,
+shared, not copied), and every string bound comes from stepping through it.
+Only the squares are rational in general; signs are fixed by assigning +1 to
+the extraspecial pair of every positive root (minimal decomposition in
+height-then-lex order) and propagating through the antisymmetries, the
+zero-sum triple identity, and the four-term contraction that expresses any
+other decomposition of a positive root against its extraspecial one (Carter,
+Simple Groups of Lie Type, ch. 4).
 Any consistent choice produces the same squares; determinism here is what
 makes downstream tables reproducible.
 """
@@ -51,17 +52,8 @@ class ChevalleyData:
         self.rs = rs
         n = self.n = rs.n_positive
         pos = np.array([r.coeffs for r in rs.positive_roots], dtype=np.int64)
-        self.roots = [r.coeffs for r in rs.all_roots()]
-        self.index = {c: k for k, c in enumerate(self.roots)}
-        self.neg = np.r_[np.arange(n, 2 * n), np.arange(n)]
-        # sums of two roots have digits of size at most 2 * (largest mark), so
-        # their keys are distinct and a key lookup finds exactly the root sums
-        keys = pos @ rs.key_base ** np.arange(rs.rank, dtype=np.int64)
-        keys = np.r_[keys, -keys]
-        order = np.argsort(keys)
-        sums = keys[:, None] + keys[None, :]
-        at = np.minimum(np.searchsorted(keys[order], sums), 2 * n - 1)
-        self.plus = plus = np.where(keys[order][at] == sums, order[at], -1)
+        self.roots, self.index, self.neg = rs.roots, rs.root_index, rs.neg
+        self.plus = plus = rs.plus
         # (p, q) of the i-string through j: step through plus from j + i and j - i
         rows = np.arange(2 * n)[:, None]
         q, cur = np.zeros_like(plus), plus

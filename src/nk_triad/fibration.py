@@ -11,9 +11,10 @@ G / Gbar_V.  Everything here is exact root combinatorics: subalgebras are
 closed root subsets plus Cartan directions, and types are read off through
 the Dynkin classification of the subsystem, never from dimension counts.
 V and k are the root sets of the inner class's split (``InnerClass.split``),
-so no space is realized.  Root subsets are sets of the additive int root
-keys of ``rootsys``, so the closure, the closure check on V + k and the ideal
-check are int additions and set lookups, and the involution angles are int
+so no space is realized.  Root subsets are boolean masks over the roots of
+``rootsys``, so the closure, the closure check on V + k, the ideal check and
+the comparison with the involution's fixed points are mask reads of the
+root-addition table ``RootSystem.plus``, and the involution angles are int
 numerators over the lcm of the denominators of c_k / m_k.
 """
 
@@ -78,12 +79,12 @@ def check_lie_triple_system(space: OrderThreeSymmetricSpace, nu) -> bool:
     return True
 
 
-def _root_closure(rs: RootSystem, seed: set[int]) -> set[int]:
-    """Keys of the smallest negation-symmetric, closed root set containing seed."""
-    full = seed | {-k for k in seed}
+def _root_closure(rs: RootSystem, seed: np.ndarray) -> np.ndarray:
+    """Mask of the smallest negation-symmetric, closed root set containing the mask seed."""
+    full = seed | seed[rs.neg]
     new = full
-    while new:
-        new = rs.root_sums(full, new) - full
+    while new.any():
+        new = rs.sum_mask(full, new) & ~full
         full |= new
     return full
 
@@ -121,32 +122,30 @@ def fibration_subalgebras(rs: RootSystem, spec: InnerClass,
     layer_roots, k_roots = spec.split(rs)
     if vertical_label not in layer_roots:
         raise KeyError(f"no vertical layer {vertical_label}")
-    coeffs = rs._coeffs_of
-    v_keys = {rs.key(c) for c in layer_roots[vertical_label]}
+    v = rs.mask(layer_roots[vertical_label])
 
     # g_V is semisimple: its rank is that of its simple roots, and it has no torus
-    closure = _root_closure(rs, v_keys)
-    g_v = subsystem_type(rs, [coeffs[k] for k in closure])
+    closure = _root_closure(rs, v)
+    g_v = subsystem_type(rs, [rs.roots[k] for k in np.flatnonzero(closure)])
     g_v_type = SubsystemType(g_v.components, 0)
-    g_v_dim = len(closure) + rs.rank - g_v.torus_rank
+    g_v_dim = int(closure.sum()) + rs.rank - g_v.torus_rank
 
-    gbar_pos = v_keys | {rs.key(c) for c in k_roots}
-    gbar = gbar_pos | {-k for k in gbar_pos}
-    if rs.root_sums(gbar_pos, gbar) - gbar:
+    gbar_pos = v | rs.mask(k_roots)
+    gbar = gbar_pos | gbar_pos[rs.neg]
+    if (rs.sum_mask(gbar_pos, gbar) & ~gbar).any():
         raise NonClosedSubalgebra("V + k is not bracket-closed")
-    gbar_v_type = subsystem_type(rs, [coeffs[k] for k in gbar])
-    gbar_v_dim = 2 * len(gbar_pos) + rs.rank
+    gbar_v_type = subsystem_type(rs, [rs.roots[k] for k in np.flatnonzero(gbar)])
+    gbar_v_dim = 2 * int(gbar_pos.sum()) + rs.rank
 
     # g_V must be an ideal of gbar_V (both sets are negation-symmetric)
-    if rs.root_sums(gbar_pos, closure) - closure:
+    if (rs.sum_mask(gbar_pos, closure) & ~closure).any():
         raise NonClosedSubalgebra("V + [V,V] is not an ideal of V + k")
 
     invol = _INVOLUTION_RULES[(spec.kind, vertical_label)](*spec.nodes)
-    fixed = involution_fixed_points(rs, invol)
-    if {rs.key(c) for c in fixed} != gbar_pos:
+    if (rs.mask(involution_fixed_points(rs, invol)) != gbar_pos).any():
         raise NonClosedSubalgebra("involution fixed points differ from V + k")
 
-    fiber_dim = 2 * len(v_keys)
+    fiber_dim = 2 * len(layer_roots[vertical_label])
     note = ""
     if spec.kind == "A3III" and fiber_dim == 2 and rs.family == "c" \
             and spec.nodes == (1,):

@@ -9,11 +9,12 @@ over it returned as one exact ``Fraction(total, 6)``.
 Each root also has one additive int key (``key``): its coefficients as signed
 digits in base ``key_base = 4 * (largest mark) + 1``.  A sum of two roots has
 digits of size at most 2 * (largest mark), so there key(a) + key(b) =
-key(a + b) and addition closure is an int sum plus a lookup in ``root_keys``.
-Membership is checked on the tuple before encoding, so no vector aliases a
-root.  Closed subsystems (Dynkin, Mat. Sb. 30 (1952)) are classified on keys:
-indecomposables by key subtraction, the rank by Bareiss elimination, and the
-Cartan matrix from ``gram6`` in ints.
+key(a + b), and one sorted lookup of the summed keys gives the root-addition
+table ``plus`` over the 2n roots (``roots``: the positives, then their
+negatives).  Membership is checked on the tuple, so no vector aliases a root.
+Closed subsystems (Dynkin, Mat. Sb. 30 (1952)) are boolean masks over the
+roots, closed and classified by reads of ``plus``: their indecomposable
+positives are a base, and the Cartan matrix is an int product of 6 x Gram rows.
 
 Node numbering follows the convention where the exceptional chains read
 
@@ -25,16 +26,19 @@ Node numbering follows the convention where the exceptional chains read
 
 and b_n / c_n / d_n carry the short or fork end at the last node(s).
 
-Instances are immutable after construction; sharing them across threads is
-safe.
+Instances are immutable after construction (``plus``, built on first use, is
+a read-only array); sharing them across threads is safe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 Coeffs = tuple[int, ...]
 
@@ -173,18 +177,25 @@ class RootSystem:
                 raise NotARoot("highest root is not componentwise maximal")
         self.marks: Coeffs = self.highest_root.coeffs
         self.n_positive = len(self.positive_roots)
-        self.simple_roots: tuple[Root, ...] = tuple(
-            Root(c, self._inner(c, c)) for c in simple
-        )
-        self.key_base = 4 * max(self.marks) + 1
-        self._key_of: dict[Coeffs, int] = {
-            r.coeffs: sum(c * self.key_base ** i for i, c in enumerate(r.coeffs))
-            for r in self.all_roots()
-        }
-        self._coeffs_of: dict[int, Coeffs] = {k: c for c, k in self._key_of.items()}
-        self.root_keys: frozenset[int] = frozenset(self._coeffs_of)
-        self.positive_keys: frozenset[int] = frozenset(
-            self._key_of[r.coeffs] for r in self.positive_roots)
+        n, self.key_base = self.n_positive, 4 * max(self.marks) + 1
+        self.roots: list[Coeffs] = [r.coeffs for r in self.all_roots()]
+        self.root_index: dict[Coeffs, int] = {c: k for k, c in enumerate(self.roots)}
+        self._keys = [sum(c * self.key_base ** i for i, c in enumerate(r)) for r in self.roots]
+        self._coeffs = np.array(self.roots, dtype=np.int64)
+        self._gram6_rows = self._coeffs @ np.array(self.gram6, dtype=np.int64)
+        self.neg = np.r_[np.arange(n, 2 * n), np.arange(n)]
+
+    @functools.cached_property
+    def plus(self) -> np.ndarray:
+        """plus[i, j], the index in ``roots`` of root i + root j or -1; read-only,
+        and built on first use, so listing the classes of a large rank holds none."""
+        keys = self._coeffs @ self.key_base ** np.arange(self.rank, dtype=np.int64)
+        order = np.argsort(keys)
+        sums = keys[:, None] + keys[None, :]
+        at = np.minimum(np.searchsorted(keys[order], sums), keys.size - 1)
+        plus = np.where(keys[order][at] == sums, order[at], -1)
+        plus.flags.writeable = False
+        return plus
 
     # -- exact arithmetic ----------------------------------------------------
 
@@ -204,18 +215,29 @@ class RootSystem:
         return self._inner(c, c)
 
     def is_root(self, a) -> bool:
-        return _as_coeffs(a) in self._key_of
+        return _as_coeffs(a) in self.root_index
 
     def key(self, a) -> int:
         """The additive int key of a root; NotARoot for any other vector."""
         c = _as_coeffs(a)
-        if c not in self._key_of:
+        if c not in self.root_index:
             raise NotARoot(f"{c} is not a root of {self.type_label}")
-        return self._key_of[c]
+        return self._keys[self.root_index[c]]
 
-    def root_sums(self, xs: set[int], ys: set[int]) -> set[int]:
-        """Keys of the roots x + y, for root keys x in xs and y in ys."""
-        return {x + y for x in xs for y in ys} & self.root_keys
+    def mask(self, roots: Iterable) -> np.ndarray:
+        """The given roots as a boolean mask in ``roots`` order; NotARoot for any other vector."""
+        out = np.zeros(2 * self.n_positive, dtype=bool)
+        try:
+            out[[self.root_index[c] for c in map(_as_coeffs, roots)]] = True
+        except KeyError as exc:
+            raise NotARoot(f"{exc.args[0]} is not a root of {self.type_label}") from None
+        return out
+
+    def sum_mask(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Mask of the roots x + y, for roots x in the mask xs and y in the mask ys."""
+        out = np.zeros(xs.size + 1, dtype=bool)
+        out[self.plus[xs][:, ys]] = True        # a -1 (no root) lands on the extra slot
+        return out[:-1]
 
     def index(self, a) -> int:
         """Position of a positive root in the lexicographic enumeration."""
@@ -223,12 +245,6 @@ class RootSystem:
         if c not in self._index:
             raise NotARoot(f"{c} is not a positive root of {self.type_label}")
         return self._index[c]
-
-    def root(self, a) -> Root:
-        c = _as_coeffs(a)
-        if not self.is_root(c):
-            raise NotARoot(f"{c} is not a root of {self.type_label}")
-        return Root(c, self._inner(c, c))
 
     def all_roots(self) -> list[Root]:
         return [r for r in self.positive_roots] + [-r for r in self.positive_roots]
@@ -256,8 +272,9 @@ def alpha_levels(rs: RootSystem, h_nodes) -> tuple[dict[Coeffs, int], int]:
     """
     steps = [(n - 1, c.numerator, c.denominator * rs.marks[n - 1]) for n, c in h_nodes]
     d = math.lcm(*(den // math.gcd(num, den) for _, num, den in steps))
-    return {r.coeffs: sum(num * d // den * r.coeffs[i] for i, num, den in steps) % d
-            for r in rs.positive_roots}, d
+    n = rs.n_positive
+    levels = sum(num * d // den * rs._coeffs[:n, i] for i, num, den in steps) % d
+    return dict(zip(rs.roots[:n], levels.tolist())), d
 
 
 def root_string(rs: RootSystem, alpha, beta) -> tuple[int, int]:
@@ -306,26 +323,6 @@ class SubsystemType:
         return "+".join(parts) if parts else "0"
 
 
-def _bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination: every
-    entry stays a minor of the input, so each division by the last pivot is exact."""
-    rows = [list(r) for r in rows]
-    rank, prev = 0, 1
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        lead = top[col]
-        for r in range(rank + 1, len(rows)):
-            row = rows[r]
-            rows[r] = [(lead * x - row[col] * y) // prev for x, y in zip(row, top)]
-        prev = lead
-        rank += 1
-    return rank
-
-
 def _component_type(cartan: list[list[int]], norms: list[int]) -> tuple[str, int]:
     """Dynkin type of a connected Cartan matrix whose nodes have the squared
     lengths ``norms``: bond multiplicities, the count of short nodes, and the
@@ -358,25 +355,24 @@ def subsystem_type(rs: RootSystem, roots: Iterable) -> SubsystemType:
     double-bond system as b2, and a 3-chain as a3.  The torus rank is the
     rank of ``rs`` less that of the subsystem.
     """
-    subset = {rs.key(r) for r in roots}
-    if any(-k not in subset for k in subset):
+    subset = rs.mask(roots)
+    if (subset != subset[rs.neg]).any():
         raise NotClosed("subsystem is not closed under negation")
-    positives = subset & rs.positive_keys
+    positives = subset.copy()
+    positives[rs.n_positive:] = False
     # with subset symmetric, x + y outside it implies -x - y outside it too
-    if rs.root_sums(positives, subset) - subset:
+    if (rs.sum_mask(positives, subset) & ~subset).any():
         raise NotClosed("subsystem is not closed under addition")
 
-    # every positive root of a closed subsystem is a sum of its indecomposable
-    # positives, so those simples span the same space as all the positives
-    simples = sorted(rs._coeffs_of[k]
-                     for k in positives - rs.root_sums(positives, positives))
-    torus = rs.rank - _bareiss_rank(simples)
-    if not simples:
+    # the indecomposable positives of a closed symmetric subsystem are a base
+    # of it, so their count is its rank
+    simples = np.flatnonzero(positives & ~rs.sum_mask(positives, positives))
+    torus = rs.rank - simples.size
+    if not simples.size:
         return SubsystemType((), torus)
 
-    m = len(simples)
-    cols = [[sum(g * c for g, c in zip(row, s)) for row in rs.gram6] for s in simples]
-    gram6 = [[sum(a * b for a, b in zip(si, col)) for col in cols] for si in simples]
+    m = simples.size
+    gram6 = (rs._gram6_rows[simples] @ rs._coeffs[simples].T).tolist()
     cartan = [[2 * gram6[i][j] // gram6[j][j] for j in range(m)] for i in range(m)]
 
     comps: list[set[int]] = []   # connected components of the Dynkin diagram

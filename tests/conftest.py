@@ -151,7 +151,7 @@ def subsystem_oracle():
 
 @pytest.fixture(scope="session")
 def rank_oracle():
-    """The Fraction reference for ``rootsys._bareiss_rank``."""
+    """The rank of integer vectors by Fraction elimination."""
     return rational_rank
 
 

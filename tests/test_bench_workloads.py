@@ -22,8 +22,10 @@ def workloads():
     ("identity-sweep", ("space", "A3III", "b", 5, (4,))),
     ("analyze-irreducible", ("analyze", "g", 2, "--nodes", "1")),
     ("identity-sweep", ("space", "A3III", "e", 7, (2,))),    # dm 84, the heaviest min-connection
+    ("tables-golden", ("verify", "tables")),
+    ("tables-golden", ("verify", "fibrations")),
 ])
 def test_workload_item_passes(workloads, workload, item):
-    """One item of each kind the identity-sweep and analyze-irreducible
-    workloads run: a signature change at a call site shows as a failure."""
+    """One item of each kind the three workloads run: a signature change at a
+    call site shows as a failure."""
     assert workloads.run_item(workload, item, seed=1) == []

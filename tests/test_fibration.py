@@ -1,6 +1,7 @@
 """Lie triple systems and canonical fibration subalgebras."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,13 +10,15 @@ import pytest
 from nk_triad import automorph, compactform, tables
 from nk_triad.automorph import InnerClass
 from nk_triad.fibration import (
+    NonClosedSubalgebra,
     NotInvolutive,
     all_fibrations,
     check_lie_triple_system,
     fibration_subalgebras,
     involution_fixed_points,
 )
-from nk_triad.tables import cached_root_system, realize
+from nk_triad.rootsys import RootSystem
+from nk_triad.tables import cached_algebra, cached_root_system, realize
 
 F = Fraction
 
@@ -192,3 +195,53 @@ def test_fibration_tables_realize_no_space(monkeypatch):
     monkeypatch.setattr(tables, "cached_algebra", refuse)
     for name in fibrations:
         assert tables.dumps_rows(tables.TABLES[name](deep=True)) == tables.golden_text(name)
+
+
+def test_tables_do_no_per_root_key_arithmetic(monkeypatch):
+    """Subsystems and fibration closures are read from the root-addition table
+    alone: with ``RootSystem.key`` refusing, all seven tables still match their
+    golden files byte for byte, and every algebra shares its root system's
+    table rather than holding a copy."""
+    def refuse(self, a):
+        raise AssertionError(f"key arithmetic on {a}")
+
+    monkeypatch.setattr(RootSystem, "key", refuse)
+    for name, compute in tables.TABLES.items():
+        assert tables.dumps_rows(compute(deep=True)) == tables.golden_text(name), name
+    algebras = {(f, r) for f, r, _ in tables.a3ii_sweep()}
+    algebras |= {(f, r) for f, r, _ in tables.a3iii_sweep(deep=True)}
+    for family, rank in sorted(algebras):
+        assert cached_algebra(family, rank).cd.plus is cached_root_system(family, rank).plus
+
+
+# SU(4)/S(U(1)xU(2)xU(1)) (a3, nodes 1, 3): k = {(0,1,0)}, V1 = {(1,1,1)},
+# V2 = {(1,0,0), (1,1,0)}, V3 = {(0,0,1), (0,1,1)}.  Each case alters the
+# root split by one root so that exactly one check of the fibration fails.
+@pytest.mark.parametrize("label,part,root,to,message", [
+    # k + V3 holds (0,1,0) and (0,1,1) but no longer their difference
+    ("V3", "V3", (0, 0, 1), None, "V + k is not bracket-closed"),
+    # V + k is unchanged, but [k, V3] now reaches (0,0,1) outside g_V3
+    ("V3", "V3", (0, 0, 1), "k", "V + [V,V] is not an ideal of V + k"),
+    # V1 + k = {(1,1,1)} is closed, but the involution still fixes (0,1,0)
+    ("V1", "k", (0, 1, 0), None, "involution fixed points differ from V + k"),
+])
+def test_each_fibration_check_can_fail(monkeypatch, label, part, root, to, message):
+    """Dropping a root from one part of the split, or moving it to another,
+    fails the closure of V + k, the ideal check or the fixed-point comparison,
+    each with its own message."""
+    rs, spec = inner("a", 3, (1, 3))
+    split = InnerClass.split
+
+    def altered(self, root_system):
+        layers, k_roots = split(self, root_system)
+        parts = {lbl: list(roots) for lbl, roots in layers.items()}
+        parts["k"] = list(k_roots)
+        parts[part].remove(root)
+        if to is not None:
+            parts[to].append(root)
+        return parts, parts.pop("k")
+
+    assert fibration_subalgebras(rs, spec, label).vertical_label == label
+    monkeypatch.setattr(InnerClass, "split", altered)
+    with pytest.raises(NonClosedSubalgebra, match=re.escape(message)):
+        fibration_subalgebras(rs, spec, label)
