@@ -126,7 +126,7 @@ def fibration_subalgebras(rs: RootSystem, spec: InnerClass,
 
     # g_V is semisimple: its rank is that of its simple roots, and it has no torus
     closure = _root_closure(rs, v)
-    g_v = subsystem_type(rs, [rs.roots[k] for k in np.flatnonzero(closure)])
+    g_v = subsystem_type(rs, closure)
     g_v_type = SubsystemType(g_v.components, 0)
     g_v_dim = int(closure.sum()) + rs.rank - g_v.torus_rank
 
@@ -134,7 +134,7 @@ def fibration_subalgebras(rs: RootSystem, spec: InnerClass,
     gbar = gbar_pos | gbar_pos[rs.neg]
     if (rs.sum_mask(gbar_pos, gbar) & ~gbar).any():
         raise NonClosedSubalgebra("V + k is not bracket-closed")
-    gbar_v_type = subsystem_type(rs, [rs.roots[k] for k in np.flatnonzero(gbar)])
+    gbar_v_type = subsystem_type(rs, gbar)
     gbar_v_dim = 2 * int(gbar_pos.sum()) + rs.rank
 
     # g_V must be an ideal of gbar_V (both sets are negation-symmetric)

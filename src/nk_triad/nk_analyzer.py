@@ -23,13 +23,13 @@ cross-checked against the floating-point trace computations.
 The floating-point side is a few sparse operators per space, each built once
 (``curvature``): G = X X^T with G[(a,b),(c,d)] = <xi_a e_b, xi_c e_d>,
 A'[s,(c,d)] = <[k_s, m_c], m_d>, and R as a (dm^2, dm^2) matrix
-R[(a,b),(c,d)] = R(e_a,e_b,e_c,e_d).  The suites read them through one slab
-reader (``_worst``) and one partial trace (``_trace_bd``): Ric, Ric* and the
-torsion frame traces are traces of R, RJJ and G, and each four-index
-identity, the minimal-connection one included, is a maximum over all
-(a, b, c, d), or over the layers it names.  Index permutations of a
-four-index operator are integer arithmetic on its nonzero entries, so memory
-follows the nonzeros, never dm^4.
+R[(a,b),(c,d)] = R(e_a,e_b,e_c,e_d).  The four curvature identities and Ric*
+are one pass over row slabs of R (``Curvature.identities``); the
+minimal-connection and special-torsion suites read K A' and G through the
+slab reader ``_worst``; Ric and the torsion frame traces are partial traces
+(``_trace_bd``) of R and G.  Each identity is a maximum over all (a, b, c, d),
+or over the layers it names, and memory follows the nonzeros of a slab,
+never dm^4.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def ricci_tensors(space: OrderThreeSymmetricSpace):
     """(Ric, Ric*, C) as traces of the sparse curvature operator; Ric and Ric*
     are memoised on the space (read-only)."""
     cv = curvature(space)
-    return cv.ric, cv.ric_star, cv.ric - 5.0 * cv.ric_star
+    return cv.ric, cv.identities[1], cv.ric - 5.0 * cv.identities[1]
 
 
 # -- the sparse curvature operator ------------------------------------------------
@@ -114,17 +114,19 @@ def _slabs(dm: int, *terms):
     """Row slabs of the sum of coef * M[perm] over (coef, M, perm) terms.
 
     Each M is a (dm^2, dm^2) operator and ``perm`` names its slots, so the
-    term (1.0, M, "bcad") adds M[b,c,a,d] at [(a,b),(c,d)].  A slab is a CSR
+    term (1.0, M, "bcad") adds M[b,c,a,d] at [(a,b),(c,d)]; M = (K, A'), read
+    as "abcd" only, is their product, formed slab by slab.  A slab is a CSR
     matrix holding the rows (a, b) for one block of a, numbered from the
-    block's first row; it gathers about SLAB_ENTRIES nonzeros, so memory
-    follows the slab, not the whole sum.
+    block's first row; it gathers about SLAB_ENTRIES nonzeros (or a product's
+    multiply-adds), so memory follows the slab, not the whole sum.
     """
     sources = []
     for coef, mat, perm in terms:
         if perm.index("a") >= 2:        # read a off the rows of M^T
             mat, perm = mat.T, perm[2:] + perm[:2]
-        sources.append((coef, mat.tocsr(), perm))
-    size = sum(src.nnz for _, src, _ in sources)
+        sources.append((coef, mat if isinstance(mat, tuple) else mat.tocsr(), perm))
+    size = sum(int(np.diff(src[1].indptr)[src[0].indices].sum()) if isinstance(src, tuple)
+               else src.nnz for _, src, _ in sources)
     step = max(1, SLAB_ENTRIES * dm // max(size, 1))
     other = np.arange(dm, dtype=np.int32)
     for a0 in range(0, dm, step):
@@ -133,7 +135,8 @@ def _slabs(dm: int, *terms):
         pieces, rows, cols, data = [], [], [], []
         for coef, src, perm in sources:
             if perm == "abcd":          # the slab's rows as they stand
-                pieces.append(coef * src[a0 * dm:a0 * dm + shape[0]])
+                own = slice(a0 * dm, a0 * dm + shape[0])
+                pieces.append(coef * (src[0][own] @ src[1] if isinstance(src, tuple) else src[own]))
                 continue
             # rows (a, x) or (x, a) of src, a in the block, then index arithmetic
             idx = (block * dm + other if perm[0] == "a" else other * dm + block).ravel()
@@ -151,13 +154,9 @@ def _slabs(dm: int, *terms):
         yield sum(pieces[1:], pieces[0])
 
 
-def _worst(dm: int, *terms, only=None) -> float:
-    """max |sum of coef * M[perm]| over every (a, b, c, d); see ``_slabs``.
-
-    ``only`` = (first, last) reads a in ``first`` and c, d in ``last`` alone.
-    """
-    if only is None:
-        return max(_max_abs(slab) for slab in _slabs(dm, *terms))
+def _worst(dm: int, *terms, only) -> float:
+    """max |sum of coef * M[perm]| (see ``_slabs``) over every (a, b, c, d)
+    with a in ``first`` and c, d in ``last``, ``only`` = (first, last)."""
     first, last = (np.isin(np.arange(dm), idx) for idx in only)
     worst, a0 = 0.0, 0
     for slab in _slabs(dm, *terms):
@@ -182,7 +181,7 @@ def _trace_bd(mat, dm: int, over=None) -> np.ndarray:
 
 
 def _max_abs(mat) -> float:
-    return float(np.abs(mat.data).max(initial=0.0))
+    return float(np.abs(mat.data if sp.issparse(mat) else mat).max(initial=0.0))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -193,22 +192,19 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class Curvature:
     """Sparse torsion and curvature operators of one space, each built on first use.
 
-    From the space's X[(a,b), k] = xi[a,b,k], K[(a,b), s] and A
-    (``OrderThreeSymmetricSpace.tensors``) it builds
-    A'[s, (c,d)] = A[(s,d), c] = <[k_s, m_c], m_d>, so that K A' = R^min, and
-    the (dm^2, dm^2) CSR operators
+    From X[(a,b), k] = xi[a,b,k], K[(a,b), s] and A (``space.tensors()``) it
+    builds A'[s, (c,d)] = A[(s,d), c] = <[k_s, m_c], m_d>, so that
+    K A' = R^min, and the (dm^2, dm^2) CSR operators
 
-        G[(a,b),(c,d)]   = <xi_a e_b, xi_c e_d>                  (X X^T)
-        R                = K A' + 2G - G[a,c,b,d] + G[a,d,b,c]
-        RJJ[(a,b),(c,d)] = R(e_a, e_b, J e_c, J e_d)             (R kron(J, J))
+        G[(a,b),(c,d)] = <xi_a e_b, xi_c e_d>                  (X X^T)
+        R              = K A' + 2G - G[a,c,b,d] + G[a,d,b,c]
 
-    Ric and Ric* are the traces sum_i R[a,i,b,i] and sum_i RJJ[a,i,b,i].  r is
+    Ric is the trace sum_i R[a,i,b,i]; ``identities`` sums Ric*.  r is
     the torsion trace -4 tr xi_a xi_b, read off X alone: 4 sum_i G[a,i,b,i]
-    would be the trace of R - RJJ = 4G, so r = Ric - Ric* would only restate
-    the J-curvature defect.  ``j_sparse``, ``g``, ``riemann`` and
-    ``riemann_jj``, like the tensors, drop entries below
-    ``compactform.ZERO_DROP``: cancellation in their sums of products leaves
-    float noise on exact zeros.
+    would be the trace of R - R kron(J, J) = 4G, so r = Ric - Ric* would only
+    restate the J-defect.  ``j_sparse``, ``g`` and ``riemann``, like the
+    tensors, drop entries below ``compactform.ZERO_DROP``: cancellation in
+    their sums of products leaves float noise on exact zeros.
     """
 
     def __init__(self, space: OrderThreeSymmetricSpace):
@@ -237,22 +233,51 @@ class Curvature:
 
     @cached_property
     def riemann(self) -> sp.csr_matrix:
-        terms = ((1.0, self.space.tensors()[1] @ self.a_prime, "abcd"),
+        terms = ((1.0, (self.space.tensors()[1], self.a_prime), "abcd"),
                  (2.0, self.g, "abcd"), (-1.0, self.g, "acbd"), (1.0, self.g, "adbc"))
-        return drop_noise(sp.vstack(list(_slabs(self.dm, *terms)), format="csr"))
-
-    @cached_property
-    def riemann_jj(self) -> sp.csr_matrix:
-        jj = sp.kron(self.j_sparse, self.j_sparse, format="csr")
-        return drop_noise((self.riemann @ jj).tocsr())
+        rr = sp.vstack([drop_noise(slab) for slab in _slabs(self.dm, *terms)], format="csr")
+        rr.sort_indices()               # for the point reads of ``identities``
+        return rr
 
     @cached_property
     def ric(self) -> np.ndarray:
         return _read_only(_trace_bd(self.riemann, self.dm))
 
     @cached_property
-    def ric_star(self) -> np.ndarray:
-        return _read_only(_trace_bd(self.riemann_jj, self.dm))
+    def identities(self) -> tuple[dict[str, float], np.ndarray]:
+        """Bianchi, pair symmetry, antisymmetry and the J-defect
+        R - R kron(J, J) - 4G, each a maximum over every (a, b, c, d), and Ric*,
+        in one pass over row slabs of R (blocks of a) that sorts nothing.
+
+        The slab times kron(J, J) gives the J-defect and, traced, its rows of
+        Ric*.  The others read R[b,c,a,d], R[c,a,b,d], R[c,d,a,b] and
+        R[b,a,c,d] at the slab's stored entries, in one point read of R.  Each
+        residual is invariant up to sign under its permutation (the 3-cycle of
+        a, b, c, the pair swap, the swap of a and b), so its maximum over the
+        union of the permuted supports is its maximum over supp(R).  scipy
+        bisects a row only if R's indices are sorted and the samples outnumber
+        a tenth of its entries, and scans it otherwise: hence at most 20 slabs.
+        """
+        dm, rr = self.dm, self.riemann
+        jj = sp.kron(self.j_sparse, self.j_sparse, format="csr")
+        ric_star, worst = np.zeros((dm, dm)), [np.zeros(4)]
+        step = max(1, SLAB_ENTRIES * dm // max(4 * rr.nnz, 1), -(-dm // 20))
+        for a0 in range(0, dm, step):
+            a1 = min(a0 + step, dm)
+            own = slice(a0 * dm, a1 * dm)
+            slab = rr[own]
+            rjj = slab @ jj
+            ric_star[a0:a1] = _trace_bd(rjj, dm)[:a1 - a0]
+            v = slab.tocoo()
+            row, b, (c, d) = a0 * dm + v.row, v.row % dm, np.divmod(v.col, dm)
+            a = row // dm
+            bcad, cabd, cdab, bacd = np.split(np.asarray(rr[
+                np.concatenate([b * dm + c, c * dm + a, v.col, b * dm + a]),
+                np.concatenate([a * dm + d, b * dm + d, row, v.col])]).ravel(), 4)
+            worst.append([_max_abs(v.data + bcad + cabd), _max_abs(v.data - cdab),
+                          _max_abs(v.data + bacd), _max_abs(slab - rjj - 4.0 * self.g[own])])
+        keys = ("bianchi", "pair_symmetry", "antisymmetry", "curvature_J_defect")
+        return dict(zip(keys, np.max(worst, axis=0).tolist())), _read_only(ric_star)
 
     @cached_property
     def r(self) -> np.ndarray:
@@ -570,21 +595,12 @@ def verify_curvature_identities(space, tol=1e-9, seed=0) -> dict[str, float]:
     R(X,Y,Z,T) - R(X,Y,JZ,JT) = 4<xi_X Y, xi_Z T>, and Ricci facts.
 
     Every residual is a maximum over all (a, b, c, d), read off the memoised
-    sparse operators of ``curvature``.  ``seed`` is unused; it stays until
+    slab pass ``Curvature.identities``.  ``seed`` is unused; it stays until
     ``bench/workloads.py`` stops passing it.
     """
     cv = curvature(space)
-    dm = space.dim_m
-    rr = cv.riemann
-    res: dict[str, float] = {
-        "bianchi": _worst(dm, (1.0, rr, "abcd"), (1.0, rr, "bcad"), (1.0, rr, "cabd")),
-        "pair_symmetry": _worst(dm, (1.0, rr, "abcd"), (-1.0, rr, "cdab")),
-        "antisymmetry": _worst(dm, (1.0, rr, "abcd"), (1.0, rr, "bacd")),
-        "curvature_J_defect": _worst(dm, (1.0, rr, "abcd"), (-1.0, cv.riemann_jj, "abcd"),
-                                     (-4.0, cv.g, "abcd")),
-    }
-
-    j, ric, ric_star, r = cv.j, cv.ric, cv.ric_star, cv.r
+    res = dict(cv.identities[0])
+    j, ric, ric_star, r = cv.j, cv.ric, cv.identities[1], cv.r
     res["ric_symmetric"] = float(np.abs(ric - ric.T).max())
     res["ric_star_symmetric"] = float(np.abs(ric_star - ric_star.T).max())
     res["ric_J_commute"] = float(np.abs(ric @ j - j @ ric).max())
@@ -615,7 +631,7 @@ def verify_min_connection_identity(space, tol=1e-9, seed=0) -> float:
         raise IdentityViolation("minimal-connection identity needs a vertical split")
     cv = curvature(space)
     g = cv.g
-    worst = _worst(space.dim_m, (1.0, space.tensors()[1] @ cv.a_prime, "abcd"),
+    worst = _worst(space.dim_m, (1.0, (space.tensors()[1], cv.a_prime), "abcd"),
                    (4.0, g, "abcd"), (4.0, g, "dacb"), (-4.0, g, "cadb"), only=(horiz, vert))
     if worst > tol:
         raise IdentityViolation(f"minimal-connection identity residual {worst:.2e}")
@@ -650,8 +666,7 @@ def verify_sat_identities(space, tol=1e-9, seed=0) -> dict[str, float]:
         res["xi_HH_in_V"] = block_max(h, h, h)
         res["xi_VH_in_H"] = block_max(v, h, v)
         vert, horiz = v, h
-        lam_v, lam_h = lam["V"], lam["H"]
-        if 2 * lam_v * len(v) != lam_h * len(h):
+        if 2 * lam["V"] * len(v) != lam["H"] * len(h):
             raise IdentityViolation("vertical/horizontal trace balance fails")
         res["balance"] = 0.0
     else:

@@ -348,14 +348,13 @@ def _component_type(cartan: list[list[int]], norms: list[int]) -> tuple[str, int
     return ("d" if sorted(arms)[1] == 1 else "e"), n
 
 
-def subsystem_type(rs: RootSystem, roots: Iterable) -> SubsystemType:
-    """Classify a closed, negation-symmetric subsystem up to isomorphism.
+def subsystem_type(rs: RootSystem, subset: np.ndarray) -> SubsystemType:
+    """Classify a closed, negation-symmetric mask over ``rs.roots`` up to isomorphism.
 
     Components are named canonically: rank-1 pieces as a1, the rank-2
     double-bond system as b2, and a 3-chain as a3.  The torus rank is the
     rank of ``rs`` less that of the subsystem.
     """
-    subset = rs.mask(roots)
     if (subset != subset[rs.neg]).any():
         raise NotClosed("subsystem is not closed under negation")
     positives = subset.copy()

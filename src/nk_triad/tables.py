@@ -213,7 +213,8 @@ def realize(family: str, rank: int, kind: str, nodes: tuple[int, ...]):
 def _isotropy(rs: RootSystem, spec: InnerClass):
     """(components, torus rank) of k and dim m, from the root split of ``spec``."""
     layer_roots, k_roots = spec.split(rs)
-    st = subsystem_type(rs, k_roots + [tuple(-x for x in c) for c in k_roots])
+    k = rs.mask(k_roots)
+    st = subsystem_type(rs, k | k[rs.neg])
     return ([list(c) for c in st.components], st.torus_rank,
             2 * sum(map(len, layer_roots.values())))
 

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from nk_triad.automorph import InnerClass
 from nk_triad.chevalley import SignInconsistency
 from nk_triad.compactform import ZERO_DROP
-from nk_triad.nk_analyzer import tensor_r
+from nk_triad.nk_analyzer import _max_abs, _slabs, _trace_bd, curvature, tensor_r
 from nk_triad.rootsys import RootSystem, SubsystemType
 from nk_triad.tables import cached_algebra, cached_root_system
 
@@ -500,3 +500,29 @@ def min_connection_oracle():
 def frame_trace_oracle():
     """The einsum reference for the frame traces of ``verify_sat_identities``."""
     return reference_frame_traces
+
+
+# -- reference curvature identities ----------------------------------------------------
+
+
+def reference_curvature_identities(space):
+    """The four curvature residuals as maxima of four slab sums over every
+    (a, b, c, d), which read the permuted terms of R off transposed copies,
+    with R kron(J, J) built whole; and Ric* as its partial trace."""
+    cv = curvature(space)
+    dm, rr = space.dim_m, cv.riemann
+    rjj = (rr @ sp.kron(cv.j_sparse, cv.j_sparse, format="csr")).tocsr()
+    worst = lambda *terms: max(_max_abs(slab) for slab in _slabs(dm, *terms))
+    res = {
+        "bianchi": worst((1.0, rr, "abcd"), (1.0, rr, "bcad"), (1.0, rr, "cabd")),
+        "pair_symmetry": worst((1.0, rr, "abcd"), (-1.0, rr, "cdab")),
+        "antisymmetry": worst((1.0, rr, "abcd"), (1.0, rr, "bacd")),
+        "curvature_J_defect": worst((1.0, rr, "abcd"), (-1.0, rjj, "abcd"), (-4.0, cv.g, "abcd")),
+    }
+    return res, _trace_bd(rjj, dm)
+
+
+@pytest.fixture(scope="session")
+def curvature_identity_oracle():
+    """The operator reference for ``Curvature.identities``: space -> (residuals, Ric*)."""
+    return reference_curvature_identities

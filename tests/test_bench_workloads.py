@@ -24,6 +24,8 @@ def workloads():
     ("identity-sweep", ("space", "A3III", "e", 7, (2,))),    # dm 84, the heaviest min-connection
     ("tables-golden", ("verify", "tables")),
     ("tables-golden", ("verify", "fibrations")),
+    ("analyze-irreducible", ("analyze", "e", 8, "--nodes", "2")),
+    ("analyze-irreducible", ("analyze", "f", 4, "--cyclic")),
 ])
 def test_workload_item_passes(workloads, workload, item):
     """One item of each kind the three workloads run: a signature change at a

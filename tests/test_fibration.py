@@ -104,7 +104,7 @@ def test_involution_fixed_points_bn():
     rs = cached_root_system("b", 4)
     fixed = involution_fixed_points(rs, ((2, F(1)),))
     full = fixed + [tuple(-x for x in c) for c in fixed]
-    st = subsystem_type(rs, full)
+    st = subsystem_type(rs, rs.mask(full))
     assert st.components == (("a", 1), ("a", 1), ("b", 2))  # so(4) + so(5)
     assert st.torus_rank == 0
 

@@ -1,12 +1,15 @@
 """Canonical structure, torsion and curvature: identities and frozen values."""
 
 import copy
+import importlib.util
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nk_triad import tables
+from nk_triad import cli, tables
 from nk_triad.automorph import realize_cyclic_c3, realize_triality_d4
 from nk_triad.nk_analyzer import (
     KAPPA,
@@ -276,6 +279,95 @@ def test_curvature_identities_check_every_tuple():
     kc[a * dm + b, s] += 0.5
     res = verify_curvature_identities(sp)
     assert max(res.values()) > 1e-6
+
+
+def _bench_strata():
+    """The analyze-irreducible and identity-sweep candidates of ``bench/workloads.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return ([("analyze",) + item for stratum in module.ANALYZE_STRATA for item in stratum]
+            + [("space",) + item for stratum in module.IDENTITY_STRATA for item in stratum])
+
+
+def _realize_item(item):
+    if item[0] == "analyze":
+        _, family, rank, *flags = item
+        return cli._realize_from_args(cli.build_parser().parse_args(
+            ["analyze", family, str(rank), *flags]))
+    _, kind, family, rank, nodes = item
+    return realize(family, rank, kind, nodes)
+
+
+BENCH_SPACES = _bench_strata()
+
+
+@pytest.mark.parametrize("item", BENCH_SPACES, ids=lambda item: "-".join(
+    str(x).strip("-(),").replace(", ", ",") for x in item[1:]))
+def test_curvature_pass_matches_operator_oracle(item, curvature_identity_oracle):
+    """The one slab pass against the operator reference (four slab sums that
+    read R's permutations off transposed copies, and a whole R kron(J, J)),
+    on every space the analyze-irreducible and identity-sweep workloads draw:
+    each residual and Ric* to 1e-14."""
+    space = _realize_item(item)
+    res, ric_star = curvature(space).identities
+    want, want_star = curvature_identity_oracle(space)
+    assert res.keys() == want.keys()
+    assert max(abs(res[k] - want[k]) for k in want) <= 1e-14
+    assert np.abs(ric_star - want_star).max() <= 1e-14
+
+
+def test_symmetries_read_zero_off_the_support():
+    """R cut down to one stored entry v at four distinct indices: Bianchi,
+    pair symmetry and antisymmetry each read exactly |v|, so every permuted
+    read off the support of R returns 0."""
+    sp = realize("g", 2, "A3III", (2,))
+    cv = curvature(sp)
+    one = cv.riemann.copy()
+    dm = sp.dim_m
+    rows, cols = np.divmod(one.tocoo().row, dm), np.divmod(one.indices, dm)
+    n = next(k for k in range(one.nnz)
+             if len({rows[0][k], rows[1][k], cols[0][k], cols[1][k]}) == 4)
+    v = one.data[n]
+    one.data[:] = 0.0
+    one.data[n] = v
+    one.eliminate_zeros()
+    cv.riemann = one                                   # replaces the memoised R
+    res = cv.identities[0]
+    assert res["bianchi"] == res["pair_symmetry"] == res["antisymmetry"] == abs(v) > 0
+
+
+@pytest.mark.parametrize("tensor", ["X", "K"])
+def test_one_changed_entry_fails_the_symmetries(tensor, curvature_identity_oracle):
+    """One stored entry of X or of K moved by 0.5 on a dm = 84 space: Bianchi
+    and pair symmetry exceed 1e-6, and every residual equals the oracle's.
+    The J-defect sees the change of X; it cannot see one of K, since it reads
+    K only through K A', whose rows ad(k_s)|m commute with J, so it stays 0."""
+    sp = realize("e", 7, "A3III", (2,))
+    sp.tensors()[{"X": 0, "K": 1}[tensor]].data[0] += 0.5
+    res = curvature(sp).identities[0]
+    want = curvature_identity_oracle(sp)[0]
+    assert res == want
+    assert res["bianchi"] > 1e-6 and res["pair_symmetry"] > 1e-6
+    assert (res["curvature_J_defect"] > 1e-6) == (tensor == "X")
+
+
+def test_curvature_pass_holds_less_than_r():
+    """On e8 node 2 (dm 168), with R, G, Ric and r built, the identity suite
+    allocates less than R itself: it holds row slabs of R, never a
+    transposed copy of R or a whole R kron(J, J)."""
+    sp = realize("e", 8, "A3IV", (2,))
+    cv = curvature(sp)
+    rr = cv.riemann
+    cv.g, cv.ric, cv.r
+    tracemalloc.start()
+    try:
+        verify_curvature_identities(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rr.data.nbytes + rr.indices.nbytes + rr.indptr.nbytes
 
 
 def test_structure_identities(su3_flag):
