@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .chevalley import ChevalleyData
-from .compactform import CompactAlgebra, adjoint_action_exp, drop_noise
+from .compactform import SLAB_ENTRIES, CompactAlgebra, adjoint_action_exp, drop_noise
 from .rootsys import Coeffs, InvalidRank, RootSystem, alpha_levels, diagram_automorphisms
 
 
@@ -484,79 +484,142 @@ def orbit_span_dim(space: OrderThreeSymmetricSpace, seed_vector: np.ndarray) -> 
     return basis.shape[1]
 
 
-_BLOCK_SEED = 0          # seeds the element X of k whose X^T X cuts m into blocks
+_BLOCK_SEED = 0          # seeds the elements X, Y of k: X^T X cuts m into blocks
 _CLUSTER_RTOL = 1e-6     # eigenvalues of X^T X closer than this share a block
-_GRAM_SLAB_ENTRIES = 1 << 15    # Gram entries formed per slab of rows
+
+
+def _draw(dk: int) -> np.ndarray:
+    """The weights of X and Y over the generators of k, one seeded draw each."""
+    return np.random.default_rng(_BLOCK_SEED).standard_normal((2, dk))
+
+
+def _null_space(gram: np.ndarray) -> np.ndarray:
+    """Orthonormal eigenvectors of a symmetric PSD matrix below ``_COMMUTANT_TOL``."""
+    vals, vecs = np.linalg.eigh(gram)
+    return vecs[:, vals < _COMMUTANT_TOL]
+
+
+def _block_frame(x: np.ndarray):
+    """(Q, rows, cols, frame) for a generic X in ad(k)|m.
+
+    Q is an eigenbasis of X^T X; its clusters of eigenvalues cut m into
+    blocks, and (rows, cols) lists the entries of the blocks.  ``frame``
+    (sparse, entries x coordinates, orthonormal columns) spans the
+    block-diagonal matrices whose blocks commute with the blocks X_i of
+    Q^T X Q, solved for all blocks of one size in one stacked ``eigh``.
+    Eigenvalues are clustered loosely, so a multiplet is never split;
+    merging two close ones only enlarges a block.
+    """
+    dm = x.shape[0]
+    vals, q = np.linalg.eigh(x.T @ x)
+    cuts = np.flatnonzero(np.diff(vals) > _CLUSTER_RTOL * max(vals[-1], 1.0)) + 1
+    bounds = np.concatenate([[0], cuts, [dm]])
+    sizes = np.diff(bounds)
+    xt = q.T @ x @ q
+    rows, cols, data, at, coord = [], [], [], [], []
+    n = ncoords = 0
+    for b in np.unique(sizes):
+        idx = bounds[:-1][sizes == b][:, None] + np.arange(b)       # (blocks, b)
+        xb = xt[idx[:, :, None], idx[:, None, :]]
+        eye = np.eye(b)
+        # [X_i, S_i] on S_i[p, q], as one (b^2, b^2) operator per block
+        op = (xb[:, :, None, :, None] * eye[None, None, :, None, :]
+              - eye[None, :, None, :, None] * xb.transpose(0, 2, 1)[:, None, :, None, :])
+        op = op.reshape(-1, b * b, b * b)
+        w, v = np.linalg.eigh(op.transpose(0, 2, 1) @ op)
+        blk, k = np.nonzero(w < _COMMUTANT_TOL)
+        data.append(v[blk, :, k].ravel())
+        at.append((n + blk[:, None] * b * b + np.arange(b * b)).ravel())
+        coord.append(np.repeat(ncoords + np.arange(blk.size), b * b))
+        rows.append(np.broadcast_to(idx[:, :, None], (len(idx), b, b)).ravel())
+        cols.append(np.broadcast_to(idx[:, None, :], (len(idx), b, b)).ravel())
+        n, ncoords = n + idx.size * b, ncoords + blk.size
+    frame = sp.csr_matrix((np.concatenate(data), (np.concatenate(at), np.concatenate(coord))),
+                          shape=(n, ncoords))
+    return q, np.concatenate(rows), np.concatenate(cols), frame
 
 
 def commutant_basis(space: OrderThreeSymmetricSpace) -> list[np.ndarray]:
     """A basis of the operators on m that commute with every ad(k_s)|m.
 
-    Any such S commutes with X = sum_s c_s ad(k_s) for every c, hence with the
-    symmetric X^T X, so S preserves its eigenspaces: in an eigenbasis Q of
-    X^T X, Q^T S Q is block diagonal, and each block S_i commutes with the
-    block X_i of Q^T X Q.  X is a seeded random combination; that only keeps
-    the blocks small (root planes for inner classes), since both statements
-    hold for every X.  Eigenvalues are clustered loosely, so a multiplet is
-    never split; merging two close ones only enlarges a block.
+    Two seeded random elements X and Y of k generate k (Kuranishi, Nagoya
+    Math. J. 2, 1951), so their joint commutant is the commutant of k.  Any S
+    commuting with X commutes with the symmetric X^T X, hence preserves its
+    eigenspaces: in an eigenbasis Q of X^T X, Q^T S Q is block diagonal and
+    each block commutes with the block X_i of Q^T X Q (``_block_frame``, 2
+    coordinates per root plane on inner classes).  With Y' = Q^T Y Q and
+    C = Y'^2, |[Y', S]|^2 has, on the block entries, the Gram matrix
 
-    The unknowns are the coordinates of the S_i in the commutant of X_i
-    (2 per root plane), dim m of them for inner classes instead of dim m^2.
-    With A_s = Q^T ad(k_s) Q and C = sum_s A_s^2, sum_s |[A_s, S]|^2 has, on
-    the block entries, the Gram matrix
-    G[(p,q),(r,t)] = 2 sum_s A_s[p,r] A_s[t,q] - C[p,r] d_qt - d_pr C[t,q]
-    (d the Kronecker delta), formed in row slabs; the null space (eigenvalues
-    below ``_COMMUTANT_TOL``) of G restricted to those coordinates is the commutant.
+        G[(p,q),(r,t)] = 2 Y'[p,r] Y'[t,q] - C[p,r] d_qt - d_pr C[t,q]
+
+    (d the Kronecker delta), restricted to the block coordinates in row
+    slabs of about ``SLAB_ENTRIES``; its null space (eigenvalues below
+    ``_COMMUTANT_TOL``) holds the candidates.  They are then checked against
+    every ad(k_s) (``_check_candidates``).  The commutant lies inside the
+    candidates whatever Y is drawn, so the check is exact; an unlucky Y only
+    adds candidates for it to reject.
     """
     _, _, ak = space.tensors()
     dm, dk = space.dim_m, space.dim_k
-    weights = np.random.default_rng(_BLOCK_SEED).standard_normal(dk)
-    x = (weights @ ak.reshape((dk, dm * dm))).reshape(dm, dm)
-    vals, q = np.linalg.eigh(x.T @ x)
-    cuts = np.flatnonzero(np.diff(vals) > _CLUSTER_RTOL * max(vals[-1], 1.0)) + 1
-    blocks = list(zip(np.concatenate([[0], cuts]), np.concatenate([cuts, [dm]])))
-    rows = np.concatenate([np.repeat(np.arange(a, b), b - a) for a, b in blocks])
-    cols = np.concatenate([np.tile(np.arange(a, b), b - a) for a, b in blocks])
+    x, y = (_draw(dk) @ ak.reshape((dk, dm * dm))).reshape(2, dm, dm)
+    q, rows, cols, frame = _block_frame(x)
+    yt = q.T @ y @ q
+    cas = yt @ yt
     n = len(rows)
-    step = max(1, _GRAM_SLAB_ENTRIES // n)
-    gram = np.zeros((n, n))
-    casimir = np.zeros((dm, dm))
-    for s in range(dk):
-        at = q.T @ (ak[s * dm:(s + 1) * dm] @ q)
-        casimir += at @ at
-        for lo in range(0, n, step):              # A[p, r] A[t, q] = -A[p, r] A[q, t]
-            p, t = rows[lo:lo + step], cols[lo:lo + step]
-            gram[lo:lo + step] -= at[p][:, rows] * at[t][:, cols]
-    gram *= 2.0
-    xt = q.T @ x @ q
-    coords = []                                   # per block, the commutant of X_i
-    start = 0
-    for a, b in blocks:
-        eye, end = np.eye(b - a), start + (b - a) ** 2
-        c = casimir[a:b, a:b]                     # the C terms live on diagonal blocks
-        gram[start:end, start:end] -= np.kron(c, eye) + np.kron(eye, c)
-        op = np.kron(xt[a:b, a:b], eye) - np.kron(eye, xt[a:b, a:b].T)
-        w, v = np.linalg.eigh(op.T @ op)
-        coords.append(v[:, w < _COMMUTANT_TOL])
-        start = end
-    frame = sp.block_diag(coords, format="csr")
-    gram = frame.T @ gram @ frame                 # rebinding frees the full Gram
-    vals, vecs = np.linalg.eigh(gram)
-    out = []
-    for v in (frame @ vecs[:, vals < _COMMUTANT_TOL]).T:
-        block = np.zeros((dm, dm))
-        block[rows, cols] = v
-        out.append(q @ block @ q.T)
-    return out
+    step = max(1, SLAB_ENTRIES // n)
+    gram = np.zeros((frame.shape[1], frame.shape[1]))
+    for lo in range(0, n, step):                  # Y'[t, q] = -Y'[q, t]
+        p, t = rows[lo:lo + step, None], cols[lo:lo + step, None]
+        slab = (-2.0 * yt[p, rows] * yt[t, cols]
+                - cas[p, rows] * (t == cols) - (p == rows) * cas[t, cols])
+        gram += frame[lo:lo + step].T @ (frame.T @ slab.T).T
+    coords = (frame @ _null_space(gram)).T
+    blocks = np.zeros((len(coords), dm, dm))
+    blocks[:, rows, cols] = coords
+    return _check_candidates(ak, dm, q @ blocks @ q.T)
+
+
+def _check_candidates(ak: sp.csr_matrix, dm: int, cands: np.ndarray) -> list[np.ndarray]:
+    """The combinations of the orthonormal candidates S_k that commute with
+    every A_s = ad(k_s)|m: the null space of their Gram matrix
+
+        sum_s <[A_s, S_k], [A_s, S_l]> = <S_k, W S_l + S_l W + 2 sum_s A_s S_l A_s>
+
+    with W = sum_s A_s^T A_s, since each A_s is antisymmetric.  The
+    candidates are held sparse (entries below ``ZERO_DROP`` dropped), and
+    sum_s A_s S A_s is summed over slabs of generators, cut where the running
+    bound on the entries of A_s S crosses a multiple of ``SLAB_ENTRIES``.
+    """
+    c, dk = len(cands), ak.shape[0] // dm
+    if not c:
+        return []
+    mats = drop_noise(sp.csr_matrix(cands.transpose(1, 0, 2).reshape(dm, c * dm)))   # [S_1 .. S_c]
+    gen = np.repeat(np.arange(ak.shape[0]), np.diff(ak.indptr)) // dm
+    bound = np.bincount(gen, weights=np.diff(mats.indptr)[ak.indices], minlength=dk)
+    start = np.cumsum(bound) - bound
+    cuts = [0, *(np.flatnonzero(np.diff(start // SLAB_ENTRIES)) + 1).tolist(), dk]
+    img = np.zeros((c * dm, dm))                   # [(l, p), q]: sum_s A_s S_l A_s
+    for s0, s1 in zip(cuts[:-1], cuts[1:]):
+        slab = ak[s0 * dm:s1 * dm]
+        v = (slab @ mats).tocoo()                  # [(s, p), (l, r)]: A_s S_l
+        (s, p), (l, r) = np.divmod(v.row, dm), np.divmod(v.col, dm)
+        v = sp.csr_matrix((v.data, (l * dm + p, s * dm + r)), shape=(c * dm, slab.shape[0]))
+        img += (v @ slab).toarray()
+    w = ak.T @ ak
+    ws = (w @ mats).toarray().reshape(dm, c, dm).transpose(1, 0, 2)     # W S_l
+    sw = (cands.reshape(c * dm, dm) @ w).reshape(c, dm, dm)              # S_l W
+    img = 2.0 * img.reshape(c, dm, dm) + ws + sw
+    null = _null_space(np.tensordot(cands, img, axes=([1, 2], [1, 2])))
+    return list(np.tensordot(null.T, cands, axes=1))
 
 
 def invariant_halves(space: OrderThreeSymmetricSpace):
     """Split m into two ad(k)-invariant halves, or None if real-irreducible.
 
     Works through the symmetric part of the commutant of ad(k)|m
-    (``commutant_basis``, solved block by block, at every dim m): a strict
-    nontrivial symmetric commuting operator exists exactly when the action
-    is real-reducible; its eigenspaces are the halves.
+    (``commutant_basis``, from two seeded elements of k, at every dim m): a
+    strict nontrivial symmetric commuting operator exists exactly when the
+    action is real-reducible; its eigenspaces are the halves.
     """
     dm = space.dim_m
     eye = np.eye(dm)

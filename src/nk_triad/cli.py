@@ -31,6 +31,8 @@ from .automorph import (
     realize_cyclic_c3,
     realize_triality_d4,
 )
+from .chevalley import IdentityViolation as ChevalleyViolation
+from .chevalley import verify_square_formula, verify_triangle_identity
 from .compactform import JacobiFailure, TraceFormFailure
 from .fibration import NonClosedSubalgebra, NotInvolutive, all_fibrations
 from .nk_analyzer import (
@@ -270,6 +272,11 @@ def _verify_jacobi(tol: float, deep: bool) -> list[str]:
     failures = []
     for family, rank in _JACOBI_DEFAULT + (_JACOBI_DEEP if deep else []):
         ca = cached_algebra(family, rank)
+        try:      # the exact N^2 and signs that C is assembled from
+            verify_triangle_identity(ca.cd)
+            verify_square_formula(ca.cd)
+        except ChevalleyViolation as exc:
+            failures.append(f"chevalley:{family}{rank}:{exc}")
         try:
             ca.assert_jacobi(tol)
         except JacobiFailure as exc:

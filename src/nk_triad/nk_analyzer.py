@@ -24,16 +24,17 @@ The floating-point side is a few sparse operators per space, each built once
 (``curvature``): G = X X^T with G[(a,b),(c,d)] = <xi_a e_b, xi_c e_d>,
 A'[s,(c,d)] = <[k_s, m_c], m_d>, and R as a (dm^2, dm^2) matrix
 R[(a,b),(c,d)] = R(e_a,e_b,e_c,e_d).  The four curvature identities and Ric*
-are one pass over row slabs of R (``Curvature.identities``); the
-minimal-connection and special-torsion suites read K A' and G through the
-slab reader ``_worst``; Ric and the torsion frame traces are partial traces
-(``_trace_bd``) of R and G.  Each identity is a maximum over all (a, b, c, d),
-or over the layers it names, and memory follows the nonzeros of a slab,
-never dm^4.
+are one pass over row slabs of R (``Curvature.identities``), which sums Ric
+too; the minimal-connection and special-torsion suites read K A' and G
+through the slab reader ``_worst``; the torsion frame traces are partial
+traces (``_trace_bd``) of G.  Each identity is a maximum over all
+(a, b, c, d), or over the layers it names, and memory follows the nonzeros
+of a slab, never dm^4.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -199,16 +200,19 @@ class Curvature:
         G[(a,b),(c,d)] = <xi_a e_b, xi_c e_d>                  (X X^T)
         R              = K A' + 2G - G[a,c,b,d] + G[a,d,b,c]
 
-    Ric is the trace sum_i R[a,i,b,i]; ``identities`` sums Ric*.  r is
-    the torsion trace -4 tr xi_a xi_b, read off X alone: 4 sum_i G[a,i,b,i]
-    would be the trace of R - R kron(J, J) = 4G, so r = Ric - Ric* would only
-    restate the J-defect.  ``j_sparse``, ``g`` and ``riemann``, like the
-    tensors, drop entries below ``compactform.ZERO_DROP``: cancellation in
-    their sums of products leaves float noise on exact zeros.
+    Ric, the trace sum_i R[a,i,b,i], and Ric* are summed in the pass of
+    ``identities``.  r is the torsion trace -4 tr xi_a xi_b, read off X
+    alone: 4 sum_i G[a,i,b,i] would be the trace of R - R kron(J, J) = 4G,
+    so r = Ric - Ric* would only restate the J-defect.  ``j_sparse``, ``g``
+    and ``riemann``, like the tensors, drop entries below
+    ``compactform.ZERO_DROP``: cancellation in their sums of products leaves
+    float noise on exact zeros.
     """
 
     def __init__(self, space: OrderThreeSymmetricSpace):
-        self.space = space
+        # weak: the space owns its Curvature, so without a reference cycle a
+        # finished space and its R are freed at once, not at the next collection
+        self.space = weakref.proxy(space)
         self.dm = space.dim_m
 
     @cached_property
@@ -217,7 +221,13 @@ class Curvature:
 
     @cached_property
     def j_sparse(self) -> sp.csr_matrix:
-        return drop_noise(sp.csr_matrix(self.j))
+        """J with its noise dropped; ``IdentityViolation`` unless it is a signed
+        permutation of the m-basis (one entry of modulus 1 per row), which
+        every realization gives and ``identities`` relies on."""
+        js = drop_noise(sp.csr_matrix(self.j))
+        if (np.diff(js.indptr) != 1).any() or (np.abs(np.abs(js.data) - 1.0) > 1e-12).any():
+            raise IdentityViolation("J is not a signed permutation of the m-basis")
+        return js
 
     @cached_property
     def a_prime(self) -> sp.csr_matrix:
@@ -241,43 +251,57 @@ class Curvature:
 
     @cached_property
     def ric(self) -> np.ndarray:
-        return _read_only(_trace_bd(self.riemann, self.dm))
+        return self._pass[2]
 
     @cached_property
     def identities(self) -> tuple[dict[str, float], np.ndarray]:
-        """Bianchi, pair symmetry, antisymmetry and the J-defect
-        R - R kron(J, J) - 4G, each a maximum over every (a, b, c, d), and Ric*,
-        in one pass over row slabs of R (blocks of a) that sorts nothing.
+        """(residuals, Ric*): Bianchi, pair symmetry, antisymmetry and the
+        J-defect R - R kron(J, J) - 4G, each a maximum over every (a, b, c, d)."""
+        return self._pass[:2]
 
-        The slab times kron(J, J) gives the J-defect and, traced, its rows of
-        Ric*.  The others read R[b,c,a,d], R[c,a,b,d], R[c,d,a,b] and
-        R[b,a,c,d] at the slab's stored entries, in one point read of R.  Each
-        residual is invariant up to sign under its permutation (the 3-cycle of
-        a, b, c, the pair swap, the swap of a and b), so its maximum over the
-        union of the permuted supports is its maximum over supp(R).  scipy
-        bisects a row only if R's indices are sorted and the samples outnumber
-        a tenth of its entries, and scans it otherwise: hence at most 20 slabs.
+    @cached_property
+    def _pass(self) -> tuple[dict[str, float], np.ndarray, np.ndarray]:
+        """The four identities, Ric* and Ric in one pass over row slabs of R
+        (blocks of a) that sorts nothing.
+
+        J is a signed permutation, J[c, pi c] = s_c (``j_sparse``), so
+        R kron(J, J) is the slab with its columns (c, d) relabelled
+        (pi c, pi d) and scaled by s_c s_d; Ric* is its trace over b = pi d,
+        and Ric the slab's trace over b = d.  Antisymmetry adds the rows
+        (b, a) of R, gathered whole.  Bianchi and pair symmetry read
+        R[b,c,a,d], R[c,a,b,d] and R[c,d,a,b] at the slab's stored entries, in
+        one point read of R.  Each residual is invariant up to sign under its
+        permutation (the 3-cycle of a, b, c, the pair swap), so its maximum
+        over the union of the permuted supports is its maximum over supp(R).
+        scipy bisects a row only if R's indices are sorted and the samples
+        outnumber a tenth of its entries, and scans it otherwise: hence at
+        most 20 slabs.
         """
-        dm, rr = self.dm, self.riemann
-        jj = sp.kron(self.j_sparse, self.j_sparse, format="csr")
-        ric_star, worst = np.zeros((dm, dm)), [np.zeros(4)]
-        step = max(1, SLAB_ENTRIES * dm // max(4 * rr.nnz, 1), -(-dm // 20))
+        dm, rr, js = self.dm, self.riemann, self.j_sparse
+        perm, sign = js.indices, js.data
+        ric, ric_star, worst = np.zeros(dm * dm), np.zeros(dm * dm), [np.zeros(4)]
+        step = max(1, SLAB_ENTRIES * dm // max(3 * rr.nnz, 1), -(-dm // 20))
         for a0 in range(0, dm, step):
             a1 = min(a0 + step, dm)
             own = slice(a0 * dm, a1 * dm)
             slab = rr[own]
-            rjj = slab @ jj
-            ric_star[a0:a1] = _trace_bd(rjj, dm)[:a1 - a0]
             v = slab.tocoo()
-            row, b, (c, d) = a0 * dm + v.row, v.row % dm, np.divmod(v.col, dm)
-            a = row // dm
-            bcad, cabd, cdab, bacd = np.split(np.asarray(rr[
-                np.concatenate([b * dm + c, c * dm + a, v.col, b * dm + a]),
-                np.concatenate([a * dm + d, b * dm + d, row, v.col])]).ravel(), 4)
+            row = a0 * dm + v.row
+            (a, b), (c, d) = np.divmod(row, dm), np.divmod(v.col, dm)
+            jd, pc, pd = v.data * (sign[c] * sign[d]), perm[c], perm[d]
+            rjj = sp.csr_matrix((jd, pc * dm + pd, slab.indptr), shape=slab.shape)
+            on, jon = b == d, b == pd                  # the entries each trace reads
+            ric += np.bincount(a[on] * dm + c[on], v.data[on], dm * dm)
+            ric_star += np.bincount(a[jon] * dm + pc[jon], jd[jon], dm * dm)
+            swap = (np.arange(dm) * dm + np.arange(a0, a1)[:, None]).ravel()   # rows (b, a)
+            bcad, cabd, cdab = np.split(np.asarray(rr[
+                np.concatenate([b * dm + c, c * dm + a, v.col]),
+                np.concatenate([a * dm + d, b * dm + d, row])]).ravel(), 3)
             worst.append([_max_abs(v.data + bcad + cabd), _max_abs(v.data - cdab),
-                          _max_abs(v.data + bacd), _max_abs(slab - rjj - 4.0 * self.g[own])])
+                          _max_abs(slab + rr[swap]), _max_abs(slab - rjj - 4.0 * self.g[own])])
         keys = ("bianchi", "pair_symmetry", "antisymmetry", "curvature_J_defect")
-        return dict(zip(keys, np.max(worst, axis=0).tolist())), _read_only(ric_star)
+        return (dict(zip(keys, np.max(worst, axis=0).tolist())),
+                _read_only(ric_star.reshape(dm, dm)), _read_only(ric.reshape(dm, dm)))
 
     @cached_property
     def r(self) -> np.ndarray:

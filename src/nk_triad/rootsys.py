@@ -12,6 +12,8 @@ digits of size at most 2 * (largest mark), so there key(a) + key(b) =
 key(a + b), and one sorted lookup of the summed keys gives the root-addition
 table ``plus`` over the 2n roots (``roots``: the positives, then their
 negatives).  Membership is checked on the tuple, so no vector aliases a root.
+From a28 the int64 keys wrap, and ``plus`` checks its entries on the
+coefficients.
 Closed subsystems (Dynkin, Mat. Sb. 30 (1952)) are boolean masks over the
 roots, closed and classified by reads of ``plus``: their indecomposable
 positives are a base, and the Cartan matrix is an int product of 6 x Gram rows.
@@ -182,18 +184,32 @@ class RootSystem:
         self.root_index: dict[Coeffs, int] = {c: k for k, c in enumerate(self.roots)}
         self._keys = [sum(c * self.key_base ** i for i, c in enumerate(r)) for r in self.roots]
         self._coeffs = np.array(self.roots, dtype=np.int64)
+        # the same keys in int64, read by ``plus``; they wrap from a28
+        self._keys64 = self._coeffs @ self.key_base ** np.arange(self.rank, dtype=np.int64)
         self._gram6_rows = self._coeffs @ np.array(self.gram6, dtype=np.int64)
         self.neg = np.r_[np.arange(n, 2 * n), np.arange(n)]
 
     @functools.cached_property
     def plus(self) -> np.ndarray:
         """plus[i, j], the index in ``roots`` of root i + root j or -1; read-only,
-        and built on first use, so listing the classes of a large rank holds none."""
-        keys = self._coeffs @ self.key_base ** np.arange(self.rank, dtype=np.int64)
+        and built on first use, so listing the classes of a large rank holds none.
+
+        The int64 keys wrap once key_base ** rank passes 2^63 (from a28).
+        There the digit argument no longer holds, so every stored entry is
+        checked on the coefficients; ``OverflowError`` if a key read a sum as
+        the wrong root."""
+        keys = self._keys64
         order = np.argsort(keys)
         sums = keys[:, None] + keys[None, :]
         at = np.minimum(np.searchsorted(keys[order], sums), keys.size - 1)
         plus = np.where(keys[order][at] == sums, order[at], -1)
+        if self.key_base ** self.rank > 2 ** 63:
+            i, j = np.nonzero(plus >= 0)
+            got, want = self._coeffs[plus[i, j]], self._coeffs[i] + self._coeffs[j]
+            if not np.array_equal(got, want):
+                n = np.flatnonzero((got != want).any(axis=1))[0]
+                raise OverflowError(f"{self.type_label}: int64 root keys alias: {self.roots[i[n]]}"
+                                    f" + {self.roots[j[n]]} read as {self.roots[plus[i[n], j[n]]]}")
         plus.flags.writeable = False
         return plus
 

@@ -452,3 +452,36 @@ def test_one_flipped_entry_moves_jacobi_preservation_and_xi(algebra):
     moved = dict(zip(zip(diff.row.tolist(), diff.col.tolist()), diff.data.tolist()))
     assert moved == pytest.approx({(a * dm + b, p): -2.0 * x.data[0],
                                    (b * dm + a, p): 2.0 * x.data[0]})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: realize("g", 2, "A3IV", (1,)),
+    lambda: realize_cyclic_c3(tables.cached_algebra("a", 2)),
+], ids=["g2-node1", "a2-cyclic"])
+def test_check_rejects_candidates_of_an_unlucky_draw(make, monkeypatch):
+    """With Y = X the second element adds nothing, so every operator commuting
+    with the blocks of X is a candidate; the check against every ad(k_s)
+    rejects the extra ones and the halves still match the dense reference."""
+    draw, seen = automorph._draw, []
+    check = automorph._check_candidates
+    monkeypatch.setattr(automorph, "_draw", lambda dk: draw(dk)[[0, 0]])
+    monkeypatch.setattr(automorph, "_check_candidates",
+                        lambda ak, dm, cands: seen.append(len(cands)) or check(ak, dm, cands))
+    sp = make()
+    dim, ref = dense_invariant_halves(sp)
+    basis = commutant_basis(sp)
+    assert len(basis) == dim < seen[0]
+    assert max(np.abs(a @ s - s @ a).max() for a in ad_k(sp) for s in basis) < 1e-9
+    halves = invariant_halves(sp)
+    if ref is None:
+        assert halves is None
+        return
+    assert (halves[0].shape[1], halves[1].shape[1]) == (ref[0].shape[1], ref[1].shape[1])
+    assert _leak(sp, halves) < 1e-9 and _leak(sp, ref) < 1e-9
+
+
+@pytest.mark.parametrize("family,rank", [("f", 4), ("e", 7)])
+def test_large_cyclic_spaces_are_confirmed_type_ii(family, rank):
+    sp = realize_cyclic_c3(tables.cached_algebra(family, rank))
+    dec = classify_type(sp)
+    assert dec.label == "II" and dec.evidence["half_dims"] == (sp.dim_m // 2, sp.dim_m // 2)

@@ -353,16 +353,27 @@ def test_one_changed_entry_fails_the_symmetries(tensor, curvature_identity_oracl
     assert (res["curvature_J_defect"] > 1e-6) == (tensor == "X")
 
 
+def test_j_outside_a_signed_permutation_basis_raises():
+    """The identity pass relabels R's columns by J, so it needs J to be a
+    signed permutation of the m-basis; a rotated m-basis is refused."""
+    sp = realize("g", 2, "A3IV", (1,))
+    turn = np.linalg.qr(np.random.default_rng(5).standard_normal((sp.dim_m, sp.dim_m)))[0]
+    rotated = type(sp)(sp.algebra, sp.type_label, sp.sigma, sp.k_cols, sp.m_cols @ turn)
+    with pytest.raises(IdentityViolation, match="signed permutation"):
+        curvature(rotated).identities
+
+
 def test_curvature_pass_holds_less_than_r():
-    """On e8 node 2 (dm 168), with R, G, Ric and r built, the identity suite
-    allocates less than R itself: it holds row slabs of R, never a
-    transposed copy of R or a whole R kron(J, J)."""
+    """On e8 node 2 (dm 168), with R, G and r built, Ric and the identity
+    suite allocate less than R itself: they hold row slabs of R, never a
+    transposed copy of R, a whole R kron(J, J) or R as COO."""
     sp = realize("e", 8, "A3IV", (2,))
     cv = curvature(sp)
     rr = cv.riemann
-    cv.g, cv.ric, cv.r
+    cv.g, cv.r
     tracemalloc.start()
     try:
+        cv.ric
         verify_curvature_identities(sp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -1,8 +1,10 @@
 """Root system construction, strings, and subsystem classification."""
 
 import itertools
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from nk_triad.rootsys import (
     InvalidRank,
     NotARoot,
     NotClosed,
+    RootSystem,
     build_root_system,
     canonical_simple_type,
     diagram_automorphisms,
@@ -202,6 +205,33 @@ def test_key_is_additive_and_never_aliases():
                 assert (rs.key(a) + rs.key(b) in keys) == rs.is_root(s)
                 if rs.is_root(s):
                     assert rs.key(a) + rs.key(b) == rs.key(s)
+
+
+@pytest.mark.parametrize("rank", [28, 40])
+def test_plus_matches_tuple_addition_where_int64_keys_wrap(rank):
+    """From a28, key_base ** rank passes 2^63 and the int64 keys wrap; the
+    table still equals tuple addition on every pair, looked up here on the
+    coefficient bytes (exact: a sum of two roots of a_n has digits in -2..2)."""
+    rs = build_root_system("a", rank)
+    assert rs.key_base ** rank > 2 ** 63
+    coeffs = rs._coeffs.astype(np.int8)
+    as_bytes = lambda a: np.ascontiguousarray(a).reshape(-1, rank).view(f"V{rank}").ravel()
+    keys = as_bytes(coeffs)
+    order = np.argsort(keys)
+    for lo in range(0, len(keys), 256):
+        sums = as_bytes(coeffs[lo:lo + 256, None] + coeffs[None])
+        at = np.minimum(np.searchsorted(keys[order], sums), len(keys) - 1)
+        want = np.where(keys[order][at] == sums, order[at], -1)
+        assert np.array_equal(rs.plus[lo:lo + 256].ravel(), want)
+
+
+def test_plus_raises_on_an_aliased_key():
+    """On a28, one corrupted key that makes alpha_1 + alpha_1 read as a root."""
+    rs = RootSystem("a", 28)
+    a1, a12 = (tuple(int(k < n) for k in range(28)) for n in (1, 2))
+    rs._keys64[rs.root_index[a12]] = 2 * rs._keys64[rs.root_index[a1]]
+    with pytest.raises(OverflowError, match=rf"{re.escape(f'{a1} + {a1} read as {a12}')}$"):
+        rs.plus
 
 
 @pytest.mark.parametrize("vector", [(9, -9), (-4, 1), (5, -1), (2, 0)])

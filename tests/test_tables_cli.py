@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nk_triad import cli, tables
@@ -344,3 +345,17 @@ def test_identity_spaces_cover_all_constructions():
 
     labels = {sp.type_label for sp in identity_spaces(deep=False)}
     assert {"A3II", "A3III", "A3IV", "B3", "C3"} <= labels
+
+
+def test_cli_verify_all_fails_on_one_flipped_chevalley_sign(monkeypatch, capsys):
+    """One sign of g2's table flipped after its C is built: only the exact
+    Chevalley checks of ``verify jacobi`` read it, and they name it."""
+    cd = tables.cached_algebra("g", 2).cd
+    i, j = (int(k[0]) for k in np.nonzero(cd.plus >= 0))
+    sign = cd.sign.copy()
+    sign[i, j] *= -1
+    monkeypatch.setattr(cd, "sign", sign)
+    assert main(["verify", "all"]) == 1
+    out = capsys.readouterr().out
+    failures = json.loads(out[out.index("{"):])["failures"]
+    assert len(failures) == 1 and failures[0].startswith("chevalley:g2:triple ")
