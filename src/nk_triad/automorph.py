@@ -13,7 +13,9 @@ A3III (mark-2 node), A3IV (mark-3 node), B3 (d4 triality), C3 (cyclic).
 An inner class holds its exact data: the levels a(H) and the root split
 into k and the m-layers, memoised (``InnerClass.levels``, ``.split``).  The
 exact eigenvalues, fibrations and tables read them from the class; a
-realization adds only sigma and the k/m columns.
+realization adds only sigma and the k/m columns, held as sparse maps: every
+construction gives sparse ones, and the tensors and J are sparse products of
+them.
 
 Realized spaces are immutable apart from memoized tensor caches; realizing
 independent spaces over one shared algebra is embarrassingly parallel.
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -150,20 +151,22 @@ def enumerate_inner_order3(rs: RootSystem, dedup: bool = False) -> list[InnerCla
 class OrderThreeSymmetricSpace:
     """A realized pair (g, sigma) with the orthogonal split g = k + m.
 
-    ``k_cols`` and ``m_cols`` are orthonormal column blocks in the algebra
-    basis: columns of the identity for inner classes, dense columns for the
-    outer and cyclic constructions.  Both kinds reach the tensors the same
-    way, as one sparse change of basis of the algebra's structure constants
-    (``tensors``).
+    ``sigma``, ``k_cols`` and ``m_cols`` are CSR, whatever the construction
+    hands in: sigma is one 2 x 2 rotation per root plane (inner), a block
+    permutation (cyclic) or a signed permutation with a 4 x 4 Cartan block
+    (triality), and the orthonormal columns of k and m are identity columns
+    (inner), at most three entries each (cyclic) or eigenvectors of d4
+    (triality).  Every kind reaches the tensors the same way, as one sparse
+    change of basis of the algebra's structure constants (``tensors``).
     """
 
     def __init__(self, algebra, type_label, sigma, k_cols, m_cols, h_spec=None,
                  layers=None, name="", halves=None):
         self.algebra = algebra
         self.type_label = type_label
-        self.sigma = sigma
-        self.k_cols = k_cols
-        self.m_cols = m_cols
+        self.sigma = sp.csr_matrix(sigma)
+        self.k_cols = sp.csr_matrix(k_cols)
+        self.m_cols = sp.csr_matrix(m_cols)
         self.h_spec = h_spec
         self.layers = layers or {}
         self.name = name or type_label
@@ -177,24 +180,24 @@ class OrderThreeSymmetricSpace:
     # -- geometry ------------------------------------------------------------
 
     @property
-    def sigma_m(self) -> np.ndarray:
+    def sigma_m(self) -> sp.csr_matrix:
         if self._sigma_m is None:
             self._sigma_m = self.m_cols.T @ self.sigma @ self.m_cols
         return self._sigma_m
 
     def check_invariants(self) -> None:
         s, tol = self.sigma, _INVARIANT_TOL
-        d = s.shape[0]
-        if np.abs(s @ s @ s - np.eye(d)).max() > tol:
+        eye, ss = sp.identity(s.shape[0], format="csr"), s @ s
+        worst = lambda mat: np.abs(mat.data).max(initial=0.0)    # over the stored entries
+        if worst(ss @ s - eye) > tol:
             raise NotOrderThree("sigma^3 != id")
-        if np.abs(s - np.eye(d)).max() < tol:
+        if worst(s - eye) < tol:
             raise NotOrderThree("sigma == id")
-        if np.abs(s.T @ s - np.eye(d)).max() > tol:
+        if worst(s.T @ s - eye) > tol:
             raise NotOrderThree("sigma is not orthogonal")
-        if np.abs(s @ self.k_cols - self.k_cols).max() > tol:
+        if worst(s @ self.k_cols - self.k_cols) > tol:
             raise NotOrderThree("k is not fixed by sigma")
-        phi = np.eye(d) + s + s @ s
-        if np.abs(phi @ self.m_cols).max() > tol:
+        if worst((eye + s + ss) @ self.m_cols) > tol:
             raise NotOrderThree("m is not annihilated by 1 + sigma + sigma^2")
         if self.dim_m % 2:
             raise NotOrderThree("dim m must be even")
@@ -217,36 +220,43 @@ class OrderThreeSymmetricSpace:
         return self._bracket_preservation_worst()[0]
 
     def _bracket_preservation_worst(self) -> tuple[float, tuple[int, int]]:
-        """The largest bracket-preservation residual and a pair (i, j) where it
-        occurs, from the algebra's structure constants C, one slab of i at a time:
-        sigma[e_i, e_j] is row j of C_i sigma^T, and [sigma e_i, sigma e_j] is
-        row j of sigma^T M_i with M_i[b, l] = sum_a sigma[a, i] C[(a, b), l]."""
-        d = self.algebra.dim
-        c = self.algebra.C
-        by_first = c.reshape((d, d * d)).T.tocsr()      # [(b, l), a] = C[(a, b), l]
-        worst, where = 0.0, (0, 0)
-        for i in range(d):
-            lhs = c[i * d:(i + 1) * d] @ self.sigma.T
-            rhs = self.sigma.T @ (by_first @ self.sigma[:, i]).reshape(d, d)
-            res = np.abs(lhs - rhs).max(axis=1)
-            j = int(res.argmax())
-            if res[j] > worst:
-                worst, where = float(res[j]), (i, j)
-        return worst, where
+        """The largest bracket-preservation residual and the first pair (i, j)
+        where it occurs: row (i, j) of C sigma^T is sigma[e_i, e_j], and of
+        ``_frame_bracket(C, sigma, sigma)`` it is [sigma e_i, sigma e_j]."""
+        c, s = self.algebra.C, self.sigma
+        res = abs(c @ s.T - _frame_bracket(c, s, s)).max(axis=1).toarray().ravel()
+        at = int(res.argmax())
+        return float(res[at]), divmod(at, self.algebra.dim)
 
 
 def _build_tensors(space: OrderThreeSymmetricSpace):
-    """X = -(1/2) (M kron M)^T C M, K = (M kron M)^T C Kc and A from
-    (Kc kron M)^T C M, with M = m_cols and Kc = k_cols as sparse matrices."""
-    c, dm = space.algebra.C, space.dim_m
-    m, k = sp.csr_matrix(space.m_cols), sp.csr_matrix(space.k_cols)
-    mmc = sp.kron(m, m, format="csr").T @ c                 # [(a, b), l]: [m_a, m_b]
-    xi = drop_noise((-0.5 * (mmc @ m)).tocsr())
-    kc = drop_noise((mmc @ k).tocsr())
-    act = (sp.kron(k, m, format="csr").T @ c @ m).tocoo()   # [(s, q), p]
+    """X = -(1/2) [M, M] M, K = [M, M] Kc and A from [Kc, M] M, with M = m_cols,
+    Kc = k_cols and both brackets read off one ``_frame_bracket`` of [M Kc] and M."""
+    m, k, dm = space.m_cols, space.k_cols, space.dim_m
+    both = _frame_bracket(space.algebra.C, sp.hstack([m, k], format="csr"), m)
+    mm = both[:dm * dm]                                     # [(a, b), l]: [m_a, m_b]
+    xi = drop_noise((-0.5 * (mm @ m)).tocsr())
+    kc = drop_noise((mm @ k).tocsr())
+    act = (both[dm * dm:] @ m).tocoo()                      # [(s, q), p]
     s, q = np.divmod(act.row, dm)
     ak = drop_noise(sp.csr_matrix((act.data, (s * dm + act.col, q)), shape=(space.dim_k * dm, dm)))
     return xi, kc, ak
+
+
+def _frame_bracket(c: sp.csr_matrix, first: sp.csr_matrix, second: sp.csr_matrix) -> sp.csr_matrix:
+    """B[(a, b), l] = sum_{i,j} first[i, a] second[j, b] C[(i, j), l], the brackets
+    of two column frames in the algebra basis.
+
+    C read as [i, (j, l)] takes first^T on the left; re-indexed to [j, (a, l)]
+    it takes second^T.  No kron(first, second) is formed, so each product
+    holds about as many entries as the brackets.
+    """
+    d, na, nb = c.shape[1], first.shape[1], second.shape[1]
+    t = (first.T @ c.reshape((d, d * d))).tocoo()           # [a, (j, l)]
+    j, l = np.divmod(t.col, d)
+    t = (second.T @ sp.csr_matrix((t.data, (j, t.row * d + l)), shape=(d, na * d))).tocoo()
+    a, l = np.divmod(t.col, d)                              # t: [b, (a, l)]
+    return sp.csr_matrix((t.data, (a * nb + t.row, l)), shape=(na * nb, d))
 
 
 # -- inner realization ---------------------------------------------------------
@@ -263,7 +273,7 @@ def realize_inner(ca: CompactAlgebra, spec: InnerClass, name: str = "") -> Order
     layers = {lbl: [2 * at[c] + e for c in roots for e in (0, 1)]
               for lbl, roots in layer_roots.items()}
     planes = lambda roots: [ca.u_index(rs.index(c), e) for c in roots for e in (0, 1)]
-    eye = np.eye(ca.dim)
+    eye = sp.identity(ca.dim, format="csc")
     space = OrderThreeSymmetricSpace(
         ca, spec.kind, adjoint_action_exp(ca, *spec.levels(rs)),
         eye[:, list(range(rs.rank)) + planes(k_roots)], eye[:, planes(m_roots)], h_spec=spec,
@@ -346,17 +356,17 @@ def realize_triality_d4(ca: CompactAlgebra) -> OrderThreeSymmetricSpace:
     halves = invariant_halves(space)
     if halves is None:
         raise TrialityInconsistent("triality quotient lost its invariant halves")
-    j = (2.0 * space.sigma_m + np.eye(space.dim_m)) / np.sqrt(3.0)
-    e_amb = space.m_cols @ halves[0]
-    je_amb = space.m_cols @ (j @ halves[0])
+    j = (2.0 * m_cols.T @ sigma @ m_cols + np.eye(space.dim_m)) / np.sqrt(3.0)
+    e_amb = m_cols @ halves[0]
+    je_amb = m_cols @ (j @ halves[0])
     half_dim = e_amb.shape[1]
-    m_cols = np.hstack([e_amb, je_amb])
+    frame = np.hstack([e_amb, je_amb])
     space = OrderThreeSymmetricSpace(
-        ca, "B3", sigma, k_cols, m_cols,
+        ca, "B3", sigma, k_cols, frame,
         layers={"E": list(range(half_dim)),
                 "JE": list(range(half_dim, 2 * half_dim))},
         name="Spin(8)/G2 (triality fixed points)",
-        halves=tuple(m_cols.T @ (space.m_cols @ h) for h in halves),   # the same m, new basis
+        halves=tuple(frame.T @ (m_cols @ h) for h in halves),   # the same m, new basis
     )
     space.check_invariants()
     return space
@@ -383,23 +393,13 @@ class TripleAlgebra:
 def realize_cyclic_c3(component: CompactAlgebra) -> OrderThreeSymmetricSpace:
     """g = l + l + l with sigma(X, Y, Z) = (Z, X, Y) and k the diagonal."""
     d = component.dim
-    algebra = TripleAlgebra(component)
-    sigma = np.zeros((3 * d, 3 * d))
-    for c in range(3):
-        sigma[((c + 1) % 3) * d:((c + 1) % 3 + 1) * d, c * d:(c + 1) * d] = np.eye(d)
-
-    k_cols = np.zeros((3 * d, d))
-    e_cols = np.zeros((3 * d, d))
-    je_cols = np.zeros((3 * d, d))
-    for i in range(d):
-        k_cols[i, i] = k_cols[d + i, i] = k_cols[2 * d + i, i] = 1 / np.sqrt(3)
-        e_cols[i, i] = 1 / np.sqrt(2)
-        e_cols[d + i, i] = -1 / np.sqrt(2)
-        je_cols[i, i] = je_cols[d + i, i] = 1 / np.sqrt(6)
-        je_cols[2 * d + i, i] = -2 / np.sqrt(6)
-    m_cols = np.hstack([e_cols, je_cols])
+    eye = sp.identity(d, format="csr")
+    shift = np.roll(np.eye(3), 1, axis=0)            # block c -> block c + 1
+    k_cols = np.ones((3, 1)) / np.sqrt(3)
+    m_cols = np.array([[1, 1], [-1, 1], [0, -2]]) / np.sqrt([2.0, 6.0])   # E, JE
     space = OrderThreeSymmetricSpace(
-        algebra, "C3", sigma, k_cols, m_cols,
+        TripleAlgebra(component), "C3", sp.kron(shift, eye), sp.kron(k_cols, eye),
+        sp.kron(m_cols, eye),
         layers={"E": list(range(d)), "JE": list(range(d, 2 * d))},
         name=f"({component.rs.type_label})^3 / diagonal",
     )
@@ -408,39 +408,6 @@ def realize_cyclic_c3(component: CompactAlgebra) -> OrderThreeSymmetricSpace:
 
 
 # -- type classification ---------------------------------------------------------
-
-
-def fixed_algebra_root_signature(space: OrderThreeSymmetricSpace):
-    """(cartan rank, nonzero root count, length ratio) of the fixed algebra.
-
-    The Cartan is taken inside the ambient Cartan; adjoint weights of the
-    fixed algebra acting on itself are extracted numerically, so the result
-    identifies small fixed algebras (g2 reads as (2, 12, 3.0)).
-    """
-    ca, tol = space.algebra, _SPAN_TOL
-    rank = ca.rs.rank
-    k = space.k_cols
-    p_fix = k @ k.T
-    h_block = p_fix[:rank, :rank]
-    vals, vecs = np.linalg.eigh(h_block)
-    cartan = [np.pad(vecs[:, i], (0, ca.dim - rank)) for i in range(rank)
-              if vals[i] > 1 - tol]
-    mats = []
-    for c in cartan:
-        ad_c = sum(c[i] * ca.ad(i) for i in np.nonzero(np.abs(c) > tol)[0])
-        mats.append(k.T @ (ad_c @ k))
-    mix = mats[0] + math.pi * mats[1] if len(mats) > 1 else mats[0]
-    eigvals, eigvecs = np.linalg.eig(mix)
-    norms = []
-    count = 0
-    for idx in range(len(eigvals)):
-        v = eigvecs[:, idx]
-        weight = np.array([float(np.imag(np.conj(v) @ (m @ v))) for m in mats])
-        if np.linalg.norm(weight) > tol:
-            count += 1
-            norms.append(float(weight @ weight))
-    ratio = max(norms) / min(norms) if norms else 1.0
-    return len(cartan), count, ratio
 
 
 # the nearly Kahler type each automorphism class names

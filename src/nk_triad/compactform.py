@@ -270,27 +270,28 @@ def build_compact_form(rs: RootSystem) -> CompactAlgebra:
 
 
 def adjoint_action_exp(ca: CompactAlgebra, levels: dict[tuple[int, ...], int],
-                       d: int) -> np.ndarray:
-    """Matrix of Ad(exp 2*pi*sqrt(-1) H) on the compact form.
+                       d: int) -> sp.csr_matrix:
+    """Ad(exp 2*pi*sqrt(-1) H) on the compact form, as CSR.
 
     ``levels`` maps a positive root's coefficient tuple to a(H) mod 1 as an int
     numerator over ``d`` (``InnerClass.levels``); each U-plane rotates by the
-    angle 2*pi*a(H) and the Cartan part stays fixed.  The angles 0, 1/3 and
-    2/3 take exact cosines and sines, so sigma is bit-identical on every
-    order-3 class.
+    angle 2*pi*a(H), one 2 x 2 block per root, and the Cartan part stays
+    fixed.  The angles 0, 1/3 and 2/3 take exact cosines and sines, so sigma
+    is bit-identical on every order-3 class; the zero sines are not stored.
     """
-    mat = np.eye(ca.dim)
+    cos, sin = np.empty(ca.n_pos), np.empty(ca.n_pos)
     for k, r in enumerate(ca.rs.positive_roots):
         t = levels[r.coeffs]
         if 3 * t % d == 0:
-            c, s = _THIRDS[3 * t // d]
+            cos[k], sin[k] = _THIRDS[3 * t // d]
         else:
-            c, s = math.cos(2 * math.pi * (t / d)), math.sin(2 * math.pi * (t / d))
-        i0, i1 = ca.u_index(k, 0), ca.u_index(k, 1)
-        mat[i0, i0] = c
-        mat[i1, i0] = s
-        mat[i0, i1] = -s
-        mat[i1, i1] = c
+            cos[k], sin[k] = math.cos(2 * math.pi * (t / d)), math.sin(2 * math.pi * (t / d))
+    h = np.arange(ca.rank)
+    u0, u1 = ca.u_index(np.arange(ca.n_pos), 0), ca.u_index(np.arange(ca.n_pos), 1)
+    mat = sp.csr_matrix((np.concatenate([np.ones(ca.rank), cos, sin, -sin, cos]),
+                         (np.concatenate([h, u0, u1, u0, u1]), np.concatenate([h, u0, u0, u1, u1]))),
+                        shape=(ca.dim, ca.dim))
+    mat.eliminate_zeros()
     return mat
 
 

@@ -21,7 +21,8 @@ root split, read from the class and the algebra's ``ChevalleyData`` alone
 cross-checked against the floating-point trace computations.
 
 The floating-point side is a few sparse operators per space, each built once
-(``curvature``): G = X X^T with G[(a,b),(c,d)] = <xi_a e_b, xi_c e_d>,
+(``curvature``): J, a signed permutation of the m-basis (``canonical_J``),
+G = X X^T with G[(a,b),(c,d)] = <xi_a e_b, xi_c e_d>,
 A'[s,(c,d)] = <[k_s, m_c], m_d>, and R as a (dm^2, dm^2) matrix
 R[(a,b),(c,d)] = R(e_a,e_b,e_c,e_d).  The four curvature identities and Ric*
 are one pass over row slabs of R (``Curvature.identities``), which sums Ric
@@ -50,8 +51,6 @@ from .rootsys import Coeffs, RootSystem
 
 KAPPA = Fraction(2)
 
-_FIXED_VECTOR_TOL = 1e-9        # smallest singular value of sigma|m - id
-
 
 class FixedVectorInM(ValueError):
     """sigma restricted to m has a fixed vector; the split k + m is wrong."""
@@ -72,15 +71,21 @@ class IdentityViolation(AssertionError):
 # -- basic structure -----------------------------------------------------------
 
 
-def canonical_J(space: OrderThreeSymmetricSpace) -> np.ndarray:
-    """J = (2 sigma|m + id)/sqrt(3); raises if sigma|m has a fixed vector."""
-    sm = space.sigma_m
-    dm = space.dim_m
-    if dm and np.linalg.svd(sm - np.eye(dm), compute_uv=False).min() < _FIXED_VECTOR_TOL:
-        raise FixedVectorInM("sigma|m has eigenvalue 1")
-    j = (2.0 * sm + np.eye(dm)) / np.sqrt(3.0)
-    if np.abs(j @ j + np.eye(dm)).max() > 1e-12:
+def canonical_J(space: OrderThreeSymmetricSpace) -> sp.csr_matrix:
+    """J = (2 sigma|m + id)/sqrt(3) as CSR, its noise dropped.
+
+    Raises ``FixedVectorInM`` unless J^2 = -id, which rules out a fixed
+    vector of sigma|m (sigma v = v gives J v = sqrt(3) v), and
+    ``IdentityViolation`` unless J is a signed permutation of the m-basis (one
+    entry of modulus 1 per row), which every realization gives and
+    ``Curvature.identities`` relies on.
+    """
+    eye = sp.identity(space.dim_m, format="csr")
+    j = drop_noise(((2.0 * space.sigma_m + eye) / np.sqrt(3.0)).tocsr())
+    if _max_abs(j @ j + eye) > 1e-12:
         raise FixedVectorInM("J^2 != -id; sigma|m is not fixed-point free of order 3")
+    if (np.diff(j.indptr) != 1).any() or (np.abs(np.abs(j.data) - 1.0) > 1e-12).any():
+        raise IdentityViolation("J is not a signed permutation of the m-basis")
     return j
 
 
@@ -203,8 +208,8 @@ class Curvature:
     Ric, the trace sum_i R[a,i,b,i], and Ric* are summed in the pass of
     ``identities``.  r is the torsion trace -4 tr xi_a xi_b, read off X
     alone: 4 sum_i G[a,i,b,i] would be the trace of R - R kron(J, J) = 4G,
-    so r = Ric - Ric* would only restate the J-defect.  ``j_sparse``, ``g``
-    and ``riemann``, like the tensors, drop entries below
+    so r = Ric - Ric* would only restate the J-defect.  ``j``, ``g`` and
+    ``riemann``, like the tensors, drop entries below
     ``compactform.ZERO_DROP``: cancellation in their sums of products leaves
     float noise on exact zeros.
     """
@@ -216,18 +221,9 @@ class Curvature:
         self.dm = space.dim_m
 
     @cached_property
-    def j(self) -> np.ndarray:
+    def j(self) -> sp.csr_matrix:
+        """The signed permutation J (``canonical_J``)."""
         return canonical_J(self.space)
-
-    @cached_property
-    def j_sparse(self) -> sp.csr_matrix:
-        """J with its noise dropped; ``IdentityViolation`` unless it is a signed
-        permutation of the m-basis (one entry of modulus 1 per row), which
-        every realization gives and ``identities`` relies on."""
-        js = drop_noise(sp.csr_matrix(self.j))
-        if (np.diff(js.indptr) != 1).any() or (np.abs(np.abs(js.data) - 1.0) > 1e-12).any():
-            raise IdentityViolation("J is not a signed permutation of the m-basis")
-        return js
 
     @cached_property
     def a_prime(self) -> sp.csr_matrix:
@@ -264,7 +260,7 @@ class Curvature:
         """The four identities, Ric* and Ric in one pass over row slabs of R
         (blocks of a) that sorts nothing.
 
-        J is a signed permutation, J[c, pi c] = s_c (``j_sparse``), so
+        J is a signed permutation, J[c, pi c] = s_c (``canonical_J``), so
         R kron(J, J) is the slab with its columns (c, d) relabelled
         (pi c, pi d) and scaled by s_c s_d; Ric* is its trace over b = pi d,
         and Ric the slab's trace over b = d.  Antisymmetry adds the rows
@@ -277,7 +273,7 @@ class Curvature:
         outnumber a tenth of its entries, and scans it otherwise: hence at
         most 20 slabs.
         """
-        dm, rr, js = self.dm, self.riemann, self.j_sparse
+        dm, rr, js = self.dm, self.riemann, self.j
         perm, sign = js.indices, js.data
         ric, ric_star, worst = np.zeros(dm * dm), np.zeros(dm * dm), [np.zeros(4)]
         step = max(1, SLAB_ENTRIES * dm // max(3 * rr.nnz, 1), -(-dm // 20))
@@ -590,14 +586,13 @@ def lk_classification(report: NKReport) -> tuple[Fraction, str] | None:
 
 def verify_structure_identities(space, tol=1e-9) -> dict[str, float]:
     """Torsion/J identities that need no curvature tensors, over every index."""
-    cv = curvature(space)
-    j, js = cv.j, cv.j_sparse
+    js = curvature(space).j
     x, kc, _ = space.tensors()
     dm = space.dim_m
     eye = sp.identity(dm, format="csr")
     res: dict[str, float] = {}
-    res["J_squared"] = float(np.abs(j @ j + np.eye(dm)).max())
-    res["J_isometry"] = float(np.abs(j.T @ j - np.eye(dm)).max())
+    res["J_squared"] = _max_abs(js @ js + eye)
+    res["J_isometry"] = _max_abs(js.T @ js - eye)
     res["xi_XX"] = _max_abs(x[np.arange(dm) * (dm + 1)])
     # rows (i, p) of xi_i J + J xi_i
     res["xi_J_anticommute"] = _max_abs(x @ js + sp.kron(eye, js) @ x)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nk_triad.automorph import InnerClass
+from nk_triad.automorph import _SPAN_TOL, InnerClass
 from nk_triad.chevalley import SignInconsistency
 from nk_triad.compactform import ZERO_DROP
 from nk_triad.nk_analyzer import _max_abs, _slabs, _trace_bd, curvature, tensor_r
@@ -208,6 +208,42 @@ def alpha_oracle():
 def sigma_oracle():
     """The Fraction-angle reference for ``compactform.adjoint_action_exp``: (ca, cls) -> sigma."""
     return fraction_sigma
+
+
+# -- reference fixed-algebra signature ----------------------------------------------
+
+
+def fixed_algebra_root_signature(space):
+    """(cartan rank, nonzero root count, length ratio) of the fixed algebra.
+
+    The Cartan is taken inside the ambient Cartan; adjoint weights of the
+    fixed algebra acting on itself are extracted numerically, so the result
+    identifies small fixed algebras (g2 reads as (2, 12, 3.0)).
+    """
+    ca, tol = space.algebra, _SPAN_TOL
+    rank = ca.rs.rank
+    k = space.k_cols.toarray()
+    p_fix = k @ k.T
+    h_block = p_fix[:rank, :rank]
+    vals, vecs = np.linalg.eigh(h_block)
+    cartan = [np.pad(vecs[:, i], (0, ca.dim - rank)) for i in range(rank)
+              if vals[i] > 1 - tol]
+    mats = []
+    for c in cartan:
+        ad_c = sum(c[i] * ca.ad(i) for i in np.nonzero(np.abs(c) > tol)[0])
+        mats.append(k.T @ (ad_c @ k))
+    mix = mats[0] + math.pi * mats[1] if len(mats) > 1 else mats[0]
+    eigvals, eigvecs = np.linalg.eig(mix)
+    norms = []
+    count = 0
+    for idx in range(len(eigvals)):
+        v = eigvecs[:, idx]
+        weight = np.array([float(np.imag(np.conj(v) @ (m @ v))) for m in mats])
+        if np.linalg.norm(weight) > tol:
+            count += 1
+            norms.append(float(weight @ weight))
+    ratio = max(norms) / min(norms) if norms else 1.0
+    return len(cartan), count, ratio
 
 
 # -- reference structure constants -------------------------------------------------
@@ -511,7 +547,7 @@ def reference_curvature_identities(space):
     with R kron(J, J) built whole; and Ric* as its partial trace."""
     cv = curvature(space)
     dm, rr = space.dim_m, cv.riemann
-    rjj = (rr @ sp.kron(cv.j_sparse, cv.j_sparse, format="csr")).tocsr()
+    rjj = (rr @ sp.kron(cv.j, cv.j, format="csr")).tocsr()
     worst = lambda *terms: max(_max_abs(slab) for slab in _slabs(dm, *terms))
     res = {
         "bianchi": worst((1.0, rr, "abcd"), (1.0, rr, "bcad"), (1.0, rr, "cabd")),

@@ -13,7 +13,6 @@ import pytest
 from nk_triad import tables
 from nk_triad.automorph import (
     classify_type,
-    fixed_algebra_root_signature,
     invariant_halves,
     orbit_span_dim,
     realize_cyclic_c3,
@@ -27,6 +26,8 @@ from nk_triad.nk_analyzer import (
     verify_space,
 )
 from nk_triad.tables import cached_algebra, realize
+
+from conftest import fixed_algebra_root_signature
 
 F = Fraction
 TOL = 1e-9

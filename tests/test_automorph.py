@@ -15,7 +15,6 @@ from nk_triad.automorph import (
     classify_type,
     commutant_basis,
     enumerate_inner_order3,
-    fixed_algebra_root_signature,
     invariant_halves,
     orbit_span_dim,
     realize_cyclic_c3,
@@ -26,6 +25,8 @@ from nk_triad.compactform import ZERO_DROP, CompactAlgebra, adjoint_action_exp
 from nk_triad.nk_analyzer import curvature
 from nk_triad.rootsys import InvalidRank, subsystem_type
 from nk_triad.tables import realize
+
+from conftest import fixed_algebra_root_signature
 
 F = Fraction
 
@@ -156,14 +157,15 @@ ALL_TYPES = ([("a", n) for n in range(1, 9)] + [("b", n) for n in range(2, 9)]
 
 
 def test_sigma_from_levels_is_bit_identical_to_fraction_angles(algebra, sigma_oracle):
-    """sigma from the int levels against the Fraction-angle reference, byte for
-    byte, on every inner class of all 32 types up to rank 8."""
+    """sigma from the int levels against the Fraction-angle reference, every
+    entry exactly equal (0.0 and -0.0 alike), on every inner class of all 32
+    types up to rank 8."""
     assert len(ALL_TYPES) == 32
     for family, rank in ALL_TYPES:
         ca = algebra(family, rank)
         for cls in enumerate_inner_order3(ca.rs):
             got = adjoint_action_exp(ca, *cls.levels(ca.rs))
-            assert got.tobytes() == sigma_oracle(ca, cls).tobytes(), (family, rank, cls)
+            assert np.array_equal(got.toarray(), sigma_oracle(ca, cls)), (family, rank, cls)
 
 
 def test_bad_h_spec_raises(algebra):
@@ -244,12 +246,12 @@ def test_bracket_preservation_checks_every_pair(algebra, monkeypatch):
     ca = algebra("d", 4)
     sp = realize_triality_d4(ca)
     col = ca.u_index(5, 0)
-    row = int(np.flatnonzero(sp.sigma[:, col])[0])
+    row = int(np.flatnonzero(sp.sigma[:, col].toarray())[0])
     sp.sigma[row, col] *= -1.0                   # one U-plane entry of a fresh space
-    eye = np.eye(ca.dim)
+    sigma, eye = sp.sigma.toarray(), np.eye(ca.dim)
     br = lambda x, y: np.kron(x, y) @ ca.C
-    dense = np.array([[np.abs(sp.sigma @ br(eye[:, i], eye[:, j])
-                              - br(sp.sigma[:, i], sp.sigma[:, j])).max()
+    dense = np.array([[np.abs(sigma @ br(eye[:, i], eye[:, j])
+                              - br(sigma[:, i], sigma[:, j])).max()
                        for j in range(ca.dim)] for i in range(ca.dim)])
     assert sp.bracket_preservation_residual() > 1e-9
     residual, (i, j) = sp._bracket_preservation_worst()
@@ -377,7 +379,7 @@ def dense_reference_tensors(space):
     ak[s, p, q] = <[k_s, m_q], m_p>."""
     d = space.algebra.dim
     c = space.algebra.C.toarray().reshape(d, d, d)
-    m, k = space.m_cols, space.k_cols
+    m, k = space.m_cols.toarray(), space.k_cols.toarray()
 
     def on_pair(x, y, t):       # t[i, j, ...] -> [a, b, ...] = sum x[i, a] y[j, b] t[i, j, ...]
         return np.tensordot(x, np.tensordot(y, t, axes=(0, 1)), axes=(0, 1))
@@ -423,7 +425,7 @@ def test_tensors_are_sparse_memoised_and_noise_free():
         first = space.tensors()
         assert space.tensors() is first
         cv = curvature(space)
-        for t in first + (cv.j_sparse, cv.g, cv.riemann):
+        for t in first + (cv.j, cv.g, cv.riemann):
             assert t.format == "csr" and np.abs(t.data).min() >= ZERO_DROP
 
 
@@ -437,7 +439,7 @@ def test_one_flipped_entry_moves_jacobi_preservation_and_xi(algebra):
     dm = before.dim_m
     x = before.tensors()[0].tocoo()
     (a, b), p = divmod(int(x.row[0]), dm), int(x.col[0])
-    i, j, l = before.m_cols.argmax(axis=0)[[a, b, p]]   # their ambient basis vectors
+    i, j, l = before.m_cols.toarray().argmax(axis=0)[[a, b, p]]   # their ambient basis vectors
     fresh = CompactAlgebra(cached.rs, cached.cd)
     c = fresh.C
     for r in (i * fresh.dim + j, j * fresh.dim + i):

@@ -234,7 +234,7 @@ def test_ad_skew_and_invariance(algebra):
 
 def test_rotation_identity_at_zero(algebra):
     ca = algebra("a", 2)
-    mat = adjoint_action_exp(ca, {r.coeffs: 0 for r in ca.rs.positive_roots}, 3)
+    mat = adjoint_action_exp(ca, {r.coeffs: 0 for r in ca.rs.positive_roots}, 3).toarray()
     assert np.abs(mat - np.eye(ca.dim)).max() == 0.0
 
 
@@ -242,7 +242,7 @@ def test_rotation_planes_a2(algebra):
     """H = H1/3 turns each U-plane by 2 pi n1(alpha)/3."""
     ca = algebra("a", 2)
     rs = ca.rs
-    mat = adjoint_action_exp(ca, {r.coeffs: r.coeffs[0] % 3 for r in rs.positive_roots}, 3)
+    mat = adjoint_action_exp(ca, {r.coeffs: r.coeffs[0] % 3 for r in rs.positive_roots}, 3).toarray()
     for k, r in enumerate(rs.positive_roots):
         i0, i1 = ca.u_index(k, 0), ca.u_index(k, 1)
         angle = 2 * math.pi * r.coeffs[0] / 3
@@ -257,7 +257,7 @@ def test_rotation_is_automorphism_and_order_three(algebra):
         ca = algebra(family, rank)
         rs = ca.rs
         for cls in enumerate_inner_order3(rs):
-            mat = adjoint_action_exp(ca, *cls.levels(rs))
+            mat = adjoint_action_exp(ca, *cls.levels(rs)).toarray()
             assert np.abs(mat @ mat @ mat - np.eye(ca.dim)).max() < 1e-12
             assert np.abs(mat.T @ mat - np.eye(ca.dim)).max() < 1e-12
             rng = np.random.default_rng(0)

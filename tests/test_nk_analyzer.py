@@ -13,6 +13,7 @@ from nk_triad import cli, tables
 from nk_triad.automorph import realize_cyclic_c3, realize_triality_d4
 from nk_triad.nk_analyzer import (
     KAPPA,
+    FixedVectorInM,
     IdentityViolation,
     NonRationalEigenvalue,
     build_report,
@@ -96,7 +97,7 @@ def su3_flag():
 
 def test_J_square_and_isometry(g2_twistor, su3_flag):
     for sp in (g2_twistor, su3_flag):
-        j = canonical_J(sp)
+        j = canonical_J(sp).toarray()
         assert np.abs(j @ j + np.eye(sp.dim_m)).max() < 1e-12
         assert np.abs(j.T @ j - np.eye(sp.dim_m)).max() < 1e-12
 
@@ -104,7 +105,7 @@ def test_J_square_and_isometry(g2_twistor, su3_flag):
 def test_J_layer_rule(g2_twistor):
     """J U0 = eps U1 with eps = +1 on the 1/3-layer, -1 on the 2/3-layer."""
     sp = g2_twistor
-    j = canonical_J(sp)
+    j = canonical_J(sp).toarray()
     eps = layer_epsilon(sp.algebra.rs, sp.h_spec)
     assert eps == {"V": -1, "H": 1}
     for label, positions in sp.layers.items():
@@ -112,6 +113,31 @@ def test_J_layer_rule(g2_twistor):
             col = j[:, a]
             assert abs(col[b] - eps[label]) < 1e-12
             assert np.abs(np.delete(col, b)).max() < 1e-12
+
+
+def test_sigma_fixed_vector_in_m_raises():
+    """g2 node 1 with the first k- and m-columns swapped, so that m holds a
+    Cartan vector, which sigma fixes: J^2 = -id fails (by 4.0 there)."""
+    sp = realize("g", 2, "A3IV", (1,))
+    k, m = sp.k_cols.toarray(), sp.m_cols.toarray()
+    k[:, 0], m[:, 0] = m[:, 0].copy(), k[:, 0].copy()
+    swapped = type(sp)(sp.algebra, sp.type_label, sp.sigma, k, m)
+    with pytest.raises(FixedVectorInM, match="J\\^2 != -id"):
+        canonical_J(swapped)
+
+
+def test_tensors_hold_a_few_times_their_bytes():
+    """On e8 cyclic (dim m 496) building X, K and A allocates at its peak less
+    than 5x the bytes they hold: no kron of the frames is formed."""
+    space = realize_cyclic_c3(tables.cached_algebra("e", 8))
+    tracemalloc.start()
+    try:
+        tensors = space.tensors()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(t.data.nbytes + t.indices.nbytes + t.indptr.nbytes for t in tensors)
+    assert peak < 5 * held
 
 
 def test_torsion_totally_skew(su3_flag):
@@ -446,7 +472,7 @@ def test_sparse_curvature_matches_dense_reference(maker):
     sp = maker()
     dm = sp.dim_m
     r4 = _dense_riemann(sp)
-    ric, ric_star = _dense_ricci(sp, canonical_J(sp))
+    ric, ric_star = _dense_ricci(sp, canonical_J(sp).toarray())
     op = curvature(sp).riemann
     assert np.abs(op.toarray().reshape(dm, dm, dm, dm) - r4).max() < 1e-12
     got_ric, got_star, got_c = ricci_tensors(sp)
