@@ -215,10 +215,6 @@ class OrderThreeSymmetricSpace:
             self._tensors = _build_tensors(self)
         return self._tensors
 
-    def bracket_preservation_residual(self) -> float:
-        """max |sigma[e_i, e_j] - [sigma e_i, sigma e_j]| over every basis pair."""
-        return self._bracket_preservation_worst()[0]
-
     def _bracket_preservation_worst(self) -> tuple[float, tuple[int, int]]:
         """The largest bracket-preservation residual and the first pair (i, j)
         where it occurs: row (i, j) of C sigma^T is sigma[e_i, e_j], and of

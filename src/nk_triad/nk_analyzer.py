@@ -24,11 +24,13 @@ The floating-point side is a few sparse operators per space, each built once
 (``curvature``): J, a signed permutation of the m-basis (``canonical_J``),
 G = X X^T with G[(a,b),(c,d)] = <xi_a e_b, xi_c e_d>,
 A'[s,(c,d)] = <[k_s, m_c], m_d>, and R as a (dm^2, dm^2) matrix
-R[(a,b),(c,d)] = R(e_a,e_b,e_c,e_d).  The four curvature identities and Ric*
-are one pass over row slabs of R (``Curvature.identities``), which sums Ric
-too; the minimal-connection and special-torsion suites read K A' and G
-through the slab reader ``_worst``; the torsion frame traces are partial
-traces (``_trace_bd``) of G.  Each identity is a maximum over all
+R[(a,b),(c,d)] = R(e_a,e_b,e_c,e_d).  G and R are built canonical (indices
+sorted in every row, no duplicates), R slab by slab straight into its arrays.
+The four curvature identities and Ric* are one pass over row slabs of R
+(``Curvature.identities``), which sums Ric too and whose point reads of R rely
+on R being canonical; the minimal-connection and special-torsion suites read
+K A' and G through the slab reader ``_worst``; the torsion frame traces are
+partial traces (``_trace_bd``) of G.  Each identity is a maximum over all
 (a, b, c, d), or over the layers it names, and memory follows the nonzeros
 of a slab, never dm^4.
 """
@@ -46,7 +48,7 @@ import scipy.sparse as sp
 
 from .automorph import NK_TYPE, InnerClass, OrderThreeSymmetricSpace, classify_type
 from .chevalley import ChevalleyData
-from .compactform import SLAB_ENTRIES, antisymmetry_max_residual, drop_noise
+from .compactform import SLAB_ENTRIES, _row_grouped, antisymmetry_max_residual, drop_noise
 from .rootsys import Coeffs, RootSystem
 
 KAPPA = Fraction(2)
@@ -87,13 +89,6 @@ def canonical_J(space: OrderThreeSymmetricSpace) -> sp.csr_matrix:
     if (np.diff(j.indptr) != 1).any() or (np.abs(np.abs(j.data) - 1.0) > 1e-12).any():
         raise IdentityViolation("J is not a signed permutation of the m-basis")
     return j
-
-
-def layer_epsilon(rs: RootSystem, spec: InnerClass) -> dict[str, int]:
-    """Sign eps with J U0 = eps U1 per layer: +1 on a(H) = 1/3, -1 on 2/3."""
-    levels, d = spec.levels(rs)
-    return {label: 1 if 3 * levels[roots[0]] == d else -1
-            for label, roots in spec.split(rs)[0].items()}
 
 
 def torsion(space: OrderThreeSymmetricSpace) -> sp.csr_matrix:
@@ -211,7 +206,9 @@ class Curvature:
     so r = Ric - Ric* would only restate the J-defect.  ``j``, ``g`` and
     ``riemann``, like the tensors, drop entries below
     ``compactform.ZERO_DROP``: cancellation in their sums of products leaves
-    float noise on exact zeros.
+    float noise on exact zeros.  G and R are canonical CSR (sorted indices, no
+    duplicates): the slabs of R merge sorted rows of G, and the point reads
+    of ``identities`` bisect sorted rows of R.
     """
 
     def __init__(self, space: OrderThreeSymmetricSpace):
@@ -235,15 +232,50 @@ class Curvature:
     @cached_property
     def g(self) -> sp.csr_matrix:
         x = self.space.tensors()[0]
-        return drop_noise((x @ x.T).tocsr())
+        g = drop_noise((x @ x.T).tocsr())
+        g.sort_indices()
+        return g
 
     @cached_property
     def riemann(self) -> sp.csr_matrix:
-        terms = ((1.0, (self.space.tensors()[1], self.a_prime), "abcd"),
-                 (2.0, self.g, "abcd"), (-1.0, self.g, "acbd"), (1.0, self.g, "adbc"))
-        rr = sp.vstack([drop_noise(slab) for slab in _slabs(self.dm, *terms)], format="csr")
-        rr.sort_indices()               # for the point reads of ``identities``
-        return rr
+        """R written slab by slab into its own arrays, each slab born sorted.
+
+        A slab holds the rows (a, b), a in one block, and reads one row slice
+        of G, G[(a,x),(y,z)], three times: as 2G, as -G[a,c,b,d] at
+        [(a,y),(x,z)] and as G[a,d,b,c] at [(a,y),(z,x)].  The slice is sorted,
+        so one stable counting sort by (a, y) leaves the first in column
+        order, and one by (a, y, z) the second; only K A' is sorted by
+        comparison.  The slab is (K A' + 2G) + (-G[acbd] + G[adbc]), summed
+        by scipy's merges of sorted rows, and R's arrays grow by what it adds.
+        """
+        dm, g, kc, ap = self.dm, self.g, self.space.tensors()[1], self.a_prime
+        size = int(np.diff(ap.indptr)[kc.indices].sum()) + 3 * g.nnz
+        step = max(1, SLAB_ENTRIES * dm // max(size, 1))
+        indptr = np.zeros(dm * dm + 1, dtype=np.int64)
+        indices, data = np.empty(0, dtype=np.int32), np.empty(0)
+        for a0 in range(0, dm, step):
+            own = slice(a0 * dm, min(a0 + step, dm) * dm)
+            shape = (own.stop - own.start, dm * dm)
+            ka = kc[own] @ ap
+            ka.sort_indices()
+            half = g[own]
+            ka = ka + 2.0 * half
+            v = half.tocoo()
+            (a, x), (y, z) = np.divmod(v.row, dm), np.divmod(v.col, dm)
+            row = a * dm + y                            # (a, y), a local to the block
+            acbd = _row_grouped(row, x * dm + z, -v.data, shape)
+            adbc = _row_grouped(row * dm + z, z * dm + x, v.data, (shape[0] * dm, shape[1]))
+            del v, a, x, y, z, row                      # freed before each merge: they set the peak
+            pair = acbd + sp.csr_matrix((adbc.data, adbc.indices, adbc.indptr[::dm]), shape=shape)
+            del acbd, adbc
+            slab = drop_noise(ka + pair)
+            del ka, pair
+            end = int(indptr[own.start])
+            for buf, part in ((indices, slab.indices), (data, slab.data)):
+                buf.resize(end + slab.nnz, refcheck=False)
+                buf[end:] = part
+            indptr[own.start + 1:own.stop + 1] = slab.indptr[1:] + end
+        return sp.csr_matrix((data, indices, indptr), shape=(dm * dm, dm * dm))
 
     @cached_property
     def ric(self) -> np.ndarray:
@@ -258,7 +290,7 @@ class Curvature:
     @cached_property
     def _pass(self) -> tuple[dict[str, float], np.ndarray, np.ndarray]:
         """The four identities, Ric* and Ric in one pass over row slabs of R
-        (blocks of a) that sorts nothing.
+        (blocks of a) that sorts nothing: R is built canonical (``riemann``).
 
         J is a signed permutation, J[c, pi c] = s_c (``canonical_J``), so
         R kron(J, J) is the slab with its columns (c, d) relabelled

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from nk_triad.automorph import _SPAN_TOL, InnerClass
 from nk_triad.chevalley import SignInconsistency
-from nk_triad.compactform import ZERO_DROP
+from nk_triad.compactform import ZERO_DROP, drop_noise
 from nk_triad.nk_analyzer import _max_abs, _slabs, _trace_bd, curvature, tensor_r
 from nk_triad.rootsys import RootSystem, SubsystemType
 from nk_triad.tables import cached_algebra, cached_root_system
@@ -208,6 +208,18 @@ def alpha_oracle():
 def sigma_oracle():
     """The Fraction-angle reference for ``compactform.adjoint_action_exp``: (ca, cls) -> sigma."""
     return fraction_sigma
+
+
+def layer_epsilon(rs, spec) -> dict[str, int]:
+    """Sign eps with J U0 = eps U1 per layer: +1 on a(H) = 1/3, -1 on 2/3."""
+    levels, d = spec.levels(rs)
+    return {label: 1 if 3 * levels[roots[0]] == d else -1
+            for label, roots in spec.split(rs)[0].items()}
+
+
+def bracket_preservation_residual(space) -> float:
+    """max |sigma[e_i, e_j] - [sigma e_i, sigma e_j]| over every basis pair."""
+    return space._bracket_preservation_worst()[0]
 
 
 # -- reference fixed-algebra signature ----------------------------------------------
@@ -538,7 +550,25 @@ def frame_trace_oracle():
     return reference_frame_traces
 
 
-# -- reference curvature identities ----------------------------------------------------
+# -- reference curvature operator and identities ------------------------------------
+
+
+def reference_riemann(space):
+    """R by the former build: the four ``_slabs`` terms K A' + 2G - G[a,c,b,d]
+    + G[a,d,b,c] summed per slab, each slab noise-dropped, the list stacked by
+    ``sp.vstack`` and the whole sorted once."""
+    cv = curvature(space)
+    terms = ((1.0, (space.tensors()[1], cv.a_prime), "abcd"),
+             (2.0, cv.g, "abcd"), (-1.0, cv.g, "acbd"), (1.0, cv.g, "adbc"))
+    rr = sp.vstack([drop_noise(slab) for slab in _slabs(space.dim_m, *terms)], format="csr")
+    rr.sort_indices()
+    return rr
+
+
+@pytest.fixture(scope="session")
+def riemann_oracle():
+    """The list-plus-``vstack`` reference for ``Curvature.riemann``: space -> R."""
+    return reference_riemann
 
 
 def reference_curvature_identities(space):

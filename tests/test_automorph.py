@@ -26,7 +26,7 @@ from nk_triad.nk_analyzer import curvature
 from nk_triad.rootsys import InvalidRank, subsystem_type
 from nk_triad.tables import realize
 
-from conftest import fixed_algebra_root_signature
+from conftest import bracket_preservation_residual, fixed_algebra_root_signature
 
 F = Fraction
 
@@ -184,7 +184,7 @@ def test_triality_dimensions_and_fixed_vectors(algebra):
         for p in (0, 1):
             idx = ca.u_index(rs.index(root), p)
             assert abs(sp.sigma[idx, idx] - 1) < 1e-12
-    assert sp.bracket_preservation_residual() < 1e-12
+    assert bracket_preservation_residual(sp) < 1e-12
 
 
 def test_triality_fixed_algebra_is_g2(algebra):
@@ -209,7 +209,7 @@ def test_triality_halves_are_invariant(algebra):
 def test_cyclic_su2(algebra):
     sp = realize_cyclic_c3(algebra("a", 1))
     assert sp.algebra.dim == 9 and sp.dim_k == 3 and sp.dim_m == 6
-    assert sp.bracket_preservation_residual() == 0.0     # every pair, block-diagonal C
+    assert bracket_preservation_residual(sp) == 0.0     # every pair, block-diagonal C
     dec = classify_type(sp)
     assert dec.label == "II"
 
@@ -253,7 +253,7 @@ def test_bracket_preservation_checks_every_pair(algebra, monkeypatch):
     dense = np.array([[np.abs(sigma @ br(eye[:, i], eye[:, j])
                               - br(sigma[:, i], sigma[:, j])).max()
                        for j in range(ca.dim)] for i in range(ca.dim)])
-    assert sp.bracket_preservation_residual() > 1e-9
+    assert bracket_preservation_residual(sp) > 1e-9
     residual, (i, j) = sp._bracket_preservation_worst()
     assert residual == pytest.approx(dense.max(), abs=1e-12)
     assert dense[i, j] == pytest.approx(dense.max(), abs=1e-12)
@@ -447,8 +447,8 @@ def test_one_flipped_entry_moves_jacobi_preservation_and_xi(algebra):
         c.data[lo + np.flatnonzero(c.indices[lo:c.indptr[r + 1]] == l)] *= -1.0
     assert cached.jacobi_max_residual() < 1e-12 < 1e-6 < fresh.jacobi_max_residual()
     after = realize_inner(fresh, spec)
-    assert before.bracket_preservation_residual() < 1e-12
-    assert after.bracket_preservation_residual() > 1e-6
+    assert bracket_preservation_residual(before) < 1e-12
+    assert bracket_preservation_residual(after) > 1e-6
     diff = (after.tensors()[0] - before.tensors()[0]).tocoo()
     diff.eliminate_zeros()
     moved = dict(zip(zip(diff.row.tolist(), diff.col.tolist()), diff.data.tolist()))

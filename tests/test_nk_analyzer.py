@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from nk_triad import cli, tables
 from nk_triad.automorph import realize_cyclic_c3, realize_triality_d4
@@ -22,7 +23,6 @@ from nk_triad.nk_analyzer import (
     einstein_check,
     exact_r_cross_layer,
     exact_r_eigenvalues,
-    layer_epsilon,
     layer_traces,
     lk_classification,
     exact_ricci_eigenvalues,
@@ -37,6 +37,8 @@ from nk_triad.nk_analyzer import (
     verify_structure_identities,
 )
 from nk_triad.tables import realize
+
+from conftest import layer_epsilon
 
 F = Fraction
 
@@ -329,8 +331,41 @@ def _realize_item(item):
 BENCH_SPACES = _bench_strata()
 
 
-@pytest.mark.parametrize("item", BENCH_SPACES, ids=lambda item: "-".join(
-    str(x).strip("-(),").replace(", ", ",") for x in item[1:]))
+def _item_id(item) -> str:
+    return "-".join(str(x).strip("-(),").replace(", ", ",") for x in item[1:])
+
+
+@pytest.mark.parametrize("item", BENCH_SPACES, ids=_item_id)
+def test_riemann_is_bit_identical_to_the_former_build(item, riemann_oracle):
+    """R written in place from slabs born sorted against the former build
+    (slab list, ``vstack``, one sort), on every space the analyze-irreducible
+    and identity-sweep workloads draw: indptr, indices and data byte for
+    byte, and R canonical as its arrays stand.  A merge of unsorted rows
+    would leave a row unsorted."""
+    space = _realize_item(item)
+    rr, want = curvature(space).riemann, riemann_oracle(space)
+    for got, ref in ((rr.indptr, want.indptr), (rr.indices, want.indices), (rr.data, want.data)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    assert csr_matrix((rr.data, rr.indices, rr.indptr), shape=rr.shape).has_canonical_format
+
+
+def test_riemann_build_holds_less_than_twice_r():
+    """On e8 node 2 (dm 168), with G and A' built, building R allocates at its
+    peak less than twice R's bytes: R's arrays grow by each slab as it is
+    written, with no slab list, stacked copy or buffer sized by a bound."""
+    space = realize("e", 8, "A3IV", (2,))
+    cv = curvature(space)
+    cv.g, cv.a_prime
+    tracemalloc.start()
+    try:
+        rr = cv.riemann
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (rr.data.nbytes + rr.indices.nbytes + rr.indptr.nbytes)
+
+
+@pytest.mark.parametrize("item", BENCH_SPACES, ids=_item_id)
 def test_curvature_pass_matches_operator_oracle(item, curvature_identity_oracle):
     """The one slab pass against the operator reference (four slab sums that
     read R's permutations off transposed copies, and a whole R kron(J, J)),

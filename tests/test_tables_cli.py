@@ -331,6 +331,22 @@ def test_cli_verify_tables_failures(monkeypatch, capsys, change, failure):
         assert json.loads(text[text.index("{"):])["failures"] == [failure]
 
 
+@pytest.mark.parametrize("table", ["table_aii", "table_aiii"])
+def test_cli_verify_tables_checks_the_einstein_lists(table, monkeypatch, capsys):
+    """The paper's Einstein list of one eigenvalue table with one name
+    dropped: ``verify tables`` exits 1 with exactly one failure line, which
+    names that space as an unexpected Einstein space of that table."""
+    for name in _GOLDEN_SCOPES["tables"]:
+        monkeypatch.setitem(tables.TABLES, name, lambda deep=False, rows=_golden_rows(name): rows)
+    listed = getattr(tables, "einstein_expected_" + table.removeprefix("table_"))
+    dropped = sorted(listed())[0]
+    monkeypatch.setattr(tables, listed.__name__, lambda: listed() - {dropped})
+    assert main(["verify", "tables"]) == 1
+    text = capsys.readouterr().out
+    assert json.loads(text[text.index("{"):])["failures"] == [
+        f"tables:{table}:Einstein list: missing [], unexpected [{dropped!r}]"]
+
+
 def test_cli_entry_point_installed():
     exe = shutil.which("nk-triad")
     if exe is None:
