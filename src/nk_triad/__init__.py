@@ -14,7 +14,8 @@ from .automorph import (
 from .chevalley import ChevalleyData, build_structure_constants, verify_triangle_identity
 from .compactform import CompactAlgebra, adjoint_action_exp, build_compact_form
 from .fibration import FibrationReport, all_fibrations, check_lie_triple_system, fibration_subalgebras
-from .nk_analyzer import NKReport, build_report, canonical_J, einstein_check, lk_classification
+from .nk_analyzer import (NKReport, build_report, canonical_J, einstein_check, exact_r_cross_layer,
+                          exact_ricci_eigenvalues, lk_classification, ricci_tensors)
 from .rootsys import Root, RootSystem, build_root_system, root_string, subsystem_type
 
 __all__ = [
@@ -37,11 +38,14 @@ __all__ = [
     "classify_type",
     "einstein_check",
     "enumerate_inner_order3",
+    "exact_r_cross_layer",
+    "exact_ricci_eigenvalues",
     "fibration_subalgebras",
     "lk_classification",
     "realize_cyclic_c3",
     "realize_inner",
     "realize_triality_d4",
+    "ricci_tensors",
     "root_string",
     "subsystem_type",
     "verify_triangle_identity",

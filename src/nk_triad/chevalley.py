@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rootsys import NotARoot, RootSystem, root_string
+from .rootsys import NotARoot, RootSystem
 
 
 class SignInconsistency(RuntimeError):
@@ -202,21 +202,32 @@ def verify_triangle_identity(cd: ChevalleyData) -> int:
 
 
 def verify_square_formula(cd: ChevalleyData) -> int:
-    """Recheck every stored square against an independent string scan, and
-    that no square is stored off the pairs."""
-    rs, roots = cd.rs, cd.roots
-    stray = np.argwhere((cd.plus < 0) & (cd.n12 != 0))
-    if stray.size:
-        a, b = (roots[k] for k in stray[0])
-        raise IdentityViolation(f"square stored at {a}, {b}, whose sum is not a root")
-    count = 0
-    for i, j in zip(*np.nonzero(cd.plus >= 0)):
-        a, b = roots[i], roots[j]
-        p, q = root_string(rs, a, b)
-        expect = Fraction(q * (1 - p), 2) * rs.norm_sq(a)
-        stored = Fraction(int(cd.n12[i, j]), 12)
-        if stored != expect:
-            raise IdentityViolation(f"square mismatch at {a}, {b}: stored {stored}, "
-                                    f"string scan {expect}")
-        count += 1
-    return count
+    """Recheck every stored square, 12 N^2 = 6 q(1 - p)<a,a> in ints, and that
+    no square is stored off the pairs; return the number of pairs.  The pairs
+    and the string bounds (p, q) come from coefficient arithmetic and an exact
+    lookup of coefficient rows, not from ``plus``, which C is built from."""
+    coeffs = np.array(cd.roots, dtype=np.int64)
+    row = np.dtype((np.void, coeffs.itemsize * coeffs.shape[1]))
+    known = np.sort(coeffs.view(row).ravel())
+
+    def is_root(vectors):
+        keys = np.ascontiguousarray(vectors).view(row)[..., 0]
+        return known[np.minimum(np.searchsorted(known, keys), known.size - 1)] == keys
+    a, b = coeffs[:, None], coeffs[None, :]
+    pair = is_root(a + b)
+    q, down = np.zeros((2, *pair.shape), dtype=np.int64)
+    for step, count in ((1, q), (-1, down)):       # b + n a for n = 1, 2, .. and -1, -2, ..
+        live, n = pair, 0
+        while live.any():
+            n += step
+            live = live & is_root(b + n * a)
+            count += live
+    norm6 = np.einsum("ki,ij,kj->k", coeffs, np.array(cd.rs.gram6, dtype=np.int64), coeffs)
+    expect = np.where(pair, q * (1 + down) * norm6[:, None], 0)
+    for bad, what in ((~pair & (cd.n12 != 0), "square stored at {}, {}, whose sum is not a root"),
+                      (cd.n12 != expect, "square mismatch at {}, {}: stored {}, string scan {}")):
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise IdentityViolation(what.format(cd.roots[i], cd.roots[j], Fraction(int(cd.n12[i, j]), 12),
+                                                Fraction(int(expect[i, j]), 12)))
+    return int(pair.sum())

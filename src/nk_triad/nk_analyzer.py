@@ -28,11 +28,12 @@ R[(a,b),(c,d)] = R(e_a,e_b,e_c,e_d).  G and R are built canonical (indices
 sorted in every row, no duplicates), R slab by slab straight into its arrays.
 The four curvature identities and Ric* are one pass over row slabs of R
 (``Curvature.identities``), which sums Ric too and whose point reads of R rely
-on R being canonical; the minimal-connection and special-torsion suites read
-K A' and G through the slab reader ``_worst``; the torsion frame traces are
-partial traces (``_trace_bd``) of G.  Each identity is a maximum over all
-(a, b, c, d), or over the layers it names, and memory follows the nonzeros
-of a slab, never dm^4.
+on R being canonical.  The layer-restricted minimal-connection and
+special-torsion suites build only the tuples they check (the slab reader
+``_worst``, and G's rows (a, i) for the frame traces), and J's identities are
+index relabellings of X and K.  Each identity is a maximum over all
+(a, b, c, d), or over the layers it names, and memory follows the nonzeros of
+a slab, never dm^4.
 """
 
 from __future__ import annotations
@@ -111,74 +112,72 @@ def ricci_tensors(space: OrderThreeSymmetricSpace):
 # -- the sparse curvature operator ------------------------------------------------
 
 
-def _slabs(dm: int, *terms):
-    """Row slabs of the sum of coef * M[perm] over (coef, M, perm) terms.
+def _slabs(dm: int, *terms, only=None):
+    """Row slabs of the sum of coef * M[perm] over (coef, M, perm) terms, on
+    the tuples (a, b, c, d) with a in ``first``, b anywhere and c, d in
+    ``last``, ``only`` = (first, last); on every tuple if ``only`` is None.
 
     Each M is a (dm^2, dm^2) operator and ``perm`` names its slots, so the
     term (1.0, M, "bcad") adds M[b,c,a,d] at [(a,b),(c,d)]; M = (K, A'), read
-    as "abcd" only, is their product, formed slab by slab.  A slab is a CSR
-    matrix holding the rows (a, b) for one block of a, numbered from the
-    block's first row; it gathers about SLAB_ENTRIES nonzeros (or a product's
-    multiply-adds), so memory follows the slab, not the whole sum.
+    as "abcd" only, is their product.  Each slot of M (of K's rows and A''s
+    columns) is cut to its set once, rows or columns first as keeps fewer,
+    before anything is gathered or multiplied.  A slab is a CSR matrix of the
+    rows (a, b), a in one block of ``first``, and the columns (c, d) in
+    ``last`` x ``last``, numbered from 0 (both sets sorted); it holds about
+    SLAB_ENTRIES of the cut terms' nonzeros (or of the product's multiply-adds).
     """
-    sources = []
+    everything = np.arange(dm)
+    first, last = (everything, everything) if only is None else (np.sort(x) for x in only)
+    sets = {"a": first, "b": everything, "c": last, "d": last}
+    sources, size = [], 0
     for coef, mat, perm in terms:
         if perm.index("a") >= 2:        # read a off the rows of M^T
             mat, perm = mat.T, perm[2:] + perm[:2]
-        sources.append((coef, mat if isinstance(mat, tuple) else mat.tocsr(), perm))
-    size = sum(int(np.diff(src[1].indptr)[src[0].indices].sum()) if isinstance(src, tuple)
-               else src.nnz for _, src, _ in sources)
-    step = max(1, SLAB_ENTRIES * dm // max(size, 1))
-    other = np.arange(dm, dtype=np.int32)
-    for a0 in range(0, dm, step):
-        block = np.arange(a0, min(a0 + step, dm), dtype=np.int32)[:, None]
-        shape = (block.size * dm, dm * dm)
+        # rows (a, x) or (x, a), a in first and x in its set, in the order of a
+        other = sets[perm[1 - perm.index("a")]]
+        rows = (first[:, None] * dm + other if perm[0] == "a" else other * dm + first[:, None]).ravel()
+        cols = (sets[perm[2]][:, None] * dm + sets[perm[3]]).ravel()
+        if isinstance(mat, tuple):      # (K, A'): multiply-adds per row of K
+            src = (mat[0][rows], mat[1][:, cols])
+            size += int(np.diff(src[1].indptr)[src[0].indices].sum())
+        else:
+            mat = mat.tocsr()
+            src = mat[rows][:, cols] if rows.size * mat.shape[1] <= cols.size * mat.shape[0] \
+                else mat[:, cols][rows]
+            size += src.nnz
+        sources.append((coef, src, perm, other))
+    step = max(1, SLAB_ENTRIES * first.size // max(size, 1))
+    for f0 in range(0, first.size, step):
+        f1 = min(f0 + step, first.size)
+        shape = ((f1 - f0) * dm, last.size ** 2)
         pieces, rows, cols, data = [], [], [], []
-        for coef, src, perm in sources:
-            if perm == "abcd":          # the slab's rows as they stand
-                own = slice(a0 * dm, a0 * dm + shape[0])
-                pieces.append(coef * (src[0][own] @ src[1] if isinstance(src, tuple) else src[own]))
+        for coef, src, perm, other in sources:
+            own = slice(f0 * other.size, f1 * other.size)
+            sub = src[0][own] @ src[1] if isinstance(src, tuple) else src[own]
+            if perm == "abcd":          # the slab's rows and columns as they stand
+                pieces.append(coef * sub)
                 continue
-            # rows (a, x) or (x, a) of src, a in the block, then index arithmetic
-            idx = (block * dm + other if perm[0] == "a" else other * dm + block).ravel()
-            sub = src[idx].tocoo()
-            r = idx[sub.row]
-            slots = (r // dm, r % dm, sub.col // dm, sub.col % dm)
-            a, b, c, d = (slots[perm.index(x)] for x in "abcd")
-            rows.append((a - a0) * dm + b)
-            cols.append(c * dm + d)
+            sub = sub.tocoo()
+            i, x = np.divmod(sub.row, other.size)
+            y, z = np.divmod(sub.col, sets[perm[3]].size)
+            # places of a in the block, b in m and c, d in last
+            place = {"a": i, perm[1 - perm.index("a")]: x, perm[2]: y, perm[3]: z}
+            rows.append(place["a"] * dm + place["b"])
+            cols.append(place["c"] * last.size + place["d"])
             data.append(coef * sub.data)
-        if rows:
-            pieces.append(sp.coo_matrix(
-                (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                shape=shape).tocsr())
+        if rows:                        # the lists are freed before the CSR conversion
+            rows, cols, data = (np.concatenate(x) for x in (rows, cols, data))
+            pieces.append(sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr())
+            del rows, cols, data
+        pieces = [p for p in pieces if p.nnz] or pieces[:1]
         yield sum(pieces[1:], pieces[0])
 
 
 def _worst(dm: int, *terms, only) -> float:
-    """max |sum of coef * M[perm]| (see ``_slabs``) over every (a, b, c, d)
-    with a in ``first`` and c, d in ``last``, ``only`` = (first, last)."""
-    first, last = (np.isin(np.arange(dm), idx) for idx in only)
-    worst, a0 = 0.0, 0
-    for slab in _slabs(dm, *terms):
-        slab = slab.tocoo()
-        c, d = np.divmod(slab.col, dm)
-        keep = first[a0 + slab.row // dm] & last[c] & last[d]
-        worst = max(worst, float(np.abs(slab.data[keep]).max(initial=0.0)))
-        a0 += slab.shape[0] // dm
-    return worst
-
-
-def _trace_bd(mat, dm: int, over=None) -> np.ndarray:
-    """T[a, c] = sum_i M[a, i, c, i], the Ricci-type trace of an operator,
-    with i in ``over`` alone if given."""
-    mat = mat.tocoo()
-    i = mat.row % dm
-    keep = i == mat.col % dm
-    if over is not None:
-        keep &= np.isin(i, over)
-    return sp.coo_matrix((mat.data[keep], (mat.row[keep] // dm, mat.col[keep] // dm)),
-                         shape=(dm, dm)).toarray()
+    """max |sum of coef * M[perm]| over the tuples (a, b, c, d) with a in
+    ``first`` and c, d in ``last``, ``only`` = (first, last): the maximum
+    over the slabs of ``_slabs``, which build those tuples alone."""
+    return max((_max_abs(slab) for slab in _slabs(dm, *terms, only=only)), default=0.0)
 
 
 def _max_abs(mat) -> float:
@@ -617,27 +616,40 @@ def lk_classification(report: NKReport) -> tuple[Fraction, str] | None:
 
 
 def verify_structure_identities(space, tol=1e-9) -> dict[str, float]:
-    """Torsion/J identities that need no curvature tensors, over every index."""
+    """Torsion/J identities that need no curvature tensors, over every index.
+    J[c, pi c] = s_c is a signed permutation (``canonical_J``), so each product
+    with J, or kron(J, J), moves X's or K's entries to new indices with signs."""
     js = curvature(space).j
+    perm, sign = js.indices.astype(np.int64), js.data
+    inv = np.argsort(perm)                              # pi^-1 (pi is a bijection)
     x, kc, _ = space.tensors()
     dm = space.dim_m
-    eye = sp.identity(dm, format="csr")
+    nz, kz = x.tocoo(), kc.tocoo()
+    a, b, k = np.divmod(nz.row.astype(np.int64), dm) + (nz.col,)
+    c, d, s = np.divmod(kz.row.astype(np.int64), dm) + (kz.col,)
+    key = lambda p, q, r, width=dm: (p * dm + q) * width + r   # of the entry [(p, q), r]
+
+    def worst(*parts) -> float:
+        """max |sum of the values at equal keys| over (keys, values) parts."""
+        keys, vals = (np.concatenate(p) for p in zip(*parts))
+        return _max_abs(np.bincount(np.unique(keys, return_inverse=True)[1], vals))
+
     res: dict[str, float] = {}
-    res["J_squared"] = _max_abs(js @ js + eye)
-    res["J_isometry"] = _max_abs(js.T @ js - eye)
-    res["xi_XX"] = _max_abs(x[np.arange(dm) * (dm + 1)])
+    square = sign * sign[perm]                          # (J^2)[c, pi pi c]
+    res["J_squared"] = float(np.where(perm[perm] == np.arange(dm), np.abs(square + 1.0),
+                                      np.maximum(np.abs(square), 1.0)).max())
+    res["J_isometry"] = _max_abs(np.bincount(perm, sign * sign, dm) - 1.0)
+    res["xi_XX"] = _max_abs(nz.data[a == b])
     # rows (i, p) of xi_i J + J xi_i
-    res["xi_J_anticommute"] = _max_abs(x @ js + sp.kron(eye, js) @ x)
+    res["xi_J_anticommute"] = worst((key(a, b, perm[k]), nz.data * sign[k]),
+                                    (key(a, inv[b], k), sign[inv[b]] * nz.data))
     # xi[a,b,k] + xi[b,a,k] and xi[a,b,k] + xi[a,k,b] over every index triple
-    nz = x.tocoo()
-    a, b, k = nz.row // dm, nz.row % dm, nz.col
-    moved = lambda rows, cols: sp.csr_matrix((nz.data, (rows, cols)), shape=x.shape)
-    res["xi_totally_skew"] = max(_max_abs(x + moved(b * dm + a, k)),
-                                 _max_abs(x + moved(a * dm + k, b)))
-    jj = sp.kron(js, js, format="csr")
-    res["bracket_JJ_k"] = _max_abs(jj.T @ kc - kc)
-    mm = -2.0 * x  # m-part of the bracket
-    res["bracket_J_m"] = _max_abs(sp.kron(js.T, eye) @ mm + mm @ js.T)
+    xi = (key(a, b, k), nz.data)
+    res["xi_totally_skew"] = max(worst(xi, (key(b, a, k), nz.data)), worst(xi, (key(a, k, b), nz.data)))
+    res["bracket_JJ_k"] = worst((key(perm[c], perm[d], s, kc.shape[1]), (sign[c] * sign[d]) * kz.data),
+                                (key(c, d, s, kc.shape[1]), -kz.data))
+    mm = -2.0 * nz.data  # m-part of the bracket: kron(J^T, I) mm + mm J^T
+    res["bracket_J_m"] = worst((key(perm[a], b, k), sign[a] * mm), (key(a, b, inv[k]), mm * sign[inv[k]]))
     return res
 
 
@@ -671,8 +683,8 @@ def verify_min_connection_identity(space, tol=1e-9, seed=0) -> float:
     K A' + 4G + 4G[c,b,d,a] - 4G[d,b,c,a], read on horizontal a and vertical
     c and d; G is symmetric, so the last two are read as G[d,a,c,b] and
     G[c,a,d,b], off rows of G rather than of a transposed copy.  Only defined
-    on special-algebraic-torsion splittings.  ``seed`` is unused; it stays
-    until ``bench/workloads.py`` stops passing it.
+    on special-algebraic-torsion splittings, and only those tuples are built.
+    ``seed`` is unused; it stays until ``bench/workloads.py`` stops passing it.
     """
     if space.type_label == "A3III":
         vert, horiz = space.layers["V"], space.layers["H"]
@@ -693,11 +705,12 @@ def verify_sat_identities(space, tol=1e-9, seed=0) -> dict[str, float]:
     """Layer facts of special algebraic torsion plus the trace identities.
 
     The double-torsion containments xi_V xi_H H = 0 and xi_H xi_V V = 0 are
-    the blocks G[(u,p),(x1,x2)] with u in one of V, H and x1, x2 in the other;
-    the frame traces 8 sum_{i in V} G[a,i,b,i] and 8 sum_{i in H} G[a,i,b,i]
-    must both equal the torsion trace r on the horizontals.  Every index is
-    checked.  ``seed`` is unused; it stays until ``bench/workloads.py`` stops
-    passing it.
+    the blocks G[(u,p),(x1,x2)] with u in one of V, H and x1, x2 in the other,
+    and only those blocks are built; the frame traces 8 sum_{i in V} G[a,i,b,i]
+    and 8 sum_{i in H} G[a,i,b,i] must both equal the torsion trace r on the
+    horizontals, and read G's rows and columns (a, i) with a horizontal and i
+    in the frame.  Every index is checked.  ``seed`` is unused; it stays until
+    ``bench/workloads.py`` stops passing it.
     """
     if space.type_label not in ("A3II", "A3III"):
         raise IdentityViolation("special algebraic torsion needs type III/IV")
@@ -733,10 +746,13 @@ def verify_sat_identities(space, tol=1e-9, seed=0) -> dict[str, float]:
     g = curvature(space).g
     res["xi_V_xi_HH"] = _worst(dm, (1.0, g, "abcd"), only=(vert, horiz))
     res["xi_H_xi_VV"] = _worst(dm, (1.0, g, "abcd"), only=(horiz, vert))
-    hh = np.ix_(horiz, horiz)
-    sub = tensor_r(space)[hh]
+    sub = tensor_r(space)[np.ix_(horiz, horiz)]
     for name, frame in (("vertical", vert), ("horizontal", horiz)):
-        traced = 8.0 * _trace_bd(g, dm, over=frame)[hh]
+        f, pairs = len(frame), (np.asarray(horiz)[:, None] * dm + np.sort(frame)).ravel()
+        block = g[pairs][:, pairs].tocoo()
+        on = block.row % f == block.col % f
+        traced = 8.0 * sp.coo_matrix((block.data[on], (block.row[on] // f, block.col[on] // f)),
+                                     shape=sub.shape).toarray()
         res[f"trace_identity_{name}_frame"] = float(np.abs(traced - sub).max())
 
     bad = {k: v for k, v in res.items() if v > tol}

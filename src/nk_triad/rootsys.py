@@ -399,17 +399,6 @@ def subsystem_type(rs: RootSystem, subset: np.ndarray) -> SubsystemType:
     return SubsystemType(tuple(sorted(names)), torus)
 
 
-def canonical_simple_type(family: str, rank: int) -> tuple[tuple[str, int], ...]:
-    """Canonical component naming used by subsystem_type, for round-trip tests."""
-    if rank == 1:
-        return (("a", 1),)
-    if (family, rank) == ("c", 2):
-        return (("b", 2),)
-    if (family, rank) == ("d", 3):
-        return (("a", 3),)
-    return ((family, rank),)
-
-
 def diagram_automorphisms(rs: RootSystem) -> list[tuple[int, ...]]:
     """All permutations of the simple roots preserving the Cartan matrix."""
     n = rs.rank

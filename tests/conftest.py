@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from nk_triad.automorph import _SPAN_TOL, InnerClass
 from nk_triad.chevalley import SignInconsistency
 from nk_triad.compactform import ZERO_DROP, drop_noise
-from nk_triad.nk_analyzer import _max_abs, _slabs, _trace_bd, curvature, tensor_r
+from nk_triad.nk_analyzer import _max_abs, _slabs, curvature, tensor_r
 from nk_triad.rootsys import RootSystem, SubsystemType
 from nk_triad.tables import cached_algebra, cached_root_system
 
@@ -141,6 +141,17 @@ def fraction_subsystem_type(rs, roots, ambient_rank=None):
         comps.append(sorted(comp))
     names = [_identify_component([[cartan[i][j] for j in c] for i in c]) for c in comps]
     return SubsystemType(tuple(sorted(names)), torus)
+
+
+def canonical_simple_type(family: str, rank: int) -> tuple[tuple[str, int], ...]:
+    """Canonical component naming used by ``subsystem_type``, for round-trip tests."""
+    if rank == 1:
+        return (("a", 1),)
+    if (family, rank) == ("c", 2):
+        return (("b", 2),)
+    if (family, rank) == ("d", 3):
+        return (("a", 3),)
+    return ((family, rank),)
 
 
 @pytest.fixture(scope="session")
@@ -550,7 +561,45 @@ def frame_trace_oracle():
     return reference_frame_traces
 
 
-# -- reference curvature operator and identities ------------------------------------
+# -- reference structure identities, curvature operator and identities ---------------
+
+
+def _trace_bd(mat, dm: int) -> np.ndarray:
+    """T[a, c] = sum_i M[a, i, c, i], the Ricci-type trace of an operator."""
+    mat = mat.tocoo()
+    keep = mat.row % dm == mat.col % dm
+    return sp.coo_matrix((mat.data[keep], (mat.row[keep] // dm, mat.col[keep] // dm)),
+                         shape=(dm, dm)).toarray()
+
+
+def reference_structure_identities(space):
+    """The structure residuals by sparse products with J, kron(I, J),
+    kron(J, J) and kron(J^T, I) formed as matrices."""
+    js = curvature(space).j
+    x, kc, _ = space.tensors()
+    dm = space.dim_m
+    eye = sp.identity(dm, format="csr")
+    res = {}
+    res["J_squared"] = _max_abs(js @ js + eye)
+    res["J_isometry"] = _max_abs(js.T @ js - eye)
+    res["xi_XX"] = _max_abs(x[np.arange(dm) * (dm + 1)])
+    res["xi_J_anticommute"] = _max_abs(x @ js + sp.kron(eye, js) @ x)
+    nz = x.tocoo()
+    a, b, k = nz.row // dm, nz.row % dm, nz.col
+    moved = lambda rows, cols: sp.csr_matrix((nz.data, (rows, cols)), shape=x.shape)
+    res["xi_totally_skew"] = max(_max_abs(x + moved(b * dm + a, k)),
+                                 _max_abs(x + moved(a * dm + k, b)))
+    jj = sp.kron(js, js, format="csr")
+    res["bracket_JJ_k"] = _max_abs(jj.T @ kc - kc)
+    mm = -2.0 * x
+    res["bracket_J_m"] = _max_abs(sp.kron(js.T, eye) @ mm + mm @ js.T)
+    return res
+
+
+@pytest.fixture(scope="session")
+def structure_identity_oracle():
+    """The kron-product reference for ``verify_structure_identities``: space -> residuals."""
+    return reference_structure_identities
 
 
 def reference_riemann(space):

@@ -92,6 +92,15 @@ def test_square_formula_detects_a_square_off_the_pairs():
         verify_square_formula(cd)
 
 
+def test_square_formula_does_not_read_plus():
+    """The pairs and string bounds come from the coefficients: an addition
+    table emptied after the build leaves the check and its count unchanged."""
+    cd = build_structure_constants(build_root_system("f", 4))
+    count = verify_square_formula(cd)
+    cd.plus = np.full_like(cd.plus, -1)
+    assert verify_square_formula(cd) == count == 816
+
+
 @pytest.mark.parametrize("table", ["sign", "n12"])
 def test_triangle_identity_detects_a_changed_entry(table):
     cd = build_structure_constants(build_root_system("g", 2))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from nk_triad import cli, tables
+from nk_triad import cli, nk_analyzer, tables
 from nk_triad.automorph import realize_cyclic_c3, realize_triality_d4
 from nk_triad.nk_analyzer import (
     KAPPA,
@@ -239,6 +239,40 @@ def test_min_connection_identity_reads_every_torsion_row(min_connection_oracle):
         min_connection_oracle(sp), abs=1e-12)
 
 
+def test_min_connection_reads_no_row_outside_its_layers():
+    """1.0 added to G at row and column (v, v'), both vertical, leaves the
+    residual bit-identical: every term reads G's rows with a horizontal slot
+    (a, or (d, a) and (c, a)), so the slabs never gather that row, although
+    K A' + 4G reads the column (v, v') on other rows.  The row is otherwise
+    empty (xi_v v' = 0 on type IV)."""
+    sp = realize("e", 7, "A3III", (2,))
+    cv, dm = curvature(sp), sp.dim_m
+    before = verify_min_connection_identity(sp)
+    v0, v1 = sp.layers["V"][:2]
+    at = v0 * dm + v1
+    assert cv.g[at].nnz == 0
+    cv.g = cv.g + csr_matrix(([1.0], ([at], [at])), shape=cv.g.shape)   # replaces the memoised G
+    assert verify_min_connection_identity(sp) == before
+
+
+def test_min_connection_holds_less_than_twice_g():
+    """On e8 node 1 (dm 156), with G, K and A' built, the minimal-connection
+    identity allocates at its peak less than twice G's bytes: it builds only
+    the tuples with a horizontal and c, d vertical, about 96 000 entries, not
+    the whole four-index sum, and copies no whole G."""
+    sp = realize("e", 8, "A3III", (1,))
+    cv = curvature(sp)
+    g = cv.g
+    cv.a_prime
+    tracemalloc.start()
+    try:
+        verify_min_connection_identity(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (g.data.nbytes + g.indices.nbytes + g.indptr.nbytes)
+
+
 def _special_torsion_spaces():
     from nk_triad.cli import identity_spaces
 
@@ -445,6 +479,44 @@ def test_curvature_pass_holds_less_than_r():
 def test_structure_identities(su3_flag):
     res = verify_structure_identities(su3_flag)
     assert max(res.values()) < 1e-9
+
+
+@pytest.mark.parametrize("item", BENCH_SPACES, ids=_item_id)
+def test_structure_identities_match_kron_oracle(item, structure_identity_oracle):
+    """The relabellings of X and K by J = (pi, s) against the kron products
+    they replace, on every space the analyze-irreducible and identity-sweep
+    workloads draw: each residual to 1e-15."""
+    space = _realize_item(item)
+    res, want = verify_structure_identities(space), structure_identity_oracle(space)
+    assert res.keys() == want.keys()
+    assert max(abs(res[k] - want[k]) for k in want) <= 1e-15
+
+
+@pytest.mark.parametrize("change", ["J sign", "X entry"])
+def test_structure_residuals_move_as_the_oracle(change, structure_identity_oracle):
+    """One sign of J flipped, or one stored entry of X moved by 0.5, on a
+    dm = 84 space: every structure residual equals the kron oracle's, and
+    the change shows."""
+    sp = realize("e", 7, "A3III", (2,))
+    if change == "J sign":
+        curvature(sp).j.data[0] *= -1.0
+    else:
+        sp.tensors()[0].data[0] += 0.5
+    res = verify_structure_identities(sp)
+    assert res == structure_identity_oracle(sp)
+    assert max(res.values()) > 1e-6
+
+
+def test_structure_identities_form_no_kron(monkeypatch):
+    """The structure suite runs with ``sp.kron`` raising in nk_analyzer."""
+    sp = realize("e", 7, "A3III", (2,))
+    sp.tensors(), curvature(sp).j
+
+    def no_kron(*args, **kwargs):
+        raise AssertionError("kron formed")
+
+    monkeypatch.setattr(nk_analyzer.sp, "kron", no_kron)
+    assert max(verify_structure_identities(sp).values()) < 1e-9
 
 
 def _ambient_nat_reductive(space, x, y, z, t):

@@ -16,11 +16,12 @@ from nk_triad.rootsys import (
     NotClosed,
     RootSystem,
     build_root_system,
-    canonical_simple_type,
     diagram_automorphisms,
     root_string,
     subsystem_type,
 )
+
+from conftest import canonical_simple_type
 
 CLASSICAL_COUNTS = {
     ("a", 1): 1, ("a", 2): 3, ("a", 5): 15,
