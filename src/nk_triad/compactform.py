@@ -176,19 +176,23 @@ class CompactAlgebra:
         return ratio
 
     def _jacobi_blocks(self) -> list[tuple[int, int]]:
-        """Blocks [i0, i1) of consecutive i for the Jacobi sweep, cut where the
-        running count of product entries crosses a multiple of SLAB_ENTRIES.
+        """Tiles [i0, i1) of consecutive basis indices for the Jacobi sweep.
 
-        Each i contributes at most sum_{(j, l): C[i, j, l] != 0} nnz(C[l, :, :])
-        entries to each of the sweep's three products (equal bounds for totally
-        skew C), so a block gathers about SLAB_ENTRIES entries of all three.
+        Index i weighs w_i = sum_{(j, l): C[i, j, l] != 0} nnz(C[l, :, :]), a
+        bound on the entries of [e_y, [e_i, e_z]] over all y and z (equal to
+        it for totally skew C).  With P = sum_i w_i the sweep takes
+        n = ceil(sqrt(2P / SLAB_ENTRIES)) tiles, cut where the running weight
+        crosses a multiple of P/n, so the two products of a pair of tiles hold
+        about 2P/n^2 <= SLAB_ENTRIES entries together.
         """
         d = self.dim
         c = self.C.tocoo()
         first = c.row // d
-        per_i = 3 * np.bincount(first, weights=np.bincount(first, minlength=d)[c.col], minlength=d)
-        start = np.cumsum(per_i) - per_i
-        cuts = [0, *(np.flatnonzero(np.diff(start // SLAB_ENTRIES)) + 1).tolist(), d]
+        weight = np.bincount(first, weights=np.bincount(first, minlength=d)[c.col], minlength=d)
+        total = max(float(weight.sum()), 1.0)
+        n = math.ceil(math.sqrt(2.0 * total / SLAB_ENTRIES))
+        start = np.cumsum(weight) - weight
+        cuts = [0, *(np.flatnonzero(np.diff(start * n // total)) + 1).tolist(), d]
         return list(zip(cuts[:-1], cuts[1:]))
 
     def _jacobi_worst(self) -> tuple[float, tuple[int, int, int]]:
@@ -196,13 +200,15 @@ class CompactAlgebra:
         (i, j, k) in lexicographic order where it occurs.
 
         The residual of (i, j, k) is ad([e_i, e_j]) e_k - [ad e_i, ad e_j] e_k,
-        i.e. [[e_i, e_j], e_k] - [e_i, [e_j, e_k]] + [e_j, [e_i, e_k]].  It is
-        computed over the blocks of i of ``_jacobi_blocks``, each by three sparse
-        products over all j and k, as the CSR matrix [(i, j), (k, m)] of
-        lhs + (inner - outer): a COO duplicate sum of the three terms, in that
-        order, rounds the same way.  The two re-indexed terms are grouped by row
-        with a counting sort, so no (row, col) sort is needed, and working memory
-        follows the block's SLAB_ENTRIES entries.
+        i.e. lhs - F(j, i, k) + F(i, j, k) with lhs = [[e_i, e_j], e_k] and
+        F(x, y, z) = [e_y, [e_x, e_z]], for any C.  Each pair of tiles
+        B_p <= B_q of ``_jacobi_blocks`` is visited once: F on B_p x B_q and on
+        B_q x B_p (two sparse products, one on a diagonal tile), each grouped
+        once by a counting sort into rows (i, j), i in B_p and j in B_q, gives
+        D = F(i, j, k) - F(j, i, k), and the residual tiles are lhs + D on the
+        rows (i, j) and lhs - D on the rows (j, i).  IEEE subtraction is
+        exactly antisymmetric, so both equal the per-i sum lhs + (inner -
+        outer) bit for bit, and no symmetry of C is assumed.
         """
         d, c = self.dim, self.C
         coo = c.tocoo()
@@ -210,27 +216,41 @@ class CompactAlgebra:
         # T[l, (k, m)] = C[l, k, m] and S[l, (j, m)] = C[j, l, m]
         t = sp.csr_matrix((coo.data, (first, second * d + coo.col)), shape=(d, d * d))
         s = sp.csr_matrix((coo.data, (second, first * d + coo.col)), shape=(d, d * d))
-        worst, where = 0.0, (0, 0, 0)
-        for i0, i1 in self._jacobi_blocks():
-            shape = ((i1 - i0) * d, d * d)
-            ci = c[i0 * d:i1 * d]
-            p = (c @ s[:, i0 * d:i1 * d]).tocoo()     # [(j, k), (i, m)]: [e_i, [e_j, e_k]]
-            (j, k), (i, m) = np.divmod(p.row, d), np.divmod(p.col, d)
-            outer = _row_grouped(i * d + j, k * d + m, p.data, shape)
-            p = (ci @ s).tocoo()                      # [(i, k), (j, m)]: [e_j, [e_i, e_k]]
-            (i, k), (j, m) = np.divmod(p.row, d), np.divmod(p.col, d)
-            res = _row_grouped(i * d + j, k * d + m, p.data, shape) - outer
-            del outer                                 # freed before the lhs product
-            res = ci @ t + res                        # [(i, j), (k, m)]: [[e_i, e_j], e_k]
+        worst, where = 0.0, 0     # where: the triple (i, j, k) as the key (i d + j) d + k
+
+        def brackets(x0, x1, y0, y1, by_y):
+            """F(x, y, k) for x in [x0, x1) and y in [y0, y1) as CSR with rows
+            (x, y), or (y, x) if ``by_y``, numbered from 0, and columns (k, m)."""
+            f = (c[x0 * d:x1 * d] @ s[:, y0 * d:y1 * d]).tocoo()   # [(x, k), (y, m)]
+            (x, k), (y, m) = np.divmod(f.row, d), np.divmod(f.col, d)
+            rows = y * (x1 - x0) + x if by_y else x * (y1 - y0) + y
+            return _row_grouped(rows, k * d + m, f.data, ((x1 - x0) * (y1 - y0), d * d))
+
+        def keep_worst(res, a, b):
+            """Fold the largest entry of res, whose row r is the pair
+            (a[r], b[r]), into (worst, where); ties keep the first triple."""
+            nonlocal worst, where
             mag = np.abs(res.data)
             top = mag.max(initial=0.0)
-            if top > worst:   # columns are unsorted within a row: take the first (row, col)
-                at = np.flatnonzero(mag == top)
-                key = (np.searchsorted(res.indptr, at, side="right") - 1) * shape[1] \
-                    + res.indices[at]
-                row, col = divmod(int(key.min()), shape[1])
-                worst, where = float(top), (i0 + row // d, row % d, col // d)
-        return worst, where
+            if top == 0.0 or top < worst:
+                return
+            at = np.flatnonzero(mag == top)   # columns are unsorted within a row
+            row = np.searchsorted(res.indptr, at, side="right") - 1
+            key = int(((a[row] * d + b[row]) * d + res.indices[at] // d).min())
+            if top > worst or key < where:
+                worst, where = float(top), key
+
+        tiles = self._jacobi_blocks()
+        for n, (p0, p1) in enumerate(tiles):
+            for q0, q1 in tiles[n:]:
+                diff = brackets(p0, p1, q0, q1, False)
+                i, j = np.arange(p0, p1).repeat(q1 - q0), np.tile(np.arange(q0, q1), p1 - p0)
+                diff = diff - (diff[(j - q0) * (q1 - q0) + (i - p0)] if p0 == q0
+                               else brackets(q0, q1, p0, p1, True))
+                keep_worst(c[i * d + j] @ t + diff, i, j)
+                if p0 != q0:
+                    keep_worst(c[j * d + i] @ t - diff, j, i)
+        return worst, (where // (d * d), where // d % d, where % d)
 
     def jacobi_max_residual(self) -> float:
         """Max norm of [[x,y],z]+[[y,z],x]+[[z,x],y] over all basis triples.

@@ -101,10 +101,10 @@ def test_blocked_jacobi_sweep_matches_per_i_sweep(family, rank, algebra, jacobi_
 
 
 def test_blocked_jacobi_sweep_locates_flips_in_late_blocks(algebra, jacobi_oracle, monkeypatch):
-    """With a small entry budget f4 is swept in several blocks of i.  Negating
+    """With a small entry budget f4 is swept in more than four tiles.  Negating
     [U^0_a, U^1_a] in that order only puts the worst residual at a triple
-    (U^0_a, U^1_a, k): once on a block's first index, once in the last block."""
-    monkeypatch.setattr(compactform, "SLAB_ENTRIES", 1 << 15)
+    (U^0_a, U^1_a, k): once on a tile's first index, once in the last tile."""
+    monkeypatch.setattr(compactform, "SLAB_ENTRIES", 1 << 13)
     cached = algebra("f", 4)
     blocks = cached._jacobi_blocks()
     assert len(blocks) > 4 and blocks[0][0] == 0 and blocks[-1][1] == cached.dim
@@ -122,6 +122,28 @@ def test_blocked_jacobi_sweep_locates_flips_in_late_blocks(algebra, jacobi_oracl
         ref = np.abs(_dense_jacobi_residual(ca))
         assert worst == pytest.approx(ref.max(), abs=1e-12)
         assert ref[triple].max() == pytest.approx(worst, abs=1e-12)
+
+
+def test_tiled_jacobi_sweep_is_exact_for_a_bracket_that_is_not_skew(algebra, jacobi_oracle,
+                                                                   monkeypatch):
+    """One stored entry of f4's C scaled by 0.5, -1 or 2, its mirror left
+    alone, and f4 swept in at least three tiles: the tiled sweep assumes no
+    symmetry of C, so it matches the per-i sweep bit for bit, worst residual
+    and first triple alike.  (Reading [[e_i, e_j], e_k] as -[e_k, [e_i, e_j]],
+    exact on skew C, misses this on most draws.)"""
+    monkeypatch.setattr(compactform, "SLAB_ENTRIES", 1 << 15)
+    cached = algebra("f", 4)
+    assert len(cached._jacobi_blocks()) >= 3
+    ca = CompactAlgebra(cached.rs, cached.cd)
+    rng = np.random.default_rng(20)
+    for _ in range(24):
+        at, factor = int(rng.integers(ca.C.nnz)), float(rng.choice([0.5, -1.0, 2.0]))
+        kept = ca.C.data[at]
+        ca.C.data[at] *= factor
+        assert antisymmetry_max_residual(ca.C) > 0.0
+        worst, triple = ca._jacobi_worst()
+        assert worst > 1e-3 and (worst, triple) == jacobi_oracle(ca)
+        ca.C.data[at] = kept
 
 
 def test_jacobi_sweep_memory_is_bounded(algebra):

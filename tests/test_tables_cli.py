@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nk_triad
 from nk_triad import cli, tables
 from nk_triad.cli import _GOLDEN_SCOPES, main
 from nk_triad.compactform import build_compact_form
@@ -348,10 +350,23 @@ def test_cli_verify_tables_checks_the_einstein_lists(table, monkeypatch, capsys)
 
 
 def test_cli_entry_point_installed():
+    """``nk-triad classify a 2`` through the console script; where none is
+    installed, through the target ``pyproject.toml`` declares for it, run the
+    way the script runs it, with this package first on the path."""
     exe = shutil.which("nk-triad")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "classify", "a", "2"], capture_output=True, text=True)
+    env = None
+    if exe is not None:
+        cmd = [exe]
+    else:
+        import tomllib
+
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            module, func = tomllib.load(fh)["project"]["scripts"]["nk-triad"].split(":")
+        cmd = [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
+        src = str(Path(nk_triad.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([*cmd, "classify", "a", "2"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "A3II" in proc.stdout
 
