@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -411,12 +411,6 @@ NK_TYPE = {"A3I": "hermitian-symmetric", "A3II": "III", "A3III": "IV", "A3IV": "
            "B3": "II", "C3": "II"}
 
 
-@dataclass
-class TypeDecision:
-    label: str                     # I | II | III | IV | hermitian-symmetric
-    evidence: dict = field(default_factory=dict)
-
-
 def orbit_span_dim(space: OrderThreeSymmetricSpace, seed_vector: np.ndarray) -> int:
     """Dimension of the smallest ad(k)-invariant subspace containing the vector.
 
@@ -426,7 +420,9 @@ def orbit_span_dim(space: OrderThreeSymmetricSpace, seed_vector: np.ndarray) -> 
     orthonormal basis and the pending queue.  It stops when the queue is
     empty or the span reaches dim m.  Columns below ``_SPAN_TOL`` are dropped
     before each projection: from a basis vector such as a root vector most
-    ad(k_s) images vanish or already lie in the span.
+    ad(k_s) images vanish or already lie in the span.  ``classify_type`` does
+    not call it (``invariant_halves`` decides irreducibility); the tests use
+    it as an independent check of the halves.
     """
     _, _, ak = space.tensors()
     dm, dk = space.dim_m, space.dim_k
@@ -607,28 +603,19 @@ def invariant_halves(space: OrderThreeSymmetricSpace):
     return half, other
 
 
-def classify_type(space: OrderThreeSymmetricSpace) -> TypeDecision:
-    """Assign the nearly Kahler structure type of a realized space.
+def classify_type(space: OrderThreeSymmetricSpace) -> str:
+    """The nearly Kahler type of a realized space: I, II, III, IV or
+    hermitian-symmetric, as its automorphism class names it (``NK_TYPE``).
 
-    Types I and II are confirmed on every space, whatever its dim m: a type-I
-    label needs the ad(k)-orbit of the first m-basis vector to span m (under
-    an irreducible action every nonzero vector's orbit does) and no invariant
-    halves, a type-II label two invariant halves of equal dimension.
-    Anything else raises ``ClassificationMismatch``.
+    Types I and II are confirmed on every space, whatever its dim m, by
+    ``invariant_halves`` alone: a type-I label needs no invariant halves (an
+    orthogonal action whose symmetric commutant is the scalars is irreducible,
+    so every nonzero orbit spans m), a type-II label two invariant halves of
+    equal dimension.  Anything else raises ``ClassificationMismatch``.
     """
     label = NK_TYPE[space.type_label]
-    evidence: dict = {}
-    if label == "hermitian-symmetric":
-        return TypeDecision(label, {"kahler": True})
-    if label in ("III", "IV"):
-        return TypeDecision(label, evidence)
-    if label == "I":
-        span = orbit_span_dim(space, np.eye(space.dim_m)[0])
-        evidence["generic_orbit_span"] = span
-        if span < space.dim_m:
-            raise ClassificationMismatch(
-                f"{space.name}: type I, but the ad(k)-orbit of the first m-basis vector "
-                f"spans only {span} of dim m = {space.dim_m}")
+    if label not in ("I", "II"):
+        return label
     halves = space.halves or invariant_halves(space)
     dims = None if halves is None else (halves[0].shape[1], halves[1].shape[1])
     if label == "I" and dims is not None:
@@ -638,6 +625,4 @@ def classify_type(space: OrderThreeSymmetricSpace) -> TypeDecision:
         raise ClassificationMismatch(
             f"{space.name}: type II needs two equal invariant halves, found "
             f"{dims if dims else 'none'}")
-    if dims is not None:
-        evidence["half_dims"] = dims
-    return TypeDecision(label, evidence)
+    return label

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rootsys import NotARoot, RootSystem
+from .rootsys import RootSystem
 
 
 class SignInconsistency(RuntimeError):
@@ -154,31 +154,6 @@ class ChevalleyData:
             positive(x, y)
         out = factor * np.array(memo, dtype=np.int64)[first, second]
         return np.where(plus >= 0, out, 0).astype(np.int8)
-
-    # -- public access -------------------------------------------------------
-
-    def _pair(self, a, b) -> tuple[int, int] | None:
-        """Root indices of (a, b) when a + b is a root, else None."""
-        i, j = self.index.get(tuple(a)), self.index.get(tuple(b))
-        if i is None or j is None or self.plus[i, j] < 0:
-            return None
-        return i, j
-
-    def n_sign(self, a, b) -> int:
-        pair = self._pair(a, b)
-        if pair is None:
-            raise NotARoot(f"{tuple(a)} + {tuple(b)} is not a root")
-        return int(self.sign[pair])
-
-    def n_squared(self, a, b) -> Fraction:
-        """Exact N^2; zero when a+b is not a root."""
-        pair = self._pair(a, b)
-        return Fraction(0) if pair is None else Fraction(int(self.n12[pair]), 12)
-
-    def n_value(self, a, b) -> float:
-        """N as a float (exact sign, possibly irrational magnitude)."""
-        pair = self._pair(a, b)
-        return 0.0 if pair is None else int(self.sign[pair]) * math.sqrt(self.n12[pair] / 12)
 
 
 def build_structure_constants(rs: RootSystem) -> ChevalleyData:

@@ -78,16 +78,10 @@ def _report_json(report: NKReport) -> dict:
 
 def _fibration_json(rep) -> dict:
     return {
-        "vertical": rep.vertical_label,
-        "g_v": [list(c) for c in rep.g_v_type.components],
+        **tables.fibration_fields(rep),
         "g_v_dim": rep.g_v_dim,
-        "gbar_v": [list(c) for c in rep.gbar_v_type.components],
-        "gbar_torus": rep.gbar_v_type.torus_rank,
         "gbar_v_dim": rep.gbar_v_dim,
-        "fiber_dim": rep.fiber_dim,
-        "base_dim": rep.base_dim,
         "involution_h": [[n, tables.frac_json(c)] for n, c in rep.involution_h],
-        "base_hermitian": rep.base_hermitian,
         "note": rep.note,
     }
 

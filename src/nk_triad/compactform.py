@@ -142,11 +142,6 @@ class CompactAlgebra:
         return sp.csr_matrix((np.concatenate([x, -x]), (np.concatenate([i * d + j, j * d + i]),
                                                         np.concatenate([l, l]))), shape=(d * d, d))
 
-    def ad(self, i: int) -> sp.csr_matrix:
-        """Sparse matrix of ad(e_i) acting on column vectors: the transposed
-        slab C[(i, j), l] of the structure constants."""
-        return self.C[i * self.dim:(i + 1) * self.dim].T.tocsr()
-
     # -- invariant checks ----------------------------------------------------
 
     @property

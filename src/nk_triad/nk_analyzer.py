@@ -29,11 +29,12 @@ sorted in every row, no duplicates), R slab by slab straight into its arrays.
 The four curvature identities and Ric* are one pass over row slabs of R
 (``Curvature.identities``), which sums Ric too and whose point reads of R rely
 on R being canonical.  The layer-restricted minimal-connection and
-special-torsion suites build only the tuples they check (the slab reader
-``_worst``, and G's rows (a, i) for the frame traces), and J's identities are
-index relabellings of X and K.  Each identity is a maximum over all
-(a, b, c, d), or over the layers it names, and memory follows the nonzeros of
-a slab, never dm^4.
+special-torsion suites gather only the rows and columns of K, A', G and X
+their layers name: blocks of rows (a, b) with a horizontal against the
+vertical pairs (c, d), the G-blocks of the double-torsion containments and
+X's rows (a, i) for the frame traces.  J's identities are index relabellings
+of X and K.  Each identity is a maximum over all (a, b, c, d), or over the
+layers it names, and memory follows the nonzeros of a slab, never dm^4.
 """
 
 from __future__ import annotations
@@ -92,11 +93,6 @@ def canonical_J(space: OrderThreeSymmetricSpace) -> sp.csr_matrix:
     return j
 
 
-def torsion(space: OrderThreeSymmetricSpace) -> sp.csr_matrix:
-    """xi as X[(i, j), k] = <xi_{e_i} e_j, e_k> in the m-basis, CSR (dm^2, dm)."""
-    return space.tensors()[0]
-
-
 def tensor_r(space: OrderThreeSymmetricSpace) -> np.ndarray:
     """r(X, Y) = -4 trace xi_X xi_Y as a symmetric matrix (memoised, read-only)."""
     return curvature(space).r
@@ -110,74 +106,6 @@ def ricci_tensors(space: OrderThreeSymmetricSpace):
 
 
 # -- the sparse curvature operator ------------------------------------------------
-
-
-def _slabs(dm: int, *terms, only=None):
-    """Row slabs of the sum of coef * M[perm] over (coef, M, perm) terms, on
-    the tuples (a, b, c, d) with a in ``first``, b anywhere and c, d in
-    ``last``, ``only`` = (first, last); on every tuple if ``only`` is None.
-
-    Each M is a (dm^2, dm^2) operator and ``perm`` names its slots, so the
-    term (1.0, M, "bcad") adds M[b,c,a,d] at [(a,b),(c,d)]; M = (K, A'), read
-    as "abcd" only, is their product.  Each slot of M (of K's rows and A''s
-    columns) is cut to its set once, rows or columns first as keeps fewer,
-    before anything is gathered or multiplied.  A slab is a CSR matrix of the
-    rows (a, b), a in one block of ``first``, and the columns (c, d) in
-    ``last`` x ``last``, numbered from 0 (both sets sorted); it holds about
-    SLAB_ENTRIES of the cut terms' nonzeros (or of the product's multiply-adds).
-    """
-    everything = np.arange(dm)
-    first, last = (everything, everything) if only is None else (np.sort(x) for x in only)
-    sets = {"a": first, "b": everything, "c": last, "d": last}
-    sources, size = [], 0
-    for coef, mat, perm in terms:
-        if perm.index("a") >= 2:        # read a off the rows of M^T
-            mat, perm = mat.T, perm[2:] + perm[:2]
-        # rows (a, x) or (x, a), a in first and x in its set, in the order of a
-        other = sets[perm[1 - perm.index("a")]]
-        rows = (first[:, None] * dm + other if perm[0] == "a" else other * dm + first[:, None]).ravel()
-        cols = (sets[perm[2]][:, None] * dm + sets[perm[3]]).ravel()
-        if isinstance(mat, tuple):      # (K, A'): multiply-adds per row of K
-            src = (mat[0][rows], mat[1][:, cols])
-            size += int(np.diff(src[1].indptr)[src[0].indices].sum())
-        else:
-            mat = mat.tocsr()
-            src = mat[rows][:, cols] if rows.size * mat.shape[1] <= cols.size * mat.shape[0] \
-                else mat[:, cols][rows]
-            size += src.nnz
-        sources.append((coef, src, perm, other))
-    step = max(1, SLAB_ENTRIES * first.size // max(size, 1))
-    for f0 in range(0, first.size, step):
-        f1 = min(f0 + step, first.size)
-        shape = ((f1 - f0) * dm, last.size ** 2)
-        pieces, rows, cols, data = [], [], [], []
-        for coef, src, perm, other in sources:
-            own = slice(f0 * other.size, f1 * other.size)
-            sub = src[0][own] @ src[1] if isinstance(src, tuple) else src[own]
-            if perm == "abcd":          # the slab's rows and columns as they stand
-                pieces.append(coef * sub)
-                continue
-            sub = sub.tocoo()
-            i, x = np.divmod(sub.row, other.size)
-            y, z = np.divmod(sub.col, sets[perm[3]].size)
-            # places of a in the block, b in m and c, d in last
-            place = {"a": i, perm[1 - perm.index("a")]: x, perm[2]: y, perm[3]: z}
-            rows.append(place["a"] * dm + place["b"])
-            cols.append(place["c"] * last.size + place["d"])
-            data.append(coef * sub.data)
-        if rows:                        # the lists are freed before the CSR conversion
-            rows, cols, data = (np.concatenate(x) for x in (rows, cols, data))
-            pieces.append(sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr())
-            del rows, cols, data
-        pieces = [p for p in pieces if p.nnz] or pieces[:1]
-        yield sum(pieces[1:], pieces[0])
-
-
-def _worst(dm: int, *terms, only) -> float:
-    """max |sum of coef * M[perm]| over the tuples (a, b, c, d) with a in
-    ``first`` and c, d in ``last``, ``only`` = (first, last): the maximum
-    over the slabs of ``_slabs``, which build those tuples alone."""
-    return max((_max_abs(slab) for slab in _slabs(dm, *terms, only=only)), default=0.0)
 
 
 def _max_abs(mat) -> float:
@@ -533,13 +461,13 @@ def build_report(space: OrderThreeSymmetricSpace) -> NKReport:
     The type is confirmed on the space (``classify_type``); the rest of an
     inner space's report comes from its class (``inner_report``).
     """
-    decision = classify_type(space)
+    nk_type = classify_type(space)
     if space.h_spec is not None:
         return inner_report(space.algebra.cd, space.h_spec, space.name)
     algebra = (f"({space.algebra.base.rs.type_label})^3" if space.type_label == "C3"
                else space.algebra.rs.type_label)
     splitting = {lbl: len(space.layers[lbl]) for lbl in _sorted_layers(space.layers)}
-    return _report(space.name, algebra, space.type_label, decision.label, splitting,
+    return _report(space.name, algebra, space.type_label, nk_type, splitting,
                    *_exact_eigenvalues(space))
 
 
@@ -673,6 +601,23 @@ def verify_curvature_identities(space, tol=1e-9, seed=0) -> dict[str, float]:
     return res
 
 
+def _vertical_split(space) -> tuple[np.ndarray, np.ndarray]:
+    """(vertical, horizontal) m-basis positions, each sorted: V and H on type
+    IV, V1 and V2 + V3 on type III; no other type has special algebraic torsion."""
+    if space.type_label == "A3III":
+        vert, horiz = space.layers["V"], space.layers["H"]
+    elif space.type_label == "A3II":
+        vert, horiz = space.layers["V1"], space.layers["V2"] + space.layers["V3"]
+    else:
+        raise IdentityViolation("special algebraic torsion needs a vertical split (type III/IV)")
+    return np.sort(vert), np.sort(horiz)
+
+
+def _pairs(first, second, dm: int) -> np.ndarray:
+    """The indices (p, q) of a (dm^2)-axis, p in first and q in second, p major."""
+    return (np.asarray(first)[:, None] * dm + np.asarray(second)).ravel()
+
+
 def verify_min_connection_identity(space, tol=1e-9, seed=0) -> float:
     """Contracted curvature identity of the minimal connection.
 
@@ -682,20 +627,35 @@ def verify_min_connection_identity(space, tol=1e-9, seed=0) -> float:
     (x, u, v1, v2) and xi_v e_j = -xi_j e_v, the residual is
     K A' + 4G + 4G[c,b,d,a] - 4G[d,b,c,a], read on horizontal a and vertical
     c and d; G is symmetric, so the last two are read as G[d,a,c,b] and
-    G[c,a,d,b], off rows of G rather than of a transposed copy.  Only defined
-    on special-algebraic-torsion splittings, and only those tuples are built.
-    ``seed`` is unused; it stays until ``bench/workloads.py`` stops passing it.
+    G[c,a,d,b], off rows of G rather than of a transposed copy.
+
+    Per block of horizontal a, the rows (a, b) of K A' + 4G are K's and G's
+    rows against the columns (c, d) of V x V, and the block
+    B[(p,a),(q,b)] = G[p,a,q,b], p and q vertical, gathered rows first, gives
+    both other terms: 4B at [(a,b),(q,p)] and -4B at [(a,b),(p,q)].  Only
+    defined on special-algebraic-torsion splittings.  ``seed`` is unused; it
+    stays until ``bench/workloads.py`` stops passing it.
     """
-    if space.type_label == "A3III":
-        vert, horiz = space.layers["V"], space.layers["H"]
-    elif space.type_label == "A3II":
-        vert, horiz = space.layers["V1"], space.layers["V2"] + space.layers["V3"]
-    else:
-        raise IdentityViolation("minimal-connection identity needs a vertical split")
-    cv = curvature(space)
-    g = cv.g
-    worst = _worst(space.dim_m, (1.0, (space.tensors()[1], cv.a_prime), "abcd"),
-                   (4.0, g, "abcd"), (4.0, g, "dacb"), (-4.0, g, "cadb"), only=(horiz, vert))
+    vert, horiz = _vertical_split(space)
+    cv, dm, nv = curvature(space), space.dim_m, len(vert)
+    g, kc = cv.g, space.tensors()[1]
+    vv, vm = _pairs(vert, vert, dm), _pairs(vert, np.arange(dm), dm)
+    ap = cv.a_prime[:, vv]
+    # multiply-adds of K A' and entries of the three G terms, per a, bounded over all of m
+    size = int(np.diff(ap.indptr)[kc.indices].sum()) + 3 * g.nnz
+    step = max(1, SLAB_ENTRIES * dm // max(size, 1))
+    worst = 0.0
+    for h0 in range(0, len(horiz), step):
+        a = horiz[h0:h0 + step]
+        rows = _pairs(a, np.arange(dm), dm)
+        slab = kc[rows] @ ap + 4.0 * g[rows][:, vv]
+        blk = g[_pairs(vert, a, dm)][:, vm].tocoo()
+        (p, i), (q, b) = np.divmod(blk.row, len(a)), np.divmod(blk.col, dm)
+        row = np.tile(i * dm + b, 2)
+        col = np.concatenate([q * nv + p, p * nv + q])
+        pair = sp.coo_matrix((np.concatenate([4.0 * blk.data, -4.0 * blk.data]), (row, col)),
+                             shape=slab.shape).tocsr()
+        worst = max(worst, _max_abs(slab + pair))
     if worst > tol:
         raise IdentityViolation(f"minimal-connection identity residual {worst:.2e}")
     return worst
@@ -706,52 +666,45 @@ def verify_sat_identities(space, tol=1e-9, seed=0) -> dict[str, float]:
 
     The double-torsion containments xi_V xi_H H = 0 and xi_H xi_V V = 0 are
     the blocks G[(u,p),(x1,x2)] with u in one of V, H and x1, x2 in the other,
-    and only those blocks are built; the frame traces 8 sum_{i in V} G[a,i,b,i]
+    and only those blocks are gathered; the frame traces 8 sum_{i in V} G[a,i,b,i]
     and 8 sum_{i in H} G[a,i,b,i] must both equal the torsion trace r on the
     horizontals.  Each is read off X as 8 P P^T, P[a, (i, k)] = X[(a, i), k]
     with a horizontal and i in the frame, so only X's rows (a, i) are
     gathered.  Every index is checked.  ``seed`` is unused; it stays until
     ``bench/workloads.py`` stops passing it.
     """
-    if space.type_label not in ("A3II", "A3III"):
-        raise IdentityViolation("special algebraic torsion needs type III/IV")
-    x = space.tensors()[0]
+    vert, horiz = _vertical_split(space)
+    x, dm = space.tensors()[0], space.dim_m
     lam = exact_r_eigenvalues(space.algebra.cd, space.h_spec)
     res: dict[str, float] = {}
-    dm = space.dim_m
 
-    def block_max(first, second, out):
-        """max |xi[p, q, k]| over p in first, q in second, k in out."""
-        rows = (np.asarray(first)[:, None] * dm + np.asarray(second)).ravel()
-        return _max_abs(x[rows][:, list(out)])
+    def block_max(mat, first, second, out):
+        """max |mat[(p, q), k]| over p in first, q in second, k in out."""
+        return _max_abs(mat[_pairs(first, second, dm)][:, np.asarray(out)])
 
     if space.type_label == "A3III":
         v, h = space.layers["V"], space.layers["H"]
-        res["xi_VV"] = block_max(v, v, range(dm))
-        res["xi_HH_in_V"] = block_max(h, h, h)
-        res["xi_VH_in_H"] = block_max(v, h, v)
-        vert, horiz = v, h
+        res["xi_VV"] = block_max(x, v, v, range(dm))
+        res["xi_HH_in_V"] = block_max(x, h, h, h)
+        res["xi_VH_in_H"] = block_max(x, v, h, v)
         if 2 * lam["V"] * len(v) != lam["H"] * len(h):
             raise IdentityViolation("vertical/horizontal trace balance fails")
-        res["balance"] = 0.0
     else:
         v1, v2, v3 = space.layers["V1"], space.layers["V2"], space.layers["V3"]
-        res["xi_VkVk"] = max(block_max(a, a, range(dm)) for a in (v1, v2, v3))
-        res["xi_V1V2_in_V3"] = block_max(v1, v2, v1 + v2)
-        vert, horiz = v1, v2 + v3
+        res["xi_VkVk"] = max(block_max(x, a, a, range(dm)) for a in (v1, v2, v3))
+        res["xi_V1V2_in_V3"] = block_max(x, v1, v2, v1 + v2)
         if not (lam["V1"] * len(v1) == lam["V2"] * len(v2) == lam["V3"] * len(v3)):
             raise IdentityViolation("three-layer trace balance fails")
-        res["balance"] = 0.0
+    res["balance"] = 0.0
 
     # double-torsion containments and the frame-trace identity on horizontals
-    g = curvature(space).g
-    res["xi_V_xi_HH"] = _worst(dm, (1.0, g, "abcd"), only=(vert, horiz))
-    res["xi_H_xi_VV"] = _worst(dm, (1.0, g, "abcd"), only=(horiz, vert))
+    g, everything = curvature(space).g, range(dm)
+    res["xi_V_xi_HH"] = block_max(g, vert, everything, _pairs(horiz, horiz, dm))
+    res["xi_H_xi_VV"] = block_max(g, horiz, everything, _pairs(vert, vert, dm))
     sub = tensor_r(space)[np.ix_(horiz, horiz)]
     for name, frame in (("vertical", vert), ("horizontal", horiz)):
         # P[a, (i, k)] = X[(a, i), k] for a horizontal and i in the frame
-        p = x[(np.asarray(horiz)[:, None] * dm + np.sort(frame)).ravel()]
-        p = p.reshape((len(horiz), len(frame) * dm)).tocsr()
+        p = x[_pairs(horiz, frame, dm)].reshape((len(horiz), len(frame) * dm)).tocsr()
         traced = 8.0 * (p @ p.T).toarray()
         res[f"trace_identity_{name}_frame"] = float(np.abs(traced - sub).max())
 

@@ -336,6 +336,18 @@ def _aiii_item(family: str, rank: int, node: int) -> str:
     return _AIII_ITEM[(key, node)]
 
 
+def fibration_fields(rep) -> dict:
+    """The fields every fibration row carries, from one ``FibrationReport``."""
+    return {
+        "vertical": rep.vertical_label,
+        "g_v": [list(c) for c in rep.g_v_type.components],
+        "gbar_v": [list(c) for c in rep.gbar_v_type.components],
+        "gbar_torus": rep.gbar_v_type.torus_rank,
+        "fiber_dim": rep.fiber_dim, "base_dim": rep.base_dim,
+        "base_hermitian": rep.base_hermitian,
+    }
+
+
 def compute_fibrations_aiii(deep: bool = False) -> list[dict]:
     rows = []
     for family, rank, node in a3iii_sweep(deep):
@@ -344,13 +356,7 @@ def compute_fibrations_aiii(deep: bool = False) -> list[dict]:
         rows.append({
             "family": family, "rank": rank, "node": node,
             "space": space_name(family, rank, "A3III", (node,)),
-            "item": _aiii_item(family, rank, node),
-            "vertical": rep.vertical_label,
-            "g_v": [list(c) for c in rep.g_v_type.components],
-            "gbar_v": [list(c) for c in rep.gbar_v_type.components],
-            "gbar_torus": rep.gbar_v_type.torus_rank,
-            "fiber_dim": rep.fiber_dim, "base_dim": rep.base_dim,
-            "base_hermitian": rep.base_hermitian,
+            "item": _aiii_item(family, rank, node), **fibration_fields(rep),
         })
     return rows
 
@@ -364,13 +370,7 @@ def compute_fibrations_aii() -> list[dict]:
         for rep in all_fibrations(rs, _inner_class(family, rank, "A3II", nodes)):
             rows.append({
                 "family": family, "rank": rank, "nodes": list(nodes),
-                "space": name, "item": item,
-                "vertical": rep.vertical_label,
-                "g_v": [list(c) for c in rep.g_v_type.components],
-                "gbar_v": [list(c) for c in rep.gbar_v_type.components],
-                "gbar_torus": rep.gbar_v_type.torus_rank,
-                "fiber_dim": rep.fiber_dim, "base_dim": rep.base_dim,
-                "base_hermitian": rep.base_hermitian,
+                "space": name, "item": item, **fibration_fields(rep),
             })
     return rows
 

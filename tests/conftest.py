@@ -12,9 +12,9 @@ import scipy.sparse as sp
 
 from nk_triad.automorph import _SPAN_TOL, InnerClass
 from nk_triad.chevalley import SignInconsistency
-from nk_triad.compactform import ZERO_DROP, drop_noise
-from nk_triad.nk_analyzer import _max_abs, _slabs, curvature, tensor_r
-from nk_triad.rootsys import RootSystem, SubsystemType
+from nk_triad.compactform import SLAB_ENTRIES, ZERO_DROP, drop_noise
+from nk_triad.nk_analyzer import _max_abs, _vertical_split, curvature, tensor_r
+from nk_triad.rootsys import NotARoot, RootSystem, SubsystemType
 from nk_triad.tables import cached_algebra, cached_root_system
 
 
@@ -253,7 +253,7 @@ def fixed_algebra_root_signature(space):
               if vals[i] > 1 - tol]
     mats = []
     for c in cartan:
-        ad_c = sum(c[i] * ca.ad(i) for i in np.nonzero(np.abs(c) > tol)[0])
+        ad_c = sum(c[i] * ad(ca, i) for i in np.nonzero(np.abs(c) > tol)[0])
         mats.append(k.T @ (ad_c @ k))
     mix = mats[0] + math.pi * mats[1] if len(mats) > 1 else mats[0]
     eigvals, eigvecs = np.linalg.eig(mix)
@@ -267,6 +267,36 @@ def fixed_algebra_root_signature(space):
             norms.append(float(weight @ weight))
     ratio = max(norms) / min(norms) if norms else 1.0
     return len(cartan), count, ratio
+
+
+# -- structure-constant and adjoint accessors ---------------------------------------
+
+
+def root_pair(cd, a, b) -> tuple[int, int] | None:
+    """Root indices of (a, b) in ``cd`` when a + b is a root, else None."""
+    i, j = cd.index.get(tuple(a)), cd.index.get(tuple(b))
+    if i is None or j is None or cd.plus[i, j] < 0:
+        return None
+    return i, j
+
+
+def n_sign(cd, a, b) -> int:
+    """The sign of N_{a,b}; NotARoot unless a + b is a root."""
+    pair = root_pair(cd, a, b)
+    if pair is None:
+        raise NotARoot(f"{tuple(a)} + {tuple(b)} is not a root")
+    return int(cd.sign[pair])
+
+
+def n_squared(cd, a, b) -> Fraction:
+    """Exact N_{a,b}^2; zero when a + b is not a root."""
+    pair = root_pair(cd, a, b)
+    return Fraction(0) if pair is None else Fraction(int(cd.n12[pair]), 12)
+
+
+def ad(ca, i: int) -> sp.csr_matrix:
+    """ad(e_i) on column vectors: the transposed slab C[(i, j), l] of ``ca``."""
+    return ca.C[i * ca.dim:(i + 1) * ca.dim].T.tocsr()
 
 
 # -- reference structure constants -------------------------------------------------
@@ -502,12 +532,6 @@ def _dense_rows(mat, first, second, dm):
     return mat[rows].toarray().reshape(len(first), len(second), -1)
 
 
-def _vertical_split(space):
-    if space.type_label == "A3III":
-        return space.layers["V"], space.layers["H"]
-    return space.layers["V1"], space.layers["V2"] + space.layers["V3"]
-
-
 def reference_min_connection_worst(space, block=1 << 21):
     """max |R^min(x,u,v1,v2) - 4(<[xi_v1, xi_v2] x, u> - <xi_x u, xi_v1 v2>)| over
     every (x, u, v1, v2), x horizontal and v1, v2 vertical, by three dense
@@ -602,6 +626,100 @@ def structure_identity_oracle():
     return reference_structure_identities
 
 
+# -- the generic slab reader: index permutations of (dm^2, dm^2) operators -------------
+
+
+def _slabs(dm: int, *terms, only=None):
+    """Row slabs of the sum of coef * M[perm] over (coef, M, perm) terms, on
+    the tuples (a, b, c, d) with a in ``first``, b anywhere and c, d in
+    ``last``, ``only`` = (first, last); on every tuple if ``only`` is None.
+
+    Each M is a (dm^2, dm^2) operator and ``perm`` names its slots, so the
+    term (1.0, M, "bcad") adds M[b,c,a,d] at [(a,b),(c,d)]; M = (K, A'), read
+    as "abcd" only, is their product.  Each slot of M (of K's rows and A''s
+    columns) is cut to its set once, rows or columns first as keeps fewer,
+    before anything is gathered or multiplied.  A slab is a CSR matrix of the
+    rows (a, b), a in one block of ``first``, and the columns (c, d) in
+    ``last`` x ``last``, numbered from 0 (both sets sorted); it holds about
+    SLAB_ENTRIES of the cut terms' nonzeros (or of the product's multiply-adds).
+    """
+    everything = np.arange(dm)
+    first, last = (everything, everything) if only is None else (np.sort(x) for x in only)
+    sets = {"a": first, "b": everything, "c": last, "d": last}
+    sources, size = [], 0
+    for coef, mat, perm in terms:
+        if perm.index("a") >= 2:        # read a off the rows of M^T
+            mat, perm = mat.T, perm[2:] + perm[:2]
+        # rows (a, x) or (x, a), a in first and x in its set, in the order of a
+        other = sets[perm[1 - perm.index("a")]]
+        rows = (first[:, None] * dm + other if perm[0] == "a" else other * dm + first[:, None]).ravel()
+        cols = (sets[perm[2]][:, None] * dm + sets[perm[3]]).ravel()
+        if isinstance(mat, tuple):      # (K, A'): multiply-adds per row of K
+            src = (mat[0][rows], mat[1][:, cols])
+            size += int(np.diff(src[1].indptr)[src[0].indices].sum())
+        else:
+            mat = mat.tocsr()
+            src = mat[rows][:, cols] if rows.size * mat.shape[1] <= cols.size * mat.shape[0] \
+                else mat[:, cols][rows]
+            size += src.nnz
+        sources.append((coef, src, perm, other))
+    step = max(1, SLAB_ENTRIES * first.size // max(size, 1))
+    for f0 in range(0, first.size, step):
+        f1 = min(f0 + step, first.size)
+        shape = ((f1 - f0) * dm, last.size ** 2)
+        pieces, rows, cols, data = [], [], [], []
+        for coef, src, perm, other in sources:
+            own = slice(f0 * other.size, f1 * other.size)
+            sub = src[0][own] @ src[1] if isinstance(src, tuple) else src[own]
+            if perm == "abcd":          # the slab's rows and columns as they stand
+                pieces.append(coef * sub)
+                continue
+            sub = sub.tocoo()
+            i, x = np.divmod(sub.row, other.size)
+            y, z = np.divmod(sub.col, sets[perm[3]].size)
+            # places of a in the block, b in m and c, d in last
+            place = {"a": i, perm[1 - perm.index("a")]: x, perm[2]: y, perm[3]: z}
+            rows.append(place["a"] * dm + place["b"])
+            cols.append(place["c"] * last.size + place["d"])
+            data.append(coef * sub.data)
+        if rows:                        # the lists are freed before the CSR conversion
+            rows, cols, data = (np.concatenate(x) for x in (rows, cols, data))
+            pieces.append(sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr())
+            del rows, cols, data
+        pieces = [p for p in pieces if p.nnz] or pieces[:1]
+        yield sum(pieces[1:], pieces[0])
+
+
+def _worst(dm: int, *terms, only=None) -> float:
+    """max |sum of coef * M[perm]| over the tuples of ``_slabs``, which build
+    those tuples alone."""
+    return max((_max_abs(slab) for slab in _slabs(dm, *terms, only=only)), default=0.0)
+
+
+def reference_layer_worst(space) -> dict[str, float]:
+    """The minimal-connection residual and the two double-torsion
+    containments by the generic slab reader, each term named by its index
+    permutation: K A' + 4G + 4G[d,a,c,b] - 4G[c,a,d,b] on horizontal a and
+    vertical c, d, and G on a in one layer and c, d in the other."""
+    vert, horiz = _vertical_split(space)
+    cv, dm = curvature(space), space.dim_m
+    g = cv.g
+    return {
+        "min_connection": _worst(dm, (1.0, (space.tensors()[1], cv.a_prime), "abcd"),
+                                 (4.0, g, "abcd"), (4.0, g, "dacb"), (-4.0, g, "cadb"),
+                                 only=(horiz, vert)),
+        "xi_V_xi_HH": _worst(dm, (1.0, g, "abcd"), only=(vert, horiz)),
+        "xi_H_xi_VV": _worst(dm, (1.0, g, "abcd"), only=(horiz, vert)),
+    }
+
+
+@pytest.fixture(scope="session")
+def layer_slab_oracle():
+    """The generic slab reader for ``verify_min_connection_identity`` and the
+    containments of ``verify_sat_identities``: space -> residuals."""
+    return reference_layer_worst
+
+
 def reference_riemann(space):
     """R by the former build: the four ``_slabs`` terms K A' + 2G - G[a,c,b,d]
     + G[a,d,b,c] summed per slab, each slab noise-dropped, the list stacked by
@@ -627,12 +745,12 @@ def reference_curvature_identities(space):
     cv = curvature(space)
     dm, rr = space.dim_m, cv.riemann
     rjj = (rr @ sp.kron(cv.j, cv.j, format="csr")).tocsr()
-    worst = lambda *terms: max(_max_abs(slab) for slab in _slabs(dm, *terms))
     res = {
-        "bianchi": worst((1.0, rr, "abcd"), (1.0, rr, "bcad"), (1.0, rr, "cabd")),
-        "pair_symmetry": worst((1.0, rr, "abcd"), (-1.0, rr, "cdab")),
-        "antisymmetry": worst((1.0, rr, "abcd"), (1.0, rr, "bacd")),
-        "curvature_J_defect": worst((1.0, rr, "abcd"), (-1.0, rjj, "abcd"), (-4.0, cv.g, "abcd")),
+        "bianchi": _worst(dm, (1.0, rr, "abcd"), (1.0, rr, "bcad"), (1.0, rr, "cabd")),
+        "pair_symmetry": _worst(dm, (1.0, rr, "abcd"), (-1.0, rr, "cdab")),
+        "antisymmetry": _worst(dm, (1.0, rr, "abcd"), (1.0, rr, "bacd")),
+        "curvature_J_defect": _worst(dm, (1.0, rr, "abcd"), (-1.0, rjj, "abcd"),
+                                     (-4.0, cv.g, "abcd")),
     }
     return res, _trace_bd(rjj, dm)
 

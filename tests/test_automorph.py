@@ -26,7 +26,7 @@ from nk_triad.nk_analyzer import curvature
 from nk_triad.rootsys import InvalidRank, subsystem_type
 from nk_triad.tables import realize
 
-from conftest import bracket_preservation_residual, fixed_algebra_root_signature
+from conftest import ad, bracket_preservation_residual, fixed_algebra_root_signature
 
 F = Fraction
 
@@ -120,7 +120,7 @@ def test_realize_su3_flag(algebra):
     assert sp.dim_k == 2 and sp.dim_m == 6
     assert sp.h_spec.split(sp.algebra.rs)[1] == []
     assert {k: len(v) for k, v in sp.layers.items()} == {"V1": 2, "V2": 2, "V3": 2}
-    assert classify_type(sp).label == "III"
+    assert classify_type(sp) == "III"
 
 
 def test_realize_g2_twistor(algebra):
@@ -128,7 +128,7 @@ def test_realize_g2_twistor(algebra):
     assert sp.h_spec.split(sp.algebra.rs)[1] == [(1, 0)]
     assert sp.dim_k == 4 and sp.dim_m == 10
     assert len(sp.layers["V"]) == 2 and len(sp.layers["H"]) == 8
-    assert classify_type(sp).label == "IV"
+    assert classify_type(sp) == "IV"
 
 
 def test_realize_f4_node1_isotropy_is_c3(algebra):
@@ -201,17 +201,16 @@ def test_triality_halves_are_invariant(algebra):
     for s in range(sp.dim_k):
         block = ak[s][np.ix_(je_pos, e_pos)]
         assert np.abs(block).max() < 1e-9
-    dec = classify_type(sp)
-    assert dec.label == "II"
-    assert dec.evidence["half_dims"] == (7, 7)
+    assert classify_type(sp) == "II"
+    halves = invariant_halves(sp)
+    assert (halves[0].shape[1], halves[1].shape[1]) == (7, 7)
 
 
 def test_cyclic_su2(algebra):
     sp = realize_cyclic_c3(algebra("a", 1))
     assert sp.algebra.dim == 9 and sp.dim_k == 3 and sp.dim_m == 6
     assert bracket_preservation_residual(sp) == 0.0     # every pair, block-diagonal C
-    dec = classify_type(sp)
-    assert dec.label == "II"
+    assert classify_type(sp) == "II"
 
 
 def test_cyclic_diagonal_action_matches_component(algebra):
@@ -221,7 +220,7 @@ def test_cyclic_diagonal_action_matches_component(algebra):
     ak = ad_k(sp)
     d = base.dim
     for s in range(d):
-        expect = base.ad(s).toarray() / np.sqrt(3.0)
+        expect = ad(base, s).toarray() / np.sqrt(3.0)
         assert np.abs(ak[s][:d, :d] - expect).max() < 1e-12
 
 
@@ -230,7 +229,7 @@ def test_orbit_span_full_on_isotropy_irreducible():
     rng = np.random.default_rng(11)
     assert orbit_span_dim(sp, rng.standard_normal(sp.dim_m)) == sp.dim_m
     assert invariant_halves(sp) is None
-    assert classify_type(sp).label == "I"
+    assert classify_type(sp) == "I"
 
 
 def test_orbit_span_half_inside_invariant_subspace(algebra):
@@ -329,15 +328,13 @@ def test_every_type_i_and_ii_space_is_confirmed(algebra):
     for sp in spaces:
         sp.tensors()
     start = time.process_time()
-    for sp in spaces:
-        dec = classify_type(sp)
-        if sp.type_label == "A3IV":
-            assert dec.label == "I" and "half_dims" not in dec.evidence
-            assert dec.evidence["generic_orbit_span"] == sp.dim_m
-        else:
-            assert dec.label == "II" and "generic_orbit_span" not in dec.evidence
-            assert dec.evidence["half_dims"] == (sp.dim_m // 2, sp.dim_m // 2)
+    labels = [classify_type(sp) for sp in spaces]
     assert time.process_time() - start < 20.0
+    assert labels == ["I" if sp.type_label == "A3IV" else "II" for sp in spaces]
+    # irreducible, so the orbit of any nonzero vector spans m
+    for sp in spaces:
+        if sp.type_label == "A3IV":
+            assert orbit_span_dim(sp, np.eye(sp.dim_m)[0]) == sp.dim_m, sp.name
 
 
 def _looks_reducible():
@@ -352,7 +349,7 @@ def _looks_reducible():
 
 
 def test_classification_mismatch_fails_loudly(monkeypatch, capsys):
-    with pytest.raises(ClassificationMismatch, match="type I"):
+    with pytest.raises(ClassificationMismatch, match="type I, but m splits into invariant halves"):
         classify_type(_looks_reducible())
     monkeypatch.setattr(tables, "realize", lambda *args: _looks_reducible())
     assert cli.main(["analyze", "g", "2", "--nodes", "1"]) == 1
@@ -361,10 +358,7 @@ def test_classification_mismatch_fails_loudly(monkeypatch, capsys):
     monkeypatch.setattr(cli, "identity_spaces", lambda deep=False: [_looks_reducible()])
     assert cli.main(["verify", "identities"]) == 1
     assert "identities:G2/SU(3):ClassificationMismatch:" in capsys.readouterr().out
-    # the other two checks, each reached with the ones before it passing
-    monkeypatch.setattr(automorph, "orbit_span_dim", lambda space, v: space.dim_m)
-    with pytest.raises(ClassificationMismatch, match="splits into invariant halves"):
-        classify_type(_looks_reducible())
+    # the type-II check, reached with the halves gone
     monkeypatch.setattr(automorph, "invariant_halves", lambda space: None)
     with pytest.raises(ClassificationMismatch, match="type II needs two equal invariant halves"):
         classify_type(realize_cyclic_c3(tables.cached_algebra("a", 1)))
@@ -485,5 +479,4 @@ def test_check_rejects_candidates_of_an_unlucky_draw(make, monkeypatch):
 @pytest.mark.parametrize("family,rank", [("f", 4), ("e", 7)])
 def test_large_cyclic_spaces_are_confirmed_type_ii(family, rank):
     sp = realize_cyclic_c3(tables.cached_algebra(family, rank))
-    dec = classify_type(sp)
-    assert dec.label == "II" and dec.evidence["half_dims"] == (sp.dim_m // 2, sp.dim_m // 2)
+    assert classify_type(sp) == "II"                  # two invariant halves of dim m / 2

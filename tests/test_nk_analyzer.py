@@ -28,7 +28,6 @@ from nk_triad.nk_analyzer import (
     exact_ricci_eigenvalues,
     ricci_tensors,
     tensor_r,
-    torsion,
     verify_curvature_identities,
     verify_min_connection_identity,
     verify_prop_table_relations,
@@ -38,7 +37,7 @@ from nk_triad.nk_analyzer import (
 )
 from nk_triad.tables import realize
 
-from conftest import layer_epsilon
+from conftest import layer_epsilon, n_squared
 
 F = Fraction
 
@@ -144,7 +143,7 @@ def test_tensors_hold_a_few_times_their_bytes():
 
 def test_torsion_totally_skew(su3_flag):
     dm = su3_flag.dim_m
-    xi = torsion(su3_flag).toarray().reshape(dm, dm, dm)
+    xi = su3_flag.tensors()[0].toarray().reshape(dm, dm, dm)
     rng = np.random.default_rng(0)
     for _ in range(50):
         x, y, z = rng.standard_normal((3, su3_flag.dim_m))
@@ -156,7 +155,7 @@ def test_torsion_totally_skew(su3_flag):
 
 def test_torsion_nonzero_in_every_direction(g2_twistor):
     dm = g2_twistor.dim_m
-    xi = torsion(g2_twistor).toarray().reshape(dm, dm, dm)
+    xi = g2_twistor.tensors()[0].toarray().reshape(dm, dm, dm)
     norms = [np.linalg.norm(xi[i]) for i in range(dm)]
     assert min(norms) > 0.5
 
@@ -281,8 +280,10 @@ def _special_torsion_spaces():
 
 
 def test_min_connection_and_frame_traces_match_einsum_reference(min_connection_oracle,
-                                                                frame_trace_oracle):
-    """The slab reads of G and K A' against the dense einsums they replaced."""
+                                                                frame_trace_oracle,
+                                                                layer_slab_oracle):
+    """The block reads of G and K A' against the dense einsums they replaced,
+    and bit for bit against the generic slab reader that read them before."""
     checked = 0
     for sp in _special_torsion_spaces():
         worst = verify_min_connection_identity(sp)
@@ -290,6 +291,9 @@ def test_min_connection_and_frame_traces_match_einsum_reference(min_connection_o
         res = verify_sat_identities(sp)
         for key, want in frame_trace_oracle(sp).items():
             assert abs(res[key] - want) < 1e-12, (sp.name, key)
+        slab = layer_slab_oracle(sp)
+        assert worst == slab.pop("min_connection"), sp.name
+        assert {key: res[key] for key in slab} == slab, sp.name
         checked += 1
     assert checked == 14
 
@@ -700,10 +704,10 @@ def _exact_r_on_root(cd, rs, alpha, t_of, betas=None) -> Fraction:
             continue
         s = tuple(a + b for a, b in zip(alpha, beta))
         if rs.is_root(s) and (ta + tb) % 1 != 0:
-            total += cd.n_squared(alpha, beta)
+            total += n_squared(cd, alpha, beta)
         d = tuple(a - b for a, b in zip(alpha, beta))
         if any(d) and rs.is_root(d) and ta != tb:
-            total += cd.n_squared(tuple(-a for a in alpha), beta)
+            total += n_squared(cd, tuple(-a for a in alpha), beta)
     return 2 * total
 
 
