@@ -32,12 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .chevalley import ChevalleyData
-from .compactform import SLAB_ENTRIES, CompactAlgebra, adjoint_action_exp, drop_noise
+from .compactform import SLAB_ENTRIES, CompactAlgebra, NotOrderThree, adjoint_action_exp, drop_noise
 from .rootsys import Coeffs, InvalidRank, RootSystem, alpha_levels, diagram_automorphisms
-
-
-class NotOrderThree(ValueError):
-    """The candidate automorphism does not cube to the identity."""
 
 
 class TrialityInconsistent(RuntimeError):
@@ -67,14 +63,15 @@ class InnerClass:
     @classmethod
     def of_nodes(cls, rs: RootSystem, nodes: tuple[int, ...]) -> InnerClass:
         """The class of one node of mark m in {1, 2, 3} (H = (m/3) H_node) or of
-        two distinct mark-1 nodes (H = (H_i + H_j)/3); ``InvalidRank`` otherwise."""
+        two distinct mark-1 nodes (H = (H_i + H_j)/3, nodes i < j whatever their
+        order in ``nodes``); ``InvalidRank`` otherwise."""
         if not nodes or len(nodes) > 2 or any(not 1 <= n <= rs.rank for n in nodes):
             raise InvalidRank(f"--nodes must name one or two of 1..{rs.rank}")
         marks = [rs.marks[n - 1] for n in nodes]
         if len(nodes) == 2:
             if marks != [1, 1] or nodes[0] == nodes[1]:
                 raise InvalidRank("a node pair needs two distinct mark-1 nodes")
-            return cls("A3II", tuple(nodes), (Fraction(1, 3), Fraction(1, 3)))
+            return cls("A3II", tuple(sorted(nodes)), (Fraction(1, 3), Fraction(1, 3)))
         if marks[0] not in _SINGLE_KIND:
             raise InvalidRank(f"node {nodes[0]} has mark {marks[0]}; an order-3 class "
                               f"needs a node of mark 1, 2 or 3")
@@ -161,7 +158,7 @@ class OrderThreeSymmetricSpace:
     """
 
     def __init__(self, algebra, type_label, sigma, k_cols, m_cols, h_spec=None,
-                 layers=None, name="", halves=None):
+                 layers=None, name=""):
         self.algebra = algebra
         self.type_label = type_label
         self.sigma = sp.csr_matrix(sigma)
@@ -170,7 +167,6 @@ class OrderThreeSymmetricSpace:
         self.h_spec = h_spec
         self.layers = layers or {}
         self.name = name or type_label
-        self.halves = halves     # invariant halves of m, when the construction split it
         self.dim_k = k_cols.shape[1]
         self.dim_m = m_cols.shape[1]
         self._tensors = None
@@ -203,12 +199,14 @@ class OrderThreeSymmetricSpace:
             raise NotOrderThree("dim m must be even")
 
     def tensors(self):
-        """(X, K, A), memoised CSR matrices over the m- and k-bases:
+        """(X, K, A'), memoised CSR matrices over the m- and k-bases:
 
             X[(a, b), c] = xi[a, b, c] = -(1/2)<[m_a, m_b], m_c>   (dm^2, dm)
             K[(a, b), s] = <[m_a, m_b], k_s>                       (dm^2, dk)
-            A[(s, p), q] = <[k_s, m_q], m_p>  (ad(k_s)|m)         (dk dm, dm)
+            A'[s, (c, d)] = <[k_s, m_c], m_d>                      (dk, dm^2)
 
+        Row s of A' is the isotropy action ad(k_s)|m read transposed: reshaped
+        to (dk dm, dm), its blocks are ad(k_s)^T = -ad(k_s), and K A' = R^min.
         Entries below ``compactform.ZERO_DROP`` are dropped as float noise.
         """
         if self._tensors is None:
@@ -226,17 +224,15 @@ class OrderThreeSymmetricSpace:
 
 
 def _build_tensors(space: OrderThreeSymmetricSpace):
-    """X = -(1/2) [M, M] M, K = [M, M] Kc and A from [Kc, M] M, with M = m_cols,
+    """X = -(1/2) [M, M] M, K = [M, M] Kc and A' = [Kc, M] M, with M = m_cols,
     Kc = k_cols and both brackets read off one ``_frame_bracket`` of [M Kc] and M."""
     m, k, dm = space.m_cols, space.k_cols, space.dim_m
     both = _frame_bracket(space.algebra.C, sp.hstack([m, k], format="csr"), m)
     mm = both[:dm * dm]                                     # [(a, b), l]: [m_a, m_b]
     xi = drop_noise((-0.5 * (mm @ m)).tocsr())
     kc = drop_noise((mm @ k).tocsr())
-    act = (both[dm * dm:] @ m).tocoo()                      # [(s, q), p]
-    s, q = np.divmod(act.row, dm)
-    ak = drop_noise(sp.csr_matrix((act.data, (s * dm + act.col, q)), shape=(space.dim_k * dm, dm)))
-    return xi, kc, ak
+    ap = drop_noise((both[dm * dm:] @ m).reshape((space.dim_k, dm * dm)).tocsr())
+    return xi, kc, ap
 
 
 def _frame_bracket(c: sp.csr_matrix, first: sp.csr_matrix, second: sp.csr_matrix) -> sp.csr_matrix:
@@ -362,7 +358,6 @@ def realize_triality_d4(ca: CompactAlgebra) -> OrderThreeSymmetricSpace:
         layers={"E": list(range(half_dim)),
                 "JE": list(range(half_dim, 2 * half_dim))},
         name="Spin(8)/G2 (triality fixed points)",
-        halves=tuple(frame.T @ (m_cols @ h) for h in halves),   # the same m, new basis
     )
     space.check_invariants()
     return space
@@ -424,15 +419,15 @@ def orbit_span_dim(space: OrderThreeSymmetricSpace, seed_vector: np.ndarray) -> 
     not call it (``invariant_halves`` decides irreducibility); the tests use
     it as an independent check of the halves.
     """
-    _, _, ak = space.tensors()
     dm, dk = space.dim_m, space.dim_k
+    blocks = space.tensors()[2].reshape((dk * dm, dm))     # [(s, c), d] = ad(k_s)^T
     step = max(1, dm // dk)
     basis = (seed_vector / np.linalg.norm(seed_vector))[:, None]
     pending = basis
     while pending.shape[1] and basis.shape[1] < dm:
         block, pending = pending[:, :step], pending[:, step:]
-        # cand[i, (s, f)] = (ad(k_s) block)[i, f]
-        cand = (ak @ block).reshape(dk, dm, -1).transpose(1, 0, 2).reshape(dm, -1)
+        # cand[i, (s, f)] = (ad(k_s)^T block)[i, f], which spans what ad(k_s) block spans
+        cand = (blocks @ block).reshape(dk, dm, -1).transpose(1, 0, 2).reshape(dm, -1)
         for _ in range(2):                  # twice, so the projection is clean
             cand = cand[:, np.linalg.norm(cand, axis=0) > _SPAN_TOL]
             cand -= basis @ (basis.T @ cand)
@@ -518,9 +513,9 @@ def commutant_basis(space: OrderThreeSymmetricSpace) -> list[np.ndarray]:
     candidates whatever Y is drawn, so the check is exact; an unlucky Y only
     adds candidates for it to reject.
     """
-    _, _, ak = space.tensors()
     dm, dk = space.dim_m, space.dim_k
-    x, y = (_draw(dk) @ ak.reshape((dk, dm * dm))).reshape(2, dm, dm)
+    ap = space.tensors()[2]
+    x, y = (_draw(dk) @ ap).reshape(2, dm, dm)    # X^T, Y^T: the same commutant as X, Y
     q, rows, cols, frame = _block_frame(x)
     yt = q.T @ y @ q
     cas = yt @ yt
@@ -535,12 +530,13 @@ def commutant_basis(space: OrderThreeSymmetricSpace) -> list[np.ndarray]:
     coords = (frame @ _null_space(gram)).T
     blocks = np.zeros((len(coords), dm, dm))
     blocks[:, rows, cols] = coords
-    return _check_candidates(ak, dm, q @ blocks @ q.T)
+    return _check_candidates(ap.reshape((dk * dm, dm)).tocsr(), dm, q @ blocks @ q.T)
 
 
 def _check_candidates(ak: sp.csr_matrix, dm: int, cands: np.ndarray) -> list[np.ndarray]:
     """The combinations of the orthonormal candidates S_k that commute with
-    every A_s = ad(k_s)|m: the null space of their Gram matrix
+    every block A_s = ad(k_s)^T of ``ak``, A' stacked as (dk dm, dm), hence
+    with every ad(k_s)|m: the null space of their Gram matrix
 
         sum_s <[A_s, S_k], [A_s, S_l]> = <S_k, W S_l + S_l W + 2 sum_s A_s S_l A_s>
 
@@ -577,30 +573,20 @@ def invariant_halves(space: OrderThreeSymmetricSpace):
 
     Works through the symmetric part of the commutant of ad(k)|m
     (``commutant_basis``, from two seeded elements of k, at every dim m): a
-    strict nontrivial symmetric commuting operator exists exactly when the
-    action is real-reducible; its eigenspaces are the halves.
+    symmetric commuting operator other than a scalar exists exactly when the
+    action is real-reducible.  The basis is orthonormal, so the symmetric
+    commutant is more than the scalars exactly when the trace-free symmetric
+    part of some basis element is not small; the first such part splits m by
+    the signs of its eigenvalues.
     """
     dm = space.dim_m
-    eye = np.eye(dm)
-    sym = []
     for mtx in commutant_basis(space):
         s = (mtx + mtx.T) / 2.0
-        if np.abs(s).max() > 1e-6:
-            sym.append(s)
-    # symmetric commutant spans {identity} iff real-irreducible
-    flat = np.array([s.ravel() / np.linalg.norm(s) for s in sym] + [eye.ravel() / np.sqrt(dm)])
-    rank = np.linalg.matrix_rank(flat, tol=1e-6)
-    if rank <= 1:
-        return None
-    probe = next(
-        s for s in sym
-        if np.linalg.norm(s - (np.trace(s) / dm) * eye) > 1e-6
-    )
-    probe = probe - (np.trace(probe) / dm) * eye
-    vals, vecs = np.linalg.eigh(probe)
-    half = vecs[:, vals > 0]
-    other = vecs[:, vals <= 0]
-    return half, other
+        s -= (np.trace(s) / dm) * np.eye(dm)
+        if np.linalg.norm(s) > 1e-6:
+            vals, vecs = np.linalg.eigh(s)
+            return vecs[:, vals > 0], vecs[:, vals <= 0]
+    return None
 
 
 def classify_type(space: OrderThreeSymmetricSpace) -> str:
@@ -616,7 +602,7 @@ def classify_type(space: OrderThreeSymmetricSpace) -> str:
     label = NK_TYPE[space.type_label]
     if label not in ("I", "II"):
         return label
-    halves = space.halves or invariant_halves(space)
+    halves = invariant_halves(space)
     dims = None if halves is None else (halves[0].shape[1], halves[1].shape[1])
     if label == "I" and dims is not None:
         raise ClassificationMismatch(

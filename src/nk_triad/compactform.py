@@ -58,6 +58,10 @@ def drop_noise(mat: sp.csr_matrix) -> sp.csr_matrix:
     return mat
 
 
+class NotOrderThree(ValueError):
+    """The candidate automorphism does not cube to the identity."""
+
+
 class JacobiFailure(AssertionError):
     def __init__(self, i, j, k, residual):
         super().__init__(f"Jacobi residual {residual:.3e} at basis triple ({i},{j},{k})")
@@ -291,16 +295,16 @@ def adjoint_action_exp(ca: CompactAlgebra, levels: dict[tuple[int, ...], int],
     ``levels`` maps a positive root's coefficient tuple to a(H) mod 1 as an int
     numerator over ``d`` (``InnerClass.levels``); each U-plane rotates by the
     angle 2*pi*a(H), one 2 x 2 block per root, and the Cartan part stays
-    fixed.  The angles 0, 1/3 and 2/3 take exact cosines and sines, so sigma
-    is bit-identical on every order-3 class; the zero sines are not stored.
+    fixed.  Every level of an order-3 class is 0, 1/3 or 2/3, whose cosines
+    and sines are read from one table, so sigma is bit-identical on every
+    class; the zero sines are not stored.  ``NotOrderThree`` for any other level.
     """
-    cos, sin = np.empty(ca.n_pos), np.empty(ca.n_pos)
-    for k, r in enumerate(ca.rs.positive_roots):
-        t = levels[r.coeffs]
-        if 3 * t % d == 0:
-            cos[k], sin[k] = _THIRDS[3 * t // d]
-        else:
-            cos[k], sin[k] = math.cos(2 * math.pi * (t / d)), math.sin(2 * math.pi * (t / d))
+    t = np.array([levels[r.coeffs] for r in ca.rs.positive_roots], dtype=np.int64)
+    off = np.flatnonzero(3 * t % d)
+    if off.size:
+        raise NotOrderThree(f"level {t[off[0]]}/{d} of root "
+                            f"{ca.rs.positive_roots[off[0]].coeffs} is not a third")
+    cos, sin = np.array(_THIRDS)[3 * t // d].T
     h = np.arange(ca.rank)
     u0, u1 = ca.u_index(np.arange(ca.n_pos), 0), ca.u_index(np.arange(ca.n_pos), 1)
     mat = sp.csr_matrix((np.concatenate([np.ones(ca.rank), cos, sin, -sin, cos]),

@@ -59,7 +59,7 @@ def check_lie_triple_system(space: OrderThreeSymmetricSpace, nu) -> bool:
 
     ``nu`` is either a list of m-basis positions or a dm x r column matrix.
     """
-    xi, kc, ak = space.tensors()
+    xi, kc, ap = space.tensors()
     dm = space.dim_m
     if isinstance(nu, np.ndarray) and nu.ndim == 2:
         cols = nu
@@ -67,14 +67,14 @@ def check_lie_triple_system(space: OrderThreeSymmetricSpace, nu) -> bool:
         cols = np.eye(dm)[:, list(nu)]
     proj_out = np.eye(dm) - cols @ cols.T
     r = cols.shape[1]
-    act = ak.reshape((space.dim_k, dm * dm)).T.tocsr()     # [(p, q), s] = ak[s, p, q]
+    act = ap.T.tocsr()                                     # [(c, d), s] = ad(k_s)[d, c]
     for a in range(r):
         for b in range(a + 1, r):
             pair = np.kron(cols[:, a], cols[:, b])
             # m-closure: [nu_a, nu_b]_m = -2 xi(nu_a, nu_b)
             if np.abs(proj_out @ (-2.0 * (xi.T @ pair))).max() > _LTS_TOL:
                 return False
-            if np.abs(proj_out @ (act @ (kc.T @ pair)).reshape(dm, dm) @ cols).max() > _LTS_TOL:
+            if np.abs(proj_out @ (act @ (kc.T @ pair)).reshape(dm, dm).T @ cols).max() > _LTS_TOL:
                 return False
     return True
 

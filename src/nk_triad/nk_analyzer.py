@@ -120,9 +120,9 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class Curvature:
     """Sparse torsion and curvature operators of one space, each built on first use.
 
-    From X[(a,b), k] = xi[a,b,k], K[(a,b), s] and A (``space.tensors()``) it
-    builds A'[s, (c,d)] = A[(s,d), c] = <[k_s, m_c], m_d>, so that
-    K A' = R^min, and the (dm^2, dm^2) CSR operators
+    From X[(a,b), k] = xi[a,b,k], K[(a,b), s] and A'[s, (c,d)] =
+    <[k_s, m_c], m_d> (``space.tensors()``), whose product K A' is R^min, it
+    builds the (dm^2, dm^2) CSR operators
 
         G[(a,b),(c,d)] = <xi_a e_b, xi_c e_d>                  (X X^T)
         R              = K A' + 2G - G[a,c,b,d] + G[a,d,b,c]
@@ -150,13 +150,6 @@ class Curvature:
         return canonical_J(self.space)
 
     @cached_property
-    def a_prime(self) -> sp.csr_matrix:
-        ak = self.space.tensors()[2].tocoo()
-        dm = self.dm
-        s, d = np.divmod(ak.row, dm)
-        return sp.csr_matrix((ak.data, (s, ak.col * dm + d)), shape=(self.space.dim_k, dm * dm))
-
-    @cached_property
     def g(self) -> sp.csr_matrix:
         x = self.space.tensors()[0]
         g = drop_noise((x @ x.T).tocsr())
@@ -175,7 +168,7 @@ class Curvature:
         comparison.  The slab is (K A' + 2G) + (-G[acbd] + G[adbc]), summed
         by scipy's merges of sorted rows, and R's arrays grow by what it adds.
         """
-        dm, g, kc, ap = self.dm, self.g, self.space.tensors()[1], self.a_prime
+        dm, g, (_, kc, ap) = self.dm, self.g, self.space.tensors()
         size = int(np.diff(ap.indptr)[kc.indices].sum()) + 3 * g.nnz
         step = max(1, SLAB_ENTRIES * dm // max(size, 1))
         indptr = np.zeros(dm * dm + 1, dtype=np.int64)
@@ -638,9 +631,9 @@ def verify_min_connection_identity(space, tol=1e-9, seed=0) -> float:
     """
     vert, horiz = _vertical_split(space)
     cv, dm, nv = curvature(space), space.dim_m, len(vert)
-    g, kc = cv.g, space.tensors()[1]
+    g, (_, kc, ap) = cv.g, space.tensors()
     vv, vm = _pairs(vert, vert, dm), _pairs(vert, np.arange(dm), dm)
-    ap = cv.a_prime[:, vv]
+    ap = ap[:, vv]
     # multiply-adds of K A' and entries of the three G terms, per a, bounded over all of m
     size = int(np.diff(ap.indptr)[kc.indices].sum()) + 3 * g.nnz
     step = max(1, SLAB_ENTRIES * dm // max(size, 1))

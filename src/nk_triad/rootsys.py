@@ -6,13 +6,13 @@ length 2 (``kappa`` in reports).  Squared lengths are then 2, 1 or 2/3, so
 6 x Gram (``gram6``) is an integer matrix, and inner products are int sums
 over it returned as one exact ``Fraction(total, 6)``.
 
-Each root also has one additive int key (``key``): its coefficients as signed
-digits in base ``key_base = 4 * (largest mark) + 1``.  A sum of two roots has
-digits of size at most 2 * (largest mark), so there key(a) + key(b) =
-key(a + b), and one sorted lookup of the summed keys gives the root-addition
-table ``plus`` over the 2n roots (``roots``: the positives, then their
-negatives).  Membership is checked on the tuple, so no vector aliases a root.
-From a28 the int64 keys wrap, and ``plus`` checks its entries on the
+Each root also has one additive int64 key (``_keys64``): its coefficients as
+signed digits in base ``key_base = 4 * (largest mark) + 1``.  A sum of two
+roots has digits of size at most 2 * (largest mark), so there key(a) + key(b)
+= key(a + b), and one sorted lookup of the summed keys gives the
+root-addition table ``plus`` over the 2n roots (``roots``: the positives, then
+their negatives).  Membership is checked on the tuple, so no vector aliases a
+root.  From a28 the int64 keys wrap, and ``plus`` checks its entries on the
 coefficients.
 Closed subsystems (Dynkin, Mat. Sb. 30 (1952)) are boolean masks over the
 roots, closed and classified by reads of ``plus``: their indecomposable
@@ -182,9 +182,8 @@ class RootSystem:
         n, self.key_base = self.n_positive, 4 * max(self.marks) + 1
         self.roots: list[Coeffs] = [r.coeffs for r in self.all_roots()]
         self.root_index: dict[Coeffs, int] = {c: k for k, c in enumerate(self.roots)}
-        self._keys = [sum(c * self.key_base ** i for i, c in enumerate(r)) for r in self.roots]
         self._coeffs = np.array(self.roots, dtype=np.int64)
-        # the same keys in int64, read by ``plus``; they wrap from a28
+        # the additive key of every root, read by ``plus``; it wraps from a28
         self._keys64 = self._coeffs @ self.key_base ** np.arange(self.rank, dtype=np.int64)
         self._gram6_rows = self._coeffs @ np.array(self.gram6, dtype=np.int64)
         self.neg = np.r_[np.arange(n, 2 * n), np.arange(n)]
@@ -222,23 +221,12 @@ class RootSystem:
                 total += ai * sum(g * bj for g, bj in zip(row, b))
         return Fraction(total, 6)
 
-    def inner(self, a, b) -> Fraction:
-        """Exact inner product of two coefficient vectors."""
-        return self._inner(_as_coeffs(a), _as_coeffs(b))
-
     def norm_sq(self, a) -> Fraction:
         c = _as_coeffs(a)
         return self._inner(c, c)
 
     def is_root(self, a) -> bool:
         return _as_coeffs(a) in self.root_index
-
-    def key(self, a) -> int:
-        """The additive int key of a root; NotARoot for any other vector."""
-        c = _as_coeffs(a)
-        if c not in self.root_index:
-            raise NotARoot(f"{c} is not a root of {self.type_label}")
-        return self._keys[self.root_index[c]]
 
     def mask(self, roots: Iterable) -> np.ndarray:
         """The given roots as a boolean mask in ``roots`` order; NotARoot for any other vector."""

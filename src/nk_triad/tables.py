@@ -206,8 +206,9 @@ def _inner_class(family: str, rank: int, kind: str, nodes: tuple[int, ...]) -> I
 
 def realize(family: str, rank: int, kind: str, nodes: tuple[int, ...]):
     """The inner space of ``nodes``, which must give the class ``kind``."""
-    return realize_inner(cached_algebra(family, rank), _inner_class(family, rank, kind, nodes),
-                         name=space_name(family, rank, kind, nodes))
+    spec = _inner_class(family, rank, kind, nodes)
+    return realize_inner(cached_algebra(family, rank), spec,
+                         name=space_name(family, rank, kind, spec.nodes))
 
 
 def _isotropy(rs: RootSystem, spec: InnerClass):

@@ -14,7 +14,7 @@ from nk_triad.automorph import _SPAN_TOL, InnerClass
 from nk_triad.chevalley import SignInconsistency
 from nk_triad.compactform import SLAB_ENTRIES, ZERO_DROP, drop_noise
 from nk_triad.nk_analyzer import _max_abs, _vertical_split, curvature, tensor_r
-from nk_triad.rootsys import NotARoot, RootSystem, SubsystemType
+from nk_triad.rootsys import NotARoot, RootSystem, SubsystemType, _as_coeffs
 from nk_triad.tables import cached_algebra, cached_root_system
 
 
@@ -101,6 +101,21 @@ def _identify_component(cartan):
     raise AssertionError(f"rank-{rank} component matches no simple type")
 
 
+def root_inner(rs, a, b) -> Fraction:
+    """Exact inner product of two coefficient vectors (or roots) of ``rs``."""
+    return rs._inner(_as_coeffs(a), _as_coeffs(b))
+
+
+def root_key(rs, a) -> int:
+    """The additive int key of a root of ``rs``, unbounded: its coefficients as
+    digits in base ``rs.key_base`` (``rs._keys64`` wraps from a28); NotARoot
+    for any other vector."""
+    c = _as_coeffs(a)
+    if not rs.is_root(c):
+        raise NotARoot(f"{c} is not a root of {rs.type_label}")
+    return sum(x * rs.key_base ** i for i, x in enumerate(c))
+
+
 def fraction_subsystem_type(rs, roots, ambient_rank=None):
     """Reference classification on coefficient tuples: pairwise closure by
     is_root, indecomposables by tuple subtraction, the rank by Fraction
@@ -124,7 +139,7 @@ def fraction_subsystem_type(rs, roots, ambient_rank=None):
                if not any(tuple(b - g for b, g in zip(beta, gamma)) in posset
                           for gamma in positives if gamma != beta)]
     m = len(simples)
-    cartan = [[int(2 * rs.inner(simples[i], simples[j]) / rs.norm_sq(simples[j]))
+    cartan = [[int(2 * root_inner(rs, simples[i], simples[j]) / rs.norm_sq(simples[j]))
                for j in range(m)] for i in range(m)]
     comps, seen = [], set()
     for start in range(m):
@@ -339,7 +354,7 @@ class ReferenceChevalley:
         self._roots = {r.coeffs for r in rs.all_roots()}
         self.n_sq, self._sign, self._extraspecial = {}, {}, {}
         norm = {r.coeffs: r.norm_sq for r in rs.all_roots()}
-        by_key = {rs.key(c): c for c in self._roots}
+        by_key = {root_key(rs, c): c for c in self._roots}
         for ka, a in by_key.items():
             for kb, b in by_key.items():
                 gamma = by_key.get(ka + kb)
@@ -537,10 +552,10 @@ def reference_min_connection_worst(space, block=1 << 21):
     every (x, u, v1, v2), x horizontal and v1, v2 vertical, by three dense
     einsums per block of about ``block`` tuples of horizontal x."""
     vert, horiz = _vertical_split(space)
-    xi, kc, ak = space.tensors()
+    xi, kc, ap = space.tensors()
     dm, everything = space.dim_m, np.arange(space.dim_m)
     xv = _dense_rows(xi, vert, everything, dm)
-    akv = _dense_rows(ak, range(space.dim_k), vert, dm)[:, :, vert]
+    apv = ap[:, (vert[:, None] * dm + vert).ravel()].toarray().reshape(-1, len(vert), len(vert))
     xvv = xv[:, vert]
     worst = 0.0
     step = max(1, block // (dm * len(vert) ** 2))
@@ -552,8 +567,8 @@ def reference_min_connection_worst(space, block=1 << 21):
         rhs -= rhs.swapaxes(2, 3).copy()
         rhs -= np.einsum("xuk,abk->xuab", xh, xvv, optimize=True)
         rhs *= 4.0
-        # R^min(e_x, e_u, e_va, e_vb) = <ad([e_x, e_u]_k) e_vb, e_va>
-        rhs -= np.einsum("xus,sba->xuab", kh, akv, optimize=True)
+        # R^min(e_x, e_u, e_va, e_vb) = <[[e_x, e_u]_k, e_va], e_vb>
+        rhs -= np.einsum("xus,sab->xuab", kh, apv, optimize=True)
         worst = max(worst, float(np.abs(rhs).max(initial=0.0)))
     return worst
 
@@ -705,7 +720,7 @@ def reference_layer_worst(space) -> dict[str, float]:
     cv, dm = curvature(space), space.dim_m
     g = cv.g
     return {
-        "min_connection": _worst(dm, (1.0, (space.tensors()[1], cv.a_prime), "abcd"),
+        "min_connection": _worst(dm, (1.0, space.tensors()[1:], "abcd"),
                                  (4.0, g, "abcd"), (4.0, g, "dacb"), (-4.0, g, "cadb"),
                                  only=(horiz, vert)),
         "xi_V_xi_HH": _worst(dm, (1.0, g, "abcd"), only=(vert, horiz)),
@@ -725,7 +740,7 @@ def reference_riemann(space):
     + G[a,d,b,c] summed per slab, each slab noise-dropped, the list stacked by
     ``sp.vstack`` and the whole sorted once."""
     cv = curvature(space)
-    terms = ((1.0, (space.tensors()[1], cv.a_prime), "abcd"),
+    terms = ((1.0, space.tensors()[1:], "abcd"),
              (2.0, cv.g, "abcd"), (-1.0, cv.g, "acbd"), (1.0, cv.g, "adbc"))
     rr = sp.vstack([drop_noise(slab) for slab in _slabs(space.dim_m, *terms)], format="csr")
     rr.sort_indices()

@@ -197,7 +197,7 @@ def test_criterion_8_triality_and_cyclic():
     halves = invariant_halves(sp)
     assert halves is not None
     assert halves[0].shape[1] == halves[1].shape[1] == 7
-    ak = sp.tensors()[2].toarray().reshape(sp.dim_k, sp.dim_m, sp.dim_m)
+    ak = sp.tensors()[2].toarray().reshape(sp.dim_k, sp.dim_m, sp.dim_m).transpose(0, 2, 1)
     for s in range(sp.dim_k):
         assert np.abs(ak[s][np.ix_(sp.layers["JE"], sp.layers["E"])]).max() < TOL
     seed = np.zeros(sp.dim_m)
@@ -212,7 +212,7 @@ def test_criterion_8_triality_and_cyclic():
     assert np.abs(c3.sigma @ c3.sigma @ c3.sigma - np.eye(9)).max() == 0.0
     halves_c = invariant_halves(c3)
     assert halves_c is not None and halves_c[0].shape[1] == 3
-    akc = c3.tensors()[2].toarray().reshape(c3.dim_k, c3.dim_m, c3.dim_m)
+    akc = c3.tensors()[2].toarray().reshape(c3.dim_k, c3.dim_m, c3.dim_m).transpose(0, 2, 1)
     base = cached_algebra("a", 1)
     for s in range(3):
         assert np.abs(akc[s][:3, :3] - ad(base, s).toarray() / np.sqrt(3)).max() < TOL

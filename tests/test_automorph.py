@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from nk_triad import automorph, cli, tables
 from nk_triad.automorph import (
@@ -32,9 +33,10 @@ F = Fraction
 
 
 def ad_k(space):
-    """ad(k_s)|m of ``space.tensors()`` as a dense (dim k, dim m, dim m) array."""
+    """ad(k_s)|m as a dense (dim k, dim m, dim m) array, read off A'[s, (c, d)]
+    = ad(k_s)[d, c] of ``space.tensors()``."""
     dm = space.dim_m
-    return space.tensors()[2].toarray().reshape(space.dim_k, dm, dm)
+    return space.tensors()[2].toarray().reshape(space.dim_k, dm, dm).transpose(0, 2, 1)
 
 
 def kinds(rs, dedup=False):
@@ -340,11 +342,11 @@ def test_every_type_i_and_ii_space_is_confirmed(algebra):
 def _looks_reducible():
     """A fresh g2 node 1 space whose ad(k)|m has its off-block entries zeroed."""
     sp = realize("g", 2, "A3IV", (1,))
-    _, _, ak = sp.tensors()
+    _, _, ap = sp.tensors()
     h = sp.dim_m // 2
-    p = np.repeat(np.arange(ak.shape[0]), np.diff(ak.indptr)) % sp.dim_m   # A[(s, p), q]
-    ak.data[(p < h) != (ak.indices < h)] = 0.0
-    ak.eliminate_zeros()
+    c, d = np.divmod(ap.indices, sp.dim_m)                 # A'[s, (c, d)]
+    ap.data[(c < h) != (d < h)] = 0.0
+    ap.eliminate_zeros()
     return sp
 
 
@@ -358,19 +360,46 @@ def test_classification_mismatch_fails_loudly(monkeypatch, capsys):
     monkeypatch.setattr(cli, "identity_spaces", lambda deep=False: [_looks_reducible()])
     assert cli.main(["verify", "identities"]) == 1
     assert "identities:G2/SU(3):ClassificationMismatch:" in capsys.readouterr().out
-    # the type-II check, reached with the halves gone
-    monkeypatch.setattr(automorph, "invariant_halves", lambda space: None)
-    with pytest.raises(ClassificationMismatch, match="type II needs two equal invariant halves"):
-        classify_type(realize_cyclic_c3(tables.cached_algebra("a", 1)))
+
+
+def _coupled_halves():
+    """A fresh a1 cyclic space whose ad(k)|m couples its halves E and JE.
+
+    Row s of A' holds ad(k_s)^T = kron(I, B_s), one antisymmetric 3 x 3 block
+    B_s on each half.  Rewritten as kron(I, B_0), kron(X, B_1) and
+    kron(Z, B_2) (X the swap of E and JE, Z the sign flip of JE), every
+    block stays antisymmetric, but only the scalars of the 2 x 2 factor
+    commute with I, X and Z: no symmetric operator but a scalar commutes
+    with the action, so m has no invariant halves."""
+    sp = realize_cyclic_c3(tables.cached_algebra("a", 1))
+    x, kc, ap = sp.tensors()
+    dk, dm, h = sp.dim_k, sp.dim_m, sp.dim_m // 2
+    a = ap.toarray().reshape(dk, dm, dm)
+    assert np.array_equal(a[:, :h, h:], np.zeros((dk, h, h)))
+    a[1] = np.kron([[0.0, 1.0], [1.0, 0.0]], a[1, :h, :h])
+    a[2] = np.kron([[1.0, 0.0], [0.0, -1.0]], a[2, :h, :h])
+    sp._tensors = (x, kc, csr_matrix(a.reshape(dk, dm * dm)))
+    return sp
+
+
+def test_type_ii_without_equal_halves_fails_loudly(monkeypatch, capsys):
+    with pytest.raises(ClassificationMismatch,
+                       match="type II needs two equal invariant halves, found none"):
+        classify_type(_coupled_halves())
+    monkeypatch.setattr(cli, "realize_cyclic_c3", lambda ca: _coupled_halves())
+    assert cli.main(["analyze", "a", "1", "--cyclic"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("classification mismatch: (a1)^3 / diagonal: type II") \
+        and err.count("\n") == 1
 
 
 # -- the tensors as one sparse product of C ------------------------------------------
 
 
 def dense_reference_tensors(space):
-    """Reference (xi, kc, ak) as dense 3-tensors, by tensordot over a dense C:
+    """Reference (xi, kc, ap) as dense 3-tensors, by tensordot over a dense C:
     xi[a, b, p] = -(1/2)<[m_a, m_b], m_p>, kc[a, b, s] = <[m_a, m_b], k_s> and
-    ak[s, p, q] = <[k_s, m_q], m_p>."""
+    ap[s, c, d] = <[k_s, m_c], m_d>."""
     d = space.algebra.dim
     c = space.algebra.C.toarray().reshape(d, d, d)
     m, k = space.m_cols.toarray(), space.k_cols.toarray()
@@ -380,7 +409,7 @@ def dense_reference_tensors(space):
 
     cm = np.tensordot(c, m, axes=(2, 0))
     return (-0.5 * on_pair(m, m, cm), on_pair(m, m, np.tensordot(c, k, axes=(2, 0))),
-            on_pair(k, m, cm).transpose(0, 2, 1))
+            on_pair(k, m, cm))
 
 
 ORACLE_SPACES = {
@@ -404,7 +433,7 @@ def test_tensors_match_dense_reference(name):
     dm, dk = space.dim_m, space.dim_k
     got = [t.toarray() for t in space.tensors()]
     ref = [t.reshape(shape) for t, shape in zip(
-        dense_reference_tensors(space), ((dm * dm, dm), (dm * dm, dk), (dk * dm, dm)))]
+        dense_reference_tensors(space), ((dm * dm, dm), (dm * dm, dk), (dk, dm * dm)))]
     if space.h_spec is not None:
         assert all(np.array_equal(g, r) for g, r in zip(got, ref))
     else:

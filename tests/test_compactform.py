@@ -12,6 +12,7 @@ from nk_triad.cli import _JACOBI_DEEP, _JACOBI_DEFAULT
 from nk_triad.compactform import (
     CompactAlgebra,
     JacobiFailure,
+    NotOrderThree,
     TraceFormFailure,
     adjoint_action_exp,
     antisymmetry_max_residual,
@@ -272,6 +273,14 @@ def test_rotation_planes_a2(algebra):
         angle = 2 * math.pi * r.coeffs[0] / 3
         assert abs(mat[i0, i0] - math.cos(angle)) < 1e-12
         assert abs(mat[i1, i0] - math.sin(angle)) < 1e-12
+
+
+def test_rotation_rejects_a_level_that_is_not_a_third(algebra):
+    ca = algebra("a", 2)
+    levels = {r.coeffs: 0 for r in ca.rs.positive_roots}
+    levels[(1, 1)] = 1
+    with pytest.raises(NotOrderThree, match=r"level 1/4 of root \(1, 1\) is not a third"):
+        adjoint_action_exp(ca, levels, 4)
 
 
 def test_rotation_is_automorphism_and_order_three(algebra):

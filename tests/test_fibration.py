@@ -197,15 +197,13 @@ def test_fibration_tables_realize_no_space(monkeypatch):
         assert tables.dumps_rows(tables.TABLES[name](deep=True)) == tables.golden_text(name)
 
 
-def test_tables_do_no_per_root_key_arithmetic(monkeypatch):
+def test_tables_do_no_per_root_key_arithmetic():
     """Subsystems and fibration closures are read from the root-addition table
-    alone: with ``RootSystem.key`` refusing, all seven tables still match their
-    golden files byte for byte, and every algebra shares its root system's
-    table rather than holding a copy."""
-    def refuse(self, a):
-        raise AssertionError(f"key arithmetic on {a}")
-
-    monkeypatch.setattr(RootSystem, "key", refuse)
+    alone: ``RootSystem`` has no per-root key to do arithmetic with (only the
+    int64 keys ``plus`` reads), all seven tables still match their golden
+    files byte for byte, and every algebra shares its root system's table
+    rather than holding a copy."""
+    assert not hasattr(RootSystem, "key")
     for name, compute in tables.TABLES.items():
         assert tables.dumps_rows(compute(deep=True)) == tables.golden_text(name), name
     algebras = {(f, r) for f, r, _ in tables.a3ii_sweep()}

@@ -43,10 +43,10 @@ F = Fraction
 
 
 def dense_tensors(space):
-    """``space.tensors()`` as dense 3-tensors xi[a, b, k], kc[a, b, s], ak[s, p, q]."""
+    """``space.tensors()`` as dense 3-tensors xi[a, b, k], kc[a, b, s], ap[s, c, d]."""
     dm = space.dim_m
-    xi, kc, ak = (t.toarray() for t in space.tensors())
-    return xi.reshape(dm, dm, dm), kc.reshape(dm, dm, -1), ak.reshape(-1, dm, dm)
+    xi, kc, ap = (t.toarray() for t in space.tensors())
+    return xi.reshape(dm, dm, dm), kc.reshape(dm, dm, -1), ap.reshape(-1, dm, dm)
 
 
 def riemann_tensor(space):
@@ -57,16 +57,15 @@ def riemann_tensor(space):
 
 def min_connection_curvature(space, a: int, b: int) -> np.ndarray:
     """Endomorphism R^min_{e_a e_b} = ad([e_a, e_b]_k)|m."""
-    _, kc, ak = space.tensors()
+    _, kc, ap = space.tensors()
     dm = space.dim_m
-    return (kc[a * dm + b] @ ak.reshape((space.dim_k, dm * dm))).toarray().reshape(dm, dm)
+    return (kc[a * dm + b] @ ap).toarray().reshape(dm, dm).T        # A'[s, (c, d)] = ad(k_s)[d, c]
 
 
 def riemann_value(space, x, y, z, t) -> float:
     """R on arbitrary m-vectors, without materializing the 4-tensor."""
-    xi, kc, ak = space.tensors()
-    dm = space.dim_m
-    out = float((kc.T @ np.kron(x, y)) @ (ak.reshape((space.dim_k, dm * dm)) @ np.kron(t, z)))
+    xi, kc, ap = space.tensors()
+    out = float((kc.T @ np.kron(x, y)) @ (ap @ np.kron(z, t)))
     xy, zt, xz, yt, xt, yz = (xi.T @ np.kron(u, v)
                               for u, v in ((x, y), (z, t), (x, z), (y, t), (x, t), (y, z)))
     return out + 2.0 * xy @ zt - xz @ yt + xt @ yz
@@ -216,9 +215,9 @@ def test_min_connection_identity_checks_every_tuple():
     dm = 84 and over a million (x, u, v1, v2) tuples, must be caught."""
     sp = realize("e", 7, "A3III", (2,))
     _, kc, _ = sp.tensors()
-    ak = dense_tensors(sp)[2]
+    ap = dense_tensors(sp)[2]
     vert, horiz = sp.layers["V"], sp.layers["H"]
-    s = int(np.abs(ak[:, vert][:, :, vert]).sum(axis=(1, 2)).argmax())
+    s = int(np.abs(ap[:, vert][:, :, vert]).sum(axis=(1, 2)).argmax())
     kc[horiz[len(horiz) // 2] * sp.dim_m + 3, s] += 0.5
     with pytest.raises(IdentityViolation):
         verify_min_connection_identity(sp)
@@ -261,8 +260,7 @@ def test_min_connection_holds_less_than_twice_g():
     the whole four-index sum, and copies no whole G."""
     sp = realize("e", 8, "A3III", (1,))
     cv = curvature(sp)
-    g = cv.g
-    cv.a_prime
+    g = cv.g                                            # builds the tensors too
     tracemalloc.start()
     try:
         verify_min_connection_identity(sp)
@@ -338,9 +336,9 @@ def test_curvature_identities_check_every_tuple():
     with a root plane that ad(k_s) kills, so Ric, Ric* and r do not move and
     only the four-index identities can see it."""
     sp = realize("e", 7, "A3III", (2,))
-    _, kc, ak = sp.tensors()
+    _, kc, ap = sp.tensors()
     s, dm = 0, sp.dim_m                                 # k_cols starts with the Cartan
-    moved = np.abs(ak[s * dm:(s + 1) * dm].toarray()).any(axis=1)
+    moved = np.abs(ap[s].toarray().reshape(dm, dm)).any(axis=1)   # [k_s, m_c] != 0
     a, b = int(np.flatnonzero(moved)[0]), int(np.flatnonzero(~moved)[0])
     kc[a * dm + b, s] += 0.5
     res = verify_curvature_identities(sp)
@@ -393,7 +391,7 @@ def test_riemann_build_holds_less_than_twice_r():
     written, with no slab list, stacked copy or buffer sized by a bound."""
     space = realize("e", 8, "A3IV", (2,))
     cv = curvature(space)
-    cv.g, cv.a_prime
+    cv.g                                                # builds the tensors too
     tracemalloc.start()
     try:
         rr = cv.riemann
@@ -560,9 +558,9 @@ def test_riemann_matches_nested_bracket_oracle(maker):
 
 def _dense_riemann(space):
     """Reference R[a,b,c,d] from dense einsums over the tensors."""
-    xi, kc, ak = dense_tensors(space)
+    xi, kc, ap = dense_tensors(space)
     g2 = np.einsum("abk,cdk->abcd", xi, xi)
-    r4 = np.einsum("abs,sdc->abcd", kc, ak)
+    r4 = np.einsum("abs,scd->abcd", kc, ap)
     return r4 + 2.0 * g2 - np.einsum("acbd->abcd", g2) + np.einsum("adbc->abcd", g2)
 
 

@@ -1,6 +1,8 @@
 """Every function, class and method of the package has a use: a reference in
 the package itself, a place in ``nk_triad.__all__``, or a wrapped layer of the
-traced benchmark run (``bench/layers.py`` ``WRAPPED``).  Code that only the
+traced benchmark run (``bench/layers.py`` ``WRAPPED``).  A method is used only
+through an attribute (``obj.method``): a bare name of the same spelling is a
+local variable or a function, not a call of the method.  Code that only the
 tests call belongs in the tests."""
 
 import ast
@@ -12,20 +14,24 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "nk_triad"
 
 
-def defined_and_referenced(sources: list[str]) -> tuple[dict[str, int], set[str]]:
-    """(name -> line of its first definition, names read as a Name or an
-    Attribute) over the modules' sources; dunder names are left out."""
-    defined, referenced = {}, set()
+def defined_and_referenced(sources: list[str]) -> tuple[dict[str, int], set[str], set[str], set[str]]:
+    """(name -> line of its first definition, method names, names read as a
+    Name, names read as an Attribute) over the modules' sources; dunder names
+    are left out."""
+    defined, methods, names, attrs = {}, set(), set(), set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
                     defined.setdefault(node.name, node.lineno)
+                if isinstance(node, ast.ClassDef):
+                    methods.update(f.name for f in node.body
+                                   if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)))
             elif isinstance(node, ast.Name):
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-    return defined, referenced
+                attrs.add(node.attr)
+    return defined, methods, names, attrs
 
 
 def wrapped_names() -> set[str]:
@@ -37,8 +43,9 @@ def wrapped_names() -> set[str]:
 
 
 def unused(sources: list[str], exported: set[str]) -> list[str]:
-    defined, referenced = defined_and_referenced(sources)
-    return sorted(name for name in defined if name not in referenced | exported)
+    defined, methods, names, attrs = defined_and_referenced(sources)
+    return sorted(name for name in defined if name not in attrs | exported
+                  and (name in methods or name not in names))
 
 
 def test_every_definition_in_src_has_a_use():
@@ -49,6 +56,8 @@ def test_every_definition_in_src_has_a_use():
 
 def test_an_unused_method_is_named():
     source = ("class A:\n    def __init__(self):\n        self.b = helper()\n"
-              "    def used(self):\n        return self.b\n    def spare(self):\n        pass\n\n"
-              "def helper():\n    return A().used\n\ndef exported():\n    pass\n")
-    assert unused([source], {"exported"}) == ["spare"]
+              "    def used(self):\n        return self.b\n    def spare(self):\n        pass\n"
+              "    def shadowed(self):\n        pass\n\n"
+              "def helper():\n    shadowed = lambda: 0\n    return A().used, shadowed()\n\n"
+              "def exported():\n    pass\n")
+    assert unused([source], {"exported"}) == ["shadowed", "spare"]

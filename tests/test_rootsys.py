@@ -21,7 +21,7 @@ from nk_triad.rootsys import (
     subsystem_type,
 )
 
-from conftest import canonical_simple_type
+from conftest import canonical_simple_type, root_inner, root_key
 
 CLASSICAL_COUNTS = {
     ("a", 1): 1, ("a", 2): 3, ("a", 5): 15,
@@ -72,7 +72,7 @@ def test_inner_product_and_membership_match_reference(family, rank):
     for a in roots:
         assert a.norm_sq == reference(a.coeffs, a.coeffs) == rs.norm_sq(a)
         for b in roots:
-            assert rs.inner(a, b) == reference(a.coeffs, b.coeffs)
+            assert root_inner(rs, a, b) == reference(a.coeffs, b.coeffs)
     members = {r.coeffs for r in rs.positive_roots}
     members |= {tuple(-x for x in c) for c in members}
     bound = max(rs.marks) + 1
@@ -97,7 +97,7 @@ def test_crystallographic_condition():
         rs = build_root_system(family, rank)
         for a in rs.positive_roots:
             for b in rs.positive_roots:
-                q = 2 * rs.inner(a, b) / rs.norm_sq(b)
+                q = 2 * root_inner(rs, a, b) / rs.norm_sq(b)
                 assert q.denominator == 1
 
 
@@ -152,7 +152,7 @@ def test_root_string_matches_pairing(label, data):
     p, q = root_string(rs, a, b)
     assert (p, q) == _string_by_scan(rs, a.coeffs, b.coeffs)
     assert p <= 0 <= q
-    assert p + q == -2 * rs.inner(b, a) / rs.norm_sq(a)
+    assert p + q == -2 * root_inner(rs, b, a) / rs.norm_sq(a)
 
 
 def test_subsystem_round_trip():
@@ -198,14 +198,16 @@ def test_key_is_additive_and_never_aliases():
         rs = build_root_system(family, rank)
         roots = [r.coeffs for r in rs.all_roots()]
         assert rs.key_base == 4 * max(rs.marks) + 1
-        keys = {rs.key(c) for c in roots}
+        key = {c: root_key(rs, c) for c in roots}
+        keys = set(key.values())
         assert len(keys) == len(roots)
+        assert all(key[c] == k for c, k in zip(rs.roots, rs._keys64.tolist()))   # no wrap here
         for a in roots:
             for b in roots:
                 s = tuple(x + y for x, y in zip(a, b))
-                assert (rs.key(a) + rs.key(b) in keys) == rs.is_root(s)
+                assert (key[a] + key[b] in keys) == rs.is_root(s)
                 if rs.is_root(s):
-                    assert rs.key(a) + rs.key(b) == rs.key(s)
+                    assert key[a] + key[b] == key[s]
 
 
 @pytest.mark.parametrize("rank", [28, 40])
@@ -241,7 +243,7 @@ def test_vector_outside_digit_range_is_not_a_root(vector):
     (0, 0); membership is checked on the tuple, so nothing aliases."""
     rs = build_root_system("a", 2)
     with pytest.raises(NotARoot):
-        rs.key(vector)
+        root_key(rs, vector)
     with pytest.raises(NotARoot):
         rs.mask([vector, tuple(-x for x in vector), (1, 0), (-1, 0)])
 

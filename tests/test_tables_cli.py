@@ -131,6 +131,24 @@ def test_cli_analyze_json_roundtrip(capsys):
     assert '"value": {' in json.dumps(rep)
 
 
+@pytest.mark.parametrize("family,rank,pair,name", [
+    ("a", 3, (1, 2), "SU(4)/S(U(1)xU(1)xU(2))"),
+    ("a", 3, (1, 3), "SU(4)/S(U(1)xU(2)xU(1))"),
+    ("d", 4, (3, 4), "SO(8)/(U(3)xSO(2))"),
+])
+def test_cli_analyze_node_pair_order_is_inert(family, rank, pair, name, capsys):
+    """A node pair names one class whatever the order it is typed in: the
+    same space name, layers V2/V3 and fibrations."""
+    docs = []
+    for nodes in (pair, pair[::-1]):
+        argv = ["analyze", family, str(rank), "--nodes", ",".join(map(str, nodes)), "--json"]
+        assert main(argv) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    for key in ("nk_report", "fibrations"):
+        assert docs[0][key] == docs[1][key]
+    assert docs[0]["space"]["name"] == docs[1]["space"]["name"] == name
+
+
 def test_cli_seed_is_inert(capsys):
     """--seed is accepted and changes nothing: every check is exhaustive."""
     outs = []
