@@ -84,7 +84,8 @@ class InnerClass:
     @functools.cache
     def levels(self, rs: RootSystem) -> tuple[dict[Coeffs, int], int]:
         """a(H) mod 1 on every positive root as int numerators over d (``alpha_levels``)."""
-        return alpha_levels(rs, zip(self.nodes, self.coeffs))
+        levels, d = alpha_levels(rs, zip(self.nodes, self.coeffs))
+        return dict(zip(rs.roots[:rs.n_positive], levels.tolist())), d
 
     @functools.cache
     def split(self, rs: RootSystem) -> tuple[dict[str, list[Coeffs]], list[Coeffs]]:

@@ -14,8 +14,8 @@ V and k are the root sets of the inner class's split (``InnerClass.split``),
 so no space is realized.  Root subsets are boolean masks over the roots of
 ``rootsys``, so the closure, the closure check on V + k, the ideal check and
 the comparison with the involution's fixed points are mask reads of the
-root-addition table ``RootSystem.plus``, and the involution angles are int
-numerators over the lcm of the denominators of c_k / m_k.
+root-addition table ``RootSystem.plus``, and the involution is one array of
+angles on all roots (``alpha_levels``), whose level-0 mask must be V + k.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .automorph import InnerClass, OrderThreeSymmetricSpace
-from .rootsys import RootSystem, SubsystemType, alpha_levels, subsystem_type
+from .rootsys import NotClosed, RootSystem, SubsystemType, alpha_levels, subsystem_type
 
 
 class NonClosedSubalgebra(RuntimeError):
@@ -89,21 +89,6 @@ def _root_closure(rs: RootSystem, seed: np.ndarray) -> np.ndarray:
     return full
 
 
-def involution_fixed_points(rs: RootSystem, h_nodes: tuple[tuple[int, Fraction], ...]):
-    """Positive roots fixed by Ad(exp 2 pi sqrt(-1) H'), H' = sum c_k H_k.
-
-    Raises unless the rotation is an involution (every angle a half-turn).
-    """
-    levels, d = alpha_levels(rs, h_nodes)
-    fixed = []
-    for root, t in levels.items():
-        if t == 0:
-            fixed.append(root)
-        elif 2 * t != d:
-            raise NotInvolutive(f"root angle {Fraction(t, d)} is not a half-turn")
-    return fixed
-
-
 _HALF, _ONE = Fraction(1, 2), Fraction(1)
 _INVOLUTION_RULES = {
     ("A3II", "V1"): lambda i, j: ((i, _HALF), (j, _HALF)),
@@ -132,9 +117,10 @@ def fibration_subalgebras(rs: RootSystem, spec: InnerClass,
 
     gbar_pos = v | rs.mask(k_roots)
     gbar = gbar_pos | gbar_pos[rs.neg]
-    if (rs.sum_mask(gbar_pos, gbar) & ~gbar).any():
-        raise NonClosedSubalgebra("V + k is not bracket-closed")
-    gbar_v_type = subsystem_type(rs, gbar)
+    try:        # gbar is negation-symmetric, so NotClosed means a sum left it
+        gbar_v_type = subsystem_type(rs, gbar)
+    except NotClosed:
+        raise NonClosedSubalgebra("V + k is not bracket-closed") from None
     gbar_v_dim = 2 * int(gbar_pos.sum()) + rs.rank
 
     # g_V must be an ideal of gbar_V (both sets are negation-symmetric)
@@ -142,7 +128,11 @@ def fibration_subalgebras(rs: RootSystem, spec: InnerClass,
         raise NonClosedSubalgebra("V + [V,V] is not an ideal of V + k")
 
     invol = _INVOLUTION_RULES[(spec.kind, vertical_label)](*spec.nodes)
-    if (rs.mask(involution_fixed_points(rs, invol)) != gbar_pos).any():
+    levels, d = alpha_levels(rs, invol)
+    off = np.flatnonzero((levels != 0) & (2 * levels != d))
+    if off.size:
+        raise NotInvolutive(f"root angle {Fraction(int(levels[off[0]]), d)} is not a half-turn")
+    if ((levels == 0) != gbar).any():
         raise NonClosedSubalgebra("involution fixed points differ from V + k")
 
     fiber_dim = 2 * len(layer_roots[vertical_label])

@@ -279,15 +279,16 @@ class EigenData:
     dim: int
 
 
-def layer_traces(cd: ChevalleyData, spec: InnerClass) -> dict[str, dict[Coeffs, tuple[int, ...]]]:
+def layer_traces(cd: ChevalleyData, spec: InnerClass) -> dict[str, tuple[list[Coeffs], np.ndarray]]:
     """Exact torsion traces of every m-root against every layer.
 
-    ``out[L][alpha][j]`` is 12 sum N^2 over the roots beta of the j-th layer
-    of ``spec.split`` for which alpha + beta is a root with
-    a(alpha) + a(beta) != 0 mod 1, or alpha - beta is a root with
-    a(alpha) != a(beta) (N^2 taken at (-alpha, beta) there).  That is the
-    trace 4 sum_v |xi_X v|^2 over the frame of the layer, X a unit vector of
-    the plane of alpha, in units of kappa / 12: sums of ``cd.n12`` over the
+    ``out[L]`` is (the roots of layer L, an int array of one row per root);
+    entry [i, j] is 12 sum N^2 over the roots beta of the j-th layer of
+    ``spec.split`` for which alpha + beta is a root with a(alpha) + a(beta)
+    != 0 mod 1, or alpha - beta is a root with a(alpha) != a(beta) (N^2
+    taken at (-alpha, beta) there), alpha the i-th root.  That is the trace
+    4 sum_v |xi_X v|^2 over the frame of the layer, X a unit vector of the
+    plane of alpha, in units of kappa / 12: sums of ``cd.n12`` over the
     positive (rows alpha) and negative (rows -alpha) halves of the table.
     """
     levels, d = spec.levels(cd.rs)
@@ -300,37 +301,36 @@ def layer_traces(cd: ChevalleyData, spec: InnerClass) -> dict[str, dict[Coeffs, 
     diffs = np.where(lev != lev.T, cd.n12[np.ix_(m + cd.n, m)], 0)
     # column j of the traces sums the columns of the roots of layer j
     onehot = np.repeat(np.eye(len(sizes), dtype=np.int64), sizes, axis=0)
-    rows = dict(zip(roots, ((sums + diffs) @ onehot).tolist()))
-    return {label: {r: tuple(rows[r]) for r in roots} for label, roots in layer_roots.items()}
+    traces, ends = (sums + diffs) @ onehot, np.cumsum(sizes).tolist()
+    return {label: (layer, traces[end - len(layer):end])
+            for (label, layer), end in zip(layer_roots.items(), ends)}
 
 
-def _layer_value(label: str, values: dict[Coeffs, int], what: str) -> int:
-    """The one value of a layer, or NonRationalEigenvalue naming a root off it."""
-    common = Counter(values.values()).most_common(1)[0][0]
-    for root, v in values.items():
-        if v != common:
-            raise NonRationalEigenvalue(
-                f"layer {label} is not an r-eigenbundle: {what} is {Fraction(v, 12)}"
-                f" kappa at root {root}, {Fraction(common, 12)} kappa on the rest")
-    return common
+def _layer_row(label: str, roots: list[Coeffs], rows: np.ndarray, whats: list[str]) -> list[int]:
+    """A layer's one row, or NonRationalEigenvalue at a root off it in its first varying column."""
+    off = rows != rows[0]
+    if off.any():
+        j = int(off.any(axis=0).argmax())
+        column = rows[:, j].tolist()
+        common = Counter(column).most_common(1)[0][0]
+        root, v = next((r, v) for r, v in zip(roots, column) if v != common)
+        raise NonRationalEigenvalue(
+            f"layer {label} is not an r-eigenbundle: {whats[j]} is {Fraction(v, 12)}"
+            f" kappa at root {root}, {Fraction(common, 12)} kappa on the rest")
+    return rows[0].tolist()
 
 
-def _r_of(traces) -> dict[str, Fraction]:
-    """r-eigenvalue per layer (kappa units): the row sums of the traces."""
-    return {label: Fraction(_layer_value(label, {r: sum(v) for r, v in rows.items()},
-                                         "the r-trace"), 12)
-            for label, rows in traces.items()}
+def _r_of(traces) -> dict[str, int]:
+    """r-eigenvalue per layer, in units of kappa / 12: the row sums of the traces."""
+    return {label: _layer_row(label, roots, rows.sum(axis=1, keepdims=True), ["the r-trace"])[0]
+            for label, (roots, rows) in traces.items()}
 
 
-def _cross_of(traces) -> dict[tuple[str, str], Fraction]:
-    """Entry (L, S): the column of S on the roots of L, constant there."""
-    out: dict[tuple[str, str], Fraction] = {}
-    for label, rows in traces.items():
-        for j, other in enumerate(traces):
-            value = _layer_value(label, {r: v[j] for r, v in rows.items()},
-                                 f"the trace against {other}")
-            out[(label, other)] = Fraction(value, 6)
-    return out
+def _cross_of(traces) -> dict[tuple[str, str], int]:
+    """(L, S): the column of S on the roots of L, constant there, in sixths (absolute units)."""
+    whats = [f"the trace against {other}" for other in traces]
+    return {(label, other): value for label, (roots, rows) in traces.items()
+            for other, value in zip(traces, _layer_row(label, roots, rows, whats))}
 
 
 def exact_r_eigenvalues(cd: ChevalleyData, spec: InnerClass) -> dict[str, Fraction]:
@@ -338,7 +338,7 @@ def exact_r_eigenvalues(cd: ChevalleyData, spec: InnerClass) -> dict[str, Fracti
     row sums of ``layer_traces``, which must agree on every root of a layer
     (else the layer is no eigenbundle: NonRationalEigenvalue).
     """
-    return _r_of(layer_traces(cd, spec))
+    return {label: Fraction(r, 12) for label, r in _r_of(layer_traces(cd, spec)).items()}
 
 
 def exact_r_cross_layer(cd: ChevalleyData, spec: InnerClass) -> dict[tuple[str, str], Fraction]:
@@ -346,7 +346,7 @@ def exact_r_cross_layer(cd: ChevalleyData, spec: InnerClass) -> dict[tuple[str, 
     4 sum_{v in S-frame} |xi_X v|^2 for X a unit vector of layer L, the column
     of S in ``layer_traces`` on the roots of L, which must be constant there.
     """
-    return _cross_of(layer_traces(cd, spec))
+    return {pair: Fraction(c, 6) for pair, c in _cross_of(layer_traces(cd, spec)).items()}
 
 
 def exact_ricci_eigenvalues(cd: ChevalleyData, spec: InnerClass) -> dict[str, Fraction]:
@@ -358,11 +358,13 @@ def exact_ricci_eigenvalues(cd: ChevalleyData, spec: InnerClass) -> dict[str, Fr
 
 
 def _inner_eigenvalues(cd: ChevalleyData, spec: InnerClass) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
-    """(r, Ric) per layer of an inner class from one ``layer_traces`` table."""
+    """(r, Ric) per layer of an inner class from one ``layer_traces`` table; with
+    r = R/12 and cross traces C/6, Ric|L = (R_L^2 + 4 sum_S R_S C_LS) / (48 R_L)."""
     traces = layer_traces(cd, spec)
-    lam, cross = _r_of(traces), _cross_of(traces)     # kappa, absolute units
-    return lam, {label: lam[label] / 4 + sum(lam[other] * cross[(label, other)] for other in lam)
-                 / (lam[label] * KAPPA) for label in lam}
+    r, cross = _r_of(traces), _cross_of(traces)
+    return ({label: Fraction(v, 12) for label, v in r.items()},
+            {label: Fraction(r[label] ** 2 + 4 * sum(r[s] * cross[(label, s)] for s in r),
+                             48 * r[label]) for label in r})
 
 
 def _exact_eigenvalues(space: OrderThreeSymmetricSpace) -> tuple[dict[str, Fraction], dict[str, Fraction]]:

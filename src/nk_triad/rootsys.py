@@ -29,7 +29,8 @@ Node numbering follows the convention where the exceptional chains read
 and b_n / c_n / d_n carry the short or fork end at the last node(s).
 
 Instances are immutable after construction (``plus``, built on first use, is
-a read-only array); sharing them across threads is safe.
+a read-only array), apart from a memo of immutable classifications
+(``subsystem_type``); sharing them across threads is safe.
 """
 
 from __future__ import annotations
@@ -187,6 +188,7 @@ class RootSystem:
         self._keys64 = self._coeffs @ self.key_base ** np.arange(self.rank, dtype=np.int64)
         self._gram6_rows = self._coeffs @ np.array(self.gram6, dtype=np.int64)
         self.neg = np.r_[np.arange(n, 2 * n), np.arange(n)]
+        self._subsystem_types: dict[bytes, SubsystemType] = {}
 
     @functools.cached_property
     def plus(self) -> np.ndarray:
@@ -266,19 +268,17 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     return RootSystem(family, rank)
 
 
-def alpha_levels(rs: RootSystem, h_nodes) -> tuple[dict[Coeffs, int], int]:
-    """a(H) mod 1 on every positive root, as int numerators over one denominator.
+def alpha_levels(rs: RootSystem, h_nodes) -> tuple[np.ndarray, int]:
+    """a(H) mod 1 on every root of ``rs.roots``, as int numerators over one denominator.
 
     H = sum_k c_k H_{n_k} for the pairs (n_k, c_k) of ``h_nodes``, with
     alpha_j(H_i) = delta_ij / m_i.  Returns (levels, d) with
-    a(H) = levels[root] / d mod 1, d the lcm of the denominators of the
+    a(H) = levels[i] / d mod 1 on root i, d the lcm of the denominators of the
     c_k / m_k (3 on every order-3 class).
     """
     steps = [(n - 1, c.numerator, c.denominator * rs.marks[n - 1]) for n, c in h_nodes]
     d = math.lcm(*(den // math.gcd(num, den) for _, num, den in steps))
-    n = rs.n_positive
-    levels = sum(num * d // den * rs._coeffs[:n, i] for i, num, den in steps) % d
-    return dict(zip(rs.roots[:n], levels.tolist())), d
+    return sum(num * d // den * rs._coeffs[:, i] for i, num, den in steps) % d, d
 
 
 def root_string(rs: RootSystem, alpha, beta) -> tuple[int, int]:
@@ -357,8 +357,17 @@ def subsystem_type(rs: RootSystem, subset: np.ndarray) -> SubsystemType:
 
     Components are named canonically: rank-1 pieces as a1, the rank-2
     double-bond system as b2, and a 3-chain as a3.  The torus rank is the
-    rank of ``rs`` less that of the subsystem.
+    rank of ``rs`` less that of the subsystem.  Memoised on ``rs`` by the
+    packed mask; a mask that is not closed raises ``NotClosed`` every time.
     """
+    key = np.packbits(subset).tobytes()
+    if key not in rs._subsystem_types:
+        rs._subsystem_types[key] = _classify(rs, subset)
+    return rs._subsystem_types[key]
+
+
+def _classify(rs: RootSystem, subset: np.ndarray) -> SubsystemType:
+    """``subsystem_type`` without the memo: closure checks, then the Dynkin type."""
     if (subset != subset[rs.neg]).any():
         raise NotClosed("subsystem is not closed under negation")
     positives = subset.copy()
@@ -370,10 +379,6 @@ def subsystem_type(rs: RootSystem, subset: np.ndarray) -> SubsystemType:
     # the indecomposable positives of a closed symmetric subsystem are a base
     # of it, so their count is its rank
     simples = np.flatnonzero(positives & ~rs.sum_mask(positives, positives))
-    torus = rs.rank - simples.size
-    if not simples.size:
-        return SubsystemType((), torus)
-
     m = simples.size
     gram6 = (rs._gram6_rows[simples] @ rs._coeffs[simples].T).tolist()
     cartan = [[2 * gram6[i][j] // gram6[j][j] for j in range(m)] for i in range(m)]
@@ -384,7 +389,7 @@ def subsystem_type(rs: RootSystem, subset: np.ndarray) -> SubsystemType:
         comps = [c for c in comps if c not in touching] + [{i}.union(*touching)]
     names = [_component_type([[cartan[i][j] for j in c] for i in c], [gram6[i][i] for i in c])
              for c in map(sorted, comps)]
-    return SubsystemType(tuple(sorted(names)), torus)
+    return SubsystemType(tuple(sorted(names)), rs.rank - m)
 
 
 def diagram_automorphisms(rs: RootSystem) -> list[tuple[int, ...]]:

@@ -13,6 +13,7 @@ import scipy.sparse as sp
 from nk_triad.automorph import _SPAN_TOL, InnerClass
 from nk_triad.chevalley import SignInconsistency
 from nk_triad.compactform import SLAB_ENTRIES, ZERO_DROP, drop_noise
+from nk_triad.fibration import NotInvolutive
 from nk_triad.nk_analyzer import _max_abs, _vertical_split, curvature, tensor_r
 from nk_triad.rootsys import NotARoot, RootSystem, SubsystemType, _as_coeffs
 from nk_triad.tables import cached_algebra, cached_root_system
@@ -114,6 +115,24 @@ def root_key(rs, a) -> int:
     if not rs.is_root(c):
         raise NotARoot(f"{c} is not a root of {rs.type_label}")
     return sum(x * rs.key_base ** i for i, x in enumerate(c))
+
+
+def involution_fixed_points(rs, h_nodes):
+    """Positive roots fixed by Ad(exp 2 pi sqrt(-1) H'), H' = sum c_k H_k, from
+    Fraction angles: the reference for the level-0 mask that
+    ``fibration_subalgebras`` compares with V + k.
+
+    Raises NotInvolutive unless the rotation is an involution (every angle a
+    half-turn).
+    """
+    fixed = []
+    for root in rs.roots[:rs.n_positive]:
+        t = sum(c * Fraction(root[n - 1], rs.marks[n - 1]) for n, c in h_nodes) % 1
+        if t == 0:
+            fixed.append(root)
+        elif t != Fraction(1, 2):
+            raise NotInvolutive(f"root angle {t} is not a half-turn")
+    return fixed
 
 
 def fraction_subsystem_type(rs, roots, ambient_rank=None):

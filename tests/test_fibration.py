@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nk_triad import automorph, compactform, tables
+from nk_triad import automorph, compactform, fibration, tables
 from nk_triad.automorph import InnerClass
 from nk_triad.fibration import (
     NonClosedSubalgebra,
@@ -15,10 +15,11 @@ from nk_triad.fibration import (
     all_fibrations,
     check_lie_triple_system,
     fibration_subalgebras,
-    involution_fixed_points,
 )
-from nk_triad.rootsys import RootSystem
+from nk_triad.rootsys import RootSystem, alpha_levels
 from nk_triad.tables import cached_algebra, cached_root_system, realize
+
+from conftest import involution_fixed_points
 
 F = Fraction
 
@@ -87,8 +88,6 @@ def test_su_flag_fibrations_cyclic_pattern():
 
 
 def test_involution_fixed_points_a2():
-    from nk_triad.tables import cached_root_system
-
     rs = cached_root_system("a", 2)
     fixed = involution_fixed_points(rs, ((2, F(1, 2)),))
     assert fixed == [(1, 0)]            # dim = 2 cartan + 2 = 4
@@ -99,7 +98,6 @@ def test_involution_fixed_points_a2():
 def test_involution_fixed_points_bn():
     """tau fixes so(2i) + so(2(n-i)+1) on the odd orthogonal algebra."""
     from nk_triad.rootsys import subsystem_type
-    from nk_triad.tables import cached_root_system
 
     rs = cached_root_system("b", 4)
     fixed = involution_fixed_points(rs, ((2, F(1)),))
@@ -107,6 +105,37 @@ def test_involution_fixed_points_bn():
     st = subsystem_type(rs, rs.mask(full))
     assert st.components == (("a", 1), ("a", 1), ("b", 2))  # so(4) + so(5)
     assert st.torus_rank == 0
+
+
+def test_fixed_mask_matches_fraction_oracle():
+    """On every vertical layer of the 170 catalogue classes (350 fibrations)
+    the level-0 mask of the involution's level array, which
+    ``fibration_subalgebras`` compares with V + k, equals the mask of the
+    Fraction-angle fixed roots and their negatives, and that is V + k."""
+    classes = [inner(f, r, n) for f, r, n in tables.a3ii_sweep()]
+    classes += [inner(f, r, (n,)) for f, r, n in tables.a3iii_sweep(deep=True)]
+    assert len(classes) == 170
+    checked = 0
+    for rs, spec in classes:
+        layer_roots, k_roots = spec.split(rs)
+        for rep in all_fibrations(rs, spec):
+            fixed = involution_fixed_points(rs, rep.involution_h)
+            oracle = rs.mask(fixed + [tuple(-x for x in c) for c in fixed])
+            levels, _ = alpha_levels(rs, rep.involution_h)
+            assert np.array_equal(levels == 0, oracle), (spec, rep.vertical_label)
+            gbar = rs.mask(layer_roots[rep.vertical_label] + k_roots)
+            assert np.array_equal(gbar | gbar[rs.neg], oracle), (spec, rep.vertical_label)
+            checked += 1
+    assert checked == 350
+
+
+def test_rotation_that_is_no_involution_raises(monkeypatch):
+    """A rule whose rotation turns a root by a third fails the fibration with
+    the angle of the first root it turns."""
+    rs, spec = inner("g", 2, (2,))
+    monkeypatch.setitem(fibration._INVOLUTION_RULES, ("A3III", "V"), lambda i: ((i, F(2, 3)),))
+    with pytest.raises(NotInvolutive, match="root angle 1/3 is not a half-turn"):
+        fibration_subalgebras(rs, spec, "V")
 
 
 def test_involutions_match_gbar_everywhere():

@@ -710,9 +710,9 @@ def _exact_r_on_root(cd, rs, alpha, t_of, betas=None) -> Fraction:
 
 
 def test_layer_traces_match_fraction_oracle(fraction_count, alpha_oracle):
-    """Every entry and every row sum of the int trace matrix against the
-    Fraction reference on the 170 catalogue spaces; the int pass builds no
-    Fraction."""
+    """Every entry and every row sum of the int trace rows of each layer, one
+    row per root of the layer in split order, against the Fraction reference
+    on the 170 catalogue spaces; the int pass builds no Fraction."""
     spaces = [realize(f, r, "A3II", n) for f, r, n in tables.a3ii_sweep()]
     spaces += [realize(f, r, "A3III", (n,)) for f, r, n in tables.a3iii_sweep(deep=True)]
     assert len(spaces) == 170
@@ -723,8 +723,12 @@ def test_layer_traces_match_fraction_oracle(fraction_count, alpha_oracle):
         layer_roots = sp.h_spec.split(rs)[0]
         t_of = {r: alpha_oracle(sp.h_spec, rs, r) % 1
                 for roots in layer_roots.values() for r in roots}
-        for rows in traces.values():
-            for alpha, row in rows.items():
+        assert list(traces) == list(layer_roots)
+        for label, (roots, rows) in traces.items():
+            assert roots == layer_roots[label]
+            assert rows.shape == (len(roots), len(layer_roots))
+            assert rows.dtype.kind == "i"
+            for alpha, row in zip(roots, rows.tolist()):
                 assert F(sum(row), 6) == _exact_r_on_root(cd, rs, alpha, t_of), sp.name
                 for value, betas in zip(row, layer_roots.values()):
                     assert F(value, 6) == _exact_r_on_root(cd, rs, alpha, t_of, betas)

@@ -2,6 +2,9 @@
 
 import itertools
 import re
+import sys
+import threading
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nk_triad import cli, fibration, rootsys, tables
 from nk_triad.automorph import enumerate_inner_order3
 from nk_triad.rootsys import (
     InvalidRank,
@@ -193,6 +197,88 @@ def test_subsystem_not_closed_raises():
         subsystem_type(rs, rs.mask([(1, 0), (-1, 0), (0, 1), (0, -1)]))  # sum missing
 
 
+def test_not_closed_mask_raises_on_every_call_and_is_not_stored():
+    """Only closed masks enter the memo: a mask that fails the closure check
+    raises each time it is asked, before and after a closed one is stored."""
+    rs = build_root_system("a", 2)
+    bad = rs.mask([(1, 0), (-1, 0), (0, 1), (0, -1)])           # sum missing
+    for _ in range(2):
+        with pytest.raises(NotClosed, match="not closed under addition"):
+            subsystem_type(rs, bad)
+    assert rs._subsystem_types == {}
+    good = rs.mask([(1, 0), (-1, 0)])
+    assert subsystem_type(rs, good) is subsystem_type(rs, good)
+    assert list(rs._subsystem_types) == [np.packbits(good).tobytes()]
+    with pytest.raises(NotClosed, match="not closed under addition"):
+        subsystem_type(rs, bad)
+
+
+def test_each_root_system_has_its_own_memo():
+    """A second root system of the same type starts with an empty memo, and
+    classifies afresh to an equal result."""
+    first = build_root_system("b", 3)
+    full = first.mask(first.roots)
+    st_first = subsystem_type(first, full)
+    second = build_root_system("b", 3)
+    assert second._subsystem_types == {}
+    assert subsystem_type(second, full) == st_first
+    assert subsystem_type(second, full) is not st_first
+    assert len(first._subsystem_types) == len(second._subsystem_types) == 1
+
+
+def test_memo_shared_across_threads_gives_serial_results():
+    """Threads classifying the same masks of one root system at once, with a
+    short switch interval, all get the serial results, and the memo ends with
+    one entry per mask."""
+    rs = build_root_system("e", 7)
+    masks = []
+    for cls in enumerate_inner_order3(rs):
+        fixed = rs.mask(c for c, t in cls.levels(rs)[0].items() if t == 0)
+        masks.append(fixed | fixed[rs.neg])
+    serial = [subsystem_type(build_root_system("e", 7), m) for m in masks]
+    results, interval = [], sys.getswitchinterval()
+
+    def work():
+        results.append([subsystem_type(rs, m) for m in masks for _ in range(3)])
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[st for st in serial for _ in range(3)]] * 4
+    assert len(rs._subsystem_types) == len({m.tobytes() for m in masks})
+
+
+def test_tables_classify_each_mask_once(monkeypatch, capsys):
+    """``verify tables --deep`` and ``verify fibrations --deep`` in one process,
+    from empty memos, ask for more classifications than there are distinct
+    (root system, mask) pairs, and classify each pair exactly once."""
+    for rs in tables._ROOTSYS.values():
+        monkeypatch.setattr(rs, "_subsystem_types", {})
+    asked, classified = Counter(), Counter()
+
+    def recording(counter, fn):
+        def wrapped(rs, subset):
+            counter[(id(rs), np.packbits(subset).tobytes())] += 1
+            return fn(rs, subset)
+        return wrapped
+
+    for module in (tables, fibration):
+        monkeypatch.setattr(module, "subsystem_type", recording(asked, subsystem_type))
+    monkeypatch.setattr(rootsys, "_classify", recording(classified, rootsys._classify))
+    assert cli.main(["verify", "tables", "--deep"]) == 0
+    assert cli.main(["verify", "fibrations", "--deep"]) == 0
+    assert "ok" in capsys.readouterr().out
+    assert sum(asked.values()) > len(asked) > 0
+    assert classified == Counter(dict.fromkeys(asked, 1))
+
+
 def test_key_is_additive_and_never_aliases():
     for family, rank in [("a", 2), ("g", 2), ("f", 4), ("e", 8)]:
         rs = build_root_system(family, rank)
@@ -258,14 +344,17 @@ def test_subsystem_type_matches_fraction_oracle(family, rank, subsystem_oracle,
                                                 fraction_count):
     """The int-key classification against the Fraction reference on the
     isotropy of every inner order-3 class and on the whole system; the int
-    path builds no Fraction."""
+    path, run from an empty memo so that every distinct mask is classified,
+    builds no Fraction."""
     rs = build_root_system(family, rank)
     subsets = [[r.coeffs for r in rs.all_roots()]]
     for cls in enumerate_inner_order3(rs):
         fixed = [c for c, t in cls.levels(rs)[0].items() if t == 0]
         subsets.append(fixed + [tuple(-x for x in c) for c in fixed])
+    assert rs._subsystem_types == {}
     types, built = fraction_count(lambda: [subsystem_type(rs, rs.mask(s)) for s in subsets])
     assert built == 0
+    assert len(rs._subsystem_types) == len({rs.mask(s).tobytes() for s in subsets})
     assert types == [subsystem_oracle(rs, s) for s in subsets]
 
 
