@@ -10,12 +10,12 @@ l + l + l of one simple algebra.
 Wolf-Gray labels: A3I (mark-1 node, Hermitian symmetric), A3II (mark-1 pair),
 A3III (mark-2 node), A3IV (mark-3 node), B3 (d4 triality), C3 (cyclic).
 
-An inner class holds its exact data: the levels a(H) and the root split
-into k and the m-layers, memoised (``InnerClass.levels``, ``.split``).  The
-exact eigenvalues, fibrations and tables read them from the class; a
-realization adds only sigma and the k/m columns, held as sparse maps: every
-construction gives sparse ones, and the tensors and J are sparse products of
-them.
+An inner class holds its exact data: the levels a(H) (``InnerClass.levels``)
+and the root split into k and the m-layers, index arrays over ``rs.roots``
+memoised on the root system (``InnerClass.split``).  The exact eigenvalues,
+fibrations and tables read them from the class; a realization adds only
+sigma and the k/m columns, held as sparse maps: every construction gives
+sparse ones, and the tensors and J are sparse products of them.
 
 Realized spaces are immutable apart from memoized tensor caches; realizing
 independent spaces over one shared algebra is embarrassingly parallel.
@@ -23,7 +23,6 @@ independent spaces over one shared algebra is embarrassingly parallel.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +48,14 @@ _SPAN_TOL = 1e-8         # numerical rank of orbit spans and of the fixed Cartan
 _COMMUTANT_TOL = 1e-7    # null eigenvalues of the commutant equations
 
 _SINGLE_KIND = {1: "A3I", 2: "A3III", 3: "A3IV"}   # by the mark of the node
-_PAIR_LAYER = {(1, 1): "V1", (1, 0): "V2", (0, 1): "V3"}  # by (n_i, n_j) on the pair
+# the m-layer of a root by the weighted sum of its coefficients on the nodes
+_LAYERS = {"A3II": ((1, 2), {3: "V1", 1: "V2", 2: "V3"}),   # (n_i, n_j) = (1, 1)/(1, 0)/(0, 1)
+           "A3III": ((1,), {2: "V", 1: "H"})}                # n_i = 2/1
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -77,43 +83,31 @@ class InnerClass:
                               f"needs a node of mark 1, 2 or 3")
         return cls(_SINGLE_KIND[marks[0]], tuple(nodes), (Fraction(marks[0], 3),))
 
-    # memoised per (class, root system) for the life of the process: equal
-    # classes share one entry, and the cached dicts and lists are shared, so
-    # callers must not modify them
+    def levels(self, rs: RootSystem) -> tuple[np.ndarray, int]:
+        """a(H) mod 1 on every root of ``rs.roots`` as int numerators over d (``alpha_levels``)."""
+        return alpha_levels(rs, zip(self.nodes, self.coeffs))
 
-    @functools.cache
-    def levels(self, rs: RootSystem) -> tuple[dict[Coeffs, int], int]:
-        """a(H) mod 1 on every positive root as int numerators over d (``alpha_levels``)."""
-        levels, d = alpha_levels(rs, zip(self.nodes, self.coeffs))
-        return dict(zip(rs.roots[:rs.n_positive], levels.tolist())), d
-
-    @functools.cache
-    def split(self, rs: RootSystem) -> tuple[dict[str, list[Coeffs]], list[Coeffs]]:
-        """(layer roots, k roots): the positive roots of each m-layer and of k.
+    def split(self, rs: RootSystem) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        """(layers, k): the indices in ``rs.roots`` of the positive roots of each
+        m-layer and of k, as read-only ascending int arrays.
 
         k holds the roots with a(H) = 0 mod 1 (Wolf-Gray).  The m-roots are
         layered by their coefficients on the defining nodes: V1/V2/V3 by
         (n_i, n_j) = (1, 1)/(1, 0)/(0, 1) on a pair, V/H by n_i = 2/1 on a
-        mark-2 node, and one layer m otherwise.  Both keep the order of
-        ``rs.positive_roots``.
+        mark-2 node, and one layer m otherwise.  Layers come in the order of
+        their first root, and an empty one is left out.  Memoised on ``rs``;
+        the dict is shared, so callers must not modify it.
         """
-        levels, _ = self.levels(rs)
-        layers: dict[str, list[Coeffs]] = {}
-        k_roots: list[Coeffs] = []
-        for r in rs.positive_roots:
-            c = r.coeffs
-            if not levels[c]:
-                k_roots.append(c)
-                continue
-            if self.kind == "A3II":
-                i, j = self.nodes
-                label = _PAIR_LAYER[(c[i - 1], c[j - 1])]
-            elif self.kind == "A3III":
-                label = "V" if c[self.nodes[0] - 1] == 2 else "H"
-            else:
-                label = "m"
-            layers.setdefault(label, []).append(c)
-        return layers, k_roots
+        split = rs._splits.get(self)
+        if split is None:
+            weights, names = _LAYERS.get(self.kind, ((0,), {0: "m"}))
+            fixed = self.levels(rs)[0][:rs.n_positive] == 0
+            m, k = np.flatnonzero(~fixed), np.flatnonzero(fixed)
+            key = sum(w * rs._coeffs[m, node - 1] for node, w in zip(self.nodes, weights))
+            # dict.fromkeys keeps the layers in the order of their first root
+            layers = {names[x]: _read_only(m[key == x]) for x in dict.fromkeys(key.tolist())}
+            split = rs._splits[self] = layers, _read_only(k)
+        return split
 
     def describe(self) -> str:
         inner = " + ".join(
@@ -172,15 +166,8 @@ class OrderThreeSymmetricSpace:
         self.dim_m = m_cols.shape[1]
         self._tensors = None
         self._curvature = None   # nk_analyzer.Curvature, built on first use
-        self._sigma_m = None
 
     # -- geometry ------------------------------------------------------------
-
-    @property
-    def sigma_m(self) -> sp.csr_matrix:
-        if self._sigma_m is None:
-            self._sigma_m = self.m_cols.T @ self.sigma @ self.m_cols
-        return self._sigma_m
 
     def check_invariants(self) -> None:
         s, tol = self.sigma, _INVARIANT_TOL
@@ -258,18 +245,17 @@ def _frame_bracket(c: sp.csr_matrix, first: sp.csr_matrix, second: sp.csr_matrix
 def realize_inner(ca: CompactAlgebra, spec: InnerClass, name: str = "") -> OrderThreeSymmetricSpace:
     """The space of an inner class: sigma = Ad(exp 2 pi sqrt(-1) H) and k, m
     spanned by basis columns, as ``spec.split`` assigns the roots (the m-roots
-    in ``rs.positive_roots`` order)."""
-    rs = ca.rs
+    in ``rs.roots`` order)."""
+    rs, pair = ca.rs, np.arange(2)
     layer_roots, k_roots = spec.split(rs)
-    m_roots = sorted((c for roots in layer_roots.values() for c in roots), key=rs.index)
-    at = {c: p for p, c in enumerate(m_roots)}
-    layers = {lbl: [2 * at[c] + e for c in roots for e in (0, 1)]
+    m_roots = np.sort(np.concatenate(list(layer_roots.values())))
+    layers = {lbl: (2 * np.searchsorted(m_roots, roots)[:, None] + pair).ravel().tolist()
               for lbl, roots in layer_roots.items()}
-    planes = lambda roots: [ca.u_index(rs.index(c), e) for c in roots for e in (0, 1)]
+    planes = lambda roots: ca.u_index(roots[:, None], pair).ravel()
     eye = sp.identity(ca.dim, format="csc")
     space = OrderThreeSymmetricSpace(
         ca, spec.kind, adjoint_action_exp(ca, *spec.levels(rs)),
-        eye[:, list(range(rs.rank)) + planes(k_roots)], eye[:, planes(m_roots)], h_spec=spec,
+        eye[:, np.r_[:rs.rank, planes(k_roots)]], eye[:, planes(m_roots)], h_spec=spec,
         layers=layers, name=name or f"{rs.type_label} {spec.describe()}",
     )
     space.check_invariants()
@@ -316,7 +302,7 @@ def realize_triality_d4(ca: CompactAlgebra) -> OrderThreeSymmetricSpace:
             out[perm[i]] = ci
         return tuple(out)
 
-    image = [rs.index(s_map(r.coeffs)) for r in rs.positive_roots]
+    image = [rs.root_index[s_map(c)] for c in rs.roots[:rs.n_positive]]
     eps = _rotation_signs(ca.cd, image)
 
     sigma = np.zeros((ca.dim, ca.dim))

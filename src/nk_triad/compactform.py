@@ -288,22 +288,20 @@ def build_compact_form(rs: RootSystem) -> CompactAlgebra:
     return CompactAlgebra(rs, ChevalleyData(rs))
 
 
-def adjoint_action_exp(ca: CompactAlgebra, levels: dict[tuple[int, ...], int],
-                       d: int) -> sp.csr_matrix:
+def adjoint_action_exp(ca: CompactAlgebra, levels: np.ndarray, d: int) -> sp.csr_matrix:
     """Ad(exp 2*pi*sqrt(-1) H) on the compact form, as CSR.
 
-    ``levels`` maps a positive root's coefficient tuple to a(H) mod 1 as an int
-    numerator over ``d`` (``InnerClass.levels``); each U-plane rotates by the
+    ``levels`` holds a(H) mod 1 on ``rs.roots`` as int numerators over ``d``
+    (``InnerClass.levels``); each positive root's U-plane rotates by the
     angle 2*pi*a(H), one 2 x 2 block per root, and the Cartan part stays
     fixed.  Every level of an order-3 class is 0, 1/3 or 2/3, whose cosines
     and sines are read from one table, so sigma is bit-identical on every
     class; the zero sines are not stored.  ``NotOrderThree`` for any other level.
     """
-    t = np.array([levels[r.coeffs] for r in ca.rs.positive_roots], dtype=np.int64)
+    t = levels[:ca.n_pos]
     off = np.flatnonzero(3 * t % d)
     if off.size:
-        raise NotOrderThree(f"level {t[off[0]]}/{d} of root "
-                            f"{ca.rs.positive_roots[off[0]].coeffs} is not a third")
+        raise NotOrderThree(f"level {t[off[0]]}/{d} of root {ca.rs.roots[off[0]]} is not a third")
     cos, sin = np.array(_THIRDS)[3 * t // d].T
     h = np.arange(ca.rank)
     u0, u1 = ca.u_index(np.arange(ca.n_pos), 0), ca.u_index(np.arange(ca.n_pos), 1)

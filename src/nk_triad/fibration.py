@@ -107,7 +107,8 @@ def fibration_subalgebras(rs: RootSystem, spec: InnerClass,
     layer_roots, k_roots = spec.split(rs)
     if vertical_label not in layer_roots:
         raise KeyError(f"no vertical layer {vertical_label}")
-    v = rs.mask(layer_roots[vertical_label])
+    v = np.zeros(2 * rs.n_positive, dtype=bool)
+    v[layer_roots[vertical_label]] = True
 
     # g_V is semisimple: its rank is that of its simple roots, and it has no torus
     closure = _root_closure(rs, v)
@@ -115,7 +116,8 @@ def fibration_subalgebras(rs: RootSystem, spec: InnerClass,
     g_v_type = SubsystemType(g_v.components, 0)
     g_v_dim = int(closure.sum()) + rs.rank - g_v.torus_rank
 
-    gbar_pos = v | rs.mask(k_roots)
+    gbar_pos = v.copy()
+    gbar_pos[k_roots] = True
     gbar = gbar_pos | gbar_pos[rs.neg]
     try:        # gbar is negation-symmetric, so NotClosed means a sum left it
         gbar_v_type = subsystem_type(rs, gbar)

@@ -48,10 +48,10 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .automorph import NK_TYPE, InnerClass, OrderThreeSymmetricSpace, classify_type
+from .automorph import NK_TYPE, InnerClass, OrderThreeSymmetricSpace, _read_only, classify_type
 from .chevalley import ChevalleyData
 from .compactform import SLAB_ENTRIES, _row_grouped, antisymmetry_max_residual, drop_noise
-from .rootsys import Coeffs, RootSystem
+from .rootsys import RootSystem
 
 KAPPA = Fraction(2)
 
@@ -85,7 +85,8 @@ def canonical_J(space: OrderThreeSymmetricSpace) -> sp.csr_matrix:
     ``Curvature.identities`` relies on.
     """
     eye = sp.identity(space.dim_m, format="csr")
-    j = drop_noise(((2.0 * space.sigma_m + eye) / np.sqrt(3.0)).tocsr())
+    sigma_m = space.m_cols.T @ space.sigma @ space.m_cols
+    j = drop_noise(((2.0 * sigma_m + eye) / np.sqrt(3.0)).tocsr())
     if _max_abs(j @ j + eye) > 1e-12:
         raise FixedVectorInM("J^2 != -id; sigma|m is not fixed-point free of order 3")
     if (np.diff(j.indptr) != 1).any() or (np.abs(np.abs(j.data) - 1.0) > 1e-12).any():
@@ -110,11 +111,6 @@ def ricci_tensors(space: OrderThreeSymmetricSpace):
 
 def _max_abs(mat) -> float:
     return float(np.abs(mat.data if sp.issparse(mat) else mat).max(initial=0.0))
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 class Curvature:
@@ -157,6 +153,15 @@ class Curvature:
         return g
 
     @cached_property
+    def slab_rows(self) -> int:
+        """Values of a per slab of the rows (a, b) of R and its terms: about
+        ``SLAB_ENTRIES`` multiply-adds of K A' and entries of the three G
+        terms, per a bounded over all of m."""
+        _, kc, ap = self.space.tensors()
+        size = int(np.diff(ap.indptr)[kc.indices].sum()) + 3 * self.g.nnz
+        return max(1, SLAB_ENTRIES * self.dm // max(size, 1))
+
+    @cached_property
     def riemann(self) -> sp.csr_matrix:
         """R written slab by slab into its own arrays, each slab born sorted.
 
@@ -168,9 +173,7 @@ class Curvature:
         comparison.  The slab is (K A' + 2G) + (-G[acbd] + G[adbc]), summed
         by scipy's merges of sorted rows, and R's arrays grow by what it adds.
         """
-        dm, g, (_, kc, ap) = self.dm, self.g, self.space.tensors()
-        size = int(np.diff(ap.indptr)[kc.indices].sum()) + 3 * g.nnz
-        step = max(1, SLAB_ENTRIES * dm // max(size, 1))
+        dm, g, step, (_, kc, ap) = self.dm, self.g, self.slab_rows, self.space.tensors()
         indptr = np.zeros(dm * dm + 1, dtype=np.int64)
         indices, data = np.empty(0, dtype=np.int32), np.empty(0)
         for a0 in range(0, dm, step):
@@ -279,10 +282,11 @@ class EigenData:
     dim: int
 
 
-def layer_traces(cd: ChevalleyData, spec: InnerClass) -> dict[str, tuple[list[Coeffs], np.ndarray]]:
+def layer_traces(cd: ChevalleyData, spec: InnerClass) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Exact torsion traces of every m-root against every layer.
 
-    ``out[L]`` is (the roots of layer L, an int array of one row per root);
+    ``out[L]`` is (the indices in ``rs.roots`` of the roots of layer L, as in
+    ``spec.split``, and an int array of one row per root);
     entry [i, j] is 12 sum N^2 over the roots beta of the j-th layer of
     ``spec.split`` for which alpha + beta is a root with a(alpha) + a(beta)
     != 0 mod 1, or alpha - beta is a root with a(alpha) != a(beta) (N^2
@@ -294,9 +298,8 @@ def layer_traces(cd: ChevalleyData, spec: InnerClass) -> dict[str, tuple[list[Co
     levels, d = spec.levels(cd.rs)
     layer_roots = spec.split(cd.rs)[0]
     sizes = [len(layer) for layer in layer_roots.values()]
-    roots = [r for layer in layer_roots.values() for r in layer]
-    m = np.array([cd.index[r] for r in roots], dtype=np.int64)
-    lev = np.array([levels[r] for r in roots])[:, None]
+    m = np.concatenate(list(layer_roots.values()))
+    lev = levels[m][:, None]
     sums = np.where((lev + lev.T) % d != 0, cd.n12[np.ix_(m, m)], 0)
     diffs = np.where(lev != lev.T, cd.n12[np.ix_(m + cd.n, m)], 0)
     # column j of the traces sums the columns of the roots of layer j
@@ -306,31 +309,31 @@ def layer_traces(cd: ChevalleyData, spec: InnerClass) -> dict[str, tuple[list[Co
             for (label, layer), end in zip(layer_roots.items(), ends)}
 
 
-def _layer_row(label: str, roots: list[Coeffs], rows: np.ndarray, whats: list[str]) -> list[int]:
+def _layer_row(label: str, layer: np.ndarray, rows: np.ndarray, whats: list[str], roots) -> list[int]:
     """A layer's one row, or NonRationalEigenvalue at a root off it in its first varying column."""
     off = rows != rows[0]
     if off.any():
         j = int(off.any(axis=0).argmax())
         column = rows[:, j].tolist()
         common = Counter(column).most_common(1)[0][0]
-        root, v = next((r, v) for r, v in zip(roots, column) if v != common)
+        root, v = next((roots[r], v) for r, v in zip(layer, column) if v != common)
         raise NonRationalEigenvalue(
             f"layer {label} is not an r-eigenbundle: {whats[j]} is {Fraction(v, 12)}"
             f" kappa at root {root}, {Fraction(common, 12)} kappa on the rest")
     return rows[0].tolist()
 
 
-def _r_of(traces) -> dict[str, int]:
+def _r_of(traces, roots: list) -> dict[str, int]:
     """r-eigenvalue per layer, in units of kappa / 12: the row sums of the traces."""
-    return {label: _layer_row(label, roots, rows.sum(axis=1, keepdims=True), ["the r-trace"])[0]
-            for label, (roots, rows) in traces.items()}
+    return {label: _layer_row(label, layer, rows.sum(axis=1, keepdims=True), ["the r-trace"],
+                              roots)[0] for label, (layer, rows) in traces.items()}
 
 
-def _cross_of(traces) -> dict[tuple[str, str], int]:
+def _cross_of(traces, roots: list) -> dict[tuple[str, str], int]:
     """(L, S): the column of S on the roots of L, constant there, in sixths (absolute units)."""
     whats = [f"the trace against {other}" for other in traces]
-    return {(label, other): value for label, (roots, rows) in traces.items()
-            for other, value in zip(traces, _layer_row(label, roots, rows, whats))}
+    return {(label, other): value for label, (layer, rows) in traces.items()
+            for other, value in zip(traces, _layer_row(label, layer, rows, whats, roots))}
 
 
 def exact_r_eigenvalues(cd: ChevalleyData, spec: InnerClass) -> dict[str, Fraction]:
@@ -338,7 +341,7 @@ def exact_r_eigenvalues(cd: ChevalleyData, spec: InnerClass) -> dict[str, Fracti
     row sums of ``layer_traces``, which must agree on every root of a layer
     (else the layer is no eigenbundle: NonRationalEigenvalue).
     """
-    return {label: Fraction(r, 12) for label, r in _r_of(layer_traces(cd, spec)).items()}
+    return {label: Fraction(r, 12) for label, r in _r_of(layer_traces(cd, spec), cd.roots).items()}
 
 
 def exact_r_cross_layer(cd: ChevalleyData, spec: InnerClass) -> dict[tuple[str, str], Fraction]:
@@ -346,7 +349,7 @@ def exact_r_cross_layer(cd: ChevalleyData, spec: InnerClass) -> dict[tuple[str, 
     4 sum_{v in S-frame} |xi_X v|^2 for X a unit vector of layer L, the column
     of S in ``layer_traces`` on the roots of L, which must be constant there.
     """
-    return {pair: Fraction(c, 6) for pair, c in _cross_of(layer_traces(cd, spec)).items()}
+    return {pair: Fraction(c, 6) for pair, c in _cross_of(layer_traces(cd, spec), cd.roots).items()}
 
 
 def exact_ricci_eigenvalues(cd: ChevalleyData, spec: InnerClass) -> dict[str, Fraction]:
@@ -361,7 +364,7 @@ def _inner_eigenvalues(cd: ChevalleyData, spec: InnerClass) -> tuple[dict[str, F
     """(r, Ric) per layer of an inner class from one ``layer_traces`` table; with
     r = R/12 and cross traces C/6, Ric|L = (R_L^2 + 4 sum_S R_S C_LS) / (48 R_L)."""
     traces = layer_traces(cd, spec)
-    r, cross = _r_of(traces), _cross_of(traces)
+    r, cross = _r_of(traces, cd.roots), _cross_of(traces, cd.roots)
     return ({label: Fraction(v, 12) for label, v in r.items()},
             {label: Fraction(r[label] ** 2 + 4 * sum(r[s] * cross[(label, s)] for s in r),
                              48 * r[label]) for label in r})
@@ -635,11 +638,7 @@ def verify_min_connection_identity(space, tol=1e-9, seed=0) -> float:
     cv, dm, nv = curvature(space), space.dim_m, len(vert)
     g, (_, kc, ap) = cv.g, space.tensors()
     vv, vm = _pairs(vert, vert, dm), _pairs(vert, np.arange(dm), dm)
-    ap = ap[:, vv]
-    # multiply-adds of K A' and entries of the three G terms, per a, bounded over all of m
-    size = int(np.diff(ap.indptr)[kc.indices].sum()) + 3 * g.nnz
-    step = max(1, SLAB_ENTRIES * dm // max(size, 1))
-    worst = 0.0
+    ap, step, worst = ap[:, vv], cv.slab_rows, 0.0
     for h0 in range(0, len(horiz), step):
         a = horiz[h0:h0 + step]
         rows = _pairs(a, np.arange(dm), dm)

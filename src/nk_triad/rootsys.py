@@ -29,8 +29,8 @@ Node numbering follows the convention where the exceptional chains read
 and b_n / c_n / d_n carry the short or fork end at the last node(s).
 
 Instances are immutable after construction (``plus``, built on first use, is
-a read-only array), apart from a memo of immutable classifications
-(``subsystem_type``); sharing them across threads is safe.
+a read-only array), apart from memos of frozen classifications (``subsystem_type``)
+and of read-only root splits (``InnerClass.split``); sharing them across threads is safe.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -173,7 +173,6 @@ class RootSystem:
         self.positive_roots: tuple[Root, ...] = tuple(
             Root(c, self._inner(c, c)) for c in sorted(known)
         )
-        self._index = {r.coeffs: k for k, r in enumerate(self.positive_roots)}
         self.highest_root: Root = max(self.positive_roots, key=lambda r: (r.height, r.coeffs))
         for r in self.positive_roots:
             if any(m < n for m, n in zip(self.highest_root.coeffs, r.coeffs)):
@@ -189,6 +188,7 @@ class RootSystem:
         self._gram6_rows = self._coeffs @ np.array(self.gram6, dtype=np.int64)
         self.neg = np.r_[np.arange(n, 2 * n), np.arange(n)]
         self._subsystem_types: dict[bytes, SubsystemType] = {}
+        self._splits: dict = {}     # InnerClass -> its split (``InnerClass.split``)
 
     @functools.cached_property
     def plus(self) -> np.ndarray:
@@ -230,27 +230,11 @@ class RootSystem:
     def is_root(self, a) -> bool:
         return _as_coeffs(a) in self.root_index
 
-    def mask(self, roots: Iterable) -> np.ndarray:
-        """The given roots as a boolean mask in ``roots`` order; NotARoot for any other vector."""
-        out = np.zeros(2 * self.n_positive, dtype=bool)
-        try:
-            out[[self.root_index[c] for c in map(_as_coeffs, roots)]] = True
-        except KeyError as exc:
-            raise NotARoot(f"{exc.args[0]} is not a root of {self.type_label}") from None
-        return out
-
     def sum_mask(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Mask of the roots x + y, for roots x in the mask xs and y in the mask ys."""
         out = np.zeros(xs.size + 1, dtype=bool)
         out[self.plus[xs][:, ys]] = True        # a -1 (no root) lands on the extra slot
         return out[:-1]
-
-    def index(self, a) -> int:
-        """Position of a positive root in the lexicographic enumeration."""
-        c = _as_coeffs(a)
-        if c not in self._index:
-            raise NotARoot(f"{c} is not a positive root of {self.type_label}")
-        return self._index[c]
 
     def all_roots(self) -> list[Root]:
         return [r for r in self.positive_roots] + [-r for r in self.positive_roots]

@@ -27,6 +27,8 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .automorph import InnerClass, enumerate_inner_order3, realize_inner
 from .compactform import CompactAlgebra, build_compact_form
 from .fibration import all_fibrations
@@ -214,8 +216,9 @@ def realize(family: str, rank: int, kind: str, nodes: tuple[int, ...]):
 def _isotropy(rs: RootSystem, spec: InnerClass):
     """(components, torus rank) of k and dim m, from the root split of ``spec``."""
     layer_roots, k_roots = spec.split(rs)
-    k = rs.mask(k_roots)
-    st = subsystem_type(rs, k | k[rs.neg])
+    k = np.zeros(2 * rs.n_positive, dtype=bool)
+    k[np.concatenate([k_roots, rs.neg[k_roots]])] = True
+    st = subsystem_type(rs, k)
     return ([list(c) for c in st.components], st.torus_rank,
             2 * sum(map(len, layer_roots.values())))
 

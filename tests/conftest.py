@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nk_triad.automorph import _SPAN_TOL, InnerClass
+from nk_triad.automorph import _SPAN_TOL
 from nk_triad.chevalley import SignInconsistency
 from nk_triad.compactform import SLAB_ENTRIES, ZERO_DROP, drop_noise
 from nk_triad.fibration import NotInvolutive
 from nk_triad.nk_analyzer import _max_abs, _vertical_split, curvature, tensor_r
 from nk_triad.rootsys import NotARoot, RootSystem, SubsystemType, _as_coeffs
-from nk_triad.tables import cached_algebra, cached_root_system
+from nk_triad.tables import _ROOTSYS, cached_algebra, cached_root_system
 
 
 @pytest.fixture(scope="session")
@@ -107,6 +107,16 @@ def root_inner(rs, a, b) -> Fraction:
     return rs._inner(_as_coeffs(a), _as_coeffs(b))
 
 
+def root_mask(rs, roots) -> np.ndarray:
+    """The given roots as a boolean mask in ``rs.roots`` order; NotARoot for any other vector."""
+    out = np.zeros(2 * rs.n_positive, dtype=bool)
+    try:
+        out[[rs.root_index[c] for c in map(_as_coeffs, roots)]] = True
+    except KeyError as exc:
+        raise NotARoot(f"{exc.args[0]} is not a root of {rs.type_label}") from None
+    return out
+
+
 def root_key(rs, a) -> int:
     """The additive int key of a root of ``rs``, unbounded: its coefficients as
     digits in base ``rs.key_base`` (``rs._keys64`` wraps from a28); NotARoot
@@ -149,7 +159,7 @@ def fraction_subsystem_type(rs, roots, ambient_rank=None):
         assert not (any(s) and rs.is_root(s) and s not in subset), "not closed"
 
     ambient = rs.rank if ambient_rank is None else ambient_rank
-    positives = sorted(c for c in subset if c in rs._index)
+    positives = sorted(c for c in subset if rs.root_index[c] < rs.n_positive)
     torus = ambient - (rational_rank(positives) if positives else 0)
     if not positives:
         return SubsystemType((), torus)
@@ -204,11 +214,11 @@ def rank_oracle():
 def fraction_count():
     """fn(*args) and the number of Fraction objects it constructed, by cProfile.
 
-    The memoised ``InnerClass.levels`` and ``split`` are emptied first, so the
-    count covers them whatever ran before."""
+    The ``InnerClass.split`` memos of the cached root systems are emptied
+    first, so the count covers the splits whatever ran before."""
     def count(fn, *args):
-        InnerClass.levels.cache_clear()
-        InnerClass.split.cache_clear()
+        for rs in _ROOTSYS.values():
+            rs._splits.clear()
         prof = cProfile.Profile()
         result = prof.runcall(fn, *args)
         return result, sum(stat[1] for (path, _, name), stat in pstats.Stats(prof).stats.items()
@@ -479,7 +489,7 @@ def reference_structure_constants(ca, ref):
     w = ca.w[k, c]
     u0, u1 = ca.u_index(k, 0), ca.u_index(k, 1)
     first, second, out, vals = [c, c, u0], [u0, u1, u1], [u1, u0, c], [w, -w, w]
-    pos = rs._index
+    pos = {c: k for k, c in enumerate(rs.roots[:rs.n_positive])}
     terms = []
     for ka, ra in enumerate(rs.positive_roots):
         for kb in range(ka + 1, ca.n_pos):

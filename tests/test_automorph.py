@@ -1,6 +1,8 @@
 """Order-3 automorphism enumeration and realization."""
 
+import gc
 import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -24,10 +26,10 @@ from nk_triad.automorph import (
 )
 from nk_triad.compactform import ZERO_DROP, CompactAlgebra, adjoint_action_exp
 from nk_triad.nk_analyzer import curvature
-from nk_triad.rootsys import InvalidRank, subsystem_type
+from nk_triad.rootsys import InvalidRank, build_root_system, subsystem_type
 from nk_triad.tables import realize
 
-from conftest import ad, bracket_preservation_residual, fixed_algebra_root_signature
+from conftest import ad, bracket_preservation_residual, fixed_algebra_root_signature, root_mask
 
 F = Fraction
 
@@ -81,25 +83,54 @@ def test_alpha_value_is_exact(rootsys, alpha_oracle):
     assert alpha_oracle(cls, rs, (3, 2)) == 1      # highest root, n1/m1 = 3/3
     assert alpha_oracle(cls, rs, (1, 1)) == F(1, 3)
     levels, d = cls.levels(rs)
-    assert (levels[(3, 2)], levels[(1, 1)], d) == (0, 1, 3)
+    assert (levels[rs.root_index[(3, 2)]], levels[rs.root_index[(1, 1)]], d) == (0, 1, 3)
+
+
+def _layer_label(cls, c) -> str:
+    """The m-layer of a root by its coefficients on the nodes of its class."""
+    if cls.kind == "A3II":
+        return {(1, 1): "V1", (1, 0): "V2", (0, 1): "V3"}[tuple(c[n - 1] for n in cls.nodes)]
+    if cls.kind == "A3III":
+        return {2: "V", 1: "H"}[c[cls.nodes[0] - 1]]
+    return "m"
 
 
 def test_levels_match_alpha_value(rootsys, alpha_oracle):
-    """The int numerators of a(H) mod 1 against the exact Fraction value, and
-    the root split: k holds exactly the roots with a(H) = 0 mod 1, and the
-    m-layers the others, each once, in positive-root order."""
+    """The int numerators of a(H) mod 1 on every root against the exact
+    Fraction value, and the root split: k holds exactly the positive roots
+    with a(H) = 0 mod 1, and the m-layers the others, each once, ascending,
+    under the label its coefficients name; layers come in the order of their
+    first root."""
     for family, rank in [("a", 5), ("c", 4), ("g", 2), ("f", 4), ("e", 6), ("e", 8)]:
         rs = rootsys(family, rank)
+        n = rs.n_positive
         for cls in enumerate_inner_order3(rs):
             levels, d = cls.levels(rs)
             assert d == 3
-            exact = {r.coeffs: alpha_oracle(cls, rs, r.coeffs) % 1 for r in rs.positive_roots}
-            assert levels == {c: t * d for c, t in exact.items()}
+            exact = [alpha_oracle(cls, rs, c) % 1 for c in rs.roots]
+            assert levels.tolist() == [t * d for t in exact]
             layer_roots, k_roots = cls.split(rs)
-            assert k_roots == [c for c, t in exact.items() if t == 0]
-            m_roots = [c for roots in layer_roots.values() for c in roots]
-            assert sorted(m_roots, key=rs.index) == [c for c, t in exact.items() if t]
-            assert all(roots == sorted(roots, key=rs.index) for roots in layer_roots.values())
+            assert k_roots.tolist() == [i for i in range(n) if exact[i] == 0]
+            m_roots = [i for roots in layer_roots.values() for i in roots.tolist()]
+            assert sorted(m_roots) == [i for i in range(n) if exact[i]]
+            assert list(layer_roots) == list(dict.fromkeys(
+                _layer_label(cls, rs.roots[i]) for i in sorted(m_roots)))
+            for label, roots in layer_roots.items():
+                assert roots.tolist() == sorted(roots.tolist())
+                assert {_layer_label(cls, rs.roots[i]) for i in roots} == {label}
+
+
+def test_split_memo_leaves_its_root_system_collectable():
+    """The split memo lives on the root system, so a root system that was
+    split is freed once the last reference to it goes."""
+    rs = build_root_system("e", 6)
+    for cls in enumerate_inner_order3(rs):
+        cls.split(rs)
+    assert len(rs._splits) == len(enumerate_inner_order3(rs))
+    ref = weakref.ref(rs)
+    del rs
+    gc.collect()
+    assert ref() is None
 
 
 def test_of_nodes_picks_the_class_from_the_marks(rootsys):
@@ -120,14 +151,15 @@ def test_of_nodes_picks_the_class_from_the_marks(rootsys):
 def test_realize_su3_flag(algebra):
     sp = realize_inner(algebra("a", 2), InnerClass("A3II", (1, 2), (F(1, 3), F(1, 3))))
     assert sp.dim_k == 2 and sp.dim_m == 6
-    assert sp.h_spec.split(sp.algebra.rs)[1] == []
+    assert sp.h_spec.split(sp.algebra.rs)[1].tolist() == []
     assert {k: len(v) for k, v in sp.layers.items()} == {"V1": 2, "V2": 2, "V3": 2}
     assert classify_type(sp) == "III"
 
 
 def test_realize_g2_twistor(algebra):
     sp = realize_inner(algebra("g", 2), InnerClass("A3III", (2,), (F(2, 3),)))
-    assert sp.h_spec.split(sp.algebra.rs)[1] == [(1, 0)]
+    rs = sp.algebra.rs
+    assert [rs.roots[i] for i in sp.h_spec.split(rs)[1]] == [(1, 0)]
     assert sp.dim_k == 4 and sp.dim_m == 10
     assert len(sp.layers["V"]) == 2 and len(sp.layers["H"]) == 8
     assert classify_type(sp) == "IV"
@@ -136,10 +168,10 @@ def test_realize_g2_twistor(algebra):
 def test_realize_f4_node1_isotropy_is_c3(algebra):
     sp = realize_inner(algebra("f", 4), InnerClass("A3III", (1,), (F(2, 3),)))
     rs = sp.algebra.rs
-    k_roots = sp.h_spec.split(rs)[1]
+    k_roots = [rs.roots[i] for i in sp.h_spec.split(rs)[1]]
     assert len(k_roots) == 9 and sp.dim_k == rs.rank + 2 * 9
     full = k_roots + [tuple(-x for x in c) for c in k_roots]
-    st = subsystem_type(rs, rs.mask(full))
+    st = subsystem_type(rs, root_mask(rs, full))
     assert st.components == (("c", 3),) and st.torus_rank == 1
 
 
@@ -184,7 +216,7 @@ def test_triality_dimensions_and_fixed_vectors(algebra):
     rs = ca.rs
     for root in [(0, 1, 0, 0), (1, 2, 1, 1)]:
         for p in (0, 1):
-            idx = ca.u_index(rs.index(root), p)
+            idx = ca.u_index(rs.root_index[root], p)
             assert abs(sp.sigma[idx, idx] - 1) < 1e-12
     assert bracket_preservation_residual(sp) < 1e-12
 

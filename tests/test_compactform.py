@@ -259,7 +259,7 @@ def test_ad_skew_and_invariance(algebra):
 
 def test_rotation_identity_at_zero(algebra):
     ca = algebra("a", 2)
-    mat = adjoint_action_exp(ca, {r.coeffs: 0 for r in ca.rs.positive_roots}, 3).toarray()
+    mat = adjoint_action_exp(ca, np.zeros(len(ca.rs.roots), dtype=np.int64), 3).toarray()
     assert np.abs(mat - np.eye(ca.dim)).max() == 0.0
 
 
@@ -267,7 +267,7 @@ def test_rotation_planes_a2(algebra):
     """H = H1/3 turns each U-plane by 2 pi n1(alpha)/3."""
     ca = algebra("a", 2)
     rs = ca.rs
-    mat = adjoint_action_exp(ca, {r.coeffs: r.coeffs[0] % 3 for r in rs.positive_roots}, 3).toarray()
+    mat = adjoint_action_exp(ca, rs._coeffs[:, 0] % 3, 3).toarray()
     for k, r in enumerate(rs.positive_roots):
         i0, i1 = ca.u_index(k, 0), ca.u_index(k, 1)
         angle = 2 * math.pi * r.coeffs[0] / 3
@@ -277,8 +277,8 @@ def test_rotation_planes_a2(algebra):
 
 def test_rotation_rejects_a_level_that_is_not_a_third(algebra):
     ca = algebra("a", 2)
-    levels = {r.coeffs: 0 for r in ca.rs.positive_roots}
-    levels[(1, 1)] = 1
+    levels = np.zeros(len(ca.rs.roots), dtype=np.int64)
+    levels[ca.rs.root_index[(1, 1)]] = 1
     with pytest.raises(NotOrderThree, match=r"level 1/4 of root \(1, 1\) is not a third"):
         adjoint_action_exp(ca, levels, 4)
 

@@ -19,7 +19,7 @@ from nk_triad.fibration import (
 from nk_triad.rootsys import RootSystem, alpha_levels
 from nk_triad.tables import cached_algebra, cached_root_system, realize
 
-from conftest import involution_fixed_points
+from conftest import involution_fixed_points, root_mask
 
 F = Fraction
 
@@ -102,7 +102,7 @@ def test_involution_fixed_points_bn():
     rs = cached_root_system("b", 4)
     fixed = involution_fixed_points(rs, ((2, F(1)),))
     full = fixed + [tuple(-x for x in c) for c in fixed]
-    st = subsystem_type(rs, rs.mask(full))
+    st = subsystem_type(rs, root_mask(rs, full))
     assert st.components == (("a", 1), ("a", 1), ("b", 2))  # so(4) + so(5)
     assert st.torus_rank == 0
 
@@ -120,10 +120,10 @@ def test_fixed_mask_matches_fraction_oracle():
         layer_roots, k_roots = spec.split(rs)
         for rep in all_fibrations(rs, spec):
             fixed = involution_fixed_points(rs, rep.involution_h)
-            oracle = rs.mask(fixed + [tuple(-x for x in c) for c in fixed])
+            oracle = root_mask(rs, fixed + [tuple(-x for x in c) for c in fixed])
             levels, _ = alpha_levels(rs, rep.involution_h)
             assert np.array_equal(levels == 0, oracle), (spec, rep.vertical_label)
-            gbar = rs.mask(layer_roots[rep.vertical_label] + k_roots)
+            gbar = root_mask(rs, [rs.roots[i] for i in (*layer_roots[rep.vertical_label], *k_roots)])
             assert np.array_equal(gbar | gbar[rs.neg], oracle), (spec, rep.vertical_label)
             checked += 1
     assert checked == 350
@@ -190,10 +190,11 @@ def test_all_fibrations_match_fraction_oracle(subsystem_oracle, rank_oracle, fra
         reports, built = fraction_count(all_fibrations, rs, spec)
         assert built == 0, spec
         layer_roots, k_roots = spec.split(rs)
+        k_roots = [rs.roots[i] for i in k_roots]
         for rep in reports:
-            v_roots = layer_roots[rep.vertical_label]
+            v_roots = [rs.roots[i] for i in layer_roots[rep.vertical_label]]
             closure = _tuple_closure(rs, v_roots)
-            pos = [c for c in closure if c in rs._index]
+            pos = [c for c in closure if rs.root_index[c] < rs.n_positive]
             rank = rank_oracle(pos)
             assert rep.g_v_type == subsystem_oracle(rs, closure, ambient_rank=rank), spec
             assert rep.g_v_dim == 2 * len(pos) + rank
@@ -261,11 +262,13 @@ def test_each_fibration_check_can_fail(monkeypatch, label, part, root, to, messa
 
     def altered(self, root_system):
         layers, k_roots = split(self, root_system)
-        parts = {lbl: list(roots) for lbl, roots in layers.items()}
-        parts["k"] = list(k_roots)
-        parts[part].remove(root)
+        parts = {lbl: roots.tolist() for lbl, roots in layers.items()}
+        parts["k"] = k_roots.tolist()
+        at = root_system.root_index[root]
+        parts[part].remove(at)
         if to is not None:
-            parts[to].append(root)
+            parts[to].append(at)
+        parts = {lbl: np.array(indices, dtype=np.int64) for lbl, indices in parts.items()}
         return parts, parts.pop("k")
 
     assert fibration_subalgebras(rs, spec, label).vertical_label == label

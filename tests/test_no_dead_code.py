@@ -61,3 +61,37 @@ def test_an_unused_method_is_named():
               "def helper():\n    shadowed = lambda: 0\n    return A().used, shadowed()\n\n"
               "def exported():\n    pass\n")
     assert unused([source], {"exported"}) == ["shadowed", "spare"]
+
+
+def cached_methods(source: str) -> list[str]:
+    """Methods decorated with ``functools.cache`` or ``lru_cache``, as Class.method."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for f in node.body:
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for dec in f.decorator_list:
+                        target = dec.func if isinstance(dec, ast.Call) else dec
+                        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                        if name in ("cache", "lru_cache"):
+                            found.append(f"{node.name}.{f.name}")
+    return found
+
+
+def test_no_method_in_src_is_cached_process_wide():
+    """A ``functools.cache`` or ``lru_cache`` on a method keys its entries on
+    ``self`` and its arguments for the life of the process, so every object it
+    sees stays alive; memos belong on the instance they describe."""
+    for path in sorted(SRC.glob("*.py")):
+        assert cached_methods(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_a_cached_method_is_named():
+    source = ("import functools\nfrom functools import cache, cached_property, lru_cache\n\n"
+              "@functools.cache\ndef free():\n    pass\n\n"
+              "class A:\n    @functools.cache\n    def a(self):\n        pass\n"
+              "    @lru_cache(maxsize=4)\n    def b(self):\n        pass\n"
+              "    @cache\n    def c(self):\n        pass\n"
+              "    @functools.lru_cache\n    def d(self):\n        pass\n"
+              "    @cached_property\n    def e(self):\n        pass\n")
+    assert cached_methods(source) == ["A.a", "A.b", "A.c", "A.d"]

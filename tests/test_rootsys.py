@@ -25,7 +25,7 @@ from nk_triad.rootsys import (
     subsystem_type,
 )
 
-from conftest import canonical_simple_type, root_inner, root_key
+from conftest import canonical_simple_type, root_inner, root_key, root_mask
 
 CLASSICAL_COUNTS = {
     ("a", 1): 1, ("a", 2): 3, ("a", 5): 15,
@@ -163,7 +163,7 @@ def test_subsystem_round_trip():
     for family, rank in [("a", 5), ("b", 4), ("c", 4), ("c", 2), ("d", 4),
                          ("d", 5), ("f", 4), ("g", 2), ("e", 6)]:
         rs = build_root_system(family, rank)
-        st_full = subsystem_type(rs, rs.mask(rs.roots))
+        st_full = subsystem_type(rs, root_mask(rs, rs.roots))
         assert st_full.components == canonical_simple_type(family, rank)
         assert st_full.torus_rank == 0
 
@@ -174,7 +174,7 @@ def test_subsystem_f4_fixed_roots_are_c3():
     fixed = [r.coeffs for r in rs.positive_roots if r.coeffs[0] == 0 or r.coeffs[0] == 2]
     fixed = [c for c in fixed if (Fraction(c[0], 2) * Fraction(2, 3)) % 1 == 0]
     full = fixed + [tuple(-x for x in c) for c in fixed]
-    st_fixed = subsystem_type(rs, rs.mask(full))
+    st_fixed = subsystem_type(rs, root_mask(rs, full))
     assert st_fixed.components == (("c", 3),)
     assert st_fixed.torus_rank == 1
 
@@ -184,7 +184,7 @@ def test_subsystem_e7_node2_closure_is_a7():
     rs = build_root_system("e", 7)
     keep = [r.coeffs for r in rs.positive_roots if r.coeffs[1] in (0, 2)]
     full = keep + [tuple(-x for x in c) for c in keep]
-    st_sub = subsystem_type(rs, rs.mask(full))
+    st_sub = subsystem_type(rs, root_mask(rs, full))
     assert st_sub.components == (("a", 7),)
     assert st_sub.torus_rank == 0
 
@@ -192,21 +192,21 @@ def test_subsystem_e7_node2_closure_is_a7():
 def test_subsystem_not_closed_raises():
     rs = build_root_system("a", 2)
     with pytest.raises(NotClosed):
-        subsystem_type(rs, rs.mask([(1, 0), (-1, 0), (0, 1)]))  # missing -alpha_2
+        subsystem_type(rs, root_mask(rs, [(1, 0), (-1, 0), (0, 1)]))  # missing -alpha_2
     with pytest.raises(NotClosed):
-        subsystem_type(rs, rs.mask([(1, 0), (-1, 0), (0, 1), (0, -1)]))  # sum missing
+        subsystem_type(rs, root_mask(rs, [(1, 0), (-1, 0), (0, 1), (0, -1)]))  # sum missing
 
 
 def test_not_closed_mask_raises_on_every_call_and_is_not_stored():
     """Only closed masks enter the memo: a mask that fails the closure check
     raises each time it is asked, before and after a closed one is stored."""
     rs = build_root_system("a", 2)
-    bad = rs.mask([(1, 0), (-1, 0), (0, 1), (0, -1)])           # sum missing
+    bad = root_mask(rs, [(1, 0), (-1, 0), (0, 1), (0, -1)])           # sum missing
     for _ in range(2):
         with pytest.raises(NotClosed, match="not closed under addition"):
             subsystem_type(rs, bad)
     assert rs._subsystem_types == {}
-    good = rs.mask([(1, 0), (-1, 0)])
+    good = root_mask(rs, [(1, 0), (-1, 0)])
     assert subsystem_type(rs, good) is subsystem_type(rs, good)
     assert list(rs._subsystem_types) == [np.packbits(good).tobytes()]
     with pytest.raises(NotClosed, match="not closed under addition"):
@@ -217,7 +217,7 @@ def test_each_root_system_has_its_own_memo():
     """A second root system of the same type starts with an empty memo, and
     classifies afresh to an equal result."""
     first = build_root_system("b", 3)
-    full = first.mask(first.roots)
+    full = root_mask(first, first.roots)
     st_first = subsystem_type(first, full)
     second = build_root_system("b", 3)
     assert second._subsystem_types == {}
@@ -226,20 +226,26 @@ def test_each_root_system_has_its_own_memo():
     assert len(first._subsystem_types) == len(second._subsystem_types) == 1
 
 
+def _split_lists(rs, cls):
+    layers, k = cls.split(rs)
+    return {label: roots.tolist() for label, roots in layers.items()}, k.tolist()
+
+
 def test_memo_shared_across_threads_gives_serial_results():
-    """Threads classifying the same masks of one root system at once, with a
-    short switch interval, all get the serial results, and the memo ends with
-    one entry per mask."""
+    """Threads classifying the same masks of one root system at once, and
+    splitting the same inner classes on it, with a short switch interval, all
+    get the serial results; the memos end with one entry per mask and per
+    class, and the split arrays they hand out are read-only."""
     rs = build_root_system("e", 7)
-    masks = []
-    for cls in enumerate_inner_order3(rs):
-        fixed = rs.mask(c for c, t in cls.levels(rs)[0].items() if t == 0)
-        masks.append(fixed | fixed[rs.neg])
-    serial = [subsystem_type(build_root_system("e", 7), m) for m in masks]
+    classes = enumerate_inner_order3(rs)
+    masks = [cls.levels(rs)[0] == 0 for cls in classes]     # k's roots and their negatives
+    fresh = build_root_system("e", 7)
+    serial = [subsystem_type(fresh, m) for m in masks] + [_split_lists(fresh, c) for c in classes]
     results, interval = [], sys.getswitchinterval()
 
     def work():
-        results.append([subsystem_type(rs, m) for m in masks for _ in range(3)])
+        results.append([subsystem_type(rs, m) for m in masks for _ in range(3)]
+                       + [_split_lists(rs, c) for c in classes for _ in range(3)])
 
     sys.setswitchinterval(1e-6)
     try:
@@ -253,6 +259,11 @@ def test_memo_shared_across_threads_gives_serial_results():
     assert not any(t.is_alive() for t in threads)
     assert results == [[st for st in serial for _ in range(3)]] * 4
     assert len(rs._subsystem_types) == len({m.tobytes() for m in masks})
+    assert list(rs._splits) == classes
+    layers, k = classes[0].split(rs)
+    for arr in [k, *layers.values()]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
 def test_tables_classify_each_mask_once(monkeypatch, capsys):
@@ -331,7 +342,7 @@ def test_vector_outside_digit_range_is_not_a_root(vector):
     with pytest.raises(NotARoot):
         root_key(rs, vector)
     with pytest.raises(NotARoot):
-        rs.mask([vector, tuple(-x for x in vector), (1, 0), (-1, 0)])
+        root_mask(rs, [vector, tuple(-x for x in vector), (1, 0), (-1, 0)])
 
 
 ORACLE_TYPES = ([("a", n) for n in range(1, 9)] + [("b", n) for n in range(2, 9)]
@@ -349,12 +360,12 @@ def test_subsystem_type_matches_fraction_oracle(family, rank, subsystem_oracle,
     rs = build_root_system(family, rank)
     subsets = [[r.coeffs for r in rs.all_roots()]]
     for cls in enumerate_inner_order3(rs):
-        fixed = [c for c, t in cls.levels(rs)[0].items() if t == 0]
+        fixed = [c for c, t in zip(rs.roots[:rs.n_positive], cls.levels(rs)[0]) if t == 0]
         subsets.append(fixed + [tuple(-x for x in c) for c in fixed])
     assert rs._subsystem_types == {}
-    types, built = fraction_count(lambda: [subsystem_type(rs, rs.mask(s)) for s in subsets])
+    types, built = fraction_count(lambda: [subsystem_type(rs, root_mask(rs, s)) for s in subsets])
     assert built == 0
-    assert len(rs._subsystem_types) == len({rs.mask(s).tobytes() for s in subsets})
+    assert len(rs._subsystem_types) == len({root_mask(rs, s).tobytes() for s in subsets})
     assert types == [subsystem_oracle(rs, s) for s in subsets]
 
 
