@@ -31,8 +31,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .chevalley import ChevalleyData
-from .compactform import SLAB_ENTRIES, CompactAlgebra, NotOrderThree, adjoint_action_exp, drop_noise
-from .rootsys import Coeffs, InvalidRank, RootSystem, alpha_levels, diagram_automorphisms
+from .compactform import CompactAlgebra, NotOrderThree, adjoint_action_exp, drop_noise, slab_cuts
+from .rootsys import InvalidRank, RootSystem, alpha_levels, diagram_automorphisms
 
 
 class TrialityInconsistent(RuntimeError):
@@ -86,6 +86,12 @@ class InnerClass:
     def levels(self, rs: RootSystem) -> tuple[np.ndarray, int]:
         """a(H) mod 1 on every root of ``rs.roots`` as int numerators over d (``alpha_levels``)."""
         return alpha_levels(rs, zip(self.nodes, self.coeffs))
+
+    def __post_init__(self):     # Fractions hash in Python code: hash the fields once
+        object.__setattr__(self, "_hash", hash((self.kind, self.nodes, self.coeffs)))
+
+    def __hash__(self) -> int:   # each memo read of ``split`` hashes the class
+        return self._hash
 
     def split(self, rs: RootSystem) -> tuple[dict[str, np.ndarray], np.ndarray]:
         """(layers, k): the indices in ``rs.roots`` of the positive roots of each
@@ -295,24 +301,15 @@ def realize_triality_d4(ca: CompactAlgebra) -> OrderThreeSymmetricSpace:
     if (rs.family, rs.rank) != ("d", 4):
         raise TrialityInconsistent("triality requires the d4 compact form")
     perm = [2, 1, 3, 0]  # image node of each 0-based node: 0->2, 1->1, 2->3, 3->0
-
-    def s_map(c: Coeffs) -> Coeffs:
-        out = [0, 0, 0, 0]
-        for i, ci in enumerate(c):
-            out[perm[i]] = ci
-        return tuple(out)
-
-    image = [rs.root_index[s_map(c)] for c in rs.roots[:rs.n_positive]]
+    source = np.argsort(perm).tolist()                      # the node mapped onto each node
+    image = [rs.root_index[tuple(c[i] for i in source)] for c in rs.roots[:rs.n_positive]]
     eps = _rotation_signs(ca.cd, image)
 
     sigma = np.zeros((ca.dim, ca.dim))
     # Cartan block: iH_{alpha_j} -> iH_{alpha_{perm(j)}} expressed on the
     # orthonormalized basis rows
     cmat = ca._chol_inv
-    pmat = np.zeros((4, 4))
-    for j in range(4):
-        pmat[perm[j], j] = 1.0
-    sigma[:4, :4] = np.linalg.inv(cmat.T) @ pmat @ cmat.T
+    sigma[:4, :4] = np.linalg.inv(cmat.T) @ np.eye(4)[perm].T @ cmat.T     # [perm j, j] = 1
     for k, ki in enumerate(image):
         for p in (0, 1):
             sigma[ca.u_index(ki, p), ca.u_index(k, p)] = eps[k]
@@ -336,14 +333,10 @@ def realize_triality_d4(ca: CompactAlgebra) -> OrderThreeSymmetricSpace:
     if halves is None:
         raise TrialityInconsistent("triality quotient lost its invariant halves")
     j = (2.0 * m_cols.T @ sigma @ m_cols + np.eye(space.dim_m)) / np.sqrt(3.0)
-    e_amb = m_cols @ halves[0]
-    je_amb = m_cols @ (j @ halves[0])
-    half_dim = e_amb.shape[1]
-    frame = np.hstack([e_amb, je_amb])
+    half = halves[0].shape[1]
     space = OrderThreeSymmetricSpace(
-        ca, "B3", sigma, k_cols, frame,
-        layers={"E": list(range(half_dim)),
-                "JE": list(range(half_dim, 2 * half_dim))},
+        ca, "B3", sigma, k_cols, np.hstack([m_cols @ halves[0], m_cols @ (j @ halves[0])]),
+        layers={"E": list(range(half)), "JE": list(range(half, 2 * half))},
         name="Spin(8)/G2 (triality fixed points)",
     )
     space.check_invariants()
@@ -493,10 +486,10 @@ def commutant_basis(space: OrderThreeSymmetricSpace) -> list[np.ndarray]:
 
         G[(p,q),(r,t)] = 2 Y'[p,r] Y'[t,q] - C[p,r] d_qt - d_pr C[t,q]
 
-    (d the Kronecker delta), restricted to the block coordinates in row
-    slabs of about ``SLAB_ENTRIES``; its null space (eigenvalues below
-    ``_COMMUTANT_TOL``) holds the candidates.  They are then checked against
-    every ad(k_s) (``_check_candidates``).  The commutant lies inside the
+    (d the Kronecker delta), restricted to the block coordinates and summed
+    over the row slabs of ``slab_cuts`` (n entries a row); its null space
+    (eigenvalues below ``_COMMUTANT_TOL``) holds the candidates.  They are
+    then checked against every ad(k_s) (``_check_candidates``).  The commutant lies inside the
     candidates whatever Y is drawn, so the check is exact; an unlucky Y only
     adds candidates for it to reject.
     """
@@ -507,13 +500,12 @@ def commutant_basis(space: OrderThreeSymmetricSpace) -> list[np.ndarray]:
     yt = q.T @ y @ q
     cas = yt @ yt
     n = len(rows)
-    step = max(1, SLAB_ENTRIES // n)
     gram = np.zeros((frame.shape[1], frame.shape[1]))
-    for lo in range(0, n, step):                  # Y'[t, q] = -Y'[q, t]
-        p, t = rows[lo:lo + step, None], cols[lo:lo + step, None]
+    for lo, hi in slab_cuts(np.full(n, n)):        # Y'[t, q] = -Y'[q, t]
+        p, t = rows[lo:hi, None], cols[lo:hi, None]
         slab = (-2.0 * yt[p, rows] * yt[t, cols]
                 - cas[p, rows] * (t == cols) - (p == rows) * cas[t, cols])
-        gram += frame[lo:lo + step].T @ (frame.T @ slab.T).T
+        gram += frame[lo:hi].T @ (frame.T @ slab.T).T
     coords = (frame @ _null_space(gram)).T
     blocks = np.zeros((len(coords), dm, dm))
     blocks[:, rows, cols] = coords
@@ -529,8 +521,8 @@ def _check_candidates(ak: sp.csr_matrix, dm: int, cands: np.ndarray) -> list[np.
 
     with W = sum_s A_s^T A_s, since each A_s is antisymmetric.  The
     candidates are held sparse (entries below ``ZERO_DROP`` dropped), and
-    sum_s A_s S A_s is summed over slabs of generators, cut where the running
-    bound on the entries of A_s S crosses a multiple of ``SLAB_ENTRIES``.
+    sum_s A_s S A_s is summed over the slabs of generators that ``slab_cuts``
+    cuts by the bound on the entries of A_s S.
     """
     c, dk = len(cands), ak.shape[0] // dm
     if not c:
@@ -538,10 +530,8 @@ def _check_candidates(ak: sp.csr_matrix, dm: int, cands: np.ndarray) -> list[np.
     mats = drop_noise(sp.csr_matrix(cands.transpose(1, 0, 2).reshape(dm, c * dm)))   # [S_1 .. S_c]
     gen = np.repeat(np.arange(ak.shape[0]), np.diff(ak.indptr)) // dm
     bound = np.bincount(gen, weights=np.diff(mats.indptr)[ak.indices], minlength=dk)
-    start = np.cumsum(bound) - bound
-    cuts = [0, *(np.flatnonzero(np.diff(start // SLAB_ENTRIES)) + 1).tolist(), dk]
     img = np.zeros((c * dm, dm))                   # [(l, p), q]: sum_s A_s S_l A_s
-    for s0, s1 in zip(cuts[:-1], cuts[1:]):
+    for s0, s1 in slab_cuts(bound):
         slab = ak[s0 * dm:s1 * dm]
         v = (slab @ mats).tocoo()                  # [(s, p), (l, r)]: A_s S_l
         (s, p), (l, r) = np.divmod(v.row, dm), np.divmod(v.col, dm)

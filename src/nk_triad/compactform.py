@@ -58,6 +58,20 @@ def drop_noise(mat: sp.csr_matrix) -> sp.csr_matrix:
     return mat
 
 
+def slab_cuts(weight, budget=None, most=None) -> list[tuple[int, int]]:
+    """Runs [i0, i1) of a blocked loop over the indices of ``weight``, in order:
+    n = ceil(sum / budget), at most ``most``, cut where the weight before an
+    index crosses a multiple of sum / n, with the budget ``SLAB_ENTRIES`` (read
+    per call) unless given.  Trailing weightless indices join the last run."""
+    weight = np.asarray(weight, dtype=float)
+    n = min(math.ceil(weight.sum() / (budget or SLAB_ENTRIES)), most or math.inf)
+    if n <= 1:
+        return [(0, len(weight))] if len(weight) else []
+    cuts = np.flatnonzero(np.diff((np.cumsum(weight) - weight) * n // weight.sum())) + 1
+    cuts = [0, *cuts[cuts <= np.flatnonzero(weight)[-1]].tolist(), len(weight)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
 class NotOrderThree(ValueError):
     """The candidate automorphism does not cube to the identity."""
 
@@ -179,20 +193,16 @@ class CompactAlgebra:
 
         Index i weighs w_i = sum_{(j, l): C[i, j, l] != 0} nnz(C[l, :, :]), a
         bound on the entries of [e_y, [e_i, e_z]] over all y and z (equal to
-        it for totally skew C).  With P = sum_i w_i the sweep takes
-        n = ceil(sqrt(2P / SLAB_ENTRIES)) tiles, cut where the running weight
-        crosses a multiple of P/n, so the two products of a pair of tiles hold
-        about 2P/n^2 <= SLAB_ENTRIES entries together.
+        it for totally skew C).  With P = sum_i w_i, ``slab_cuts`` on the
+        budget sqrt(P SLAB_ENTRIES / 2) gives n = ceil(sqrt(2P / SLAB_ENTRIES))
+        tiles, so the two products of a pair of tiles hold about
+        2P/n^2 <= SLAB_ENTRIES entries together.
         """
         d = self.dim
         c = self.C.tocoo()
         first = c.row // d
         weight = np.bincount(first, weights=np.bincount(first, minlength=d)[c.col], minlength=d)
-        total = max(float(weight.sum()), 1.0)
-        n = math.ceil(math.sqrt(2.0 * total / SLAB_ENTRIES))
-        start = np.cumsum(weight) - weight
-        cuts = [0, *(np.flatnonzero(np.diff(start * n // total)) + 1).tolist(), d]
-        return list(zip(cuts[:-1], cuts[1:]))
+        return slab_cuts(weight, math.sqrt(weight.sum() * SLAB_ENTRIES / 2.0))
 
     def _jacobi_worst(self) -> tuple[float, tuple[int, int, int]]:
         """Largest Jacobi residual over all basis triples, and the first triple

@@ -50,7 +50,7 @@ import scipy.sparse as sp
 
 from .automorph import NK_TYPE, InnerClass, OrderThreeSymmetricSpace, _read_only, classify_type
 from .chevalley import ChevalleyData
-from .compactform import SLAB_ENTRIES, _row_grouped, antisymmetry_max_residual, drop_noise
+from .compactform import _row_grouped, antisymmetry_max_residual, drop_noise, slab_cuts
 from .rootsys import RootSystem
 
 KAPPA = Fraction(2)
@@ -153,31 +153,32 @@ class Curvature:
         return g
 
     @cached_property
-    def slab_rows(self) -> int:
-        """Values of a per slab of the rows (a, b) of R and its terms: about
-        ``SLAB_ENTRIES`` multiply-adds of K A' and entries of the three G
-        terms, per a bounded over all of m."""
-        _, kc, ap = self.space.tensors()
-        size = int(np.diff(ap.indptr)[kc.indices].sum()) + 3 * self.g.nnz
-        return max(1, SLAB_ENTRIES * self.dm // max(size, 1))
+    def row_weight(self) -> np.ndarray:
+        """Per a, the multiply-adds of K[(a,.)] A' and the entries of the three
+        G terms on the rows (a, .) of R: ``slab_cuts`` cuts R's build and the
+        minimal-connection suite into blocks of a by it."""
+        dm, (_, kc, ap) = self.dm, self.space.tensors()
+        madds = np.concatenate([[0], np.cumsum(np.diff(ap.indptr)[kc.indices])])
+        return np.diff(madds[kc.indptr[::dm]]) + 3 * np.diff(self.g.indptr[::dm])
 
     @cached_property
     def riemann(self) -> sp.csr_matrix:
         """R written slab by slab into its own arrays, each slab born sorted.
 
-        A slab holds the rows (a, b), a in one block, and reads one row slice
-        of G, G[(a,x),(y,z)], three times: as 2G, as -G[a,c,b,d] at
-        [(a,y),(x,z)] and as G[a,d,b,c] at [(a,y),(z,x)].  The slice is sorted,
-        so one stable counting sort by (a, y) leaves the first in column
-        order, and one by (a, y, z) the second; only K A' is sorted by
-        comparison.  The slab is (K A' + 2G) + (-G[acbd] + G[adbc]), summed
-        by scipy's merges of sorted rows, and R's arrays grow by what it adds.
+        A slab holds the rows (a, b) of a block of a (``slab_cuts`` on
+        ``row_weight``) and reads one row slice of G, G[(a,x),(y,z)], three
+        times: as 2G, as -G[a,c,b,d] at [(a,y),(x,z)] and as G[a,d,b,c] at
+        [(a,y),(z,x)].  The slice is sorted, so one stable counting sort by
+        (a, y) leaves the first in column order, and one by (a, y, z) the
+        second; only K A' is sorted by comparison.  The slab is (K A' + 2G) +
+        (-G[acbd] + G[adbc]), summed by scipy's merges of sorted rows, and R's
+        arrays grow by what it adds.
         """
-        dm, g, step, (_, kc, ap) = self.dm, self.g, self.slab_rows, self.space.tensors()
+        dm, g, (_, kc, ap) = self.dm, self.g, self.space.tensors()
         indptr = np.zeros(dm * dm + 1, dtype=np.int64)
         indices, data = np.empty(0, dtype=np.int32), np.empty(0)
-        for a0 in range(0, dm, step):
-            own = slice(a0 * dm, min(a0 + step, dm) * dm)
+        for a0, a1 in slab_cuts(self.row_weight):
+            own = slice(a0 * dm, a1 * dm)
             shape = (own.stop - own.start, dm * dm)
             ka = kc[own] @ ap
             ka.sort_indices()
@@ -224,16 +225,14 @@ class Curvature:
         one point read of R.  Each residual is invariant up to sign under its
         permutation (the 3-cycle of a, b, c, the pair swap), so its maximum
         over the union of the permuted supports is its maximum over supp(R).
-        scipy bisects a row only if R's indices are sorted and the samples
-        outnumber a tenth of its entries, and scans it otherwise: hence at
-        most 20 slabs.
+        The blocks are ``slab_cuts`` on the 3 nnz samples of each a, at most
+        20 of them: scipy bisects a row only if R's indices are sorted and the
+        samples outnumber a tenth of its entries, and scans it otherwise.
         """
         dm, rr, js = self.dm, self.riemann, self.j
         perm, sign = js.indices, js.data
         ric, ric_star, worst = np.zeros(dm * dm), np.zeros(dm * dm), [np.zeros(4)]
-        step = max(1, SLAB_ENTRIES * dm // max(3 * rr.nnz, 1), -(-dm // 20))
-        for a0 in range(0, dm, step):
-            a1 = min(a0 + step, dm)
+        for a0, a1 in slab_cuts(3 * np.diff(rr.indptr[::dm]), most=20):
             own = slice(a0 * dm, a1 * dm)
             slab = rr[own]
             v = slab.tocoo()
@@ -627,10 +626,11 @@ def verify_min_connection_identity(space, tol=1e-9, seed=0) -> float:
     c and d; G is symmetric, so the last two are read as G[d,a,c,b] and
     G[c,a,d,b], off rows of G rather than of a transposed copy.
 
-    Per block of horizontal a, the rows (a, b) of K A' + 4G are K's and G's
-    rows against the columns (c, d) of V x V, and the block
-    B[(p,a),(q,b)] = G[p,a,q,b], p and q vertical, gathered rows first, gives
-    both other terms: 4B at [(a,b),(q,p)] and -4B at [(a,b),(p,q)].  Only
+    Per block of horizontal a (``slab_cuts`` on ``Curvature.row_weight``),
+    the rows (a, b) of K A' + 4G are K's and G's rows against the columns
+    (c, d) of V x V, and the block B[(p,a),(q,b)] = G[p,a,q,b], p and q
+    vertical, gathered rows first, gives both other terms: 4B at
+    [(a,b),(q,p)] and -4B at [(a,b),(p,q)].  Only
     defined on special-algebraic-torsion splittings.  ``seed`` is unused; it
     stays until ``bench/workloads.py`` stops passing it.
     """
@@ -638,9 +638,9 @@ def verify_min_connection_identity(space, tol=1e-9, seed=0) -> float:
     cv, dm, nv = curvature(space), space.dim_m, len(vert)
     g, (_, kc, ap) = cv.g, space.tensors()
     vv, vm = _pairs(vert, vert, dm), _pairs(vert, np.arange(dm), dm)
-    ap, step, worst = ap[:, vv], cv.slab_rows, 0.0
-    for h0 in range(0, len(horiz), step):
-        a = horiz[h0:h0 + step]
+    ap, worst = ap[:, vv], 0.0
+    for h0, h1 in slab_cuts(cv.row_weight[horiz]):
+        a = horiz[h0:h1]
         rows = _pairs(a, np.arange(dm), dm)
         slab = kc[rows] @ ap + 4.0 * g[rows][:, vv]
         blk = g[_pairs(vert, a, dm)][:, vm].tocoo()

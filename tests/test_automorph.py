@@ -133,6 +133,22 @@ def test_split_memo_leaves_its_root_system_collectable():
     assert ref() is None
 
 
+def test_split_memo_hits_hash_no_fraction(rootsys, monkeypatch):
+    """Each memo read of ``split`` hashes the class, and a Fraction hashes in
+    Python code; the class hashes its fields once, so the reads after the
+    first hash no Fraction."""
+    rs = rootsys("e", 7)
+    calls, real = [], Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda self: calls.append(self) or real(self))
+    cls = InnerClass.of_nodes(rs, (2,))
+    first = cls.split(rs)
+    hashed = len(calls)
+    for _ in range(5):
+        assert cls.split(rs) is first
+    assert hashed > 0 and len(calls) == hashed
+    assert hash(cls) == hash(InnerClass.of_nodes(rs, (2,)))
+
+
 def test_of_nodes_picks_the_class_from_the_marks(rootsys):
     """The class of a node set is the one ``enumerate_inner_order3`` lists for
     it; nodes of mark above 3 and bad sets raise ``InvalidRank``."""

@@ -16,9 +16,8 @@ from nk_triad.compactform import (
     TraceFormFailure,
     adjoint_action_exp,
     antisymmetry_max_residual,
-    build_compact_form,
+    slab_cuts,
 )
-from nk_triad.rootsys import build_root_system
 
 from conftest import ad
 
@@ -147,6 +146,47 @@ def test_tiled_jacobi_sweep_is_exact_for_a_bracket_that_is_not_skew(algebra, jac
         worst, triple = ca._jacobi_worst()
         assert worst > 1e-3 and (worst, triple) == jacobi_oracle(ca)
         ca.C.data[at] = kept
+
+
+def _assert_runs(weight, runs, budget, most=None):
+    """The runs are non-empty, cover [0, n) in order, number at most
+    ceil(sum / budget) under the cap (exactly that when no index outweighs
+    sum / count), and each holds some weight, under sum / count before its
+    last weighted index, unless no index weighs anything."""
+    weight = np.asarray(weight, dtype=float)
+    total = weight.sum()
+    count = max(1, min(math.ceil(total / budget), most or math.inf))
+    assert runs[0][0] == 0 and runs[-1][1] == len(weight)
+    assert all(i0 < i1 for i0, i1 in runs)
+    assert all(i1 == j0 for (_, i1), (j0, _) in zip(runs, runs[1:]))
+    assert len(runs) <= count
+    if weight.max() <= total / count:
+        assert len(runs) == count
+    for i0, i1 in runs if total else []:
+        last = i0 + np.flatnonzero(weight[i0:i1])[-1]
+        assert weight[i0:last].sum() < total / count
+
+
+@pytest.mark.parametrize("weight,budget,most", [
+    ([0] * 7, 4, None),                                  # all zero: one run
+    ([0, 0, 3, 1, 2, 2, 1, 3, 0, 0], 3, None),           # zero runs at both ends
+    ([0, 1, 1, 1, 1, 0, 0], 1, None),                    # trailing zeros join the last run
+    ([1, 1, 9, 1, 1, 1], 3, None),                       # one index heavier than the budget
+    ([1, 10, 0], 4, None),                               # ... and zeros after it
+    ([1] * 100, 1, 20),                                  # the 20-run cap
+    ([2, 3, 0, 1] * 25, 5, 20),
+    ([7] * 12, 100, None),                               # under the budget: one run
+])
+def test_slab_cuts_splits_the_weight_into_ordered_runs(weight, budget, most):
+    _assert_runs(weight, slab_cuts(weight, budget, most), budget, most)
+
+
+def test_slab_cuts_reads_the_budget_at_call_time(monkeypatch):
+    assert slab_cuts(np.ones(8)) == [(0, 8)]
+    monkeypatch.setattr(compactform, "SLAB_ENTRIES", 2)
+    assert slab_cuts(np.ones(8)) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+    assert slab_cuts(np.ones(8), most=3) == [(0, 3), (3, 6), (6, 8)]
+    assert slab_cuts([]) == []
 
 
 def test_jacobi_sweep_memory_is_bounded(algebra):

@@ -2,6 +2,7 @@
 
 import copy
 import importlib.util
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from nk_triad import cli, nk_analyzer, tables
+from nk_triad import automorph, cli, compactform, nk_analyzer, tables
 from nk_triad.automorph import realize_cyclic_c3, realize_triality_d4
 from nk_triad.nk_analyzer import (
     KAPPA,
@@ -25,7 +26,6 @@ from nk_triad.nk_analyzer import (
     exact_r_eigenvalues,
     layer_traces,
     lk_classification,
-    exact_ricci_eigenvalues,
     ricci_tensors,
     tensor_r,
     verify_curvature_identities,
@@ -33,9 +33,10 @@ from nk_triad.nk_analyzer import (
     verify_prop_table_relations,
     verify_ricci_oracle,
     verify_sat_identities,
+    verify_space,
     verify_structure_identities,
 )
-from nk_triad.tables import realize
+from nk_triad.tables import cached_algebra, realize
 
 from conftest import layer_epsilon, n_squared
 
@@ -476,6 +477,38 @@ def test_curvature_pass_holds_less_than_r():
     finally:
         tracemalloc.stop()
     assert peak < rr.data.nbytes + rr.indices.nbytes + rr.indptr.nbytes
+
+
+def test_every_blocked_loop_takes_the_entry_budget(monkeypatch):
+    """With ``compactform.SLAB_ENTRIES`` at 2^10, each of the six blocked
+    loops cuts more than one run with ``slab_cuts``: on a8 nodes 2,5 (dm 52,
+    one slab at the default budget), g2 cyclic and the f4 Jacobi sweep.  R's
+    arrays, Ric, every ``verify_space`` residual and Jacobi's worst residual
+    and triple equal those at the default budget bit for bit."""
+    def outputs():
+        out = [cached_algebra("f", 4)._jacobi_worst()]
+        for space in (realize("a", 8, "A3II", (2, 5)), realize_cyclic_c3(cached_algebra("g", 2))):
+            res = verify_space(space, 1e-9)[1]
+            cv = curvature(space)
+            rr = cv.riemann
+            out += [{key: value.hex() for key, value in res.items()}, cv.ric.tobytes(),
+                    rr.indptr.tobytes(), rr.indices.tobytes(), rr.data.tobytes()]
+        return out
+
+    want, runs, real = outputs(), {}, compactform.slab_cuts
+
+    def spy(*args, **kwargs):
+        cuts = real(*args, **kwargs)
+        runs.setdefault(sys._getframe(1).f_code.co_name, []).append(len(cuts))
+        return cuts
+
+    for module in (compactform, automorph, nk_analyzer):
+        monkeypatch.setattr(module, "slab_cuts", spy)
+    monkeypatch.setattr(compactform, "SLAB_ENTRIES", 1 << 10)
+    assert outputs() == want
+    assert sorted(runs) == ["_check_candidates", "_jacobi_blocks", "_pass", "commutant_basis",
+                            "riemann", "verify_min_connection_identity"]
+    assert all(min(counts) > 1 for counts in runs.values()), runs
 
 
 def test_structure_identities(su3_flag):

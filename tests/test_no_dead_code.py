@@ -95,3 +95,27 @@ def test_a_cached_method_is_named():
               "    @functools.lru_cache\n    def d(self):\n        pass\n"
               "    @cached_property\n    def e(self):\n        pass\n")
     assert cached_methods(source) == ["A.a", "A.b", "A.c", "A.d"]
+
+
+def names_slab_entries(source: str) -> bool:
+    """Whether the code (not its strings) names ``SLAB_ENTRIES``: as a name,
+    an attribute or an import."""
+    return any("SLAB_ENTRIES" in (getattr(node, "id", None), getattr(node, "attr", None))
+               or isinstance(node, ast.alias) and node.name == "SLAB_ENTRIES"
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_only_compactform_names_the_slab_budget():
+    """One slab rule: every blocked loop cuts its indices with
+    ``compactform.slab_cuts``, which reads ``SLAB_ENTRIES`` at each call, so no
+    other module names the budget (a copy taken at import would not see a
+    changed budget)."""
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if names_slab_entries(path.read_text(encoding="utf-8"))] == ["compactform.py"]
+
+
+def test_a_slab_budget_name_is_found():
+    assert names_slab_entries("from .compactform import SLAB_ENTRIES\n")
+    assert names_slab_entries("from . import compactform\nstep = compactform.SLAB_ENTRIES // 2\n")
+    assert names_slab_entries("def f(n):\n    return max(1, SLAB_ENTRIES // n)\n")
+    assert not names_slab_entries('def f(n):\n    """About SLAB_ENTRIES entries."""\n    return n\n')
