@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -371,7 +372,9 @@ def _add_common(p):
                    help="include the e7/e8 checks")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``main`` only reads it."""
     parser = argparse.ArgumentParser(
         prog="nk-triad",
         description="Compact 3-symmetric spaces and their nearly Kahler invariants",
@@ -420,6 +423,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InvalidRank, NotOrderThree, GoldenFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
     except ClassificationMismatch as exc:
         print(f"classification mismatch: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from nk_triad.automorph import (
     realize_triality_d4,
 )
 from nk_triad.compactform import ZERO_DROP, CompactAlgebra, adjoint_action_exp
-from nk_triad.nk_analyzer import curvature
+from nk_triad.nk_analyzer import curvature, gram
 from nk_triad.rootsys import InvalidRank, build_root_system, subsystem_type
 from nk_triad.tables import realize
 
@@ -491,12 +491,15 @@ def test_tensors_match_dense_reference(name):
 
 
 def test_tensors_are_sparse_memoised_and_noise_free():
+    """X, K, A', J, a row block of G (the rows (0, b), as R's build and the
+    layer suites form G) and R are CSR with no entry below ``ZERO_DROP``."""
     for space in (realize_cyclic_c3(tables.cached_algebra("f", 4)),
                   realize_triality_d4(tables.cached_algebra("d", 4))):
         first = space.tensors()
         assert space.tensors() is first
-        cv = curvature(space)
-        for t in first + (cv.j, cv.g, cv.riemann):
+        cv, dm = curvature(space), space.dim_m
+        rows = gram(first[0], np.arange(dm), np.arange(dm * dm))
+        for t in first + (cv.j, rows, cv.riemann):
             assert t.format == "csr" and np.abs(t.data).min() >= ZERO_DROP
 
 

@@ -15,6 +15,7 @@ from nk_triad import automorph, cli, compactform, nk_analyzer, tables
 from nk_triad.automorph import realize_cyclic_c3, realize_triality_d4
 from nk_triad.nk_analyzer import (
     KAPPA,
+    Curvature,
     FixedVectorInM,
     IdentityViolation,
     NonRationalEigenvalue,
@@ -38,7 +39,7 @@ from nk_triad.nk_analyzer import (
 )
 from nk_triad.tables import cached_algebra, realize
 
-from conftest import layer_epsilon, n_squared
+from conftest import layer_epsilon, n_squared, whole_g
 
 F = Fraction
 
@@ -238,37 +239,50 @@ def test_min_connection_identity_reads_every_torsion_row(min_connection_oracle):
         min_connection_oracle(sp), abs=1e-12)
 
 
-def test_min_connection_reads_no_row_outside_its_layers():
-    """1.0 added to G at row and column (v, v'), both vertical, leaves the
-    residual bit-identical: every term reads G's rows with a horizontal slot
-    (a, or (d, a) and (c, a)), so the slabs never gather that row, although
-    K A' + 4G reads the column (v, v') on other rows.  The row is otherwise
-    empty (xi_v v' = 0 on type IV)."""
+def test_min_connection_reads_no_row_outside_its_layers(monkeypatch):
+    """1.0 added to G at row and column (v, v'), both vertical, in every block
+    of G the suite forms, leaves the residual bit-identical: every term reads
+    G's rows with a horizontal slot (a, or (d, a) and (c, a)), so no block
+    holds that row, although K A' + 4G reads the column (v, v') on other
+    rows.  The row is otherwise empty (xi_v v' = 0 on type IV)."""
     sp = realize("e", 7, "A3III", (2,))
-    cv, dm = curvature(sp), sp.dim_m
+    dm = sp.dim_m
     before = verify_min_connection_identity(sp)
     v0, v1 = sp.layers["V"][:2]
     at = v0 * dm + v1
-    assert cv.g[at].nnz == 0
-    cv.g = cv.g + csr_matrix(([1.0], ([at], [at])), shape=cv.g.shape)   # replaces the memoised G
+    assert sp.tensors()[0][at].nnz == 0                 # so G's row (v, v') is empty
+    real, formed = nk_analyzer.gram, []
+
+    def shifted(x, rows, cols):
+        blk = real(x, rows, cols)
+        i, j = np.flatnonzero(rows == at), np.flatnonzero(cols == at)
+        formed.append(j.size)
+        if i.size and j.size:
+            blk = blk + csr_matrix(([1.0], ([i[0]], [j[0]])), shape=blk.shape)
+        return blk
+
+    monkeypatch.setattr(nk_analyzer, "gram", shifted)
     assert verify_min_connection_identity(sp) == before
+    assert any(formed)                                  # some block reads the column (v, v')
 
 
 def test_min_connection_holds_less_than_twice_g():
     """On e8 node 1 (dm 156), with G, K and A' built, the minimal-connection
     identity allocates at its peak less than twice G's bytes: it builds only
     the tuples with a horizontal and c, d vertical, about 96 000 entries, not
-    the whole four-index sum, and copies no whole G."""
+    the whole four-index sum, and copies no whole G.  G's bytes are counted
+    from a whole G formed here, before tracing: nnz G exactly, as CSR."""
     sp = realize("e", 8, "A3III", (1,))
-    cv = curvature(sp)
-    g = cv.g                                            # builds the tensors too
+    g = whole_g(sp)                                     # builds the tensors too
+    held = g.data.nbytes + g.indices.nbytes + g.indptr.nbytes
+    del g
     tracemalloc.start()
     try:
         verify_min_connection_identity(sp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * (g.data.nbytes + g.indices.nbytes + g.indptr.nbytes)
+    assert peak < 2 * held
 
 
 def _special_torsion_spaces():
@@ -387,12 +401,13 @@ def test_riemann_is_bit_identical_to_the_former_build(item, riemann_oracle):
 
 
 def test_riemann_build_holds_less_than_twice_r():
-    """On e8 node 2 (dm 168), with G and A' built, building R allocates at its
-    peak less than twice R's bytes: R's arrays grow by each slab as it is
-    written, with no slab list, stacked copy or buffer sized by a bound."""
+    """On e8 node 2 (dm 168), with X, K and A' built, building R allocates at
+    its peak less than twice R's bytes, its slabs' rows of G and the J-defect,
+    Ric and Ric* included: R's arrays grow by each slab as it is written, with
+    no slab list, stacked copy, buffer sized by a bound or whole G."""
     space = realize("e", 8, "A3IV", (2,))
     cv = curvature(space)
-    cv.g                                                # builds the tensors too
+    space.tensors()
     tracemalloc.start()
     try:
         rr = cv.riemann
@@ -462,13 +477,13 @@ def test_j_outside_a_signed_permutation_basis_raises():
 
 
 def test_curvature_pass_holds_less_than_r():
-    """On e8 node 2 (dm 168), with R, G and r built, Ric and the identity
-    suite allocate less than R itself: they hold row slabs of R, never a
+    """On e8 node 2 (dm 168), with R and r built, Ric and the identity suite
+    allocate less than R itself: they hold row slabs of R, never a
     transposed copy of R, a whole R kron(J, J) or R as COO."""
     sp = realize("e", 8, "A3IV", (2,))
     cv = curvature(sp)
     rr = cv.riemann
-    cv.g, cv.r
+    cv.r
     tracemalloc.start()
     try:
         cv.ric
@@ -477,6 +492,63 @@ def test_curvature_pass_holds_less_than_r():
     finally:
         tracemalloc.stop()
     assert peak < rr.data.nbytes + rr.indices.nbytes + rr.indptr.nbytes
+
+
+def _bound_spaces():
+    yield from (_realize_item(item) for item in BENCH_SPACES)
+    yield realize_cyclic_c3(cached_algebra("e", 7))       # dm 266
+
+
+def test_row_weight_bounds_g_rows_without_forming_g():
+    """``row_weight`` is K A''s multiply-adds per a plus three times a bound on
+    the entries of G's rows (a, .), the multiply-adds of X X^T: at least the
+    true count of a whole G on every space the benchmark draws and on e7
+    cyclic.  On e7 cyclic it allocates under a tenth of G's bytes, so it
+    forms no G."""
+    for space in _bound_spaces():
+        (x, kc, ap), dm = space.tensors(), space.dim_m
+        ones = lambda mat: csr_matrix((np.ones(mat.nnz), mat.indices, mat.indptr), shape=mat.shape)
+        madds = (ones(kc) @ np.diff(ap.indptr)).reshape(dm, dm).sum(axis=1)
+        bound = (ones(x) @ np.diff(x.tocsc().indptr)).reshape(dm, dm).sum(axis=1)
+        cv = Curvature(space)                              # nothing of it built yet
+        tracemalloc.start()
+        try:
+            weight = cv.row_weight
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        g = whole_g(space)
+        assert np.array_equal(weight, madds + 3 * bound), space.name
+        assert (bound >= np.diff(g.indptr[::dm])).all(), space.name
+    assert peak < (g.data.nbytes + g.indices.nbytes + g.indptr.nbytes) / 10
+
+
+def test_curvature_identities_from_the_tensors_hold_under_two_and_a_half_r():
+    """On f4 cyclic (dm 104), from the tensors alone, the curvature suite
+    (R's build with its rows of G, the J-defect, Ric and Ric*, then the pass)
+    allocates at its peak under 2.5 times R's bytes: G is formed a slab of
+    rows at a time, never whole."""
+    space = realize_cyclic_c3(cached_algebra("f", 4))
+    space.tensors()
+    tracemalloc.start()
+    try:
+        verify_curvature_identities(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rr = curvature(space).riemann
+    assert peak < 2.5 * (rr.data.nbytes + rr.indices.nbytes + rr.indptr.nbytes)
+
+
+def test_curvature_holds_no_g():
+    """``Curvature`` has no G, and after every suite on a type III space no
+    (dm^2, dm^2) operator but R is held on it."""
+    space = realize("b", 5, "A3III", (4,))
+    verify_space(space, 1e-9)
+    cv, dm = curvature(space), space.dim_m
+    assert not hasattr(Curvature, "g") and not hasattr(cv, "g")
+    whole = [v for v in vars(cv).values() if getattr(v, "shape", None) == (dm * dm, dm * dm)]
+    assert len(whole) == 1 and whole[0] is cv.riemann
 
 
 def test_every_blocked_loop_takes_the_entry_budget(monkeypatch):
@@ -506,8 +578,8 @@ def test_every_blocked_loop_takes_the_entry_budget(monkeypatch):
         monkeypatch.setattr(module, "slab_cuts", spy)
     monkeypatch.setattr(compactform, "SLAB_ENTRIES", 1 << 10)
     assert outputs() == want
-    assert sorted(runs) == ["_check_candidates", "_jacobi_blocks", "_pass", "commutant_basis",
-                            "riemann", "verify_min_connection_identity"]
+    assert sorted(runs) == ["_build", "_check_candidates", "_jacobi_blocks", "_pass",
+                            "commutant_basis", "verify_min_connection_identity"]
     assert all(min(counts) > 1 for counts in runs.values()), runs
 
 

@@ -178,6 +178,39 @@ def test_cli_analyze_check_failure_exit_1(monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_cli_out_of_memory_exits_2_with_one_line(monkeypatch, capsys):
+    """A MemoryError inside a command ends with exit 2 and one stderr line,
+    not a traceback; nothing large is allocated."""
+    def no_memory(args):
+        raise MemoryError("Unable to allocate 625. MiB for an array with shape (1023840, 80)")
+
+    monkeypatch.setattr(cli, "_realize_from_args", no_memory)
+    assert main(["analyze", "a", "80", "--nodes", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: out of memory: Unable to allocate 625. MiB for an array "
+                            "with shape (1023840, 80)\n")
+    assert captured.out == ""
+
+
+def test_cli_parser_is_built_once_and_reused(capsys):
+    """Consecutive ``main`` calls share one parser, and each prints what a
+    call with a freshly built parser prints, flags of the call before left
+    behind."""
+    calls = [["analyze", "g", "2", "--nodes", "1", "--json"],
+             ["analyze", "g", "2", "--nodes", "1", "--tol", "1e-8"]]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        assert main(argv) == 0
+        fresh.append(capsys.readouterr())
+    assert fresh[0].out != fresh[1].out
+    parser = cli.build_parser()
+    for argv, want in zip(calls, fresh):
+        assert main(argv) == 0
+        assert capsys.readouterr() == want
+    assert cli.build_parser() is parser
+
+
 @pytest.mark.parametrize("family,rank,nodes,i,j,l", [("g", 2, "2", 0, 4, 5),
                                                      ("g", 2, "2", 4, 5, 0),
                                                      ("a", 3, "1", 0, 5, 6)])
