@@ -1,21 +1,16 @@
-"""Order-3 automorphisms of the compact simple algebras and their k + m splits.
+"""Realizations of the order-3 automorphisms of the compact simple algebras.
 
-Inner classes are parametrized by nodes of the Dynkin diagram carrying mark
-1, 2 or 3 (singles), or by a pair of mark-1 nodes; the fixed element H
-evaluates on roots through the exact rationals a(H) = sum_k c_k n_k(a)/m_k,
-and sigma rotates each U-plane by the angle 2*pi*a(H).  The outer order-3
-class lives on d4 (diagram rotation), and the cyclic class on a triple
-l + l + l of one simple algebra.
+The inner classes (``rootsys.InnerClass``) are realized as sigma =
+Ad(exp 2 pi sqrt(-1) H), which rotates each U-plane by the angle 2 pi a(H).
+The outer order-3 class lives on d4 (diagram rotation), and the cyclic class
+on a triple l + l + l of one simple algebra.  Wolf-Gray labels: A3I-A3IV for
+the inner classes, B3 (d4 triality), C3 (cyclic).
 
-Wolf-Gray labels: A3I (mark-1 node, Hermitian symmetric), A3II (mark-1 pair),
-A3III (mark-2 node), A3IV (mark-3 node), B3 (d4 triality), C3 (cyclic).
-
-An inner class holds its exact data: the levels a(H) (``InnerClass.levels``)
-and the root split into k and the m-layers, index arrays over ``rs.roots``
-memoised on the root system (``InnerClass.split``).  The exact eigenvalues,
-fibrations and tables read them from the class; a realization adds only
-sigma and the k/m columns, held as sparse maps: every construction gives
-sparse ones, and the tensors and J are sparse products of them.
+An inner class holds its exact data itself; the exact eigenvalues, fibrations
+and tables read it from the class and never import this module.  A
+realization adds only sigma and the k/m columns, held as sparse maps: every
+construction gives sparse ones, and the tensors and J are sparse products of
+them.
 
 Realized spaces are immutable apart from memoized tensor caches; realizing
 independent spaces over one shared algebra is embarrassingly parallel.
@@ -23,127 +18,21 @@ independent spaces over one shared algebra is embarrassingly parallel.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from fractions import Fraction
-
 import numpy as np
 import scipy.sparse as sp
 
 from .chevalley import ChevalleyData
-from .compactform import CompactAlgebra, NotOrderThree, adjoint_action_exp, drop_noise, slab_cuts
-from .rootsys import InvalidRank, RootSystem, alpha_levels, diagram_automorphisms
+from .compactform import CompactAlgebra, adjoint_action_exp, drop_noise, slab_cuts
+from .rootsys import NK_TYPE, ClassificationMismatch, InnerClass, NotOrderThree
 
 
 class TrialityInconsistent(RuntimeError):
     """The sign-adjusted diagram rotation is not an automorphism."""
 
 
-class ClassificationMismatch(RuntimeError):
-    """The action of k on m contradicts the type its automorphism class names."""
-
-
 _INVARIANT_TOL = 1e-9    # sigma^3 = 1, orthogonality and the k + m split
 _SPAN_TOL = 1e-8         # numerical rank of orbit spans and of the fixed Cartan
 _COMMUTANT_TOL = 1e-7    # null eigenvalues of the commutant equations
-
-_SINGLE_KIND = {1: "A3I", 2: "A3III", 3: "A3IV"}   # by the mark of the node
-# the m-layer of a root by the weighted sum of its coefficients on the nodes
-_LAYERS = {"A3II": ((1, 2), {3: "V1", 1: "V2", 2: "V3"}),   # (n_i, n_j) = (1, 1)/(1, 0)/(0, 1)
-           "A3III": ((1,), {2: "V", 1: "H"})}                # n_i = 2/1
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class InnerClass:
-    """An inner order-3 conjugacy class, H = sum_k coeff_k * H_{node_k}."""
-
-    kind: str                      # A3I | A3II | A3III | A3IV
-    nodes: tuple[int, ...]         # 1-based simple-root indices
-    coeffs: tuple[Fraction, ...]
-
-    @classmethod
-    def of_nodes(cls, rs: RootSystem, nodes: tuple[int, ...]) -> InnerClass:
-        """The class of one node of mark m in {1, 2, 3} (H = (m/3) H_node) or of
-        two distinct mark-1 nodes (H = (H_i + H_j)/3, nodes i < j whatever their
-        order in ``nodes``); ``InvalidRank`` otherwise."""
-        if not nodes or len(nodes) > 2 or any(not 1 <= n <= rs.rank for n in nodes):
-            raise InvalidRank(f"--nodes must name one or two of 1..{rs.rank}")
-        marks = [rs.marks[n - 1] for n in nodes]
-        if len(nodes) == 2:
-            if marks != [1, 1] or nodes[0] == nodes[1]:
-                raise InvalidRank("a node pair needs two distinct mark-1 nodes")
-            return cls("A3II", tuple(sorted(nodes)), (Fraction(1, 3), Fraction(1, 3)))
-        if marks[0] not in _SINGLE_KIND:
-            raise InvalidRank(f"node {nodes[0]} has mark {marks[0]}; an order-3 class "
-                              f"needs a node of mark 1, 2 or 3")
-        return cls(_SINGLE_KIND[marks[0]], tuple(nodes), (Fraction(marks[0], 3),))
-
-    def levels(self, rs: RootSystem) -> tuple[np.ndarray, int]:
-        """a(H) mod 1 on every root of ``rs.roots`` as int numerators over d (``alpha_levels``)."""
-        return alpha_levels(rs, zip(self.nodes, self.coeffs))
-
-    def __post_init__(self):     # Fractions hash in Python code: hash the fields once
-        object.__setattr__(self, "_hash", hash((self.kind, self.nodes, self.coeffs)))
-
-    def __hash__(self) -> int:   # each memo read of ``split`` hashes the class
-        return self._hash
-
-    def split(self, rs: RootSystem) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        """(layers, k): the indices in ``rs.roots`` of the positive roots of each
-        m-layer and of k, as read-only ascending int arrays.
-
-        k holds the roots with a(H) = 0 mod 1 (Wolf-Gray).  The m-roots are
-        layered by their coefficients on the defining nodes: V1/V2/V3 by
-        (n_i, n_j) = (1, 1)/(1, 0)/(0, 1) on a pair, V/H by n_i = 2/1 on a
-        mark-2 node, and one layer m otherwise.  Layers come in the order of
-        their first root, and an empty one is left out.  Memoised on ``rs``;
-        the dict is shared, so callers must not modify it.
-        """
-        split = rs._splits.get(self)
-        if split is None:
-            weights, names = _LAYERS.get(self.kind, ((0,), {0: "m"}))
-            fixed = self.levels(rs)[0][:rs.n_positive] == 0
-            m, k = np.flatnonzero(~fixed), np.flatnonzero(fixed)
-            key = sum(w * rs._coeffs[m, node - 1] for node, w in zip(self.nodes, weights))
-            # dict.fromkeys keeps the layers in the order of their first root
-            layers = {names[x]: _read_only(m[key == x]) for x in dict.fromkeys(key.tolist())}
-            split = rs._splits[self] = layers, _read_only(k)
-        return split
-
-    def describe(self) -> str:
-        inner = " + ".join(
-            (f"{c}*H{n}" if c != 1 else f"H{n}") for n, c in zip(self.nodes, self.coeffs)
-        )
-        return f"{self.kind}: H = {inner}"
-
-
-def enumerate_inner_order3(rs: RootSystem, dedup: bool = False) -> list[InnerClass]:
-    """All inner order-3 classes; optionally one per diagram-symmetry orbit."""
-    marks = rs.marks
-    out = [InnerClass.of_nodes(rs, (i,)) for i in range(1, rs.rank + 1)
-           if marks[i - 1] in _SINGLE_KIND]
-    out += [InnerClass.of_nodes(rs, pair)
-            for pair in itertools.combinations(range(1, rs.rank + 1), 2)
-            if marks[pair[0] - 1] == marks[pair[1] - 1] == 1]
-    out.sort(key=lambda c: (c.kind, c.nodes))
-    if not dedup:
-        return out
-    autos = diagram_automorphisms(rs)
-    kept, seen = [], set()
-    for cls in out:
-        orbit_min = min(
-            tuple(sorted(perm[n - 1] + 1 for n in cls.nodes)) for perm in autos
-        )
-        key = (cls.kind, orbit_min)
-        if key not in seen:
-            seen.add(key)
-            kept.append(cls)
-    return kept
 
 
 class OrderThreeSymmetricSpace:
@@ -379,11 +268,6 @@ def realize_cyclic_c3(component: CompactAlgebra) -> OrderThreeSymmetricSpace:
 
 
 # -- type classification ---------------------------------------------------------
-
-
-# the nearly Kahler type each automorphism class names
-NK_TYPE = {"A3I": "hermitian-symmetric", "A3II": "III", "A3III": "IV", "A3IV": "I",
-           "B3": "II", "C3": "II"}
 
 
 def orbit_span_dim(space: OrderThreeSymmetricSpace, seed_vector: np.ndarray) -> int:

@@ -156,10 +156,6 @@ class ChevalleyData:
         return np.where(plus >= 0, out, 0).astype(np.int8)
 
 
-def build_structure_constants(rs: RootSystem) -> ChevalleyData:
-    return ChevalleyData(rs)
-
-
 def verify_triangle_identity(cd: ChevalleyData) -> int:
     """Check N_{a,b} = N_{b,c} on every pair with c = -(a+b) a root, which
     chains round each zero-sum triple in both orientations; return the number

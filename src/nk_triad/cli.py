@@ -23,28 +23,12 @@ import sys
 from fractions import Fraction
 
 from . import tables
-from .automorph import (
-    NK_TYPE,
-    ClassificationMismatch,
-    InnerClass,
-    NotOrderThree,
-    enumerate_inner_order3,
-    realize_cyclic_c3,
-    realize_triality_d4,
-)
 from .chevalley import IdentityViolation as ChevalleyViolation
 from .chevalley import verify_square_formula, verify_triangle_identity
-from .compactform import JacobiFailure, TraceFormFailure
+from .exact import FixedVectorInM, IdentityViolation, NKReport, NonRationalEigenvalue, RIdentityMismatch
 from .fibration import NonClosedSubalgebra, NotInvolutive, all_fibrations
-from .nk_analyzer import (
-    FixedVectorInM,
-    IdentityViolation,
-    NKReport,
-    NonRationalEigenvalue,
-    RIdentityMismatch,
-    verify_space,
-)
-from .rootsys import InvalidRank
+from .rootsys import (NK_TYPE, ClassificationMismatch, InnerClass, InvalidRank, NotOrderThree,
+                      enumerate_inner_order3)
 from .tables import TABLES, GoldenFileError, cached_algebra, cached_root_system
 
 SCHEMA_VERSION = "1.0"
@@ -120,6 +104,7 @@ def cmd_classify(args) -> int:
 
 
 def _realize_from_args(args):
+    from .automorph import realize_cyclic_c3, realize_triality_d4
     rs = cached_root_system(args.family, args.rank)      # rejects a bad type first
     if args.triality:
         if (args.family, args.rank) != ("d", 4):
@@ -136,6 +121,7 @@ def _realize_from_args(args):
 
 
 def cmd_analyze(args) -> int:
+    from .nk_analyzer import verify_space
     space = _realize_from_args(args)
     report, verification = verify_space(space, args.tol)
     fibs = all_fibrations(space.algebra.rs, space.h_spec) \
@@ -264,6 +250,7 @@ _JACOBI_DEEP = [("a", 8), ("b", 8), ("c", 8), ("d", 8), ("e", 6), ("e", 7), ("e"
 
 
 def _verify_jacobi(tol: float, deep: bool) -> list[str]:
+    from .compactform import JacobiFailure, TraceFormFailure
     failures = []
     for family, rank in _JACOBI_DEFAULT + (_JACOBI_DEEP if deep else []):
         ca = cached_algebra(family, rank)
@@ -288,6 +275,7 @@ def _verify_jacobi(tol: float, deep: bool) -> list[str]:
 
 def identity_spaces(deep: bool = False):
     """Spaces the identity suites run over, realized one at a time."""
+    from .automorph import realize_cyclic_c3, realize_triality_d4
     picks = [("b", 3, 2), ("b", 4, 2), ("c", 2, 1), ("c", 3, 1), ("c", 3, 2),
              ("d", 4, 2), ("g", 2, 2), ("f", 4, 1), ("f", 4, 4)]
     aii = [("a", 2, (1, 2)), ("a", 3, (1, 3)), ("a", 4, (2, 3)), ("d", 4, (3, 4))]
@@ -301,6 +289,7 @@ def identity_spaces(deep: bool = False):
 
 
 def _verify_identities(tol: float, deep: bool) -> list[str]:
+    from .nk_analyzer import verify_space
     failures = []
     for space in identity_spaces(deep):
         try:

@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .chevalley import ChevalleyData
-from .rootsys import RootSystem
+from .rootsys import NotOrderThree, RootSystem
 
 DUAL_COXETER = {
     "a": lambda n: n + 1,
@@ -70,10 +70,6 @@ def slab_cuts(weight, budget=None, most=None) -> list[tuple[int, int]]:
     cuts = np.flatnonzero(np.diff((np.cumsum(weight) - weight) * n // weight.sum())) + 1
     cuts = [0, *cuts[cuts <= np.flatnonzero(weight)[-1]].tolist(), len(weight)]
     return list(zip(cuts[:-1], cuts[1:]))
-
-
-class NotOrderThree(ValueError):
-    """The candidate automorphism does not cube to the identity."""
 
 
 class JacobiFailure(AssertionError):

@@ -10,12 +10,13 @@ canonical fibration is Gbar_V / K with tangent space V, and the base is
 G / Gbar_V.  Everything here is exact root combinatorics: subalgebras are
 closed root subsets plus Cartan directions, and types are read off through
 the Dynkin classification of the subsystem, never from dimension counts.
-V and k are the root sets of the inner class's split (``InnerClass.split``),
-so no space is realized.  Root subsets are boolean masks over the roots of
-``rootsys``, so the closure, the closure check on V + k, the ideal check and
-the comparison with the involution's fixed points are mask reads of the
-root-addition table ``RootSystem.plus``, and the involution is one array of
-angles on all roots (``alpha_levels``), whose level-0 mask must be V + k.
+V and k are the root sets of the inner class's split
+(``rootsys.InnerClass.split``), so no space is realized and no float module
+is loaded.  Root subsets are boolean masks over the roots of ``rootsys``, so
+the closure, the closure check on V + k, the ideal check and the comparison
+with the involution's fixed points are mask reads of the root-addition table
+``RootSystem.plus``, and the involution is one array of angles on all roots
+(``alpha_levels``), whose level-0 mask must be V + k.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .automorph import InnerClass, OrderThreeSymmetricSpace
-from .rootsys import NotClosed, RootSystem, SubsystemType, alpha_levels, subsystem_type
+from .rootsys import InnerClass, NotClosed, RootSystem, SubsystemType, alpha_levels, subsystem_type
 
 
 class NonClosedSubalgebra(RuntimeError):
@@ -49,34 +49,6 @@ class FibrationReport:
     involution_h: tuple[tuple[int, Fraction], ...]
     base_hermitian: bool
     note: str = ""
-
-
-_LTS_TOL = 1e-9
-
-
-def check_lie_triple_system(space: OrderThreeSymmetricSpace, nu) -> bool:
-    """[nu,nu]_m inside nu and [[nu,nu]_k, nu] inside nu, to tolerance.
-
-    ``nu`` is either a list of m-basis positions or a dm x r column matrix.
-    """
-    xi, kc, ap = space.tensors()
-    dm = space.dim_m
-    if isinstance(nu, np.ndarray) and nu.ndim == 2:
-        cols = nu
-    else:
-        cols = np.eye(dm)[:, list(nu)]
-    proj_out = np.eye(dm) - cols @ cols.T
-    r = cols.shape[1]
-    act = ap.T.tocsr()                                     # [(c, d), s] = ad(k_s)[d, c]
-    for a in range(r):
-        for b in range(a + 1, r):
-            pair = np.kron(cols[:, a], cols[:, b])
-            # m-closure: [nu_a, nu_b]_m = -2 xi(nu_a, nu_b)
-            if np.abs(proj_out @ (-2.0 * (xi.T @ pair))).max() > _LTS_TOL:
-                return False
-            if np.abs(proj_out @ (act @ (kc.T @ pair)).reshape(dm, dm).T @ cols).max() > _LTS_TOL:
-                return False
-    return True
 
 
 def _root_closure(rs: RootSystem, seed: np.ndarray) -> np.ndarray:

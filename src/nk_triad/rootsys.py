@@ -28,6 +28,14 @@ Node numbering follows the convention where the exceptional chains read
 
 and b_n / c_n / d_n carry the short or fork end at the last node(s).
 
+An inner order-3 class (``InnerClass``) is one node of mark 1, 2 or 3
+(Wolf-Gray A3I, Hermitian symmetric; A3III; A3IV) or a pair of mark-1 nodes
+(A3II); ``NK_TYPE`` names the nearly Kahler type of each class.  A class
+holds its exact data: the levels a(H) = sum_k c_k n_k(a)/m_k mod 1 on every
+root (``alpha_levels``) and the split of the positive roots into k and the
+m-layers, index arrays over ``roots`` memoised on the root system
+(``InnerClass.split``).
+
 Instances are immutable after construction (``plus``, built on first use, is
 a read-only array), apart from memos of frozen classifications (``subsystem_type``)
 and of read-only root splits (``InnerClass.split``); sharing them across threads is safe.
@@ -36,6 +44,7 @@ and of read-only root splits (``InnerClass.split``); sharing them across threads
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,6 +67,14 @@ class NotARoot(ValueError):
 
 class NotClosed(ValueError):
     """Raised when a root subset is not closed under negation/addition."""
+
+
+class NotOrderThree(ValueError):
+    """The candidate automorphism does not cube to the identity."""
+
+
+class ClassificationMismatch(RuntimeError):
+    """The action of k on m contradicts the type its automorphism class names."""
 
 
 _RANK_TEST = {
@@ -398,3 +415,108 @@ def diagram_automorphisms(rs: RootSystem) -> list[tuple[int, ...]]:
 
     extend([])
     return perms
+
+
+# -- inner order-3 classes ----------------------------------------------------
+
+
+# the nearly Kahler type each automorphism class names
+NK_TYPE = {"A3I": "hermitian-symmetric", "A3II": "III", "A3III": "IV", "A3IV": "I",
+           "B3": "II", "C3": "II"}
+_SINGLE_KIND = {1: "A3I", 2: "A3III", 3: "A3IV"}   # by the mark of the node
+# the m-layer of a root by the weighted sum of its coefficients on the nodes
+_LAYERS = {"A3II": ((1, 2), {3: "V1", 1: "V2", 2: "V3"}),   # (n_i, n_j) = (1, 1)/(1, 0)/(0, 1)
+           "A3III": ((1,), {2: "V", 1: "H"})}                # n_i = 2/1
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True)
+class InnerClass:
+    """An inner order-3 conjugacy class, H = sum_k coeff_k * H_{node_k}."""
+
+    kind: str                      # A3I | A3II | A3III | A3IV
+    nodes: tuple[int, ...]         # 1-based simple-root indices
+    coeffs: tuple[Fraction, ...]
+
+    @classmethod
+    def of_nodes(cls, rs: RootSystem, nodes: tuple[int, ...]) -> InnerClass:
+        """The class of one node of mark m in {1, 2, 3} (H = (m/3) H_node) or of
+        two distinct mark-1 nodes (H = (H_i + H_j)/3, nodes i < j whatever their
+        order in ``nodes``); ``InvalidRank`` otherwise."""
+        if not nodes or len(nodes) > 2 or any(not 1 <= n <= rs.rank for n in nodes):
+            raise InvalidRank(f"--nodes must name one or two of 1..{rs.rank}")
+        marks = [rs.marks[n - 1] for n in nodes]
+        if len(nodes) == 2:
+            if marks != [1, 1] or nodes[0] == nodes[1]:
+                raise InvalidRank("a node pair needs two distinct mark-1 nodes")
+            return cls("A3II", tuple(sorted(nodes)), (Fraction(1, 3), Fraction(1, 3)))
+        if marks[0] not in _SINGLE_KIND:
+            raise InvalidRank(f"node {nodes[0]} has mark {marks[0]}; an order-3 class "
+                              f"needs a node of mark 1, 2 or 3")
+        return cls(_SINGLE_KIND[marks[0]], tuple(nodes), (Fraction(marks[0], 3),))
+
+    def levels(self, rs: RootSystem) -> tuple[np.ndarray, int]:
+        """a(H) mod 1 on every root of ``rs.roots`` as int numerators over d (``alpha_levels``)."""
+        return alpha_levels(rs, zip(self.nodes, self.coeffs))
+
+    def __post_init__(self):     # Fractions hash in Python code: hash the fields once
+        object.__setattr__(self, "_hash", hash((self.kind, self.nodes, self.coeffs)))
+
+    def __hash__(self) -> int:   # each memo read of ``split`` hashes the class
+        return self._hash
+
+    def split(self, rs: RootSystem) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        """(layers, k): the indices in ``rs.roots`` of the positive roots of each
+        m-layer and of k, as read-only ascending int arrays.
+
+        k holds the roots with a(H) = 0 mod 1 (Wolf-Gray).  The m-roots are
+        layered by their coefficients on the defining nodes: V1/V2/V3 by
+        (n_i, n_j) = (1, 1)/(1, 0)/(0, 1) on a pair, V/H by n_i = 2/1 on a
+        mark-2 node, and one layer m otherwise.  Layers come in the order of
+        their first root, and an empty one is left out.  Memoised on ``rs``;
+        the dict is shared, so callers must not modify it.
+        """
+        split = rs._splits.get(self)
+        if split is None:
+            weights, names = _LAYERS.get(self.kind, ((0,), {0: "m"}))
+            fixed = self.levels(rs)[0][:rs.n_positive] == 0
+            m, k = np.flatnonzero(~fixed), np.flatnonzero(fixed)
+            key = sum(w * rs._coeffs[m, node - 1] for node, w in zip(self.nodes, weights))
+            # dict.fromkeys keeps the layers in the order of their first root
+            layers = {names[x]: _read_only(m[key == x]) for x in dict.fromkeys(key.tolist())}
+            split = rs._splits[self] = layers, _read_only(k)
+        return split
+
+    def describe(self) -> str:
+        inner = " + ".join(
+            (f"{c}*H{n}" if c != 1 else f"H{n}") for n, c in zip(self.nodes, self.coeffs)
+        )
+        return f"{self.kind}: H = {inner}"
+
+
+def enumerate_inner_order3(rs: RootSystem, dedup: bool = False) -> list[InnerClass]:
+    """All inner order-3 classes; optionally one per diagram-symmetry orbit."""
+    marks = rs.marks
+    out = [InnerClass.of_nodes(rs, (i,)) for i in range(1, rs.rank + 1)
+           if marks[i - 1] in _SINGLE_KIND]
+    out += [InnerClass.of_nodes(rs, pair)
+            for pair in itertools.combinations(range(1, rs.rank + 1), 2)
+            if marks[pair[0] - 1] == marks[pair[1] - 1] == 1]
+    out.sort(key=lambda c: (c.kind, c.nodes))
+    if not dedup:
+        return out
+    autos = diagram_automorphisms(rs)
+    kept, seen = [], set()
+    for cls in out:
+        orbit_min = min(
+            tuple(sorted(perm[n - 1] + 1 for n in cls.nodes)) for perm in autos
+        )
+        key = (cls.kind, orbit_min)
+        if key not in seen:
+            seen.add(key)
+            kept.append(cls)
+    return kept

@@ -1,12 +1,16 @@
 """Table generation, golden-data comparison, and verification sweeps.
 
-Four table families are reproducible by computation:
+Five table families are reproducible by computation:
 
     AI   - Hermitian symmetric quotients (mark-1 nodes)
     AII  - three-layer flag twistor spaces, eigenvalues (l, k, m)
     AIII - two-layer twistor spaces, eigenvalues (l, k)
     AIV  - isotropy-irreducible quotients (mark-3 nodes)
     BC   - the outer (triality) and cyclic constructions
+
+Every table and fibration row is exact: it reads root splits and the cached
+``ChevalleyData`` alone, so a table run loads no float module.  Only
+``cached_algebra`` and ``realize`` load them, when first called.
 
 Golden rows live as JSON next to the package (``NK_TRIAD_GOLDEN_DIR``
 overrides the location).  Rational values are serialized as {num, den}
@@ -29,11 +33,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .automorph import InnerClass, enumerate_inner_order3, realize_inner
-from .compactform import CompactAlgebra, build_compact_form
+from .chevalley import ChevalleyData
+from .exact import inner_report
 from .fibration import all_fibrations
-from .nk_analyzer import inner_report
-from .rootsys import InvalidRank, RootSystem, build_root_system, subsystem_type
+from .rootsys import (InnerClass, InvalidRank, RootSystem, build_root_system, enumerate_inner_order3,
+                      subsystem_type)
 
 
 class GoldenFileError(ValueError):
@@ -43,8 +47,9 @@ class GoldenFileError(ValueError):
 # -- algebra cache -------------------------------------------------------------
 
 
-_ALGEBRAS: dict[tuple[str, int], CompactAlgebra] = {}
 _ROOTSYS: dict[tuple[str, int], RootSystem] = {}
+_CHEVALLEY: dict[tuple[str, int], ChevalleyData] = {}
+_ALGEBRAS: dict = {}
 
 
 def cached_root_system(family: str, rank: int) -> RootSystem:
@@ -54,10 +59,21 @@ def cached_root_system(family: str, rank: int) -> RootSystem:
     return _ROOTSYS[key]
 
 
-def cached_algebra(family: str, rank: int) -> CompactAlgebra:
+def cached_chevalley(family: str, rank: int) -> ChevalleyData:
+    key = (family, rank)
+    if key not in _CHEVALLEY:
+        _CHEVALLEY[key] = ChevalleyData(cached_root_system(family, rank))
+    return _CHEVALLEY[key]
+
+
+def cached_algebra(family: str, rank: int):
+    """The ``CompactAlgebra`` over ``cached_chevalley``, so a warm algebra
+    leaves its structure constants warm for the tables too."""
     key = (family, rank)
     if key not in _ALGEBRAS:
-        _ALGEBRAS[key] = build_compact_form(cached_root_system(family, rank))
+        from .compactform import CompactAlgebra
+        cd = cached_chevalley(family, rank)
+        _ALGEBRAS[key] = CompactAlgebra(cd.rs, cd)
     return _ALGEBRAS[key]
 
 
@@ -208,6 +224,7 @@ def _inner_class(family: str, rank: int, kind: str, nodes: tuple[int, ...]) -> I
 
 def realize(family: str, rank: int, kind: str, nodes: tuple[int, ...]):
     """The inner space of ``nodes``, which must give the class ``kind``."""
+    from .automorph import realize_inner
     spec = _inner_class(family, rank, kind, nodes)
     return realize_inner(cached_algebra(family, rank), spec,
                          name=space_name(family, rank, kind, spec.nodes))
@@ -229,7 +246,7 @@ def _isotropy(rs: RootSystem, spec: InnerClass):
 def _class_report(family: str, rank: int, kind: str, nodes: tuple[int, ...]):
     """(class, report) of the inner class of ``nodes``, from its root split."""
     spec = _inner_class(family, rank, kind, nodes)
-    return spec, inner_report(cached_algebra(family, rank).cd, spec,
+    return spec, inner_report(cached_chevalley(family, rank), spec,
                               space_name(family, rank, kind, nodes))
 
 

@@ -313,6 +313,37 @@ def fixed_algebra_root_signature(space):
     return len(cartan), count, ratio
 
 
+# -- Lie triple systems of a realized space ----------------------------------------
+
+
+_LTS_TOL = 1e-9
+
+
+def check_lie_triple_system(space, nu) -> bool:
+    """[nu,nu]_m inside nu and [[nu,nu]_k, nu] inside nu, to tolerance.
+
+    ``nu`` is either a list of m-basis positions or a dm x r column matrix.
+    """
+    xi, kc, ap = space.tensors()
+    dm = space.dim_m
+    if isinstance(nu, np.ndarray) and nu.ndim == 2:
+        cols = nu
+    else:
+        cols = np.eye(dm)[:, list(nu)]
+    proj_out = np.eye(dm) - cols @ cols.T
+    r = cols.shape[1]
+    act = ap.T.tocsr()                                     # [(c, d), s] = ad(k_s)[d, c]
+    for a in range(r):
+        for b in range(a + 1, r):
+            pair = np.kron(cols[:, a], cols[:, b])
+            # m-closure: [nu_a, nu_b]_m = -2 xi(nu_a, nu_b)
+            if np.abs(proj_out @ (-2.0 * (xi.T @ pair))).max() > _LTS_TOL:
+                return False
+            if np.abs(proj_out @ (act @ (kc.T @ pair)).reshape(dm, dm).T @ cols).max() > _LTS_TOL:
+                return False
+    return True
+
+
 # -- structure-constant and adjoint accessors ---------------------------------------
 
 

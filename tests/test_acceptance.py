@@ -18,13 +18,8 @@ from nk_triad.automorph import (
     realize_cyclic_c3,
     realize_triality_d4,
 )
-from nk_triad.nk_analyzer import (
-    build_report,
-    exact_r_cross_layer,
-    exact_r_eigenvalues,
-    verify_ricci_oracle,
-    verify_space,
-)
+from nk_triad.exact import exact_r_cross_layer, exact_r_eigenvalues
+from nk_triad.nk_analyzer import build_report, verify_ricci_oracle, verify_space
 from nk_triad.tables import cached_algebra, realize
 
 from conftest import ad, fixed_algebra_root_signature

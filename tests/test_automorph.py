@@ -11,13 +11,9 @@ from scipy.sparse import csr_matrix
 
 from nk_triad import automorph, cli, tables
 from nk_triad.automorph import (
-    ClassificationMismatch,
-    InnerClass,
-    NotOrderThree,
     TrialityInconsistent,
     classify_type,
     commutant_basis,
-    enumerate_inner_order3,
     invariant_halves,
     orbit_span_dim,
     realize_cyclic_c3,
@@ -26,7 +22,15 @@ from nk_triad.automorph import (
 )
 from nk_triad.compactform import ZERO_DROP, CompactAlgebra, adjoint_action_exp
 from nk_triad.nk_analyzer import curvature, gram
-from nk_triad.rootsys import InvalidRank, build_root_system, subsystem_type
+from nk_triad.rootsys import (
+    ClassificationMismatch,
+    InnerClass,
+    InvalidRank,
+    NotOrderThree,
+    build_root_system,
+    enumerate_inner_order3,
+    subsystem_type,
+)
 from nk_triad.tables import realize
 
 from conftest import ad, bracket_preservation_residual, fixed_algebra_root_signature, root_mask
@@ -434,7 +438,7 @@ def test_type_ii_without_equal_halves_fails_loudly(monkeypatch, capsys):
     with pytest.raises(ClassificationMismatch,
                        match="type II needs two equal invariant halves, found none"):
         classify_type(_coupled_halves())
-    monkeypatch.setattr(cli, "realize_cyclic_c3", lambda ca: _coupled_halves())
+    monkeypatch.setattr(automorph, "realize_cyclic_c3", lambda ca: _coupled_halves())
     assert cli.main(["analyze", "a", "1", "--cyclic"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("classification mismatch: (a1)^3 / diagonal: type II") \

@@ -10,7 +10,6 @@ import pytest
 from nk_triad.chevalley import (
     ChevalleyData,
     IdentityViolation,
-    build_structure_constants,
     verify_square_formula,
     verify_triangle_identity,
 )
@@ -40,14 +39,14 @@ def _oracle_square(rs, a, b):
 
 
 def test_a1_table_empty():
-    cd = build_structure_constants(build_root_system("a", 1))
+    cd = ChevalleyData(build_root_system("a", 1))
     assert not (cd.plus >= 0).any() and not cd.n12.any() and not cd.sign.any()
     assert verify_triangle_identity(cd) == 0
 
 
 def test_a2_squares_and_triples():
     rs = build_root_system("a", 2)
-    cd = build_structure_constants(rs)
+    cd = ChevalleyData(rs)
     assert n_squared(cd, (1, 0), (0, 1)) == 1  # kappa/2
     assert verify_triangle_identity(cd) == 2
 
@@ -56,7 +55,7 @@ def test_a2_squares_and_triples():
                                          ("c", 3), ("d", 4), ("f", 4), ("e", 6), ("e", 7)])
 def test_squares_match_oracle(family, rank):
     rs = build_root_system(family, rank)
-    cd = build_structure_constants(rs)
+    cd = ChevalleyData(rs)
     roots = [r.coeffs for r in rs.all_roots()]
     pair_count = 0
     for a, b in itertools.product(roots, roots):
@@ -78,7 +77,7 @@ def _first_pair(cd):
 
 
 def test_square_formula_detects_a_changed_square():
-    cd = build_structure_constants(build_root_system("g", 2))  # fresh table
+    cd = ChevalleyData(build_root_system("g", 2))  # fresh table
     i, j, a, b = _first_pair(cd)
     cd.n12[i, j] *= 2
     with pytest.raises(IdentityViolation, match=re.escape(f"at {a}, {b}:")):
@@ -86,7 +85,7 @@ def test_square_formula_detects_a_changed_square():
 
 
 def test_square_formula_detects_a_square_off_the_pairs():
-    cd = build_structure_constants(build_root_system("b", 3))
+    cd = ChevalleyData(build_root_system("b", 3))
     i, j = np.argwhere(cd.plus < 0)[-1]
     cd.n12[i, j] = 12
     with pytest.raises(IdentityViolation,
@@ -97,7 +96,7 @@ def test_square_formula_detects_a_square_off_the_pairs():
 def test_square_formula_does_not_read_plus():
     """The pairs and string bounds come from the coefficients: an addition
     table emptied after the build leaves the check and its count unchanged."""
-    cd = build_structure_constants(build_root_system("f", 4))
+    cd = ChevalleyData(build_root_system("f", 4))
     count = verify_square_formula(cd)
     cd.plus = np.full_like(cd.plus, -1)
     assert verify_square_formula(cd) == count == 816
@@ -105,7 +104,7 @@ def test_square_formula_does_not_read_plus():
 
 @pytest.mark.parametrize("table", ["sign", "n12"])
 def test_triangle_identity_detects_a_changed_entry(table):
-    cd = build_structure_constants(build_root_system("g", 2))
+    cd = ChevalleyData(build_root_system("g", 2))
     i, j, a, b = _first_pair(cd)
     getattr(cd, table)[i, j] *= -1 if table == "sign" else 2
     c = cd.roots[cd.neg[cd.plus[i, j]]]
@@ -116,7 +115,7 @@ def test_triangle_identity_detects_a_changed_entry(table):
 
 def test_g2_short_root_square():
     rs = build_root_system("g", 2)
-    cd = build_structure_constants(rs)
+    cd = ChevalleyData(rs)
     # alpha1 short: string of alpha1 through alpha1+alpha2 has p = -1, q = 2
     value = n_squared(cd, (1, 0), (1, 1))
     assert value == Fraction(2 * 2, 2) * Fraction(2, 3)
@@ -124,7 +123,7 @@ def test_g2_short_root_square():
 
 def test_antisymmetries():
     rs = build_root_system("b", 3)
-    cd = build_structure_constants(rs)
+    cd = ChevalleyData(rs)
     neg = np.ix_(cd.neg, cd.neg)
     pairs = cd.plus >= 0
     assert np.array_equal(cd.plus, cd.plus.T)
@@ -140,7 +139,7 @@ def test_antisymmetries():
 
 def test_zero_sum_triples_counted_by_brute_force():
     rs = build_root_system("f", 4)
-    cd = build_structure_constants(rs)
+    cd = ChevalleyData(rs)
     roots = [r.coeffs for r in rs.all_roots()]
     rset = set(roots)
     brute = set()
@@ -153,7 +152,7 @@ def test_zero_sum_triples_counted_by_brute_force():
 
 def test_extraspecial_pairs_are_positive():
     rs = build_root_system("d", 4)
-    cd = build_structure_constants(rs)
+    cd = ChevalleyData(rs)
     decomposable = 0
     for gamma, (eps, eta) in enumerate(cd.extraspecial.tolist()):
         if eps < 0:
@@ -168,8 +167,8 @@ def test_extraspecial_pairs_are_positive():
 def test_determinism_across_builds():
     rs1 = build_root_system("c", 3)
     rs2 = build_root_system("c", 3)
-    cd1 = build_structure_constants(rs1)
-    cd2 = build_structure_constants(rs2)
+    cd1 = ChevalleyData(rs1)
+    cd2 = ChevalleyData(rs2)
     for table in ("plus", "n12", "sign"):
         assert np.array_equal(getattr(cd1, table), getattr(cd2, table))
 

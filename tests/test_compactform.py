@@ -324,7 +324,7 @@ def test_rotation_rejects_a_level_that_is_not_a_third(algebra):
 
 
 def test_rotation_is_automorphism_and_order_three(algebra):
-    from nk_triad.automorph import enumerate_inner_order3
+    from nk_triad.rootsys import enumerate_inner_order3
 
     for family, rank in [("a", 2), ("g", 2), ("c", 3), ("d", 4)]:
         ca = algebra(family, rank)

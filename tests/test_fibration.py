@@ -8,18 +8,11 @@ import numpy as np
 import pytest
 
 from nk_triad import automorph, compactform, fibration, tables
-from nk_triad.automorph import InnerClass
-from nk_triad.fibration import (
-    NonClosedSubalgebra,
-    NotInvolutive,
-    all_fibrations,
-    check_lie_triple_system,
-    fibration_subalgebras,
-)
-from nk_triad.rootsys import RootSystem, alpha_levels
+from nk_triad.fibration import NonClosedSubalgebra, NotInvolutive, all_fibrations, fibration_subalgebras
+from nk_triad.rootsys import InnerClass, RootSystem, alpha_levels
 from nk_triad.tables import cached_algebra, cached_root_system, realize
 
-from conftest import involution_fixed_points, root_mask
+from conftest import check_lie_triple_system, involution_fixed_points, root_mask
 
 F = Fraction
 
@@ -208,23 +201,17 @@ def test_all_fibrations_match_fraction_oracle(subsystem_oracle, rank_oracle, fra
 
 def test_fibration_tables_realize_no_space(monkeypatch):
     """All seven tables come from root splits and structure constants alone:
-    with the realization, sigma and the space constructor refusing, each
-    matches its golden file byte for byte, and the two fibration tables build
-    no algebra either."""
+    with the algebra cache, the realization, sigma and the space constructor
+    refusing, each matches its golden file byte for byte."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a table built a space, or a fibration table an algebra")
+        raise AssertionError("a table built an algebra or a space")
 
-    for owner, name in [(automorph, "realize_inner"), (tables, "realize_inner"),
+    for owner, name in [(tables, "cached_algebra"), (automorph, "realize_inner"),
                         (compactform, "adjoint_action_exp"), (automorph, "adjoint_action_exp"),
                         (automorph.OrderThreeSymmetricSpace, "__init__")]:
         monkeypatch.setattr(owner, name, refuse)
-    fibrations = ("fibrations_aii", "fibrations_aiii")
     for name, compute in tables.TABLES.items():
-        if name not in fibrations:
-            assert tables.dumps_rows(compute(deep=True)) == tables.golden_text(name), name
-    monkeypatch.setattr(tables, "cached_algebra", refuse)
-    for name in fibrations:
-        assert tables.dumps_rows(tables.TABLES[name](deep=True)) == tables.golden_text(name)
+        assert tables.dumps_rows(compute(deep=True)) == tables.golden_text(name), name
 
 
 def test_tables_do_no_per_root_key_arithmetic():

@@ -13,30 +13,31 @@ from scipy.sparse import csr_matrix
 
 from nk_triad import automorph, cli, compactform, nk_analyzer, tables
 from nk_triad.automorph import realize_cyclic_c3, realize_triality_d4
-from nk_triad.nk_analyzer import (
-    KAPPA,
-    Curvature,
+from nk_triad.exact import (
     FixedVectorInM,
     IdentityViolation,
     NonRationalEigenvalue,
-    build_report,
-    canonical_J,
-    curvature,
     einstein_check,
     exact_r_cross_layer,
     exact_r_eigenvalues,
     layer_traces,
-    lk_classification,
+    verify_prop_table_relations,
+)
+from nk_triad.nk_analyzer import (
+    Curvature,
+    build_report,
+    canonical_J,
+    curvature,
     ricci_tensors,
     tensor_r,
     verify_curvature_identities,
     verify_min_connection_identity,
-    verify_prop_table_relations,
     verify_ricci_oracle,
     verify_sat_identities,
     verify_space,
     verify_structure_identities,
 )
+from nk_triad.rootsys import KAPPA
 from nk_triad.tables import cached_algebra, realize
 
 from conftest import layer_epsilon, n_squared, whole_g
@@ -178,7 +179,7 @@ def test_g2_twistor_values(g2_twistor):
     assert rep.eig_by_layer("c") == {"V": F(8), "H": F(-4)}
     assert rep.mu2 == F(8)
     assert not rep.einstein
-    assert lk_classification(rep) == (F(2), rep.lk_label)
+    assert (rep.lk_ratio, rep.lk_label) == (F(2), "g2 twistor space, l/k = 2")
     verify_prop_table_relations(rep)
 
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nk_triad import cli, fibration, rootsys, tables
-from nk_triad.automorph import enumerate_inner_order3
 from nk_triad.rootsys import (
     InvalidRank,
     NotARoot,
@@ -21,6 +20,7 @@ from nk_triad.rootsys import (
     RootSystem,
     build_root_system,
     diagram_automorphisms,
+    enumerate_inner_order3,
     root_string,
     subsystem_type,
 )
