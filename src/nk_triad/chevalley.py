@@ -9,7 +9,7 @@ to 1.  In that normalization the constants satisfy
 
 The table is held over root indices.  With n = ``rs.n_positive``, positive
 root k of ``rs.positive_roots`` has index k and its negative has index n + k
-(the order of ``rs.all_roots()``).  Three (2n, 2n) int arrays hold it:
+(the order of ``rs.roots``).  Three (2n, 2n) int arrays hold it:
 
     plus[i, j]   index of root i + root j, or -1 when the sum is not a root;
     n12[i, j]    12 N_{i,j}^2, an int because 6<a,a> is; 0 off the pairs;
@@ -19,10 +19,11 @@ root k of ``rs.positive_roots`` has index k and its negative has index n + k
 shared, not copied), and every string bound comes from stepping through it.
 Only the squares are rational in general; signs are fixed by assigning +1 to
 the extraspecial pair of every positive root (minimal decomposition in
-height-then-lex order) and propagating through the antisymmetries, the
-zero-sum triple identity, and the four-term contraction that expresses any
-other decomposition of a positive root against its extraspecial one (Carter,
-Simple Groups of Lie Type, ch. 4).
+height-then-lex order).  One pass over the positive pairs, in order of the
+height of their sum, gives every other positive pair its sign by the four-term
+contraction that expresses it against the extraspecial pair of its sum
+(Carter, Simple Groups of Lie Type, ch. 4); the antisymmetries and the
+zero-sum triple identity carry the signs to the other pairs.
 Any consistent choice produces the same squares; determinism here is what
 makes downstream tables reproducible.
 """
@@ -45,115 +46,122 @@ class IdentityViolation(AssertionError):
     """An algebraic identity of the constants failed."""
 
 
+def _positive_pair(plus: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x n + y, f) for root pairs (i, j) whose sums are roots, such that
+    N_{i,j} = f N_{x,y} for the positive pair (x, y) they map onto: a negative
+    pair by N_{a,b} = -N_{-a,-b}, a mixed one through the zero-sum triple
+    (a, b, c), c = -(a+b), onto the pair avoiding the mixed signs (with one
+    more negation when a+b is positive)."""
+    n = plus.shape[0] // 2
+    c = (plus[i, j] + n) % (2 * n)          # the index of -(a+b)
+    same, turn = (i < n) == (j < n), (j < n) == (c < n)
+    x = np.where(same, i, np.where(turn, j, c)) % n
+    y = np.where(same, j, np.where(turn, c, i)) % n
+    return x * n + y, np.where(np.where(same, i < n, c < n), 1, -1)
+
+
 class ChevalleyData:
     """Structure-constant table over the root indices of a root system."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         n = self.n = rs.n_positive
-        pos = np.array([r.coeffs for r in rs.positive_roots], dtype=np.int64)
+        pos = rs._coeffs[:n]
         self.roots, self.index, self.neg = rs.roots, rs.root_index, rs.neg
         self.plus = plus = rs.plus
-        # (p, q) of the i-string through j: step through plus from j + i and j - i
-        rows = np.arange(2 * n)[:, None]
-        q, cur = np.zeros_like(plus), plus
-        while (cur >= 0).any():
-            q += cur >= 0
-            cur = np.where(cur >= 0, plus[rows, cur], -1)
-        p, cur = np.zeros_like(plus), plus[self.neg]
-        while (cur >= 0).any():
-            p -= cur >= 0
-            cur = np.where(cur >= 0, plus[self.neg[:, None], cur], -1)
+        # (p, q) of the i-string through j on every pair: step through plus from
+        # j + i and j - i, counting q and down = -p
+        i, j = np.nonzero(plus >= 0)
+        q, down = np.zeros((2, i.size), dtype=np.int64)
+        for count, step in ((q, i), (down, self.neg[i])):
+            cur = plus[step, j]
+            while (cur >= 0).any():
+                count += cur >= 0
+                cur = np.where(cur >= 0, plus[step, cur], -1)
         norm6 = np.einsum("ki,ij,kj->k", pos, np.array(rs.gram6, dtype=np.int64), pos)
         # N^2 = q(1-p)/2 * <a,a>, so 12 N^2 = q(1-p) * 6<a,a>
-        self.n12 = np.where(plus >= 0, q * (1 - p) * np.r_[norm6, norm6][:, None], 0)
-        self.sign = self._signs()
+        self.n12 = np.zeros_like(plus)
+        self.n12[i, j] = q * (1 + down) * norm6[i % n]
+        cell, factor = _positive_pair(plus, i, j)
+        self.sign = np.zeros(plus.shape, dtype=np.int8)
+        self.sign[i, j] = factor * self._signs()[cell]
 
     # -- signs ---------------------------------------------------------------
 
     def _signs(self) -> np.ndarray:
-        """sign[i, j] for every pair, from the signs of the positive pairs.
+        """The sign of N_{x,y} at x n + y for every positive pair (x, y), 0 off
+        the pairs; also sets ``extraspecial``.
 
-        Each pair maps onto a positive pair times a factor: a negative pair by
-        N_{a,b} = -N_{-a,-b}, a mixed one through the zero-sum triple
-        (a, b, c), c = -(a+b), onto the pair avoiding the mixed signs (with one
-        more negation when a+b is positive).
+        The signs are set in one pass over the positive pairs (x, y), x before y
+        in height-then-lex order, in order of the height of gamma = x + y.  The
+        extraspecial pair (eps, eta) of gamma, its first decomposition in that
+        order, has sign +1.  Any other pair is contracted through E_{-eps}:
+
+            N_{x,y} N_{gamma,-eps} = -N_{-eps,x} N_{x-eps,y} - N_{y,-eps} N_{y-eps,x}
+
+        whose right side reads pairs with sums of lower height than gamma, and
+        N_{gamma,-eps} reads (eps, eta).  (y, x) takes the opposite sign.  All
+        magnitudes are products of 12 N^2 in ints, so every comparison is exact.
         """
-        n, plus = self.n, self.plus
-        i, j = np.indices(plus.shape)
-        c = np.where(plus >= 0, self.neg[plus], 0)
-        same, turn = (i < n) == (j < n), (j < n) == (c < n)
-        first = np.where(same, i, np.where(turn, j, c)) % n
-        second = np.where(same, j, np.where(turn, c, i)) % n
-        factor = np.where(np.where(same, i < n, c < n), 1, -1)
-
-        heights = np.array([r.height for r in self.rs.positive_roots])
+        n, plus, n12 = self.n, self.plus, self.n12
+        height = self.rs._coeffs[:n].sum(axis=1)
         place = np.empty(n, dtype=np.int64)
-        place[np.lexsort((np.arange(n), heights))] = np.arange(n)  # height-then-lex
+        place[np.lexsort((np.arange(n), height))] = np.arange(n)  # height-then-lex
         # extraspecial pair (eps, eta) of gamma: gamma = eps + eta with eps first
         a, b = np.nonzero(plus[:n, :n] >= 0)
         g = plus[a, b]
         by = np.lexsort((place[a], g))
         head = np.diff(g[by], prepend=-1) != 0
+        eps, eta = a[by][head], b[by][head]
         self.extraspecial = np.full((n, 2), -1)
-        self.extraspecial[g[by][head]] = np.stack([a[by][head], b[by][head]], axis=1)
+        self.extraspecial[g[by][head]] = np.stack([eps, eta], axis=1)
+        signs = np.zeros(n * n, dtype=np.int64)       # N_{x,y} at x n + y
+        signs[eps * n + eta], signs[eta * n + eps] = 1, -1
 
-        sums, sq, extra, place = plus.tolist(), self.n12.tolist(), self.extraspecial.tolist(), \
-            place.tolist()
-        lfirst, lsecond, lfactor, neg = first.tolist(), second.tolist(), factor.tolist(), \
-            self.neg.tolist()
-        memo = [[0] * n for _ in range(n)]
-
-        def any_sign(x: int, y: int) -> int:
-            return lfactor[x][y] * positive(lfirst[x][y], lsecond[x][y])
-
-        def positive(x: int, y: int) -> int:
-            if not memo[x][y]:
-                if place[x] > place[y]:
-                    memo[x][y] = -positive(y, x)
-                elif [x, y] == extra[sums[x][y]]:
-                    memo[x][y] = 1
-                else:
-                    memo[x][y] = contracted(x, y)
-            return memo[x][y]
-
-        def contracted(x: int, y: int) -> int:
-            """Sign of N_{x,y} for a positive pair other than the extraspecial
-            (eps, eta) of gamma = x + y, contracting both through E_{-eps}:
-
-                N_{x,y} N_{gamma,-eps} = -N_{-eps,x} N_{x-eps,y} - N_{y,-eps} N_{y-eps,x}
-
-            All magnitudes are products of 12 N^2 in ints, so every comparison
-            is exact."""
-            gamma = sums[x][y]
-            eps = neg[extra[gamma][0]]
-            terms = [(any_sign(u, v) * any_sign(sums[u][v], w), sq[u][v] * sq[sums[u][v]][w])
-                     for u, v, w in ((eps, x, y), (y, eps, x)) if sums[u][v] >= 0]
-            where = f"{self.roots[x]}+{self.roots[y]}"
-            if not terms:
-                raise SignInconsistency(f"no contraction terms for {where}")
-            (s0, t0), (s1, t1) = terms[0], terms[-1]
-            if len(terms) == 1:
+        # every other pair x before y, by the height of gamma; its terms are
+        # (-eps, x) with (x - eps, y), and (y, -eps) with (y - eps, x)
+        todo = (place[a] < place[b]) & (a != self.extraspecial[g, 0])
+        x, y, gamma = (v[todo][np.argsort(height[g[todo]], kind="stable")] for v in (a, b, g))
+        me = self.neg[self.extraspecial[gamma, 0]]
+        mid = plus[me, x], plus[y, me]
+        cell, factor = (v.reshape(5, -1) for v in _positive_pair(
+            plus, np.concatenate([me, mid[0], y, mid[1], gamma]),
+            np.concatenate([x, y, me, x, me])))
+        terms = np.array([[cell[0], cell[1], factor[0] * factor[1], n12[me, x] * n12[mid[0], y]],
+                          [cell[2], cell[3], factor[2] * factor[3], n12[y, me] * n12[mid[1], x]]])
+        # the terms that exist, in order, the last repeating the first when one does
+        has = np.stack(mid) >= 0
+        ops = np.vstack([has.sum(axis=0), np.where(has[0], terms[0], terms[1]),
+                         np.where(has[1], terms[1], terms[0]), n12[x, y] * n12[gamma, me],
+                         cell[4], factor[4], x * n + y, y * n + x])
+        signs = signs.tolist()
+        for k, (count, u0, v0, f0, t0, u1, v1, f1, t1, lhs, at, f, xy, yx) in enumerate(
+                ops.T.tolist()):
+            if not count:
+                raise SignInconsistency(f"no contraction terms for {self._label(x[k], y[k])}")
+            s0 = f0 * signs[u0] * signs[v0]
+            if count == 1:
                 rhs_sign, rhs_sq = -s0, t0
             else:
+                s1 = f1 * signs[u1] * signs[v1]
                 if s0 == s1:
                     rhs_sign = -s0
                 elif t0 == t1:
-                    raise SignInconsistency(f"cancelling contraction at {where}")
+                    raise SignInconsistency(f"cancelling contraction at {self._label(x[k], y[k])}")
                 else:
                     rhs_sign = -s0 if t0 > t1 else -s1
                 cross = math.isqrt(t0 * t1)
                 if cross * cross != t0 * t1:
-                    raise SignInconsistency(f"irrational contraction at {where}")
+                    raise SignInconsistency(f"irrational contraction at {self._label(x[k], y[k])}")
                 rhs_sq = t0 + t1 + 2 * s0 * s1 * cross
-            if rhs_sq != sq[x][y] * sq[gamma][eps]:
-                raise SignInconsistency(f"magnitude mismatch at {where}")
-            return rhs_sign * any_sign(gamma, eps)
+            if rhs_sq != lhs:
+                raise SignInconsistency(f"magnitude mismatch at {self._label(x[k], y[k])}")
+            signs[xy] = rhs_sign * f * signs[at]
+            signs[yx] = -signs[xy]
+        return np.array(signs)
 
-        for x, y in zip(a.tolist(), b.tolist()):
-            positive(x, y)
-        out = factor * np.array(memo, dtype=np.int64)[first, second]
-        return np.where(plus >= 0, out, 0).astype(np.int8)
+    def _label(self, x: int, y: int) -> str:
+        return f"{self.roots[x]}+{self.roots[y]}"
 
 
 def verify_triangle_identity(cd: ChevalleyData) -> int:

@@ -3,8 +3,9 @@
 Roots are stored as integer coefficient vectors over a fixed simple-root basis
 ``alpha_1 .. alpha_l``, normalized so that the highest root mu has squared
 length 2 (``kappa`` in reports).  Squared lengths are then 2, 1 or 2/3, so
-6 x Gram (``gram6``) is an integer matrix, and inner products are int sums
-over it returned as one exact ``Fraction(total, 6)``.
+6 x Gram (``gram6``) is an integer matrix, and every pairing is an int sum
+over it.  A type is refused (``InvalidRank``) before it is built when its
+estimated bytes (``root_system_bytes``) exceed ``ROOT_SYSTEM_BUDGET``.
 
 Each root also has one additive int64 key (``_keys64``): its coefficients as
 signed digits in base ``key_base = 4 * (largest mark) + 1``.  A sum of two
@@ -46,9 +47,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -88,16 +90,42 @@ _RANK_TEST = {
 }
 
 
+# the number of positive roots of each family, by rank
+_N_POSITIVE = {"a": lambda r: r * (r + 1) // 2, "b": lambda r: r * r, "c": lambda r: r * r,
+               "d": lambda r: r * (r - 1), "e": lambda r: {6: 36, 7: 63, 8: 120}[r],
+               "f": lambda r: 24, "g": lambda r: 6}
+
+# bytes a root system may be estimated to need (``root_system_bytes``); a60,
+# the largest rank named in the project's figures, needs 0.1 GiB
+ROOT_SYSTEM_BUDGET = 1 << 30
+
+
+def root_system_bytes(family: str, rank: int) -> int:
+    """Closed-form estimate of a root system's bytes: its (2n, 2n) int64
+    addition table ``plus`` and its (2n, rank) int64 coefficients, for its n
+    positive roots."""
+    n = _N_POSITIVE[family](rank)
+    return 8 * 2 * n * (2 * n + rank)
+
+
 def _validate_type(family: str, rank: int) -> str:
+    """The family in lower case; ``InvalidRank`` for a type that does not
+    exist or whose estimated bytes exceed ``ROOT_SYSTEM_BUDGET``, before
+    anything of the size of the rank is allocated."""
     family = family.lower()
     if family not in _RANK_TEST or not _RANK_TEST[family](rank):
         raise InvalidRank(f"no simple type {family}{rank}")
+    need = root_system_bytes(family, rank)
+    if need > ROOT_SYSTEM_BUDGET:
+        raise InvalidRank(f"{family}{rank}: its root system needs an estimated "
+                          f"{Decimal(need) / 2**30:.3g} GiB, over the budget of "
+                          f"{ROOT_SYSTEM_BUDGET / 2**30:.3g} GiB")
     return family
 
 
-def _diagram(family: str, rank: int) -> tuple[list[tuple[int, int]], list[Fraction]]:
-    """Edges (0-based) and squared lengths of the simple roots."""
-    long, short = Fraction(2), Fraction(1)
+def _diagram(family: str, rank: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """Edges (0-based) and 6 x the squared lengths of the simple roots."""
+    long, short = 12, 6
     chain = [(i, i + 1) for i in range(rank - 1)]
     if family == "a":
         return chain, [long] * rank
@@ -109,7 +137,7 @@ def _diagram(family: str, rank: int) -> tuple[list[tuple[int, int]], list[Fracti
         edges = [(i, i + 1) for i in range(rank - 2)] + [(rank - 3, rank - 1)]
         return edges, [long] * rank
     if family == "g":
-        return [(0, 1)], [Fraction(2, 3), long]
+        return [(0, 1)], [4, long]
     if family == "f":
         return chain, [long, long, short, short]
     # e6/e7/e8: chain rank..4 then 4-3-1, node 2 attached to node 4 (1-based)
@@ -130,8 +158,10 @@ class Root:
     def height(self) -> int:
         return sum(self.coeffs)
 
-    def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.coeffs), self.norm_sq)
+
+def _shifted(c: Coeffs, i: int, by: int) -> Coeffs:
+    """c + by * alpha_i."""
+    return c[:i] + (c[i] + by,) + c[i + 1:]
 
 
 def _as_coeffs(root) -> Coeffs:
@@ -144,62 +174,66 @@ class RootSystem:
     def __init__(self, family: str, rank: int):
         self.family = _validate_type(family, rank)
         self.rank = rank
-        edges, norms = _diagram(self.family, rank)
-        gram = [[Fraction(0)] * rank for _ in range(rank)]
+        edges, norms6 = _diagram(self.family, rank)
+        gram6 = [[0] * rank for _ in range(rank)]
         for i in range(rank):
-            gram[i][i] = norms[i]
+            gram6[i][i] = norms6[i]
         for i, j in edges:
-            gram[i][j] = gram[j][i] = -max(norms[i], norms[j]) / 2
-        self.gram: tuple[tuple[Fraction, ...], ...] = tuple(tuple(r) for r in gram)
-        gram6 = [[6 * x for x in r] for r in gram]
-        assert all(x.denominator == 1 for r in gram6 for x in r), "6 x Gram must be integral"
-        self.gram6: tuple[tuple[int, ...], ...] = tuple(tuple(int(x) for x in r) for r in gram6)
+            gram6[i][j] = gram6[j][i] = -max(norms6[i], norms6[j]) // 2
+        self.gram6: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in gram6)
+        sixths = {x: Fraction(x, 6) for x in set().union(*gram6)}
+        self.gram: tuple[tuple[Fraction, ...], ...] = tuple(
+            tuple(sixths[x] for x in r) for r in gram6)
         self.cartan_matrix: tuple[tuple[int, ...], ...] = tuple(
-            tuple(int(2 * gram[i][j] / gram[j][j]) for j in range(rank))
-            for i in range(rank)
-        )
+            tuple(2 * gram6[i][j] // gram6[j][j] for j in range(rank)) for i in range(rank))
         self._generate()
 
     # -- construction -------------------------------------------------------
 
     def _generate(self) -> None:
-        rank = self.rank
+        """The positive roots, raised from the simple roots level by level.
+
+        gamma + alpha_i is a root exactly when q = p - <gamma, alpha_i^vee> > 0,
+        with p the length of the alpha_i-string below gamma.  That string is
+        walked only while its i-th coefficient stays positive: gamma - j alpha_i
+        is a negative root only for gamma = alpha_i, where the probe is 0.  Each
+        root carries its row of 6 x Gram pairings, 6<gamma, alpha_j> for every j,
+        and the row of gamma + alpha_i is that row plus row i of ``gram6``.
+        """
+        rank, gram6 = self.rank, self.gram6
         simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-        known: set[Coeffs] = set(simple)
-        frontier = list(simple)
+        rows: dict[Coeffs, tuple[int, ...]] = dict(zip(simple, gram6))
+        frontier = simple
         while frontier:
             new: list[Coeffs] = []
             for gamma in frontier:
-                for i, col in enumerate(self.gram6):
-                    # 2<gamma, alpha_i>/<alpha_i, alpha_i> is pairing6 / col[i], in ints
-                    pairing6 = 2 * sum(g * c for g, c in zip(col, gamma))
+                row = rows[gamma]
+                for i, col in enumerate(gram6):
                     down = 0
-                    probe = list(gamma)
-                    while True:
-                        probe[i] -= 1
-                        if tuple(probe) in known or tuple(-c for c in probe) in known:
-                            down += 1
-                        else:
-                            break
-                    if down * col[i] > pairing6:
-                        up = tuple(c + int(i == j) for j, c in enumerate(gamma))
-                        if up not in known:
-                            known.add(up)
+                    while down < gamma[i] and _shifted(gamma, i, -down - 1) in rows:
+                        down += 1
+                    # 2<gamma, alpha_i>/<alpha_i, alpha_i> is 2 row[i] / col[i], in ints
+                    if down * col[i] > 2 * row[i]:
+                        up = _shifted(gamma, i, 1)
+                        if up not in rows:
+                            rows[up] = tuple(map(operator.add, row, col))
                             new.append(up)
             frontier = new
+        pos = sorted(rows)
+        norm6 = [sum(map(operator.mul, rows[c], c)) for c in pos]
+        length = {v: Fraction(v, 6) for v in set(norm6)}     # one Fraction per root length
         self.positive_roots: tuple[Root, ...] = tuple(
-            Root(c, self._inner(c, c)) for c in sorted(known)
-        )
+            Root(c, length[v]) for c, v in zip(pos, norm6))
         self.highest_root: Root = max(self.positive_roots, key=lambda r: (r.height, r.coeffs))
-        for r in self.positive_roots:
-            if any(m < n for m, n in zip(self.highest_root.coeffs, r.coeffs)):
-                raise NotARoot("highest root is not componentwise maximal")
+        n = self.n_positive = len(pos)
+        coeffs = np.array(pos, dtype=np.int64)
+        if (coeffs > np.array(self.highest_root.coeffs)).any():
+            raise NotARoot("highest root is not componentwise maximal")
         self.marks: Coeffs = self.highest_root.coeffs
-        self.n_positive = len(self.positive_roots)
-        n, self.key_base = self.n_positive, 4 * max(self.marks) + 1
-        self.roots: list[Coeffs] = [r.coeffs for r in self.all_roots()]
+        self.key_base = 4 * max(self.marks) + 1
+        self.roots: list[Coeffs] = pos + [tuple(-x for x in c) for c in pos]
         self.root_index: dict[Coeffs, int] = {c: k for k, c in enumerate(self.roots)}
-        self._coeffs = np.array(self.roots, dtype=np.int64)
+        self._coeffs = np.concatenate([coeffs, -coeffs])
         # the additive key of every root, read by ``plus``; it wraps from a28
         self._keys64 = self._coeffs @ self.key_base ** np.arange(self.rank, dtype=np.int64)
         self._gram6_rows = self._coeffs @ np.array(self.gram6, dtype=np.int64)
@@ -233,17 +267,6 @@ class RootSystem:
 
     # -- exact arithmetic ----------------------------------------------------
 
-    def _inner(self, a: Sequence[int], b: Sequence[int]) -> Fraction:
-        total = 0
-        for ai, row in zip(a, self.gram6):
-            if ai:
-                total += ai * sum(g * bj for g, bj in zip(row, b))
-        return Fraction(total, 6)
-
-    def norm_sq(self, a) -> Fraction:
-        c = _as_coeffs(a)
-        return self._inner(c, c)
-
     def is_root(self, a) -> bool:
         return _as_coeffs(a) in self.root_index
 
@@ -252,9 +275,6 @@ class RootSystem:
         out = np.zeros(xs.size + 1, dtype=bool)
         out[self.plus[xs][:, ys]] = True        # a -1 (no root) lands on the extra slot
         return out[:-1]
-
-    def all_roots(self) -> list[Root]:
-        return [r for r in self.positive_roots] + [-r for r in self.positive_roots]
 
     @property
     def type_label(self) -> str:

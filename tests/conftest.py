@@ -15,7 +15,7 @@ from nk_triad.chevalley import SignInconsistency
 from nk_triad.compactform import SLAB_ENTRIES, ZERO_DROP, drop_noise
 from nk_triad.fibration import NotInvolutive
 from nk_triad.nk_analyzer import _max_abs, _vertical_split, curvature, tensor_r
-from nk_triad.rootsys import NotARoot, RootSystem, SubsystemType, _as_coeffs
+from nk_triad.rootsys import NotARoot, Root, RootSystem, SubsystemType, _as_coeffs
 from nk_triad.tables import _ROOTSYS, cached_algebra, cached_root_system
 
 
@@ -103,8 +103,17 @@ def _identify_component(cartan):
 
 
 def root_inner(rs, a, b) -> Fraction:
-    """Exact inner product of two coefficient vectors (or roots) of ``rs``."""
-    return rs._inner(_as_coeffs(a), _as_coeffs(b))
+    """Exact inner product of two coefficient vectors (or roots) of ``rs``: an
+    int sum over 6 x Gram, over 6."""
+    b = _as_coeffs(b)
+    return Fraction(sum(x * sum(g * y for g, y in zip(row, b))
+                        for x, row in zip(_as_coeffs(a), rs.gram6) if x), 6)
+
+
+def all_roots(rs) -> list[Root]:
+    """The 2n roots of ``rs`` as ``Root`` objects, in the order of ``rs.roots``:
+    the positive roots, then their negatives with the same squared lengths."""
+    return [*rs.positive_roots, *(Root(_neg(r.coeffs), r.norm_sq) for r in rs.positive_roots)]
 
 
 def root_mask(rs, roots) -> np.ndarray:
@@ -125,6 +134,39 @@ def root_key(rs, a) -> int:
     if not rs.is_root(c):
         raise NotARoot(f"{c} is not a root of {rs.type_label}")
     return sum(x * rs.key_base ** i for i, x in enumerate(c))
+
+
+def reference_positive_roots(rs) -> list[tuple[tuple[int, ...], Fraction]]:
+    """(coefficients, squared length) of every positive root of ``rs``, sorted
+    by coefficients: a breadth-first search from the simple roots that adds
+    gamma + alpha_i when the alpha_i-string below gamma, probed on the
+    positive and the negative roots found so far, is longer than
+    <gamma, alpha_i^vee>, with the squared lengths from ``root_inner``."""
+    rank = rs.rank
+    simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    known = set(simple)
+    frontier = list(simple)
+    while frontier:
+        new = []
+        for gamma in frontier:
+            for i, col in enumerate(rs.gram6):
+                # 2<gamma, alpha_i>/<alpha_i, alpha_i> is pairing6 / col[i], in ints
+                pairing6 = 2 * sum(g * c for g, c in zip(col, gamma))
+                down = 0
+                probe = list(gamma)
+                while True:
+                    probe[i] -= 1
+                    if tuple(probe) in known or _neg(probe) in known:
+                        down += 1
+                    else:
+                        break
+                if down * col[i] > pairing6:
+                    up = tuple(c + int(i == j) for j, c in enumerate(gamma))
+                    if up not in known:
+                        known.add(up)
+                        new.append(up)
+        frontier = new
+    return [(c, root_inner(rs, c, c)) for c in sorted(known)]
 
 
 def involution_fixed_points(rs, h_nodes):
@@ -168,8 +210,8 @@ def fraction_subsystem_type(rs, roots, ambient_rank=None):
                if not any(tuple(b - g for b, g in zip(beta, gamma)) in posset
                           for gamma in positives if gamma != beta)]
     m = len(simples)
-    cartan = [[int(2 * root_inner(rs, simples[i], simples[j]) / rs.norm_sq(simples[j]))
-               for j in range(m)] for i in range(m)]
+    cartan = [[int(2 * root_inner(rs, a, b) / root_inner(rs, b, b)) for b in simples]
+              for a in simples]
     comps, seen = [], set()
     for start in range(m):
         if start in seen:
@@ -202,6 +244,12 @@ def canonical_simple_type(family: str, rank: int) -> tuple[tuple[str, int], ...]
 def subsystem_oracle():
     """The Fraction reference for ``rootsys.subsystem_type``."""
     return fraction_subsystem_type
+
+
+@pytest.fixture(scope="session")
+def positive_roots_oracle():
+    """The breadth-first reference for ``RootSystem``'s positive roots."""
+    return reference_positive_roots
 
 
 @pytest.fixture(scope="session")
@@ -411,9 +459,9 @@ class ReferenceChevalley:
         self.rs = rs
         pos = [r.coeffs for r in rs.positive_roots]
         self._order = {c: k for k, c in enumerate(sorted(pos, key=lambda c: (sum(c), c)))}
-        self._roots = {r.coeffs for r in rs.all_roots()}
+        self._roots = {r.coeffs for r in all_roots(rs)}
         self.n_sq, self._sign, self._extraspecial = {}, {}, {}
-        norm = {r.coeffs: r.norm_sq for r in rs.all_roots()}
+        norm = {r.coeffs: r.norm_sq for r in all_roots(rs)}
         by_key = {root_key(rs, c): c for c in self._roots}
         for ka, a in by_key.items():
             for kb, b in by_key.items():

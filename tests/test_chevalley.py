@@ -1,7 +1,9 @@
 """Structure-constant table: squares against an independent oracle, signs."""
 
+import gc
 import itertools
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,13 +12,14 @@ import pytest
 from nk_triad.chevalley import (
     ChevalleyData,
     IdentityViolation,
+    SignInconsistency,
     verify_square_formula,
     verify_triangle_identity,
 )
 from nk_triad.compactform import CompactAlgebra
 from nk_triad.rootsys import build_root_system
 
-from conftest import n_sign, n_squared
+from conftest import all_roots, n_sign, n_squared, root_inner
 
 ALL_TYPES = ([("a", r) for r in range(1, 9)] + [("b", r) for r in range(2, 9)]
              + [("c", r) for r in range(2, 9)] + [("d", r) for r in range(4, 9)]
@@ -35,7 +38,7 @@ def _oracle_square(rs, a, b):
     p = 0
     while rs.is_root(tuple(x - (p + 1) * y for x, y in zip(b, a))):
         p += 1
-    return Fraction(q * (1 + p), 2) * rs.norm_sq(a)
+    return Fraction(q * (1 + p), 2) * root_inner(rs, a, a)
 
 
 def test_a1_table_empty():
@@ -56,7 +59,7 @@ def test_a2_squares_and_triples():
 def test_squares_match_oracle(family, rank):
     rs = build_root_system(family, rank)
     cd = ChevalleyData(rs)
-    roots = [r.coeffs for r in rs.all_roots()]
+    roots = [r.coeffs for r in all_roots(rs)]
     pair_count = 0
     for a, b in itertools.product(roots, roots):
         s = tuple(x + y for x, y in zip(a, b))
@@ -140,7 +143,7 @@ def test_antisymmetries():
 def test_zero_sum_triples_counted_by_brute_force():
     rs = build_root_system("f", 4)
     cd = ChevalleyData(rs)
-    roots = [r.coeffs for r in rs.all_roots()]
+    roots = [r.coeffs for r in all_roots(rs)]
     rset = set(roots)
     brute = set()
     for a, b in itertools.combinations(roots, 2):
@@ -173,7 +176,7 @@ def test_determinism_across_builds():
         assert np.array_equal(getattr(cd1, table), getattr(cd2, table))
 
 
-@pytest.mark.parametrize("family,rank", ALL_TYPES)
+@pytest.mark.parametrize("family,rank", ALL_TYPES + [("b", 10), ("d", 12)])
 def test_table_and_bracket_match_the_reference(family, rank, chevalley_oracle, bracket_oracle):
     """Every sign and 12 N^2 against the tuple/Fraction reference, and C bit
     for bit (indptr, indices, data) against the pair-loop reference."""
@@ -197,3 +200,42 @@ def test_e8_table_and_bracket_build_no_fraction(fraction_count):
     assert built == 0
     _, built = fraction_count(CompactAlgebra, rs, cd)
     assert built == 0
+
+
+@pytest.mark.parametrize("family,rank", [("g", 2), ("f", 4), ("e", 6)])
+def test_sign_pass_detects_a_changed_square(family, rank):
+    """12 N^2 times 4 (a square, so every cross term stays rational) on both
+    orders of a positive pair that sums to the highest root and is not its
+    extraspecial pair: the pair's contraction no longer balances, and no other
+    contraction reads its square, so the pass names exactly that pair."""
+    rs = build_root_system(family, rank)
+    cd = ChevalleyData(rs)
+    top = rs.root_index[rs.highest_root.coeffs]
+    order = lambda k: (sum(cd.roots[k]), cd.roots[k])
+    x, y = min(((x, y) for x, y in np.argwhere(cd.plus[:cd.n, :cd.n] == top).tolist()
+                if order(x) < order(y) and x != cd.extraspecial[top, 0]),
+               key=lambda xy: (order(xy[0]), order(xy[1])))
+    cd.n12[x, y] *= 4
+    cd.n12[y, x] *= 4
+    with pytest.raises(SignInconsistency,
+                       match=re.escape(f"magnitude mismatch at {cd.roots[x]}+{cd.roots[y]}") + "$"):
+        cd._signs()
+
+
+def test_e8_build_holds_only_its_arrays():
+    """With ``plus`` built and the collector off, building e8's table peaks
+    under 4 MiB and holds no more than its own arrays once built: no list
+    copies of the (2n)^2 tables and no reference cycle left for the collector."""
+    rs = build_root_system("e", 8)
+    rs.plus
+    gc.disable()
+    tracemalloc.start()
+    try:
+        cd = ChevalleyData(rs)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    own = sum(getattr(cd, name).nbytes for name in ("n12", "sign", "extraspecial"))
+    assert peak < 4 * 2 ** 20
+    assert held < own + 2 ** 14, (held, own)

@@ -25,7 +25,7 @@ from nk_triad.rootsys import (
     subsystem_type,
 )
 
-from conftest import canonical_simple_type, root_inner, root_key, root_mask
+from conftest import all_roots, canonical_simple_type, root_inner, root_key, root_mask
 
 CLASSICAL_COUNTS = {
     ("a", 1): 1, ("a", 2): 3, ("a", 5): 15,
@@ -72,9 +72,9 @@ def test_inner_product_and_membership_match_reference(family, rank):
         return sum((Fraction(x * y) * rs.gram[i][j]
                     for i, x in enumerate(a) for j, y in enumerate(b)), Fraction(0))
 
-    roots = rs.all_roots()
+    roots = all_roots(rs)
     for a in roots:
-        assert a.norm_sq == reference(a.coeffs, a.coeffs) == rs.norm_sq(a)
+        assert a.norm_sq == reference(a.coeffs, a.coeffs) == root_inner(rs, a, a)
         for b in roots:
             assert root_inner(rs, a, b) == reference(a.coeffs, b.coeffs)
     members = {r.coeffs for r in rs.positive_roots}
@@ -101,7 +101,7 @@ def test_crystallographic_condition():
         rs = build_root_system(family, rank)
         for a in rs.positive_roots:
             for b in rs.positive_roots:
-                q = 2 * root_inner(rs, a, b) / rs.norm_sq(b)
+                q = 2 * root_inner(rs, a, b) / root_inner(rs, b, b)
                 assert q.denominator == 1
 
 
@@ -110,6 +110,23 @@ def test_invalid_ranks():
                          ("a", 0), ("b", 1), ("x", 4)]:
         with pytest.raises(InvalidRank):
             build_root_system(family, rank)
+
+
+def test_budget_admits_the_paper_and_refuses_before_building():
+    """Every type of rank up to 8, a40 and a60 are within the byte budget, and
+    the estimate is the addition table and coefficients the build holds; a
+    rank far beyond it is refused at once, naming the estimate."""
+    for family, rank in [(f, r) for f in "abcdefg" for r in range(1, 9)] + [("a", 40), ("a", 60)]:
+        if rootsys._RANK_TEST[family](rank):
+            assert rootsys.root_system_bytes(family, rank) <= rootsys.ROOT_SYSTEM_BUDGET
+    for family, rank in [("a", 40), ("b", 5), ("d", 12), ("e", 8), ("g", 2)]:
+        rs = build_root_system(family, rank)
+        assert rootsys.root_system_bytes(family, rank) == rs.plus.nbytes + rs._coeffs.nbytes
+    with pytest.raises(InvalidRank, match=r"^d10000000: its root system needs an estimated "
+                                          r"2\.98e\+20 GiB, over the budget of 1 GiB$"):
+        build_root_system("d", 10 ** 7)
+    assert rootsys.root_system_bytes("a", 106) <= rootsys.ROOT_SYSTEM_BUDGET \
+        < rootsys.root_system_bytes("a", 107)
 
 
 def test_g2_explicit_positive_roots():
@@ -148,7 +165,7 @@ def _string_by_scan(rs, a, b):
 @given(st.sampled_from(["a3", "b3", "c3", "g2", "f4"]), st.data())
 def test_root_string_matches_pairing(label, data):
     rs = build_root_system(label[0], int(label[1]))
-    roots = rs.all_roots()
+    roots = all_roots(rs)
     a = data.draw(st.sampled_from(roots))
     b = data.draw(st.sampled_from(roots))
     if a.coeffs == b.coeffs or a.coeffs == tuple(-c for c in b.coeffs):
@@ -156,7 +173,7 @@ def test_root_string_matches_pairing(label, data):
     p, q = root_string(rs, a, b)
     assert (p, q) == _string_by_scan(rs, a.coeffs, b.coeffs)
     assert p <= 0 <= q
-    assert p + q == -2 * root_inner(rs, b, a) / rs.norm_sq(a)
+    assert p + q == -2 * root_inner(rs, b, a) / root_inner(rs, a, a)
 
 
 def test_subsystem_round_trip():
@@ -293,7 +310,7 @@ def test_tables_classify_each_mask_once(monkeypatch, capsys):
 def test_key_is_additive_and_never_aliases():
     for family, rank in [("a", 2), ("g", 2), ("f", 4), ("e", 8)]:
         rs = build_root_system(family, rank)
-        roots = [r.coeffs for r in rs.all_roots()]
+        roots = [r.coeffs for r in all_roots(rs)]
         assert rs.key_base == 4 * max(rs.marks) + 1
         key = {c: root_key(rs, c) for c in roots}
         keys = set(key.values())
@@ -358,7 +375,7 @@ def test_subsystem_type_matches_fraction_oracle(family, rank, subsystem_oracle,
     path, run from an empty memo so that every distinct mask is classified,
     builds no Fraction."""
     rs = build_root_system(family, rank)
-    subsets = [[r.coeffs for r in rs.all_roots()]]
+    subsets = [[r.coeffs for r in all_roots(rs)]]
     for cls in enumerate_inner_order3(rs):
         fixed = [c for c, t in zip(rs.roots[:rs.n_positive], cls.levels(rs)[0]) if t == 0]
         subsets.append(fixed + [tuple(-x for x in c) for c in fixed])
@@ -367,6 +384,28 @@ def test_subsystem_type_matches_fraction_oracle(family, rank, subsystem_oracle,
     assert built == 0
     assert len(rs._subsystem_types) == len({root_mask(rs, s).tobytes() for s in subsets})
     assert types == [subsystem_oracle(rs, s) for s in subsets]
+
+
+GENERATION_TYPES = ([("a", n) for n in range(1, 9)] + [("b", n) for n in range(2, 9)]
+                    + [("c", n) for n in range(2, 9)] + [("d", n) for n in range(4, 9)]
+                    + [("e", 6), ("e", 7), ("e", 8), ("f", 4), ("g", 2)]
+                    + [("a", 20), ("b", 12), ("d", 12), ("a", 28), ("a", 30)])
+
+
+@pytest.mark.parametrize("family,rank", GENERATION_TYPES)
+def test_generation_matches_the_reference_search(family, rank, positive_roots_oracle):
+    """The positive roots in order with their squared lengths, the marks, the
+    highest root, the 2n roots and their index against the reference search,
+    up to a28 and a30, where the int64 root keys wrap."""
+    rs = build_root_system(family, rank)
+    want = positive_roots_oracle(rs)
+    assert [(r.coeffs, r.norm_sq) for r in rs.positive_roots] == want
+    top = max(want, key=lambda cn: (sum(cn[0]), cn[0]))
+    assert (rs.highest_root.coeffs, rs.highest_root.norm_sq) == top
+    assert rs.marks == top[0]
+    pos = [c for c, _ in want]
+    assert rs.roots == pos + [tuple(-x for x in c) for c in pos]
+    assert rs.root_index == {c: k for k, c in enumerate(rs.roots)}
 
 
 def test_diagram_automorphisms():

@@ -192,6 +192,23 @@ def test_cli_out_of_memory_exits_2_with_one_line(monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_cli_absurd_rank_exits_2_before_allocating():
+    """``analyze a 99999999999999999999`` in a fresh interpreter capped at
+    1 GiB of address space: exit 2 within 30 s and one stderr line with the
+    root system's estimated size, since the rank is refused before anything
+    as long as the rank is built."""
+    script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "from nk_triad.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = str(Path(nk_triad.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script, "analyze", "a", "99999999999999999999",
+                           "--nodes", "1"], capture_output=True, text=True, env=env, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: a99999999999999999999: its root system needs an estimated "
+                           "7.45e+71 GiB, over the budget of 1 GiB\n")
+
+
 def test_cli_parser_is_built_once_and_reused(capsys):
     """Consecutive ``main`` calls share one parser, and each prints what a
     call with a freshly built parser prints, flags of the call before left
