@@ -43,7 +43,8 @@ class SignInconsistency(RuntimeError):
 
 
 class IdentityViolation(AssertionError):
-    """An algebraic identity of the constants failed."""
+    """An algebraic identity of the constants failed, or a curvature or
+    torsion identity of a space exceeded tolerance."""
 
 
 def _positive_pair(plus: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

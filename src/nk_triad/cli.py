@@ -2,9 +2,12 @@
 
     nk-triad classify <family> <rank> [--dedup] [--json]
     nk-triad analyze  <family> <rank> (--nodes I[,J] | --triality | --cyclic)
-    nk-triad table    <AI|AII|AIII|AIV|BC|FIB-AII|FIB-AIII> [--json|--csv] [--deep]
+    nk-triad table    <AI|AII|AIII|AIV|BC|FIB-AII|FIB-AIII> [--json|--csv]
     nk-triad verify   <all|jacobi|identities|tables|fibrations> [--seed N]
                       [--tol F] [--deep]
+
+``--deep`` adds the e7/e8 computations of ``verify jacobi|identities``; the
+tables are always computed whole.
 
 Exit status: 0 on success, 1 on verification failure, 2 on usage errors.
 JSON reports carry ``schema_version: 1.x`` and serialize every rational in
@@ -23,9 +26,8 @@ import sys
 from fractions import Fraction
 
 from . import tables
-from .chevalley import IdentityViolation as ChevalleyViolation
-from .chevalley import verify_square_formula, verify_triangle_identity
-from .exact import FixedVectorInM, IdentityViolation, NKReport, NonRationalEigenvalue, RIdentityMismatch
+from .chevalley import IdentityViolation, verify_square_formula, verify_triangle_identity
+from .exact import FixedVectorInM, NKReport, NonRationalEigenvalue, RIdentityMismatch
 from .fibration import NonClosedSubalgebra, NotInvolutive, all_fibrations
 from .rootsys import (NK_TYPE, ClassificationMismatch, InnerClass, InvalidRank, NotOrderThree,
                       enumerate_inner_order3)
@@ -193,14 +195,14 @@ _TABLE_NAMES = {"AI": "table_ai", "AII": "table_aii", "AIII": "table_aiii",
 def cmd_table(args) -> int:
     name = _TABLE_NAMES[args.which]
     tables.load_golden(name)  # a bad golden file exits 2 before any work
-    rows = TABLES[name](deep=args.deep)
+    rows = TABLES[name]()
     if args.json:
         print(tables.dumps_rows(rows), end="")
     elif args.csv:
         _print_csv(rows)
     else:
         _print_rows(rows)
-    diffs = tables.diff_table(name, deep=args.deep, computed=rows)
+    diffs = tables.diff_table(name, rows)
     if diffs:
         print(f"GOLDEN MISMATCH: table {name}: {diffs[:3]}", file=sys.stderr)
         return 1
@@ -257,7 +259,7 @@ def _verify_jacobi(tol: float, deep: bool) -> list[str]:
         try:      # the exact N^2 and signs that C is assembled from
             verify_triangle_identity(ca.cd)
             verify_square_formula(ca.cd)
-        except ChevalleyViolation as exc:
+        except IdentityViolation as exc:
             failures.append(f"chevalley:{family}{rank}:{exc}")
         try:
             ca.assert_jacobi(tol)
@@ -308,14 +310,13 @@ _GOLDEN_SCOPES = {
 }
 
 
-def _verify_golden(scope: str, deep: bool) -> list[str]:
+def _verify_golden(scope: str) -> list[str]:
     """Each table of the scope against its golden file; the two eigenvalue
-    tables also against the paper's Einstein list, restricted to the spaces
-    the sweep computed (no e7/e8 rows without ``deep``)."""
+    tables also against the paper's Einstein list."""
     failures = []
     for name in _GOLDEN_SCOPES[scope]:
-        rows = TABLES[name](deep=deep)
-        diffs = tables.diff_table(name, deep, computed=rows)
+        rows = TABLES[name]()
+        diffs = tables.diff_table(name, rows)
         if diffs:
             shown = diffs[0] if diffs == [tables.SERIALIZATION_DRIFT] else diffs[:3]
             failures.append(f"{scope}:{name}:{shown}")
@@ -323,10 +324,9 @@ def _verify_golden(scope: str, deep: bool) -> list[str]:
             expected = (tables.einstein_expected_aii if name == "table_aii"
                         else tables.einstein_expected_aiii)()
             got = tables.einstein_computed(rows)
-            want = expected & {r["space"] for r in rows}
-            if got != want:
-                failures.append(f"{scope}:{name}:Einstein list: missing {sorted(want - got)},"
-                                f" unexpected {sorted(got - want)}")
+            if got != expected:
+                failures.append(f"{scope}:{name}:Einstein list: missing {sorted(expected - got)},"
+                                f" unexpected {sorted(got - expected)}")
     return failures
 
 
@@ -340,7 +340,7 @@ def cmd_verify(args) -> int:
         elif scope == "identities":
             found = _verify_identities(args.tol, args.deep)
         else:
-            found = _verify_golden(scope, args.deep)
+            found = _verify_golden(scope)
         print(f"verify {scope}: {'ok' if not found else f'{len(found)} failures'}")
         failures += found
     if failures:
@@ -358,7 +358,7 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0,
                    help="accepted and unused: every identity suite is exhaustive")
     p.add_argument("--deep", action="store_true",
-                   help="include the e7/e8 checks")
+                   help="include the e7/e8 checks of verify jacobi|identities")
 
 
 @functools.cache

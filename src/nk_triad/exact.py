@@ -6,8 +6,9 @@ its root split, read from the class and the algebra's ``ChevalleyData``
 alone (``inner_report``), so no space is realized and no float module is
 loaded; ``nk_analyzer`` cross-checks them against the floating-point trace
 computations on a realized space.  Every exception ``cli.main`` maps to an
-exit code lives in a scipy-free module: the verification failures here,
-``NotOrderThree`` and ``ClassificationMismatch`` in ``rootsys``.
+exit code lives in a scipy-free module: the verification failures here and
+in ``chevalley`` (``IdentityViolation``, bound here too), ``NotOrderThree`` and
+``ClassificationMismatch`` in ``rootsys``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chevalley import ChevalleyData
+from .chevalley import ChevalleyData, IdentityViolation
 from .rootsys import NK_TYPE, InnerClass, RootSystem
 
 
@@ -32,10 +33,6 @@ class NonRationalEigenvalue(ArithmeticError):
 
 class RIdentityMismatch(AssertionError):
     """Ric - Ric* disagrees with the torsion tensor r."""
-
-
-class IdentityViolation(AssertionError):
-    """A curvature or torsion identity exceeded tolerance."""
 
 
 # -- exact layer eigenvalues -----------------------------------------------------

@@ -248,20 +248,24 @@ class RootSystem:
 
         The int64 keys wrap once key_base ** rank passes 2^63 (from a28).
         There the digit argument no longer holds, so every stored entry is
-        checked on the coefficients; ``OverflowError`` if a key read a sum as
-        the wrong root."""
+        checked on the coefficients, one row of the table at a time so that
+        the check holds no more than the table; ``OverflowError`` if a key
+        read a sum as the wrong root."""
         keys = self._keys64
         order = np.argsort(keys)
         sums = keys[:, None] + keys[None, :]
         at = np.minimum(np.searchsorted(keys[order], sums), keys.size - 1)
         plus = np.where(keys[order][at] == sums, order[at], -1)
+        del sums, at
         if self.key_base ** self.rank > 2 ** 63:
-            i, j = np.nonzero(plus >= 0)
-            got, want = self._coeffs[plus[i, j]], self._coeffs[i] + self._coeffs[j]
-            if not np.array_equal(got, want):
-                n = np.flatnonzero((got != want).any(axis=1))[0]
-                raise OverflowError(f"{self.type_label}: int64 root keys alias: {self.roots[i[n]]}"
-                                    f" + {self.roots[j[n]]} read as {self.roots[plus[i[n], j[n]]]}")
+            coeffs = self._coeffs
+            for i, row in enumerate(plus):
+                j = np.flatnonzero(row >= 0)
+                bad = np.flatnonzero((coeffs[row[j]] != coeffs[i] + coeffs[j]).any(axis=1))
+                if bad.size:
+                    j = j[bad[0]]
+                    raise OverflowError(f"{self.type_label}: int64 root keys alias: {self.roots[i]}"
+                                        f" + {self.roots[j]} read as {self.roots[plus[i, j]]}")
         plus.flags.writeable = False
         return plus
 

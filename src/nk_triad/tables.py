@@ -267,9 +267,9 @@ def compute_table_aii() -> list[dict]:
     return rows
 
 
-def compute_table_aiii(deep: bool = False) -> list[dict]:
+def compute_table_aiii() -> list[dict]:
     rows = []
-    for family, rank, node in a3iii_sweep(deep):
+    for family, rank, node in a3iii_sweep(deep=True):
         spec, report = _class_report(family, rank, "A3III", (node,))
         lam = report.eig_by_layer("r")
         comps, torus, _ = _isotropy(cached_root_system(family, rank), spec)
@@ -369,9 +369,9 @@ def fibration_fields(rep) -> dict:
     }
 
 
-def compute_fibrations_aiii(deep: bool = False) -> list[dict]:
+def compute_fibrations_aiii() -> list[dict]:
     rows = []
-    for family, rank, node in a3iii_sweep(deep):
+    for family, rank, node in a3iii_sweep(deep=True):
         rs = cached_root_system(family, rank)
         rep = all_fibrations(rs, _inner_class(family, rank, "A3III", (node,)))[0]
         rows.append({
@@ -400,56 +400,42 @@ def compute_fibrations_aii() -> list[dict]:
 
 
 TABLES = {
-    "table_aii": lambda deep=False: compute_table_aii(),
-    "table_aiii": lambda deep=False: compute_table_aiii(deep=deep),
-    "table_ai": lambda deep=False: compute_table_ai(),
-    "table_aiv": lambda deep=False: compute_table_aiv(),
-    "table_bc": lambda deep=False: compute_table_bc(),
-    "fibrations_aii": lambda deep=False: compute_fibrations_aii(),
-    "fibrations_aiii": lambda deep=False: compute_fibrations_aiii(deep=deep),
+    "table_aii": compute_table_aii,
+    "table_aiii": compute_table_aiii,
+    "table_ai": compute_table_ai,
+    "table_aiv": compute_table_aiv,
+    "table_bc": compute_table_bc,
+    "fibrations_aii": compute_fibrations_aii,
+    "fibrations_aiii": compute_fibrations_aiii,
 }
 
 
 SERIALIZATION_DRIFT = "serialization drift"
 
 
-def diff_table(name: str, deep: bool = False, computed: list[dict] | None = None) -> list[str]:
-    """Differences between computed (by default, freshly computed) and golden
-    data; empty when they agree.
-
-    When the whole table was computed (always, except the two-layer tables
-    without ``deep``, which lack their e7/e8 rows), the serialization must
-    match the golden file byte for byte; otherwise the rows are compared as
-    a set.  A byte mismatch is reported as its row differences, or as
-    ``SERIALIZATION_DRIFT`` when the row sets agree (reordered or duplicated
-    rows, or a change in formatting).
+def diff_table(name: str, computed: list[dict]) -> list[str]:
+    """Differences between the computed rows and the golden file; empty when
+    their serialization matches it byte for byte.  A mismatch is reported as
+    its row differences, or as ``SERIALIZATION_DRIFT`` when the row sets agree
+    (reordered or duplicated rows, or a change in formatting).
     """
-    if computed is None:
-        computed = TABLES[name](deep=deep)
-    whole = deep or name not in ("table_aiii", "fibrations_aiii")
-    if whole and regenerate_matches_bytes(name, computed=computed):
+    if regenerate_matches_bytes(name, computed):
         return []
-    golden = load_golden(name)
-    diffs = []
-    if not whole:
-        golden = [r for r in golden if not (r.get("family") == "e" and r.get("rank") in (7, 8))]
     key = lambda r: json.dumps(r, sort_keys=True)
-    gmap = {key(r): r for r in golden}
+    gmap = {key(r): r for r in load_golden(name)}
     cmap = {key(r): r for r in computed}
+    diffs = []
     for k in gmap:
         if k not in cmap:
             diffs.append(f"missing computed row: {gmap[k].get('space', k)}")
     for k in cmap:
         if k not in gmap:
             diffs.append(f"unexpected computed row: {cmap[k].get('space', k)}")
-    return diffs or ([SERIALIZATION_DRIFT] if whole else [])
+    return diffs or [SERIALIZATION_DRIFT]
 
 
-def regenerate_matches_bytes(name: str, deep: bool = True,
-                             computed: list[dict] | None = None) -> bool:
-    """Byte-level comparison of regenerated serialization against golden."""
-    if computed is None:
-        computed = TABLES[name](deep=deep)
+def regenerate_matches_bytes(name: str, computed: list[dict]) -> bool:
+    """Byte-level comparison of the rows' serialization against golden."""
     return dumps_rows(computed) == golden_text(name)
 
 

@@ -39,12 +39,12 @@ def aii_rows():
 
 @pytest.fixture(scope="module")
 def aiii_rows_deep():
-    return tables.compute_table_aiii(deep=True)
+    return tables.compute_table_aiii()
 
 
 def test_criterion_1_three_layer_table(aii_rows):
     t0 = time.time()
-    assert tables.diff_table("table_aii") == []
+    assert tables.diff_table("table_aii", aii_rows) == []
     golden = {(r["space"]): r for r in tables.load_golden("table_aii")}
     assert len(aii_rows) == 84 + 5 + 1          # SU compositions, SO(2n), e6
     for row in aii_rows:
@@ -62,7 +62,7 @@ def test_criterion_2_two_layer_table(aiii_rows_deep):
     # classical dimensions of the algebras behind the deep rows
     for family, rank, dim in (("g", 2, 14), ("f", 4, 52), ("e", 7, 133), ("e", 8, 248)):
         assert cached_algebra(family, rank).dim == dim
-    assert tables.diff_table("table_aiii", deep=True) == []
+    assert tables.diff_table("table_aiii", aiii_rows_deep) == []
     by_space = {r["space"]: r for r in aiii_rows_deep}
     assert by_space["F4/(Sp(3)xT1)"]["dims"] == [2, 28]
     assert by_space["E8/(SO(14)xSO(2))"]["dims"] == [28, 128]
@@ -166,8 +166,8 @@ def test_criterion_6_ricci_oracle(sweep_spaces):
 
 
 def test_criterion_7_fibration_goldens():
-    assert tables.diff_table("fibrations_aii") == []
-    assert tables.diff_table("fibrations_aiii", deep=True) == []
+    assert tables.diff_table("fibrations_aii", tables.compute_fibrations_aii()) == []
+    assert tables.diff_table("fibrations_aiii", tables.compute_fibrations_aiii()) == []
     aiii = tables.load_golden("fibrations_aiii")
     items = {r["item"] for r in aiii}
     assert items == {"i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix",

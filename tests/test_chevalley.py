@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nk_triad import chevalley, exact
 from nk_triad.chevalley import (
     ChevalleyData,
     IdentityViolation,
@@ -103,6 +104,10 @@ def test_square_formula_does_not_read_plus():
     count = verify_square_formula(cd)
     cd.plus = np.full_like(cd.plus, -1)
     assert verify_square_formula(cd) == count == 816
+
+
+def test_one_identity_violation():
+    assert chevalley.IdentityViolation is exact.IdentityViolation
 
 
 @pytest.mark.parametrize("table", ["sign", "n12"])

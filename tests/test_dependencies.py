@@ -113,8 +113,9 @@ def test_package_import_loads_no_module_and_every_name_resolves():
     assert homes == {name: f"nk_triad.{nk_triad._HOME[name]}" for name in nk_triad.__all__}
 
 
-@pytest.mark.parametrize("argv", [["table", "AI"], ["verify", "tables", "--deep"],
-                                  ["verify", "fibrations", "--deep"], ["classify", "e", "8", "--json"]],
+@pytest.mark.parametrize("argv", [["table", "AI"], ["table", "FIB-AIII"],
+                                  ["verify", "tables", "--deep"], ["verify", "fibrations", "--deep"],
+                                  ["classify", "e", "8", "--json"]],
                          ids=" ".join)
 def test_exact_commands_load_no_float_module(argv, capsys):
     """Each exact command, run in a fresh interpreter, loads no scipy and no

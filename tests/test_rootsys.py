@@ -1,9 +1,11 @@
 """Root system construction, strings, and subsystem classification."""
 
+import gc
 import itertools
 import re
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -349,6 +351,24 @@ def test_plus_raises_on_an_aliased_key():
     rs._keys64[rs.root_index[a12]] = 2 * rs._keys64[rs.root_index[a1]]
     with pytest.raises(OverflowError, match=rf"{re.escape(f'{a1} + {a1} read as {a12}')}$"):
         rs.plus
+
+
+@pytest.mark.parametrize("family,rank", [("a", 28), ("b", 20)])
+def test_plus_wrap_check_holds_under_five_tables(family, rank):
+    """Where the int64 keys wrap, building ``plus`` and checking every stored
+    entry on the coefficients peaks under 5x the table (tracemalloc, with the
+    collector off): the check reads one row of the table at a time."""
+    rs = build_root_system(family, rank)
+    assert rs.key_base ** rank > 2 ** 63
+    gc.disable()
+    tracemalloc.start()
+    try:
+        plus = rs.plus
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak < 5 * plus.nbytes, peak / plus.nbytes
 
 
 @pytest.mark.parametrize("vector", [(9, -9), (-4, 1), (5, -1), (2, 0)])

@@ -21,18 +21,18 @@ from nk_triad.rootsys import build_root_system
 
 def test_tables_match_golden_fast():
     for name in ("table_ai", "table_aiv", "table_bc", "table_aii"):
-        assert tables.diff_table(name) == []
+        assert tables.diff_table(name, tables.TABLES[name]()) == []
 
 
 def test_table_aiii_matches_golden():
-    assert tables.diff_table("table_aiii") == []
+    assert tables.diff_table("table_aiii", tables.compute_table_aiii()) == []
 
 
 def test_byte_identical_regeneration():
-    assert tables.regenerate_matches_bytes("table_aii")
-    assert tables.regenerate_matches_bytes("table_ai")
-    assert tables.regenerate_matches_bytes("table_aiv")
-    assert tables.regenerate_matches_bytes("table_bc")
+    assert tables.regenerate_matches_bytes("table_aii", tables.compute_table_aii())
+    assert tables.regenerate_matches_bytes("table_ai", tables.compute_table_ai())
+    assert tables.regenerate_matches_bytes("table_aiv", tables.compute_table_aiv())
+    assert tables.regenerate_matches_bytes("table_bc", tables.compute_table_bc())
 
 
 def test_generate_golden_writes_the_golden_files(tmp_path, monkeypatch, capsys):
@@ -76,11 +76,11 @@ def test_golden_dir_override(tmp_path, monkeypatch):
     src = tables.golden_text("table_bc")
     (tmp_path / "table_bc.json").write_text(src, encoding="utf-8")
     monkeypatch.setenv("NK_TRIAD_GOLDEN_DIR", str(tmp_path))
-    assert tables.diff_table("table_bc") == []
+    assert tables.diff_table("table_bc", tables.compute_table_bc()) == []
     broken = json.loads(src)
     broken["rows"][0]["m_dim"] = 99
     (tmp_path / "table_bc.json").write_text(json.dumps(broken), encoding="utf-8")
-    assert tables.diff_table("table_bc") != []
+    assert tables.diff_table("table_bc", tables.compute_table_bc()) != []
 
 
 def test_space_names():
@@ -272,6 +272,16 @@ def test_cli_table_csv(capsys):
     assert out.splitlines()[0].startswith("construction")
 
 
+@pytest.mark.parametrize("which", ["AIII", "FIB-AIII"])
+def test_cli_two_layer_table_prints_the_golden_bytes(which, capsys):
+    """The two-layer tables are computed whole with and without ``--deep``:
+    ``table X --json`` prints the golden file byte for byte either way."""
+    golden = tables.golden_text(cli._TABLE_NAMES[which])
+    for deep in ([], ["--deep"]):
+        assert main(["table", which, "--json", *deep]) == 0
+        assert capsys.readouterr().out == golden
+
+
 def test_cli_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["table", "nope"])
@@ -347,9 +357,9 @@ def test_cli_golden_file_errors_exit_2(argv, files, message, tmp_path, monkeypat
 def test_cli_verify_tables_scope(monkeypatch):
     calls = {}
     for name, fn in list(tables.TABLES.items()):
-        def counted(deep=False, name=name, fn=fn):
+        def counted(name=name, fn=fn):
             calls[name] = calls.get(name, 0) + 1
-            return fn(deep=deep)
+            return fn()
         monkeypatch.setitem(tables.TABLES, name, counted)
     assert main(["verify", "tables"]) == 0
     assert calls == dict.fromkeys(["table_ai", "table_aii", "table_aiii", "table_aiv",
@@ -366,14 +376,6 @@ def test_cli_verify_counts_failures_per_scope(monkeypatch, capsys):
     assert json.loads(text[text.index("{"):])["failures"] == ["jacobi:a1:forced"]
 
 
-def _golden_rows(name):
-    """Golden rows as the non-deep computation returns them."""
-    rows = tables.load_golden(name)
-    if name in ("table_aiii", "fibrations_aiii"):
-        rows = [r for r in rows if not (r["family"] == "e" and r["rank"] in (7, 8))]
-    return rows
-
-
 @pytest.mark.parametrize("change,failure", [
     (lambda rows: rows, None),
     (lambda rows: rows[::-1], "tables:table_bc:serialization drift"),
@@ -388,10 +390,10 @@ def test_cli_verify_tables_failures(monkeypatch, capsys, change, failure):
     ``verify tables`` with table_bc)."""
     scope, changed = (failure or "tables:table_bc").split(":")[:2]
     for name in _GOLDEN_SCOPES[scope]:
-        rows = _golden_rows(name)
+        rows = tables.load_golden(name)
         if name == changed:
             rows = change(rows)
-        monkeypatch.setitem(tables.TABLES, name, lambda deep=False, rows=rows: rows)
+        monkeypatch.setitem(tables.TABLES, name, lambda rows=rows: rows)
     rc = main(["verify", scope])
     text = capsys.readouterr().out
     if failure is None:
@@ -407,7 +409,7 @@ def test_cli_verify_tables_checks_the_einstein_lists(table, monkeypatch, capsys)
     dropped: ``verify tables`` exits 1 with exactly one failure line, which
     names that space as an unexpected Einstein space of that table."""
     for name in _GOLDEN_SCOPES["tables"]:
-        monkeypatch.setitem(tables.TABLES, name, lambda deep=False, rows=_golden_rows(name): rows)
+        monkeypatch.setitem(tables.TABLES, name, lambda rows=tables.load_golden(name): rows)
     listed = getattr(tables, "einstein_expected_" + table.removeprefix("table_"))
     dropped = sorted(listed())[0]
     monkeypatch.setattr(tables, listed.__name__, lambda: listed() - {dropped})
@@ -415,6 +417,23 @@ def test_cli_verify_tables_checks_the_einstein_lists(table, monkeypatch, capsys)
     text = capsys.readouterr().out
     assert json.loads(text[text.index("{"):])["failures"] == [
         f"tables:{table}:Einstein list: missing [], unexpected [{dropped!r}]"]
+
+
+@pytest.mark.parametrize("table", ["table_aii", "table_aiii"])
+def test_cli_verify_tables_names_a_missing_einstein_space(table, monkeypatch, capsys):
+    """One space of the paper's Einstein list left out of the computed rows:
+    ``verify tables`` names it as a missing golden row and as missing from
+    the Einstein list."""
+    for name in _GOLDEN_SCOPES["tables"]:
+        monkeypatch.setitem(tables.TABLES, name, lambda rows=tables.load_golden(name): rows)
+    dropped = sorted(getattr(tables, "einstein_expected_" + table.removeprefix("table_"))())[0]
+    rows = [r for r in tables.load_golden(table) if r["space"] != dropped]
+    monkeypatch.setitem(tables.TABLES, table, lambda: rows)
+    assert main(["verify", "tables"]) == 1
+    text = capsys.readouterr().out
+    assert json.loads(text[text.index("{"):])["failures"] == [
+        f"tables:{table}:['missing computed row: {dropped}']",
+        f"tables:{table}:Einstein list: missing [{dropped!r}], unexpected []"]
 
 
 def test_cli_entry_point_installed():
