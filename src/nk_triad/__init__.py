@@ -13,11 +13,11 @@ _HOME = {name: module for module, names in (
     ("automorph", "OrderThreeSymmetricSpace classify_type realize_cyclic_c3 realize_inner"
                   " realize_triality_d4"),
     ("chevalley", "ChevalleyData verify_triangle_identity"),
-    ("compactform", "CompactAlgebra adjoint_action_exp build_compact_form"),
+    ("compactform", "CompactAlgebra adjoint_action_exp"),
     ("exact", "NKReport einstein_check exact_r_cross_layer exact_ricci_eigenvalues"),
     ("fibration", "FibrationReport all_fibrations fibration_subalgebras"),
     ("nk_analyzer", "build_report canonical_J ricci_tensors"),
-    ("rootsys", "InnerClass Root RootSystem build_root_system enumerate_inner_order3 root_string"
+    ("rootsys", "InnerClass RootSystem build_root_system enumerate_inner_order3 root_string"
                 " subsystem_type"),
 ) for name in names.split()}
 

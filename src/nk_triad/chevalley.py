@@ -8,15 +8,16 @@ to 1.  In that normalization the constants satisfy
     N_{a,b}^2 = q(1-p)/2 * <a,a>         with (p, q) the a-string through b.
 
 The table is held over root indices.  With n = ``rs.n_positive``, positive
-root k of ``rs.positive_roots`` has index k and its negative has index n + k
-(the order of ``rs.roots``).  Three (2n, 2n) int arrays hold it:
+root k has index k in ``rs.roots`` and its negative has index n + k.  Three
+(2n, 2n) int arrays hold it:
 
     plus[i, j]   index of root i + root j, or -1 when the sum is not a root;
     n12[i, j]    12 N_{i,j}^2, an int because 6<a,a> is; 0 off the pairs;
     sign[i, j]   the sign of N_{i,j}, +1 or -1; 0 off the pairs.
 
 ``plus`` is the root system's own addition table (``RootSystem.plus``,
-shared, not copied), and every string bound comes from stepping through it.
+shared, not copied), and every string bound comes from stepping through it
+(``rootsys.string_bounds``).
 Only the squares are rational in general; signs are fixed by assigning +1 to
 the extraspecial pair of every positive root (minimal decomposition in
 height-then-lex order).  One pass over the positive pairs, in order of the
@@ -35,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rootsys import RootSystem
+from .rootsys import RootSystem, string_bounds
 
 
 class SignInconsistency(RuntimeError):
@@ -67,19 +68,12 @@ class ChevalleyData:
     def __init__(self, rs: RootSystem):
         self.rs = rs
         n = self.n = rs.n_positive
-        pos = rs._coeffs[:n]
         self.roots, self.index, self.neg = rs.roots, rs.root_index, rs.neg
         self.plus = plus = rs.plus
-        # (p, q) of the i-string through j on every pair: step through plus from
-        # j + i and j - i, counting q and down = -p
+        # (-p, q) of the i-string through j on every pair
         i, j = np.nonzero(plus >= 0)
-        q, down = np.zeros((2, i.size), dtype=np.int64)
-        for count, step in ((q, i), (down, self.neg[i])):
-            cur = plus[step, j]
-            while (cur >= 0).any():
-                count += cur >= 0
-                cur = np.where(cur >= 0, plus[step, cur], -1)
-        norm6 = np.einsum("ki,ij,kj->k", pos, np.array(rs.gram6, dtype=np.int64), pos)
+        down, q = string_bounds(rs, i, j)
+        norm6 = (rs._gram6_rows[:n] * rs._coeffs[:n]).sum(axis=1)
         # N^2 = q(1-p)/2 * <a,a>, so 12 N^2 = q(1-p) * 6<a,a>
         self.n12 = np.zeros_like(plus)
         self.n12[i, j] = q * (1 + down) * norm6[i % n]

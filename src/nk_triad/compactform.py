@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .chevalley import ChevalleyData
-from .rootsys import NotOrderThree, RootSystem
+from .rootsys import NotOrderThree
 
 DUAL_COXETER = {
     "a": lambda n: n + 1,
@@ -93,10 +93,8 @@ class TraceFormFailure(AssertionError):
 class CompactAlgebra:
     """Structure constants C of the compact real form over an orthonormal basis."""
 
-    def __init__(self, rs: RootSystem, cd: ChevalleyData):
-        if cd.rs is not rs:
-            raise ValueError("structure constants were built for a different root system")
-        self.rs = rs
+    def __init__(self, cd: ChevalleyData):
+        self.rs = rs = cd.rs
         self.cd = cd
         self.rank = rs.rank
         self.n_pos = rs.n_positive
@@ -104,12 +102,10 @@ class CompactAlgebra:
 
         # orthonormalize the Cartan directions: gram of sqrt(-1)H_{alpha_i}
         # under the metric is <alpha_i, alpha_j>/2
-        g2 = np.array([[float(x) / 2.0 for x in row] for row in rs.gram])
-        self._chol_inv = np.linalg.inv(np.linalg.cholesky(g2))
+        self._chol_inv = np.linalg.inv(np.linalg.cholesky(np.array(rs.gram6) / 12.0))
         # w[k, i] = coefficient of the bracket between U-vectors of root k and
-        # the i-th orthonormal Cartan vector
-        pairings = np.array([r.coeffs for r in rs.positive_roots]) @ np.array(rs.gram6) / 6
-        self.w = pairings @ self._chol_inv.T
+        # the i-th orthonormal Cartan vector; <root k, alpha_j> is row k of 6 x Gram over 6
+        self.w = rs._gram6_rows[:self.n_pos] / 6 @ self._chol_inv.T
         self.C = self._structure_constants()
 
     # -- indexing ------------------------------------------------------------
@@ -288,10 +284,6 @@ def _row_grouped(rows, cols, data, shape) -> sp.csr_matrix:
     order = sp.csr_matrix((np.arange(rows.size, dtype=np.int32), rows, [0, rows.size]),
                           shape=(1, shape[0])).tocsc()
     return sp.csr_matrix((data[order.data], cols[order.data], order.indptr), shape=shape)
-
-
-def build_compact_form(rs: RootSystem) -> CompactAlgebra:
-    return CompactAlgebra(rs, ChevalleyData(rs))
 
 
 def adjoint_action_exp(ca: CompactAlgebra, levels: np.ndarray, d: int) -> sp.csr_matrix:

@@ -1,20 +1,23 @@
 """Root systems of the compact simple Lie algebras, in exact integer arithmetic.
 
-Roots are stored as integer coefficient vectors over a fixed simple-root basis
-``alpha_1 .. alpha_l``, normalized so that the highest root mu has squared
-length 2 (``kappa`` in reports).  Squared lengths are then 2, 1 or 2/3, so
-6 x Gram (``gram6``) is an integer matrix, and every pairing is an int sum
-over it.  A type is refused (``InvalidRank``) before it is built when its
-estimated bytes (``root_system_bytes``) exceed ``ROOT_SYSTEM_BUDGET``.
+A root is one thing: a tuple of integer coefficients over a fixed simple-root
+basis ``alpha_1 .. alpha_l``, and its index in ``roots`` (the n positive roots
+in sorted order, then their negatives; ``_coeffs`` is the same list as an int
+array).  The highest root mu is ``marks``, normalized to squared length 2
+(``kappa`` in reports).  Squared lengths are then 2, 1 or 2/3, so 6 x Gram
+(``gram6``) is an integer matrix, and every pairing is an int sum over it; the
+build holds no ``Fraction``.  A type is refused (``InvalidRank``) before it is
+built when its estimated bytes (``root_system_bytes``) exceed
+``ROOT_SYSTEM_BUDGET``.
 
 Each root also has one additive int64 key (``_keys64``): its coefficients as
 signed digits in base ``key_base = 4 * (largest mark) + 1``.  A sum of two
 roots has digits of size at most 2 * (largest mark), so there key(a) + key(b)
 = key(a + b), and one sorted lookup of the summed keys gives the
-root-addition table ``plus`` over the 2n roots (``roots``: the positives, then
-their negatives).  Membership is checked on the tuple, so no vector aliases a
-root.  From a28 the int64 keys wrap, and ``plus`` checks its entries on the
-coefficients.
+root-addition table ``plus`` over the 2n roots.  Membership is checked on the
+tuple, so no vector aliases a root.  From a28 the int64 keys wrap, and
+``plus`` checks its entries on the coefficients.  Every root string is walked
+through ``plus`` by one function (``string_bounds``).
 Closed subsystems (Dynkin, Mat. Sb. 30 (1952)) are boolean masks over the
 roots, closed and classified by reads of ``plus``: their indecomposable
 positives are a base, and the Cartan matrix is an int product of 6 x Gram rows.
@@ -147,29 +150,13 @@ def _diagram(family: str, rank: int) -> tuple[list[tuple[int, int]], list[int]]:
     return one[rank], [long] * rank
 
 
-@dataclass(frozen=True)
-class Root:
-    """A root, as integer coordinates over the simple roots."""
-
-    coeffs: Coeffs
-    norm_sq: Fraction
-
-    @property
-    def height(self) -> int:
-        return sum(self.coeffs)
-
-
 def _shifted(c: Coeffs, i: int, by: int) -> Coeffs:
     """c + by * alpha_i."""
     return c[:i] + (c[i] + by,) + c[i + 1:]
 
 
-def _as_coeffs(root) -> Coeffs:
-    return tuple(root.coeffs) if isinstance(root, Root) else tuple(root)
-
-
 class RootSystem:
-    """Positive roots, Gram matrix and highest root of a simple type."""
+    """The roots, 6 x Gram matrix and marks of a simple type."""
 
     def __init__(self, family: str, rank: int):
         self.family = _validate_type(family, rank)
@@ -181,9 +168,6 @@ class RootSystem:
         for i, j in edges:
             gram6[i][j] = gram6[j][i] = -max(norms6[i], norms6[j]) // 2
         self.gram6: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in gram6)
-        sixths = {x: Fraction(x, 6) for x in set().union(*gram6)}
-        self.gram: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(sixths[x] for x in r) for r in gram6)
         self.cartan_matrix: tuple[tuple[int, ...], ...] = tuple(
             tuple(2 * gram6[i][j] // gram6[j][j] for j in range(rank)) for i in range(rank))
         self._generate()
@@ -220,16 +204,12 @@ class RootSystem:
                             new.append(up)
             frontier = new
         pos = sorted(rows)
-        norm6 = [sum(map(operator.mul, rows[c], c)) for c in pos]
-        length = {v: Fraction(v, 6) for v in set(norm6)}     # one Fraction per root length
-        self.positive_roots: tuple[Root, ...] = tuple(
-            Root(c, length[v]) for c, v in zip(pos, norm6))
-        self.highest_root: Root = max(self.positive_roots, key=lambda r: (r.height, r.coeffs))
+        # the highest root: first by height, then by coefficients
+        self.marks: Coeffs = max(pos, key=lambda c: (sum(c), c))
         n = self.n_positive = len(pos)
         coeffs = np.array(pos, dtype=np.int64)
-        if (coeffs > np.array(self.highest_root.coeffs)).any():
+        if (coeffs > np.array(self.marks)).any():
             raise NotARoot("highest root is not componentwise maximal")
-        self.marks: Coeffs = self.highest_root.coeffs
         self.key_base = 4 * max(self.marks) + 1
         self.roots: list[Coeffs] = pos + [tuple(-x for x in c) for c in pos]
         self.root_index: dict[Coeffs, int] = {c: k for k, c in enumerate(self.roots)}
@@ -272,7 +252,7 @@ class RootSystem:
     # -- exact arithmetic ----------------------------------------------------
 
     def is_root(self, a) -> bool:
-        return _as_coeffs(a) in self.root_index
+        return tuple(a) in self.root_index
 
     def sum_mask(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Mask of the roots x + y, for roots x in the mask xs and y in the mask ys."""
@@ -306,33 +286,32 @@ def alpha_levels(rs: RootSystem, h_nodes) -> tuple[np.ndarray, int]:
     return sum(num * d // den * rs._coeffs[:, i] for i, num, den in steps) % d, d
 
 
+def string_bounds(rs: RootSystem, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(-p, q) of the root i-string through root j, j + n i for p <= n <= q, on
+    index arrays i and j into ``rs.roots``: the steps from j through ``plus``
+    by -i and by i that stay on roots.  A pair j = +-i gives (0, 0)."""
+    plus = rs.plus
+    bounds = np.zeros((2, len(j)), dtype=np.int64)
+    for count, step in zip(bounds, (rs.neg[i], i)):
+        cur = plus[step, j]
+        while (cur >= 0).any():
+            count += cur >= 0
+            cur = np.where(cur >= 0, plus[step, cur], -1)
+    return bounds[0], bounds[1]
+
+
 def root_string(rs: RootSystem, alpha, beta) -> tuple[int, int]:
     """Bounds (p, q) of the alpha-string through beta: beta + n*alpha, p <= n <= q.
 
     Satisfies p <= 0 <= q and p + q = -2<beta,alpha>/<alpha,alpha>.
     """
-    a, b = _as_coeffs(alpha), _as_coeffs(beta)
-    if not rs.is_root(a) or not rs.is_root(b):
+    if not rs.is_root(alpha) or not rs.is_root(beta):
         raise NotARoot("root string endpoints must be roots")
-    if a == b or a == tuple(-x for x in b):
+    a, b = rs.root_index[tuple(alpha)], rs.root_index[tuple(beta)]
+    if a == b or a == rs.neg[b]:
         raise NotARoot("root string direction must differ from +/-beta")
-    q = 0
-    probe = list(b)
-    while True:
-        probe = [x + y for x, y in zip(probe, a)]
-        if rs.is_root(tuple(probe)) and any(probe):
-            q += 1
-        else:
-            break
-    p = 0
-    probe = list(b)
-    while True:
-        probe = [x - y for x, y in zip(probe, a)]
-        if rs.is_root(tuple(probe)) and any(probe):
-            p -= 1
-        else:
-            break
-    return p, q
+    down, q = string_bounds(rs, np.array([a]), np.array([b]))
+    return -int(down[0]), int(q[0])
 
 
 # -- subsystem classification ------------------------------------------------

@@ -72,8 +72,7 @@ def cached_algebra(family: str, rank: int):
     key = (family, rank)
     if key not in _ALGEBRAS:
         from .compactform import CompactAlgebra
-        cd = cached_chevalley(family, rank)
-        _ALGEBRAS[key] = CompactAlgebra(cd.rs, cd)
+        _ALGEBRAS[key] = CompactAlgebra(cached_chevalley(family, rank))
     return _ALGEBRAS[key]
 
 

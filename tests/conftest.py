@@ -15,7 +15,7 @@ from nk_triad.chevalley import SignInconsistency
 from nk_triad.compactform import SLAB_ENTRIES, ZERO_DROP, drop_noise
 from nk_triad.fibration import NotInvolutive
 from nk_triad.nk_analyzer import _max_abs, _vertical_split, curvature, tensor_r
-from nk_triad.rootsys import NotARoot, Root, RootSystem, SubsystemType, _as_coeffs
+from nk_triad.rootsys import NotARoot, RootSystem, SubsystemType
 from nk_triad.tables import _ROOTSYS, cached_algebra, cached_root_system
 
 
@@ -103,24 +103,25 @@ def _identify_component(cartan):
 
 
 def root_inner(rs, a, b) -> Fraction:
-    """Exact inner product of two coefficient vectors (or roots) of ``rs``: an
-    int sum over 6 x Gram, over 6."""
-    b = _as_coeffs(b)
+    """Exact inner product of two coefficient vectors of ``rs``: an int sum
+    over 6 x Gram, over 6."""
+    b = tuple(b)
     return Fraction(sum(x * sum(g * y for g, y in zip(row, b))
-                        for x, row in zip(_as_coeffs(a), rs.gram6) if x), 6)
+                        for x, row in zip(a, rs.gram6) if x), 6)
 
 
-def all_roots(rs) -> list[Root]:
-    """The 2n roots of ``rs`` as ``Root`` objects, in the order of ``rs.roots``:
-    the positive roots, then their negatives with the same squared lengths."""
-    return [*rs.positive_roots, *(Root(_neg(r.coeffs), r.norm_sq) for r in rs.positive_roots)]
+def all_roots(rs) -> list[tuple[int, ...]]:
+    """The 2n roots of ``rs`` as coefficient tuples, in the order of
+    ``rs.roots``: the positive roots, then their negatives."""
+    pos = rs.roots[:rs.n_positive]
+    return [*pos, *map(_neg, pos)]
 
 
 def root_mask(rs, roots) -> np.ndarray:
     """The given roots as a boolean mask in ``rs.roots`` order; NotARoot for any other vector."""
     out = np.zeros(2 * rs.n_positive, dtype=bool)
     try:
-        out[[rs.root_index[c] for c in map(_as_coeffs, roots)]] = True
+        out[[rs.root_index[c] for c in map(tuple, roots)]] = True
     except KeyError as exc:
         raise NotARoot(f"{exc.args[0]} is not a root of {rs.type_label}") from None
     return out
@@ -130,7 +131,7 @@ def root_key(rs, a) -> int:
     """The additive int key of a root of ``rs``, unbounded: its coefficients as
     digits in base ``rs.key_base`` (``rs._keys64`` wraps from a28); NotARoot
     for any other vector."""
-    c = _as_coeffs(a)
+    c = tuple(a)
     if not rs.is_root(c):
         raise NotARoot(f"{c} is not a root of {rs.type_label}")
     return sum(x * rs.key_base ** i for i, x in enumerate(c))
@@ -294,8 +295,8 @@ def fraction_sigma(ca, cls) -> np.ndarray:
     """Ad(exp 2 pi sqrt(-1) H) of an order-3 inner class, each U-plane turned
     by the exact (cos, sin) of its Fraction angle a(H) mod 1."""
     mat = np.eye(ca.dim)
-    for k, r in enumerate(ca.rs.positive_roots):
-        c, s = _THIRD_TURNS[alpha_value(cls, ca.rs, r.coeffs) % 1]
+    for k, r in enumerate(ca.rs.roots[:ca.n_pos]):
+        c, s = _THIRD_TURNS[alpha_value(cls, ca.rs, r) % 1]
         i0, i1 = ca.u_index(k, 0), ca.u_index(k, 1)
         mat[i0, i0], mat[i1, i0], mat[i0, i1], mat[i1, i1] = c, s, -s, c
     return mat
@@ -457,11 +458,11 @@ class ReferenceChevalley:
 
     def __init__(self, rs):
         self.rs = rs
-        pos = [r.coeffs for r in rs.positive_roots]
+        pos = rs.roots[:rs.n_positive]
         self._order = {c: k for k, c in enumerate(sorted(pos, key=lambda c: (sum(c), c)))}
-        self._roots = {r.coeffs for r in all_roots(rs)}
+        self._roots = set(all_roots(rs))
         self.n_sq, self._sign, self._extraspecial = {}, {}, {}
-        norm = {r.coeffs: r.norm_sq for r in all_roots(rs)}
+        norm = {c: root_inner(rs, c, c) for c in self._roots}
         by_key = {root_key(rs, c): c for c in self._roots}
         for ka, a in by_key.items():
             for kb, b in by_key.items():
@@ -570,9 +571,9 @@ def reference_structure_constants(ca, ref):
     first, second, out, vals = [c, c, u0], [u0, u1, u1], [u1, u0, c], [w, -w, w]
     pos = {c: k for k, c in enumerate(rs.roots[:rs.n_positive])}
     terms = []
-    for ka, ra in enumerate(rs.positive_roots):
+    for ka, a in enumerate(rs.roots[:ca.n_pos]):
         for kb in range(ka + 1, ca.n_pos):
-            a, b = ra.coeffs, rs.positive_roots[kb].coeffs
+            b = rs.roots[kb]
             n_ab = ref.n_value(a, b), ref.n_value(_neg(a), b)
             if not any(n_ab):
                 continue

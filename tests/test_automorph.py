@@ -518,7 +518,7 @@ def test_one_flipped_entry_moves_jacobi_preservation_and_xi(algebra):
     x = before.tensors()[0].tocoo()
     (a, b), p = divmod(int(x.row[0]), dm), int(x.col[0])
     i, j, l = before.m_cols.toarray().argmax(axis=0)[[a, b, p]]   # their ambient basis vectors
-    fresh = CompactAlgebra(cached.rs, cached.cd)
+    fresh = CompactAlgebra(cached.cd)
     c = fresh.C
     for r in (i * fresh.dim + j, j * fresh.dim + i):
         lo = c.indptr[r]

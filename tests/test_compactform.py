@@ -115,7 +115,7 @@ def test_blocked_jacobi_sweep_locates_flips_in_late_blocks(algebra, jacobi_oracl
     last = cached.u_index(cached.n_pos - 1, 0)
     assert last > blocks[-1][0]
     for u0 in (boundary, last):
-        ca = CompactAlgebra(cached.rs, cached.cd)
+        ca = CompactAlgebra(cached.cd)
         c, r = ca.C, u0 * ca.dim + u0 + 1
         c.data[c.indptr[r]:c.indptr[r + 1]] *= -1.0
         worst, triple = ca._jacobi_worst()
@@ -136,7 +136,7 @@ def test_tiled_jacobi_sweep_is_exact_for_a_bracket_that_is_not_skew(algebra, jac
     monkeypatch.setattr(compactform, "SLAB_ENTRIES", 1 << 15)
     cached = algebra("f", 4)
     assert len(cached._jacobi_blocks()) >= 3
-    ca = CompactAlgebra(cached.rs, cached.cd)
+    ca = CompactAlgebra(cached.cd)
     rng = np.random.default_rng(20)
     for _ in range(24):
         at, factor = int(rng.integers(ca.C.nnz)), float(rng.choice([0.5, -1.0, 2.0]))
@@ -203,7 +203,7 @@ def test_jacobi_sweep_memory_is_bounded(algebra):
 
 def test_sign_flip_is_detected_and_located(algebra):
     cached = algebra("g", 2)
-    ca = CompactAlgebra(cached.rs, cached.cd)  # fresh C; the cached one stays intact
+    ca = CompactAlgebra(cached.cd)  # fresh C; the cached one stays intact
     a, b = next((i, j) for i in range(ca.rank, ca.dim) for j in range(i + 1, ca.dim)
                 if len(_terms(ca, i, j)) == 1)
     (coef,) = _terms(ca, a, b).values()
@@ -229,7 +229,7 @@ def _scaled_su2(algebra):
     goes from 4 to 8 on both U-vectors and stays 4 on h, so the mean ratio is
     20/3 and h departs most from it, by 8/3."""
     cached = algebra("a", 1)
-    ca = CompactAlgebra(cached.rs, cached.cd)
+    ca = CompactAlgebra(cached.cd)
     _scale_pair(ca, ca.u_index(0, 0), ca.u_index(0, 1), 2.0)
     return ca
 
@@ -237,7 +237,7 @@ def _scaled_su2(algebra):
 def _flipped_g2(algebra):
     """A fresh g2 with one U-U bracket negated in both orders of C."""
     cached = algebra("g", 2)
-    ca = CompactAlgebra(cached.rs, cached.cd)
+    ca = CompactAlgebra(cached.cd)
     _scale_pair(ca, ca.u_index(0, 0), ca.u_index(1, 1), -1.0)
     return ca
 
@@ -308,9 +308,9 @@ def test_rotation_planes_a2(algebra):
     ca = algebra("a", 2)
     rs = ca.rs
     mat = adjoint_action_exp(ca, rs._coeffs[:, 0] % 3, 3).toarray()
-    for k, r in enumerate(rs.positive_roots):
+    for k, r in enumerate(rs.roots[:rs.n_positive]):
         i0, i1 = ca.u_index(k, 0), ca.u_index(k, 1)
-        angle = 2 * math.pi * r.coeffs[0] / 3
+        angle = 2 * math.pi * r[0] / 3
         assert abs(mat[i0, i0] - math.cos(angle)) < 1e-12
         assert abs(mat[i1, i0] - math.sin(angle)) < 1e-12
 

@@ -11,8 +11,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nk_triad import cli, fibration, rootsys, tables
 from nk_triad.rootsys import (
@@ -57,29 +55,29 @@ def test_marks_match_diagrams():
 def test_highest_root_normalization_and_dominance():
     for family, rank in CLASSICAL_COUNTS:
         rs = build_root_system(family, rank)
-        assert rs.highest_root.norm_sq == 2
-        for r in rs.positive_roots:
-            assert all(m >= c for m, c in zip(rs.highest_root.coeffs, r.coeffs))
-            assert all(c >= 0 for c in r.coeffs)
-            assert r.norm_sq in (Fraction(2), Fraction(1), Fraction(2, 3))
+        assert root_inner(rs, rs.marks, rs.marks) == 2
+        for r in rs.roots[:rs.n_positive]:
+            assert all(m >= c for m, c in zip(rs.marks, r))
+            assert all(c >= 0 for c in r)
+            assert root_inner(rs, r, r) in (Fraction(2), Fraction(1), Fraction(2, 3))
 
 
 @pytest.mark.parametrize("family,rank", [("g", 2), ("f", 4), ("b", 3), ("c", 3)])
 def test_inner_product_and_membership_match_reference(family, rank):
     """The integer 6 x Gram sums and the all-roots set against a Fraction sum
-    over rs.gram and membership in +-positive_roots, both computed here."""
+    over 6 x Gram / 6 and membership in +-positive roots, both computed here."""
     rs = build_root_system(family, rank)
 
     def reference(a, b):
-        return sum((Fraction(x * y) * rs.gram[i][j]
+        return sum((Fraction(x * y) * Fraction(rs.gram6[i][j], 6)
                     for i, x in enumerate(a) for j, y in enumerate(b)), Fraction(0))
 
     roots = all_roots(rs)
     for a in roots:
-        assert a.norm_sq == reference(a.coeffs, a.coeffs) == root_inner(rs, a, a)
+        assert reference(a, a) == root_inner(rs, a, a)
         for b in roots:
-            assert root_inner(rs, a, b) == reference(a.coeffs, b.coeffs)
-    members = {r.coeffs for r in rs.positive_roots}
+            assert root_inner(rs, a, b) == reference(a, b)
+    members = set(rs.roots[:rs.n_positive])
     members |= {tuple(-x for x in c) for c in members}
     bound = max(rs.marks) + 1
     box = list(itertools.product(range(-bound, bound + 1), repeat=rank))
@@ -93,7 +91,7 @@ def test_cartan_matrix_recomputed_from_gram():
         rs = build_root_system(family, rank)
         for i in range(rank):
             for j in range(rank):
-                entry = 2 * rs.gram[i][j] / rs.gram[j][j]
+                entry = 2 * Fraction(rs.gram6[i][j], 6) / Fraction(rs.gram6[j][j], 6)
                 assert entry == rs.cartan_matrix[i][j]
                 assert entry.denominator == 1
 
@@ -101,8 +99,8 @@ def test_cartan_matrix_recomputed_from_gram():
 def test_crystallographic_condition():
     for family, rank in [("g", 2), ("f", 4), ("c", 3), ("d", 4)]:
         rs = build_root_system(family, rank)
-        for a in rs.positive_roots:
-            for b in rs.positive_roots:
+        for a in rs.roots[:rs.n_positive]:
+            for b in rs.roots[:rs.n_positive]:
                 q = 2 * root_inner(rs, a, b) / root_inner(rs, b, b)
                 assert q.denominator == 1
 
@@ -133,9 +131,9 @@ def test_budget_admits_the_paper_and_refuses_before_building():
 
 def test_g2_explicit_positive_roots():
     rs = build_root_system("g", 2)
-    coeffs = {r.coeffs for r in rs.positive_roots}
+    coeffs = set(rs.roots[:rs.n_positive])
     assert coeffs == {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
-    assert rs.highest_root.coeffs == (3, 2)
+    assert rs.marks == (3, 2)
 
 
 def test_root_string_examples():
@@ -163,19 +161,21 @@ def _string_by_scan(rs, a, b):
     return -p, q
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.sampled_from(["a3", "b3", "c3", "g2", "f4"]), st.data())
-def test_root_string_matches_pairing(label, data):
-    rs = build_root_system(label[0], int(label[1]))
-    roots = all_roots(rs)
-    a = data.draw(st.sampled_from(roots))
-    b = data.draw(st.sampled_from(roots))
-    if a.coeffs == b.coeffs or a.coeffs == tuple(-c for c in b.coeffs):
-        return
-    p, q = root_string(rs, a, b)
-    assert (p, q) == _string_by_scan(rs, a.coeffs, b.coeffs)
-    assert p <= 0 <= q
-    assert p + q == -2 * root_inner(rs, b, a) / root_inner(rs, a, a)
+def test_root_string_matches_pairing():
+    """Every ordered pair of distinct, non-opposite roots of a3, b3, c3, g2
+    and f4: the walk through ``plus`` against the membership scan and the
+    pairing."""
+    for label in ["a3", "b3", "c3", "g2", "f4"]:
+        rs = build_root_system(label[0], int(label[1]))
+        roots = all_roots(rs)
+        for a in roots:
+            for b in roots:
+                if a == b or a == tuple(-c for c in b):
+                    continue
+                p, q = root_string(rs, a, b)
+                assert (p, q) == _string_by_scan(rs, a, b)
+                assert p <= 0 <= q
+                assert p + q == -2 * root_inner(rs, b, a) / root_inner(rs, a, a)
 
 
 def test_subsystem_round_trip():
@@ -190,7 +190,7 @@ def test_subsystem_round_trip():
 def test_subsystem_f4_fixed_roots_are_c3():
     """Roots annihilated mod 1 by the mark-2 node-1 element are a c3 system."""
     rs = build_root_system("f", 4)
-    fixed = [r.coeffs for r in rs.positive_roots if r.coeffs[0] == 0 or r.coeffs[0] == 2]
+    fixed = [c for c in rs.roots[:rs.n_positive] if c[0] == 0 or c[0] == 2]
     fixed = [c for c in fixed if (Fraction(c[0], 2) * Fraction(2, 3)) % 1 == 0]
     full = fixed + [tuple(-x for x in c) for c in fixed]
     st_fixed = subsystem_type(rs, root_mask(rs, full))
@@ -201,7 +201,7 @@ def test_subsystem_f4_fixed_roots_are_c3():
 def test_subsystem_e7_node2_closure_is_a7():
     """Fixed roots plus the layer-2 roots of the e7 mark-2 node close to a7."""
     rs = build_root_system("e", 7)
-    keep = [r.coeffs for r in rs.positive_roots if r.coeffs[1] in (0, 2)]
+    keep = [c for c in rs.roots[:rs.n_positive] if c[1] in (0, 2)]
     full = keep + [tuple(-x for x in c) for c in keep]
     st_sub = subsystem_type(rs, root_mask(rs, full))
     assert st_sub.components == (("a", 7),)
@@ -312,7 +312,7 @@ def test_tables_classify_each_mask_once(monkeypatch, capsys):
 def test_key_is_additive_and_never_aliases():
     for family, rank in [("a", 2), ("g", 2), ("f", 4), ("e", 8)]:
         rs = build_root_system(family, rank)
-        roots = [r.coeffs for r in all_roots(rs)]
+        roots = all_roots(rs)
         assert rs.key_base == 4 * max(rs.marks) + 1
         key = {c: root_key(rs, c) for c in roots}
         keys = set(key.values())
@@ -395,7 +395,7 @@ def test_subsystem_type_matches_fraction_oracle(family, rank, subsystem_oracle,
     path, run from an empty memo so that every distinct mask is classified,
     builds no Fraction."""
     rs = build_root_system(family, rank)
-    subsets = [[r.coeffs for r in all_roots(rs)]]
+    subsets = [all_roots(rs)]
     for cls in enumerate_inner_order3(rs):
         fixed = [c for c, t in zip(rs.roots[:rs.n_positive], cls.levels(rs)[0]) if t == 0]
         subsets.append(fixed + [tuple(-x for x in c) for c in fixed])
@@ -419,9 +419,9 @@ def test_generation_matches_the_reference_search(family, rank, positive_roots_or
     up to a28 and a30, where the int64 root keys wrap."""
     rs = build_root_system(family, rank)
     want = positive_roots_oracle(rs)
-    assert [(r.coeffs, r.norm_sq) for r in rs.positive_roots] == want
+    assert [(c, root_inner(rs, c, c)) for c in rs.roots[:rs.n_positive]] == want
     top = max(want, key=lambda cn: (sum(cn[0]), cn[0]))
-    assert (rs.highest_root.coeffs, rs.highest_root.norm_sq) == top
+    assert (rs.marks, root_inner(rs, rs.marks, rs.marks)) == top
     assert rs.marks == top[0]
     pos = [c for c, _ in want]
     assert rs.roots == pos + [tuple(-x for x in c) for c in pos]

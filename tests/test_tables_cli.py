@@ -15,7 +15,8 @@ import pytest
 import nk_triad
 from nk_triad import cli, tables
 from nk_triad.cli import _GOLDEN_SCOPES, main
-from nk_triad.compactform import build_compact_form
+from nk_triad.chevalley import ChevalleyData
+from nk_triad.compactform import CompactAlgebra
 from nk_triad.rootsys import build_root_system
 
 
@@ -150,21 +151,37 @@ def test_cli_analyze_node_pair_order_is_inert(family, rank, pair, name, capsys):
 
 
 def test_cli_seed_is_inert(capsys):
-    """--seed is accepted and changes nothing: every check is exhaustive."""
+    """analyze --seed is accepted and changes nothing: every check is exhaustive."""
     outs = []
     for seed in ("0", "9"):
         assert main(["analyze", "g", "2", "--nodes", "2", "--json", "--seed", seed]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
-    assert main(["verify", "identities", "--seed", "3"]) == 0
-    assert capsys.readouterr().out == "verify identities: ok\n"
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("classify g 2", "--tol 5"), ("classify g 2", "--seed 3"), ("classify g 2", "--deep"),
+    ("analyze g 2 --nodes 1", "--deep"),
+    ("table BC", "--tol 0"), ("table BC", "--seed 9"), ("table BC", "--deep"),
+    ("verify tables", "--json"), ("verify tables", "--seed 4"),
+])
+def test_cli_flag_the_subcommand_does_not_read_exits_2(command, flag, capsys):
+    """A flag that its subcommand does not read is a usage error: exit 2,
+    with the usage and the flag on stderr, and nothing run."""
+    with pytest.raises(SystemExit) as exc:
+        main(command.split() + flag.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: nk-triad ")
+    assert captured.err.endswith(f"error: unrecognized arguments: {flag}\n")
 
 
 def test_cli_analyze_check_failure_exit_1(monkeypatch, capsys):
     """A check that fails inside the suites ends with exit 1 and one stderr
     line naming the exception, not a traceback: g2 with one bracket entry
     doubled in both orders."""
-    ca = build_compact_form(build_root_system("g", 2))
+    ca = CompactAlgebra(ChevalleyData(build_root_system("g", 2)))
     d, c = ca.dim, ca.C.tolil()
     i, j, l = 2, 10, 12
     assert c[i * d + j, l] != 0
@@ -237,7 +254,7 @@ def test_cli_analyze_fails_on_corrupted_isotropy_bracket(family, rank, nodes, i,
     every torsion and curvature suite passing (g2 node 2), or runs none of them
     (the Kahler a3 node 1); the total skewness of C reads it, as
     |C[i,j,l] + C[i,l,j]| = |C[i,j,l]|, and analyze exits 1."""
-    ca = build_compact_form(build_root_system(family, rank))
+    ca = CompactAlgebra(ChevalleyData(build_root_system(family, rank)))
     d, c = ca.dim, ca.C.tolil()
     entry = c[i * d + j, l]
     assert entry != 0
@@ -274,12 +291,11 @@ def test_cli_table_csv(capsys):
 
 @pytest.mark.parametrize("which", ["AIII", "FIB-AIII"])
 def test_cli_two_layer_table_prints_the_golden_bytes(which, capsys):
-    """The two-layer tables are computed whole with and without ``--deep``:
-    ``table X --json`` prints the golden file byte for byte either way."""
+    """The two-layer tables are computed whole: ``table X --json`` prints the
+    golden file byte for byte."""
     golden = tables.golden_text(cli._TABLE_NAMES[which])
-    for deep in ([], ["--deep"]):
-        assert main(["table", which, "--json", *deep]) == 0
-        assert capsys.readouterr().out == golden
+    assert main(["table", which, "--json"]) == 0
+    assert capsys.readouterr().out == golden
 
 
 def test_cli_usage_error_exit_2():
