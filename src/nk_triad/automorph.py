@@ -45,10 +45,16 @@ class OrderThreeSymmetricSpace:
     (inner), at most three entries each (cyclic) or eigenvectors of d4
     (triality).  Every kind reaches the tensors the same way, as one sparse
     change of basis of the algebra's structure constants (``tensors``).
+
+    ``weight_block`` (read-only, one int per m column) holds the torus-weight
+    blocks that ``commutant_basis`` solves over: the columns of a root plane
+    and of its copies, ordered by copy and then by parity, share one; -1 puts
+    a column in one block that takes every entry (by default, all of m).  The
+    first ``torus`` generators of k span a torus that keeps the blocks.
     """
 
     def __init__(self, algebra, type_label, sigma, k_cols, m_cols, h_spec=None,
-                 layers=None, name=""):
+                 layers=None, name="", weight_block=None, torus=0):
         self.algebra = algebra
         self.type_label = type_label
         self.sigma = sp.csr_matrix(sigma)
@@ -59,6 +65,9 @@ class OrderThreeSymmetricSpace:
         self.name = name or type_label
         self.dim_k = k_cols.shape[1]
         self.dim_m = m_cols.shape[1]
+        self.weight_block = np.full(self.dim_m, -1) if weight_block is None else weight_block
+        self.weight_block.flags.writeable = False
+        self.torus = torus
         self._tensors = None
         self._curvature = None   # nk_analyzer.Curvature, built on first use
 
@@ -152,6 +161,7 @@ def realize_inner(ca: CompactAlgebra, spec: InnerClass, name: str = "") -> Order
         ca, spec.kind, adjoint_action_exp(ca, *spec.levels(rs)),
         eye[:, np.r_[:rs.rank, planes(k_roots)]], eye[:, planes(m_roots)], h_spec=spec,
         layers=layers, name=name or f"{rs.type_label} {spec.describe()}",
+        weight_block=np.arange(2 * len(m_roots)) // 2, torus=rs.rank,
     )
     space.check_invariants()
     return space
@@ -251,8 +261,9 @@ class TripleAlgebra:
 
 
 def realize_cyclic_c3(component: CompactAlgebra) -> OrderThreeSymmetricSpace:
-    """g = l + l + l with sigma(X, Y, Z) = (Z, X, Y) and k the diagonal."""
-    d = component.dim
+    """g = l + l + l with sigma(X, Y, Z) = (Z, X, Y) and k the diagonal; the E and
+    JE copies of a root plane share its block, the 2 rank Cartan columns are -1."""
+    d, r = component.dim, component.rs.rank
     eye = sp.identity(d, format="csr")
     shift = np.roll(np.eye(3), 1, axis=0)            # block c -> block c + 1
     k_cols = np.ones((3, 1)) / np.sqrt(3)
@@ -262,6 +273,7 @@ def realize_cyclic_c3(component: CompactAlgebra) -> OrderThreeSymmetricSpace:
         sp.kron(m_cols, eye),
         layers={"E": list(range(d)), "JE": list(range(d, 2 * d))},
         name=f"({component.rs.type_label})^3 / diagonal",
+        weight_block=np.tile(np.r_[np.full(r, -1), np.arange(d - r) // 2], 2), torus=r,
     )
     space.check_invariants()
     return space
@@ -302,138 +314,123 @@ def orbit_span_dim(space: OrderThreeSymmetricSpace, seed_vector: np.ndarray) -> 
     return basis.shape[1]
 
 
-_BLOCK_SEED = 0          # seeds the elements X, Y of k: X^T X cuts m into blocks
-_CLUSTER_RTOL = 1e-6     # eigenvalues of X^T X closer than this share a block
-
-
-def _draw(dk: int) -> np.ndarray:
-    """The weights of X and Y over the generators of k, one seeded draw each."""
-    return np.random.default_rng(_BLOCK_SEED).standard_normal((2, dk))
-
-
 def _null_space(gram: np.ndarray) -> np.ndarray:
     """Orthonormal eigenvectors of a symmetric PSD matrix below ``_COMMUTANT_TOL``."""
     vals, vecs = np.linalg.eigh(gram)
     return vecs[:, vals < _COMMUTANT_TOL]
 
 
-def _block_frame(x: np.ndarray):
-    """(Q, rows, cols, frame) for a generic X in ad(k)|m.
+def _places(block: np.ndarray):
+    """(order, ids, at, starts, sizes, local) of a blocking: the columns sorted
+    by block, the block ids, each column's index into ``ids``, each block's
+    start in ``order`` and size, and each column's place in its block."""
+    order = np.argsort(block, kind="stable")
+    ids, at, sizes = np.unique(block, return_inverse=True, return_counts=True)
+    starts = np.cumsum(sizes) - sizes
+    local = np.empty(len(block), dtype=int)
+    local[order] = np.arange(len(block)) - np.repeat(starts, sizes)
+    return order, ids, at, starts, sizes, local
 
-    Q is an eigenbasis of X^T X; its clusters of eigenvalues cut m into
-    blocks, and (rows, cols) lists the entries of the blocks.  ``frame``
-    (sparse, entries x coordinates, orthonormal columns) spans the
-    block-diagonal matrices whose blocks commute with the blocks X_i of
-    Q^T X Q, solved for all blocks of one size in one stacked ``eigh``.
-    Eigenvalues are clustered loosely, so a multiplet is never split;
-    merging two close ones only enlarges a block.
-    """
-    dm = x.shape[0]
-    vals, q = np.linalg.eigh(x.T @ x)
-    cuts = np.flatnonzero(np.diff(vals) > _CLUSTER_RTOL * max(vals[-1], 1.0)) + 1
-    bounds = np.concatenate([[0], cuts, [dm]])
-    sizes = np.diff(bounds)
-    xt = q.T @ x @ q
-    rows, cols, data, at, coord = [], [], [], [], []
-    n = ncoords = 0
-    for b in np.unique(sizes):
-        idx = bounds[:-1][sizes == b][:, None] + np.arange(b)       # (blocks, b)
-        xb = xt[idx[:, :, None], idx[:, None, :]]
-        eye = np.eye(b)
-        # [X_i, S_i] on S_i[p, q], as one (b^2, b^2) operator per block
-        op = (xb[:, :, None, :, None] * eye[None, None, :, None, :]
-              - eye[None, :, None, :, None] * xb.transpose(0, 2, 1)[:, None, :, None, :])
-        op = op.reshape(-1, b * b, b * b)
-        w, v = np.linalg.eigh(op.transpose(0, 2, 1) @ op)
-        blk, k = np.nonzero(w < _COMMUTANT_TOL)
-        data.append(v[blk, :, k].ravel())
-        at.append((n + blk[:, None] * b * b + np.arange(b * b)).ravel())
-        coord.append(np.repeat(ncoords + np.arange(blk.size), b * b))
-        rows.append(np.broadcast_to(idx[:, :, None], (len(idx), b, b)).ravel())
-        cols.append(np.broadcast_to(idx[:, None, :], (len(idx), b, b)).ravel())
-        n, ncoords = n + idx.size * b, ncoords + blk.size
-    frame = sp.csr_matrix((np.concatenate(data), (np.concatenate(at), np.concatenate(coord))),
-                          shape=(n, ncoords))
-    return q, np.concatenate(rows), np.concatenate(cols), frame
+
+def _checked_blocks(space: OrderThreeSymmetricSpace, ak: sp.csr_matrix) -> np.ndarray:
+    """``space.weight_block`` checked against the torus, the first ``space.torus``
+    blocks A_s of ``ak``.  A torus entry between two blocks raises: the
+    blocking splits a root plane.  The blocking is kept when the torus turns
+    the c copies in each block b by I_c (x) w_b J_2 and fixes block -1, with
+    the weights w_b nonzero and no two equal up to sign, so that the frame
+    spans the whole commutant of the torus; otherwise (tensors that break
+    the torus) it is all -1, exact for any action.  Squared deviations below
+    ``_COMMUTANT_TOL`` count as zero, as in the Gram."""
+    dm, block, n = space.dim_m, space.weight_block, space.torus
+    t = ak[:n * dm].tocoo()
+    s, c, d = t.row // dm, t.row % dm, t.col
+    if np.any(block[c] != block[d]):
+        raise ValueError(f"{space.name}: the torus of k joins two weight blocks of m")
+    _, ids, at, _, sizes, local = _places(block)
+    jay = np.sign(local[c] - local[d]) * (local[c] // 2 == local[d] // 2) * (block[c] >= 0)
+    key = s * len(ids) + at[c]                          # (s, b): I_c (x) J_2 has norm^2 2c
+    sums = lambda x: np.bincount(key, x, minlength=n * len(ids)).reshape(n, len(ids))
+    proj = sums(t.data * jay)
+    off = sums(t.data ** 2) - proj ** 2 / sizes
+    w = (proj / sizes)[:, ids >= 0]                     # w[s, b]: the torus weights
+    gram = w.T @ w
+    apart = np.diag(gram)[:, None] + np.diag(gram) - 2.0 * np.abs(gram)   # |w_b -+ w_b'|^2
+    np.fill_diagonal(apart, np.diag(gram))              # and |w_b|^2
+    if off.max(initial=0.0) < _COMMUTANT_TOL and apart.min(initial=np.inf) > _COMMUTANT_TOL:
+        return block
+    return np.full(dm, -1)
+
+
+def _weight_frame(block: np.ndarray):
+    """(p, q, coord, value): the entries of an orthonormal frame of operators
+    on m, each entry in one frame operator.  A block of c copies of one root
+    plane, its 2c columns ordered by copy and then by parity, gives the 2c^2
+    operators (E_ij (x) I_2) / sqrt 2 and (E_ij (x) J_2) / sqrt 2, J_2 the
+    plane's rotation; block -1 gives each entry among its columns."""
+    order, _, at, starts, sizes, local = _places(block)
+    reps = sizes[at]
+    p = np.repeat(np.arange(len(block)), reps)          # every pair (p, q) in one block
+    first = np.repeat(np.cumsum(reps) - reps, reps)     # where the pairs of each p begin
+    q = order[np.repeat(starts[at], reps) + np.arange(len(p)) - first]
+    (i, a), (j, b) = np.divmod(local[p], 2), np.divmod(local[q], 2)
+    plane = block[p] >= 0
+    key = np.where(plane, (((at[p] * len(block) + i) * len(block) + j) * 2 + (a != b)) * 2,
+                   (p * len(block) + q) * 2 + 1)
+    value = np.where(plane, np.where(a == b, 1.0, np.sign(a - b)) / np.sqrt(2.0), 1.0)
+    return p, q, np.unique(key, return_inverse=True)[1], value
+
+
+def _commutator_gram(ak: sp.csr_matrix, dm: int, frame) -> np.ndarray:
+    """G[k, l] = sum_s <[A_s, S_k], [A_s, S_l]> over every block A_s = ad(k_s)^T
+    of ``ak`` (A' stacked as (dk dm, dm)) and the frame operators S_k.  As A_s
+    is antisymmetric, [A_s, S_k] = A_s S_k + (A_s S_k^T)^T: one sparse product
+    of a slab of generators, cut by ``slab_cuts``, with the frame laid out as
+    [p, (q, k)] and [q, (p, k)] side by side; the commutators are stacked, one
+    row per entry (s, i, j) they reach, and summed into G slab by slab."""
+    p, q, coord, value = frame
+    nc, dk = int(coord.max()) + 1, ak.shape[0] // dm
+    rows, cols = np.r_[p, q], np.r_[q * nc, (dm + p) * nc] + np.tile(coord, 2)
+    both = sp.csr_matrix((np.tile(value, 2), (rows, cols)), shape=(dm, 2 * dm * nc))
+    gen = np.repeat(np.arange(ak.shape[0]), np.diff(ak.indptr)) // dm
+    gram = np.zeros((nc, nc))
+    for s0, s1 in slab_cuts(np.bincount(gen, np.diff(both.indptr)[ak.indices], minlength=dk)):
+        t = (ak[s0 * dm:s1 * dm] @ both).tocoo()        # [(s, i), (half, j, k)]
+        (s, i), (half, j), k = np.divmod(t.row, dm), np.divmod(t.col // nc, dm), t.col % nc
+        entry = np.where(half, j * dm + i, i * dm + j)  # (i, j) of A_s S_k, (j, i) of -S_k A_s
+        _, rows = np.unique(s * dm * dm + entry, return_inverse=True)
+        stack = sp.csr_matrix((t.data, (rows, k)), shape=(rows.max(initial=-1) + 1, nc))
+        gram += (stack.T @ stack).toarray()
+    return gram
 
 
 def commutant_basis(space: OrderThreeSymmetricSpace) -> list[np.ndarray]:
-    """A basis of the operators on m that commute with every ad(k_s)|m.
+    """An orthonormal basis of the operators on m that commute with every ad(k_s)|m.
 
-    Two seeded random elements X and Y of k generate k (Kuranishi, Nagoya
-    Math. J. 2, 1951), so their joint commutant is the commutant of k.  Any S
-    commuting with X commutes with the symmetric X^T X, hence preserves its
-    eigenspaces: in an eigenbasis Q of X^T X, Q^T S Q is block diagonal and
-    each block commutes with the block X_i of Q^T X Q (``_block_frame``, 2
-    coordinates per root plane on inner classes).  With Y' = Q^T Y Q and
-    C = Y'^2, |[Y', S]|^2 has, on the block entries, the Gram matrix
-
-        G[(p,q),(r,t)] = 2 Y'[p,r] Y'[t,q] - C[p,r] d_qt - d_pr C[t,q]
-
-    (d the Kronecker delta), restricted to the block coordinates and summed
-    over the row slabs of ``slab_cuts`` (n entries a row); its null space
-    (eigenvalues below ``_COMMUTANT_TOL``) holds the candidates.  They are
-    then checked against every ad(k_s) (``_check_candidates``).  The commutant lies inside the
-    candidates whatever Y is drawn, so the check is exact; an unlucky Y only
-    adds candidates for it to reject.
+    Such an operator commutes with the torus of k, so it preserves each
+    torus-weight space: it is block diagonal over ``space.weight_block``, and
+    on c copies of one root plane, which the torus turns by multiples of the
+    plane's rotation J_2, it lies in M_c (x) span(I_2, J_2) (``_weight_frame``:
+    2 coordinates per root plane on inner classes, 8 on cyclic triples).
+    Block -1 takes every entry among its columns, so an unblocked space (the
+    d4 triality) is solved over all dim m^2 entries.  The blocks are checked
+    against the torus (``_checked_blocks``); over their frame the commutant is
+    the null space of the one Gram of |[A_s, S]|^2 summed over every generator
+    (``_commutator_gram``), which is itself the exhaustive check.
     """
-    dm, dk = space.dim_m, space.dim_k
-    ap = space.tensors()[2]
-    x, y = (_draw(dk) @ ap).reshape(2, dm, dm)    # X^T, Y^T: the same commutant as X, Y
-    q, rows, cols, frame = _block_frame(x)
-    yt = q.T @ y @ q
-    cas = yt @ yt
-    n = len(rows)
-    gram = np.zeros((frame.shape[1], frame.shape[1]))
-    for lo, hi in slab_cuts(np.full(n, n)):        # Y'[t, q] = -Y'[q, t]
-        p, t = rows[lo:hi, None], cols[lo:hi, None]
-        slab = (-2.0 * yt[p, rows] * yt[t, cols]
-                - cas[p, rows] * (t == cols) - (p == rows) * cas[t, cols])
-        gram += frame[lo:hi].T @ (frame.T @ slab.T).T
-    coords = (frame @ _null_space(gram)).T
-    blocks = np.zeros((len(coords), dm, dm))
-    blocks[:, rows, cols] = coords
-    return _check_candidates(ap.reshape((dk * dm, dm)).tocsr(), dm, q @ blocks @ q.T)
-
-
-def _check_candidates(ak: sp.csr_matrix, dm: int, cands: np.ndarray) -> list[np.ndarray]:
-    """The combinations of the orthonormal candidates S_k that commute with
-    every block A_s = ad(k_s)^T of ``ak``, A' stacked as (dk dm, dm), hence
-    with every ad(k_s)|m: the null space of their Gram matrix
-
-        sum_s <[A_s, S_k], [A_s, S_l]> = <S_k, W S_l + S_l W + 2 sum_s A_s S_l A_s>
-
-    with W = sum_s A_s^T A_s, since each A_s is antisymmetric.  The
-    candidates are held sparse (entries below ``ZERO_DROP`` dropped), and
-    sum_s A_s S A_s is summed over the slabs of generators that ``slab_cuts``
-    cuts by the bound on the entries of A_s S.
-    """
-    c, dk = len(cands), ak.shape[0] // dm
-    if not c:
-        return []
-    mats = drop_noise(sp.csr_matrix(cands.transpose(1, 0, 2).reshape(dm, c * dm)))   # [S_1 .. S_c]
-    gen = np.repeat(np.arange(ak.shape[0]), np.diff(ak.indptr)) // dm
-    bound = np.bincount(gen, weights=np.diff(mats.indptr)[ak.indices], minlength=dk)
-    img = np.zeros((c * dm, dm))                   # [(l, p), q]: sum_s A_s S_l A_s
-    for s0, s1 in slab_cuts(bound):
-        slab = ak[s0 * dm:s1 * dm]
-        v = (slab @ mats).tocoo()                  # [(s, p), (l, r)]: A_s S_l
-        (s, p), (l, r) = np.divmod(v.row, dm), np.divmod(v.col, dm)
-        v = sp.csr_matrix((v.data, (l * dm + p, s * dm + r)), shape=(c * dm, slab.shape[0]))
-        img += (v @ slab).toarray()
-    w = ak.T @ ak
-    ws = (w @ mats).toarray().reshape(dm, c, dm).transpose(1, 0, 2)     # W S_l
-    sw = (cands.reshape(c * dm, dm) @ w).reshape(c, dm, dm)              # S_l W
-    img = 2.0 * img.reshape(c, dm, dm) + ws + sw
-    null = _null_space(np.tensordot(cands, img, axes=([1, 2], [1, 2])))
-    return list(np.tensordot(null.T, cands, axes=1))
+    dm = space.dim_m
+    ak = space.tensors()[2].reshape((space.dim_k * dm, dm)).tocsr()
+    p, q, coord, value = frame = _weight_frame(_checked_blocks(space, ak))
+    coords = _null_space(_commutator_gram(ak, dm, frame))
+    basis = np.zeros((coords.shape[1], dm, dm))
+    basis[:, p, q] = (coords[coord] * value[:, None]).T
+    return list(basis)
 
 
 def invariant_halves(space: OrderThreeSymmetricSpace):
     """Split m into two ad(k)-invariant halves, or None if real-irreducible.
 
     Works through the symmetric part of the commutant of ad(k)|m
-    (``commutant_basis``, from two seeded elements of k, at every dim m): a
+    (``commutant_basis``, over the torus-weight blocks, at every dim m): a
     symmetric commuting operator other than a scalar exists exactly when the
     action is real-reducible.  The basis is orthonormal, so the symmetric
     commutant is more than the scalars exactly when the trace-free symmetric

@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dedup", action="store_true",
                    help="collapse diagram-symmetric duplicates")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_classify, parser=p)
 
     p = sub.add_parser("analyze", help="full invariant report for one space")
     p.add_argument("family", choices=list("abcdefg"))
@@ -383,13 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="unused, since every identity suite is exhaustive; accepted "
                         "only because the benchmark's workloads pass it")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, parser=p)
 
     p = sub.add_parser("table", help="regenerate a table and diff against golden")
     p.add_argument("which", choices=sorted(_TABLE_NAMES))
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_table)
+    p.set_defaults(func=cmd_table, parser=p)
 
     p = sub.add_parser("verify", help="run invariant suites")
     p.add_argument("scope", choices=["all", "jacobi", "identities", "tables",
@@ -399,12 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the e7/e8 checks of jacobi|identities; tables and "
                         "fibrations read none of it and accept it only because the "
                         "benchmark's workloads pass it")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:                                # refused with the subcommand's own usage
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if "tol" in args and not 0 <= args.tol < math.inf:       # NaN fails both comparisons
         print(f"error: --tol must be a finite number >= 0, got {args.tol}", file=sys.stderr)
         return 2

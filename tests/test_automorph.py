@@ -346,16 +346,18 @@ def _leak(space, halves):
     return max(np.abs(halves[1].T @ a @ halves[0]).max() for a in ad_k(space))
 
 
-@pytest.mark.parametrize("make", [
-    lambda: realize("g", 2, "A3IV", (1,)),
-    lambda: realize("f", 4, "A3IV", (2,)),
-    lambda: realize_triality_d4(tables.cached_algebra("d", 4)),
-    lambda: realize_cyclic_c3(tables.cached_algebra("a", 1)),
-    lambda: realize_cyclic_c3(tables.cached_algebra("a", 2)),
-    lambda: realize_cyclic_c3(tables.cached_algebra("a", 3)),
-], ids=["g2-node1", "f4-node2", "d4-triality", "a1-cyclic", "a2-cyclic", "a3-cyclic"])
-def test_block_commutant_matches_dense_reference(make):
-    sp = make()
+COMMUTANT_SPACES = {                  # dim m <= 36: the dim m^2-coordinate Gram stays cheap
+    "g2-node1": lambda: realize("g", 2, "A3IV", (1,)),
+    "f4-node2": lambda: realize("f", 4, "A3IV", (2,)),
+    "d4-triality": lambda: realize_triality_d4(tables.cached_algebra("d", 4)),
+    **{f"{f}{r}-cyclic": (lambda f=f, r=r: realize_cyclic_c3(tables.cached_algebra(f, r)))
+       for f, r in [("a", 1), ("a", 2), ("a", 3), ("b", 2), ("g", 2)]},
+}
+
+
+@pytest.mark.parametrize("name", list(COMMUTANT_SPACES))
+def test_block_commutant_matches_dense_reference(name):
+    sp = COMMUTANT_SPACES[name]()
     dim, ref = dense_invariant_halves(sp)
     basis = commutant_basis(sp)
     assert len(basis) == dim
@@ -366,6 +368,67 @@ def test_block_commutant_matches_dense_reference(make):
         return
     assert (halves[0].shape[1], halves[1].shape[1]) == (ref[0].shape[1], ref[1].shape[1])
     assert _leak(sp, halves) < 1e-9 and _leak(sp, ref) < 1e-9
+
+
+@pytest.mark.parametrize("name", list(COMMUTANT_SPACES))
+def test_coarsest_blocking_gives_the_same_commutant(name):
+    """With every m column in block -1 the commutant is solved over all dim m^2
+    entries: the same dimension and the same half dimensions as over the
+    torus-weight blocks, which the torus check keeps, each half invariant."""
+    sp = COMMUTANT_SPACES[name]()
+    dm = sp.dim_m
+    ak = sp.tensors()[2].reshape((sp.dim_k * dm, dm)).tocsr()
+    assert automorph._checked_blocks(sp, ak) is sp.weight_block
+    fine, fine_halves = len(commutant_basis(sp)), invariant_halves(sp)
+    sp.weight_block = np.full(sp.dim_m, -1)
+    assert len(commutant_basis(sp)) == fine
+    halves = invariant_halves(sp)
+    if fine_halves is None:
+        assert halves is None
+        return
+    assert [h.shape[1] for h in halves] == [h.shape[1] for h in fine_halves]
+    assert _leak(sp, halves) < 1e-9 and _leak(sp, fine_halves) < 1e-9
+
+
+@pytest.mark.parametrize("make", [
+    lambda: realize("g", 2, "A3IV", (1,)),
+    lambda: realize_cyclic_c3(tables.cached_algebra("a", 2)),
+], ids=["g2-node1", "a2-cyclic"])
+def test_blocking_that_splits_a_root_plane_raises(make):
+    """The two columns of one root plane in different blocks: the torus joins
+    them, and ``commutant_basis`` refuses the blocking."""
+    sp = make()
+    with pytest.raises(ValueError):
+        sp.weight_block[0] = 0                           # read-only
+    block = sp.weight_block.copy()
+    plane = np.flatnonzero(block >= 0)[:2]               # the first plane's two columns
+    assert block[plane[0]] == block[plane[1]]
+    block[plane[1]] = block.max() + 1
+    sp.weight_block = block
+    with pytest.raises(ValueError, match="torus of k joins two weight blocks"):
+        commutant_basis(sp)
+
+
+@pytest.mark.parametrize("corrupt", ["equal-weights", "mixed-copies"])
+def test_a_torus_that_breaks_the_blocks_is_solved_over_every_entry(corrupt):
+    """Only the torus acts on a2 cyclic, and on plane block 1 it either takes
+    the weights of block 0 or also swaps the E and JE copies: the plane frame
+    would miss operators that commute with it, so the commutant is solved
+    over all dim m^2 entries and matches the dense reference."""
+    sp = realize_cyclic_c3(tables.cached_algebra("a", 2))
+    x, kc, ap = sp.tensors()
+    dk, dm = sp.dim_k, sp.dim_m
+    a = ap.toarray().reshape(dk, dm, dm)                 # a[s] = ad(k_s)^T
+    a[sp.torus:] = 0.0
+    b0, b1 = (np.flatnonzero(sp.weight_block == b) for b in (0, 1))
+    if corrupt == "equal-weights":
+        a[:, b1[:, None], b1] = a[:, b0[:, None], b0]
+    else:                                                # I_2 (x) w J_2 -> (I_2 + X) (x) w J_2
+        a[:, b1[:, None], b1] += a[:, b1[:, None], b1[[2, 3, 0, 1]]]
+    sp._tensors = (x, kc, csr_matrix(a.reshape(dk, dm * dm)))
+    ak = csr_matrix(a.reshape(dk * dm, dm))
+    assert np.all(automorph._checked_blocks(sp, ak) == -1)
+    assert len(commutant_basis(sp)) == dense_invariant_halves(sp)[0]
 
 
 def test_every_type_i_and_ii_space_is_confirmed(algebra):
@@ -532,32 +595,6 @@ def test_one_flipped_entry_moves_jacobi_preservation_and_xi(algebra):
     moved = dict(zip(zip(diff.row.tolist(), diff.col.tolist()), diff.data.tolist()))
     assert moved == pytest.approx({(a * dm + b, p): -2.0 * x.data[0],
                                    (b * dm + a, p): 2.0 * x.data[0]})
-
-
-@pytest.mark.parametrize("make", [
-    lambda: realize("g", 2, "A3IV", (1,)),
-    lambda: realize_cyclic_c3(tables.cached_algebra("a", 2)),
-], ids=["g2-node1", "a2-cyclic"])
-def test_check_rejects_candidates_of_an_unlucky_draw(make, monkeypatch):
-    """With Y = X the second element adds nothing, so every operator commuting
-    with the blocks of X is a candidate; the check against every ad(k_s)
-    rejects the extra ones and the halves still match the dense reference."""
-    draw, seen = automorph._draw, []
-    check = automorph._check_candidates
-    monkeypatch.setattr(automorph, "_draw", lambda dk: draw(dk)[[0, 0]])
-    monkeypatch.setattr(automorph, "_check_candidates",
-                        lambda ak, dm, cands: seen.append(len(cands)) or check(ak, dm, cands))
-    sp = make()
-    dim, ref = dense_invariant_halves(sp)
-    basis = commutant_basis(sp)
-    assert len(basis) == dim < seen[0]
-    assert max(np.abs(a @ s - s @ a).max() for a in ad_k(sp) for s in basis) < 1e-9
-    halves = invariant_halves(sp)
-    if ref is None:
-        assert halves is None
-        return
-    assert (halves[0].shape[1], halves[1].shape[1]) == (ref[0].shape[1], ref[1].shape[1])
-    assert _leak(sp, halves) < 1e-9 and _leak(sp, ref) < 1e-9
 
 
 @pytest.mark.parametrize("family,rank", [("f", 4), ("e", 7)])

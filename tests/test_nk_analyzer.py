@@ -553,7 +553,7 @@ def test_curvature_holds_no_g():
 
 
 def test_every_blocked_loop_takes_the_entry_budget(monkeypatch):
-    """With ``compactform.SLAB_ENTRIES`` at 2^10, each of the six blocked
+    """With ``compactform.SLAB_ENTRIES`` at 2^10, each of the five blocked
     loops cuts more than one run with ``slab_cuts``: on a8 nodes 2,5 (dm 52,
     one slab at the default budget), g2 cyclic and the f4 Jacobi sweep.  R's
     arrays, Ric, every ``verify_space`` residual and Jacobi's worst residual
@@ -579,8 +579,8 @@ def test_every_blocked_loop_takes_the_entry_budget(monkeypatch):
         monkeypatch.setattr(module, "slab_cuts", spy)
     monkeypatch.setattr(compactform, "SLAB_ENTRIES", 1 << 10)
     assert outputs() == want
-    assert sorted(runs) == ["_build", "_check_candidates", "_jacobi_blocks", "_pass",
-                            "commutant_basis", "verify_min_connection_identity"]
+    assert sorted(runs) == ["_build", "_commutator_gram", "_jacobi_blocks", "_pass",
+                            "verify_min_connection_identity"]
     assert all(min(counts) > 1 for counts in runs.values()), runs
 
 

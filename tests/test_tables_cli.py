@@ -167,13 +167,13 @@ def test_cli_seed_is_inert(capsys):
 ])
 def test_cli_flag_the_subcommand_does_not_read_exits_2(command, flag, capsys):
     """A flag that its subcommand does not read is a usage error: exit 2,
-    with the usage and the flag on stderr, and nothing run."""
+    with that subcommand's usage and the flag on stderr, and nothing run."""
     with pytest.raises(SystemExit) as exc:
         main(command.split() + flag.split())
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("usage: nk-triad ")
+    assert captured.err.startswith(f"usage: nk-triad {command.split()[0]} ")
     assert captured.err.endswith(f"error: unrecognized arguments: {flag}\n")
 
 
