@@ -345,7 +345,7 @@ def _checked_blocks(space: OrderThreeSymmetricSpace, ak: sp.csr_matrix) -> np.nd
     t = ak[:n * dm].tocoo()
     s, c, d = t.row // dm, t.row % dm, t.col
     if np.any(block[c] != block[d]):
-        raise ValueError(f"{space.name}: the torus of k joins two weight blocks of m")
+        raise ClassificationMismatch(f"{space.name}: the torus of k joins two weight blocks of m")
     _, ids, at, _, sizes, local = _places(block)
     jay = np.sign(local[c] - local[d]) * (local[c] // 2 == local[d] // 2) * (block[c] >= 0)
     key = s * len(ids) + at[c]                          # (s, b): I_c (x) J_2 has norm^2 2c

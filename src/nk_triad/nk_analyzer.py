@@ -243,10 +243,10 @@ class Curvature:
         return self._build[2]
 
     @cached_property
-    def identities(self) -> tuple[dict[str, float], np.ndarray]:
-        """(residuals, Ric*): Bianchi, pair symmetry, antisymmetry and the
-        J-defect R - R kron(J, J) - 4G, each a maximum over every (a, b, c, d)."""
-        return {**self._pass(), "curvature_J_defect": self._build[1]}, self.ric_star
+    def identities(self) -> dict[str, float]:
+        """Bianchi, pair symmetry, antisymmetry and the J-defect
+        R - R kron(J, J) - 4G, each a maximum over every (a, b, c, d)."""
+        return {**self._pass(), "curvature_J_defect": self._build[1]}
 
     def _pass(self) -> dict[str, float]:
         """Bianchi, pair symmetry and antisymmetry in one pass over row slabs
@@ -382,7 +382,7 @@ def verify_curvature_identities(space, tol=1e-9, seed=0) -> dict[str, float]:
     ``bench/workloads.py`` stops passing it.
     """
     cv = curvature(space)
-    res = dict(cv.identities[0])
+    res = dict(cv.identities)
     j, ric, ric_star, r = cv.j, cv.ric, cv.ric_star, cv.r
     res["ric_symmetric"] = float(np.abs(ric - ric.T).max())
     res["ric_star_symmetric"] = float(np.abs(ric_star - ric_star.T).max())

@@ -405,8 +405,29 @@ def test_blocking_that_splits_a_root_plane_raises(make):
     assert block[plane[0]] == block[plane[1]]
     block[plane[1]] = block.max() + 1
     sp.weight_block = block
-    with pytest.raises(ValueError, match="torus of k joins two weight blocks"):
+    with pytest.raises(ClassificationMismatch, match="torus of k joins two weight blocks"):
         commutant_basis(sp)
+
+
+def test_cli_analyze_exits_1_when_the_torus_joins_two_blocks(monkeypatch, capsys):
+    """a1 cyclic with the JE half carrying E's blocks of A' for generators 0
+    and 1 swapped: the torus generator then joins a Cartan column to a root
+    plane, and ``analyze`` exits 1 with one line, not a traceback."""
+    def swapped(component):
+        sp = realize_cyclic_c3(component)
+        x, kc, ap = sp.tensors()
+        dk, dm = sp.dim_k, sp.dim_m
+        a = ap.toarray().reshape(dk, dm, dm)
+        e, je = np.arange(dm // 2)[:, None], np.arange(dm // 2, dm)[:, None]
+        a[0, je, je.T], a[1, je, je.T] = a[1, e, e.T], a[0, e, e.T]
+        sp._tensors = (x, kc, csr_matrix(a.reshape(dk, dm * dm)))
+        return sp
+
+    monkeypatch.setattr(automorph, "realize_cyclic_c3", swapped)
+    assert cli.main(["analyze", "a", "1", "--cyclic"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("classification mismatch: (a1)^3 / diagonal: the torus of k joins")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("corrupt", ["equal-weights", "mixed-copies"])
@@ -472,7 +493,7 @@ def test_classification_mismatch_fails_loudly(monkeypatch, capsys):
     assert cli.main(["analyze", "g", "2", "--nodes", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("classification mismatch: G2/SU(3): type I") and err.count("\n") == 1
-    monkeypatch.setattr(cli, "identity_spaces", lambda deep=False: [_looks_reducible()])
+    monkeypatch.setattr(cli, "identity_spaces", lambda: [_looks_reducible()])
     assert cli.main(["verify", "identities"]) == 1
     assert "identities:G2/SU(3):ClassificationMismatch:" in capsys.readouterr().out
 

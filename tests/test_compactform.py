@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sparse
 
 from nk_triad import compactform
-from nk_triad.cli import _JACOBI_DEEP, _JACOBI_DEFAULT
+from nk_triad.cli import _JACOBI
 from nk_triad.compactform import (
     CompactAlgebra,
     JacobiFailure,
@@ -94,10 +94,10 @@ def _dense_jacobi_residual(ca):
             + np.einsum("ikl,jlm->ijkm", c, c))
 
 
-@pytest.mark.parametrize("family,rank", _JACOBI_DEFAULT + _JACOBI_DEEP)
+@pytest.mark.parametrize("family,rank", _JACOBI)
 def test_blocked_jacobi_sweep_matches_per_i_sweep(family, rank, algebra, jacobi_oracle):
     """The blocked sweep returns the per-i sweep's worst residual, bit for bit,
-    and its first triple, on every algebra ``verify jacobi --deep`` covers."""
+    and its first triple, on every algebra ``verify jacobi`` covers."""
     ca = algebra(family, rank)
     assert ca._jacobi_worst() == jacobi_oracle(ca)
 
@@ -263,7 +263,7 @@ def test_cli_reports_trace_form_failure(algebra, monkeypatch, capsys):
     from nk_triad import cli
 
     broken = _scaled_su2(algebra)
-    monkeypatch.setattr(cli, "_JACOBI_DEFAULT", [("a", 1)])
+    monkeypatch.setattr(cli, "_JACOBI", [("a", 1)])
     monkeypatch.setattr(cli, "cached_algebra", lambda family, rank: broken)
     assert cli.main(["verify", "jacobi"]) == 1
     assert '"trace-form:a1:trace-form residual 2.667e+00 at basis pair (0, 0)' \
@@ -274,7 +274,7 @@ def test_cli_reports_jacobi_failure(algebra, monkeypatch, capsys):
     from nk_triad import cli
 
     broken = _flipped_g2(algebra)
-    monkeypatch.setattr(cli, "_JACOBI_DEFAULT", [("g", 2)])
+    monkeypatch.setattr(cli, "_JACOBI", [("g", 2)])
     monkeypatch.setattr(cli, "cached_algebra", lambda family, rank: broken)
     assert cli.main(["verify", "jacobi"]) == 1
     assert '"jacobi:g2:Jacobi residual 3.464e+00 at basis triple (0,3,5)"' \

@@ -287,9 +287,11 @@ def test_min_connection_holds_less_than_twice_g():
 
 
 def _special_torsion_spaces():
-    from nk_triad.cli import identity_spaces
-
-    yield from (sp for sp in identity_spaces() if sp.type_label in ("A3II", "A3III"))
+    for f, r, n in [("b", 3, 2), ("b", 4, 2), ("c", 2, 1), ("c", 3, 1), ("c", 3, 2),
+                    ("d", 4, 2), ("g", 2, 2), ("f", 4, 1), ("f", 4, 4)]:
+        yield realize(f, r, "A3III", (n,))
+    for f, r, n in [("a", 2, (1, 2)), ("a", 3, (1, 3)), ("a", 4, (2, 3)), ("d", 4, (3, 4))]:
+        yield realize(f, r, "A3II", n)
     yield realize("e", 8, "A3III", (1,))                  # dm 156
 
 
@@ -425,7 +427,8 @@ def test_curvature_pass_matches_operator_oracle(item, curvature_identity_oracle)
     on every space the analyze-irreducible and identity-sweep workloads draw:
     each residual and Ric* to 1e-14."""
     space = _realize_item(item)
-    res, ric_star = curvature(space).identities
+    res = curvature(space).identities
+    ric_star = curvature(space).ric_star
     want, want_star = curvature_identity_oracle(space)
     assert res.keys() == want.keys()
     assert max(abs(res[k] - want[k]) for k in want) <= 1e-14
@@ -448,7 +451,7 @@ def test_symmetries_read_zero_off_the_support():
     one.data[n] = v
     one.eliminate_zeros()
     cv.riemann = one                                   # replaces the memoised R
-    res = cv.identities[0]
+    res = cv.identities
     assert res["bianchi"] == res["pair_symmetry"] == res["antisymmetry"] == abs(v) > 0
 
 
@@ -460,7 +463,7 @@ def test_one_changed_entry_fails_the_symmetries(tensor, curvature_identity_oracl
     K only through K A', whose rows ad(k_s)|m commute with J, so it stays 0."""
     sp = realize("e", 7, "A3III", (2,))
     sp.tensors()[{"X": 0, "K": 1}[tensor]].data[0] += 0.5
-    res = curvature(sp).identities[0]
+    res = curvature(sp).identities
     want = curvature_identity_oracle(sp)[0]
     assert res == want
     assert res["bianchi"] > 1e-6 and res["pair_symmetry"] > 1e-6

@@ -384,7 +384,8 @@ def test_cli_verify_tables_scope(monkeypatch):
 
 def test_cli_verify_counts_failures_per_scope(monkeypatch, capsys):
     """A failing scope among passing ones: each status line counts its own scope."""
-    monkeypatch.setattr(cli, "_verify_jacobi", lambda tol, deep: ["jacobi:a1:forced"])
+    monkeypatch.setattr(cli, "_verify_jacobi", lambda tol: ["jacobi:a1:forced"])
+    monkeypatch.setattr(cli, "identity_spaces", lambda: [tables.realize("g", 2, "A3III", (2,))])
     assert main(["verify", "all"]) == 1
     text = capsys.readouterr().out
     assert text.splitlines()[:4] == ["verify jacobi: 1 failures", "verify identities: ok",
@@ -475,10 +476,77 @@ def test_cli_entry_point_installed():
 
 
 def test_identity_spaces_cover_all_constructions():
+    """The whole catalogue, in order: every class of the two-layer and
+    three-layer sweeps, e7 and e8 included, then g2 node 1, the triality and
+    a1 cyclic, 173 spaces."""
     from nk_triad.cli import identity_spaces
 
-    labels = {sp.type_label for sp in identity_spaces(deep=False)}
-    assert {"A3II", "A3III", "A3IV", "B3", "C3"} <= labels
+    names, labels = zip(*((sp.name, sp.type_label) for sp in identity_spaces()))
+    assert {"A3II", "A3III", "A3IV", "B3", "C3"} <= set(labels)
+    want = [tables.space_name(f, r, "A3III", (n,)) for f, r, n in tables.a3iii_sweep()] \
+        + [tables.space_name(f, r, "A3II", n) for f, r, n in tables.a3ii_sweep()] \
+        + ["G2/SU(3)", "Spin(8)/G2 (triality fixed points)", "(a1)^3 / diagonal"]
+    assert len(want) == 173 and list(names) == want
+
+
+def test_a3iii_sweep_ignores_deep():
+    sweep = tables.a3iii_sweep()
+    assert len(sweep) == 80 and ("e", 8, 8) in sweep
+    assert tables.a3iii_sweep(deep=False) == sweep == tables.a3iii_sweep(deep=True)
+
+
+def test_cli_verify_jacobi_is_whole_with_or_without_deep(monkeypatch, capsys):
+    """``verify jacobi`` visits the same 20 algebras in the same order, and
+    prints the same, whether or not ``--deep`` is passed."""
+    want = [("a", 1), ("a", 2), ("a", 3), ("a", 4), ("b", 2), ("b", 3), ("b", 4),
+            ("c", 2), ("c", 3), ("c", 4), ("d", 4), ("g", 2), ("f", 4),
+            ("a", 8), ("b", 8), ("c", 8), ("d", 8), ("e", 6), ("e", 7), ("e", 8)]
+    outs = []
+    for extra in ([], ["--deep"]):
+        seen = []
+        monkeypatch.setattr(cli, "cached_algebra",
+                            lambda f, r: seen.append((f, r)) or tables.cached_algebra(f, r))
+        assert main(["verify", "jacobi", *extra]) == 0
+        assert seen == want
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == "verify jacobi: ok\n"
+
+
+def _cli_grid():
+    """Fixed CLI inputs, valid and not: every inner class of small algebras by
+    ``--nodes``, nodes out of range, a pair that is not two mark-1 nodes, the
+    cyclic and triality constructions, ``classify`` at a bad and a good rank
+    of each family, and ``table BC``."""
+    from itertools import combinations
+
+    from nk_triad.rootsys import enumerate_inner_order3
+
+    for f, r in [("a", 1), ("a", 2), ("a", 3), ("a", 4), ("b", 2), ("b", 3),
+                 ("c", 2), ("c", 3), ("d", 4), ("g", 2)]:
+        rs = tables.cached_root_system(f, r)
+        nodes = [",".join(map(str, c.nodes)) for c in enumerate_inner_order3(rs)]
+        odd = next((p for p in combinations(range(1, r + 1), 2)
+                    if (rs.marks[p[0] - 1], rs.marks[p[1] - 1]) != (1, 1)), (1, 1))
+        nodes += ["0", str(r + 1), "%d,%d" % odd]
+        yield from (["analyze", f, str(r), "--nodes", n] for n in nodes)
+    yield from (["analyze", f, r, "--cyclic"] for f, r in ["a1", "a2", "b2", "g2"])
+    yield from (["analyze", f, r, "--triality"] for f, r in ["d4", "g2"])
+    for f, bad, good in ["a02", "b12", "c13", "d34", "e56", "f34", "g32"]:
+        yield from (["classify", f, bad], ["classify", f, good])
+    yield ["table", "BC"]
+
+
+def test_cli_grid_ends_in_an_exit_status_and_one_line(capsys):
+    """Each input of the grid ends in exit 0, 1 or 2 with at most one stderr
+    line, never a traceback."""
+    for argv in _cli_grid():
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        assert rc in (0, 1, 2), argv
+        assert err.count("\n") <= 1 and "Traceback" not in out + err, argv
 
 
 def test_cli_verify_all_fails_on_one_flipped_chevalley_sign(monkeypatch, capsys):
@@ -489,6 +557,8 @@ def test_cli_verify_all_fails_on_one_flipped_chevalley_sign(monkeypatch, capsys)
     sign = cd.sign.copy()
     sign[i, j] *= -1
     monkeypatch.setattr(cd, "sign", sign)
+    monkeypatch.setattr(cli, "identity_spaces", lambda: [tables.realize("g", 2, "A3III", (2,)),
+                                                         tables.realize("g", 2, "A3IV", (1,))])
     assert main(["verify", "all"]) == 1
     out = capsys.readouterr().out
     failures = json.loads(out[out.index("{"):])["failures"]

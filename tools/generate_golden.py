@@ -117,7 +117,7 @@ AIII_EXCEPTIONAL = {
 
 def rows_aiii() -> list[dict]:
     rows = []
-    for family, rank, node in a3iii_sweep(deep=True):
+    for family, rank, node in a3iii_sweep():
         n, i = rank, node
         printed = None
         if family == "b":
@@ -276,7 +276,7 @@ def rows_fib_aiii() -> list[dict]:
                 ("e", 7, 2): "x", ("e", 7, 6): "xi", ("e", 8, 8): "xii",
                 ("e", 8, 1): "xiii"}
     rows = []
-    for family, rank, node in a3iii_sweep(deep=True):
+    for family, rank, node in a3iii_sweep():
         g_v, gbar, fiber, base = _aiii_fib(family, rank, node)
         rows.append({
             "family": family, "rank": rank, "node": node,
