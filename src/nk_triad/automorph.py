@@ -23,10 +23,10 @@ import scipy.sparse as sp
 
 from .chevalley import ChevalleyData
 from .compactform import CompactAlgebra, adjoint_action_exp, drop_noise, slab_cuts
-from .rootsys import NK_TYPE, ClassificationMismatch, InnerClass, NotOrderThree
+from .rootsys import NK_TYPE, ClassificationMismatch, InnerClass, NotOrderThree, VerificationFailure
 
 
-class TrialityInconsistent(RuntimeError):
+class TrialityInconsistent(VerificationFailure):
     """The sign-adjusted diagram rotation is not an automorphism."""
 
 

@@ -36,14 +36,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rootsys import RootSystem, string_bounds
+from .rootsys import RootSystem, VerificationFailure, string_bounds
 
 
-class SignInconsistency(RuntimeError):
+class SignInconsistency(VerificationFailure):
     """Sign propagation contradicted itself; indicates an internal bug."""
 
 
-class IdentityViolation(AssertionError):
+class IdentityViolation(VerificationFailure):
     """An algebraic identity of the constants failed, or a curvature or
     torsion identity of a space exceeded tolerance."""
 

@@ -10,7 +10,8 @@ Each subcommand takes only the flags it reads, but two: ``verify --deep`` and
 ``analyze --seed`` are read by nothing, since every scope checks its whole
 catalogue and every check is exhaustive; the benchmark's workloads pass them.
 
-Exit status: 0 on success, 1 on verification failure, 2 on usage errors.
+Exit status: 0 on success; 1 on a failed check or a ``VerificationFailure``;
+2 on a ``UsageError``, a ``--tol`` below ``TOL_FLOOR`` or a ``MemoryError``.
 JSON reports carry ``schema_version: 1.x`` and serialize every rational in
 kappa units as a {num, den} pair.
 """
@@ -27,12 +28,12 @@ import sys
 from fractions import Fraction
 
 from . import tables
-from .chevalley import IdentityViolation, verify_square_formula, verify_triangle_identity
-from .exact import FixedVectorInM, NKReport, NonRationalEigenvalue, RIdentityMismatch
-from .fibration import NonClosedSubalgebra, NotInvolutive, all_fibrations
-from .rootsys import (NK_TYPE, ClassificationMismatch, InnerClass, InvalidRank, NotOrderThree,
+from .chevalley import verify_square_formula, verify_triangle_identity
+from .exact import NKReport
+from .fibration import all_fibrations
+from .rootsys import (NK_TYPE, TOL_FLOOR, InnerClass, InvalidRank, UsageError, VerificationFailure,
                       enumerate_inner_order3)
-from .tables import TABLES, GoldenFileError, cached_algebra, cached_root_system
+from .tables import TABLES
 
 SCHEMA_VERSION = "1.0"
 
@@ -78,7 +79,7 @@ def _fibration_json(rep) -> dict:
 
 
 def cmd_classify(args) -> int:
-    rs = cached_root_system(args.family, args.rank)
+    rs = tables.cached_root_system(args.family, args.rank)
     entries = []
     for cls in enumerate_inner_order3(rs, dedup=args.dedup):
         entries.append({
@@ -108,13 +109,13 @@ def cmd_classify(args) -> int:
 
 def _realize_from_args(args):
     from .automorph import realize_cyclic_c3, realize_triality_d4
-    rs = cached_root_system(args.family, args.rank)      # rejects a bad type first
+    rs = tables.cached_root_system(args.family, args.rank)  # rejects a bad type first
     if args.triality:
         if (args.family, args.rank) != ("d", 4):
             raise InvalidRank(f"--triality needs the algebra d 4, got {args.family} {args.rank}")
-        return realize_triality_d4(cached_algebra(args.family, args.rank))
+        return realize_triality_d4(tables.cached_algebra(args.family, args.rank))
     if args.cyclic:
-        return realize_cyclic_c3(cached_algebra(args.family, args.rank))
+        return realize_cyclic_c3(tables.cached_algebra(args.family, args.rank))
     try:
         nodes = tuple(int(t) for t in args.nodes.split(","))
     except ValueError:
@@ -253,22 +254,25 @@ _JACOBI = [("a", n) for n in range(1, 5)] + [("b", n) for n in (2, 3, 4)] \
 
 
 def _verify_jacobi(tol: float) -> list[str]:
-    from .compactform import JacobiFailure, TraceFormFailure
     failures = []
     for family, rank in _JACOBI:
-        ca = cached_algebra(family, rank)
-        try:      # the exact N^2 and signs that C is assembled from
+        try:      # the algebra, and the exact N^2 and signs that C is assembled from
+            ca = tables.cached_algebra(family, rank)
+        except VerificationFailure as exc:
+            failures.append(f"chevalley:{family}{rank}:{type(exc).__name__}:{exc}")
+            continue
+        try:
             verify_triangle_identity(ca.cd)
             verify_square_formula(ca.cd)
-        except IdentityViolation as exc:
+        except VerificationFailure as exc:
             failures.append(f"chevalley:{family}{rank}:{exc}")
         try:
             ca.assert_jacobi(tol)
-        except JacobiFailure as exc:
+        except VerificationFailure as exc:
             failures.append(f"jacobi:{family}{rank}:{exc}")
         try:
             ratio = ca.trace_form_ratio()
-        except TraceFormFailure as exc:
+        except VerificationFailure as exc:
             failures.append(f"trace-form:{family}{rank}:{exc}")
             continue
         if abs(ratio - 2 * ca.dual_coxeter) > 1e-6 * ratio:
@@ -284,8 +288,8 @@ def identity_spaces():
     yield from (tables.realize(f, r, "A3III", (n,)) for f, r, n in tables.a3iii_sweep())
     yield from (tables.realize(f, r, "A3II", n) for f, r, n in tables.a3ii_sweep())
     yield tables.realize("g", 2, "A3IV", (1,))
-    yield realize_triality_d4(cached_algebra("d", 4))
-    yield realize_cyclic_c3(cached_algebra("a", 1))
+    yield realize_triality_d4(tables.cached_algebra("d", 4))
+    yield realize_cyclic_c3(tables.cached_algebra("a", 1))
 
 
 def _verify_identities(tol: float) -> list[str]:
@@ -403,22 +407,18 @@ def main(argv=None) -> int:
     args, extra = build_parser().parse_known_args(argv)
     if extra:                                # refused with the subcommand's own usage
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    if "tol" in args and not 0 <= args.tol < math.inf:       # NaN fails both comparisons
-        print(f"error: --tol must be a finite number >= 0, got {args.tol}", file=sys.stderr)
+    if "tol" in args and not TOL_FLOOR <= args.tol < math.inf:   # NaN fails both comparisons
+        print(f"error: --tol must be a finite number >= {TOL_FLOOR}, got {args.tol}", file=sys.stderr)
         return 2
     try:
         return args.func(args)
-    except (InvalidRank, NotOrderThree, GoldenFileError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
-    except ClassificationMismatch as exc:
-        print(f"classification mismatch: {exc}", file=sys.stderr)
-        return 1
-    except (IdentityViolation, RIdentityMismatch, NonRationalEigenvalue, FixedVectorInM,
-            NonClosedSubalgebra, NotInvolutive) as exc:
+    except VerificationFailure as exc:
         print(f"verification failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .chevalley import ChevalleyData
-from .rootsys import NotOrderThree
+from .rootsys import NotOrderThree, VerificationFailure
 
 DUAL_COXETER = {
     "a": lambda n: n + 1,
@@ -72,14 +72,14 @@ def slab_cuts(weight, budget=None, most=None) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-class JacobiFailure(AssertionError):
+class JacobiFailure(VerificationFailure):
     def __init__(self, i, j, k, residual):
         super().__init__(f"Jacobi residual {residual:.3e} at basis triple ({i},{j},{k})")
         self.triple = (i, j, k)
         self.residual = residual
 
 
-class TraceFormFailure(AssertionError):
+class TraceFormFailure(VerificationFailure):
     """tr(ad e_i ad e_j) is not one multiple of B0(e_i, e_j) = -2 delta_ij on
     every basis pair; ``pair`` is the (i, j) farthest from the mean ratio."""
 

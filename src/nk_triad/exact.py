@@ -5,10 +5,7 @@ On an inner class they are sums of exact squared structure constants over
 its root split, read from the class and the algebra's ``ChevalleyData``
 alone (``inner_report``), so no space is realized and no float module is
 loaded; ``nk_analyzer`` cross-checks them against the floating-point trace
-computations on a realized space.  Every exception ``cli.main`` maps to an
-exit code lives in a scipy-free module: the verification failures here and
-in ``chevalley`` (``IdentityViolation``, bound here too), ``NotOrderThree`` and
-``ClassificationMismatch`` in ``rootsys``.
+computations on a realized space.
 """
 
 from __future__ import annotations
@@ -20,18 +17,18 @@ from fractions import Fraction
 import numpy as np
 
 from .chevalley import ChevalleyData, IdentityViolation
-from .rootsys import NK_TYPE, InnerClass, RootSystem
+from .rootsys import NK_TYPE, InnerClass, RootSystem, VerificationFailure
 
 
-class FixedVectorInM(ValueError):
+class FixedVectorInM(VerificationFailure):
     """sigma restricted to m has a fixed vector; the split k + m is wrong."""
 
 
-class NonRationalEigenvalue(ArithmeticError):
+class NonRationalEigenvalue(VerificationFailure):
     """A float eigenvalue failed to reconstruct as an exact rational."""
 
 
-class RIdentityMismatch(AssertionError):
+class RIdentityMismatch(VerificationFailure):
     """Ric - Ric* disagrees with the torsion tensor r."""
 
 

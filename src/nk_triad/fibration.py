@@ -26,14 +26,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rootsys import InnerClass, NotClosed, RootSystem, SubsystemType, alpha_levels, subsystem_type
+from .rootsys import (InnerClass, NotClosed, RootSystem, SubsystemType, VerificationFailure, alpha_levels,
+                      subsystem_type)
 
 
-class NonClosedSubalgebra(RuntimeError):
+class NonClosedSubalgebra(VerificationFailure):
     """A bracket closure produced vectors outside the candidate subalgebra."""
 
 
-class NotInvolutive(ValueError):
+class NotInvolutive(VerificationFailure):
     """The candidate automorphism does not square to the identity."""
 
 

@@ -52,7 +52,7 @@ from .exact import (FixedVectorInM, IdentityViolation, NKReport, NonRationalEige
                     exact_r_eigenvalues, inner_report, verify_prop_table_relations)
 # bound here only because bench/layers.py WRAPPED traces them as nk_analyzer.exact_*
 from .exact import exact_r_cross_layer, exact_ricci_eigenvalues  # noqa: F401
-from .rootsys import KAPPA, _read_only
+from .rootsys import KAPPA, TOL_FLOOR, _read_only
 
 
 # -- basic structure -----------------------------------------------------------
@@ -70,9 +70,9 @@ def canonical_J(space: OrderThreeSymmetricSpace) -> sp.csr_matrix:
     eye = sp.identity(space.dim_m, format="csr")
     sigma_m = space.m_cols.T @ space.sigma @ space.m_cols
     j = drop_noise(((2.0 * sigma_m + eye) / np.sqrt(3.0)).tocsr())
-    if _max_abs(j @ j + eye) > 1e-12:
+    if _max_abs(j @ j + eye) > TOL_FLOOR:
         raise FixedVectorInM("J^2 != -id; sigma|m is not fixed-point free of order 3")
-    if (np.diff(j.indptr) != 1).any() or (np.abs(np.abs(j.data) - 1.0) > 1e-12).any():
+    if (np.diff(j.indptr) != 1).any() or (np.abs(np.abs(j.data) - 1.0) > TOL_FLOOR).any():
         raise IdentityViolation("J is not a signed permutation of the m-basis")
     return j
 

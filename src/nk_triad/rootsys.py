@@ -62,23 +62,35 @@ Coeffs = tuple[int, ...]
 KAPPA = Fraction(2)  # squared length of the highest root
 
 
-class InvalidRank(ValueError):
+class UsageError(ValueError):
+    """An input refused before any work: ``cli.main`` exits 2.  Every exception
+    of the package derives from this or from ``VerificationFailure``."""
+
+
+class VerificationFailure(AssertionError):
+    """A computed check failed: ``cli.main`` exits 1 with one line naming the class."""
+
+
+TOL_FLOOR = 1e-12  # J is validated to this whatever the tolerance; no residual can be held below
+
+
+class InvalidRank(UsageError):
     """Raised when (family, rank) is not a valid simple type."""
 
 
-class NotARoot(ValueError):
+class NotARoot(VerificationFailure):
     """Raised when a coefficient vector is not a root of the system."""
 
 
-class NotClosed(ValueError):
+class NotClosed(VerificationFailure):
     """Raised when a root subset is not closed under negation/addition."""
 
 
-class NotOrderThree(ValueError):
+class NotOrderThree(VerificationFailure):
     """The candidate automorphism does not cube to the identity."""
 
 
-class ClassificationMismatch(RuntimeError):
+class ClassificationMismatch(VerificationFailure):
     """The action of k on m contradicts the type its automorphism class names."""
 
 

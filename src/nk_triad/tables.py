@@ -36,11 +36,11 @@ import numpy as np
 from .chevalley import ChevalleyData
 from .exact import inner_report
 from .fibration import all_fibrations
-from .rootsys import (InnerClass, InvalidRank, RootSystem, build_root_system, enumerate_inner_order3,
-                      subsystem_type)
+from .rootsys import (InnerClass, InvalidRank, RootSystem, UsageError, build_root_system,
+                      enumerate_inner_order3, subsystem_type)
 
 
-class GoldenFileError(ValueError):
+class GoldenFileError(UsageError):
     """A golden file is missing, unreadable or not valid golden JSON."""
 
 

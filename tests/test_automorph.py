@@ -426,7 +426,8 @@ def test_cli_analyze_exits_1_when_the_torus_joins_two_blocks(monkeypatch, capsys
     monkeypatch.setattr(automorph, "realize_cyclic_c3", swapped)
     assert cli.main(["analyze", "a", "1", "--cyclic"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("classification mismatch: (a1)^3 / diagonal: the torus of k joins")
+    assert err.startswith("verification failure: ClassificationMismatch: (a1)^3 / diagonal: "
+                          "the torus of k joins")
     assert err.count("\n") == 1
 
 
@@ -492,7 +493,8 @@ def test_classification_mismatch_fails_loudly(monkeypatch, capsys):
     monkeypatch.setattr(tables, "realize", lambda *args: _looks_reducible())
     assert cli.main(["analyze", "g", "2", "--nodes", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("classification mismatch: G2/SU(3): type I") and err.count("\n") == 1
+    assert err.startswith("verification failure: ClassificationMismatch: G2/SU(3): type I")
+    assert err.count("\n") == 1
     monkeypatch.setattr(cli, "identity_spaces", lambda: [_looks_reducible()])
     assert cli.main(["verify", "identities"]) == 1
     assert "identities:G2/SU(3):ClassificationMismatch:" in capsys.readouterr().out
@@ -525,8 +527,8 @@ def test_type_ii_without_equal_halves_fails_loudly(monkeypatch, capsys):
     monkeypatch.setattr(automorph, "realize_cyclic_c3", lambda ca: _coupled_halves())
     assert cli.main(["analyze", "a", "1", "--cyclic"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("classification mismatch: (a1)^3 / diagonal: type II") \
-        and err.count("\n") == 1
+    assert err.startswith("verification failure: ClassificationMismatch: (a1)^3 / diagonal: "
+                          "type II") and err.count("\n") == 1
 
 
 # -- the tensors as one sparse product of C ------------------------------------------

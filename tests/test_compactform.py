@@ -260,22 +260,22 @@ def test_trace_form_failure_names_its_indices(algebra):
 
 
 def test_cli_reports_trace_form_failure(algebra, monkeypatch, capsys):
-    from nk_triad import cli
+    from nk_triad import cli, tables
 
     broken = _scaled_su2(algebra)
     monkeypatch.setattr(cli, "_JACOBI", [("a", 1)])
-    monkeypatch.setattr(cli, "cached_algebra", lambda family, rank: broken)
+    monkeypatch.setattr(tables, "cached_algebra", lambda family, rank: broken)
     assert cli.main(["verify", "jacobi"]) == 1
     assert '"trace-form:a1:trace-form residual 2.667e+00 at basis pair (0, 0)' \
         in capsys.readouterr().out
 
 
 def test_cli_reports_jacobi_failure(algebra, monkeypatch, capsys):
-    from nk_triad import cli
+    from nk_triad import cli, tables
 
     broken = _flipped_g2(algebra)
     monkeypatch.setattr(cli, "_JACOBI", [("g", 2)])
-    monkeypatch.setattr(cli, "cached_algebra", lambda family, rank: broken)
+    monkeypatch.setattr(tables, "cached_algebra", lambda family, rank: broken)
     assert cli.main(["verify", "jacobi"]) == 1
     assert '"jacobi:g2:Jacobi residual 3.464e+00 at basis triple (0,3,5)"' \
         in capsys.readouterr().out

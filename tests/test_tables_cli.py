@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from nk_triad import cli, tables
 from nk_triad.cli import _GOLDEN_SCOPES, main
 from nk_triad.chevalley import ChevalleyData
 from nk_triad.compactform import CompactAlgebra
-from nk_triad.rootsys import build_root_system
+from nk_triad.rootsys import UsageError, VerificationFailure, build_root_system
 
 
 def test_tables_match_golden_fast():
@@ -321,12 +322,16 @@ def test_cli_usage_error_exit_2():
      "error: node 3 has mark 4; an order-3 class needs a node of mark 1, 2 or 3"),
     (["analyze", "f", "4", "--nodes", "3"],
      "error: node 3 has mark 4; an order-3 class needs a node of mark 1, 2 or 3"),
-    (["verify", "jacobi", "--tol", "nan"], "error: --tol must be a finite number >= 0, got nan"),
+    (["verify", "jacobi", "--tol", "nan"], "error: --tol must be a finite number >= 1e-12, got nan"),
     (["analyze", "c", "2", "--nodes", "1", "--tol", "nan"],
-     "error: --tol must be a finite number >= 0, got nan"),
+     "error: --tol must be a finite number >= 1e-12, got nan"),
     (["analyze", "g", "2", "--nodes", "2", "--tol", "-1"],
-     "error: --tol must be a finite number >= 0, got -1.0"),
-    (["verify", "tables", "--tol", "inf"], "error: --tol must be a finite number >= 0, got inf"),
+     "error: --tol must be a finite number >= 1e-12, got -1.0"),
+    (["verify", "tables", "--tol", "inf"], "error: --tol must be a finite number >= 1e-12, got inf"),
+    (["analyze", "g", "2", "--nodes", "2", "--tol", "0"],
+     "error: --tol must be a finite number >= 1e-12, got 0.0"),
+    (["verify", "identities", "--tol", "1e-13"],
+     "error: --tol must be a finite number >= 1e-12, got 1e-13"),
 ])
 def test_cli_error_paths_exit_2(argv, message, monkeypatch, capsys):
     """Each bad input ends with exit 2 and one line on stderr, before any
@@ -336,7 +341,6 @@ def test_cli_error_paths_exit_2(argv, message, monkeypatch, capsys):
     def no_algebra(*args):
         raise AssertionError("an algebra was built for a rejected input")
 
-    monkeypatch.setattr(cli, "cached_algebra", no_algebra)
     monkeypatch.setattr(tables, "cached_algebra", no_algebra)
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -363,7 +367,6 @@ def test_cli_golden_file_errors_exit_2(argv, files, message, tmp_path, monkeypat
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.setenv("NK_TRIAD_GOLDEN_DIR", str(tmp_path))
-    monkeypatch.setattr(cli, "cached_algebra", no_algebra)
     monkeypatch.setattr(tables, "cached_algebra", no_algebra)
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -501,11 +504,11 @@ def test_cli_verify_jacobi_is_whole_with_or_without_deep(monkeypatch, capsys):
     want = [("a", 1), ("a", 2), ("a", 3), ("a", 4), ("b", 2), ("b", 3), ("b", 4),
             ("c", 2), ("c", 3), ("c", 4), ("d", 4), ("g", 2), ("f", 4),
             ("a", 8), ("b", 8), ("c", 8), ("d", 8), ("e", 6), ("e", 7), ("e", 8)]
-    outs = []
+    outs, build = [], tables.cached_algebra
     for extra in ([], ["--deep"]):
         seen = []
-        monkeypatch.setattr(cli, "cached_algebra",
-                            lambda f, r: seen.append((f, r)) or tables.cached_algebra(f, r))
+        monkeypatch.setattr(tables, "cached_algebra",
+                            lambda f, r: seen.append((f, r)) or build(f, r))
         assert main(["verify", "jacobi", *extra]) == 0
         assert seen == want
         outs.append(capsys.readouterr().out)
@@ -563,3 +566,98 @@ def test_cli_verify_all_fails_on_one_flipped_chevalley_sign(monkeypatch, capsys)
     out = capsys.readouterr().out
     failures = json.loads(out[out.index("{"):])["failures"]
     assert len(failures) == 1 and failures[0].startswith("chevalley:g2:triple ")
+
+
+# -- the failure contract --------------------------------------------------------
+
+
+def _package_exceptions():
+    """Every exception class defined in a module of the package, by name."""
+    found = {}
+    for info in pkgutil.iter_modules(nk_triad.__path__):
+        module = importlib.import_module(f"nk_triad.{info.name}")
+        found.update((name, obj) for name, obj in vars(module).items()
+                     if isinstance(obj, type) and issubclass(obj, BaseException)
+                     and obj.__module__ == module.__name__)
+    return [found[name] for name in sorted(found)
+            if found[name] not in (UsageError, VerificationFailure)]
+
+
+def test_every_exception_derives_from_exactly_one_base():
+    """Each exception of the package is a ``UsageError`` or a
+    ``VerificationFailure``, never both and never neither, so its exit code is
+    fixed where it is defined."""
+    classes = _package_exceptions()
+    assert {"ClassificationMismatch", "FixedVectorInM", "GoldenFileError", "IdentityViolation",
+            "InvalidRank", "JacobiFailure", "NonClosedSubalgebra", "NonRationalEigenvalue",
+            "NotARoot", "NotClosed", "NotInvolutive", "NotOrderThree", "RIdentityMismatch",
+            "SignInconsistency", "TraceFormFailure", "TrialityInconsistent"} \
+        <= {cls.__name__ for cls in classes}
+    for cls in classes:
+        assert issubclass(cls, UsageError) + issubclass(cls, VerificationFailure) == 1, cls
+
+
+@pytest.mark.parametrize("cls", _package_exceptions(), ids=lambda cls: cls.__name__)
+def test_cli_maps_every_exception_to_its_exit_code(cls, monkeypatch, capsys):
+    """Any exception of the package raised inside ``analyze`` ends in exit 2
+    (a usage error) or 1 (a verification failure) with one stderr line
+    naming it, never a traceback; the constructor is bypassed, since some
+    classes take their location rather than a message."""
+    def fail(args):
+        raise cls.__new__(cls, "forced")
+
+    monkeypatch.setattr(cli, "_realize_from_args", fail)
+    rc = main(["analyze", "g", "2", "--nodes", "2"])
+    out, err = capsys.readouterr()
+    if issubclass(cls, UsageError):
+        assert (rc, err) == (2, "error: forced\n")
+    else:
+        assert (rc, err) == (1, f"verification failure: {cls.__name__}: forced\n")
+    assert out == ""
+
+
+def test_cli_analyze_accepts_the_tolerance_floor(capsys):
+    assert main(["analyze", "g", "2", "--nodes", "2", "--tol", "1e-12"]) == 0
+    assert "verification: pass" in capsys.readouterr().out
+
+
+def test_cli_triality_exits_1_on_a_bracket_entry_it_does_not_preserve(monkeypatch, capsys):
+    """d4 with C[(5, 9), l] negated in both orders, l the pair's first stored
+    column, reached only through ``tables.cached_algebra``: the rotation no
+    longer preserves the bracket, and ``analyze`` exits 1 with one line."""
+    ca = CompactAlgebra(ChevalleyData(build_root_system("d", 4)))
+    d, c = ca.dim, ca.C.tolil()
+    i, j = 5, 9
+    l = ca.C[i * d + j].indices[0]
+    c[i * d + j, l] *= -1
+    c[j * d + i, l] *= -1
+    ca.C = c.tocsr()
+    monkeypatch.setattr(tables, "cached_algebra", lambda family, rank: ca)
+    assert main(["analyze", "d", "4", "--triality"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("verification failure: TrialityInconsistent: rescaled rotation fails "
+                            "to preserve the bracket of basis pair (5, 9): residual 2.000e+00\n")
+    assert captured.out == ""
+
+
+def test_cli_verify_jacobi_goes_on_past_an_algebra_that_fails_to_build(monkeypatch, capsys):
+    """a2's Chevalley signs fail to build: ``verify jacobi`` records one
+    failure for a2, still builds and checks the other 19 algebras, and ends
+    in exit 1 after its summary line."""
+    from nk_triad.chevalley import SignInconsistency
+
+    build, built = tables.cached_algebra, []
+
+    def fails_at_a2(family, rank):
+        if (family, rank) == ("a", 2):
+            raise SignInconsistency("magnitude mismatch at forced")
+        built.append((family, rank))
+        return build(family, rank)
+
+    monkeypatch.setattr(tables, "cached_algebra", fails_at_a2)
+    assert main(["verify", "jacobi"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("verify jacobi: 1 failures\n") and err == ""
+    assert json.loads(out[out.index("{"):])["failures"] == [
+        "chevalley:a2:SignInconsistency:magnitude mismatch at forced"]
+    assert built == [key for key in cli._JACOBI if key != ("a", 2)]
