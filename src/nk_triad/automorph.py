@@ -23,7 +23,8 @@ import scipy.sparse as sp
 
 from .chevalley import ChevalleyData
 from .compactform import CompactAlgebra, adjoint_action_exp, drop_noise, slab_cuts
-from .rootsys import NK_TYPE, ClassificationMismatch, InnerClass, NotOrderThree, VerificationFailure
+from .rootsys import (NK_TYPE, TRIALITY_NAME, ClassificationMismatch, InnerClass, NotOrderThree,
+                      VerificationFailure)
 
 
 class TrialityInconsistent(VerificationFailure):
@@ -218,7 +219,7 @@ def realize_triality_d4(ca: CompactAlgebra) -> OrderThreeSymmetricSpace:
     k_cols = vecs[:, vals > 0.5]
     m_cols = vecs[:, vals <= 0.5]
     space = OrderThreeSymmetricSpace(
-        ca, "B3", sigma, k_cols, m_cols, name="Spin(8)/G2 (triality fixed points)",
+        ca, "B3", sigma, k_cols, m_cols, name=TRIALITY_NAME,
     )
     space.check_invariants()
     residual, (i, j) = space._bracket_preservation_worst()
@@ -236,7 +237,7 @@ def realize_triality_d4(ca: CompactAlgebra) -> OrderThreeSymmetricSpace:
     space = OrderThreeSymmetricSpace(
         ca, "B3", sigma, k_cols, np.hstack([m_cols @ halves[0], m_cols @ (j @ halves[0])]),
         layers={"E": list(range(half)), "JE": list(range(half, 2 * half))},
-        name="Spin(8)/G2 (triality fixed points)",
+        name=TRIALITY_NAME,
     )
     space.check_invariants()
     return space

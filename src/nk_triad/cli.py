@@ -10,8 +10,14 @@ Each subcommand takes only the flags it reads, but two: ``verify --deep`` and
 ``analyze --seed`` are read by nothing, since every scope checks its whole
 catalogue and every check is exhaustive; the benchmark's workloads pass them.
 
+``verify`` runs one loop over (scope, subject, check): a check does all the
+work for its subject and returns findings or raises ``VerificationFailure``,
+and each is one line ``<scope>:<subject>:<finding>`` or
+``<scope>:<subject>:<Class>:<message>``, after which the scope goes on.
+
 Exit status: 0 on success; 1 on a failed check or a ``VerificationFailure``;
-2 on a ``UsageError``, a ``--tol`` below ``TOL_FLOOR`` or a ``MemoryError``.
+2 on a ``UsageError`` (golden files are read before any check), a ``--tol``
+below ``TOL_FLOOR`` or a ``MemoryError``.
 JSON reports carry ``schema_version: 1.x`` and serialize every rational in
 kappa units as a {num, den} pair.
 """
@@ -31,8 +37,8 @@ from . import tables
 from .chevalley import verify_square_formula, verify_triangle_identity
 from .exact import NKReport
 from .fibration import all_fibrations
-from .rootsys import (NK_TYPE, TOL_FLOOR, InnerClass, InvalidRank, UsageError, VerificationFailure,
-                      enumerate_inner_order3)
+from .rootsys import (NK_TYPE, TOL_FLOOR, TRIALITY_NAME, InnerClass, InvalidRank, UsageError,
+                      VerificationFailure, enumerate_inner_order3)
 from .tables import TABLES
 
 SCHEMA_VERSION = "1.0"
@@ -91,7 +97,7 @@ def cmd_classify(args) -> int:
         })
     if (args.family, args.rank) == ("d", 4):
         entries.append({"kind": "B3", "nodes": [], "h": "diagram rotation",
-                        "nk_type": "I or II", "space": "Spin(8)/G2 (rotation fixed points)"})
+                        "nk_type": NK_TYPE["B3"], "space": TRIALITY_NAME})
     doc = {"schema_version": SCHEMA_VERSION, "algebra": rs.type_label,
            "marks": list(rs.marks), "classes": entries}
     if args.json:
@@ -130,7 +136,7 @@ def cmd_analyze(args) -> int:
     report, verification = verify_space(space, args.tol)
     fibs = all_fibrations(space.algebra.rs, space.h_spec) \
         if report.nk_type in ("III", "IV") else []
-    ok = all(v <= args.tol for v in verification.values())
+    over = _over_tol(verification, args.tol)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "space": {"family": args.family, "rank": args.rank,
@@ -139,14 +145,22 @@ def cmd_analyze(args) -> int:
                   "name": space.name},
         "nk_report": _report_json(report),
         "fibrations": [_fibration_json(f) for f in fibs],
-        "verification": {"tolerance": args.tol, "pass": ok,
+        "verification": {"tolerance": args.tol, "pass": not over,
                          "residuals": verification},
     }
     if args.json:
         print(json.dumps(doc, indent=1, sort_keys=True))
     else:
         _print_analysis(doc)
-    return 0 if ok else 1
+    for finding in over:
+        print(f"verification failure: {finding}", file=sys.stderr)
+    return 1 if over else 0
+
+
+def _over_tol(residuals: dict, tol: float) -> list[str]:
+    """The residuals above ``tol`` (NaN among them) as one finding, or none."""
+    bad = {k: v for k, v in residuals.items() if not v <= tol}
+    return [f"residuals over tol {tol}: {bad}"] if bad else []
 
 
 def _print_analysis(doc: dict) -> None:
@@ -204,9 +218,9 @@ def cmd_table(args) -> int:
         _print_csv(rows)
     else:
         _print_rows(rows)
-    diffs = tables.diff_table(name, rows)
-    if diffs:
-        print(f"GOLDEN MISMATCH: table {name}: {diffs[:3]}", file=sys.stderr)
+    findings = tables.golden_findings(name, rows)
+    if findings:
+        print(f"GOLDEN MISMATCH: table {name}: {'; '.join(findings)}", file=sys.stderr)
         return 1
     print(f"# {len(rows)} rows; matches golden data", file=sys.stderr)
     return 0
@@ -253,96 +267,67 @@ _JACOBI = [("a", n) for n in range(1, 5)] + [("b", n) for n in (2, 3, 4)] \
     + [("a", 8), ("b", 8), ("c", 8), ("d", 8), ("e", 6), ("e", 7), ("e", 8)]
 
 
-def _verify_jacobi(tol: float) -> list[str]:
-    failures = []
-    for family, rank in _JACOBI:
-        try:      # the algebra, and the exact N^2 and signs that C is assembled from
-            ca = tables.cached_algebra(family, rank)
-        except VerificationFailure as exc:
-            failures.append(f"chevalley:{family}{rank}:{type(exc).__name__}:{exc}")
-            continue
-        try:
-            verify_triangle_identity(ca.cd)
-            verify_square_formula(ca.cd)
-        except VerificationFailure as exc:
-            failures.append(f"chevalley:{family}{rank}:{exc}")
-        try:
-            ca.assert_jacobi(tol)
-        except VerificationFailure as exc:
-            failures.append(f"jacobi:{family}{rank}:{exc}")
-        try:
-            ratio = ca.trace_form_ratio()
-        except VerificationFailure as exc:
-            failures.append(f"trace-form:{family}{rank}:{exc}")
-            continue
-        if abs(ratio - 2 * ca.dual_coxeter) > 1e-6 * ratio:
-            failures.append(f"trace-form:{family}{rank}:{ratio}")
-    return failures
+def _check_algebra(family: str, rank: int, tol: float) -> list[str]:
+    """The exact Chevalley checks of one algebra's N^2 and signs, then Jacobi
+    on its bracket, then its trace form, whose ratio to B0 must be 2h*."""
+    ca = tables.cached_algebra(family, rank)
+    verify_triangle_identity(ca.cd)
+    verify_square_formula(ca.cd)
+    ca.assert_jacobi(tol)
+    ratio = ca.trace_form_ratio()
+    return [] if abs(ratio - 2 * ca.dual_coxeter) <= 1e-6 * ratio \
+        else [f"trace-form ratio {ratio}, not 2h* = {2 * ca.dual_coxeter}"]
 
 
-def identity_spaces():
-    """Spaces the identity suites run over, realized one at a time: every
-    class of the two-layer and three-layer sweeps, g2 node 1, the triality
-    and a1 cyclic."""
-    from .automorph import realize_cyclic_c3, realize_triality_d4
-    yield from (tables.realize(f, r, "A3III", (n,)) for f, r, n in tables.a3iii_sweep())
-    yield from (tables.realize(f, r, "A3II", n) for f, r, n in tables.a3ii_sweep())
-    yield tables.realize("g", 2, "A3IV", (1,))
-    yield realize_triality_d4(tables.cached_algebra("d", 4))
-    yield realize_cyclic_c3(tables.cached_algebra("a", 1))
+def identity_subjects() -> list[str]:
+    """The ``analyze`` arguments of every space the identity suites run over:
+    every class of the two-layer and three-layer sweeps, g2 node 1, the
+    triality and a1 cyclic."""
+    return [f"{f} {r} --nodes {n}" for f, r, n in tables.a3iii_sweep()] \
+        + [f"{f} {r} --nodes {i},{j}" for f, r, (i, j) in tables.a3ii_sweep()] \
+        + ["g 2 --nodes 1", "d 4 --triality", "a 1 --cyclic"]
 
 
-def _verify_identities(tol: float) -> list[str]:
+def _check_space(subject: str, tol: float) -> list[str]:
+    """Every identity suite on the space that ``analyze <subject>`` realizes."""
     from .nk_analyzer import verify_space
-    failures = []
-    for space in identity_spaces():
-        try:
-            _, res = verify_space(space, tol)
-            bad = {k: v for k, v in res.items() if v > tol}
-            if bad:
-                failures.append(f"identities:{space.name}:{bad}")
-        except Exception as exc:  # noqa: BLE001 - aggregated into the exit status
-            failures.append(f"identities:{space.name}:{type(exc).__name__}:{exc}")
-    return failures
+    args = build_parser().parse_args(["analyze", *subject.split()])
+    _, res = verify_space(_realize_from_args(args), tol)
+    return _over_tol(res, tol)
 
 
-_GOLDEN_SCOPES = {
-    "tables": ["table_ai", "table_aii", "table_aiii", "table_aiv", "table_bc"],
-    "fibrations": ["fibrations_aii", "fibrations_aiii"],
+def _golden_pairs(prefix: str) -> list:
+    """One check per table whose name starts with ``prefix``; every golden
+    file of them is read first, so a bad one exits 2 before any check."""
+    names = sorted(name for name in TABLES if name.startswith(prefix))
+    for name in names:
+        tables.load_golden(name)
+    return [(name, lambda name=name: tables.golden_findings(name, TABLES[name]()))
+            for name in names]
+
+
+# scope -> its (subject, check) pairs; a check returns its findings or raises
+_SCOPES = {
+    "jacobi": lambda tol: [(f"{f}{r}", functools.partial(_check_algebra, f, r, tol))
+                           for f, r in _JACOBI],
+    "identities": lambda tol: [(s, functools.partial(_check_space, s, tol))
+                               for s in identity_subjects()],
+    "tables": lambda tol: _golden_pairs("table_"),
+    "fibrations": lambda tol: _golden_pairs("fibrations_"),
 }
 
 
-def _verify_golden(scope: str) -> list[str]:
-    """Each table of the scope against its golden file; the two eigenvalue
-    tables also against the paper's Einstein list."""
-    failures = []
-    for name in _GOLDEN_SCOPES[scope]:
-        rows = TABLES[name]()
-        diffs = tables.diff_table(name, rows)
-        if diffs:
-            shown = diffs[0] if diffs == [tables.SERIALIZATION_DRIFT] else diffs[:3]
-            failures.append(f"{scope}:{name}:{shown}")
-        if name in ("table_aii", "table_aiii"):
-            expected = (tables.einstein_expected_aii if name == "table_aii"
-                        else tables.einstein_expected_aiii)()
-            got = tables.einstein_computed(rows)
-            if got != expected:
-                failures.append(f"{scope}:{name}:Einstein list: missing {sorted(expected - got)},"
-                                f" unexpected {sorted(got - expected)}")
-    return failures
-
-
 def cmd_verify(args) -> int:
-    scopes = ["jacobi", "identities", "tables", "fibrations"] \
-        if args.scope == "all" else [args.scope]
+    scopes = list(_SCOPES) if args.scope == "all" else [args.scope]
+    plan = {scope: _SCOPES[scope](args.tol) for scope in scopes}   # a bad input exits 2 here
     failures: list[str] = []
-    for scope in scopes:
-        if scope == "jacobi":
-            found = _verify_jacobi(args.tol)
-        elif scope == "identities":
-            found = _verify_identities(args.tol)
-        else:
-            found = _verify_golden(scope)
+    for scope, pairs in plan.items():
+        found = []
+        for subject, check in pairs:
+            try:
+                found += [f"{scope}:{subject}:{finding}" for finding in check()]
+            except VerificationFailure as exc:
+                found.append(f"{scope}:{subject}:{type(exc).__name__}:{exc}")
         print(f"verify {scope}: {'ok' if not found else f'{len(found)} failures'}")
         failures += found
     if failures:
@@ -393,8 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table, parser=p)
 
     p = sub.add_parser("verify", help="run invariant suites")
-    p.add_argument("scope", choices=["all", "jacobi", "identities", "tables",
-                                     "fibrations"])
+    p.add_argument("scope", choices=["all", *_SCOPES])
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--deep", action="store_true",
                    help="unused, since every scope checks its whole catalogue; "

@@ -438,6 +438,7 @@ def diagram_automorphisms(rs: RootSystem) -> list[tuple[int, ...]]:
 # the nearly Kahler type each automorphism class names
 NK_TYPE = {"A3I": "hermitian-symmetric", "A3II": "III", "A3III": "IV", "A3IV": "I",
            "B3": "II", "C3": "II"}
+TRIALITY_NAME = "Spin(8)/G2 (triality fixed points)"   # the one B3 space, of d4
 _SINGLE_KIND = {1: "A3I", 2: "A3III", 3: "A3IV"}   # by the mark of the node
 # the m-layer of a root by the weighted sum of its coefficients on the nodes
 _LAYERS = {"A3II": ((1, 2), {3: "V1", 1: "V2", 2: "V3"}),   # (n_i, n_j) = (1, 1)/(1, 0)/(0, 1)

@@ -477,3 +477,19 @@ def einstein_expected_aiii() -> set[str]:
 
 def einstein_computed(rows: list[dict]) -> set[str]:
     return {r["space"] for r in rows if r["einstein"]}
+
+
+def golden_findings(name: str, rows: list[dict]) -> list[str]:
+    """How the computed rows of table ``name`` differ from its golden file
+    (at most three row differences shown) and, for the two eigenvalue
+    tables, from the paper's closed-form Einstein list; empty when they
+    agree."""
+    diffs = diff_table(name, rows)
+    findings = [str(diffs[0] if diffs == [SERIALIZATION_DRIFT] else diffs[:3])] if diffs else []
+    if name in ("table_aii", "table_aiii"):
+        expected = (einstein_expected_aii if name == "table_aii" else einstein_expected_aiii)()
+        got = einstein_computed(rows)
+        if got != expected:
+            findings.append(f"Einstein list: missing {sorted(expected - got)},"
+                            f" unexpected {sorted(got - expected)}")
+    return findings

@@ -495,9 +495,10 @@ def test_classification_mismatch_fails_loudly(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("verification failure: ClassificationMismatch: G2/SU(3): type I")
     assert err.count("\n") == 1
-    monkeypatch.setattr(cli, "identity_spaces", lambda: [_looks_reducible()])
+    monkeypatch.setattr(cli, "identity_subjects", lambda: ["g 2 --nodes 1"])
     assert cli.main(["verify", "identities"]) == 1
-    assert "identities:G2/SU(3):ClassificationMismatch:" in capsys.readouterr().out
+    assert "identities:g 2 --nodes 1:ClassificationMismatch:G2/SU(3): type I" \
+        in capsys.readouterr().out
 
 
 def _coupled_halves():

@@ -266,7 +266,7 @@ def test_cli_reports_trace_form_failure(algebra, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_JACOBI", [("a", 1)])
     monkeypatch.setattr(tables, "cached_algebra", lambda family, rank: broken)
     assert cli.main(["verify", "jacobi"]) == 1
-    assert '"trace-form:a1:trace-form residual 2.667e+00 at basis pair (0, 0)' \
+    assert '"jacobi:a1:TraceFormFailure:trace-form residual 2.667e+00 at basis pair (0, 0)' \
         in capsys.readouterr().out
 
 
@@ -277,7 +277,7 @@ def test_cli_reports_jacobi_failure(algebra, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_JACOBI", [("g", 2)])
     monkeypatch.setattr(tables, "cached_algebra", lambda family, rank: broken)
     assert cli.main(["verify", "jacobi"]) == 1
-    assert '"jacobi:g2:Jacobi residual 3.464e+00 at basis triple (0,3,5)"' \
+    assert '"jacobi:g2:JacobiFailure:Jacobi residual 3.464e+00 at basis triple (0,3,5)"' \
         in capsys.readouterr().out
 
 

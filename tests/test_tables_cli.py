@@ -15,10 +15,17 @@ import pytest
 
 import nk_triad
 from nk_triad import cli, tables
-from nk_triad.cli import _GOLDEN_SCOPES, main
+from nk_triad.cli import main
 from nk_triad.chevalley import ChevalleyData
 from nk_triad.compactform import CompactAlgebra
 from nk_triad.rootsys import UsageError, VerificationFailure, build_root_system
+
+
+def _scope_tables(scope: str) -> list[str]:
+    """The tables a golden scope of ``verify`` checks: those whose name in
+    ``tables.TABLES`` carries the scope's prefix."""
+    prefix = {"tables": "table_", "fibrations": "fibrations_"}[scope]
+    return [name for name in tables.TABLES if name.startswith(prefix)]
 
 
 def test_tables_match_golden_fast():
@@ -254,7 +261,8 @@ def test_cli_analyze_fails_on_corrupted_isotropy_bracket(family, rank, nodes, i,
     """One entry of the isotropy bracket [k, k] doubled in both orders leaves
     every torsion and curvature suite passing (g2 node 2), or runs none of them
     (the Kahler a3 node 1); the total skewness of C reads it, as
-    |C[i,j,l] + C[i,l,j]| = |C[i,j,l]|, and analyze exits 1."""
+    |C[i,j,l] + C[i,l,j]| = |C[i,j,l]|, and analyze exits 1 with one stderr
+    line naming that residual."""
     ca = CompactAlgebra(ChevalleyData(build_root_system(family, rank)))
     d, c = ca.dim, ca.C.tolil()
     entry = c[i * d + j, l]
@@ -264,11 +272,25 @@ def test_cli_analyze_fails_on_corrupted_isotropy_bracket(family, rank, nodes, i,
     ca.C = c.tocsr()
     monkeypatch.setattr(tables, "cached_algebra", lambda family, rank: ca)
     assert main(["analyze", family, str(rank), "--nodes", nodes, "--json"]) == 1
-    verification = json.loads(capsys.readouterr().out)["verification"]
+    out, err = capsys.readouterr()
+    verification = json.loads(out)["verification"]
     assert verification["pass"] is False
-    assert verification["residuals"]["bracket_total_skew"] == pytest.approx(abs(entry))
+    skew = verification["residuals"]["bracket_total_skew"]
+    assert skew == pytest.approx(abs(entry))
+    assert err == f"verification failure: residuals over tol 1e-09: {{'bracket_total_skew': {skew!r}}}\n"
     assert all(v < 1e-9 for k, v in verification["residuals"].items()
                if k != "bracket_total_skew")
+
+
+def test_cli_classify_d4_names_the_triality_as_analyze_does(capsys):
+    """The B3 entry of ``classify d 4`` has the NK type and space name that
+    ``analyze d 4 --triality`` confirms."""
+    assert main(["classify", "d", "4", "--json"]) == 0
+    b3 = [c for c in json.loads(capsys.readouterr().out)["classes"] if c["kind"] == "B3"]
+    assert main(["analyze", "d", "4", "--triality", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)["nk_report"]
+    assert [(c["nk_type"], c["space"]) for c in b3] == [(report["nk_type"], report["name"])] \
+        == [("II", "Spin(8)/G2 (triality fixed points)")]
 
 
 def test_cli_analyze_triality(capsys):
@@ -355,22 +377,35 @@ def test_cli_error_paths_exit_2(argv, message, monkeypatch, capsys):
      "JSONDecodeError: Expecting value: line 2 column 1 (char 11)"),
     (["table", "BC"], {"table_bc.json": '{"schema_version": "1.0"}\n'},
      "error: malformed golden file {dir}/table_bc.json: KeyError: 'rows'"),
+    (["verify", "all"], {},
+     "error: cannot read golden file {dir}/table_ai.json: No such file or directory"),
+    (["verify", "fibrations"], {},
+     "error: cannot read golden file {dir}/fibrations_aii.json: No such file or directory"),
 ])
 def test_cli_golden_file_errors_exit_2(argv, files, message, tmp_path, monkeypatch, capsys):
     """A missing or malformed golden file ends with exit 2 and one stderr
-    line naming the file, before any algebra is built."""
-    from nk_triad import cli
-
-    def no_algebra(*args):
-        raise AssertionError("an algebra was built for a rejected input")
+    line naming the file, before any algebra is built or table computed."""
+    def no_work(*args):
+        raise AssertionError("work was done for a rejected input")
 
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.setenv("NK_TRIAD_GOLDEN_DIR", str(tmp_path))
-    monkeypatch.setattr(tables, "cached_algebra", no_algebra)
+    monkeypatch.setattr(tables, "cached_algebra", no_work)
+    for name in tables.TABLES:
+        monkeypatch.setitem(tables.TABLES, name, no_work)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == message.format(dir=tmp_path) + "\n" and captured.out == ""
+
+
+def test_cli_verify_jacobi_reads_no_golden_file(tmp_path, monkeypatch, capsys):
+    """Only the golden scopes read golden files: ``verify jacobi`` passes with
+    an empty golden directory."""
+    monkeypatch.setenv("NK_TRIAD_GOLDEN_DIR", str(tmp_path))
+    monkeypatch.setattr(cli, "_JACOBI", [("a", 1), ("g", 2)])
+    assert main(["verify", "jacobi"]) == 0
+    assert capsys.readouterr() == ("verify jacobi: ok\n", "")
 
 
 def test_cli_verify_tables_scope(monkeypatch):
@@ -387,8 +422,9 @@ def test_cli_verify_tables_scope(monkeypatch):
 
 def test_cli_verify_counts_failures_per_scope(monkeypatch, capsys):
     """A failing scope among passing ones: each status line counts its own scope."""
-    monkeypatch.setattr(cli, "_verify_jacobi", lambda tol: ["jacobi:a1:forced"])
-    monkeypatch.setattr(cli, "identity_spaces", lambda: [tables.realize("g", 2, "A3III", (2,))])
+    monkeypatch.setattr(cli, "_check_algebra",
+                        lambda family, rank, tol: ["forced"] if (family, rank) == ("a", 1) else [])
+    monkeypatch.setattr(cli, "identity_subjects", lambda: ["g 2 --nodes 2"])
     assert main(["verify", "all"]) == 1
     text = capsys.readouterr().out
     assert text.splitlines()[:4] == ["verify jacobi: 1 failures", "verify identities: ok",
@@ -409,7 +445,7 @@ def test_cli_verify_tables_failures(monkeypatch, capsys, change, failure):
     scope and the changed table are the ones the failure names (by default
     ``verify tables`` with table_bc)."""
     scope, changed = (failure or "tables:table_bc").split(":")[:2]
-    for name in _GOLDEN_SCOPES[scope]:
+    for name in _scope_tables(scope):
         rows = tables.load_golden(name)
         if name == changed:
             rows = change(rows)
@@ -427,8 +463,9 @@ def test_cli_verify_tables_failures(monkeypatch, capsys, change, failure):
 def test_cli_verify_tables_checks_the_einstein_lists(table, monkeypatch, capsys):
     """The paper's Einstein list of one eigenvalue table with one name
     dropped: ``verify tables`` exits 1 with exactly one failure line, which
-    names that space as an unexpected Einstein space of that table."""
-    for name in _GOLDEN_SCOPES["tables"]:
+    names that space as an unexpected Einstein space of that table, and
+    ``table`` of that table exits 1 with the same finding."""
+    for name in _scope_tables("tables"):
         monkeypatch.setitem(tables.TABLES, name, lambda rows=tables.load_golden(name): rows)
     listed = getattr(tables, "einstein_expected_" + table.removeprefix("table_"))
     dropped = sorted(listed())[0]
@@ -437,6 +474,9 @@ def test_cli_verify_tables_checks_the_einstein_lists(table, monkeypatch, capsys)
     text = capsys.readouterr().out
     assert json.loads(text[text.index("{"):])["failures"] == [
         f"tables:{table}:Einstein list: missing [], unexpected [{dropped!r}]"]
+    assert main(["table", table.removeprefix("table_").upper(), "--json"]) == 1
+    assert capsys.readouterr().err == (f"GOLDEN MISMATCH: table {table}: "
+                                       f"Einstein list: missing [], unexpected [{dropped!r}]\n")
 
 
 @pytest.mark.parametrize("table", ["table_aii", "table_aiii"])
@@ -444,7 +484,7 @@ def test_cli_verify_tables_names_a_missing_einstein_space(table, monkeypatch, ca
     """One space of the paper's Einstein list left out of the computed rows:
     ``verify tables`` names it as a missing golden row and as missing from
     the Einstein list."""
-    for name in _GOLDEN_SCOPES["tables"]:
+    for name in _scope_tables("tables"):
         monkeypatch.setitem(tables.TABLES, name, lambda rows=tables.load_golden(name): rows)
     dropped = sorted(getattr(tables, "einstein_expected_" + table.removeprefix("table_"))())[0]
     rows = [r for r in tables.load_golden(table) if r["space"] != dropped]
@@ -481,10 +521,11 @@ def test_cli_entry_point_installed():
 def test_identity_spaces_cover_all_constructions():
     """The whole catalogue, in order: every class of the two-layer and
     three-layer sweeps, e7 and e8 included, then g2 node 1, the triality and
-    a1 cyclic, 173 spaces."""
-    from nk_triad.cli import identity_spaces
-
-    names, labels = zip(*((sp.name, sp.type_label) for sp in identity_spaces()))
+    a1 cyclic, 173 spaces, each named by the ``analyze`` arguments that
+    realize it."""
+    spaces = (cli._realize_from_args(cli.build_parser().parse_args(["analyze", *s.split()]))
+              for s in cli.identity_subjects())
+    names, labels = zip(*((sp.name, sp.type_label) for sp in spaces))
     assert {"A3II", "A3III", "A3IV", "B3", "C3"} <= set(labels)
     want = [tables.space_name(f, r, "A3III", (n,)) for f, r, n in tables.a3iii_sweep()] \
         + [tables.space_name(f, r, "A3II", n) for f, r, n in tables.a3ii_sweep()] \
@@ -560,12 +601,11 @@ def test_cli_verify_all_fails_on_one_flipped_chevalley_sign(monkeypatch, capsys)
     sign = cd.sign.copy()
     sign[i, j] *= -1
     monkeypatch.setattr(cd, "sign", sign)
-    monkeypatch.setattr(cli, "identity_spaces", lambda: [tables.realize("g", 2, "A3III", (2,)),
-                                                         tables.realize("g", 2, "A3IV", (1,))])
+    monkeypatch.setattr(cli, "identity_subjects", lambda: ["g 2 --nodes 2", "g 2 --nodes 1"])
     assert main(["verify", "all"]) == 1
     out = capsys.readouterr().out
     failures = json.loads(out[out.index("{"):])["failures"]
-    assert len(failures) == 1 and failures[0].startswith("chevalley:g2:triple ")
+    assert len(failures) == 1 and failures[0].startswith("jacobi:g2:IdentityViolation:triple ")
 
 
 # -- the failure contract --------------------------------------------------------
@@ -640,24 +680,52 @@ def test_cli_triality_exits_1_on_a_bracket_entry_it_does_not_preserve(monkeypatc
     assert captured.out == ""
 
 
-def test_cli_verify_jacobi_goes_on_past_an_algebra_that_fails_to_build(monkeypatch, capsys):
-    """a2's Chevalley signs fail to build: ``verify jacobi`` records one
-    failure for a2, still builds and checks the other 19 algebras, and ends
-    in exit 1 after its summary line."""
+@pytest.mark.parametrize("scope,failure", [
+    ("jacobi", "jacobi:a2:SignInconsistency:magnitude mismatch at forced"),
+    ("identities", "identities:c 3 --nodes 1:NotOrderThree:forced"),
+    ("fibrations", "fibrations:fibrations_aii:NonClosedSubalgebra:forced"),
+], ids=["algebra", "space", "table"])
+def test_cli_verify_goes_on_past_a_subject_that_raises(scope, failure, monkeypatch, capsys):
+    """An algebra whose Chevalley signs fail to build, a space that fails to
+    realize, or a table whose computation raises: ``verify all`` records it
+    as the one failure line of its scope, still checks the subject after it,
+    prints every scope's summary line and exits 1 (jacobi and identities cut
+    to three subjects each)."""
     from nk_triad.chevalley import SignInconsistency
+    from nk_triad.fibration import NonClosedSubalgebra
+    from nk_triad.rootsys import NotOrderThree
 
-    build, built = tables.cached_algebra, []
+    monkeypatch.setattr(cli, "_JACOBI", [("a", 1), ("a", 2), ("a", 3)])
+    monkeypatch.setattr(cli, "identity_subjects",
+                        lambda: ["c 2 --nodes 1", "c 3 --nodes 1", "c 3 --nodes 2"])
+    calls = []
 
-    def fails_at_a2(family, rank):
-        if (family, rank) == ("a", 2):
-            raise SignInconsistency("magnitude mismatch at forced")
-        built.append((family, rank))
-        return build(family, rank)
+    def faulty(real, bad, exc):
+        def patched(*args):
+            if args == bad:
+                raise exc
+            calls.append(args)
+            return real(*args)
+        return patched
 
-    monkeypatch.setattr(tables, "cached_algebra", fails_at_a2)
-    assert main(["verify", "jacobi"]) == 1
+    if scope == "jacobi":
+        monkeypatch.setattr(tables, "cached_algebra", faulty(
+            tables.cached_algebra, ("a", 2), SignInconsistency("magnitude mismatch at forced")))
+        after = ("a", 3)
+    elif scope == "identities":
+        monkeypatch.setattr(tables, "realize", faulty(
+            tables.realize, ("c", 3, "A3III", (1,)), NotOrderThree("forced")))
+        after = ("c", 3, "A3III", (2,))
+    else:
+        computed = dict(tables.TABLES)
+        table = faulty(lambda name: computed[name](), ("fibrations_aii",),
+                       NonClosedSubalgebra("forced"))
+        for name in _scope_tables("fibrations"):
+            monkeypatch.setitem(tables.TABLES, name, lambda name=name: table(name))
+        after = ("fibrations_aiii",)
+    assert main(["verify", "all"]) == 1
     out, err = capsys.readouterr()
-    assert out.startswith("verify jacobi: 1 failures\n") and err == ""
-    assert json.loads(out[out.index("{"):])["failures"] == [
-        "chevalley:a2:SignInconsistency:magnitude mismatch at forced"]
-    assert built == [key for key in cli._JACOBI if key != ("a", 2)]
+    assert out.splitlines()[:4] == [f"verify {s}: {'1 failures' if s == scope else 'ok'}"
+                                    for s in ("jacobi", "identities", "tables", "fibrations")]
+    assert json.loads(out[out.index("{"):])["failures"] == [failure] and err == ""
+    assert after in calls
