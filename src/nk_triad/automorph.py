@@ -12,8 +12,8 @@ realization adds only sigma and the k/m columns, held as sparse maps: every
 construction gives sparse ones, and the tensors and J are sparse products of
 them.
 
-Realized spaces are immutable apart from memoized tensor caches; realizing
-independent spaces over one shared algebra is embarrassingly parallel.
+Realized spaces are immutable apart from their memoized tensors, curvature
+and report; realizing independent spaces over one algebra is embarrassingly parallel.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class TrialityInconsistent(VerificationFailure):
 
 
 _INVARIANT_TOL = 1e-9    # sigma^3 = 1, orthogonality and the k + m split
-_SPAN_TOL = 1e-8         # numerical rank of orbit spans and of the fixed Cartan
+_SPAN_TOL = 1e-8         # numerical rank of orbit spans
 _COMMUTANT_TOL = 1e-7    # null eigenvalues of the commutant equations
 
 
@@ -71,6 +71,7 @@ class OrderThreeSymmetricSpace:
         self.torus = torus
         self._tensors = None
         self._curvature = None   # nk_analyzer.Curvature, built on first use
+        self._report = None      # nk_analyzer.build_report, built on first use
 
     # -- geometry ------------------------------------------------------------
 
@@ -336,11 +337,11 @@ def _places(block: np.ndarray):
 def _checked_blocks(space: OrderThreeSymmetricSpace, ak: sp.csr_matrix) -> np.ndarray:
     """``space.weight_block`` checked against the torus, the first ``space.torus``
     blocks A_s of ``ak``.  A torus entry between two blocks raises: the
-    blocking splits a root plane.  The blocking is kept when the torus turns
-    the c copies in each block b by I_c (x) w_b J_2 and fixes block -1, with
-    the weights w_b nonzero and no two equal up to sign, so that the frame
-    spans the whole commutant of the torus; otherwise (tensors that break
-    the torus) it is all -1, exact for any action.  Squared deviations below
+    blocking splits a root plane.  Unless the blocking is all -1 (one block
+    of every entry, exact for any action), the torus must turn the c copies
+    in each block b by I_c (x) w_b J_2 and fix block -1, with the weights w_b
+    nonzero and no two equal up to sign, so that the frame spans the whole
+    commutant of the torus; else it raises.  Squared deviations below
     ``_COMMUTANT_TOL`` count as zero, as in the Gram."""
     dm, block, n = space.dim_m, space.weight_block, space.torus
     t = ak[:n * dm].tocoo()
@@ -357,9 +358,10 @@ def _checked_blocks(space: OrderThreeSymmetricSpace, ak: sp.csr_matrix) -> np.nd
     gram = w.T @ w
     apart = np.diag(gram)[:, None] + np.diag(gram) - 2.0 * np.abs(gram)   # |w_b -+ w_b'|^2
     np.fill_diagonal(apart, np.diag(gram))              # and |w_b|^2
-    if off.max(initial=0.0) < _COMMUTANT_TOL and apart.min(initial=np.inf) > _COMMUTANT_TOL:
+    if (block < 0).all() or (off.max(initial=0.0) < _COMMUTANT_TOL
+                             and apart.min(initial=np.inf) > _COMMUTANT_TOL):
         return block
-    return np.full(dm, -1)
+    raise ClassificationMismatch(f"{space.name}: the torus of k breaks the weight blocks of m")
 
 
 def _weight_frame(block: np.ndarray):

@@ -1,11 +1,12 @@
-"""The exact layer eigenvalues and report of an inner class, in rationals.
+"""The exact layer eigenvalues and report of every space, in rationals.
 
 Eigenvalues of r, Ric and C are exact rationals in units of kappa = |mu|^2.
 On an inner class they are sums of exact squared structure constants over
 its root split, read from the class and the algebra's ``ChevalleyData``
-alone (``inner_report``), so no space is realized and no float module is
-loaded; ``nk_analyzer`` cross-checks them against the floating-point trace
-computations on a realized space.
+alone (``inner_report``); on the triality and the cyclic triples they are
+a closed form in the dual Coxeter number (``constant_report``).  No space is
+realized and no float module is loaded; ``nk_analyzer`` cross-checks each
+report against the floating-point trace computations on a realized space.
 """
 
 from __future__ import annotations
@@ -196,6 +197,18 @@ def inner_report(cd: ChevalleyData, spec: InnerClass, name: str) -> NKReport:
            else lam["V"] + 2 * lam["H"] if spec.kind == "A3III" else None)
     return _report(name, rs.type_label, spec.describe(), nk_type, splitting, lam,
                    ric, mu2, lk_ratio(rs, spec, lam))
+
+
+def constant_report(rs: RootSystem, dual_coxeter: int, automorphism: str,
+                    splitting: dict[str, int], name: str) -> NKReport:
+    """The report of the d4 triality (B3) or a cyclic triple l + l + l (C3) of
+    ``rs``, with no root layers: r = 2h*/3 on all of m (layer "m"), h* the
+    dual Coxeter number of ``rs``, and Ric = (5/4) r.  The type is the one
+    the class names (``NK_TYPE``), unconfirmed."""
+    r = Fraction(2 * dual_coxeter, 3)
+    algebra = f"({rs.type_label})^3" if automorphism == "C3" else rs.type_label
+    return _report(name, algebra, automorphism, NK_TYPE[automorphism], splitting,
+                   {"m": r}, {"m": Fraction(5, 4) * r})
 
 
 # -- Einstein / twistor ratio ----------------------------------------------------

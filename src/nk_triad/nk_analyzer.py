@@ -14,9 +14,9 @@ Ric(X,Y) = R(X, e_i, Y, e_i), the star variant pairs through J, and
 
     r = Ric - Ric*,     C = Ric - 5 Ric* = 5r - 4 Ric.
 
-The exact eigenvalues of r, Ric and C and the report of an inner class
-live in ``exact``, which loads no float code; here they are cross-checked
-against the floating-point trace computations on a realized space.
+The exact eigenvalues of r, Ric and C live in the report ``exact`` builds,
+once per space (``build_report``), with no float code; the suites here read
+them from it and cross-check them against the float trace computations.
 
 The floating-point side is a few sparse operators per space, each built once
 (``curvature``): J, a signed permutation of the m-basis (``canonical_J``),
@@ -39,7 +39,6 @@ layers it names, and memory follows the nonzeros of a slab, never dm^4.
 from __future__ import annotations
 
 import weakref
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -48,10 +47,10 @@ import scipy.sparse as sp
 from .automorph import OrderThreeSymmetricSpace, classify_type
 from .compactform import _row_grouped, antisymmetry_max_residual, drop_noise, slab_cuts
 from .exact import (FixedVectorInM, IdentityViolation, NKReport, NonRationalEigenvalue,
-                    RIdentityMismatch, _inner_eigenvalues, _report, _sorted_layers, einstein_check,
-                    exact_r_eigenvalues, inner_report, verify_prop_table_relations)
+                    RIdentityMismatch, constant_report, einstein_check, inner_report,
+                    verify_prop_table_relations)
 # bound here only because bench/layers.py WRAPPED traces them as nk_analyzer.exact_*
-from .exact import exact_r_cross_layer, exact_ricci_eigenvalues  # noqa: F401
+from .exact import exact_r_cross_layer, exact_r_eigenvalues, exact_ricci_eigenvalues  # noqa: F401
 from .rootsys import KAPPA, TOL_FLOOR, _read_only
 
 
@@ -301,35 +300,22 @@ def curvature(space: OrderThreeSymmetricSpace) -> Curvature:
 # -- the exact report of a realized space ------------------------------------------
 
 
-def _exact_eigenvalues(space: OrderThreeSymmetricSpace) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
-    """(r, Ric) eigenvalues per layer of a space, in units of kappa.
-
-    An inner space reads them from its class.  The triality and cyclic spaces
-    have no root layers: there r is the scalar 2h*/3 on all of m (layer "m"),
-    h* the dual Coxeter number of the algebra (of one component, for the
-    cyclic triple), and Ric = (5/4) r.
-    """
-    if space.h_spec is not None:
-        return _inner_eigenvalues(space.algebra.cd, space.h_spec)
-    base = space.algebra.base if space.type_label == "C3" else space.algebra
-    r = Fraction(2 * base.dual_coxeter, 3)
-    return {"m": r}, {"m": Fraction(5, 4) * r}
-
-
 def build_report(space: OrderThreeSymmetricSpace) -> NKReport:
-    """Type and exact eigenvalues of a space; builds no curvature operator.
+    """Type and exact eigenvalues of a space, memoised on it; builds no
+    curvature operator.
 
-    The type is confirmed on the space (``classify_type``); the rest of an
-    inner space's report comes from its class (``inner_report``).
+    The type is confirmed on the space (``classify_type``); the report comes
+    from ``exact``: ``inner_report`` on an inner class, ``constant_report``
+    on the triality and the cyclic triples.
     """
-    nk_type = classify_type(space)
-    if space.h_spec is not None:
-        return inner_report(space.algebra.cd, space.h_spec, space.name)
-    algebra = (f"({space.algebra.base.rs.type_label})^3" if space.type_label == "C3"
-               else space.algebra.rs.type_label)
-    splitting = {lbl: len(space.layers[lbl]) for lbl in _sorted_layers(space.layers)}
-    return _report(space.name, algebra, space.type_label, nk_type, splitting,
-                   *_exact_eigenvalues(space))
+    if space._report is None:
+        classify_type(space)
+        base = space.algebra.base if space.type_label == "C3" else space.algebra
+        space._report = (
+            inner_report(base.cd, space.h_spec, space.name) if space.h_spec is not None
+            else constant_report(base.rs, base.dual_coxeter, space.type_label,
+                                 {lbl: len(cols) for lbl, cols in space.layers.items()}, space.name))
+    return space._report
 
 
 # -- identity suites ---------------------------------------------------------------
@@ -464,7 +450,7 @@ def verify_sat_identities(space, tol=1e-9, seed=0) -> dict[str, float]:
     """
     vert, horiz = _vertical_split(space)
     x, dm = space.tensors()[0], space.dim_m
-    lam = exact_r_eigenvalues(space.algebra.cd, space.h_spec)
+    lam = build_report(space).eig_by_layer("r")
     res: dict[str, float] = {}
 
     def block_max(mat, first, second, out):
@@ -505,18 +491,17 @@ def verify_sat_identities(space, tol=1e-9, seed=0) -> dict[str, float]:
 
 def verify_ricci_oracle(space, tol=1e-9) -> float:
     """The float torsion trace r and trace-of-curvature Ricci against the
-    exact layer eigenvalues (``_exact_eigenvalues``).
+    exact layer eigenvalues of the space's report (``build_report``).
 
     Each must be diagonal with the exact value on every layer, up to ``tol``
     relative to the largest eigenvalue; returns the worst absolute residual.
     """
-    cv = curvature(space)
-    lam, ric = _exact_eigenvalues(space)
+    cv, report = curvature(space), build_report(space)
     worst = 0.0
-    for name, got, exact, error in (("r", cv.r, lam, NonRationalEigenvalue),
-                                    ("Ricci", cv.ric, ric, RIdentityMismatch)):
+    for name, got, which, error in (("r", cv.r, "r", NonRationalEigenvalue),
+                                    ("Ricci", cv.ric, "ric", RIdentityMismatch)):
         expect = np.zeros(space.dim_m)
-        for label, value in exact.items():
+        for label, value in report.eig_by_layer(which).items():
             # "m" off the root layers (triality, cyclic) is all of m
             expect[space.layers.get(label, slice(None))] = float(value * KAPPA)
         res = float(np.abs(got - np.diag(expect)).max())

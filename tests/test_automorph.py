@@ -2,6 +2,7 @@
 
 import gc
 import time
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -431,26 +432,50 @@ def test_cli_analyze_exits_1_when_the_torus_joins_two_blocks(monkeypatch, capsys
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("corrupt", ["equal-weights", "mixed-copies"])
-def test_a_torus_that_breaks_the_blocks_is_solved_over_every_entry(corrupt):
-    """Only the torus acts on a2 cyclic, and on plane block 1 it either takes
-    the weights of block 0 or also swaps the E and JE copies: the plane frame
-    would miss operators that commute with it, so the commutant is solved
-    over all dim m^2 entries and matches the dense reference."""
-    sp = realize_cyclic_c3(tables.cached_algebra("a", 2))
+def _broken_torus(family, rank, corrupt):
+    """A fresh cyclic triple whose torus, on plane block 1, either takes the
+    weights of block 0 or also swaps the E and JE copies: the plane frame
+    would miss operators that commute with it."""
+    sp = realize_cyclic_c3(tables.cached_algebra(family, rank))
     x, kc, ap = sp.tensors()
-    dk, dm = sp.dim_k, sp.dim_m
+    dk, dm, n = sp.dim_k, sp.dim_m, sp.torus
     a = ap.toarray().reshape(dk, dm, dm)                 # a[s] = ad(k_s)^T
-    a[sp.torus:] = 0.0
     b0, b1 = (np.flatnonzero(sp.weight_block == b) for b in (0, 1))
     if corrupt == "equal-weights":
-        a[:, b1[:, None], b1] = a[:, b0[:, None], b0]
+        a[:n, b1[:, None], b1] = a[:n, b0[:, None], b0]
     else:                                                # I_2 (x) w J_2 -> (I_2 + X) (x) w J_2
-        a[:, b1[:, None], b1] += a[:, b1[:, None], b1[[2, 3, 0, 1]]]
+        a[:n, b1[:, None], b1] += a[:n, b1[:, None], b1[[2, 3, 0, 1]]]
     sp._tensors = (x, kc, csr_matrix(a.reshape(dk, dm * dm)))
-    ak = csr_matrix(a.reshape(dk * dm, dm))
-    assert np.all(automorph._checked_blocks(sp, ak) == -1)
-    assert len(commutant_basis(sp)) == dense_invariant_halves(sp)[0]
+    return sp
+
+
+BROKEN_TORUS = "the torus of k breaks the weight blocks of m"
+
+
+@pytest.mark.parametrize("family, rank, corrupt", [("a", 2, "equal-weights"),
+                                                   ("a", 2, "mixed-copies"),
+                                                   ("f", 4, "equal-weights")],
+                         ids=["equal-weights", "mixed-copies", "f4-equal-weights"])
+def test_a_torus_that_breaks_the_blocks_is_refused(family, rank, corrupt):
+    """``commutant_basis`` refuses the blocking before it forms any Gram: on
+    f4 cyclic (dim m 104) a Gram over every entry would take 0.87 GiB."""
+    sp = _broken_torus(family, rank, corrupt)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ClassificationMismatch, match=f"diagonal: {BROKEN_TORUS}"):
+            commutant_basis(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+def test_cli_analyze_exits_1_when_the_torus_breaks_the_blocks(monkeypatch, capsys):
+    monkeypatch.setattr(automorph, "realize_cyclic_c3",
+                        lambda ca: _broken_torus("a", 2, "equal-weights"))
+    assert cli.main(["analyze", "a", "2", "--cyclic"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"verification failure: ClassificationMismatch: (a2)^3 / diagonal: {BROKEN_TORUS}\n"
 
 
 def test_every_type_i_and_ii_space_is_confirmed(algebra):
@@ -477,18 +502,21 @@ def test_every_type_i_and_ii_space_is_confirmed(algebra):
 
 
 def _looks_reducible():
-    """A fresh g2 node 1 space whose ad(k)|m has its off-block entries zeroed."""
+    """A fresh g2 node 1 space whose ad(k)|m, off the torus, has its entries
+    between the m columns {0, 1} and the rest zeroed: the torus keeps its
+    weight blocks, and the plane {0, 1} is invariant."""
     sp = realize("g", 2, "A3IV", (1,))
     _, _, ap = sp.tensors()
-    h = sp.dim_m // 2
     c, d = np.divmod(ap.indices, sp.dim_m)                 # A'[s, (c, d)]
-    ap.data[(c < h) != (d < h)] = 0.0
+    s = np.repeat(np.arange(sp.dim_k), np.diff(ap.indptr))
+    ap.data[(s >= sp.torus) & ((c < 2) != (d < 2))] = 0.0
     ap.eliminate_zeros()
     return sp
 
 
 def test_classification_mismatch_fails_loudly(monkeypatch, capsys):
-    with pytest.raises(ClassificationMismatch, match="type I, but m splits into invariant halves"):
+    with pytest.raises(ClassificationMismatch,
+                       match=r"type I, but m splits into invariant halves \(2, 4\)"):
         classify_type(_looks_reducible())
     monkeypatch.setattr(tables, "realize", lambda *args: _looks_reducible())
     assert cli.main(["analyze", "g", "2", "--nodes", "1"]) == 1

@@ -82,6 +82,27 @@ def test_a_float_import_at_load_is_named():
                                              "nk_triad.nk_analyzer", "scipy", "scipy"]
 
 
+def private_exact_imports(source: str) -> list[str]:
+    """The ``_``-prefixed names that ``source`` imports from ``exact``, in order."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "exact"
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_float_modules_import_no_private_name_of_exact():
+    """The float modules read exact values through ``exact``'s public names alone."""
+    found = {name: private_exact_imports((SRC / f"{name}.py").read_text(encoding="utf-8"))
+             for name in FLOAT}
+    assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+def test_a_private_exact_import_is_named():
+    source = ("from .exact import NKReport, _report\nfrom .rootsys import _read_only\n"
+              "from nk_triad.exact import (inner_report,\n    _sorted_layers)\n"
+              "from . import exact\n\ndef f():\n    from .exact import _r_of\n")
+    assert private_exact_imports(source) == ["_report", "_sorted_layers", "_r_of"]
+
+
 # A fresh interpreter: pytest itself loads scipy.sparse (the filterwarnings setting).
 LOADED = ("sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
           " or m.removeprefix('nk_triad.') in {})".format(FLOAT))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from nk_triad import automorph, cli, compactform, nk_analyzer, tables
+from nk_triad import automorph, cli, compactform, exact, nk_analyzer, tables
 from nk_triad.automorph import realize_cyclic_c3, realize_triality_d4
 from nk_triad.exact import (
     FixedVectorInM,
@@ -710,6 +710,39 @@ def test_s3xs3_sectional_curvature_nonnegative():
     samples = sectional_curvature_samples(sp, count=60, seed=4)
     assert min(samples) > -1e-10
     assert max(samples) > 0.1
+
+
+def test_each_space_builds_its_exact_values_and_its_commutant_once(monkeypatch):
+    """In the order of the identity sweep, every check reads one memoised
+    report: one layer-trace table per inner space and none for the triality
+    or a cyclic triple, one commutant per type-I/II space after realization."""
+    spaces = [realize("g", 2, "A3III", (2,)), realize("a", 3, "A3II", (1, 3)),
+              realize("g", 2, "A3IV", (1,)), realize_triality_d4(cached_algebra("d", 4)),
+              realize_cyclic_c3(cached_algebra("a", 1))]
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(exact, "layer_traces")
+    counted(automorph, "commutant_basis")
+    for sp in spaces:
+        calls.clear()
+        report, _ = verify_space(sp, 1e-9)
+        again = build_report(sp)
+        verify_ricci_oracle(sp)
+        if report.nk_type in ("III", "IV"):
+            verify_sat_identities(sp)
+        want = {"layer_traces": 1} if sp.h_spec is not None else {}
+        if report.nk_type in ("I", "II"):
+            want["commutant_basis"] = 1
+        assert calls == want, sp.name
+        assert again is report and build_report(sp) is report
 
 
 def test_scalar_r_for_irreducible_types():
