@@ -133,7 +133,7 @@ def _realize_from_args(args):
 def cmd_analyze(args) -> int:
     from .nk_analyzer import verify_space
     space = _realize_from_args(args)
-    report, verification = verify_space(space, args.tol)
+    report, verification = verify_space(space)
     fibs = all_fibrations(space.algebra.rs, space.h_spec) \
         if report.nk_type in ("III", "IV") else []
     over = _over_tol(verification, args.tol)
@@ -292,7 +292,7 @@ def _check_space(subject: str, tol: float) -> list[str]:
     """Every identity suite on the space that ``analyze <subject>`` realizes."""
     from .nk_analyzer import verify_space
     args = build_parser().parse_args(["analyze", *subject.split()])
-    _, res = verify_space(_realize_from_args(args), tol)
+    _, res = verify_space(_realize_from_args(args))
     return _over_tol(res, tol)
 
 

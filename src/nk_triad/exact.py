@@ -26,11 +26,11 @@ class FixedVectorInM(VerificationFailure):
 
 
 class NonRationalEigenvalue(VerificationFailure):
-    """A float eigenvalue failed to reconstruct as an exact rational."""
+    """A layer is no eigenbundle: its roots disagree on a trace (``_layer_row``)."""
 
 
 class RIdentityMismatch(VerificationFailure):
-    """Ric - Ric* disagrees with the torsion tensor r."""
+    """An exact relation of the layer eigenvalues fails: table, Einstein C or dimension balance."""
 
 
 # -- exact layer eigenvalues -----------------------------------------------------

@@ -138,7 +138,7 @@ def test_criterion_5_identity_suite(sweep_spaces):
     jac = time.time() - t0
 
     for sp in sweep_spaces:
-        _, res = verify_space(sp, TOL)
+        _, res = verify_space(sp)
         assert "min_connection_identity" in res, sp.name
         bad = {k: v for k, v in res.items() if v > TOL}
         assert not bad, (sp.name, bad)

@@ -3,6 +3,7 @@ and its exact path (root systems, structure constants, the exact report,
 fibrations, tables and the command line) loads no scipy and no float module."""
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -101,6 +102,32 @@ def test_a_private_exact_import_is_named():
               "from nk_triad.exact import (inner_report,\n    _sorted_layers)\n"
               "from . import exact\n\ndef f():\n    from .exact import _r_of\n")
     assert private_exact_imports(source) == ["_report", "_sorted_layers", "_r_of"]
+
+
+def tol_comparisons(source: str) -> list[str]:
+    """The comparisons in ``source`` with an operand that reads the name
+    ``tol``, alone or inside an expression, in order."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare)
+            and any(isinstance(sub, ast.Name) and sub.id == "tol"
+                    for operand in (node.left, *node.comparators) for sub in ast.walk(operand))]
+
+
+def test_float_suites_judge_no_residual():
+    """No comparison in ``nk_analyzer`` reads ``tol``: the suites return
+    their residuals, and the command line alone judges them (``cli._over_tol``),
+    so ``verify_space`` takes the space alone."""
+    from nk_triad.nk_analyzer import verify_space
+    assert tol_comparisons((SRC / "nk_analyzer.py").read_text(encoding="utf-8")) == []
+    assert list(inspect.signature(verify_space).parameters) == ["space"]
+
+
+def test_a_tol_comparison_is_named():
+    source = ("def f(res, s, r, tol=1e-9, limit=1.0):\n"
+              "    if res > tol * max(1.0, s):\n        raise X\n"
+              "    bad = {k: v for k, v in r.items() if v > tol}\n"
+              "    if not res <= limit or s == TOL_FLOOR:\n        return bad\n")
+    assert tol_comparisons(source) == ["res > tol * max(1.0, s)", "v > tol"]
 
 
 # A fresh interpreter: pytest itself loads scipy.sparse (the filterwarnings setting).

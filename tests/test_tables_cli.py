@@ -1,5 +1,6 @@
 """Table regeneration against golden data, and the command-line surface."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -186,9 +187,10 @@ def test_cli_flag_the_subcommand_does_not_read_exits_2(command, flag, capsys):
 
 
 def test_cli_analyze_check_failure_exit_1(monkeypatch, capsys):
-    """A check that fails inside the suites ends with exit 1 and one stderr
-    line naming the exception, not a traceback: g2 with one bracket entry
-    doubled in both orders."""
+    """Float residuals over tol end with exit 1 after the whole report: g2
+    with one bracket entry doubled in both orders prints its JSON report with
+    ``pass: false``, and one stderr line names every residual over tol, with
+    the values of the printed report."""
     ca = CompactAlgebra(ChevalleyData(build_root_system("g", 2)))
     d, c = ca.dim, ca.C.tolil()
     i, j, l = 2, 10, 12
@@ -197,10 +199,17 @@ def test_cli_analyze_check_failure_exit_1(monkeypatch, capsys):
     c[j * d + i, l] *= 2
     ca.C = c.tocsr()
     monkeypatch.setattr(tables, "cached_algebra", lambda family, rank: ca)
-    assert main(["analyze", "g", "2", "--nodes", "2"]) == 1
+    assert main(["analyze", "g", "2", "--nodes", "2", "--json"]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "verification failure: RIdentityMismatch: |Ric - Ric* - r| = 7.50e-01\n"
-    assert captured.out == ""
+    verification = json.loads(captured.out)["verification"]
+    assert verification["pass"] is False and verification["tolerance"] == 1e-9
+    head = "verification failure: residuals over tol 1e-09: "
+    assert captured.err.startswith(head) and captured.err.endswith("}\n")
+    assert captured.err.count("\n") == 1
+    named = ast.literal_eval(captured.err[len(head):])
+    assert named == {k: v for k, v in verification["residuals"].items() if not v <= 1e-9}
+    assert {"r_identity", "ricci_oracle", "trace_identity_vertical_frame",
+            "trace_identity_horizontal_frame"} <= set(named)
 
 
 def test_cli_out_of_memory_exits_2_with_one_line(monkeypatch, capsys):
