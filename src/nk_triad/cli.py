@@ -274,9 +274,9 @@ def _check_algebra(family: str, rank: int, tol: float) -> list[str]:
     verify_triangle_identity(ca.cd)
     verify_square_formula(ca.cd)
     ca.assert_jacobi(tol)
-    ratio = ca.trace_form_ratio()
-    return [] if abs(ratio - 2 * ca.dual_coxeter) <= 1e-6 * ratio \
-        else [f"trace-form ratio {ratio}, not 2h* = {2 * ca.dual_coxeter}"]
+    ratio, want = ca.trace_form_ratio(), 2 * ca.dual_coxeter
+    return [] if abs(ratio - want) <= 1e-6 * want \
+        else [f"trace-form ratio {ratio}, not 2h* = {want}"]
 
 
 def identity_subjects() -> list[str]:

@@ -49,6 +49,7 @@ DUAL_COXETER = {
 
 ZERO_DROP = 1e-13         # entries below this are float noise on exact zeros
 SLAB_ENTRIES = 1 << 18    # sparse entries gathered per slab of a blocked sum or product
+GENERATION_COND = 1e8     # a certificate block past this condition number is singular
 
 
 def drop_noise(mat: sp.csr_matrix) -> sp.csr_matrix:
@@ -77,6 +78,16 @@ class JacobiFailure(VerificationFailure):
         super().__init__(f"Jacobi residual {residual:.3e} at basis triple ({i},{j},{k})")
         self.triple = (i, j, k)
         self.residual = residual
+
+
+class GenerationFailure(VerificationFailure):
+    """C does not certify that the U^0, U^1 of the simple roots generate the
+    algebra; ``root`` is the positive root whose plane is not reached, or
+    None for the Cartan subalgebra."""
+
+    def __init__(self, root, why):
+        super().__init__(f"generation fails at {'the Cartan' if root is None else root}: {why}")
+        self.root = root
 
 
 class TraceFormFailure(VerificationFailure):
@@ -164,7 +175,8 @@ class CompactAlgebra:
 
         tr(ad e_i ad e_j) = sum_{k,l} C[(i,k), l] C[(j,l), k] is one sparse
         product of two reshapes of C.  Raises ``TraceFormFailure`` when some
-        pair departs from the mean diagonal ratio by more than 1e-6 of it.
+        pair departs from the mean diagonal ratio by more than 1e-6 of it, or
+        by NaN (an infinite ratio departs from itself by NaN).
         """
         d = self.dim
         c = self.C.tocoo()
@@ -174,96 +186,154 @@ class CompactAlgebra:
         right = sp.csr_matrix((c.data, (i, c.col * d + k)), shape=(d, d * d))
         ratios = (left @ right.T).toarray() / -2.0
         ratio = float(np.trace(ratios)) / d
-        res = np.abs(ratios - ratio * np.eye(d))
-        i, j = np.unravel_index(res.argmax(), res.shape)
-        if res[i, j] > 1e-6 * max(1.0, abs(ratio)):
+        with np.errstate(invalid="ignore"):     # inf - inf
+            ratios[np.diag_indices(d)] -= ratio
+        res = np.abs(ratios)
+        i, j = np.unravel_index(res.argmax(), res.shape)   # the first NaN, if any
+        if not res[i, j] <= 1e-6 * max(1.0, abs(ratio)):
             raise TraceFormFailure(int(i), int(j), float(res[i, j]), ratio)
         return ratio
 
-    def _jacobi_blocks(self) -> list[tuple[int, int]]:
-        """Tiles [i0, i1) of consecutive basis indices for the Jacobi sweep.
+    @property
+    def generators(self) -> np.ndarray:
+        """The basis indices of U^0 and U^1 of the simple roots, ascending."""
+        simple = np.flatnonzero(self.rs._coeffs[:self.n_pos].sum(axis=1) == 1)
+        return (self.u_index(simple, 0)[:, None] + [0, 1]).ravel()
 
-        Index i weighs w_i = sum_{(j, l): C[i, j, l] != 0} nnz(C[l, :, :]), a
-        bound on the entries of [e_y, [e_i, e_z]] over all y and z (equal to
-        it for totally skew C).  With P = sum_i w_i, ``slab_cuts`` on the
-        budget sqrt(P SLAB_ENTRIES / 2) gives n = ceil(sqrt(2P / SLAB_ENTRIES))
-        tiles, so the two products of a pair of tiles hold about
-        2P/n^2 <= SLAB_ENTRIES entries together.
+    def _certify_generation(self) -> None:
+        """Check on C that the ``generators`` generate the algebra, or raise
+        ``GenerationFailure``.
+
+        The brackets [U^0_a, U^1_a] of the simple roots a must lie in the
+        Cartan subalgebra and span it.  Then, in order of height, every
+        non-simple positive root b = e + g, (e, g) its extraspecial pair (e is
+        simple), must have the two brackets [U^p_e, U^0_g] supported on the
+        Cartan, the planes of roots of lower height and b's plane, with a
+        nonsingular 2 x 2 block on b's plane.  By induction on the height, the
+        subalgebra generated then holds the Cartan and every plane.  Support
+        is read from C's stored values as they are; a block counts as singular
+        when it is not finite or its condition number exceeds ``GENERATION_COND``.
         """
-        d = self.dim
-        c = self.C.tocoo()
-        first = c.row // d
-        weight = np.bincount(first, weights=np.bincount(first, minlength=d)[c.col], minlength=d)
-        return slab_cuts(weight, math.sqrt(weight.sum() * SLAB_ENTRIES / 2.0))
+        n, r, d, c = self.n_pos, self.rank, self.dim, self.C
+        height = self.rs._coeffs[:n].sum(axis=1)
+        u0, u1 = self.generators.reshape(-1, 2).T
+        cartan = c[u0 * d + u1]
+        if (cartan[:, r:].data != 0).any():
+            raise GenerationFailure(None, "a bracket [U0_a, U1_a] of a simple root a leaves it")
+        if not _nonsingular(cartan[:, :r].toarray()):
+            raise GenerationFailure(None, "the brackets [U0_a, U1_a] of the simple roots a "
+                                          "do not span it")
+        beta = np.flatnonzero(height > 1)
+        beta = beta[np.argsort(height[beta], kind="stable")]
+        eps, gamma = self.cd.extraspecial[beta].T
+        rows = c[((self.u_index(eps, 0)[:, None] + [0, 1]) * d
+                  + self.u_index(gamma, 0)[:, None]).ravel()].tocoo()
+        b = beta[rows.row // 2]
+        root = np.r_[np.full(r, -1), np.arange(n).repeat(2)][rows.col]   # -1: the Cartan
+        plane = root == b
+        outside = (rows.data != 0) & ~plane & (root >= 0) & (height[root] >= height[b])
+        blocks = np.zeros((beta.size, 2, 2))
+        blocks[rows.row[plane] // 2, rows.row[plane] % 2, (rows.col[plane] - r) % 2] = \
+            rows.data[plane]
+        leaves = np.zeros(beta.size, dtype=bool)
+        leaves[rows.row[outside] // 2] = True
+        bad = leaves | ~_nonsingular(blocks)
+        if bad.any():
+            at = int(np.flatnonzero(bad)[0])
+            why = "leave the Cartan, the lower planes and its plane" if leaves[at] \
+                else "have a singular 2 x 2 block on its plane"
+            raise GenerationFailure(self.rs.roots[beta[at]],
+                                    f"[U^p_e, U^0_g] over its extraspecial pair (e, g) {why}")
 
     def _jacobi_worst(self) -> tuple[float, tuple[int, int, int]]:
-        """Largest Jacobi residual over all basis triples, and the first triple
-        (i, j, k) in lexicographic order where it occurs.
+        """Largest Jacobi residual over the basis triples (i, j, k) with e_i a
+        generator, and the first such triple in lexicographic order where it
+        occurs; a NaN residual counts as the largest.  Raises
+        ``GenerationFailure`` first unless ``_certify_generation`` passes.
 
-        The residual of (i, j, k) is ad([e_i, e_j]) e_k - [ad e_i, ad e_j] e_k,
-        i.e. lhs - F(j, i, k) + F(i, j, k) with lhs = [[e_i, e_j], e_k] and
-        F(x, y, z) = [e_y, [e_x, e_z]], for any C.  Each pair of tiles
-        B_p <= B_q of ``_jacobi_blocks`` is visited once: F on B_p x B_q and on
-        B_q x B_p (two sparse products, one on a diagonal tile), each grouped
-        once by a counting sort into rows (i, j), i in B_p and j in B_q, gives
-        D = F(i, j, k) - F(j, i, k), and the residual tiles are lhs + D on the
-        rows (i, j) and lhs - D on the rows (j, i).  IEEE subtraction is
-        exactly antisymmetric, so both equal the per-i sum lhs + (inner -
-        outer) bit for bit, and no symmetry of C is assumed.
+        The residual of (i, j, k) is lhs + F(i, j, k) - F(j, i, k), with
+        lhs = [[e_i, e_j], e_k] and F(x, y, z) = [e_y, [e_x, e_z]]; it vanishes
+        for all j and k exactly when ad(e_i) is a derivation of the bracket.
+        Those x form a subalgebra for any bilinear C (once ad x is a
+        derivation, ad [x, y] = [ad x, ad y]), so once the generators are
+        certified to generate, a zero sweep proves the Jacobi identity on every
+        triple.  The implication holds in exact arithmetic only.  The
+        sweep runs over slabs of consecutive j, cut by ``slab_cuts`` on the
+        exact entry count of the slab's three sparse products: lhs, F(i, j, k)
+        and F(j, i, k), the last two grouped into rows (i, j) by one counting
+        sort, so the residual is lhs + (F(i, j, k) - F(j, i, k)).
         """
-        d, c = self.dim, self.C
+        self._certify_generation()
+        d, c, gens = self.dim, self.C, self.generators
         coo = c.tocoo()
         first, second = np.divmod(coo.row, d)
-        # T[l, (k, m)] = C[l, k, m] and S[l, (j, m)] = C[j, l, m]
+        place = np.full(d, -1)
+        place[gens] = np.arange(gens.size)
+        on = place[first] >= 0
+        # T[l, (k, m)] = C[l, k, m], S[l, (j, m)] = C[j, l, m], and S over the
+        # generators, SG[l, (g, m)] = C[gens[g], l, m]
         t = sp.csr_matrix((coo.data, (first, second * d + coo.col)), shape=(d, d * d))
         s = sp.csr_matrix((coo.data, (second, first * d + coo.col)), shape=(d, d * d))
-        worst, where = 0.0, 0     # where: the triple (i, j, k) as the key (i d + j) d + k
+        sg = sp.csr_matrix((coo.data[on], (second[on], place[first[on]] * d + coo.col[on])),
+                           shape=(d, gens.size * d))
+        cg = c[(gens[:, None] * d + np.arange(d)).ravel()].tocoo()   # rows (g, k): [e_i, e_k]
+        # entries per j: lhs reads row l of T at each entry of C[i, j, l]; F(i, j, k)
+        # reads S[l, (j, .)], nnz C[j, l, :], at each entry of cg in column l;
+        # F(j, i, k) reads row l of SG at each entry of C[j, k, l]
+        weight = np.bincount(cg.row % d, weights=np.bincount(first, minlength=d)[cg.col],
+                             minlength=d) \
+            + np.diff(c.indptr).reshape(d, d) @ np.bincount(cg.col, minlength=d) \
+            + np.bincount(first, weights=np.diff(sg.indptr)[coo.col], minlength=d)
+        cg = cg.tocsr()
+        worst, where, value = 0.0, 0, 0.0     # where: the triple (i, j, k) as (i d + j) d + k
 
-        def brackets(x0, x1, y0, y1, by_y):
-            """F(x, y, k) for x in [x0, x1) and y in [y0, y1) as CSR with rows
-            (x, y), or (y, x) if ``by_y``, numbered from 0, and columns (k, m)."""
-            f = (c[x0 * d:x1 * d] @ s[:, y0 * d:y1 * d]).tocoo()   # [(x, k), (y, m)]
-            (x, k), (y, m) = np.divmod(f.row, d), np.divmod(f.col, d)
-            rows = y * (x1 - x0) + x if by_y else x * (y1 - y0) + y
-            return _row_grouped(rows, k * d + m, f.data, ((x1 - x0) * (y1 - y0), d * d))
-
-        def keep_worst(res, a, b):
+        def keep_worst(res, i, j):
             """Fold the largest entry of res, whose row r is the pair
-            (a[r], b[r]), into (worst, where); ties keep the first triple."""
-            nonlocal worst, where
+            (i[r], j[r]), into (worst, where, value); ties keep the first triple."""
+            nonlocal worst, where, value
             mag = np.abs(res.data)
-            top = mag.max(initial=0.0)
+            ranked = np.where(np.isnan(mag), np.inf, mag)
+            top = ranked.max(initial=0.0)
             if top == 0.0 or top < worst:
                 return
-            at = np.flatnonzero(mag == top)   # columns are unsorted within a row
+            at = np.flatnonzero(ranked == top)   # columns are unsorted within a row
             row = np.searchsorted(res.indptr, at, side="right") - 1
-            key = int(((a[row] * d + b[row]) * d + res.indices[at] // d).min())
-            if top > worst or key < where:
-                worst, where = float(top), key
+            keys = (i[row] * d + j[row]) * d + res.indices[at] // d
+            n = int(keys.argmin())
+            if top > worst or keys[n] < where:
+                worst, where, value = float(top), int(keys[n]), float(mag[at[n]])
 
-        tiles = self._jacobi_blocks()
-        for n, (p0, p1) in enumerate(tiles):
-            for q0, q1 in tiles[n:]:
-                diff = brackets(p0, p1, q0, q1, False)
-                i, j = np.arange(p0, p1).repeat(q1 - q0), np.tile(np.arange(q0, q1), p1 - p0)
-                diff = diff - (diff[(j - q0) * (q1 - q0) + (i - p0)] if p0 == q0
-                               else brackets(q0, q1, p0, p1, True))
-                keep_worst(c[i * d + j] @ t + diff, i, j)
-                if p0 != q0:
-                    keep_worst(c[j * d + i] @ t - diff, j, i)
-        return worst, (where // (d * d), where // d % d, where % d)
+        def terms(product, width, inner):
+            """(rows (g, j), columns (k, m), values) of F(i, j, k) from its
+            product [(g, k), (j, m)] if ``inner``, else of -F(j, i, k) from [(j, k), (g, m)]."""
+            f = product.tocoo()
+            (a, k), (b, m) = np.divmod(f.row, d), np.divmod(f.col, d)
+            return (a * width + b, k * d + m, f.data) if inner else \
+                (b * width + a, k * d + m, -f.data)
+
+        for j0, j1 in slab_cuts(weight):
+            width = j1 - j0
+            # a row (g, j) holds F(i, j, k) before -F(j, i, k) at a column (k, m),
+            # and sparse addition sums the two duplicates in that order
+            diff = _row_grouped(*map(np.concatenate, zip(
+                terms(cg @ s[:, j0 * d:j1 * d], width, True),
+                terms(c[j0 * d:j1 * d] @ sg, width, False))), (gens.size * width, d * d))
+            rows = np.arange(gens.size * width)
+            keep_worst(c[(gens[:, None] * d + np.arange(j0, j1)).ravel()] @ t + diff,
+                       gens[rows // width], j0 + rows % width)
+        return value, (where // (d * d), where // d % d, where % d)
 
     def jacobi_max_residual(self) -> float:
-        """Max norm of [[x,y],z]+[[y,z],x]+[[z,x],y] over all basis triples.
-
-        Exhaustive: every triple is covered by the blocked sparse products of
-        ``_jacobi_worst``, which read the structure constants ``C``.
+        """Max norm of [[x,y],z]+[[y,z],x]+[[z,x],y] over the basis triples
+        whose first index is a generator, after the generation certificate:
+        together, in exact arithmetic, the Jacobi identity on every triple
+        (``_jacobi_worst``, which reads the structure constants ``C``).
         """
         return self._jacobi_worst()[0]
 
     def assert_jacobi(self, tol: float = 1e-9) -> float:
         res, (i, j, k) = self._jacobi_worst()
-        if res > tol:
+        if not res <= tol:
             raise JacobiFailure(i, j, k, res)
         return res
 
@@ -278,9 +348,18 @@ def antisymmetry_max_residual(c: sp.csr_matrix) -> float:
     return float(abs(c + swapped).max())
 
 
+def _nonsingular(blocks: np.ndarray) -> np.ndarray:
+    """Whether each square matrix of the stack is finite, with a condition
+    number below ``GENERATION_COND``."""
+    finite = np.isfinite(blocks).all(axis=(-2, -1))
+    sv = np.linalg.svd(np.where(finite[..., None, None], blocks, 0.0), compute_uv=False)
+    return finite & (sv[..., -1] * GENERATION_COND > sv[..., 0])
+
+
 def _row_grouped(rows, cols, data, shape) -> sp.csr_matrix:
-    """CSR matrix of entries at distinct (rows, cols), grouped by row with one
-    stable counting sort (a CSR-to-CSC transposition); columns stay unsorted."""
+    """CSR matrix of the entries at (rows, cols), grouped by row with one
+    stable counting sort (a CSR-to-CSC transposition); columns stay unsorted,
+    and entries at one (row, col) stay in their order, to be summed by scipy."""
     order = sp.csr_matrix((np.arange(rows.size, dtype=np.int32), rows, [0, rows.size]),
                           shape=(1, shape[0])).tocsc()
     return sp.csr_matrix((data[order.data], cols[order.data], order.indptr), shape=shape)

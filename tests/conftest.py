@@ -609,17 +609,18 @@ def bracket_oracle():
     return reference_structure_constants
 
 
-def reference_jacobi_worst(ca):
-    """The per-i Jacobi sweep: for each basis index i, three sparse products over
-    all j and k and one COO sum of [[e_i,e_j],e_k] - [e_i,[e_j,e_k]] + [e_j,[e_i,e_k]];
-    returns the largest residual and the first triple (i, j, k) where it occurs."""
+def reference_jacobi_worst(ca, rows=None):
+    """The per-i Jacobi sweep: for each basis index i of ``rows`` (every index
+    unless given), three sparse products over all j and k and one COO sum of
+    [[e_i,e_j],e_k] - [e_i,[e_j,e_k]] + [e_j,[e_i,e_k]]; returns the largest
+    residual and the first triple (i, j, k) where it occurs."""
     d, c = ca.dim, ca.C
     coo = c.tocoo()
     first, second = np.divmod(coo.row, d)
     t = sp.csr_matrix((coo.data, (first, second * d + coo.col)), shape=(d, d * d))
     s = sp.csr_matrix((coo.data, (second, first * d + coo.col)), shape=(d, d * d))
     worst, where = 0.0, (0, 0, 0)
-    for i in range(d):
+    for i in range(d) if rows is None else sorted(rows):
         ci = c[i * d:(i + 1) * d]
         lhs = (ci @ t).tocoo()                    # [j, (k, m)]: [[e_i, e_j], e_k]
         outer = (c @ ci).tocoo()                  # [(j, k), m]: [e_i, [e_j, e_k]]

@@ -142,7 +142,8 @@ def test_criterion_5_identity_suite(sweep_spaces):
         assert "min_connection_identity" in res, sp.name
         bad = {k: v for k, v in res.items() if v > TOL}
         assert not bad, (sp.name, bad)
-    _line(5, f"Jacobi full sweeps on {len(JACOBI_FULL)} algebras (dims <= 133, "
+    _line(5, f"Jacobi on every triple (generator sweep and generation certificate) on "
+             f"{len(JACOBI_FULL)} algebras (dims <= 133, "
              f"{jac:.0f}s); torsion/curvature identity suite on "
              f"{len(sweep_spaces)} spaces exhaustively and 0 sampled, "
              f"total {time.time()-t0:.0f}s")

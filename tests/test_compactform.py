@@ -1,5 +1,6 @@
 """Compact real form: structure constants C, Jacobi, invariant form, rotations."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -11,6 +12,7 @@ from nk_triad import compactform
 from nk_triad.cli import _JACOBI
 from nk_triad.compactform import (
     CompactAlgebra,
+    GenerationFailure,
     JacobiFailure,
     NotOrderThree,
     TraceFormFailure,
@@ -94,48 +96,60 @@ def _dense_jacobi_residual(ca):
             + np.einsum("ikl,jlm->ijkm", c, c))
 
 
+def _slabs_of(monkeypatch, ca):
+    """The slabs of j that ``ca``'s Jacobi sweep cuts, read from its ``slab_cuts`` call."""
+    cuts, real = [], compactform.slab_cuts
+    monkeypatch.setattr(compactform, "slab_cuts", lambda *a, **k: cuts.append(real(*a, **k))
+                        or cuts[-1])
+    ca._jacobi_worst()
+    monkeypatch.setattr(compactform, "slab_cuts", real)
+    return cuts[-1]
+
+
 @pytest.mark.parametrize("family,rank", _JACOBI)
 def test_blocked_jacobi_sweep_matches_per_i_sweep(family, rank, algebra, jacobi_oracle):
-    """The blocked sweep returns the per-i sweep's worst residual, bit for bit,
-    and its first triple, on every algebra ``verify jacobi`` covers."""
+    """The slab sweep returns the per-i sweep's worst residual over the
+    generator rows, bit for bit, and its first triple, on every algebra
+    ``verify jacobi`` covers."""
     ca = algebra(family, rank)
-    assert ca._jacobi_worst() == jacobi_oracle(ca)
+    assert ca._jacobi_worst() == jacobi_oracle(ca, rows=ca.generators)
 
 
 def test_blocked_jacobi_sweep_locates_flips_in_late_blocks(algebra, jacobi_oracle, monkeypatch):
-    """With a small entry budget f4 is swept in more than four tiles.  Negating
-    [U^0_a, U^1_a] in that order only puts the worst residual at a triple
-    (U^0_a, U^1_a, k): once on a tile's first index, once in the last tile."""
+    """With a small entry budget f4 is swept in more than four slabs of j.
+    Negating [U^0_a, U^1_a] in that order only, for a whose U^0 opens a slab
+    or is the last, puts the worst generator-row residual at a triple
+    (i, U^0_a, U^1_a) in that slab, as the per-i sweep over those rows finds
+    it, and at half the worst residual over all rows."""
     monkeypatch.setattr(compactform, "SLAB_ENTRIES", 1 << 13)
     cached = algebra("f", 4)
-    blocks = cached._jacobi_blocks()
-    assert len(blocks) > 4 and blocks[0][0] == 0 and blocks[-1][1] == cached.dim
-    assert all(i1 == j0 for (_, i1), (j0, _) in zip(blocks, blocks[1:]))
-    boundary = next(i0 for i0, _ in blocks[1:-1] if (i0 - cached.rank) % 2 == 0)
+    slabs = _slabs_of(monkeypatch, cached)
+    assert len(slabs) > 4 and slabs[0][0] == 0 and slabs[-1][1] == cached.dim
+    assert all(i1 == j0 for (_, i1), (j0, _) in zip(slabs, slabs[1:]))
+    boundary = next(j0 for j0, _ in slabs[1:-1] if (j0 - cached.rank) % 2 == 0)
     last = cached.u_index(cached.n_pos - 1, 0)
-    assert last > blocks[-1][0]
+    assert last > slabs[-1][0]
     for u0 in (boundary, last):
         ca = CompactAlgebra(cached.cd)
         c, r = ca.C, u0 * ca.dim + u0 + 1
         c.data[c.indptr[r]:c.indptr[r + 1]] *= -1.0
         worst, triple = ca._jacobi_worst()
-        assert triple[:2] == (u0, u0 + 1)
-        assert (worst, triple) == jacobi_oracle(ca)
-        ref = np.abs(_dense_jacobi_residual(ca))
-        assert worst == pytest.approx(ref.max(), abs=1e-12)
-        assert ref[triple].max() == pytest.approx(worst, abs=1e-12)
+        assert triple[0] in ca.generators and triple[1:] == (u0, u0 + 1)
+        assert (worst, triple) == jacobi_oracle(ca, rows=ca.generators)
+        assert worst == pytest.approx(jacobi_oracle(ca)[0] / 2, abs=1e-12)
 
 
 def test_tiled_jacobi_sweep_is_exact_for_a_bracket_that_is_not_skew(algebra, jacobi_oracle,
                                                                    monkeypatch):
     """One stored entry of f4's C scaled by 0.5, -1 or 2, its mirror left
-    alone, and f4 swept in at least three tiles: the tiled sweep assumes no
-    symmetry of C, so it matches the per-i sweep bit for bit, worst residual
-    and first triple alike.  (Reading [[e_i, e_j], e_k] as -[e_k, [e_i, e_j]],
-    exact on skew C, misses this on most draws.)"""
-    monkeypatch.setattr(compactform, "SLAB_ENTRIES", 1 << 15)
+    alone, and f4 swept in at least three slabs: the sweep assumes no
+    symmetry of C, so it matches the per-i sweep over the generator rows bit
+    for bit, worst residual and first triple alike.  (Reading
+    [[e_i, e_j], e_k] as -[e_k, [e_i, e_j]], exact on skew C, misses this on
+    most draws.)"""
+    monkeypatch.setattr(compactform, "SLAB_ENTRIES", 1 << 14)
     cached = algebra("f", 4)
-    assert len(cached._jacobi_blocks()) >= 3
+    assert len(_slabs_of(monkeypatch, cached)) >= 3
     ca = CompactAlgebra(cached.cd)
     rng = np.random.default_rng(20)
     for _ in range(24):
@@ -144,8 +158,114 @@ def test_tiled_jacobi_sweep_is_exact_for_a_bracket_that_is_not_skew(algebra, jac
         ca.C.data[at] *= factor
         assert antisymmetry_max_residual(ca.C) > 0.0
         worst, triple = ca._jacobi_worst()
-        assert worst > 1e-3 and (worst, triple) == jacobi_oracle(ca)
+        assert worst > 1e-3 and (worst, triple) == jacobi_oracle(ca, rows=ca.generators)
         ca.C.data[at] = kept
+
+
+def _corruptions(ca):
+    """(positions in C.data, new values) of every single-entry corruption of
+    C, each stored entry doubled, zeroed or shifted by 1e-6, and of every
+    totally skew triple {i, j, k} of C with all six orders scaled by 2."""
+    c, d = ca.C, ca.dim
+    for at, x in enumerate(c.data.tolist()):
+        for value in (2 * x, 0.0, x + 1e-6):
+            yield [at], [value]
+    coo = c.tocoo()
+    first, second = np.divmod(coo.row, d)
+    for triple in zip(first, second, coo.col):
+        if triple[0] < triple[1] < triple[2]:
+            at = [c.indptr[i * d + j] + np.flatnonzero(c[i * d + j].indices == k)[0]
+                  for i, j, k in itertools.permutations(triple)]
+            yield at, 2 * c.data[at]
+
+
+@pytest.mark.parametrize("family,rank", [("g", 2), ("b", 2)])
+def test_generator_sweep_flags_every_corruption_the_full_sweep_flags(family, rank, algebra,
+                                                                     jacobi_oracle):
+    """The fault matrix: over every corruption of ``_corruptions`` (570 on
+    g2, 266 on b2), each that the per-i sweep over all rows flags above 1e-9
+    is flagged by ``GenerationFailure`` or at least half its residual (up to
+    rounding, 1e-12 of it), and none that it passes is flagged.  The
+    certificate fires on the zeroings that make a block of it singular, 10
+    on g2 and 6 on b2.  About 7 s for both algebras on a 2-core VM."""
+    ca = CompactAlgebra(algebra(family, rank).cd)
+    data, missed, certified = ca.C.data, [], 0
+    for at, values in _corruptions(ca):
+        kept = data[at]
+        data[at] = values
+        want = jacobi_oracle(ca)[0]
+        try:
+            got = ca._jacobi_worst()[0]
+        except GenerationFailure:
+            got, certified = math.inf, certified + 1
+        data[at] = kept
+        if not (got >= 0.5 * want * (1 - 1e-12) if want > 1e-9 else got <= 1e-9):
+            missed.append((at, values, want, got))
+    assert missed == []
+    assert certified == {"g": 10, "b": 6}[family]
+
+
+def _extraspecial_rows(ca, beta):
+    """The rows (U^p_e, U^0_g) of C, p = 0, 1, for the extraspecial pair (e, g) of beta."""
+    e, g = ca.cd.extraspecial[beta]
+    return [ca.u_index(e, p) * ca.dim + ca.u_index(g, 0) for p in (0, 1)]
+
+
+def test_certificate_names_the_root_whose_plane_is_not_reached(algebra, monkeypatch, capsys):
+    """Zeroing beta's plane entries of [U^p_e, U^0_g] on a fresh f4, (e, g)
+    beta's extraspecial pair, leaves beta's plane unreached:
+    ``GenerationFailure`` names beta, and ``verify jacobi`` prints one line
+    for it and exits 1."""
+    from nk_triad import cli, tables
+
+    cached = algebra("f", 4)
+    beta = int(np.flatnonzero(cached.rs._coeffs[:cached.n_pos].sum(axis=1) == 3)[0])
+    ca = CompactAlgebra(cached.cd)
+    c, plane = ca.C, (ca.u_index(beta, 0), ca.u_index(beta, 1))
+    for r in _extraspecial_rows(ca, beta):
+        cols = c.indices[c.indptr[r]:c.indptr[r + 1]]
+        assert np.isin(plane, cols).any()
+        c.data[c.indptr[r]:c.indptr[r + 1]][np.isin(cols, plane)] = 0.0
+    with pytest.raises(GenerationFailure, match="singular") as exc:
+        ca.jacobi_max_residual()
+    assert exc.value.root == ca.rs.roots[beta]
+    monkeypatch.setattr(cli, "_JACOBI", [("f", 4)])
+    monkeypatch.setattr(tables, "cached_algebra", lambda family, rank: ca)
+    assert cli.main(["verify", "jacobi"]) == 1
+    out = capsys.readouterr().out
+    assert out.count('"jacobi:f4:') == 1
+    assert f'"jacobi:f4:GenerationFailure:generation fails at {ca.rs.roots[beta]}:' in out
+
+
+def test_certificate_refuses_a_bracket_outside_the_reached_planes(algebra):
+    """A stored entry added to [U^0_e, U^0_g] on the plane of another root of
+    beta's height, or to [U^0_a, U^1_a] of a simple root a off the Cartan,
+    fails the certificate at beta or at the Cartan."""
+    cached = algebra("f", 4)
+    height = cached.rs._coeffs[:cached.n_pos].sum(axis=1)
+    beta, other = np.flatnonzero(height == 3)[:2]
+    a = int(np.flatnonzero(height == 1)[0])
+    for row, col, root in ((_extraspecial_rows(cached, beta)[0], cached.u_index(other, 1),
+                            cached.rs.roots[beta]),
+                           (cached.u_index(a, 0) * cached.dim + cached.u_index(a, 1),
+                            cached.u_index(a, 0), None)):
+        ca = CompactAlgebra(cached.cd)
+        ca.C = ca.C + sparse.csr_matrix(([1e-3], ([row], [col])), shape=ca.C.shape)
+        with pytest.raises(GenerationFailure, match="leave") as exc:
+            ca.jacobi_max_residual()
+        assert exc.value.root == root
+
+
+def test_certificate_refuses_a_cartan_the_simple_brackets_do_not_span(algebra):
+    """Zeroing [U^0_a, U^1_a] of one simple root a leaves the Cartan unspanned."""
+    cached = algebra("b", 3)
+    ca = CompactAlgebra(cached.cd)
+    a = int(np.flatnonzero(ca.rs._coeffs[:ca.n_pos].sum(axis=1) == 1)[0])
+    c, r = ca.C, ca.u_index(a, 0) * ca.dim + ca.u_index(a, 1)
+    c.data[c.indptr[r]:c.indptr[r + 1]] = 0.0
+    with pytest.raises(GenerationFailure, match="do not span") as exc:
+        ca.jacobi_max_residual()
+    assert exc.value.root is None and "the Cartan" in str(exc.value)
 
 
 def _assert_runs(weight, runs, budget, most=None):
@@ -190,7 +310,7 @@ def test_slab_cuts_reads_the_budget_at_call_time(monkeypatch):
 
 
 def test_jacobi_sweep_memory_is_bounded(algebra):
-    """The e8 sweep's working set follows SLAB_ENTRIES (about 10 MiB traced)."""
+    """The e8 sweep's working set follows SLAB_ENTRIES (about 8 MiB traced)."""
     ca = algebra("e", 8)
     tracemalloc.start()
     try:
@@ -271,14 +391,61 @@ def test_cli_reports_trace_form_failure(algebra, monkeypatch, capsys):
 
 
 def test_cli_reports_jacobi_failure(algebra, monkeypatch, capsys):
+    """The flipped g2's worst triple over all rows, (0, 3, 5), has a Cartan
+    row; the sweep names the first generator-row triple of that residual."""
     from nk_triad import cli, tables
 
     broken = _flipped_g2(algebra)
     monkeypatch.setattr(cli, "_JACOBI", [("g", 2)])
     monkeypatch.setattr(tables, "cached_algebra", lambda family, rank: broken)
     assert cli.main(["verify", "jacobi"]) == 1
-    assert '"jacobi:g2:JacobiFailure:Jacobi residual 3.464e+00 at basis triple (0,3,5)"' \
+    assert '"jacobi:g2:JacobiFailure:Jacobi residual 3.464e+00 at basis triple (3,0,5)"' \
         in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_cli_reports_a_non_finite_jacobi_residual(bad, algebra, monkeypatch, capsys):
+    """A NaN or an infinity in C gives a non-finite residual, the worst of
+    all, named at its first triple: ``verify jacobi`` prints one JacobiFailure
+    line and exits 1 (the former sweep raised a bare ValueError)."""
+    from nk_triad import cli, tables
+
+    ca = CompactAlgebra(algebra("g", 2).cd)
+    ca.C.data[5] = bad
+    worst, triple = ca._jacobi_worst()
+    assert not math.isfinite(worst) and triple[0] in ca.generators
+    monkeypatch.setattr(cli, "_JACOBI", [("g", 2)])
+    monkeypatch.setattr(tables, "cached_algebra", lambda family, rank: ca)
+    assert cli.main(["verify", "jacobi"]) == 1
+    out = capsys.readouterr().out
+    assert out.count('"jacobi:g2:') == 1
+    assert f'"jacobi:g2:JacobiFailure:Jacobi residual {worst:.3e} at basis triple ' \
+           f'({triple[0]},{triple[1]},{triple[2]})"' in out
+
+
+def test_cli_refuses_an_infinite_trace_form(algebra, monkeypatch, capsys):
+    """An infinite entry of C makes the mean trace-form ratio infinite: it is
+    a TraceFormFailure, not a pass (the former rule read inf - inf as within
+    1e-6 of inf).  And a ratio of inf or NaN is a finding of ``verify jacobi``
+    against 2h*, where the former rule scaled the tolerance by the ratio."""
+    from nk_triad import cli, tables
+
+    ca = CompactAlgebra(algebra("g", 2).cd)
+    ca.C.data[5] = math.inf
+    monkeypatch.setattr(ca, "assert_jacobi", lambda tol: 0.0)   # the trace form alone
+    monkeypatch.setattr(cli, "_JACOBI", [("g", 2)])
+    monkeypatch.setattr(tables, "cached_algebra", lambda family, rank: ca)
+    assert cli.main(["verify", "jacobi"]) == 1
+    out = capsys.readouterr().out
+    assert out.count('"jacobi:g2:') == 1 and '"jacobi:g2:TraceFormFailure:' in out
+    for ratio in (math.inf, math.nan):
+        sound = CompactAlgebra(algebra("g", 2).cd)
+        monkeypatch.setattr(sound, "trace_form_ratio", lambda ratio=ratio: ratio)
+        monkeypatch.setattr(tables, "cached_algebra", lambda family, rank: sound)
+        assert cli.main(["verify", "jacobi"]) == 1
+        out = capsys.readouterr().out
+        assert out.count('"jacobi:g2:') == 1
+        assert f'"jacobi:g2:trace-form ratio {ratio}, not 2h* = 8"' in out
 
 
 def test_ad_skew_and_invariance(algebra):

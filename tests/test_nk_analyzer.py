@@ -584,7 +584,7 @@ def test_every_blocked_loop_takes_the_entry_budget(monkeypatch):
         monkeypatch.setattr(module, "slab_cuts", spy)
     monkeypatch.setattr(compactform, "SLAB_ENTRIES", 1 << 10)
     assert outputs() == want
-    assert sorted(runs) == ["_build", "_commutator_gram", "_jacobi_blocks", "_pass",
+    assert sorted(runs) == ["_build", "_commutator_gram", "_jacobi_worst", "_pass",
                             "verify_min_connection_identity"]
     assert all(min(counts) > 1 for counts in runs.values()), runs
 
