@@ -10,7 +10,8 @@ An inner class holds its exact data itself; the exact eigenvalues, fibrations
 and tables read it from the class and never import this module.  A
 realization adds only sigma and the k/m columns, held as sparse maps: every
 construction gives sparse ones, and the tensors and J are sparse products of
-them.
+them.  The tensors are X and K alone: K = [m, m]_k is the one isotropy
+tensor, and its transpose is the action ad(k)|m that the commutant reads.
 
 Realized spaces are immutable apart from their memoized tensors, curvature
 and report; realizing independent spaces over one algebra is embarrassingly parallel.
@@ -93,15 +94,15 @@ class OrderThreeSymmetricSpace:
             raise NotOrderThree("dim m must be even")
 
     def tensors(self):
-        """(X, K, A'), memoised CSR matrices over the m- and k-bases:
+        """(X, K), memoised CSR matrices over the m- and k-bases:
 
             X[(a, b), c] = xi[a, b, c] = -(1/2)<[m_a, m_b], m_c>   (dm^2, dm)
             K[(a, b), s] = <[m_a, m_b], k_s>                       (dm^2, dk)
-            A'[s, (c, d)] = <[k_s, m_c], m_d>                      (dk, dm^2)
 
-        Row s of A' is the isotropy action ad(k_s)|m read transposed: reshaped
-        to (dk dm, dm), its blocks are ad(k_s)^T = -ad(k_s), and K A' = R^min.
-        Entries below ``compactform.ZERO_DROP`` are dropped as float noise.
+        K is the space's one isotropy tensor: by ad-invariance
+        K[(c, d), s] = <[k_s, m_c], m_d>, so K^T reshaped to (dk dm, dm) stacks
+        the blocks ad(k_s)^T = -ad(k_s), and K K^T = R^min.  Entries below
+        ``compactform.ZERO_DROP`` are dropped as float noise.
         """
         if self._tensors is None:
             self._tensors = _build_tensors(self)
@@ -118,15 +119,11 @@ class OrderThreeSymmetricSpace:
 
 
 def _build_tensors(space: OrderThreeSymmetricSpace):
-    """X = -(1/2) [M, M] M, K = [M, M] Kc and A' = [Kc, M] M, with M = m_cols,
-    Kc = k_cols and both brackets read off one ``_frame_bracket`` of [M Kc] and M."""
-    m, k, dm = space.m_cols, space.k_cols, space.dim_m
-    both = _frame_bracket(space.algebra.C, sp.hstack([m, k], format="csr"), m)
-    mm = both[:dm * dm]                                     # [(a, b), l]: [m_a, m_b]
-    xi = drop_noise((-0.5 * (mm @ m)).tocsr())
-    kc = drop_noise((mm @ k).tocsr())
-    ap = drop_noise((both[dm * dm:] @ m).reshape((space.dim_k, dm * dm)).tocsr())
-    return xi, kc, ap
+    """X = -(1/2) [M, M] M and K = [M, M] Kc, with M = m_cols, Kc = k_cols and
+    [M, M] one ``_frame_bracket``."""
+    m, k = space.m_cols, space.k_cols
+    mm = _frame_bracket(space.algebra.C, m, m)              # [(a, b), l]: [m_a, m_b]
+    return drop_noise((-0.5 * (mm @ m)).tocsr()), drop_noise((mm @ k).tocsr())
 
 
 def _frame_bracket(c: sp.csr_matrix, first: sp.csr_matrix, second: sp.csr_matrix) -> sp.csr_matrix:
@@ -183,7 +180,7 @@ def _rotation_signs(cd: ChevalleyData, image: list[int]) -> list[int]:
     [E_e, E_h] = N_{e,h} E_g; |N| is rotation invariant.  The other
     decompositions are left to the bracket-preservation check."""
     eps = [1] * cd.n
-    for g in sorted(range(cd.n), key=lambda k: sum(cd.roots[k])):
+    for g in np.argsort(cd.rs.height, kind="stable"):
         e, h = cd.extraspecial[g]
         if e >= 0:
             eps[g] = eps[e] * eps[h] * int(cd.sign[e, h] * cd.sign[image[e], image[h]])
@@ -298,7 +295,7 @@ def orbit_span_dim(space: OrderThreeSymmetricSpace, seed_vector: np.ndarray) -> 
     it as an independent check of the halves.
     """
     dm, dk = space.dim_m, space.dim_k
-    blocks = space.tensors()[2].reshape((dk * dm, dm))     # [(s, c), d] = ad(k_s)^T
+    blocks = space.tensors()[1].T.reshape((dk * dm, dm))   # [(s, c), d] = ad(k_s)^T
     step = max(1, dm // dk)
     basis = (seed_vector / np.linalg.norm(seed_vector))[:, None]
     pending = basis
@@ -385,7 +382,7 @@ def _weight_frame(block: np.ndarray):
 
 def _commutator_gram(ak: sp.csr_matrix, dm: int, frame) -> np.ndarray:
     """G[k, l] = sum_s <[A_s, S_k], [A_s, S_l]> over every block A_s = ad(k_s)^T
-    of ``ak`` (A' stacked as (dk dm, dm)) and the frame operators S_k.  As A_s
+    of ``ak`` (K^T stacked as (dk dm, dm)) and the frame operators S_k.  As A_s
     is antisymmetric, [A_s, S_k] = A_s S_k + (A_s S_k^T)^T: one sparse product
     of a slab of generators, cut by ``slab_cuts``, with the frame laid out as
     [p, (q, k)] and [q, (p, k)] side by side; the commutators are stacked, one
@@ -421,7 +418,7 @@ def commutant_basis(space: OrderThreeSymmetricSpace) -> list[np.ndarray]:
     (``_commutator_gram``), which is itself the exhaustive check.
     """
     dm = space.dim_m
-    ak = space.tensors()[2].reshape((space.dim_k * dm, dm)).tocsr()
+    ak = space.tensors()[1].T.reshape((space.dim_k * dm, dm)).tocsr()
     p, q, coord, value = frame = _weight_frame(_checked_blocks(space, ak))
     coords = _null_space(_commutator_gram(ak, dm, frame))
     basis = np.zeros((coords.shape[1], dm, dm))

@@ -99,7 +99,7 @@ class ChevalleyData:
         magnitudes are products of 12 N^2 in ints, so every comparison is exact.
         """
         n, plus, n12 = self.n, self.plus, self.n12
-        height = self.rs._coeffs[:n].sum(axis=1)
+        height = self.rs.height
         place = np.empty(n, dtype=np.int64)
         place[np.lexsort((np.arange(n), height))] = np.arange(n)  # height-then-lex
         # extraspecial pair (eps, eta) of gamma: gamma = eps + eta with eps first

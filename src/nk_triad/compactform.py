@@ -59,13 +59,13 @@ def drop_noise(mat: sp.csr_matrix) -> sp.csr_matrix:
     return mat
 
 
-def slab_cuts(weight, budget=None, most=None) -> list[tuple[int, int]]:
+def slab_cuts(weight, most=None) -> list[tuple[int, int]]:
     """Runs [i0, i1) of a blocked loop over the indices of ``weight``, in order:
     n = ceil(sum / budget), at most ``most``, cut where the weight before an
-    index crosses a multiple of sum / n, with the budget ``SLAB_ENTRIES`` (read
-    per call) unless given.  Trailing weightless indices join the last run."""
+    index crosses a multiple of sum / n, with the budget ``SLAB_ENTRIES`` read
+    per call.  Trailing weightless indices join the last run."""
     weight = np.asarray(weight, dtype=float)
-    n = min(math.ceil(weight.sum() / (budget or SLAB_ENTRIES)), most or math.inf)
+    n = min(math.ceil(weight.sum() / SLAB_ENTRIES), most or math.inf)
     if n <= 1:
         return [(0, len(weight))] if len(weight) else []
     cuts = np.flatnonzero(np.diff((np.cumsum(weight) - weight) * n // weight.sum())) + 1
@@ -197,7 +197,7 @@ class CompactAlgebra:
     @property
     def generators(self) -> np.ndarray:
         """The basis indices of U^0 and U^1 of the simple roots, ascending."""
-        simple = np.flatnonzero(self.rs._coeffs[:self.n_pos].sum(axis=1) == 1)
+        simple = np.flatnonzero(self.rs.height == 1)
         return (self.u_index(simple, 0)[:, None] + [0, 1]).ravel()
 
     def _certify_generation(self) -> None:
@@ -214,8 +214,7 @@ class CompactAlgebra:
         is read from C's stored values as they are; a block counts as singular
         when it is not finite or its condition number exceeds ``GENERATION_COND``.
         """
-        n, r, d, c = self.n_pos, self.rank, self.dim, self.C
-        height = self.rs._coeffs[:n].sum(axis=1)
+        n, r, d, c, height = self.n_pos, self.rank, self.dim, self.C, self.rs.height
         u0, u1 = self.generators.reshape(-1, 2).T
         cartan = c[u0 * d + u1]
         if (cartan[:, r:].data != 0).any():

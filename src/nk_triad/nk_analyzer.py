@@ -22,20 +22,21 @@ them with a tolerance (``cli._over_tol``); exact and structural checks raise.
 
 The floating-point side is a few sparse operators per space, each built once
 (``curvature``): J, a signed permutation of the m-basis (``canonical_J``),
-A'[s,(c,d)] = <[k_s, m_c], m_d>, and R as a (dm^2, dm^2) matrix
-R[(a,b),(c,d)] = R(e_a,e_b,e_c,e_d), built canonical (indices sorted in every
-row, no duplicates) slab by slab straight into its arrays.  G = X X^T, with
-G[(a,b),(c,d)] = <xi_a e_b, xi_c e_d>, is never held whole: each reader forms
-the rows or blocks it needs from X (``gram``).  R's build reads its slab's
-rows of G for the J-defect, Ric and Ric* too; the three symmetries of R are
-one pass over row slabs of R (``Curvature.identities``), whose point reads
-of R rely on R being canonical.  The layer-restricted minimal-connection and
-special-torsion suites form only the rows and columns of K, A', G and X
-their layers name: blocks of rows (a, b) with a horizontal against the
-vertical pairs (c, d), the G-blocks of the double-torsion containments and
-X's rows (a, i) for the frame traces.  J's identities are index relabellings
-of X and K.  Each identity is a maximum over all (a, b, c, d), or over the
-layers it names, and memory follows the nonzeros of a slab, never dm^4.
+and R as a (dm^2, dm^2) matrix R[(a,b),(c,d)] = R(e_a,e_b,e_c,e_d), built
+canonical (indices sorted in every row, no duplicates) slab by slab straight
+into its arrays from the Gram matrices of the space's two tensors:
+R^min = K K^T and G = X X^T, G[(a,b),(c,d)] = <xi_a e_b, xi_c e_d>.  G is
+never held whole: each reader forms the rows or blocks of G it needs from X
+(``gram``), and R's build reads its slab's rows of G for the J-defect, Ric
+and Ric* too; the three symmetries of R are one pass over row slabs of R
+(``Curvature.identities``), whose point reads of R rely on R being canonical.
+The layer-restricted minimal-connection and special-torsion suites form only
+the rows of K and the blocks of G and X their layers name: blocks of rows
+(a, b) with a horizontal against the vertical pairs (c, d), the G-blocks of
+the double-torsion containments and X's rows (a, i) for the frame traces.
+J's identities are index relabellings of X and K.  Each identity is a
+maximum over all (a, b, c, d), or over the layers it names, and memory
+follows the nonzeros of a slab, never dm^4.
 """
 
 from __future__ import annotations
@@ -133,17 +134,16 @@ def _j_checks(slab, half, a0: int, dm: int, jj, ric, ric_star) -> float:
 class Curvature:
     """Sparse torsion and curvature operators of one space, each built on first use.
 
-    From X[(a,b), k] = xi[a,b,k], K[(a,b), s] and A'[s, (c,d)] =
-    <[k_s, m_c], m_d> (``space.tensors()``), whose product K A' is R^min, it
-    builds the (dm^2, dm^2) CSR operator
+    From X[(a,b), k] = xi[a,b,k] and K[(a,b), s] = <[e_a, e_b], k_s>
+    (``space.tensors()``) it builds the (dm^2, dm^2) CSR operator
 
-        R = K A' + 2G - G[a,c,b,d] + G[a,d,b,c],    G[(a,b),(c,d)] = <xi_a e_b, xi_c e_d>
+        R = K K^T + 2G - G[a,c,b,d] + G[a,d,b,c],    G[(a,b),(c,d)] = <xi_a e_b, xi_c e_d>
 
-    G = X X^T is never held whole: R's build forms each slab's rows of G from
-    X, and the layer suites form the blocks they read (``gram``).  The build
-    also reads off, slab by slab, the checks that need those rows of G: the
-    J-defect R - R kron(J, J) - 4G, Ric, the trace sum_i R[a,i,b,i], and
-    Ric*.  The pass of ``identities`` adds the three symmetries of R.  r is
+    so R^min = K K^T is pair-symmetric by construction.  G = X X^T is never
+    held whole: R's build forms each slab's rows of G from X, and the layer
+    suites form the blocks they read (``gram``).  The build also reads off,
+    slab by slab, the checks that need those rows of G: the J-defect
+    R - R kron(J, J) - 4G, Ric, the trace sum_i R[a,i,b,i], and Ric*.  The pass of ``identities`` adds the three symmetries of R.  r is
     the torsion trace -4 tr xi_a xi_b, read off X alone: 4 sum_i G[a,i,b,i]
     would be the trace of R - R kron(J, J) = 4G, so r = Ric - Ric* would only
     restate the J-defect.  ``j``, G's rows and ``riemann``, like the tensors,
@@ -166,18 +166,18 @@ class Curvature:
 
     @cached_property
     def row_weight(self) -> np.ndarray:
-        """Per a, the multiply-adds of K[(a,.)] A' and three times those of
+        """Per a, the multiply-adds of K[(a,.)] K^T and three times those of
         X[(a,.)] X^T, an exact bound on the entries of G's rows (a, .):
         sum over k in supp X[(a,b),:] of nnz X[:,k].  ``slab_cuts`` cuts R's
         build and the minimal-connection suite into blocks of a by it."""
-        dm, (x, kc, ap) = self.dm, self.space.tensors()
+        dm, (x, kc) = self.dm, self.space.tensors()
 
-        def madds(left, right_rows):
-            """per a, the sum of right's row counts over the entries of left's rows (a, .)"""
-            done = np.concatenate([[0], np.cumsum(right_rows[left.indices])])
-            return np.diff(done[left.indptr[::dm]])
+        def madds(t):
+            """per a, nnz T[:,k] summed over the entries of T's rows (a, .)"""
+            done = np.concatenate([[0], np.cumsum(np.bincount(t.indices)[t.indices])])
+            return np.diff(done[t.indptr[::dm]])
 
-        return madds(kc, np.diff(ap.indptr)) + 3 * madds(x, np.bincount(x.indices, minlength=dm))
+        return madds(kc) + 3 * madds(x)
 
     @cached_property
     def riemann(self) -> sp.csr_matrix:
@@ -194,22 +194,22 @@ class Curvature:
         sorted; it reads them three times: as 2G, as -G[a,c,b,d] at
         [(a,y),(x,z)] and as G[a,d,b,c] at [(a,y),(z,x)].  The rows are sorted,
         so one stable counting sort by (a, y) leaves the first in column order,
-        and one by (a, y, z) the second; only K A' is sorted by comparison.
-        The slab is (K A' + 2G) + (-G[acbd] + G[adbc]), summed by scipy's
+        and one by (a, y, z) the second; only K K^T is sorted by comparison.
+        The slab is (K K^T + 2G) + (-G[acbd] + G[adbc]), summed by scipy's
         merges of sorted rows, and R's arrays grow by what it adds.  With the
         slab and its rows of G in hand, ``_j_checks`` reads off the J-defect,
         Ric and Ric*; no row of G outlives its slab.
         """
-        dm, js, (xi, kc, ap) = self.dm, self.j, self.space.tensors()
-        xt, jj = xi.T.tocsr(), ((js.indices[:, None] * dm + js.indices).ravel(),
-                                (js.data[:, None] * js.data).ravel())
+        dm, js, (xi, kc) = self.dm, self.j, self.space.tensors()
+        xt, kt = xi.T.tocsr(), kc.T.tocsr()
+        jj = (js.indices[:, None] * dm + js.indices).ravel(), (js.data[:, None] * js.data).ravel()
         indptr = np.zeros(dm * dm + 1, dtype=np.int64)
         indices, data = np.empty(0, dtype=np.int32), np.empty(0)
         ric, ric_star, defect = np.zeros(dm * dm), np.zeros(dm * dm), 0.0
         for a0, a1 in slab_cuts(self.row_weight):
             own = slice(a0 * dm, a1 * dm)
             shape = (own.stop - own.start, dm * dm)
-            ka = kc[own] @ ap
+            ka = kc[own] @ kt                           # R^min's rows
             ka.sort_indices()
             half = drop_noise(xi[own] @ xt)             # G's rows, as ``gram`` forms them
             half.sort_indices()
@@ -330,7 +330,7 @@ def verify_structure_identities(space, tol=1e-9) -> dict[str, float]:
     js = curvature(space).j
     perm, sign = js.indices.astype(np.int64), js.data
     inv = np.argsort(perm)                              # pi^-1 (pi is a bijection)
-    x, kc, _ = space.tensors()
+    x, kc = space.tensors()
     dm = space.dim_m
     nz, kz = x.tocoo(), kc.tocoo()
     a, b, k = np.divmod(nz.row.astype(np.int64), dm) + (nz.col,)
@@ -403,28 +403,28 @@ def verify_min_connection_identity(space, tol=1e-9, seed=0) -> float:
     R^min(X,U,V1,V2) = 4(<[xi_V1, xi_V2]X, U> - <xi_X U, xi_V1 V2>),
     checked on every basis tuple (x, u, v1, v2).  With (a, b, c, d) =
     (x, u, v1, v2) and xi_v e_j = -xi_j e_v, the residual is
-    K A' + 4G + 4G[c,b,d,a] - 4G[d,b,c,a], read on horizontal a and vertical
+    K K^T + 4G + 4G[c,b,d,a] - 4G[d,b,c,a], read on horizontal a and vertical
     c and d; G is symmetric, so the last two are read as G[d,a,c,b] and
     G[c,a,d,b], off rows of G rather than of a transposed copy.
 
     Per block of horizontal a (``slab_cuts`` on ``Curvature.row_weight``),
-    the rows (a, b) of K A' + 4G are K's rows and G's block against the
-    columns (c, d) of V x V, and the block B[(p,a),(q,b)] = G[p,a,q,b], p and
-    q vertical, gives both other terms: 4B at [(a,b),(q,p)] and -4B at
-    [(a,b),(p,q)].  Both blocks of G are formed from X's rows (``gram``).  Only
-    defined on special-algebraic-torsion splittings.  Returns the worst
-    residual.  ``tol`` and ``seed`` are unused; they stay until
-    ``bench/workloads.py`` stops passing them.
+    the rows (a, b) of K K^T + 4G are Gram blocks, K's and X's rows (a, b)
+    against their rows (c, d) of V x V, and the block B[(p,a),(q,b)] =
+    G[p,a,q,b], p and q vertical, gives both other terms: 4B at [(a,b),(q,p)]
+    and -4B at [(a,b),(p,q)].  Both blocks of G are formed from X's rows
+    (``gram``).  Only defined on special-algebraic-torsion splittings.
+    Returns the worst residual.  ``tol`` and ``seed`` are unused; they stay
+    until ``bench/workloads.py`` stops passing them.
     """
     vert, horiz = _vertical_split(space)
     cv, dm, nv = curvature(space), space.dim_m, len(vert)
-    x, kc, ap = space.tensors()
+    x, kc = space.tensors()
     vv, vm = _pairs(vert, vert, dm), _pairs(vert, np.arange(dm), dm)
-    ap, worst = ap[:, vv], 0.0
+    kv, worst = kc[vv].T.tocsr(), 0.0
     for h0, h1 in slab_cuts(cv.row_weight[horiz]):
         a = horiz[h0:h1]
         rows = _pairs(a, np.arange(dm), dm)
-        slab = kc[rows] @ ap + 4.0 * gram(x, rows, vv)
+        slab = kc[rows] @ kv + 4.0 * gram(x, rows, vv)
         blk = gram(x, _pairs(vert, a, dm), vm)
         (p, i), (q, b) = np.divmod(_rows_of(blk, 0), len(a)), np.divmod(blk.indices, dm)
         row = np.tile(i * dm + b, 2)

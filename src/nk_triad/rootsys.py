@@ -220,6 +220,7 @@ class RootSystem:
         self.marks: Coeffs = max(pos, key=lambda c: (sum(c), c))
         n = self.n_positive = len(pos)
         coeffs = np.array(pos, dtype=np.int64)
+        self.height = _read_only(coeffs.sum(axis=1))      # of each positive root
         if (coeffs > np.array(self.marks)).any():
             raise NotARoot("highest root is not componentwise maximal")
         self.key_base = 4 * max(self.marks) + 1

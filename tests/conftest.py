@@ -362,7 +362,23 @@ def fixed_algebra_root_signature(space):
     return len(cartan), count, ratio
 
 
-# -- Lie triple systems of a realized space ----------------------------------------
+# -- the isotropy action and Lie triple systems of a realized space ------------------
+
+
+def ad_k(space) -> np.ndarray:
+    """ad(k_s)|m as a dense (dim k, dim m, dim m) array, read off K^T:
+    K[(c, d), s] = <[k_s, m_c], m_d> = ad(k_s)[d, c]."""
+    dm = space.dim_m
+    return space.tensors()[1].T.toarray().reshape(space.dim_k, dm, dm).transpose(0, 2, 1)
+
+
+def set_ad_k(space, act: np.ndarray):
+    """``space`` with K replaced by the one whose action ``ad_k`` reads is the
+    dense (dim k, dim m, dim m) array ``act``; X is kept."""
+    dm = space.dim_m
+    k = sp.csr_matrix(act.transpose(0, 2, 1).reshape(space.dim_k, dm * dm).T)
+    space._tensors = (space.tensors()[0], k)
+    return space
 
 
 _LTS_TOL = 1e-9
@@ -373,7 +389,7 @@ def check_lie_triple_system(space, nu) -> bool:
 
     ``nu`` is either a list of m-basis positions or a dm x r column matrix.
     """
-    xi, kc, ap = space.tensors()
+    xi, kc = space.tensors()
     dm = space.dim_m
     if isinstance(nu, np.ndarray) and nu.ndim == 2:
         cols = nu
@@ -381,14 +397,14 @@ def check_lie_triple_system(space, nu) -> bool:
         cols = np.eye(dm)[:, list(nu)]
     proj_out = np.eye(dm) - cols @ cols.T
     r = cols.shape[1]
-    act = ap.T.tocsr()                                     # [(c, d), s] = ad(k_s)[d, c]
     for a in range(r):
         for b in range(a + 1, r):
             pair = np.kron(cols[:, a], cols[:, b])
             # m-closure: [nu_a, nu_b]_m = -2 xi(nu_a, nu_b)
             if np.abs(proj_out @ (-2.0 * (xi.T @ pair))).max() > _LTS_TOL:
                 return False
-            if np.abs(proj_out @ (act @ (kc.T @ pair)).reshape(dm, dm).T @ cols).max() > _LTS_TOL:
+            # K[(c, d), s] = ad(k_s)[d, c]
+            if np.abs(proj_out @ (kc @ (kc.T @ pair)).reshape(dm, dm).T @ cols).max() > _LTS_TOL:
                 return False
     return True
 
@@ -610,40 +626,41 @@ def bracket_oracle():
 
 
 def reference_jacobi_worst(ca, rows=None):
-    """The per-i Jacobi sweep: for each basis index i of ``rows`` (every index
-    unless given), three sparse products over all j and k and one COO sum of
-    [[e_i,e_j],e_k] - [e_i,[e_j,e_k]] + [e_j,[e_i,e_k]]; returns the largest
-    residual and the first triple (i, j, k) where it occurs."""
+    """The Jacobi sweep over every basis index i of ``rows`` (every index
+    unless given) at once: three sparse products over all i, j and k and one
+    COO sum of [[e_i,e_j],e_k] - [e_i,[e_j,e_k]] + [e_j,[e_i,e_k]] at
+    [(i, j), (k, m)]; returns the largest residual and the first triple
+    (i, j, k) where it occurs."""
     d, c = ca.dim, ca.C
     coo = c.tocoo()
     first, second = np.divmod(coo.row, d)
     t = sp.csr_matrix((coo.data, (first, second * d + coo.col)), shape=(d, d * d))
     s = sp.csr_matrix((coo.data, (second, first * d + coo.col)), shape=(d, d * d))
-    worst, where = 0.0, (0, 0, 0)
-    for i in range(d) if rows is None else sorted(rows):
-        ci = c[i * d:(i + 1) * d]
-        lhs = (ci @ t).tocoo()                    # [j, (k, m)]: [[e_i, e_j], e_k]
-        outer = (c @ ci).tocoo()                  # [(j, k), m]: [e_i, [e_j, e_k]]
-        inner = (ci @ s).tocoo()                  # [k, (j, m)]: [e_j, [e_i, e_k]]
-        oj, ok = np.divmod(outer.row, d)
-        ij, im = np.divmod(inner.col, d)
-        res = sp.coo_matrix(
-            (np.concatenate([lhs.data, -outer.data, inner.data]),
-             (np.concatenate([lhs.row, oj, ij]),
-              np.concatenate([lhs.col, ok * d + outer.col, inner.row * d + im]))),
-            shape=(d, d * d))
-        res.sum_duplicates()
-        if res.nnz:
-            n = int(np.abs(res.data).argmax())
-            local = float(abs(res.data[n]))
-            if local > worst:
-                worst, where = local, (i, int(res.row[n]), int(res.col[n]) // d)
-    return worst, where
+    rows = np.arange(d) if rows is None else np.unique(rows)
+    own = (rows[:, None] * d + np.arange(d)).ravel()    # (i, x) for i in rows
+    ci = c[own]
+    lhs = (ci @ t).tocoo()                        # [(i, j), (k, m)]: [[e_i, e_j], e_k]
+    outer = (c @ s[:, own]).tocoo()               # [(j, k), (i, m)]: [e_i, [e_j, e_k]]
+    inner = (ci @ s).tocoo()                      # [(i, k), (j, m)]: [e_j, [e_i, e_k]]
+    (li, lj), (lk, lm) = np.divmod(lhs.row, d), np.divmod(lhs.col, d)
+    (oj, ok), (oi, om) = np.divmod(outer.row, d), np.divmod(outer.col, d)
+    (ii, ik), (ij, im) = np.divmod(inner.row, d), np.divmod(inner.col, d)
+    res = sp.coo_matrix(
+        (np.concatenate([lhs.data, -outer.data, inner.data]),
+         (np.concatenate([rows[li] * d + lj, rows[oi] * d + oj, rows[ii] * d + ij]),
+          np.concatenate([lk * d + lm, ok * d + om, ik * d + im]))),
+        shape=(d * d, d * d))
+    res.sum_duplicates()                          # sorted by (i, j), then (k, m)
+    if not np.abs(res.data).max(initial=0.0) > 0.0:
+        return 0.0, (0, 0, 0)
+    n = int(np.abs(res.data).argmax())
+    i, j = divmod(int(res.row[n]), d)
+    return float(abs(res.data[n])), (i, j, int(res.col[n]) // d)
 
 
 @pytest.fixture(scope="session")
 def jacobi_oracle():
-    """The per-i reference for ``CompactAlgebra._jacobi_worst``: ca -> (worst, triple)."""
+    """The all-rows reference for ``CompactAlgebra._jacobi_worst``: ca -> (worst, triple)."""
     return reference_jacobi_worst
 
 
@@ -662,10 +679,10 @@ def reference_min_connection_worst(space, block=1 << 21):
     every (x, u, v1, v2), x horizontal and v1, v2 vertical, by three dense
     einsums per block of about ``block`` tuples of horizontal x."""
     vert, horiz = _vertical_split(space)
-    xi, kc, ap = space.tensors()
+    xi, kc = space.tensors()
     dm, everything = space.dim_m, np.arange(space.dim_m)
     xv = _dense_rows(xi, vert, everything, dm)
-    apv = ap[:, (vert[:, None] * dm + vert).ravel()].toarray().reshape(-1, len(vert), len(vert))
+    kvv = _dense_rows(kc, vert, vert, dm)
     xvv = xv[:, vert]
     worst = 0.0
     step = max(1, block // (dm * len(vert) ** 2))
@@ -678,7 +695,7 @@ def reference_min_connection_worst(space, block=1 << 21):
         rhs -= np.einsum("xuk,abk->xuab", xh, xvv, optimize=True)
         rhs *= 4.0
         # R^min(e_x, e_u, e_va, e_vb) = <[[e_x, e_u]_k, e_va], e_vb>
-        rhs -= np.einsum("xus,sab->xuab", kh, apv, optimize=True)
+        rhs -= np.einsum("xus,abs->xuab", kh, kvv, optimize=True)
         worst = max(worst, float(np.abs(rhs).max(initial=0.0)))
     return worst
 
@@ -725,7 +742,7 @@ def reference_structure_identities(space):
     """The structure residuals by sparse products with J, kron(I, J),
     kron(J, J) and kron(J^T, I) formed as matrices."""
     js = curvature(space).j
-    x, kc, _ = space.tensors()
+    x, kc = space.tensors()
     dm = space.dim_m
     eye = sp.identity(dm, format="csr")
     res = {}
@@ -760,8 +777,8 @@ def _slabs(dm: int, *terms, only=None):
     ``last``, ``only`` = (first, last); on every tuple if ``only`` is None.
 
     Each M is a (dm^2, dm^2) operator and ``perm`` names its slots, so the
-    term (1.0, M, "bcad") adds M[b,c,a,d] at [(a,b),(c,d)]; M = (K, A'), read
-    as "abcd" only, is their product.  Each slot of M (of K's rows and A''s
+    term (1.0, M, "bcad") adds M[b,c,a,d] at [(a,b),(c,d)]; M = (K, K^T), read
+    as "abcd" only, is their product.  Each slot of M (of K's rows and K^T's
     columns) is cut to its set once, rows or columns first as keeps fewer,
     before anything is gathered or multiplied.  A slab is a CSR matrix of the
     rows (a, b), a in one block of ``first``, and the columns (c, d) in
@@ -779,7 +796,7 @@ def _slabs(dm: int, *terms, only=None):
         other = sets[perm[1 - perm.index("a")]]
         rows = (first[:, None] * dm + other if perm[0] == "a" else other * dm + first[:, None]).ravel()
         cols = (sets[perm[2]][:, None] * dm + sets[perm[3]]).ravel()
-        if isinstance(mat, tuple):      # (K, A'): multiply-adds per row of K
+        if isinstance(mat, tuple):      # (K, K^T): multiply-adds per row of K
             src = (mat[0][rows], mat[1][:, cols])
             size += int(np.diff(src[1].indptr)[src[0].indices].sum())
         else:
@@ -830,15 +847,21 @@ def whole_g(space) -> sp.csr_matrix:
     return g
 
 
+def _r_min(space) -> tuple:
+    """(K, K^T), the factors of R^min that ``_slabs`` multiplies."""
+    kc = space.tensors()[1]
+    return kc, kc.T.tocsr()
+
+
 def reference_layer_worst(space) -> dict[str, float]:
     """The minimal-connection residual and the two double-torsion
     containments by the generic slab reader, each term named by its index
-    permutation: K A' + 4G + 4G[d,a,c,b] - 4G[c,a,d,b] on horizontal a and
+    permutation: K K^T + 4G + 4G[d,a,c,b] - 4G[c,a,d,b] on horizontal a and
     vertical c, d, and G on a in one layer and c, d in the other."""
     vert, horiz = _vertical_split(space)
     dm, g = space.dim_m, whole_g(space)
     return {
-        "min_connection": _worst(dm, (1.0, space.tensors()[1:], "abcd"),
+        "min_connection": _worst(dm, (1.0, _r_min(space), "abcd"),
                                  (4.0, g, "abcd"), (4.0, g, "dacb"), (-4.0, g, "cadb"),
                                  only=(horiz, vert)),
         "xi_V_xi_HH": _worst(dm, (1.0, g, "abcd"), only=(vert, horiz)),
@@ -854,11 +877,11 @@ def layer_slab_oracle():
 
 
 def reference_riemann(space):
-    """R by the former build: the four ``_slabs`` terms K A' + 2G - G[a,c,b,d]
+    """R by the former build: the four ``_slabs`` terms K K^T + 2G - G[a,c,b,d]
     + G[a,d,b,c] summed per slab, each slab noise-dropped, the list stacked by
     ``sp.vstack`` and the whole sorted once."""
     g = whole_g(space)
-    terms = ((1.0, space.tensors()[1:], "abcd"),
+    terms = ((1.0, _r_min(space), "abcd"),
              (2.0, g, "abcd"), (-1.0, g, "acbd"), (1.0, g, "adbc"))
     rr = sp.vstack([drop_noise(slab) for slab in _slabs(space.dim_m, *terms)], format="csr")
     rr.sort_indices()

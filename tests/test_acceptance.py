@@ -22,7 +22,7 @@ from nk_triad.exact import exact_r_cross_layer, exact_r_eigenvalues
 from nk_triad.nk_analyzer import build_report, verify_ricci_oracle, verify_space
 from nk_triad.tables import cached_algebra, realize
 
-from conftest import ad, fixed_algebra_root_signature
+from conftest import ad, ad_k, fixed_algebra_root_signature
 
 F = Fraction
 TOL = 1e-9
@@ -193,7 +193,7 @@ def test_criterion_8_triality_and_cyclic():
     halves = invariant_halves(sp)
     assert halves is not None
     assert halves[0].shape[1] == halves[1].shape[1] == 7
-    ak = sp.tensors()[2].toarray().reshape(sp.dim_k, sp.dim_m, sp.dim_m).transpose(0, 2, 1)
+    ak = ad_k(sp)
     for s in range(sp.dim_k):
         assert np.abs(ak[s][np.ix_(sp.layers["JE"], sp.layers["E"])]).max() < TOL
     seed = np.zeros(sp.dim_m)
@@ -208,7 +208,7 @@ def test_criterion_8_triality_and_cyclic():
     assert np.abs(c3.sigma @ c3.sigma @ c3.sigma - np.eye(9)).max() == 0.0
     halves_c = invariant_halves(c3)
     assert halves_c is not None and halves_c[0].shape[1] == 3
-    akc = c3.tensors()[2].toarray().reshape(c3.dim_k, c3.dim_m, c3.dim_m).transpose(0, 2, 1)
+    akc = ad_k(c3)
     base = cached_algebra("a", 1)
     for s in range(3):
         assert np.abs(akc[s][:3, :3] - ad(base, s).toarray() / np.sqrt(3)).max() < TOL

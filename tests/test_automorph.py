@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
 
 from nk_triad import automorph, cli, tables
 from nk_triad.automorph import (
@@ -34,16 +33,10 @@ from nk_triad.rootsys import (
 )
 from nk_triad.tables import realize
 
-from conftest import ad, bracket_preservation_residual, fixed_algebra_root_signature, root_mask
+from conftest import (ad, ad_k, bracket_preservation_residual, fixed_algebra_root_signature,
+                      root_mask, set_ad_k)
 
 F = Fraction
-
-
-def ad_k(space):
-    """ad(k_s)|m as a dense (dim k, dim m, dim m) array, read off A'[s, (c, d)]
-    = ad(k_s)[d, c] of ``space.tensors()``."""
-    dm = space.dim_m
-    return space.tensors()[2].toarray().reshape(space.dim_k, dm, dm).transpose(0, 2, 1)
 
 
 def kinds(rs, dedup=False):
@@ -378,7 +371,7 @@ def test_coarsest_blocking_gives_the_same_commutant(name):
     torus-weight blocks, which the torus check keeps, each half invariant."""
     sp = COMMUTANT_SPACES[name]()
     dm = sp.dim_m
-    ak = sp.tensors()[2].reshape((sp.dim_k * dm, dm)).tocsr()
+    ak = sp.tensors()[1].T.reshape((sp.dim_k * dm, dm)).tocsr()
     assert automorph._checked_blocks(sp, ak) is sp.weight_block
     fine, fine_halves = len(commutant_basis(sp)), invariant_halves(sp)
     sp.weight_block = np.full(sp.dim_m, -1)
@@ -411,18 +404,15 @@ def test_blocking_that_splits_a_root_plane_raises(make):
 
 
 def test_cli_analyze_exits_1_when_the_torus_joins_two_blocks(monkeypatch, capsys):
-    """a1 cyclic with the JE half carrying E's blocks of A' for generators 0
-    and 1 swapped: the torus generator then joins a Cartan column to a root
+    """a1 cyclic with the JE half carrying E's blocks of ad(k) for generators
+    0 and 1 swapped: the torus generator then joins a Cartan column to a root
     plane, and ``analyze`` exits 1 with one line, not a traceback."""
     def swapped(component):
         sp = realize_cyclic_c3(component)
-        x, kc, ap = sp.tensors()
-        dk, dm = sp.dim_k, sp.dim_m
-        a = ap.toarray().reshape(dk, dm, dm)
+        a, dm = ad_k(sp), sp.dim_m
         e, je = np.arange(dm // 2)[:, None], np.arange(dm // 2, dm)[:, None]
         a[0, je, je.T], a[1, je, je.T] = a[1, e, e.T], a[0, e, e.T]
-        sp._tensors = (x, kc, csr_matrix(a.reshape(dk, dm * dm)))
-        return sp
+        return set_ad_k(sp, a)
 
     monkeypatch.setattr(automorph, "realize_cyclic_c3", swapped)
     assert cli.main(["analyze", "a", "1", "--cyclic"]) == 1
@@ -437,16 +427,13 @@ def _broken_torus(family, rank, corrupt):
     weights of block 0 or also swaps the E and JE copies: the plane frame
     would miss operators that commute with it."""
     sp = realize_cyclic_c3(tables.cached_algebra(family, rank))
-    x, kc, ap = sp.tensors()
-    dk, dm, n = sp.dim_k, sp.dim_m, sp.torus
-    a = ap.toarray().reshape(dk, dm, dm)                 # a[s] = ad(k_s)^T
+    a, n = ad_k(sp), sp.torus
     b0, b1 = (np.flatnonzero(sp.weight_block == b) for b in (0, 1))
     if corrupt == "equal-weights":
         a[:n, b1[:, None], b1] = a[:n, b0[:, None], b0]
     else:                                                # I_2 (x) w J_2 -> (I_2 + X) (x) w J_2
-        a[:n, b1[:, None], b1] += a[:n, b1[:, None], b1[[2, 3, 0, 1]]]
-    sp._tensors = (x, kc, csr_matrix(a.reshape(dk, dm * dm)))
-    return sp
+        a[:n, b1[:, None], b1] += a[:n, b1[[2, 3, 0, 1]][:, None], b1]
+    return set_ad_k(sp, a)
 
 
 BROKEN_TORUS = "the torus of k breaks the weight blocks of m"
@@ -506,11 +493,10 @@ def _looks_reducible():
     between the m columns {0, 1} and the rest zeroed: the torus keeps its
     weight blocks, and the plane {0, 1} is invariant."""
     sp = realize("g", 2, "A3IV", (1,))
-    _, _, ap = sp.tensors()
-    c, d = np.divmod(ap.indices, sp.dim_m)                 # A'[s, (c, d)]
-    s = np.repeat(np.arange(sp.dim_k), np.diff(ap.indptr))
-    ap.data[(s >= sp.torus) & ((c < 2) != (d < 2))] = 0.0
-    ap.eliminate_zeros()
+    kc = sp.tensors()[1]
+    c, d = np.divmod(np.repeat(np.arange(kc.shape[0]), np.diff(kc.indptr)), sp.dim_m)
+    kc.data[(kc.indices >= sp.torus) & ((c < 2) != (d < 2))] = 0.0   # K[(c, d), s]
+    kc.eliminate_zeros()
     return sp
 
 
@@ -532,21 +518,17 @@ def test_classification_mismatch_fails_loudly(monkeypatch, capsys):
 def _coupled_halves():
     """A fresh a1 cyclic space whose ad(k)|m couples its halves E and JE.
 
-    Row s of A' holds ad(k_s)^T = kron(I, B_s), one antisymmetric 3 x 3 block
-    B_s on each half.  Rewritten as kron(I, B_0), kron(X, B_1) and
-    kron(Z, B_2) (X the swap of E and JE, Z the sign flip of JE), every
-    block stays antisymmetric, but only the scalars of the 2 x 2 factor
+    ad(k_s) = kron(I, B_s), one antisymmetric 3 x 3 block B_s on each half.
+    Rewritten as kron(I, B_0), kron(X, B_1) and kron(Z, B_2) (X the swap of
+    E and JE, Z the sign flip of JE), every block stays antisymmetric, but only the scalars of the 2 x 2 factor
     commute with I, X and Z: no symmetric operator but a scalar commutes
     with the action, so m has no invariant halves."""
     sp = realize_cyclic_c3(tables.cached_algebra("a", 1))
-    x, kc, ap = sp.tensors()
-    dk, dm, h = sp.dim_k, sp.dim_m, sp.dim_m // 2
-    a = ap.toarray().reshape(dk, dm, dm)
-    assert np.array_equal(a[:, :h, h:], np.zeros((dk, h, h)))
+    a, h = ad_k(sp), sp.dim_m // 2
+    assert np.array_equal(a[:, :h, h:], np.zeros((sp.dim_k, h, h)))
     a[1] = np.kron([[0.0, 1.0], [1.0, 0.0]], a[1, :h, :h])
     a[2] = np.kron([[1.0, 0.0], [0.0, -1.0]], a[2, :h, :h])
-    sp._tensors = (x, kc, csr_matrix(a.reshape(dk, dm * dm)))
-    return sp
+    return set_ad_k(sp, a)
 
 
 def test_type_ii_without_equal_halves_fails_loudly(monkeypatch, capsys):
@@ -566,7 +548,8 @@ def test_type_ii_without_equal_halves_fails_loudly(monkeypatch, capsys):
 def dense_reference_tensors(space):
     """Reference (xi, kc, ap) as dense 3-tensors, by tensordot over a dense C:
     xi[a, b, p] = -(1/2)<[m_a, m_b], m_p>, kc[a, b, s] = <[m_a, m_b], k_s> and
-    ap[s, c, d] = <[k_s, m_c], m_d>."""
+    ap[s, c, d] = <[k_s, m_c], m_d>, the last from C's [k, m] rows, which
+    ``tensors()`` never reads."""
     d = space.algebra.dim
     c = space.algebra.C.toarray().reshape(d, d, d)
     m, k = space.m_cols.toarray(), space.k_cols.toarray()
@@ -592,13 +575,16 @@ ORACLE_SPACES = {
 
 @pytest.mark.parametrize("name", list(ORACLE_SPACES))
 def test_tensors_match_dense_reference(name):
-    """Bit-identical on inner classes (M selects basis columns); within 1e-15
-    on the dense-column constructions, once the reference loses the float
-    noise below ZERO_DROP that ``tensors()`` drops (up to 2e-15 on d4
-    triality, whose columns come from an eigensolver)."""
+    """X, K and K^T against xi, kc and ap: K^T = A' is ad-invariance, tested
+    against A' read off C's [k, m] rows.  Bit-identical on inner classes (M
+    selects basis columns); within 1e-15 on the dense-column constructions,
+    once the reference loses the float noise below ZERO_DROP that
+    ``tensors()`` drops (up to 2e-15 on d4 triality, whose columns come from
+    an eigensolver)."""
     space = ORACLE_SPACES[name]()
     dm, dk = space.dim_m, space.dim_k
-    got = [t.toarray() for t in space.tensors()]
+    x, kc = space.tensors()
+    got = [x.toarray(), kc.toarray(), kc.T.toarray()]
     ref = [t.reshape(shape) for t, shape in zip(
         dense_reference_tensors(space), ((dm * dm, dm), (dm * dm, dk), (dk, dm * dm)))]
     if space.h_spec is not None:
@@ -610,7 +596,7 @@ def test_tensors_match_dense_reference(name):
 
 
 def test_tensors_are_sparse_memoised_and_noise_free():
-    """X, K, A', J, a row block of G (the rows (0, b), as R's build and the
+    """X, K, J, a row block of G (the rows (0, b), as R's build and the
     layer suites form G) and R are CSR with no entry below ``ZERO_DROP``."""
     for space in (realize_cyclic_c3(tables.cached_algebra("f", 4)),
                   realize_triality_d4(tables.cached_algebra("d", 4))):

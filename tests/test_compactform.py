@@ -108,7 +108,7 @@ def _slabs_of(monkeypatch, ca):
 
 @pytest.mark.parametrize("family,rank", _JACOBI)
 def test_blocked_jacobi_sweep_matches_per_i_sweep(family, rank, algebra, jacobi_oracle):
-    """The slab sweep returns the per-i sweep's worst residual over the
+    """The slab sweep returns the reference sweep's worst residual over the
     generator rows, bit for bit, and its first triple, on every algebra
     ``verify jacobi`` covers."""
     ca = algebra(family, rank)
@@ -119,7 +119,7 @@ def test_blocked_jacobi_sweep_locates_flips_in_late_blocks(algebra, jacobi_oracl
     """With a small entry budget f4 is swept in more than four slabs of j.
     Negating [U^0_a, U^1_a] in that order only, for a whose U^0 opens a slab
     or is the last, puts the worst generator-row residual at a triple
-    (i, U^0_a, U^1_a) in that slab, as the per-i sweep over those rows finds
+    (i, U^0_a, U^1_a) in that slab, as the reference sweep over those rows finds
     it, and at half the worst residual over all rows."""
     monkeypatch.setattr(compactform, "SLAB_ENTRIES", 1 << 13)
     cached = algebra("f", 4)
@@ -143,7 +143,7 @@ def test_tiled_jacobi_sweep_is_exact_for_a_bracket_that_is_not_skew(algebra, jac
                                                                    monkeypatch):
     """One stored entry of f4's C scaled by 0.5, -1 or 2, its mirror left
     alone, and f4 swept in at least three slabs: the sweep assumes no
-    symmetry of C, so it matches the per-i sweep over the generator rows bit
+    symmetry of C, so it matches the reference sweep over the generator rows bit
     for bit, worst residual and first triple alike.  (Reading
     [[e_i, e_j], e_k] as -[e_k, [e_i, e_j]], exact on skew C, misses this on
     most draws.)"""
@@ -183,11 +183,11 @@ def _corruptions(ca):
 def test_generator_sweep_flags_every_corruption_the_full_sweep_flags(family, rank, algebra,
                                                                      jacobi_oracle):
     """The fault matrix: over every corruption of ``_corruptions`` (570 on
-    g2, 266 on b2), each that the per-i sweep over all rows flags above 1e-9
+    g2, 266 on b2), each that the reference sweep over all rows flags above 1e-9
     is flagged by ``GenerationFailure`` or at least half its residual (up to
     rounding, 1e-12 of it), and none that it passes is flagged.  The
     certificate fires on the zeroings that make a block of it singular, 10
-    on g2 and 6 on b2.  About 7 s for both algebras on a 2-core VM."""
+    on g2 and 6 on b2.  About 2.6 s for both algebras on a 2-core VM."""
     ca = CompactAlgebra(algebra(family, rank).cd)
     data, missed, certified = ca.C.data, [], 0
     for at, values in _corruptions(ca):
@@ -219,7 +219,7 @@ def test_certificate_names_the_root_whose_plane_is_not_reached(algebra, monkeypa
     from nk_triad import cli, tables
 
     cached = algebra("f", 4)
-    beta = int(np.flatnonzero(cached.rs._coeffs[:cached.n_pos].sum(axis=1) == 3)[0])
+    beta = int(np.flatnonzero(cached.rs.height == 3)[0])
     ca = CompactAlgebra(cached.cd)
     c, plane = ca.C, (ca.u_index(beta, 0), ca.u_index(beta, 1))
     for r in _extraspecial_rows(ca, beta):
@@ -242,7 +242,7 @@ def test_certificate_refuses_a_bracket_outside_the_reached_planes(algebra):
     beta's height, or to [U^0_a, U^1_a] of a simple root a off the Cartan,
     fails the certificate at beta or at the Cartan."""
     cached = algebra("f", 4)
-    height = cached.rs._coeffs[:cached.n_pos].sum(axis=1)
+    height = cached.rs.height
     beta, other = np.flatnonzero(height == 3)[:2]
     a = int(np.flatnonzero(height == 1)[0])
     for row, col, root in ((_extraspecial_rows(cached, beta)[0], cached.u_index(other, 1),
@@ -260,7 +260,7 @@ def test_certificate_refuses_a_cartan_the_simple_brackets_do_not_span(algebra):
     """Zeroing [U^0_a, U^1_a] of one simple root a leaves the Cartan unspanned."""
     cached = algebra("b", 3)
     ca = CompactAlgebra(cached.cd)
-    a = int(np.flatnonzero(ca.rs._coeffs[:ca.n_pos].sum(axis=1) == 1)[0])
+    a = int(np.flatnonzero(ca.rs.height == 1)[0])
     c, r = ca.C, ca.u_index(a, 0) * ca.dim + ca.u_index(a, 1)
     c.data[c.indptr[r]:c.indptr[r + 1]] = 0.0
     with pytest.raises(GenerationFailure, match="do not span") as exc:
@@ -297,8 +297,9 @@ def _assert_runs(weight, runs, budget, most=None):
     ([2, 3, 0, 1] * 25, 5, 20),
     ([7] * 12, 100, None),                               # under the budget: one run
 ])
-def test_slab_cuts_splits_the_weight_into_ordered_runs(weight, budget, most):
-    _assert_runs(weight, slab_cuts(weight, budget, most), budget, most)
+def test_slab_cuts_splits_the_weight_into_ordered_runs(weight, budget, most, monkeypatch):
+    monkeypatch.setattr(compactform, "SLAB_ENTRIES", budget)
+    _assert_runs(weight, slab_cuts(weight, most), budget, most)
 
 
 def test_slab_cuts_reads_the_budget_at_call_time(monkeypatch):

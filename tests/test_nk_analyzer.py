@@ -47,10 +47,10 @@ F = Fraction
 
 
 def dense_tensors(space):
-    """``space.tensors()`` as dense 3-tensors xi[a, b, k], kc[a, b, s], ap[s, c, d]."""
+    """``space.tensors()`` as dense 3-tensors xi[a, b, k] and kc[a, b, s]."""
     dm = space.dim_m
-    xi, kc, ap = (t.toarray() for t in space.tensors())
-    return xi.reshape(dm, dm, dm), kc.reshape(dm, dm, -1), ap.reshape(-1, dm, dm)
+    xi, kc = (t.toarray() for t in space.tensors())
+    return xi.reshape(dm, dm, dm), kc.reshape(dm, dm, -1)
 
 
 def riemann_tensor(space):
@@ -61,15 +61,15 @@ def riemann_tensor(space):
 
 def min_connection_curvature(space, a: int, b: int) -> np.ndarray:
     """Endomorphism R^min_{e_a e_b} = ad([e_a, e_b]_k)|m."""
-    _, kc, ap = space.tensors()
+    _, kc = space.tensors()
     dm = space.dim_m
-    return (kc[a * dm + b] @ ap).toarray().reshape(dm, dm).T        # A'[s, (c, d)] = ad(k_s)[d, c]
+    return (kc[a * dm + b] @ kc.T).toarray().reshape(dm, dm).T      # K[(c, d), s] = ad(k_s)[d, c]
 
 
 def riemann_value(space, x, y, z, t) -> float:
     """R on arbitrary m-vectors, without materializing the 4-tensor."""
-    xi, kc, ap = space.tensors()
-    out = float((kc.T @ np.kron(x, y)) @ (ap @ np.kron(z, t)))
+    xi, kc = space.tensors()
+    out = float((kc.T @ np.kron(x, y)) @ (kc.T @ np.kron(z, t)))
     xy, zt, xz, yt, xt, yz = (xi.T @ np.kron(u, v)
                               for u, v in ((x, y), (z, t), (x, z), (y, t), (x, t), (y, z)))
     return out + 2.0 * xy @ zt - xz @ yt + xt @ yz
@@ -131,7 +131,7 @@ def test_sigma_fixed_vector_in_m_raises():
 
 
 def test_tensors_hold_a_few_times_their_bytes():
-    """On e8 cyclic (dim m 496) building X, K and A allocates at its peak less
+    """On e8 cyclic (dim m 496) building X and K allocates at its peak less
     than 5x the bytes they hold: no kron of the frames is formed."""
     space = realize_cyclic_c3(tables.cached_algebra("e", 8))
     tracemalloc.start()
@@ -217,16 +217,16 @@ def test_min_connection_curvature(g2_twistor):
 def test_min_connection_identity_checks_every_tuple():
     """One perturbed k-component of a horizontal bracket, on a space with
     dm = 84 and over a million (x, u, v1, v2) tuples, must be caught: the
-    residual is 0.5 times the largest |A'[s, (v1, v2)]| of the perturbed s."""
+    residual is 0.5 times the largest |K[(v1, v2), s]| of the perturbed s."""
     sp = realize("e", 7, "A3III", (2,))
-    _, kc, _ = sp.tensors()
-    ap = dense_tensors(sp)[2]
+    kc = sp.tensors()[1]
     vert, horiz = sp.layers["V"], sp.layers["H"]
-    s = int(np.abs(ap[:, vert][:, :, vert]).sum(axis=(1, 2)).argmax())
+    kvv = dense_tensors(sp)[1][np.ix_(vert, vert)]
+    s = int(np.abs(kvv).sum(axis=(0, 1)).argmax())
     kc[horiz[len(horiz) // 2] * sp.dim_m + 3, s] += 0.5
     worst = verify_min_connection_identity(sp)
     assert worst > 1e-9
-    assert worst == pytest.approx(0.5 * np.abs(ap[s][np.ix_(vert, vert)]).max(), abs=1e-12)
+    assert worst == pytest.approx(0.5 * np.abs(kvv[:, :, s]).max(), abs=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.sparse.SparseEfficiencyWarning")
@@ -246,7 +246,7 @@ def test_min_connection_reads_no_row_outside_its_layers(monkeypatch):
     """1.0 added to G at row and column (v, v'), both vertical, in every block
     of G the suite forms, leaves the residual bit-identical: every term reads
     G's rows with a horizontal slot (a, or (d, a) and (c, a)), so no block
-    holds that row, although K A' + 4G reads the column (v, v') on other
+    holds that row, although K K^T + 4G reads the column (v, v') on other
     rows.  The row is otherwise empty (xi_v v' = 0 on type IV)."""
     sp = realize("e", 7, "A3III", (2,))
     dm = sp.dim_m
@@ -270,7 +270,7 @@ def test_min_connection_reads_no_row_outside_its_layers(monkeypatch):
 
 
 def test_min_connection_holds_less_than_twice_g():
-    """On e8 node 1 (dm 156), with G, K and A' built, the minimal-connection
+    """On e8 node 1 (dm 156), with G and K built, the minimal-connection
     identity allocates at its peak less than twice G's bytes: it builds only
     the tuples with a horizontal and c, d vertical, about 96 000 entries, not
     the whole four-index sum, and copies no whole G.  G's bytes are counted
@@ -300,7 +300,7 @@ def _special_torsion_spaces():
 def test_min_connection_and_frame_traces_match_einsum_reference(min_connection_oracle,
                                                                 frame_trace_oracle,
                                                                 layer_slab_oracle):
-    """The block reads of G and K A' against the dense einsums they replaced,
+    """The block reads of G and K K^T against the dense einsums they replaced,
     and bit for bit against the generic slab reader that read them before."""
     checked = 0
     for sp in _special_torsion_spaces():
@@ -353,12 +353,13 @@ def test_curvature_identities_full_sweep(su3_flag, g2_twistor):
 def test_curvature_identities_check_every_tuple():
     """One perturbed k-component on a dm = 84 space must show in the
     curvature residuals.  The entry kc[a, b, s] pairs a Cartan direction s
-    with a root plane that ad(k_s) kills, so Ric, Ric* and r do not move and
-    only the four-index identities can see it."""
+    with a root plane that ad(k_s) kills, so r and Ric* do not move and Ric
+    moves only by the square of the change, at (a, a), through the diagonal
+    entry of K K^T; the four-index identities see the change itself."""
     sp = realize("e", 7, "A3III", (2,))
-    _, kc, ap = sp.tensors()
+    kc = sp.tensors()[1]
     s, dm = 0, sp.dim_m                                 # k_cols starts with the Cartan
-    moved = np.abs(ap[s].toarray().reshape(dm, dm)).any(axis=1)   # [k_s, m_c] != 0
+    moved = np.abs(kc[:, s].toarray().reshape(dm, dm)).any(axis=1)   # [k_s, m_c] != 0
     a, b = int(np.flatnonzero(moved)[0]), int(np.flatnonzero(~moved)[0])
     kc[a * dm + b, s] += 0.5
     res = verify_curvature_identities(sp)
@@ -406,7 +407,7 @@ def test_riemann_is_bit_identical_to_the_former_build(item, riemann_oracle):
 
 
 def test_riemann_build_holds_less_than_twice_r():
-    """On e8 node 2 (dm 168), with X, K and A' built, building R allocates at
+    """On e8 node 2 (dm 168), with X and K built, building R allocates at
     its peak less than twice R's bytes, its slabs' rows of G and the J-defect,
     Ric and Ric* included: R's arrays grow by each slab as it is written, with
     no slab list, stacked copy, buffer sized by a bound or whole G."""
@@ -460,16 +461,18 @@ def test_symmetries_read_zero_off_the_support():
 @pytest.mark.parametrize("tensor", ["X", "K"])
 def test_one_changed_entry_fails_the_symmetries(tensor, curvature_identity_oracle):
     """One stored entry of X or of K moved by 0.5 on a dm = 84 space: Bianchi
-    and pair symmetry exceed 1e-6, and every residual equals the oracle's.
-    The J-defect sees the change of X; it cannot see one of K, since it reads
-    K only through K A', whose rows ad(k_s)|m commute with J, so it stays 0."""
+    and the J-defect exceed 1e-6, and every residual equals the oracle's.
+    Pair symmetry sees the change of X, but not one of K: R^min = K K^T is
+    pair-symmetric by construction, so it stays below 1e-12.  The J-defect
+    sees K's change in the column (a, b) of K K^T, which kron(J, J) moves."""
     sp = realize("e", 7, "A3III", (2,))
     sp.tensors()[{"X": 0, "K": 1}[tensor]].data[0] += 0.5
     res = curvature(sp).identities
     want = curvature_identity_oracle(sp)[0]
     assert res == want
-    assert res["bianchi"] > 1e-6 and res["pair_symmetry"] > 1e-6
-    assert (res["curvature_J_defect"] > 1e-6) == (tensor == "X")
+    assert res["bianchi"] > 1e-6 and res["curvature_J_defect"] > 1e-6
+    assert (res["pair_symmetry"] > 1e-6) == (tensor == "X")
+    assert tensor == "X" or res["pair_symmetry"] < 1e-12
 
 
 def test_j_outside_a_signed_permutation_basis_raises():
@@ -506,15 +509,15 @@ def _bound_spaces():
 
 
 def test_row_weight_bounds_g_rows_without_forming_g():
-    """``row_weight`` is K A''s multiply-adds per a plus three times a bound on
+    """``row_weight`` is K K^T's multiply-adds per a plus three times a bound on
     the entries of G's rows (a, .), the multiply-adds of X X^T: at least the
     true count of a whole G on every space the benchmark draws and on e7
     cyclic.  On e7 cyclic it allocates under a tenth of G's bytes, so it
     forms no G."""
     for space in _bound_spaces():
-        (x, kc, ap), dm = space.tensors(), space.dim_m
+        (x, kc), dm = space.tensors(), space.dim_m
         ones = lambda mat: csr_matrix((np.ones(mat.nnz), mat.indices, mat.indptr), shape=mat.shape)
-        madds = (ones(kc) @ np.diff(ap.indptr)).reshape(dm, dm).sum(axis=1)
+        madds = (ones(kc) @ np.diff(kc.tocsc().indptr)).reshape(dm, dm).sum(axis=1)
         bound = (ones(x) @ np.diff(x.tocsc().indptr)).reshape(dm, dm).sum(axis=1)
         cv = Curvature(space)                              # nothing of it built yet
         tracemalloc.start()
@@ -669,9 +672,9 @@ def test_riemann_matches_nested_bracket_oracle(maker):
 
 def _dense_riemann(space):
     """Reference R[a,b,c,d] from dense einsums over the tensors."""
-    xi, kc, ap = dense_tensors(space)
+    xi, kc = dense_tensors(space)
     g2 = np.einsum("abk,cdk->abcd", xi, xi)
-    r4 = np.einsum("abs,scd->abcd", kc, ap)
+    r4 = np.einsum("abs,cds->abcd", kc, kc)
     return r4 + 2.0 * g2 - np.einsum("acbd->abcd", g2) + np.einsum("adbc->abcd", g2)
 
 

@@ -291,6 +291,32 @@ def test_cli_analyze_fails_on_corrupted_isotropy_bracket(family, rank, nodes, i,
                if k != "bracket_total_skew")
 
 
+def test_cli_analyze_fails_on_a_non_skew_isotropy_pairing(monkeypatch, capsys):
+    """One entry C[i,j,l] of [m, m]_k on g2 node 2 doubled in both orders
+    (i, j) and (j, i), its [k, m] partners C[l,i,j] and C[l,j,i] left as they
+    are: C is no longer totally skew, and analyze exits 1 with one stderr
+    line that names ``bracket_total_skew``.  R^min = K K^T reads [m, m]_k
+    alone, so pair symmetry stays below 1e-12 and cannot see this fault."""
+    ca = CompactAlgebra(ChevalleyData(build_root_system("g", 2)))
+    space = tables.realize("g", 2, "A3III", (2,))
+    m, k = (set(cols.tocoo().row.tolist()) for cols in (space.m_cols, space.k_cols))
+    d, c, coo = ca.dim, ca.C.tolil(), ca.C.tocoo()
+    i, j, l = next((i, j, l) for i, j, l in zip(*np.divmod(coo.row, d), coo.col)
+                   if i in m and j in m and l in k)
+    partners = c[l * d + i, j], c[l * d + j, i]
+    c[i * d + j, l] *= 2
+    c[j * d + i, l] *= 2
+    ca.C = c.tocsr()
+    assert (ca.C[l * d + i, j], ca.C[l * d + j, i]) == partners != (0, 0)
+    monkeypatch.setattr(tables, "cached_algebra", lambda family, rank: ca)
+    assert main(["analyze", "g", "2", "--nodes", "2", "--json"]) == 1
+    out, err = capsys.readouterr()
+    residuals = json.loads(out)["verification"]["residuals"]
+    assert residuals["bracket_total_skew"] > 1e-9 and residuals["pair_symmetry"] < 1e-12
+    assert err.startswith("verification failure: residuals over tol 1e-09: {")
+    assert "'bracket_total_skew'" in err and err.count("\n") == 1
+
+
 def test_cli_classify_d4_names_the_triality_as_analyze_does(capsys):
     """The B3 entry of ``classify d 4`` has the NK type and space name that
     ``analyze d 4 --triality`` confirms."""
