@@ -59,13 +59,13 @@ def drop_noise(mat: sp.csr_matrix) -> sp.csr_matrix:
     return mat
 
 
-def slab_cuts(weight, most=None) -> list[tuple[int, int]]:
+def slab_cuts(weight) -> list[tuple[int, int]]:
     """Runs [i0, i1) of a blocked loop over the indices of ``weight``, in order:
-    n = ceil(sum / budget), at most ``most``, cut where the weight before an
-    index crosses a multiple of sum / n, with the budget ``SLAB_ENTRIES`` read
-    per call.  Trailing weightless indices join the last run."""
+    n = ceil(sum / budget), cut where the weight before an index crosses a
+    multiple of sum / n, with the budget ``SLAB_ENTRIES`` read per call.
+    Trailing weightless indices join the last run."""
     weight = np.asarray(weight, dtype=float)
-    n = min(math.ceil(weight.sum() / SLAB_ENTRIES), most or math.inf)
+    n = math.ceil(weight.sum() / SLAB_ENTRIES)
     if n <= 1:
         return [(0, len(weight))] if len(weight) else []
     cuts = np.flatnonzero(np.diff((np.cumsum(weight) - weight) * n // weight.sum())) + 1

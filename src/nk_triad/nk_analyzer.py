@@ -20,28 +20,27 @@ them from it and cross-check them against the float trace computations.
 A float suite returns its residuals and judges none: its caller compares
 them with a tolerance (``cli._over_tol``); exact and structural checks raise.
 
-The floating-point side is a few sparse operators per space, each built once
+The floating-point side is read off a few sparse operators per space, once
 (``curvature``): J, a signed permutation of the m-basis (``canonical_J``),
 and R as a (dm^2, dm^2) matrix R[(a,b),(c,d)] = R(e_a,e_b,e_c,e_d), built
-canonical (indices sorted in every row, no duplicates) slab by slab straight
-into its arrays from the Gram matrices of the space's two tensors:
-R^min = K K^T and G = X X^T, G[(a,b),(c,d)] = <xi_a e_b, xi_c e_d>.  G is
-never held whole: each reader forms the rows or blocks of G it needs from X
-(``gram``), and R's build reads its slab's rows of G for the J-defect, Ric
-and Ric* too; the three symmetries of R are one pass over row slabs of R
-(``Curvature.identities``), whose point reads of R rely on R being canonical.
-The layer-restricted minimal-connection and special-torsion suites form only
-the rows of K and the blocks of G and X their layers name: blocks of rows
-(a, b) with a horizontal against the vertical pairs (c, d), the G-blocks of
-the double-torsion containments and X's rows (a, i) for the frame traces.
-J's identities are index relabellings of X and K.  Each identity is a
-maximum over all (a, b, c, d), or over the layers it names, and memory
-follows the nonzeros of a slab, never dm^4.
+slab by slab, each slab sorted, from the Gram matrices of the space's two
+tensors: R^min = K K^T and G = X X^T, G[(a,b),(c,d)] = <xi_a e_b, xi_c e_d>.
+Neither R nor G is held whole: each slab forms its rows of G from X, and the
+J-defect, Ric, Ric* and the three symmetries of R are read off the slab
+before the next is formed (``Curvature.identities``); the other readers form
+the blocks of G they need (``gram``).  The layer-restricted minimal-connection
+and special-torsion suites form only the rows of K and the blocks of G and X
+their layers name: blocks of rows (a, b) with a horizontal against the
+vertical pairs (c, d), the G-blocks of the double-torsion containments and
+X's rows (a, i) for the frame traces.  J's identities are index relabellings
+of X and K.  Each identity is a maximum over all (a, b, c, d), or over the
+layers it names, and memory follows the nonzeros of a slab, never dm^4.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections.abc import Iterator
 from functools import cached_property
 
 import numpy as np
@@ -131,31 +130,67 @@ def _j_checks(slab, half, a0: int, dm: int, jj, ric, ric_star) -> float:
     return _max_abs(slab - rjj - 4.0 * half)
 
 
+def _moved(rows, dm: int, to: str, data) -> sp.csr_matrix:
+    """The entries of sorted rows M[(a,x),(y,z)] of a (dm^2, dm^2) operator,
+    a counted from 0, moved to [(a,p),(q,s)] with values ``data``, ``to`` =
+    "pqs" a permutation of "xyz".  One stable counting sort by (a, p) keeps
+    the source order (x, y, z) within a row, which sorts the row if q comes
+    before s in it; otherwise the sort is by (a, p, q)."""
+    place = dict(zip("axyz", (*np.divmod(_rows_of(rows, 0), dm), *np.divmod(rows.indices, dm))))
+    row, (q, s) = place["a"] * dm + place[to[0]], (place[k] for k in to[1:])
+    if to[1] < to[2]:
+        return _row_grouped(row, q * dm + s, data, rows.shape)
+    moved = _row_grouped(row * dm + q, q * dm + s, data, (rows.shape[0] * dm, rows.shape[1]))
+    return sp.csr_matrix((moved.data, moved.indices, moved.indptr[::dm]), shape=rows.shape)
+
+
+def _swapped_pairs(rows, dm: int) -> sp.csr_matrix:
+    """-M[a,c,b,d] + M[a,d,b,c] at [(a,b),(c,d)] from the rows (a, .) of M."""
+    return _moved(rows, dm, "yxz", -rows.data) + _moved(rows, dm, "yzx", rows.data)
+
+
+def _symmetries(slab, dm: int) -> tuple[float, float]:
+    """(Bianchi, antisymmetry) on a slab of R, its rows (a, b) sorted: the
+    a-fixed sum R[a,b,c,d] + R[a,c,d,b] + R[a,d,b,c] and the last pair's
+    R[a,b,c,d] + R[a,b,d,c], each a maximum over the slab's a and every
+    (b, c, d).  Both read rows (a, .) alone, in blocks of a (``slab_cuts`` on
+    three times each a's entries) that keep the relabelled copies small.
+    Moving R[a,x,y,z] to [(a,z),(x,y)] twice gives both Bianchi terms, and
+    the last pair is the slab's columns swapped, each row then sorted."""
+    bianchi = antisymmetry = 0.0
+    for b0, b1 in slab_cuts(3 * np.diff(slab.indptr[::dm])):
+        sub = slab[b0 * dm:b1 * dm]
+        once = _moved(sub, dm, "zxy", sub.data)
+        bianchi = max(bianchi, _max_abs(sub + once + _moved(once, dm, "zxy", once.data)))
+        y, z = np.divmod(sub.indices, dm)
+        swapped = sp.csr_matrix((sub.data.copy(), z * dm + y, sub.indptr), shape=sub.shape)
+        del once, y, z
+        swapped.sort_indices()
+        antisymmetry = max(antisymmetry, _max_abs(sub + swapped))
+    return bianchi, antisymmetry
+
+
 class Curvature:
     """Sparse torsion and curvature operators of one space, each built on first use.
 
     From X[(a,b), k] = xi[a,b,k] and K[(a,b), s] = <[e_a, e_b], k_s>
-    (``space.tensors()``) it builds the (dm^2, dm^2) CSR operator
+    (``space.tensors()``) R is the (dm^2, dm^2) operator
 
-        R = K K^T + 2G - G[a,c,b,d] + G[a,d,b,c],    G[(a,b),(c,d)] = <xi_a e_b, xi_c e_d>
+        R = K K^T + 2G - G[a,c,b,d] + G[a,d,b,c],    G[(a,b),(c,d)] = <xi_a e_b, xi_c e_d>,
 
-    so R^min = K K^T is pair-symmetric by construction.  G = X X^T is never
-    held whole: R's build forms each slab's rows of G from X, and the layer
-    suites form the blocks they read (``gram``).  The build also reads off,
-    slab by slab, the checks that need those rows of G: the J-defect
-    R - R kron(J, J) - 4G, Ric, the trace sum_i R[a,i,b,i], and Ric*.  The pass of ``identities`` adds the three symmetries of R.  r is
-    the torsion trace -4 tr xi_a xi_b, read off X alone: 4 sum_i G[a,i,b,i]
-    would be the trace of R - R kron(J, J) = 4G, so r = Ric - Ric* would only
-    restate the J-defect.  ``j``, G's rows and ``riemann``, like the tensors,
-    drop entries below ``compactform.ZERO_DROP``: cancellation in their sums
-    of products leaves float noise on exact zeros.  R is canonical CSR (sorted
-    indices, no duplicates): its slabs merge sorted rows of G, and the point
-    reads of ``identities`` bisect sorted rows of R.
+    built slab by slab (``slabs``), and neither R nor G = X X^T is held
+    whole.  One pass over the slabs (``_build``) reads off every check that
+    needs R: the J-defect R - R kron(J, J) - 4G, Ric (sum_i R[a,i,b,i]), Ric*
+    and the three symmetries of R.  r is the torsion trace -4 tr xi_a xi_b,
+    read off X alone: 4 sum_i G[a,i,b,i] is the trace of R - R kron(J, J) =
+    4G, so r = Ric - Ric* would only restate the J-defect.  ``j``, G's rows
+    and R's slabs, like the tensors, drop entries below ``ZERO_DROP``:
+    cancellation in their sums of products leaves float noise on exact zeros.
     """
 
     def __init__(self, space: OrderThreeSymmetricSpace):
         # weak: the space owns its Curvature, so without a reference cycle a
-        # finished space and its R are freed at once, not at the next collection
+        # finished space and its operators are freed at once, not at the next collection
         self.space = weakref.proxy(space)
         self.dm = space.dim_m
 
@@ -179,106 +214,64 @@ class Curvature:
 
         return madds(kc) + 3 * madds(x)
 
-    @cached_property
-    def riemann(self) -> sp.csr_matrix:
-        """R as canonical CSR, from ``_build``."""
-        return self._build[0]
-
-    @cached_property
-    def _build(self) -> tuple[sp.csr_matrix, float, np.ndarray, np.ndarray]:
-        """(R, J-defect, Ric*, Ric): R written slab by slab into its own
-        arrays, each slab born sorted, and the checks that read G on the way.
-
-        A slab holds the rows (a, b) of a block of a (``slab_cuts`` on
-        ``row_weight``) and forms those rows of G from X, G[(a,x),(y,z)],
-        sorted; it reads them three times: as 2G, as -G[a,c,b,d] at
-        [(a,y),(x,z)] and as G[a,d,b,c] at [(a,y),(z,x)].  The rows are sorted,
-        so one stable counting sort by (a, y) leaves the first in column order,
-        and one by (a, y, z) the second; only K K^T is sorted by comparison.
-        The slab is (K K^T + 2G) + (-G[acbd] + G[adbc]), summed by scipy's
-        merges of sorted rows, and R's arrays grow by what it adds.  With the
-        slab and its rows of G in hand, ``_j_checks`` reads off the J-defect,
-        Ric and Ric*; no row of G outlives its slab.
-        """
-        dm, js, (xi, kc) = self.dm, self.j, self.space.tensors()
+    def slabs(self) -> Iterator[tuple[int, sp.csr_matrix, sp.csr_matrix]]:
+        """R's row slabs in order, each (a0, slab, half): the rows (a, b) of R
+        and of G, both sorted, for a block of a from a0 (``slab_cuts`` on
+        ``row_weight``), a counted from a0.  G's rows are formed from X and
+        read as 2G, -G[a,c,b,d] and G[a,d,b,c] (``_swapped_pairs``); only
+        K K^T is sorted by comparison.  The slab, (K K^T + 2G) + (-G[acbd] +
+        G[adbc]), is summed by scipy's merges of sorted rows."""
+        dm, (xi, kc) = self.dm, self.space.tensors()
         xt, kt = xi.T.tocsr(), kc.T.tocsr()
-        jj = (js.indices[:, None] * dm + js.indices).ravel(), (js.data[:, None] * js.data).ravel()
-        indptr = np.zeros(dm * dm + 1, dtype=np.int64)
-        indices, data = np.empty(0, dtype=np.int32), np.empty(0)
-        ric, ric_star, defect = np.zeros(dm * dm), np.zeros(dm * dm), 0.0
         for a0, a1 in slab_cuts(self.row_weight):
             own = slice(a0 * dm, a1 * dm)
-            shape = (own.stop - own.start, dm * dm)
             ka = kc[own] @ kt                           # R^min's rows
             ka.sort_indices()
             half = drop_noise(xi[own] @ xt)             # G's rows, as ``gram`` forms them
             half.sort_indices()
             ka = ka + 2.0 * half
-            v = half.tocoo()
-            (a, x), (y, z) = np.divmod(v.row, dm), np.divmod(v.col, dm)
-            row = a * dm + y                            # (a, y), a local to the block
-            acbd = _row_grouped(row, x * dm + z, -v.data, shape)
-            adbc = _row_grouped(row * dm + z, z * dm + x, v.data, (shape[0] * dm, shape[1]))
-            del v, a, x, y, z, row                      # freed before each merge: they set the peak
-            pair = acbd + sp.csr_matrix((adbc.data, adbc.indices, adbc.indptr[::dm]), shape=shape)
-            del acbd, adbc
-            slab = drop_noise(ka + pair)
-            del ka, pair
-            end = int(indptr[own.start])
-            for buf, part in ((indices, slab.indices), (data, slab.data)):
-                buf.resize(end + slab.nnz, refcheck=False)
-                buf[end:] = part
-            indptr[own.start + 1:own.stop + 1] = slab.indptr[1:] + end
-            defect = max(defect, _j_checks(slab, half, a0, dm, jj, ric, ric_star))
+            slab = drop_noise(ka + _swapped_pairs(half, dm))
+            del ka
+            yield a0, slab, half
             del slab, half
-        return (sp.csr_matrix((data, indices, indptr), shape=(dm * dm, dm * dm)), defect,
-                _read_only(ric_star.reshape(dm, dm)), _read_only(ric.reshape(dm, dm)))
 
     @cached_property
-    def ric(self) -> np.ndarray:
-        return self._build[3]
+    def _build(self) -> tuple[dict[str, float], np.ndarray, np.ndarray]:
+        """(identities, Ric, Ric*), read off each slab of ``slabs`` before the
+        next is formed: ``_j_checks`` reads the J-defect, Ric and Ric*,
+        ``_symmetries`` the a-fixed Bianchi sum and last-pair antisymmetry.
+        Pair symmetry reads no R: K K^T and G are Gram forms, so with X's
+        first-pair skew defect E[(p,q),k] = X[(p,q),k] + X[(q,p),k] and
+        D = E E^T - E X^T - X E^T, R[a,b,c,d] - R[c,d,a,b] = D[a,c,b,d] -
+        D[a,d,b,c], the slab's rows of D through G's two relabellings.  E,
+        noise dropped, is empty on a real space, so no product of it is formed.
 
-    @cached_property
-    def ric_star(self) -> np.ndarray:
-        return self._build[2]
-
-    @cached_property
-    def identities(self) -> dict[str, float]:
-        """Bianchi, pair symmetry, antisymmetry and the J-defect
-        R - R kron(J, J) - 4G, each a maximum over every (a, b, c, d)."""
-        return {**self._pass(), "curvature_J_defect": self._build[1]}
-
-    def _pass(self) -> dict[str, float]:
-        """Bianchi, pair symmetry and antisymmetry in one pass over row slabs
-        of R (blocks of a) that sorts nothing: R is built canonical
-        (``riemann``); the J-defect, Ric and Ric* come with the build.
-
-        Antisymmetry adds the rows (b, a) of R, gathered whole.  Bianchi and
-        pair symmetry read R[b,c,a,d], R[c,a,b,d] and R[c,d,a,b] at the slab's
-        stored entries, in one point read of R, after the slab's index
-        temporaries are freed.  Each residual is invariant up to sign under its
-        permutation (the 3-cycle of a, b, c, the pair swap), so its maximum
-        over the union of the permuted supports is its maximum over supp(R).
-        The blocks are ``slab_cuts`` on the 3 nnz samples of each a, at most
-        20 of them: scipy bisects a row only if R's indices are sorted and the
-        samples outnumber a tenth of its entries, and scans it otherwise.
+        With p, s and t the pair, last-pair and Bianchi residuals, first-pair
+        antisymmetry R[a,b,c,d] + R[b,a,c,d] is at most 2p + s (swap both pairs
+        to R[c,d,a,b] + R[c,d,b,a]), and the classical sum R[a,b,c,d] +
+        R[b,c,a,d] + R[c,a,b,d] at most t + 3(p + s): each R[x,y,z,d] is
+        -R[d,z,x,y] within p + s, so the sum is minus the a-fixed one at d.
         """
-        dm, rr = self.dm, self.riemann
-        worst = [np.zeros(3)]
-        for a0, a1 in slab_cuts(3 * np.diff(rr.indptr[::dm]), most=20):
-            slab = rr[a0 * dm:a1 * dm]
-            row = _rows_of(slab, a0 * dm)
-            (a, b), (c, d) = np.divmod(row, dm), np.divmod(slab.indices, dm)
-            at = (np.concatenate([b * dm + c, c * dm + a, slab.indices]),
-                  np.concatenate([a * dm + d, b * dm + d, row]))
-            del row, a, b, c, d
-            bcad, cabd, cdab = np.split(np.asarray(rr[at]).ravel(), 3)
-            del at
-            swap = (np.arange(dm) * dm + np.arange(a0, a1)[:, None]).ravel()   # rows (b, a)
-            worst.append([_max_abs(slab.data + bcad + cabd), _max_abs(slab.data - cdab),
-                          _max_abs(slab + rr[swap])])
-        keys = ("bianchi", "pair_symmetry", "antisymmetry")
-        return dict(zip(keys, np.max(worst, axis=0).tolist()))
+        dm, js, xi = self.dm, self.j, self.space.tensors()[0]
+        jj = (js.indices[:, None] * dm + js.indices).ravel(), (js.data[:, None] * js.data).ravel()
+        swap = (np.arange(dm)[:, None] + np.arange(dm) * dm).ravel()    # rows (p, q) -> (q, p)
+        e = drop_noise(xi + xi[swap])
+        ric, ric_star, worst = np.zeros(dm * dm), np.zeros(dm * dm), [[0.0] * 4]
+        for a0, slab, half in self.slabs():
+            own = slice(a0 * dm, a0 * dm + slab.shape[0])
+            pair = 0.0 if not e.nnz else _max_abs(     # D's rows, E X[swap]^T - X E^T
+                _swapped_pairs(e[own] @ xi[swap].T - xi[own] @ e.T, dm))
+            bianchi, antisymmetry = _symmetries(slab, dm)
+            defect = _j_checks(slab, half, a0, dm, jj, ric, ric_star)
+            worst.append([bianchi, pair, antisymmetry, defect])
+            del slab, half
+        keys = ("bianchi", "pair_symmetry", "antisymmetry", "curvature_J_defect")
+        return (dict(zip(keys, np.max(worst, axis=0).tolist())),
+                _read_only(ric.reshape(dm, dm)), _read_only(ric_star.reshape(dm, dm)))
+
+    identities = property(lambda self: self._build[0])   # the residuals by name
+    ric = property(lambda self: self._build[1])
+    ric_star = property(lambda self: self._build[2])
 
     @cached_property
     def r(self) -> np.ndarray:
@@ -365,9 +358,12 @@ def verify_curvature_identities(space, tol=1e-9, seed=0) -> dict[str, float]:
     """First Bianchi, pair symmetry, antisymmetry, the J-curvature defect
     R(X,Y,Z,T) - R(X,Y,JZ,JT) = 4<xi_X Y, xi_Z T>, and Ricci facts.
 
-    Every residual is a maximum over all (a, b, c, d), read off the memoised
-    slab pass ``Curvature.identities``.  ``tol`` and ``seed`` are unused; they
-    stay until ``bench/workloads.py`` stops passing them.
+    Every residual is a maximum over all (a, b, c, d), read off R's slabs as
+    the build forms them (``Curvature.identities``): Bianchi as the a-fixed
+    sum, antisymmetry on the last pair, and pair symmetry from X's pair
+    defect, which together bound the classical forms.  Ric and Ric* come from
+    the same build.  ``tol`` and ``seed`` are unused; they stay until
+    ``bench/workloads.py`` stops passing them.
     """
     cv = curvature(space)
     res = dict(cv.identities)

@@ -890,16 +890,24 @@ def reference_riemann(space):
 
 @pytest.fixture(scope="session")
 def riemann_oracle():
-    """The list-plus-``vstack`` reference for ``Curvature.riemann``: space -> R."""
+    """The list-plus-``vstack`` reference for R's slabs stacked: space -> R."""
     return reference_riemann
+
+
+def stacked_riemann(space) -> sp.csr_matrix:
+    """R whole, its build's slabs (``Curvature.slabs``) stacked: the library
+    never holds R, so the tests assemble it on small spaces."""
+    return sp.vstack([slab for _, slab, _ in curvature(space).slabs()], format="csr")
 
 
 def reference_curvature_identities(space):
     """The four curvature residuals as maxima of four slab sums over every
-    (a, b, c, d), which read the permuted terms of R off transposed copies,
-    with R kron(J, J) built whole; and Ric* as its partial trace."""
+    (a, b, c, d) of R whole (``stacked_riemann``), which read the permuted
+    terms of R off transposed copies, with R kron(J, J) built whole; and Ric*
+    as its partial trace.  Bianchi is the classical sum over (a, b, c) with d
+    fixed, and antisymmetry the first pair's."""
     cv = curvature(space)
-    dm, rr = space.dim_m, cv.riemann
+    dm, rr = space.dim_m, stacked_riemann(space)
     rjj = (rr @ sp.kron(cv.j, cv.j, format="csr")).tocsr()
     res = {
         "bianchi": _worst(dm, (1.0, rr, "abcd"), (1.0, rr, "bcad"), (1.0, rr, "cabd")),

@@ -597,14 +597,14 @@ def test_tensors_match_dense_reference(name):
 
 def test_tensors_are_sparse_memoised_and_noise_free():
     """X, K, J, a row block of G (the rows (0, b), as R's build and the
-    layer suites form G) and R are CSR with no entry below ``ZERO_DROP``."""
+    layer suites form G) and R's slabs are CSR with no entry below ``ZERO_DROP``."""
     for space in (realize_cyclic_c3(tables.cached_algebra("f", 4)),
                   realize_triality_d4(tables.cached_algebra("d", 4))):
         first = space.tensors()
         assert space.tensors() is first
         cv, dm = curvature(space), space.dim_m
         rows = gram(first[0], np.arange(dm), np.arange(dm * dm))
-        for t in first + (cv.j, rows, cv.riemann):
+        for t in first + (cv.j, rows, *(slab for _, slab, _ in cv.slabs())):
             assert t.format == "csr" and np.abs(t.data).min() >= ZERO_DROP
 
 

@@ -268,14 +268,14 @@ def test_certificate_refuses_a_cartan_the_simple_brackets_do_not_span(algebra):
     assert exc.value.root is None and "the Cartan" in str(exc.value)
 
 
-def _assert_runs(weight, runs, budget, most=None):
+def _assert_runs(weight, runs, budget):
     """The runs are non-empty, cover [0, n) in order, number at most
-    ceil(sum / budget) under the cap (exactly that when no index outweighs
-    sum / count), and each holds some weight, under sum / count before its
-    last weighted index, unless no index weighs anything."""
+    ceil(sum / budget) (exactly that when no index outweighs sum / count),
+    and each holds some weight, under sum / count before its last weighted
+    index, unless no index weighs anything."""
     weight = np.asarray(weight, dtype=float)
     total = weight.sum()
-    count = max(1, min(math.ceil(total / budget), most or math.inf))
+    count = max(1, math.ceil(total / budget))
     assert runs[0][0] == 0 and runs[-1][1] == len(weight)
     assert all(i0 < i1 for i0, i1 in runs)
     assert all(i1 == j0 for (_, i1), (j0, _) in zip(runs, runs[1:]))
@@ -287,26 +287,24 @@ def _assert_runs(weight, runs, budget, most=None):
         assert weight[i0:last].sum() < total / count
 
 
-@pytest.mark.parametrize("weight,budget,most", [
-    ([0] * 7, 4, None),                                  # all zero: one run
-    ([0, 0, 3, 1, 2, 2, 1, 3, 0, 0], 3, None),           # zero runs at both ends
-    ([0, 1, 1, 1, 1, 0, 0], 1, None),                    # trailing zeros join the last run
-    ([1, 1, 9, 1, 1, 1], 3, None),                       # one index heavier than the budget
-    ([1, 10, 0], 4, None),                               # ... and zeros after it
-    ([1] * 100, 1, 20),                                  # the 20-run cap
-    ([2, 3, 0, 1] * 25, 5, 20),
-    ([7] * 12, 100, None),                               # under the budget: one run
+# the ids name each case as it was numbered when slab_cuts also took a run cap
+@pytest.mark.parametrize("weight,budget", [
+    pytest.param([0] * 7, 4, id="weight0-4-None"),                       # all zero: one run
+    pytest.param([0, 0, 3, 1, 2, 2, 1, 3, 0, 0], 3, id="weight1-3-None"),  # zero runs at both ends
+    pytest.param([0, 1, 1, 1, 1, 0, 0], 1, id="weight2-1-None"),  # trailing zeros join the last run
+    pytest.param([1, 1, 9, 1, 1, 1], 3, id="weight3-3-None"),     # one index heavier than the budget
+    pytest.param([1, 10, 0], 4, id="weight4-4-None"),             # ... and zeros after it
+    pytest.param([7] * 12, 100, id="weight7-100-None"),           # under the budget: one run
 ])
-def test_slab_cuts_splits_the_weight_into_ordered_runs(weight, budget, most, monkeypatch):
+def test_slab_cuts_splits_the_weight_into_ordered_runs(weight, budget, monkeypatch):
     monkeypatch.setattr(compactform, "SLAB_ENTRIES", budget)
-    _assert_runs(weight, slab_cuts(weight, most), budget, most)
+    _assert_runs(weight, slab_cuts(weight), budget)
 
 
 def test_slab_cuts_reads_the_budget_at_call_time(monkeypatch):
     assert slab_cuts(np.ones(8)) == [(0, 8)]
     monkeypatch.setattr(compactform, "SLAB_ENTRIES", 2)
     assert slab_cuts(np.ones(8)) == [(0, 2), (2, 4), (4, 6), (6, 8)]
-    assert slab_cuts(np.ones(8), most=3) == [(0, 3), (3, 6), (6, 8)]
     assert slab_cuts([]) == []
 
 

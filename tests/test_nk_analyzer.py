@@ -41,7 +41,7 @@ from nk_triad.nk_analyzer import (
 from nk_triad.rootsys import KAPPA
 from nk_triad.tables import cached_algebra, realize
 
-from conftest import layer_epsilon, n_squared, whole_g
+from conftest import layer_epsilon, n_squared, stacked_riemann, whole_g
 
 F = Fraction
 
@@ -54,9 +54,9 @@ def dense_tensors(space):
 
 
 def riemann_tensor(space):
-    """R[a, b, c, d] = R(e_a, e_b, e_c, e_d) from the sparse operator, dense."""
+    """R[a, b, c, d] = R(e_a, e_b, e_c, e_d) from the build's slabs, dense."""
     dm = space.dim_m
-    return curvature(space).riemann.toarray().reshape(dm, dm, dm, dm)
+    return stacked_riemann(space).toarray().reshape(dm, dm, dm, dm)
 
 
 def min_connection_curvature(space, a: int, b: int) -> np.ndarray:
@@ -394,41 +394,50 @@ def _item_id(item) -> str:
 
 @pytest.mark.parametrize("item", BENCH_SPACES, ids=_item_id)
 def test_riemann_is_bit_identical_to_the_former_build(item, riemann_oracle):
-    """R written in place from slabs born sorted against the former build
-    (slab list, ``vstack``, one sort), on every space the analyze-irreducible
-    and identity-sweep workloads draw: indptr, indices and data byte for
-    byte, and R canonical as its arrays stand.  A merge of unsorted rows
-    would leave a row unsorted."""
+    """R's slabs, born sorted and stacked, against the former build (slab
+    list, ``vstack``, one sort), on every space the analyze-irreducible and
+    identity-sweep workloads draw: indptr, indices and data byte for byte,
+    and R canonical as its arrays stand.  A merge of unsorted rows would
+    leave a row unsorted."""
     space = _realize_item(item)
-    rr, want = curvature(space).riemann, riemann_oracle(space)
+    rr, want = stacked_riemann(space), riemann_oracle(space)
     for got, ref in ((rr.indptr, want.indptr), (rr.indices, want.indices), (rr.data, want.data)):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
     assert csr_matrix((rr.data, rr.indices, rr.indptr), shape=rr.shape).has_canonical_format
 
 
+def _r_bytes(space) -> int:
+    """R's bytes as a CSR operator would hold them, 12 for each entry of its
+    build's slabs (an 8-byte value and a 4-byte column), indptr left out."""
+    return 12 * sum(slab.nnz for _, slab, _ in curvature(space).slabs())
+
+
 def test_riemann_build_holds_less_than_twice_r():
-    """On e8 node 2 (dm 168), with X and K built, building R allocates at
-    its peak less than twice R's bytes, its slabs' rows of G and the J-defect,
-    Ric and Ric* included: R's arrays grow by each slab as it is written, with
-    no slab list, stacked copy, buffer sized by a bound or whole G."""
+    """On e8 node 2 (dm 168), with X and K built, the build of R's slabs
+    allocates at its peak less than twice R's bytes, its slabs' rows of G and
+    the J-defect, Ric, Ric* and the three symmetries included: each slab is
+    read and freed before the next is formed, with no slab list, stacked
+    copy, buffer sized by a bound or whole G."""
     space = realize("e", 8, "A3IV", (2,))
     cv = curvature(space)
     space.tensors()
     tracemalloc.start()
     try:
-        rr = cv.riemann
+        cv.identities
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * (rr.data.nbytes + rr.indices.nbytes + rr.indptr.nbytes)
+    assert peak < 2 * _r_bytes(space)
 
 
 @pytest.mark.parametrize("item", BENCH_SPACES, ids=_item_id)
 def test_curvature_pass_matches_operator_oracle(item, curvature_identity_oracle):
-    """The one slab pass against the operator reference (four slab sums that
-    read R's permutations off transposed copies, and a whole R kron(J, J)),
-    on every space the analyze-irreducible and identity-sweep workloads draw:
-    each residual and Ric* to 1e-14."""
+    """The reads of R's build against the operator reference (four slab sums
+    that read R's permutations off transposed copies of R whole, and a whole
+    R kron(J, J)), on every space the analyze-irreducible and identity-sweep
+    workloads draw: each residual and Ric* to 1e-14, though the build reads
+    the a-fixed Bianchi sum, the last pair and X's pair defect, and the
+    reference the classical sum, the first pair and R's pair swap."""
     space = _realize_item(item)
     res = curvature(space).identities
     ric_star = curvature(space).ric_star
@@ -439,12 +448,13 @@ def test_curvature_pass_matches_operator_oracle(item, curvature_identity_oracle)
 
 
 def test_symmetries_read_zero_off_the_support():
-    """R cut down to one stored entry v at four distinct indices: Bianchi,
-    pair symmetry and antisymmetry each read exactly |v|, so every permuted
-    read off the support of R returns 0."""
+    """R cut down to one stored entry v at four distinct indices, handed to
+    the build as its one slab: Bianchi and antisymmetry each read exactly
+    |v|, so every relabelled read off the support of R returns 0.  Pair
+    symmetry reads X's pair defect, not R, and stays 0."""
     sp = realize("g", 2, "A3III", (2,))
     cv = curvature(sp)
-    one = cv.riemann.copy()
+    one = stacked_riemann(sp)
     dm = sp.dim_m
     rows, cols = np.divmod(one.tocoo().row, dm), np.divmod(one.indices, dm)
     n = next(k for k in range(one.nnz)
@@ -453,26 +463,56 @@ def test_symmetries_read_zero_off_the_support():
     one.data[:] = 0.0
     one.data[n] = v
     one.eliminate_zeros()
-    cv.riemann = one                                   # replaces the memoised R
+    cv.slabs = lambda: iter([(0, one, whole_g(sp))])    # replaces the build's slabs
     res = cv.identities
-    assert res["bianchi"] == res["pair_symmetry"] == res["antisymmetry"] == abs(v) > 0
+    assert res["bianchi"] == res["antisymmetry"] == abs(v) > 0
+    assert res["pair_symmetry"] == 0.0
+
+
+FAULT_SPACES = (lambda: realize("g", 2, "A3III", (2,)), lambda: realize("b", 5, "A3III", (4,)),
+                lambda: realize("e", 7, "A3III", (2,)),
+                lambda: realize_cyclic_c3(cached_algebra("f", 4)),
+                lambda: realize_triality_d4(cached_algebra("d", 4)))
 
 
 @pytest.mark.parametrize("tensor", ["X", "K"])
 def test_one_changed_entry_fails_the_symmetries(tensor, curvature_identity_oracle):
-    """One stored entry of X or of K moved by 0.5 on a dm = 84 space: Bianchi
-    and the J-defect exceed 1e-6, and every residual equals the oracle's.
+    """One stored entry of X or of K moved by 0.5, on g2 node 2, b5 node 4,
+    e7 node 2, f4 cyclic and the triality: Bianchi and the J-defect exceed
+    1e-6, the J-defect equals the oracle's, and Bianchi, pair symmetry and
+    antisymmetry match the oracle's classical forms on R whole to 1e-12.
     Pair symmetry sees the change of X, but not one of K: R^min = K K^T is
-    pair-symmetric by construction, so it stays below 1e-12.  The J-defect
-    sees K's change in the column (a, b) of K K^T, which kron(J, J) moves."""
-    sp = realize("e", 7, "A3III", (2,))
-    sp.tensors()[{"X": 0, "K": 1}[tensor]].data[0] += 0.5
-    res = curvature(sp).identities
-    want = curvature_identity_oracle(sp)[0]
-    assert res == want
-    assert res["bianchi"] > 1e-6 and res["curvature_J_defect"] > 1e-6
-    assert (res["pair_symmetry"] > 1e-6) == (tensor == "X")
-    assert tensor == "X" or res["pair_symmetry"] < 1e-12
+    pair-symmetric by construction, and X's pair defect E stays empty.  The
+    J-defect sees K's change in the column (a, b) of K K^T, which kron(J, J)
+    moves."""
+    for make in FAULT_SPACES:
+        sp = make()
+        sp.tensors()[{"X": 0, "K": 1}[tensor]].data[0] += 0.5
+        res = curvature(sp).identities
+        want = curvature_identity_oracle(sp)[0]
+        assert res.keys() == want.keys()
+        assert res["curvature_J_defect"] == want["curvature_J_defect"] > 1e-6, sp.name
+        for key in ("bianchi", "pair_symmetry", "antisymmetry"):
+            assert res[key] == pytest.approx(want[key], rel=1e-12, abs=1e-15), (sp.name, key)
+        assert res["bianchi"] > 1e-6, sp.name
+        assert (res["pair_symmetry"] > 1e-6) == (tensor == "X"), sp.name
+        assert tensor == "X" or res["pair_symmetry"] == 0.0
+
+
+def test_a_sign_flipped_g_term_fails_bianchi_and_antisymmetry(monkeypatch):
+    """The build's -G[a,c,b,d] term with its sign flipped, a mutant of the
+    code: Bianchi and antisymmetry both read 1 on g2 node 2 and b3 node 2,
+    2/3 on f4 cyclic and 4/3 on g2 node 1."""
+    def flipped(rows, dm):
+        return nk_analyzer._moved(rows, dm, "yxz", rows.data) + nk_analyzer._moved(rows, dm, "yzx", rows.data)
+
+    monkeypatch.setattr(nk_analyzer, "_swapped_pairs", flipped)
+    for space, want in ((realize("g", 2, "A3III", (2,)), 1.0), (realize("b", 3, "A3III", (2,)), 1.0),
+                        (realize_cyclic_c3(cached_algebra("f", 4)), 2 / 3),
+                        (realize("g", 2, "A3IV", (1,)), 4 / 3)):
+        res = curvature(space).identities
+        assert res["bianchi"] == pytest.approx(want, abs=1e-12), space.name
+        assert res["antisymmetry"] == pytest.approx(want, abs=1e-12), space.name
 
 
 def test_j_outside_a_signed_permutation_basis_raises():
@@ -485,22 +525,38 @@ def test_j_outside_a_signed_permutation_basis_raises():
         curvature(rotated).identities
 
 
-def test_curvature_pass_holds_less_than_r():
-    """On e8 node 2 (dm 168), with R and r built, Ric and the identity suite
-    allocate less than R itself: they hold row slabs of R, never a
-    transposed copy of R, a whole R kron(J, J) or R as COO."""
+def test_curvature_pass_holds_less_than_r(monkeypatch):
+    """On e8 node 2 (dm 168), with X, K and r built, each read of a slab of R
+    in its build, the three symmetries (``_symmetries``) and the J-defect,
+    Ric and Ric* (``_j_checks``), allocates beyond what it is handed less than
+    R itself: like the former pass over a built R, the reads hold blocks of a
+    slab, never R whole, a transposed copy of R, a whole R kron(J, J) or R as
+    COO."""
     sp = realize("e", 8, "A3IV", (2,))
     cv = curvature(sp)
-    rr = cv.riemann
+    sp.tensors()
     cv.r
+    added = []
+
+    def measured(read):
+        def run(*args):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = read(*args)
+            added.append(tracemalloc.get_traced_memory()[1] - held)
+            return out
+        return run
+
+    for name in ("_symmetries", "_j_checks"):
+        monkeypatch.setattr(nk_analyzer, name, measured(getattr(nk_analyzer, name)))
     tracemalloc.start()
     try:
         cv.ric
         verify_curvature_identities(sp)
-        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < rr.data.nbytes + rr.indices.nbytes + rr.indptr.nbytes
+    assert len(added) == 2 * len(compactform.slab_cuts(cv.row_weight)) > 2
+    assert max(added) < _r_bytes(sp)
 
 
 def _bound_spaces():
@@ -534,9 +590,9 @@ def test_row_weight_bounds_g_rows_without_forming_g():
 
 def test_curvature_identities_from_the_tensors_hold_under_two_and_a_half_r():
     """On f4 cyclic (dm 104), from the tensors alone, the curvature suite
-    (R's build with its rows of G, the J-defect, Ric and Ric*, then the pass)
-    allocates at its peak under 2.5 times R's bytes: G is formed a slab of
-    rows at a time, never whole."""
+    (each slab of R with its rows of G, the J-defect, Ric, Ric* and the three
+    symmetries) allocates at its peak under 2.5 times R's bytes: G is formed
+    a slab of rows at a time, never whole."""
     space = realize_cyclic_c3(cached_algebra("f", 4))
     space.tensors()
     tracemalloc.start()
@@ -545,34 +601,51 @@ def test_curvature_identities_from_the_tensors_hold_under_two_and_a_half_r():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rr = curvature(space).riemann
-    assert peak < 2.5 * (rr.data.nbytes + rr.indices.nbytes + rr.indptr.nbytes)
+    assert peak < 2.5 * _r_bytes(space)
+
+
+def test_curvature_identities_from_the_tensors_hold_under_a_quarter_of_r():
+    """On e7 cyclic (dm 266), from the tensors alone, the curvature suite
+    (each slab of R with its rows of G, the J-defect, Ric, Ric* and the three
+    symmetries) allocates at its peak under a quarter of R's bytes, taken as
+    12 bytes for each entry of its slabs: R is never held, and G is formed a
+    slab of rows at a time, never whole."""
+    space = realize_cyclic_c3(cached_algebra("e", 7))
+    space.tensors()
+    tracemalloc.start()
+    try:
+        verify_curvature_identities(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _r_bytes(space) / 4
 
 
 def test_curvature_holds_no_g():
     """``Curvature`` has no G, and after every suite on a type III space no
-    (dm^2, dm^2) operator but R is held on it."""
+    (dm^2, dm^2) operator is held on it: not G, not R."""
     space = realize("b", 5, "A3III", (4,))
     verify_space(space)
     cv, dm = curvature(space), space.dim_m
     assert not hasattr(Curvature, "g") and not hasattr(cv, "g")
-    whole = [v for v in vars(cv).values() if getattr(v, "shape", None) == (dm * dm, dm * dm)]
-    assert len(whole) == 1 and whole[0] is cv.riemann
+    assert not hasattr(Curvature, "riemann") and not hasattr(cv, "riemann")
+    assert [v for v in vars(cv).values() if getattr(v, "shape", None) == (dm * dm, dm * dm)] == []
 
 
 def test_every_blocked_loop_takes_the_entry_budget(monkeypatch):
     """With ``compactform.SLAB_ENTRIES`` at 2^10, each of the five blocked
     loops cuts more than one run with ``slab_cuts``: on a8 nodes 2,5 (dm 52,
-    one slab at the default budget), g2 cyclic and the f4 Jacobi sweep.  R's
-    arrays, Ric, every ``verify_space`` residual and Jacobi's worst residual
-    and triple equal those at the default budget bit for bit."""
+    one slab at the default budget), g2 cyclic and the f4 Jacobi sweep; the
+    symmetry reads cut one slab of a alone into one run, so they need only
+    cut more than one somewhere.  R's slabs stacked, Ric, every
+    ``verify_space`` residual and Jacobi's worst residual and triple equal
+    those at the default budget bit for bit."""
     def outputs():
         out = [cached_algebra("f", 4)._jacobi_worst()]
         for space in (realize("a", 8, "A3II", (2, 5)), realize_cyclic_c3(cached_algebra("g", 2))):
             res = verify_space(space)[1]
-            cv = curvature(space)
-            rr = cv.riemann
-            out += [{key: value.hex() for key, value in res.items()}, cv.ric.tobytes(),
+            rr = stacked_riemann(space)
+            out += [{key: value.hex() for key, value in res.items()}, curvature(space).ric.tobytes(),
                     rr.indptr.tobytes(), rr.indices.tobytes(), rr.data.tobytes()]
         return out
 
@@ -587,8 +660,9 @@ def test_every_blocked_loop_takes_the_entry_budget(monkeypatch):
         monkeypatch.setattr(module, "slab_cuts", spy)
     monkeypatch.setattr(compactform, "SLAB_ENTRIES", 1 << 10)
     assert outputs() == want
-    assert sorted(runs) == ["_build", "_commutator_gram", "_jacobi_worst", "_pass",
+    assert sorted(runs) == ["_commutator_gram", "_jacobi_worst", "_symmetries", "slabs",
                             "verify_min_connection_identity"]
+    assert max(runs.pop("_symmetries")) > 1, runs
     assert all(min(counts) > 1 for counts in runs.values()), runs
 
 
@@ -661,7 +735,7 @@ def _ambient_nat_reductive(space, x, y, z, t):
 ])
 def test_riemann_matches_nested_bracket_oracle(maker):
     sp = maker()
-    op = curvature(sp).riemann
+    op = stacked_riemann(sp)
     rng = np.random.default_rng(9)
     for _ in range(12):
         x, y, z, t = rng.standard_normal((4, sp.dim_m))
@@ -696,7 +770,7 @@ def test_sparse_curvature_matches_dense_reference(maker):
     dm = sp.dim_m
     r4 = _dense_riemann(sp)
     ric, ric_star = _dense_ricci(sp, canonical_J(sp).toarray())
-    op = curvature(sp).riemann
+    op = stacked_riemann(sp)
     assert np.abs(op.toarray().reshape(dm, dm, dm, dm) - r4).max() < 1e-12
     got_ric, got_star, got_c = ricci_tensors(sp)
     assert np.abs(got_ric - ric).max() < 1e-12

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nk_triad import cli, fibration, rootsys, tables
+from nk_triad import cli, exact, fibration, rootsys, tables
 from nk_triad.rootsys import (
     InvalidRank,
     NotARoot,
@@ -435,3 +435,53 @@ def test_diagram_automorphisms():
     assert len(diagram_automorphisms(build_root_system("e", 6))) == 2
     assert len(diagram_automorphisms(build_root_system("e", 7))) == 1
     assert len(diagram_automorphisms(build_root_system("b", 4))) == 1
+
+
+def _report_parts(report):
+    """(the report's fields but its name and class, each layer's (dim, r,
+    Ric, C) by label)."""
+    layers = {e.layer: (report.splitting[e.layer], e.value, ric.value, c.value)
+              for e, ric, c in zip(report.r_eigs, report.ric_eigs, report.c_eigs)}
+    return (report.algebra, report.nk_type, report.dim_m, report.einstein, report.einstein_constant,
+            report.mu2, report.lk_ratio, report.lk_label, report.kahler, report.notes), layers
+
+
+def test_diagram_twins_have_one_report_up_to_a_relabelling_of_layers():
+    """Leaving out the diagram images (``dedup=True``) is sound on the exact
+    side.  Up to rank 8, every non-Kahler class the dedup merges away has one
+    kept twin under ``diagram_automorphisms``, 41 pairs, and the two
+    ``inner_report``s agree: every field but the name and the class, and the
+    layers up to a relabelling.  On a_n the flip reverses the node order,
+    which swaps V2 and V3 (on a5 nodes 1,3 and 3,5 their tables differ); on
+    d_n and e6 the layers agree as labelled.  b2 node 2 and c2 node 1, both
+    CP^3, have equal reports but for the algebra's name."""
+    families = [("a", r) for r in range(1, 9)] + [("b", r) for r in range(2, 9)] \
+        + [("c", r) for r in range(3, 9)] + [("d", r) for r in range(4, 9)] \
+        + [("e", 6), ("e", 7), ("e", 8), ("f", 4), ("g", 2)]
+    swap = {"V2": "V3", "V3": "V2"}
+    pairs = []
+    for family, rank in families:
+        rs = tables.cached_root_system(family, rank)
+        kept = enumerate_inner_order3(rs, dedup=True)
+        merged = [c for c in enumerate_inner_order3(rs) if c not in kept and c.kind != "A3I"]
+        autos = diagram_automorphisms(rs)
+        for cls in merged:
+            images = {tuple(sorted(perm[n - 1] + 1 for n in cls.nodes)) for perm in autos}
+            (twin,) = [k for k in kept if k.kind == cls.kind and k.nodes in images]
+            cd = tables.cached_chevalley(family, rank)
+            (fields, layers), (want_fields, want) = (_report_parts(exact.inner_report(cd, c, "x"))
+                                                     for c in (cls, twin))
+            relabel = swap if family == "a" else {}
+            assert fields == want_fields, (family, rank, cls.nodes)
+            assert {relabel.get(lbl, lbl): v for lbl, v in layers.items()} == want, (family, rank, cls.nodes)
+            pairs.append((family, rank, cls.nodes, twin.nodes))
+    assert len(pairs) == 41
+    a5 = [_report_parts(exact.inner_report(tables.cached_chevalley("a", 5),
+                                           rootsys.InnerClass.of_nodes(tables.cached_root_system("a", 5), n),
+                                           "x"))[1] for n in ((1, 3), (3, 5))]
+    assert ("a", 5, (3, 5), (1, 3)) in pairs and a5[0] != a5[1]
+    b2, c2 = (_report_parts(exact.inner_report(tables.cached_chevalley(f, 2),
+                                               rootsys.InnerClass.of_nodes(tables.cached_root_system(f, 2), n),
+                                               "x"))
+              for f, n in (("b", (2,)), ("c", (1,))))
+    assert b2[0][1:] == c2[0][1:] and b2[1] == c2[1] and b2[0][0] != c2[0][0]
