@@ -35,6 +35,8 @@ vertical pairs (c, d), the G-blocks of the double-torsion containments and
 X's rows (a, i) for the frame traces.  J's identities are index relabellings
 of X and K.  Each identity is a maximum over all (a, b, c, d), or over the
 layers it names, and memory follows the nonzeros of a slab, never dm^4.
+The slabs' entries move between rows by stable counting passes that leave
+every row sorted (``_moved``).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .automorph import OrderThreeSymmetricSpace, classify_type
-from .compactform import _row_grouped, antisymmetry_max_residual, drop_noise, slab_cuts
+from .compactform import antisymmetry_max_residual, drop_noise, slab_cuts
 from .exact import (FixedVectorInM, IdentityViolation, NKReport, constant_report, einstein_check,
                     inner_report, verify_prop_table_relations)
 # bound here only because bench/layers.py WRAPPED traces them as nk_analyzer.exact_*
@@ -110,6 +112,13 @@ def _rows_of(mat: sp.csr_matrix, first: int) -> np.ndarray:
     return np.repeat(rows, np.diff(mat.indptr))
 
 
+def _split(v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(v // n, v % n) of a non-negative integer array by one floor division,
+    which numpy runs vectorized where its divmod and % are not."""
+    high = v // n
+    return high, v - high * n
+
+
 def _j_checks(slab, half, a0: int, dm: int, jj, ric, ric_star) -> float:
     """The J-defect R - R kron(J, J) - 4G on a slab of R (its rows (a, b), a
     from a0) and the slab's rows of G; adds the slab's terms of Ric and Ric*
@@ -119,13 +128,14 @@ def _j_checks(slab, half, a0: int, dm: int, jj, ric, ric_star) -> float:
     relabelled and signed.  Ric* is its trace over b = pi d, Ric the slab's
     over b = d; each (a, c) of a trace takes terms from one slab alone."""
     (perm, sign), col, val = jj, slab.indices, slab.data
-    a, b = np.divmod(_rows_of(slab, a0 * dm), dm)
+    a, b = _split(_rows_of(slab, a0 * dm), dm)
     jd, jcol = val * sign[col], perm[col]
-    on, jon = b == col % dm, b == jcol % dm         # the entries each trace reads
-    ric += np.bincount(a[on] * dm + col[on] // dm, val[on], dm * dm)
-    ric_star += np.bincount(a[jon] * dm + jcol[jon] // dm, jd[jon], dm * dm)
+    for trace, at, v in ((ric, col, val), (ric_star, jcol, jd)):
+        c, d = _split(at, dm)
+        on = b == d                                 # the entries the trace reads
+        trace += np.bincount(a[on] * dm + c[on], v[on], dm * dm)
     rjj = sp.csr_matrix((jd, jcol, slab.indptr), shape=slab.shape)
-    del a, b, on, jon                               # freed before the sums: they set the peak
+    del a, b, c, d, on                              # freed before the sums: they set the peak
     rjj.sort_indices()                  # so scipy merges sorted rows, with no scratch of dm^2
     return _max_abs(slab - rjj - 4.0 * half)
 
@@ -133,20 +143,20 @@ def _j_checks(slab, half, a0: int, dm: int, jj, ric, ric_star) -> float:
 def _moved(rows, dm: int, to: str, data) -> sp.csr_matrix:
     """The entries of sorted rows M[(a,x),(y,z)] of a (dm^2, dm^2) operator,
     a counted from 0, moved to [(a,p),(q,s)] with values ``data``, ``to`` =
-    "pqs" a permutation of "xyz".  One stable counting sort by (a, p) keeps
-    the source order (x, y, z) within a row, which sorts the row if q comes
-    before s in it; otherwise the sort is by (a, p, q)."""
-    place = dict(zip("axyz", (*np.divmod(_rows_of(rows, 0), dm), *np.divmod(rows.indices, dm))))
+    "pqs" a permutation of "xyz", by one stable COO-to-CSR counting pass.  It
+    keeps the source order (x, y, z) within a row, which sorts the row if q
+    comes before s in it ("zxy", "yxz"); scipy sorts any other move, so the
+    result is canonical either way."""
+    place = dict(zip("axyz", (*_split(_rows_of(rows, 0), dm), *_split(rows.indices, dm))))
     row, (q, s) = place["a"] * dm + place[to[0]], (place[k] for k in to[1:])
-    if to[1] < to[2]:
-        return _row_grouped(row, q * dm + s, data, rows.shape)
-    moved = _row_grouped(row * dm + q, q * dm + s, data, (rows.shape[0] * dm, rows.shape[1]))
-    return sp.csr_matrix((moved.data, moved.indices, moved.indptr[::dm]), shape=rows.shape)
+    return sp.csr_matrix((data, (row, q * dm + s)), shape=rows.shape)
 
 
 def _swapped_pairs(rows, dm: int) -> sp.csr_matrix:
-    """-M[a,c,b,d] + M[a,d,b,c] at [(a,b),(c,d)] from the rows (a, .) of M."""
-    return _moved(rows, dm, "yxz", -rows.data) + _moved(rows, dm, "yzx", rows.data)
+    """-M[a,c,b,d] + M[a,d,b,c] at [(a,b),(c,d)] from the sorted rows (a, .)
+    of M: M moved by "yxz", and by "zxy" twice."""
+    once = _moved(rows, dm, "zxy", rows.data)
+    return _moved(rows, dm, "yxz", -rows.data) + _moved(once, dm, "zxy", once.data)
 
 
 def _symmetries(slab, dm: int) -> tuple[float, float]:
@@ -155,18 +165,15 @@ def _symmetries(slab, dm: int) -> tuple[float, float]:
     R[a,b,c,d] + R[a,b,d,c], each a maximum over the slab's a and every
     (b, c, d).  Both read rows (a, .) alone, in blocks of a (``slab_cuts`` on
     three times each a's entries) that keep the relabelled copies small.
-    Moving R[a,x,y,z] to [(a,z),(x,y)] twice gives both Bianchi terms, and
-    the last pair is the slab's columns swapped, each row then sorted."""
+    Moving R[a,x,y,z] to [(a,z),(x,y)] once and twice gives both Bianchi
+    terms, and the first of them moved by "yxz" is R[a,b,d,c]: every move
+    comes out with its rows sorted, so none is sorted by comparison."""
     bianchi = antisymmetry = 0.0
     for b0, b1 in slab_cuts(3 * np.diff(slab.indptr[::dm])):
         sub = slab[b0 * dm:b1 * dm]
         once = _moved(sub, dm, "zxy", sub.data)
         bianchi = max(bianchi, _max_abs(sub + once + _moved(once, dm, "zxy", once.data)))
-        y, z = np.divmod(sub.indices, dm)
-        swapped = sp.csr_matrix((sub.data.copy(), z * dm + y, sub.indptr), shape=sub.shape)
-        del once, y, z
-        swapped.sort_indices()
-        antisymmetry = max(antisymmetry, _max_abs(sub + swapped))
+        antisymmetry = max(antisymmetry, _max_abs(sub + _moved(once, dm, "yxz", once.data)))
     return bianchi, antisymmetry
 
 
@@ -202,15 +209,16 @@ class Curvature:
     @cached_property
     def row_weight(self) -> np.ndarray:
         """Per a, the multiply-adds of K[(a,.)] K^T and three times those of
-        X[(a,.)] X^T, an exact bound on the entries of G's rows (a, .):
-        sum over k in supp X[(a,b),:] of nnz X[:,k].  ``slab_cuts`` cuts R's
-        build and the minimal-connection suite into blocks of a by it."""
+        X[(a,.)] X^T, each capped at dm^3 (the entries rows (a, .) can hold):
+        an exact bound on the entries of G's rows (a, .), sum over k in
+        supp X[(a,b),:] of nnz X[:,k].  ``slab_cuts`` cuts R's build and the
+        minimal-connection suite into blocks of a by it."""
         dm, (x, kc) = self.dm, self.space.tensors()
 
         def madds(t):
-            """per a, nnz T[:,k] summed over the entries of T's rows (a, .)"""
+            """per a, nnz T[:,k] summed over the entries of T's rows (a, .), at most dm^3"""
             done = np.concatenate([[0], np.cumsum(np.bincount(t.indices)[t.indices])])
-            return np.diff(done[t.indptr[::dm]])
+            return np.minimum(np.diff(done[t.indptr[::dm]]), dm ** 3)
 
         return madds(kc) + 3 * madds(x)
 
@@ -219,8 +227,8 @@ class Curvature:
         and of G, both sorted, for a block of a from a0 (``slab_cuts`` on
         ``row_weight``), a counted from a0.  G's rows are formed from X and
         read as 2G, -G[a,c,b,d] and G[a,d,b,c] (``_swapped_pairs``); only
-        K K^T is sorted by comparison.  The slab, (K K^T + 2G) + (-G[acbd] +
-        G[adbc]), is summed by scipy's merges of sorted rows."""
+        K K^T's and G's rows are sorted by comparison.  The slab, (K K^T + 2G)
+        + (-G[acbd] + G[adbc]), is summed by scipy's merges of sorted rows."""
         dm, (xi, kc) = self.dm, self.space.tensors()
         xt, kt = xi.T.tocsr(), kc.T.tocsr()
         for a0, a1 in slab_cuts(self.row_weight):

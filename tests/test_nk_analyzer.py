@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import _compressed as scipy_compressed
 from scipy.sparse import csr_matrix
 
 from nk_triad import automorph, cli, compactform, exact, nk_analyzer, tables
@@ -515,6 +516,80 @@ def test_a_sign_flipped_g_term_fails_bianchi_and_antisymmetry(monkeypatch):
         assert res["antisymmetry"] == pytest.approx(want, abs=1e-12), space.name
 
 
+def _lexsort_moved(rows, dm: int, to: str, data) -> csr_matrix:
+    """Rows M[(a,x),(y,z)] moved to [(a,p),(q,s)], ``to`` = "pqs", the
+    entries put in order by ``np.lexsort`` on the target (a, p, q, s)."""
+    coo = rows.tocoo()
+    at = dict(zip("axyz", (coo.row // dm, coo.row % dm, coo.col // dm, coo.col % dm)))
+    p, q, s = (at[k] for k in to)
+    order = np.lexsort((s, q, p, at["a"]))
+    counts = np.bincount((at["a"] * dm + p), minlength=rows.shape[0])
+    return csr_matrix((data[order], (q * dm + s)[order], np.concatenate([[0], np.cumsum(counts)])),
+                      shape=rows.shape)
+
+
+def _canonical(mat) -> bool:
+    """Every row's column indices strictly increase: sorted, no duplicate."""
+    rows = np.repeat(np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr))
+    return bool((np.diff(rows * mat.shape[1] + mat.indices) > 0).all())
+
+
+def _same_bytes(a, b) -> bool:
+    return all(x.tobytes() == y.tobytes() for x, y in
+               zip((a.indptr, a.indices, a.data), (b.indptr, b.indices, b.data)))
+
+
+MOVE_SPACES = (lambda: realize("g", 2, "A3III", (2,)), lambda: realize("e", 7, "A3IV", (5,)),
+               lambda: realize_cyclic_c3(cached_algebra("f", 4)),
+               lambda: realize_triality_d4(cached_algebra("d", 4)))
+
+
+def test_moves_match_a_lexsort_reference():
+    """On g2 node 2, e7 node 5, f4 cyclic and the triality, every move of R's
+    slabs and of G's rows (each permutation of "xyz") equals the entries put in
+    order by ``np.lexsort``, bit for bit, with sorted, duplicate-free rows;
+    ``_swapped_pairs`` equals -G moved by "yxz" plus G moved by "yzx", and
+    ``_symmetries`` the maxima of R + R[a,c,d,b] + R[a,d,b,c] and of
+    R + R[a,b,d,c] over the slab, each term so moved."""
+    for make in MOVE_SPACES:
+        space = make()
+        dm = space.dim_m
+        for _, slab, half in curvature(space).slabs():
+            for rows in (slab, half):
+                for to in ("xyz", "xzy", "yxz", "yzx", "zxy", "zyx"):
+                    moved = nk_analyzer._moved(rows, dm, to, rows.data)
+                    assert _canonical(moved), (space.name, to)
+                    assert _same_bytes(moved, _lexsort_moved(rows, dm, to, rows.data)), (space.name, to)
+            pairs = nk_analyzer._swapped_pairs(half, dm)
+            want = _lexsort_moved(half, dm, "yxz", -half.data) + _lexsort_moved(half, dm, "yzx", half.data)
+            assert _canonical(pairs) and _same_bytes(pairs, want), space.name
+            bianchi = slab + _lexsort_moved(slab, dm, "zxy", slab.data) \
+                + _lexsort_moved(slab, dm, "yzx", slab.data)
+            last = slab + _lexsort_moved(slab, dm, "xzy", slab.data)
+            want = (float(abs(bianchi.data).max(initial=0.0)), float(abs(last.data).max(initial=0.0)))
+            assert nk_analyzer._symmetries(slab, dm) == want, space.name
+
+
+def test_the_build_sorts_three_operators_per_slab(monkeypatch):
+    """On f4 cyclic, R's build runs exactly three comparison sorts of rows
+    per slab: K K^T's rows, G's rows and R kron(J, J).  Every move of R's
+    slabs and G's rows comes out of its counting pass sorted, so one that
+    stops doing so fails here."""
+    space = realize_cyclic_c3(cached_algebra("f", 4))
+    space.tensors()
+    cv = Curvature(space)
+    cv.j, cv.row_weight
+    sorts, real = [], scipy_compressed.csr_sort_indices
+
+    def counted(*args):
+        sorts.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(scipy_compressed, "csr_sort_indices", counted)
+    cv.identities
+    assert len(sorts) == 3 * len(compactform.slab_cuts(cv.row_weight)), len(sorts)
+
+
 def test_j_outside_a_signed_permutation_basis_raises():
     """The identity pass relabels R's columns by J, so it needs J to be a
     signed permutation of the m-basis; a rotated m-basis is refused."""
@@ -566,15 +641,16 @@ def _bound_spaces():
 
 def test_row_weight_bounds_g_rows_without_forming_g():
     """``row_weight`` is K K^T's multiply-adds per a plus three times a bound on
-    the entries of G's rows (a, .), the multiply-adds of X X^T: at least the
-    true count of a whole G on every space the benchmark draws and on e7
-    cyclic.  On e7 cyclic it allocates under a tenth of G's bytes, so it
-    forms no G."""
+    the entries of G's rows (a, .), the multiply-adds of X X^T, each capped at
+    dm^3, the entries rows (a, .) can hold: at least the true count of a whole
+    G on every space the benchmark draws and on e7 cyclic.  The cap leaves the
+    triality's build one slab.  On e7 cyclic it allocates under a tenth of G's
+    bytes, so it forms no G."""
     for space in _bound_spaces():
         (x, kc), dm = space.tensors(), space.dim_m
         ones = lambda mat: csr_matrix((np.ones(mat.nnz), mat.indices, mat.indptr), shape=mat.shape)
-        madds = (ones(kc) @ np.diff(kc.tocsc().indptr)).reshape(dm, dm).sum(axis=1)
-        bound = (ones(x) @ np.diff(x.tocsc().indptr)).reshape(dm, dm).sum(axis=1)
+        madds = np.minimum((ones(kc) @ np.diff(kc.tocsc().indptr)).reshape(dm, dm).sum(axis=1), dm ** 3)
+        bound = np.minimum((ones(x) @ np.diff(x.tocsc().indptr)).reshape(dm, dm).sum(axis=1), dm ** 3)
         cv = Curvature(space)                              # nothing of it built yet
         tracemalloc.start()
         try:
@@ -586,6 +662,8 @@ def test_row_weight_bounds_g_rows_without_forming_g():
         assert np.array_equal(weight, madds + 3 * bound), space.name
         assert (bound >= np.diff(g.indptr[::dm])).all(), space.name
     assert peak < (g.data.nbytes + g.indices.nbytes + g.indptr.nbytes) / 10
+    triality = realize_triality_d4(cached_algebra("d", 4))
+    assert len(compactform.slab_cuts(Curvature(triality).row_weight)) == 1
 
 
 def test_curvature_identities_from_the_tensors_hold_under_two_and_a_half_r():
