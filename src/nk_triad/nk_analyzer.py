@@ -36,7 +36,8 @@ X's rows (a, i) for the frame traces.  J's identities are index relabellings
 of X and K.  Each identity is a maximum over all (a, b, c, d), or over the
 layers it names, and memory follows the nonzeros of a slab, never dm^4.
 The slabs' entries move between rows by stable counting passes that leave
-every row sorted (``_moved``).
+every row sorted (``_moved``).  Past a slab's two Gram products the build runs
+scipy's own kernels (``scipy.sparse._sparsetools``) on CSR arrays: same sums.
 """
 
 from __future__ import annotations
@@ -47,9 +48,11 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import (coo_tocsr, csr_eliminate_zeros, csr_minus_csr,
+                                       csr_plus_csr, csr_sort_indices, expandptr)
 
 from .automorph import OrderThreeSymmetricSpace, classify_type
-from .compactform import antisymmetry_max_residual, drop_noise, slab_cuts
+from .compactform import ZERO_DROP, antisymmetry_max_residual, drop_noise, slab_cuts
 from .exact import (FixedVectorInM, IdentityViolation, NKReport, constant_report, einstein_check,
                     inner_report, verify_prop_table_relations)
 # bound here only because bench/layers.py WRAPPED traces them as nk_analyzer.exact_*
@@ -105,11 +108,11 @@ def gram(x: sp.csr_matrix, rows, cols) -> sp.csr_matrix:
     return drop_noise(x[rows] @ x[cols].T)
 
 
-def _rows_of(mat: sp.csr_matrix, first: int) -> np.ndarray:
-    """The row of each stored entry of ``mat``, counted from ``first``, in the
-    dtype of its indices."""
-    rows = np.arange(first, first + mat.shape[0], dtype=mat.indices.dtype)
-    return np.repeat(rows, np.diff(mat.indptr))
+def _entry_rows(ptr: np.ndarray) -> np.ndarray:
+    """The row of each entry of CSR arrays with row pointer ``ptr`` (``expandptr``)."""
+    rows = np.empty(ptr[-1], dtype=ptr.dtype)
+    expandptr(len(ptr) - 1, ptr, rows)
+    return rows
 
 
 def _split(v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -119,61 +122,91 @@ def _split(v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return high, v - high * n
 
 
+def _arrays(mat: sp.csr_matrix) -> tuple:
+    """``mat``'s CSR arrays (indptr, indices, data), which R's build hands to scipy's kernels."""
+    return mat.indptr, mat.indices, mat.data
+
+
+def _merged(kernel, first, second, n: int) -> tuple:
+    """``kernel`` (``csr_plus_csr`` or ``csr_minus_csr``) of the CSR arrays of
+    two operators' rows, n columns, as scipy's + and - run it, copied out of
+    buffers sized for both inputs: shrunk in place, they leave heap holes."""
+    cap = first[0][-1] + second[0][-1]
+    ptr, col, val = np.empty_like(first[0]), np.empty(cap, first[1].dtype), np.empty(cap)
+    kernel(len(ptr) - 1, n, *first, *second, ptr, col, val)
+    cut = lambda a: a if a.size == ptr[-1] else a[:ptr[-1]].copy()
+    return ptr, cut(col), cut(val)
+
+
 def _j_checks(slab, half, a0: int, dm: int, jj, ric, ric_star) -> float:
-    """The J-defect R - R kron(J, J) - 4G on a slab of R (its rows (a, b), a
-    from a0) and the slab's rows of G; adds the slab's terms of Ric and Ric*
-    to ``ric`` and ``ric_star`` in place.  J[c, pi c] = s_c is a signed
-    permutation (``canonical_J``), so is kron(J, J), ``jj`` = (pi c dm + pi d,
-    s_c s_d) at (c, d), and R kron(J, J) is the slab with its columns so
-    relabelled and signed.  Ric* is its trace over b = pi d, Ric the slab's
-    over b = d; each (a, c) of a trace takes terms from one slab alone."""
-    (perm, sign), col, val = jj, slab.indices, slab.data
-    a, b = _split(_rows_of(slab, a0 * dm), dm)
+    """The J-defect R - R kron(J, J) - 4G on the CSR arrays of a slab of R
+    (its rows (a, b), a from a0) and of the slab's rows of G; adds the slab's
+    terms of Ric and Ric* to ``ric`` and ``ric_star`` in place.  J[c, pi c] =
+    s_c is a signed permutation (``canonical_J``), so is kron(J, J), ``jj`` =
+    (pi c dm + pi d, s_c s_d) at (c, d), and R kron(J, J) is the slab with its
+    columns so relabelled and signed.  Ric* is its trace over b = pi d, Ric
+    the slab's over b = d; each (a, c) of a trace takes terms from one slab alone."""
+    (perm, sign), (ptr, col, val), n = jj, slab, dm * dm
+    a, b = _split(_entry_rows(ptr), dm)
     jd, jcol = val * sign[col], perm[col]
     for trace, at, v in ((ric, col, val), (ric_star, jcol, jd)):
         c, d = _split(at, dm)
         on = b == d                                 # the entries the trace reads
-        trace += np.bincount(a[on] * dm + c[on], v[on], dm * dm)
-    rjj = sp.csr_matrix((jd, jcol, slab.indptr), shape=slab.shape)
-    del a, b, c, d, on                              # freed before the sums: they set the peak
-    rjj.sort_indices()                  # so scipy merges sorted rows, with no scratch of dm^2
-    return _max_abs(slab - rjj - 4.0 * half)
+        trace += np.bincount((a[on] + a0) * dm + c[on], v[on], n)
+        del c, d, on                                # freed before the next split or sum
+    del a, b
+    csr_sort_indices(len(ptr) - 1, ptr, jcol, jd)   # so the merge reads sorted rows, no dm^2 scratch
+    rest = _merged(csr_minus_csr, slab, (ptr, jcol, jd), n)
+    del jcol, jd
+    return _max_abs(_merged(csr_minus_csr, rest, (half[0], half[1], 4.0 * half[2]), n)[2])
 
 
-def _moved(rows, dm: int, to: str, data) -> sp.csr_matrix:
-    """The entries of sorted rows M[(a,x),(y,z)] of a (dm^2, dm^2) operator,
-    a counted from 0, moved to [(a,p),(q,s)] with values ``data``, ``to`` =
-    "pqs" a permutation of "xyz", by one stable COO-to-CSR counting pass.  It
-    keeps the source order (x, y, z) within a row, which sorts the row if q
-    comes before s in it ("zxy", "yxz"); scipy sorts any other move, so the
-    result is canonical either way."""
-    place = dict(zip("axyz", (*_split(_rows_of(rows, 0), dm), *_split(rows.indices, dm))))
-    row, (q, s) = place["a"] * dm + place[to[0]], (place[k] for k in to[1:])
-    return sp.csr_matrix((data, (row, q * dm + s)), shape=rows.shape)
+def _moved(rows, dm: int, to: str, data) -> tuple:
+    """The entries of the CSR arrays of rows M[(a,x),(y,z)] of a (dm^2, dm^2)
+    operator, a counted from 0, moved to [(a,p),(q,s)] with values ``data``,
+    ``to`` = "pqs" a permutation of "xyz", by one stable COO-to-CSR counting
+    pass (``coo_tocsr``).  It keeps the source order (x, y, z) within a row,
+    which leaves sorted rows sorted if q comes before s in it ("zxy", "yxz"),
+    the only moves the build makes."""
+    ptr, col, _ = rows
+    place = dict(zip("axyz", (*_split(_entry_rows(ptr), dm), *_split(col, dm))))
+    row, col_to = place["a"] * dm + place[to[0]], place[to[1]] * dm + place[to[2]]
+    del place
+    out = np.empty_like(ptr), np.empty_like(col), np.empty_like(data)
+    coo_tocsr(len(ptr) - 1, dm * dm, len(col), row, col_to, data, *out)
+    return out
 
 
-def _swapped_pairs(rows, dm: int) -> sp.csr_matrix:
-    """-M[a,c,b,d] + M[a,d,b,c] at [(a,b),(c,d)] from the sorted rows (a, .)
-    of M: M moved by "yxz", and by "zxy" twice."""
-    once = _moved(rows, dm, "zxy", rows.data)
-    return _moved(rows, dm, "yxz", -rows.data) + _moved(once, dm, "zxy", once.data)
+def _swapped_pairs(rows, dm: int) -> tuple:
+    """-M[a,c,b,d] + M[a,d,b,c] at [(a,b),(c,d)] from the CSR arrays of the
+    sorted rows (a, .) of M: M moved by "yxz", and by "zxy" twice."""
+    once = _moved(rows, dm, "zxy", rows[2])
+    twice = _moved(once, dm, "zxy", once[2])
+    del once                                        # freed before the sum: it sets the peak
+    return _merged(csr_plus_csr, _moved(rows, dm, "yxz", -rows[2]), twice, dm * dm)
 
 
 def _symmetries(slab, dm: int) -> tuple[float, float]:
-    """(Bianchi, antisymmetry) on a slab of R, its rows (a, b) sorted: the
-    a-fixed sum R[a,b,c,d] + R[a,c,d,b] + R[a,d,b,c] and the last pair's
-    R[a,b,c,d] + R[a,b,d,c], each a maximum over the slab's a and every
-    (b, c, d).  Both read rows (a, .) alone, in blocks of a (``slab_cuts`` on
-    three times each a's entries) that keep the relabelled copies small.
-    Moving R[a,x,y,z] to [(a,z),(x,y)] once and twice gives both Bianchi
-    terms, and the first of them moved by "yxz" is R[a,b,d,c]: every move
-    comes out with its rows sorted, so none is sorted by comparison."""
+    """(Bianchi, antisymmetry) on the CSR arrays of a slab of R, its rows
+    (a, b) sorted: the a-fixed sum R[a,b,c,d] + R[a,c,d,b] + R[a,d,b,c] and
+    the last pair's R[a,b,c,d] + R[a,b,d,c], each a maximum over the slab's a
+    and every (b, c, d).  Both read rows (a, .) alone, in blocks of a
+    (``slab_cuts`` on three times each a's entries) that keep the relabelled
+    copies small.  Moving R[a,x,y,z] to [(a,z),(x,y)] once and twice gives
+    both Bianchi terms, and the first of them moved by "yxz" is R[a,b,d,c]:
+    every move comes out with its rows sorted, so none is sorted by comparison."""
+    (ptr, col, val), n = slab, dm * dm
     bianchi = antisymmetry = 0.0
-    for b0, b1 in slab_cuts(3 * np.diff(slab.indptr[::dm])):
-        sub = slab[b0 * dm:b1 * dm]
-        once = _moved(sub, dm, "zxy", sub.data)
-        bianchi = max(bianchi, _max_abs(sub + once + _moved(once, dm, "zxy", once.data)))
-        antisymmetry = max(antisymmetry, _max_abs(sub + _moved(once, dm, "yxz", once.data)))
+    for b0, b1 in slab_cuts(3 * np.diff(ptr[::dm])):
+        lo, hi = ptr[b0 * dm], ptr[b1 * dm]
+        sub = ptr[b0 * dm:b1 * dm + 1] - lo, col[lo:hi], val[lo:hi]
+        once = _moved(sub, dm, "zxy", sub[2])
+        last = _merged(csr_plus_csr, sub, _moved(once, dm, "yxz", once[2]), n)[2]
+        two, twice = _merged(csr_plus_csr, sub, once, n), _moved(once, dm, "zxy", once[2])
+        del once                                    # freed before the sum: it sets the peak
+        bianchi = max(bianchi, _max_abs(_merged(csr_plus_csr, two, twice, n)[2]))
+        antisymmetry = max(antisymmetry, _max_abs(last))
+        del two, twice, last
     return bianchi, antisymmetry
 
 
@@ -228,18 +261,24 @@ class Curvature:
         ``row_weight``), a counted from a0.  G's rows are formed from X and
         read as 2G, -G[a,c,b,d] and G[a,d,b,c] (``_swapped_pairs``); only
         K K^T's and G's rows are sorted by comparison.  The slab, (K K^T + 2G)
-        + (-G[acbd] + G[adbc]), is summed by scipy's merges of sorted rows."""
+        + (-G[acbd] + G[adbc]), is summed by ``csr_plus_csr`` merges of sorted
+        rows and yielded as a scipy CSR matrix that owns its arrays."""
         dm, (xi, kc) = self.dm, self.space.tensors()
-        xt, kt = xi.T.tocsr(), kc.T.tocsr()
+        xt, kt, n = xi.T.tocsr(), kc.T.tocsr(), dm * dm
         for a0, a1 in slab_cuts(self.row_weight):
             own = slice(a0 * dm, a1 * dm)
             ka = kc[own] @ kt                           # R^min's rows
             ka.sort_indices()
             half = drop_noise(xi[own] @ xt)             # G's rows, as ``gram`` forms them
             half.sort_indices()
-            ka = ka + 2.0 * half
-            slab = drop_noise(ka + _swapped_pairs(half, dm))
-            del ka
+            g = _arrays(half)
+            ka = _merged(csr_plus_csr, _arrays(ka), (*g[:2], 2.0 * g[2]), n)
+            ptr, col, val = _merged(csr_plus_csr, ka, _swapped_pairs(g, dm), n)
+            del ka, g
+            val[(val > -ZERO_DROP) & (val < ZERO_DROP)] = 0.0   # drop_noise, with no |val| copy
+            csr_eliminate_zeros(len(ptr) - 1, n, ptr, col, val)
+            slab = sp.csr_matrix((val[:ptr[-1]].copy(), col[:ptr[-1]].copy(), ptr), shape=half.shape)
+            del col, val
             yield a0, slab, half
             del slab, half
 
@@ -268,9 +307,9 @@ class Curvature:
         for a0, slab, half in self.slabs():
             own = slice(a0 * dm, a0 * dm + slab.shape[0])
             pair = 0.0 if not e.nnz else _max_abs(     # D's rows, E X[swap]^T - X E^T
-                _swapped_pairs(e[own] @ xi[swap].T - xi[own] @ e.T, dm))
-            bianchi, antisymmetry = _symmetries(slab, dm)
-            defect = _j_checks(slab, half, a0, dm, jj, ric, ric_star)
+                _swapped_pairs(_arrays(e[own] @ xi[swap].T - xi[own] @ e.T), dm)[2])
+            bianchi, antisymmetry = _symmetries(_arrays(slab), dm)
+            defect = _j_checks(_arrays(slab), _arrays(half), a0, dm, jj, ric, ric_star)
             worst.append([bianchi, pair, antisymmetry, defect])
             del slab, half
         keys = ("bianchi", "pair_symmetry", "antisymmetry", "curvature_J_defect")
@@ -285,7 +324,7 @@ class Curvature:
     def r(self) -> np.ndarray:
         dm = self.dm
         x = self.space.tensors()[0].tocoo()
-        a, i, j = x.row // dm, x.row % dm, x.col
+        (a, i), j = _split(x.row, dm), x.col
         shape = (dm, dm * dm)
         p = sp.csr_matrix((x.data, (a, i * dm + j)), shape=shape)   # [a, (i,j)] = xi[a,i,j]
         q = sp.csr_matrix((x.data, (a, j * dm + i)), shape=shape)   # [b, (i,j)] = xi[b,j,i]
@@ -334,8 +373,8 @@ def verify_structure_identities(space, tol=1e-9) -> dict[str, float]:
     x, kc = space.tensors()
     dm = space.dim_m
     nz, kz = x.tocoo(), kc.tocoo()
-    a, b, k = np.divmod(nz.row.astype(np.int64), dm) + (nz.col,)
-    c, d, s = np.divmod(kz.row.astype(np.int64), dm) + (kz.col,)
+    (a, b), k = _split(nz.row.astype(np.int64), dm), nz.col
+    (c, d), s = _split(kz.row.astype(np.int64), dm), kz.col
     key = lambda p, q, r, width=dm: (p * dm + q) * width + r   # of the entry [(p, q), r]
 
     def worst(*parts) -> float:
@@ -430,7 +469,7 @@ def verify_min_connection_identity(space, tol=1e-9, seed=0) -> float:
         rows = _pairs(a, np.arange(dm), dm)
         slab = kc[rows] @ kv + 4.0 * gram(x, rows, vv)
         blk = gram(x, _pairs(vert, a, dm), vm)
-        (p, i), (q, b) = np.divmod(_rows_of(blk, 0), len(a)), np.divmod(blk.indices, dm)
+        (p, i), (q, b) = _split(_entry_rows(blk.indptr), len(a)), _split(blk.indices, dm)
         row = np.tile(i * dm + b, 2)
         col = np.concatenate([q * nv + p, p * nv + q])
         pair = sp.coo_matrix((np.concatenate([4.0 * blk.data, -4.0 * blk.data]), (row, col)),

@@ -104,6 +104,44 @@ def test_a_private_exact_import_is_named():
     assert private_exact_imports(source) == ["_report", "_sorted_layers", "_r_of"]
 
 
+def private_scipy_imports(source: str) -> list[str]:
+    """The private scipy modules (a dotted path with a ``_``-prefixed part)
+    that ``source`` imports, in order, each by its full path."""
+    private = lambda path: path.split(".")[0] == "scipy" and any(
+        part.startswith("_") for part in path.split("."))
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if private(alias.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if private(node.module):
+                found.append(node.module)
+            else:
+                found += [path for path in (f"{node.module}.{alias.name}" for alias in node.names)
+                          if private(path)]
+    return found
+
+
+def test_only_nk_analyzer_imports_a_private_scipy_module():
+    """The package reaches into scipy at one place: ``nk_analyzer`` calls the
+    compiled kernels of ``scipy.sparse._sparsetools`` on CSR arrays, and
+    ``tests/test_sparse_kernels.py`` pins each against its public operation."""
+    found = {path.stem: private_scipy_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: bad for name, bad in found.items() if bad} == {
+        "nk_analyzer": ["scipy.sparse._sparsetools"]}
+
+
+def test_a_private_scipy_import_is_named():
+    source = ("import scipy.sparse as sp, scipy._lib._util\n"
+              "from scipy.sparse._sparsetools import coo_tocsr, expandptr\n"
+              "from scipy.sparse import _compressed, csr_matrix\n"
+              "from numpy._core import multiarray\nfrom . import _private\n\n"
+              "def f():\n    from scipy.linalg import _flapack\n")
+    assert private_scipy_imports(source) == ["scipy._lib._util", "scipy.sparse._sparsetools",
+                                             "scipy.sparse._compressed", "scipy.linalg._flapack"]
+
+
 def tol_comparisons(source: str) -> list[str]:
     """The comparisons in ``source`` with an operand that reads the name
     ``tol``, alone or inside an expression, in order."""

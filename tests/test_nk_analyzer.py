@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.sparse import _compressed as scipy_compressed
 from scipy.sparse import csr_matrix
+from scipy.sparse._sparsetools import csr_plus_csr
 
 from nk_triad import automorph, cli, compactform, exact, nk_analyzer, tables
 from nk_triad.automorph import realize_cyclic_c3, realize_triality_d4
@@ -505,7 +506,9 @@ def test_a_sign_flipped_g_term_fails_bianchi_and_antisymmetry(monkeypatch):
     code: Bianchi and antisymmetry both read 1 on g2 node 2 and b3 node 2,
     2/3 on f4 cyclic and 4/3 on g2 node 1."""
     def flipped(rows, dm):
-        return nk_analyzer._moved(rows, dm, "yxz", rows.data) + nk_analyzer._moved(rows, dm, "yzx", rows.data)
+        once = nk_analyzer._moved(rows, dm, "zxy", rows[2])
+        return nk_analyzer._merged(csr_plus_csr, nk_analyzer._moved(rows, dm, "yxz", rows[2]),
+                                   nk_analyzer._moved(once, dm, "zxy", once[2]), dm * dm)
 
     monkeypatch.setattr(nk_analyzer, "_swapped_pairs", flipped)
     for space, want in ((realize("g", 2, "A3III", (2,)), 1.0), (realize("b", 3, "A3III", (2,)), 1.0),
@@ -539,6 +542,12 @@ def _same_bytes(a, b) -> bool:
                zip((a.indptr, a.indices, a.data), (b.indptr, b.indices, b.data)))
 
 
+def _csr(rows, shape) -> csr_matrix:
+    """CSR arrays (indptr, indices, data) as a scipy matrix, sharing them."""
+    ptr, col, val = rows
+    return csr_matrix((val, col, ptr), shape=shape)
+
+
 MOVE_SPACES = (lambda: realize("g", 2, "A3III", (2,)), lambda: realize("e", 7, "A3IV", (5,)),
                lambda: realize_cyclic_c3(cached_algebra("f", 4)),
                lambda: realize_triality_d4(cached_algebra("d", 4)))
@@ -547,7 +556,9 @@ MOVE_SPACES = (lambda: realize("g", 2, "A3III", (2,)), lambda: realize("e", 7, "
 def test_moves_match_a_lexsort_reference():
     """On g2 node 2, e7 node 5, f4 cyclic and the triality, every move of R's
     slabs and of G's rows (each permutation of "xyz") equals the entries put in
-    order by ``np.lexsort``, bit for bit, with sorted, duplicate-free rows;
+    order by ``np.lexsort``, bit for bit: as it stands, with sorted,
+    duplicate-free rows, for the moves that keep (q, s) in source order
+    ("xyz", "yxz", "zxy"), and once its rows are sorted for the other three.
     ``_swapped_pairs`` equals -G moved by "yxz" plus G moved by "yzx", and
     ``_symmetries`` the maxima of R + R[a,c,d,b] + R[a,d,b,c] and of
     R + R[a,b,d,c] over the slab, each term so moved."""
@@ -557,24 +568,27 @@ def test_moves_match_a_lexsort_reference():
         for _, slab, half in curvature(space).slabs():
             for rows in (slab, half):
                 for to in ("xyz", "xzy", "yxz", "yzx", "zxy", "zyx"):
-                    moved = nk_analyzer._moved(rows, dm, to, rows.data)
+                    moved = _csr(nk_analyzer._moved(nk_analyzer._arrays(rows), dm, to, rows.data), rows.shape)
+                    if to not in ("xyz", "yxz", "zxy"):
+                        moved.sort_indices()
                     assert _canonical(moved), (space.name, to)
                     assert _same_bytes(moved, _lexsort_moved(rows, dm, to, rows.data)), (space.name, to)
-            pairs = nk_analyzer._swapped_pairs(half, dm)
+            pairs = _csr(nk_analyzer._swapped_pairs(nk_analyzer._arrays(half), dm), half.shape)
             want = _lexsort_moved(half, dm, "yxz", -half.data) + _lexsort_moved(half, dm, "yzx", half.data)
             assert _canonical(pairs) and _same_bytes(pairs, want), space.name
             bianchi = slab + _lexsort_moved(slab, dm, "zxy", slab.data) \
                 + _lexsort_moved(slab, dm, "yzx", slab.data)
             last = slab + _lexsort_moved(slab, dm, "xzy", slab.data)
             want = (float(abs(bianchi.data).max(initial=0.0)), float(abs(last.data).max(initial=0.0)))
-            assert nk_analyzer._symmetries(slab, dm) == want, space.name
+            assert nk_analyzer._symmetries(nk_analyzer._arrays(slab), dm) == want, space.name
 
 
 def test_the_build_sorts_three_operators_per_slab(monkeypatch):
     """On f4 cyclic, R's build runs exactly three comparison sorts of rows
-    per slab: K K^T's rows, G's rows and R kron(J, J).  Every move of R's
-    slabs and G's rows comes out of its counting pass sorted, so one that
-    stops doing so fails here."""
+    per slab: K K^T's rows and G's rows, which scipy sorts, and
+    R kron(J, J), which ``nk_analyzer`` sorts with the same kernel.  Every
+    move of R's slabs and G's rows comes out of its counting pass sorted, so
+    one that stops doing so fails here."""
     space = realize_cyclic_c3(cached_algebra("f", 4))
     space.tensors()
     cv = Curvature(space)
@@ -585,9 +599,34 @@ def test_the_build_sorts_three_operators_per_slab(monkeypatch):
         sorts.append(args[0])
         return real(*args)
 
-    monkeypatch.setattr(scipy_compressed, "csr_sort_indices", counted)
+    for module in (scipy_compressed, nk_analyzer):
+        monkeypatch.setattr(module, "csr_sort_indices", counted)
     cv.identities
     assert len(sorts) == 3 * len(compactform.slab_cuts(cv.row_weight)), len(sorts)
+
+
+@pytest.mark.parametrize("make, slabs", [(lambda: realize("e", 8, "A3IV", (2,)), 6),
+                                         (lambda: realize_cyclic_c3(cached_algebra("f", 4)), 9)],
+                         ids=["e8-node-2", "f4-cyclic"])
+def test_the_build_forms_a_few_scipy_matrices_per_slab(make, slabs, monkeypatch):
+    """On e8 node 2 (6 slabs) and f4 cyclic (9 slabs), R's build forms at most
+    8 scipy matrices per slab, and 8 per build: the two Gram products and the
+    slab it yields.  Its moves and merges run scipy's kernels on CSR arrays,
+    where scipy operators formed 34 to 45 matrices per slab."""
+    space = make()
+    space.tensors()
+    cv = Curvature(space)
+    cv.j, cv.row_weight
+    assert len(compactform.slab_cuts(cv.row_weight)) == slabs
+    formed, real = [], scipy_compressed._cs_matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        formed.append(type(self).__name__)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(scipy_compressed._cs_matrix, "__init__", counted)
+    cv.identities
+    assert len(formed) <= 8 * slabs + 8, len(formed)
 
 
 def test_j_outside_a_signed_permutation_basis_raises():
