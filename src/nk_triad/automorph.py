@@ -10,8 +10,8 @@ An inner class holds its exact data itself; the exact eigenvalues, fibrations
 and tables read it from the class and never import this module.  A
 realization adds only sigma and the k/m columns, held as sparse maps: every
 construction gives sparse ones, and the tensors and J are sparse products of
-them.  The tensors are X and K alone: K = [m, m]_k is the one isotropy
-tensor, and its transpose is the action ad(k)|m that the commutant reads.
+them, run on CSR arrays (``csr``).  The tensors are X and K alone: K = [m, m]_k
+is the one isotropy tensor, and its transpose is the action ad(k)|m that the commutant reads.
 
 Realized spaces are immutable apart from their memoized tensors, curvature
 and report; realizing independent spaces over one algebra is embarrassingly parallel.
@@ -23,7 +23,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .chevalley import ChevalleyData
-from .compactform import CompactAlgebra, adjoint_action_exp, drop_noise, slab_cuts
+from .compactform import CompactAlgebra, adjoint_action_exp, slab_cuts
+from .csr import (arrays, canonical, coo_rows, csr_minus_csr, csr_plus_csr, dropped, entry_rows,
+                  matrix, merged, product, split, transpose)
 from .rootsys import (NK_TYPE, TRIALITY_NAME, ClassificationMismatch, InnerClass, NotOrderThree,
                       VerificationFailure)
 
@@ -77,18 +79,20 @@ class OrderThreeSymmetricSpace:
     # -- geometry ------------------------------------------------------------
 
     def check_invariants(self) -> None:
-        s, tol = self.sigma, _INVARIANT_TOL
-        eye, ss = sp.identity(s.shape[0], format="csr"), s @ s
-        worst = lambda mat: np.abs(mat.data).max(initial=0.0)    # over the stored entries
-        if worst(ss @ s - eye) > tol:
+        n, dk, dm, tol = self.sigma.shape[0], self.dim_k, self.dim_m, _INVARIANT_TOL
+        s, k, eye = arrays(self.sigma), arrays(self.k_cols), arrays(sp.identity(n, format="csr"))
+        ss, less = product(s, s, n), lambda a, b, width=n: merged(csr_minus_csr, a, b, width)
+        worst = lambda csr: np.abs(csr[2]).max(initial=0.0)    # over the stored entries
+        if worst(less(product(ss, s, n), eye)) > tol:
             raise NotOrderThree("sigma^3 != id")
-        if worst(s - eye) < tol:
+        if worst(less(s, eye)) < tol:
             raise NotOrderThree("sigma == id")
-        if worst(s.T @ s - eye) > tol:
+        if worst(less(product(transpose(s, n), s, n), eye)) > tol:
             raise NotOrderThree("sigma is not orthogonal")
-        if worst(s @ self.k_cols - self.k_cols) > tol:
+        if worst(less(product(s, k, dk), k, dk)) > tol:
             raise NotOrderThree("k is not fixed by sigma")
-        if worst((eye + s + ss) @ self.m_cols) > tol:
+        one_s = merged(csr_plus_csr, eye, s, n)
+        if worst(product(merged(csr_plus_csr, one_s, ss, n), arrays(self.m_cols), dm)) > tol:
             raise NotOrderThree("m is not annihilated by 1 + sigma + sigma^2")
         if self.dim_m % 2:
             raise NotOrderThree("dim m must be even")
@@ -112,34 +116,41 @@ class OrderThreeSymmetricSpace:
         """The largest bracket-preservation residual and the first pair (i, j)
         where it occurs: row (i, j) of C sigma^T is sigma[e_i, e_j], and of
         ``_frame_bracket(C, sigma, sigma)`` it is [sigma e_i, sigma e_j]."""
-        c, s = self.algebra.C, self.sigma
-        res = abs(c @ s.T - _frame_bracket(c, s, s)).max(axis=1).toarray().ravel()
-        at = int(res.argmax())
-        return float(res[at]), divmod(at, self.algebra.dim)
+        c, d, s = self.algebra.C, self.algebra.dim, arrays(self.sigma)
+        ptr, _, val = merged(csr_minus_csr, product(arrays(c), transpose(s, d), d),
+                             _frame_bracket(c, s, d, s, d), d)
+        res = np.zeros(d * d)
+        np.maximum.at(res, entry_rows(ptr), np.abs(val))   # per row, as scipy's max(axis=1)
+        return float(res.max()), divmod(int(res.argmax()), d)
+
 
 
 def _build_tensors(space: OrderThreeSymmetricSpace):
     """X = -(1/2) [M, M] M and K = [M, M] Kc, with M = m_cols, Kc = k_cols and
     [M, M] one ``_frame_bracket``."""
-    m, k = space.m_cols, space.k_cols
-    mm = _frame_bracket(space.algebra.C, m, m)              # [(a, b), l]: [m_a, m_b]
-    return drop_noise((-0.5 * (mm @ m)).tocsr()), drop_noise((mm @ k).tocsr())
+    m, k, dm, dk = arrays(space.m_cols), arrays(space.k_cols), space.dim_m, space.dim_k
+    mm = _frame_bracket(space.algebra.C, m, dm, m, dm)      # [(a, b), l]: [m_a, m_b]
+    ptr, col, val = product(mm, m, dm)
+    return (matrix(dropped((ptr, col, -0.5 * val), dm), (dm * dm, dm)),
+            matrix(dropped(product(mm, k, dk), dk), (dm * dm, dk)))
 
 
-def _frame_bracket(c: sp.csr_matrix, first: sp.csr_matrix, second: sp.csr_matrix) -> sp.csr_matrix:
+def _frame_bracket(c: sp.csr_matrix, first, na: int, second, nb: int) -> tuple:
     """B[(a, b), l] = sum_{i,j} first[i, a] second[j, b] C[(i, j), l], the brackets
-    of two column frames in the algebra basis.
+    of two column frames (CSR arrays, na and nb columns) in the algebra basis.
 
     C read as [i, (j, l)] takes first^T on the left; re-indexed to [j, (a, l)]
     it takes second^T.  No kron(first, second) is formed, so each product
     holds about as many entries as the brackets.
     """
-    d, na, nb = c.shape[1], first.shape[1], second.shape[1]
-    t = (first.T @ c.reshape((d, d * d))).tocoo()           # [a, (j, l)]
-    j, l = np.divmod(t.col, d)
-    t = (second.T @ sp.csr_matrix((t.data, (j, t.row * d + l)), shape=(d, na * d))).tocoo()
-    a, l = np.divmod(t.col, d)                              # t: [b, (a, l)]
-    return sp.csr_matrix((t.data, (a * nb + t.row, l)), shape=(na * nb, d))
+    d, (ptr, col, val) = c.shape[1], arrays(c)
+    wide = ptr[::d].copy(), entry_rows(ptr) % d * d + col, val          # [i, (j, l)]
+    t = transpose(product(transpose(wide, d * d), first, na), na)        # [a, (j, l)]
+    (j, l), a = split(t[1], d), entry_rows(t[0])
+    t = coo_rows(j, a * d + l, t[2], (d, na * d))                        # [j, (a, l)], sorted
+    t = product(transpose(t, na * d), second, nb)                        # [(a, l), b]
+    (a, l), b = split(entry_rows(t[0]), d), t[1]
+    return coo_rows(a * nb + b, l, t[2], (na * nb, d))
 
 
 # -- inner realization ---------------------------------------------------------
@@ -246,36 +257,41 @@ def realize_triality_d4(ca: CompactAlgebra) -> OrderThreeSymmetricSpace:
 
 class TripleAlgebra:
     """Direct sum l + l + l of one compact algebra: its block-diagonal structure
-    constants C, in the layout of ``CompactAlgebra.C``."""
+    constants C, in the layout of ``CompactAlgebra.C`` and sorted as it is."""
 
     def __init__(self, base: CompactAlgebra):
         self.base = base
         d, n = base.dim, 3 * base.dim
         self.dim = n
-        c = base.C.tocoo()
-        i, j = np.divmod(c.row, d)
-        offs = np.repeat(np.arange(3) * d, c.nnz)
-        i, j, l = np.tile(i, 3) + offs, np.tile(j, 3) + offs, np.tile(c.col, 3) + offs
-        self.C = sp.csr_matrix((np.tile(c.data, 3), (i * n + j, l)), shape=(n * n, n))
+        ptr, col, val = arrays(base.C)
+        (i, j), offs = split(entry_rows(ptr), d), np.repeat(np.arange(3) * d, len(col))
+        i, j, l = np.tile(i, 3) + offs, np.tile(j, 3) + offs, np.tile(col, 3) + offs
+        self.C = matrix(coo_rows(i * n + j, l, np.tile(val, 3), (n * n, n)), (n * n, n))
 
 
 def realize_cyclic_c3(component: CompactAlgebra) -> OrderThreeSymmetricSpace:
     """g = l + l + l with sigma(X, Y, Z) = (Z, X, Y) and k the diagonal; the E and
     JE copies of a root plane share its block, the 2 rank Cartan columns are -1."""
     d, r = component.dim, component.rs.rank
-    eye = sp.identity(d, format="csr")
     shift = np.roll(np.eye(3), 1, axis=0)            # block c -> block c + 1
     k_cols = np.ones((3, 1)) / np.sqrt(3)
     m_cols = np.array([[1, 1], [-1, 1], [0, -2]]) / np.sqrt([2.0, 6.0])   # E, JE
     space = OrderThreeSymmetricSpace(
-        TripleAlgebra(component), "C3", sp.kron(shift, eye), sp.kron(k_cols, eye),
-        sp.kron(m_cols, eye),
+        TripleAlgebra(component), "C3", *(_kron_eye(a, d) for a in (shift, k_cols, m_cols)),
         layers={"E": list(range(d)), "JE": list(range(d, 2 * d))},
         name=f"({component.rs.type_label})^3 / diagonal",
         weight_block=np.tile(np.r_[np.full(r, -1), np.arange(d - r) // 2], 2), torus=r,
     )
     space.check_invariants()
     return space
+
+
+def _kron_eye(a: np.ndarray, d: int) -> sp.csr_matrix:
+    """kron(a, I_d) of a small dense ``a`` as CSR, a[i, j] on the diagonal of block (i, j)."""
+    i, j = np.nonzero(a)
+    rows, cols = ((t[:, None] * d + np.arange(d)).ravel() for t in (i, j))
+    shape = (a.shape[0] * d, a.shape[1] * d)
+    return matrix(coo_rows(rows, cols, np.repeat(a[i, j], d), shape), shape)
 
 
 # -- type classification ---------------------------------------------------------
@@ -295,7 +311,7 @@ def orbit_span_dim(space: OrderThreeSymmetricSpace, seed_vector: np.ndarray) -> 
     it as an independent check of the halves.
     """
     dm, dk = space.dim_m, space.dim_k
-    blocks = space.tensors()[1].T.reshape((dk * dm, dm))   # [(s, c), d] = ad(k_s)^T
+    blocks = matrix(_ad_k_blocks(space), (dk * dm, dm))     # [(s, c), d] = ad(k_s)^T
     step = max(1, dm // dk)
     basis = (seed_vector / np.linalg.norm(seed_vector))[:, None]
     pending = basis
@@ -331,26 +347,33 @@ def _places(block: np.ndarray):
     return order, ids, at, starts, sizes, local
 
 
-def _checked_blocks(space: OrderThreeSymmetricSpace, ak: sp.csr_matrix) -> np.ndarray:
+def _ad_k_blocks(space: OrderThreeSymmetricSpace) -> tuple:
+    """K^T as (dk dm, dm) CSR arrays A[(s, c), d] = K[(c, d), s], by one counting pass."""
+    dm, (ptr, col, val) = space.dim_m, arrays(space.tensors()[1])
+    c, d = split(entry_rows(ptr), dm)
+    return coo_rows(col * dm + c, d, val, (space.dim_k * dm, dm))
+
+
+def _checked_blocks(space: OrderThreeSymmetricSpace, ak: tuple) -> np.ndarray:
     """``space.weight_block`` checked against the torus, the first ``space.torus``
-    blocks A_s of ``ak``.  A torus entry between two blocks raises: the
-    blocking splits a root plane.  Unless the blocking is all -1 (one block
+    blocks A_s of ``ak`` (``_ad_k_blocks``).  A torus entry between two blocks
+    raises: the blocking splits a root plane.  Unless the blocking is all -1 (one block
     of every entry, exact for any action), the torus must turn the c copies
     in each block b by I_c (x) w_b J_2 and fix block -1, with the weights w_b
     nonzero and no two equal up to sign, so that the frame spans the whole
     commutant of the torus; else it raises.  Squared deviations below
     ``_COMMUTANT_TOL`` count as zero, as in the Gram."""
     dm, block, n = space.dim_m, space.weight_block, space.torus
-    t = ak[:n * dm].tocoo()
-    s, c, d = t.row // dm, t.row % dm, t.col
+    (ptr, col, val), end = ak, ak[0][n * dm]
+    (s, c), d = split(entry_rows(ptr[:n * dm + 1]), dm), col[:end]
     if np.any(block[c] != block[d]):
         raise ClassificationMismatch(f"{space.name}: the torus of k joins two weight blocks of m")
     _, ids, at, _, sizes, local = _places(block)
     jay = np.sign(local[c] - local[d]) * (local[c] // 2 == local[d] // 2) * (block[c] >= 0)
     key = s * len(ids) + at[c]                          # (s, b): I_c (x) J_2 has norm^2 2c
     sums = lambda x: np.bincount(key, x, minlength=n * len(ids)).reshape(n, len(ids))
-    proj = sums(t.data * jay)
-    off = sums(t.data ** 2) - proj ** 2 / sizes
+    proj = sums(val[:end] * jay)
+    off = sums(val[:end] ** 2) - proj ** 2 / sizes
     w = (proj / sizes)[:, ids >= 0]                     # w[s, b]: the torus weights
     gram = w.T @ w
     apart = np.diag(gram)[:, None] + np.diag(gram) - 2.0 * np.abs(gram)   # |w_b -+ w_b'|^2
@@ -380,7 +403,7 @@ def _weight_frame(block: np.ndarray):
     return p, q, np.unique(key, return_inverse=True)[1], value
 
 
-def _commutator_gram(ak: sp.csr_matrix, dm: int, frame) -> np.ndarray:
+def _commutator_gram(ak: tuple, dm: int, frame) -> np.ndarray:
     """G[k, l] = sum_s <[A_s, S_k], [A_s, S_l]> over every block A_s = ad(k_s)^T
     of ``ak`` (K^T stacked as (dk dm, dm)) and the frame operators S_k.  As A_s
     is antisymmetric, [A_s, S_k] = A_s S_k + (A_s S_k^T)^T: one sparse product
@@ -388,18 +411,20 @@ def _commutator_gram(ak: sp.csr_matrix, dm: int, frame) -> np.ndarray:
     [p, (q, k)] and [q, (p, k)] side by side; the commutators are stacked, one
     row per entry (s, i, j) they reach, and summed into G slab by slab."""
     p, q, coord, value = frame
-    nc, dk = int(coord.max()) + 1, ak.shape[0] // dm
-    rows, cols = np.r_[p, q], np.r_[q * nc, (dm + p) * nc] + np.tile(coord, 2)
-    both = sp.csr_matrix((np.tile(value, 2), (rows, cols)), shape=(dm, 2 * dm * nc))
-    gen = np.repeat(np.arange(ak.shape[0]), np.diff(ak.indptr)) // dm
+    (ptr, col, val), nc = ak, int(coord.max()) + 1
+    dk, width = (len(ptr) - 1) // dm, 2 * dm * nc
+    both = canonical(coo_rows(np.r_[p, q], np.r_[q * nc, (dm + p) * nc] + np.tile(coord, 2),
+                              np.tile(value, 2), (dm, width)), width)
+    gen = entry_rows(ptr) // dm
     gram = np.zeros((nc, nc))
-    for s0, s1 in slab_cuts(np.bincount(gen, np.diff(both.indptr)[ak.indices], minlength=dk)):
-        t = (ak[s0 * dm:s1 * dm] @ both).tocoo()        # [(s, i), (half, j, k)]
-        (s, i), (half, j), k = np.divmod(t.row, dm), np.divmod(t.col // nc, dm), t.col % nc
+    for s0, s1 in slab_cuts(np.bincount(gen, np.diff(both[0])[col], minlength=dk)):
+        lo, hi = ptr[s0 * dm], ptr[s1 * dm]
+        t = product((ptr[s0 * dm:s1 * dm + 1] - lo, col[lo:hi], val[lo:hi]), both, width)
+        (s, i), (half, j), k = split(entry_rows(t[0]), dm), split(t[1] // nc, dm), t[1] % nc
         entry = np.where(half, j * dm + i, i * dm + j)  # (i, j) of A_s S_k, (j, i) of -S_k A_s
         _, rows = np.unique(s * dm * dm + entry, return_inverse=True)
-        stack = sp.csr_matrix((t.data, (rows, k)), shape=(rows.max(initial=-1) + 1, nc))
-        gram += (stack.T @ stack).toarray()
+        stack = canonical(coo_rows(rows, k, t[2], (rows.max(initial=-1) + 1, nc)), nc)
+        gram += matrix(product(transpose(stack, nc), stack, nc), (nc, nc)).toarray()
     return gram
 
 
@@ -417,8 +442,7 @@ def commutant_basis(space: OrderThreeSymmetricSpace) -> list[np.ndarray]:
     the null space of the one Gram of |[A_s, S]|^2 summed over every generator
     (``_commutator_gram``), which is itself the exhaustive check.
     """
-    dm = space.dim_m
-    ak = space.tensors()[1].T.reshape((space.dim_k * dm, dm)).tocsr()
+    dm, ak = space.dim_m, _ad_k_blocks(space)
     p, q, coord, value = frame = _weight_frame(_checked_blocks(space, ak))
     coords = _null_space(_commutator_gram(ak, dm, frame))
     basis = np.zeros((coords.shape[1], dm, dm))

@@ -23,7 +23,7 @@ is a transposed slab of it and [x, y] = kron(x, y) @ C.  C is never modified
 after construction, so read-only sharing across threads is safe; the Jacobi,
 trace-form and antisymmetry checks are pure reads of it.  Total skewness is a
 module function of C (``antisymmetry_max_residual``), so it reads any algebra
-in this layout, such as the cyclic triple's block-diagonal C.
+in this layout, such as the cyclic triple's block-diagonal C, off its CSR arrays (``csr``).
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .chevalley import ChevalleyData
+from .csr import (ZERO_DROP, arrays, canonical, coo_rows, csr_plus_csr, dropped, entry_rows, matrix,
+                  merged, split)
 from .rootsys import NotOrderThree, VerificationFailure
 
 DUAL_COXETER = {
@@ -47,7 +49,6 @@ DUAL_COXETER = {
 }
 
 
-ZERO_DROP = 1e-13         # entries below this are float noise on exact zeros
 SLAB_ENTRIES = 1 << 18    # sparse entries gathered per slab of a blocked sum or product
 GENERATION_COND = 1e8     # a certificate block past this condition number is singular
 
@@ -314,9 +315,10 @@ class CompactAlgebra:
             width = j1 - j0
             # a row (g, j) holds F(i, j, k) before -F(j, i, k) at a column (k, m),
             # and sparse addition sums the two duplicates in that order
-            diff = _row_grouped(*map(np.concatenate, zip(
+            shape = (gens.size * width, d * d)        # grouped by row in order: one counting pass
+            diff = matrix(coo_rows(*map(np.concatenate, zip(
                 terms(cg @ s[:, j0 * d:j1 * d], width, True),
-                terms(c[j0 * d:j1 * d] @ sg, width, False))), (gens.size * width, d * d))
+                terms(c[j0 * d:j1 * d] @ sg, width, False))), shape), shape)
             rows = np.arange(gens.size * width)
             keep_worst(c[(gens[:, None] * d + np.arange(j0, j1)).ravel()] @ t + diff,
                        gens[rows // width], j0 + rows % width)
@@ -340,11 +342,10 @@ class CompactAlgebra:
 def antisymmetry_max_residual(c: sp.csr_matrix) -> float:
     """Max |C[i,j,k] + C[i,k,j]| over structure constants C[(i, j), k]: every
     ad(e_i) must be skew for the invariant form, i.e. C is totally skew."""
-    d = c.shape[1]
-    c = c.tocoo()
-    i, j = np.divmod(c.row, d)
-    swapped = sp.coo_matrix((c.data, (i * d + c.col, j)), shape=c.shape)
-    return float(abs(c + swapped).max())
+    d, csr = c.shape[1], arrays(c)
+    i, j = split(entry_rows(csr[0]), d)
+    swapped = canonical(coo_rows(i * d + csr[1], j, csr[2], c.shape), d)
+    return float(np.abs(merged(csr_plus_csr, csr, swapped, d)[2]).max(initial=0.0))
 
 
 def _nonsingular(blocks: np.ndarray) -> np.ndarray:
@@ -353,15 +354,6 @@ def _nonsingular(blocks: np.ndarray) -> np.ndarray:
     finite = np.isfinite(blocks).all(axis=(-2, -1))
     sv = np.linalg.svd(np.where(finite[..., None, None], blocks, 0.0), compute_uv=False)
     return finite & (sv[..., -1] * GENERATION_COND > sv[..., 0])
-
-
-def _row_grouped(rows, cols, data, shape) -> sp.csr_matrix:
-    """CSR matrix of the entries at (rows, cols), grouped by row with one
-    stable counting sort (a CSR-to-CSC transposition); columns stay unsorted,
-    and entries at one (row, col) stay in their order, to be summed by scipy."""
-    order = sp.csr_matrix((np.arange(rows.size, dtype=np.int32), rows, [0, rows.size]),
-                          shape=(1, shape[0])).tocsc()
-    return sp.csr_matrix((data[order.data], cols[order.data], order.indptr), shape=shape)
 
 
 def adjoint_action_exp(ca: CompactAlgebra, levels: np.ndarray, d: int) -> sp.csr_matrix:
@@ -381,11 +373,10 @@ def adjoint_action_exp(ca: CompactAlgebra, levels: np.ndarray, d: int) -> sp.csr
     cos, sin = np.array(_THIRDS)[3 * t // d].T
     h = np.arange(ca.rank)
     u0, u1 = ca.u_index(np.arange(ca.n_pos), 0), ca.u_index(np.arange(ca.n_pos), 1)
-    mat = sp.csr_matrix((np.concatenate([np.ones(ca.rank), cos, sin, -sin, cos]),
-                         (np.concatenate([h, u0, u1, u0, u1]), np.concatenate([h, u0, u0, u1, u1]))),
-                        shape=(ca.dim, ca.dim))
-    mat.eliminate_zeros()
-    return mat
+    rows, cols = np.concatenate([h, u0, u1, u0, u1]), np.concatenate([h, u0, u0, u1, u1])
+    shape = (ca.dim, ca.dim)            # each row sorted by the counting pass, its zeros dropped
+    values = np.concatenate([np.ones(ca.rank), cos, sin, -sin, cos])
+    return matrix(dropped(coo_rows(rows, cols, values, shape), ca.dim), shape)
 
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0

@@ -31,13 +31,15 @@ before the next is formed (``Curvature.identities``); the other readers form
 the blocks of G they need (``gram``).  The layer-restricted minimal-connection
 and special-torsion suites form only the rows of K and the blocks of G and X
 their layers name: blocks of rows (a, b) with a horizontal against the
-vertical pairs (c, d), the G-blocks of the double-torsion containments and
-X's rows (a, i) for the frame traces.  J's identities are index relabellings
-of X and K.  Each identity is a maximum over all (a, b, c, d), or over the
+vertical pairs (c, d), which give the G-block of xi_H xi_V V too
+(``Curvature.min_connection``), the other double-torsion G-block and X's
+rows (a, i) for the frame traces.  J's identities are index relabellings of
+X and K.  Each identity is a maximum over all (a, b, c, d), or over the
 layers it names, and memory follows the nonzeros of a slab, never dm^4.
 The slabs' entries move between rows by stable counting passes that leave
-every row sorted (``_moved``).  Past a slab's two Gram products the build runs
-scipy's own kernels (``scipy.sparse._sparsetools``) on CSR arrays: same sums.
+every row sorted (``_moved``).  J, r, the layer suites and R's build past a
+slab's two Gram products run scipy's kernels on CSR arrays (``csr``):
+scipy's sums, bit for bit.  J, X, K and R's slabs are scipy CSR matrices.
 """
 
 from __future__ import annotations
@@ -48,11 +50,11 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import (coo_tocsr, csr_eliminate_zeros, csr_minus_csr,
-                                       csr_plus_csr, csr_sort_indices, expandptr)
 
 from .automorph import OrderThreeSymmetricSpace, classify_type
-from .compactform import ZERO_DROP, antisymmetry_max_residual, drop_noise, slab_cuts
+from .compactform import antisymmetry_max_residual, drop_noise, slab_cuts
+from .csr import (arrays, canonical, coo_rows, csr_minus_csr, csr_plus_csr, csr_sort_indices,
+                  dropped, entry_rows, matrix, merged, product, split, transpose)
 from .exact import (FixedVectorInM, IdentityViolation, NKReport, constant_report, einstein_check,
                     inner_report, verify_prop_table_relations)
 # bound here only because bench/layers.py WRAPPED traces them as nk_analyzer.exact_*
@@ -72,14 +74,17 @@ def canonical_J(space: OrderThreeSymmetricSpace) -> sp.csr_matrix:
     entry of modulus 1 per row), which every realization gives and
     ``Curvature.identities`` relies on.
     """
-    eye = sp.identity(space.dim_m, format="csr")
-    sigma_m = space.m_cols.T @ space.sigma @ space.m_cols
-    j = drop_noise(((2.0 * sigma_m + eye) / np.sqrt(3.0)).tocsr())
-    if _max_abs(j @ j + eye) > TOL_FLOOR:
+    dm, n, m = space.dim_m, space.sigma.shape[0], arrays(space.m_cols)
+    eye = arrays(sp.identity(dm, format="csr"))
+    # m^T sigma m as scipy's CSC products leave it: its transpose m^T (sigma^T m)
+    ptr, col, val = product(transpose(m, dm), product(transpose(arrays(space.sigma), n), m, dm), dm)
+    ptr, col, val = merged(csr_plus_csr, (ptr, col, val * 2.0), eye, dm)
+    j = dropped(transpose((ptr, col, val * (1 / np.sqrt(3.0))), dm), dm)
+    if _max_abs(merged(csr_plus_csr, product(j, j, dm), eye, dm)[2]) > TOL_FLOOR:
         raise FixedVectorInM("J^2 != -id; sigma|m is not fixed-point free of order 3")
-    if (np.diff(j.indptr) != 1).any() or (np.abs(np.abs(j.data) - 1.0) > TOL_FLOOR).any():
+    if (np.diff(j[0]) != 1).any() or (np.abs(np.abs(j[2]) - 1.0) > TOL_FLOOR).any():
         raise IdentityViolation("J is not a signed permutation of the m-basis")
-    return j
+    return matrix(j, (dm, dm))
 
 
 def tensor_r(space: OrderThreeSymmetricSpace) -> np.ndarray:
@@ -101,41 +106,12 @@ def _max_abs(mat) -> float:
     return float(np.abs(mat.data if sp.issparse(mat) else mat).max(initial=0.0))
 
 
-def gram(x: sp.csr_matrix, rows, cols) -> sp.csr_matrix:
-    """The block G[rows][:, cols] of G = X X^T, formed from those rows of X
-    alone, its noise dropped.  Each entry sums over k in the order of X's row,
-    as a whole X X^T would, so the block holds G's entries bit for bit."""
-    return drop_noise(x[rows] @ x[cols].T)
-
-
-def _entry_rows(ptr: np.ndarray) -> np.ndarray:
-    """The row of each entry of CSR arrays with row pointer ``ptr`` (``expandptr``)."""
-    rows = np.empty(ptr[-1], dtype=ptr.dtype)
-    expandptr(len(ptr) - 1, ptr, rows)
-    return rows
-
-
-def _split(v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(v // n, v % n) of a non-negative integer array by one floor division,
-    which numpy runs vectorized where its divmod and % are not."""
-    high = v // n
-    return high, v - high * n
-
-
-def _arrays(mat: sp.csr_matrix) -> tuple:
-    """``mat``'s CSR arrays (indptr, indices, data), which R's build hands to scipy's kernels."""
-    return mat.indptr, mat.indices, mat.data
-
-
-def _merged(kernel, first, second, n: int) -> tuple:
-    """``kernel`` (``csr_plus_csr`` or ``csr_minus_csr``) of the CSR arrays of
-    two operators' rows, n columns, as scipy's + and - run it, copied out of
-    buffers sized for both inputs: shrunk in place, they leave heap holes."""
-    cap = first[0][-1] + second[0][-1]
-    ptr, col, val = np.empty_like(first[0]), np.empty(cap, first[1].dtype), np.empty(cap)
-    kernel(len(ptr) - 1, n, *first, *second, ptr, col, val)
-    cut = lambda a: a if a.size == ptr[-1] else a[:ptr[-1]].copy()
-    return ptr, cut(col), cut(val)
+def gram(x: sp.csr_matrix, rows, cols) -> tuple:
+    """The block G[rows][:, cols] of G = X X^T as CSR arrays, formed from those rows of
+    X alone, its noise dropped.  Each entry sums over k in the order of X's row, as a
+    whole X X^T would, so the block holds G's entries bit for bit."""
+    return dropped(product(arrays(x[rows]), transpose(arrays(x[cols]), x.shape[1]), len(cols)),
+                   len(cols))
 
 
 def _j_checks(slab, half, a0: int, dm: int, jj, ric, ric_star) -> float:
@@ -147,34 +123,32 @@ def _j_checks(slab, half, a0: int, dm: int, jj, ric, ric_star) -> float:
     columns so relabelled and signed.  Ric* is its trace over b = pi d, Ric
     the slab's over b = d; each (a, c) of a trace takes terms from one slab alone."""
     (perm, sign), (ptr, col, val), n = jj, slab, dm * dm
-    a, b = _split(_entry_rows(ptr), dm)
+    a, b = split(entry_rows(ptr), dm)
     jd, jcol = val * sign[col], perm[col]
     for trace, at, v in ((ric, col, val), (ric_star, jcol, jd)):
-        c, d = _split(at, dm)
+        c, d = split(at, dm)
         on = b == d                                 # the entries the trace reads
         trace += np.bincount((a[on] + a0) * dm + c[on], v[on], n)
         del c, d, on                                # freed before the next split or sum
     del a, b
     csr_sort_indices(len(ptr) - 1, ptr, jcol, jd)   # so the merge reads sorted rows, no dm^2 scratch
-    rest = _merged(csr_minus_csr, slab, (ptr, jcol, jd), n)
+    rest = merged(csr_minus_csr, slab, (ptr, jcol, jd), n)
     del jcol, jd
-    return _max_abs(_merged(csr_minus_csr, rest, (half[0], half[1], 4.0 * half[2]), n)[2])
+    return _max_abs(merged(csr_minus_csr, rest, (half[0], half[1], 4.0 * half[2]), n)[2])
 
 
 def _moved(rows, dm: int, to: str, data) -> tuple:
     """The entries of the CSR arrays of rows M[(a,x),(y,z)] of a (dm^2, dm^2)
     operator, a counted from 0, moved to [(a,p),(q,s)] with values ``data``,
     ``to`` = "pqs" a permutation of "xyz", by one stable COO-to-CSR counting
-    pass (``coo_tocsr``).  It keeps the source order (x, y, z) within a row,
+    pass (``coo_rows``).  It keeps the source order (x, y, z) within a row,
     which leaves sorted rows sorted if q comes before s in it ("zxy", "yxz"),
     the only moves the build makes."""
     ptr, col, _ = rows
-    place = dict(zip("axyz", (*_split(_entry_rows(ptr), dm), *_split(col, dm))))
+    place = dict(zip("axyz", (*split(entry_rows(ptr), dm), *split(col, dm))))
     row, col_to = place["a"] * dm + place[to[0]], place[to[1]] * dm + place[to[2]]
     del place
-    out = np.empty_like(ptr), np.empty_like(col), np.empty_like(data)
-    coo_tocsr(len(ptr) - 1, dm * dm, len(col), row, col_to, data, *out)
-    return out
+    return coo_rows(row, col_to, data, (len(ptr) - 1, dm * dm))
 
 
 def _swapped_pairs(rows, dm: int) -> tuple:
@@ -183,7 +157,7 @@ def _swapped_pairs(rows, dm: int) -> tuple:
     once = _moved(rows, dm, "zxy", rows[2])
     twice = _moved(once, dm, "zxy", once[2])
     del once                                        # freed before the sum: it sets the peak
-    return _merged(csr_plus_csr, _moved(rows, dm, "yxz", -rows[2]), twice, dm * dm)
+    return merged(csr_plus_csr, _moved(rows, dm, "yxz", -rows[2]), twice, dm * dm)
 
 
 def _symmetries(slab, dm: int) -> tuple[float, float]:
@@ -201,10 +175,10 @@ def _symmetries(slab, dm: int) -> tuple[float, float]:
         lo, hi = ptr[b0 * dm], ptr[b1 * dm]
         sub = ptr[b0 * dm:b1 * dm + 1] - lo, col[lo:hi], val[lo:hi]
         once = _moved(sub, dm, "zxy", sub[2])
-        last = _merged(csr_plus_csr, sub, _moved(once, dm, "yxz", once[2]), n)[2]
-        two, twice = _merged(csr_plus_csr, sub, once, n), _moved(once, dm, "zxy", once[2])
+        last = merged(csr_plus_csr, sub, _moved(once, dm, "yxz", once[2]), n)[2]
+        two, twice = merged(csr_plus_csr, sub, once, n), _moved(once, dm, "zxy", once[2])
         del once                                    # freed before the sum: it sets the peak
-        bianchi = max(bianchi, _max_abs(_merged(csr_plus_csr, two, twice, n)[2]))
+        bianchi = max(bianchi, _max_abs(merged(csr_plus_csr, two, twice, n)[2]))
         antisymmetry = max(antisymmetry, _max_abs(last))
         del two, twice, last
     return bianchi, antisymmetry
@@ -271,14 +245,12 @@ class Curvature:
             ka.sort_indices()
             half = drop_noise(xi[own] @ xt)             # G's rows, as ``gram`` forms them
             half.sort_indices()
-            g = _arrays(half)
-            ka = _merged(csr_plus_csr, _arrays(ka), (*g[:2], 2.0 * g[2]), n)
-            ptr, col, val = _merged(csr_plus_csr, ka, _swapped_pairs(g, dm), n)
+            g = arrays(half)
+            ka = merged(csr_plus_csr, arrays(ka), (*g[:2], 2.0 * g[2]), n)
+            rest = merged(csr_plus_csr, ka, _swapped_pairs(g, dm), n)
             del ka, g
-            val[(val > -ZERO_DROP) & (val < ZERO_DROP)] = 0.0   # drop_noise, with no |val| copy
-            csr_eliminate_zeros(len(ptr) - 1, n, ptr, col, val)
-            slab = sp.csr_matrix((val[:ptr[-1]].copy(), col[:ptr[-1]].copy(), ptr), shape=half.shape)
-            del col, val
+            slab = matrix(dropped(rest, n), half.shape)
+            del rest
             yield a0, slab, half
             del slab, half
 
@@ -307,9 +279,9 @@ class Curvature:
         for a0, slab, half in self.slabs():
             own = slice(a0 * dm, a0 * dm + slab.shape[0])
             pair = 0.0 if not e.nnz else _max_abs(     # D's rows, E X[swap]^T - X E^T
-                _swapped_pairs(_arrays(e[own] @ xi[swap].T - xi[own] @ e.T), dm)[2])
-            bianchi, antisymmetry = _symmetries(_arrays(slab), dm)
-            defect = _j_checks(_arrays(slab), _arrays(half), a0, dm, jj, ric, ric_star)
+                _swapped_pairs(arrays(e[own] @ xi[swap].T - xi[own] @ e.T), dm)[2])
+            bianchi, antisymmetry = _symmetries(arrays(slab), dm)
+            defect = _j_checks(arrays(slab), arrays(half), a0, dm, jj, ric, ric_star)
             worst.append([bianchi, pair, antisymmetry, defect])
             del slab, half
         keys = ("bianchi", "pair_symmetry", "antisymmetry", "curvature_J_defect")
@@ -322,13 +294,35 @@ class Curvature:
 
     @cached_property
     def r(self) -> np.ndarray:
-        dm = self.dm
-        x = self.space.tensors()[0].tocoo()
-        (a, i), j = _split(x.row, dm), x.col
-        shape = (dm, dm * dm)
-        p = sp.csr_matrix((x.data, (a, i * dm + j)), shape=shape)   # [a, (i,j)] = xi[a,i,j]
-        q = sp.csr_matrix((x.data, (a, j * dm + i)), shape=shape)   # [b, (i,j)] = xi[b,j,i]
-        return _read_only(-4.0 * (p @ q.T).toarray())
+        dm, (ptr, col, val) = self.dm, arrays(self.space.tensors()[0])
+        (a, i), j, n = split(entry_rows(ptr), dm), col, dm * dm
+        p = canonical(coo_rows(a, i * dm + j, val, (dm, n)), n)   # [a, (i,j)] = xi[a,i,j]
+        q = canonical(coo_rows(a, j * dm + i, val, (dm, n)), n)   # [b, (i,j)] = xi[b,j,i]
+        return _read_only(-4.0 * matrix(product(p, transpose(q, n), dm), (dm, dm)).toarray())
+
+    @cached_property
+    def min_connection(self) -> tuple[float, float]:
+        """(residual, max |G[(h, u), (v1, v2)]|), h horizontal, v1, v2 vertical: the
+        minimal-connection identity K K^T + 4G + 4G[c,b,d,a] - 4G[d,b,c,a], per block of
+        horizontal a (``row_weight``); K's and X's rows (a, b) against their rows (c, d) of
+        V x V give K K^T + 4G (G's block is the special-torsion suite's xi_H xi_V V), and
+        B[(p,a),(q,b)] = G[p,a,q,b] gives 4B at [(a,b),(q,p)] and -4B at [(a,b),(p,q)]."""
+        vert, horiz = _vertical_split(self.space)
+        dm, nv, (x, kc) = self.dm, len(vert), self.space.tensors()
+        vv, vm, n = _pairs(vert, vert, dm), _pairs(vert, np.arange(dm), dm), nv * nv
+        kv, worst, most = transpose(arrays(kc[vv]), kc.shape[1]), 0.0, 0.0
+        for h0, h1 in slab_cuts(self.row_weight[horiz]):
+            a = horiz[h0:h1]
+            rows = _pairs(a, np.arange(dm), dm)
+            g = gram(x, rows, vv)
+            most = max(most, _max_abs(g[2]))
+            slab = merged(csr_plus_csr, product(arrays(kc[rows]), kv, n), (*g[:2], 4.0 * g[2]), n)
+            blk = gram(x, _pairs(vert, a, dm), vm)
+            (p, i), (q, b) = split(entry_rows(blk[0]), len(a)), split(blk[1], dm)
+            pair = canonical(coo_rows(np.tile(i * dm + b, 2), np.concatenate([q * nv + p, p * nv + q]),
+                                      np.concatenate([4.0 * blk[2], -4.0 * blk[2]]), (len(rows), n)), n)
+            worst = max(worst, _max_abs(merged(csr_plus_csr, slab, pair, n)[2]))
+        return worst, most
 
 
 def curvature(space: OrderThreeSymmetricSpace) -> Curvature:
@@ -372,9 +366,8 @@ def verify_structure_identities(space, tol=1e-9) -> dict[str, float]:
     inv = np.argsort(perm)                              # pi^-1 (pi is a bijection)
     x, kc = space.tensors()
     dm = space.dim_m
-    nz, kz = x.tocoo(), kc.tocoo()
-    (a, b), k = _split(nz.row.astype(np.int64), dm), nz.col
-    (c, d), s = _split(kz.row.astype(np.int64), dm), kz.col
+    (a, b), k, xval = split(entry_rows(x.indptr).astype(np.int64), dm), x.indices, x.data
+    (c, d), s, kval = split(entry_rows(kc.indptr).astype(np.int64), dm), kc.indices, kc.data
     key = lambda p, q, r, width=dm: (p * dm + q) * width + r   # of the entry [(p, q), r]
 
     def worst(*parts) -> float:
@@ -387,16 +380,16 @@ def verify_structure_identities(space, tol=1e-9) -> dict[str, float]:
     res["J_squared"] = float(np.where(perm[perm] == np.arange(dm), np.abs(square + 1.0),
                                       np.maximum(np.abs(square), 1.0)).max())
     res["J_isometry"] = _max_abs(np.bincount(perm, sign * sign, dm) - 1.0)
-    res["xi_XX"] = _max_abs(nz.data[a == b])
+    res["xi_XX"] = _max_abs(xval[a == b])
     # rows (i, p) of xi_i J + J xi_i
-    res["xi_J_anticommute"] = worst((key(a, b, perm[k]), nz.data * sign[k]),
-                                    (key(a, inv[b], k), sign[inv[b]] * nz.data))
+    res["xi_J_anticommute"] = worst((key(a, b, perm[k]), xval * sign[k]),
+                                    (key(a, inv[b], k), sign[inv[b]] * xval))
     # xi[a,b,k] + xi[b,a,k] and xi[a,b,k] + xi[a,k,b] over every index triple
-    xi = (key(a, b, k), nz.data)
-    res["xi_totally_skew"] = max(worst(xi, (key(b, a, k), nz.data)), worst(xi, (key(a, k, b), nz.data)))
-    res["bracket_JJ_k"] = worst((key(perm[c], perm[d], s, kc.shape[1]), (sign[c] * sign[d]) * kz.data),
-                                (key(c, d, s, kc.shape[1]), -kz.data))
-    mm = -2.0 * nz.data  # m-part of the bracket: kron(J^T, I) mm + mm J^T
+    xi = (key(a, b, k), xval)
+    res["xi_totally_skew"] = max(worst(xi, (key(b, a, k), xval)), worst(xi, (key(a, k, b), xval)))
+    res["bracket_JJ_k"] = worst((key(perm[c], perm[d], s, kc.shape[1]), (sign[c] * sign[d]) * kval),
+                                (key(c, d, s, kc.shape[1]), -kval))
+    mm = -2.0 * xval  # m-part of the bracket: kron(J^T, I) mm + mm J^T
     res["bracket_J_m"] = worst((key(perm[a], b, k), sign[a] * mm), (key(a, b, inv[k]), mm * sign[inv[k]]))
     return res
 
@@ -444,38 +437,12 @@ def verify_min_connection_identity(space, tol=1e-9, seed=0) -> float:
 
     For X horizontal, U arbitrary and V1, V2 vertical:
     R^min(X,U,V1,V2) = 4(<[xi_V1, xi_V2]X, U> - <xi_X U, xi_V1 V2>),
-    checked on every basis tuple (x, u, v1, v2).  With (a, b, c, d) =
-    (x, u, v1, v2) and xi_v e_j = -xi_j e_v, the residual is
-    K K^T + 4G + 4G[c,b,d,a] - 4G[d,b,c,a], read on horizontal a and vertical
-    c and d; G is symmetric, so the last two are read as G[d,a,c,b] and
-    G[c,a,d,b], off rows of G rather than of a transposed copy.
-
-    Per block of horizontal a (``slab_cuts`` on ``Curvature.row_weight``),
-    the rows (a, b) of K K^T + 4G are Gram blocks, K's and X's rows (a, b)
-    against their rows (c, d) of V x V, and the block B[(p,a),(q,b)] =
-    G[p,a,q,b], p and q vertical, gives both other terms: 4B at [(a,b),(q,p)]
-    and -4B at [(a,b),(p,q)].  Both blocks of G are formed from X's rows
-    (``gram``).  Only defined on special-algebraic-torsion splittings.
-    Returns the worst residual.  ``tol`` and ``seed`` are unused; they stay
-    until ``bench/workloads.py`` stops passing them.
+    checked on every basis tuple (``Curvature.min_connection``).  Only
+    defined on special-algebraic-torsion splittings.  Returns the worst
+    residual.  ``tol`` and ``seed`` are unused; they stay until
+    ``bench/workloads.py`` stops passing them.
     """
-    vert, horiz = _vertical_split(space)
-    cv, dm, nv = curvature(space), space.dim_m, len(vert)
-    x, kc = space.tensors()
-    vv, vm = _pairs(vert, vert, dm), _pairs(vert, np.arange(dm), dm)
-    kv, worst = kc[vv].T.tocsr(), 0.0
-    for h0, h1 in slab_cuts(cv.row_weight[horiz]):
-        a = horiz[h0:h1]
-        rows = _pairs(a, np.arange(dm), dm)
-        slab = kc[rows] @ kv + 4.0 * gram(x, rows, vv)
-        blk = gram(x, _pairs(vert, a, dm), vm)
-        (p, i), (q, b) = _split(_entry_rows(blk.indptr), len(a)), _split(blk.indices, dm)
-        row = np.tile(i * dm + b, 2)
-        col = np.concatenate([q * nv + p, p * nv + q])
-        pair = sp.coo_matrix((np.concatenate([4.0 * blk.data, -4.0 * blk.data]), (row, col)),
-                             shape=slab.shape).tocsr()
-        worst = max(worst, _max_abs(slab + pair))
-    return worst
+    return curvature(space).min_connection[0]
 
 
 def verify_sat_identities(space, tol=1e-9, seed=0) -> dict[str, float]:
@@ -483,48 +450,49 @@ def verify_sat_identities(space, tol=1e-9, seed=0) -> dict[str, float]:
 
     The double-torsion containments xi_V xi_H H = 0 and xi_H xi_V V = 0 are
     the blocks G[(u,p),(x1,x2)] with u in one of V, H and x1, x2 in the other,
-    and only those blocks are formed, from X's rows (``gram``); the frame
-    traces 8 sum_{i in V} G[a,i,b,i] and 8 sum_{i in H} G[a,i,b,i] must both
-    equal the torsion trace r on the horizontals.  Each is read off X as
-    8 P P^T, P[a, (i, k)] = X[(a, i), k] with a horizontal and i in the frame,
-    so only X's rows (a, i) are gathered.  Every index is checked.  The
-    exact trace balance of the layers raises ``IdentityViolation``.  ``tol``
-    and ``seed`` are unused; they stay until ``bench/workloads.py`` stops
-    passing them.
+    formed from X's rows (``gram``), the second in the minimal-connection
+    loop (``Curvature.min_connection``); the frame traces
+    8 sum_{i in V} G[a,i,b,i] and 8 sum_{i in H} G[a,i,b,i] must both equal
+    the torsion trace r on the horizontals.  Each is read off X as 8 P P^T,
+    P[a, (i, k)] = X[(a, i), k] with a horizontal and i in the frame, so only
+    X's rows (a, i) are gathered.  Every index is checked.  The exact trace
+    balance of the layers raises ``IdentityViolation``.  ``tol`` and ``seed``
+    are unused; they stay until ``bench/workloads.py`` stops passing them.
     """
     vert, horiz = _vertical_split(space)
     x, dm = space.tensors()[0], space.dim_m
     lam = build_report(space).eig_by_layer("r")
-    res: dict[str, float] = {}
+    (row_a, row_b), res = split(entry_rows(x.indptr), dm), {}
+    member = lambda idx: np.isin(np.arange(dm), np.asarray(idx))
 
-    def block_max(mat, first, second, out):
-        """max |mat[(p, q), k]| over p in first, q in second, k in out."""
-        return _max_abs(mat[_pairs(first, second, dm)][:, np.asarray(out)])
+    def block_max(first, second, out):
+        """max |X[(p, q), k]| over p in first, q in second, k in out."""
+        return _max_abs(x.data[member(first)[row_a] & member(second)[row_b] & member(out)[x.indices]])
 
     if space.type_label == "A3III":
         v, h = space.layers["V"], space.layers["H"]
-        res["xi_VV"] = block_max(x, v, v, range(dm))
-        res["xi_HH_in_V"] = block_max(x, h, h, h)
-        res["xi_VH_in_H"] = block_max(x, v, h, v)
+        res["xi_VV"] = block_max(v, v, range(dm))
+        res["xi_HH_in_V"] = block_max(h, h, h)
+        res["xi_VH_in_H"] = block_max(v, h, v)
         if 2 * lam["V"] * len(v) != lam["H"] * len(h):
             raise IdentityViolation("vertical/horizontal trace balance fails")
     else:
         v1, v2, v3 = space.layers["V1"], space.layers["V2"], space.layers["V3"]
-        res["xi_VkVk"] = max(block_max(x, a, a, range(dm)) for a in (v1, v2, v3))
-        res["xi_V1V2_in_V3"] = block_max(x, v1, v2, v1 + v2)
+        res["xi_VkVk"] = max(block_max(a, a, range(dm)) for a in (v1, v2, v3))
+        res["xi_V1V2_in_V3"] = block_max(v1, v2, v1 + v2)
         if not (lam["V1"] * len(v1) == lam["V2"] * len(v2) == lam["V3"] * len(v3)):
             raise IdentityViolation("three-layer trace balance fails")
     res["balance"] = 0.0
 
     # double-torsion containments and the frame-trace identity on horizontals
-    everything = range(dm)
-    res["xi_V_xi_HH"] = _max_abs(gram(x, _pairs(vert, everything, dm), _pairs(horiz, horiz, dm)))
-    res["xi_H_xi_VV"] = _max_abs(gram(x, _pairs(horiz, everything, dm), _pairs(vert, vert, dm)))
-    sub = tensor_r(space)[np.ix_(horiz, horiz)]
+    res["xi_V_xi_HH"] = _max_abs(gram(x, _pairs(vert, range(dm), dm), _pairs(horiz, horiz, dm))[2])
+    res["xi_H_xi_VV"] = curvature(space).min_connection[1]
+    sub, nh = tensor_r(space)[np.ix_(horiz, horiz)], len(horiz)
     for name, frame in (("vertical", vert), ("horizontal", horiz)):
-        # P[a, (i, k)] = X[(a, i), k] for a horizontal and i in the frame
-        p = x[_pairs(horiz, frame, dm)].reshape((len(horiz), len(frame) * dm)).tocsr()
-        traced = 8.0 * (p @ p.T).toarray()
+        nf = len(frame)                             # P's rows: X's rows (a, i), nf at a time
+        ptr, col, val = arrays(x[_pairs(horiz, frame, dm)])
+        p = canonical((ptr[::nf].copy(), entry_rows(ptr) % nf * dm + col, val), nf * dm)
+        traced = 8.0 * matrix(product(p, transpose(p, nf * dm), nh), (nh, nh)).toarray()
         res[f"trace_identity_{name}_frame"] = float(np.abs(traced - sub).max())
     return res
 

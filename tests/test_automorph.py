@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nk_triad import automorph, cli, tables
+from nk_triad import automorph, cli, csr, tables
 from nk_triad.automorph import (
     TrialityInconsistent,
     classify_type,
@@ -371,8 +371,7 @@ def test_coarsest_blocking_gives_the_same_commutant(name):
     torus-weight blocks, which the torus check keeps, each half invariant."""
     sp = COMMUTANT_SPACES[name]()
     dm = sp.dim_m
-    ak = sp.tensors()[1].T.reshape((sp.dim_k * dm, dm)).tocsr()
-    assert automorph._checked_blocks(sp, ak) is sp.weight_block
+    assert automorph._checked_blocks(sp, automorph._ad_k_blocks(sp)) is sp.weight_block
     fine, fine_halves = len(commutant_basis(sp)), invariant_halves(sp)
     sp.weight_block = np.full(sp.dim_m, -1)
     assert len(commutant_basis(sp)) == fine
@@ -603,7 +602,7 @@ def test_tensors_are_sparse_memoised_and_noise_free():
         first = space.tensors()
         assert space.tensors() is first
         cv, dm = curvature(space), space.dim_m
-        rows = gram(first[0], np.arange(dm), np.arange(dm * dm))
+        rows = csr.matrix(gram(first[0], np.arange(dm), np.arange(dm * dm)), (dm, dm * dm))
         for t in first + (cv.j, rows, *(slab for _, slab, _ in cv.slabs())):
             assert t.format == "csr" and np.abs(t.data).min() >= ZERO_DROP
 

@@ -3,6 +3,7 @@ and its exact path (root systems, structure constants, the exact report,
 fibrations, tables and the command line) loads no scipy and no float module."""
 
 import ast
+import importlib.util
 import inspect
 import json
 import os
@@ -18,7 +19,7 @@ from nk_triad.cli import main
 SRC = Path(__file__).resolve().parents[1] / "src" / "nk_triad"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "scipy", "nk_triad"}
 EXACT = ("__init__", "rootsys", "chevalley", "exact", "fibration", "tables", "cli")
-FLOAT = ("compactform", "automorph", "nk_analyzer")
+FLOAT = ("csr", "compactform", "automorph", "nk_analyzer")
 
 
 def foreign_imports(source: str) -> list[str]:
@@ -122,14 +123,59 @@ def private_scipy_imports(source: str) -> list[str]:
     return found
 
 
-def test_only_nk_analyzer_imports_a_private_scipy_module():
-    """The package reaches into scipy at one place: ``nk_analyzer`` calls the
-    compiled kernels of ``scipy.sparse._sparsetools`` on CSR arrays, and
-    ``tests/test_sparse_kernels.py`` pins each against its public operation."""
+def test_only_the_csr_helpers_import_a_private_scipy_module():
+    """The package reaches into scipy at one place: ``csr`` calls the
+    compiled kernels of ``scipy.sparse._sparsetools`` on CSR arrays for every
+    float stage, and ``tests/test_sparse_kernels.py`` pins each against its
+    public operation."""
     found = {path.stem: private_scipy_imports(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     assert {name: bad for name, bad in found.items() if bad} == {
-        "nk_analyzer": ["scipy.sparse._sparsetools"]}
+        "csr": ["scipy.sparse._sparsetools"]}
+
+
+def scipy_packages(source: str) -> list[str]:
+    """The deepest scipy package on each scipy import path of ``source``, in
+    order: ``scipy.sparse`` for ``from scipy.sparse import csr_matrix`` and
+    for the kernel module ``scipy.sparse._sparsetools``, and
+    ``scipy.sparse.csgraph`` for ``from scipy.sparse import csgraph``.  The
+    packages are found, not imported (``importlib.util.find_spec``)."""
+    paths = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            paths += [f"{node.module}.{alias.name}" for alias in node.names]
+    found = []
+    for parts in (path.split(".") for path in paths if path.split(".")[0] == "scipy"):
+        deepest = "scipy"
+        for n in range(2, len(parts) + 1):
+            spec = importlib.util.find_spec(".".join(parts[:n]))
+            if spec is None or spec.submodule_search_locations is None:
+                break
+            deepest = ".".join(parts[:n])
+        found.append(deepest)
+    return found
+
+
+def test_the_package_imports_no_scipy_subpackage_but_sparse():
+    """The float modules reach scipy through ``scipy.sparse`` alone, and no
+    module imports another subpackage: not ``scipy.sparse.csgraph`` (25 ms to
+    import warm and 0.49 s cold on a 2-core VM, which would land in a run's
+    set-up or pass), not ``scipy.linalg``."""
+    found = {path.stem: scipy_packages(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: bad for name, bad in found.items() if set(bad) - {"scipy.sparse"}} == {}
+    assert {name for name, packages in found.items() if packages} == set(FLOAT)
+
+
+def test_a_scipy_subpackage_import_is_named():
+    source = ("import scipy.sparse as sp, scipy\nfrom scipy.sparse import csr_matrix, csgraph\n"
+              "from scipy.sparse._sparsetools import expandptr\nfrom scipy import linalg\n"
+              "from numpy import linalg as la\n\ndef f():\n"
+              "    from scipy.sparse.csgraph import connected_components\n")
+    assert scipy_packages(source) == ["scipy.sparse", "scipy", "scipy.sparse", "scipy.sparse.csgraph",
+                                      "scipy.sparse", "scipy.linalg", "scipy.sparse.csgraph"]
 
 
 def test_a_private_scipy_import_is_named():

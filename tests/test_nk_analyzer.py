@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.sparse import _compressed as scipy_compressed
+from scipy.sparse import _coo as scipy_coo
 from scipy.sparse import csr_matrix
 from scipy.sparse._sparsetools import csr_plus_csr
 
-from nk_triad import automorph, cli, compactform, exact, nk_analyzer, tables
+from nk_triad import automorph, cli, compactform, csr, exact, nk_analyzer, tables
 from nk_triad.automorph import realize_cyclic_c3, realize_triality_d4
 from nk_triad.exact import (
     FixedVectorInM,
@@ -249,10 +250,11 @@ def test_min_connection_reads_no_row_outside_its_layers(monkeypatch):
     of G the suite forms, leaves the residual bit-identical: every term reads
     G's rows with a horizontal slot (a, or (d, a) and (c, a)), so no block
     holds that row, although K K^T + 4G reads the column (v, v') on other
-    rows.  The row is otherwise empty (xi_v v' = 0 on type IV)."""
+    rows.  The row is otherwise empty (xi_v v' = 0 on type IV).  The suite
+    is memoised on the space, so the unshifted run reads a second realization."""
     sp = realize("e", 7, "A3III", (2,))
     dm = sp.dim_m
-    before = verify_min_connection_identity(sp)
+    before = verify_min_connection_identity(realize("e", 7, "A3III", (2,)))
     v0, v1 = sp.layers["V"][:2]
     at = v0 * dm + v1
     assert sp.tensors()[0][at].nnz == 0                 # so G's row (v, v') is empty
@@ -263,7 +265,9 @@ def test_min_connection_reads_no_row_outside_its_layers(monkeypatch):
         i, j = np.flatnonzero(rows == at), np.flatnonzero(cols == at)
         formed.append(j.size)
         if i.size and j.size:
-            blk = blk + csr_matrix(([1.0], ([i[0]], [j[0]])), shape=blk.shape)
+            shape = (len(rows), len(cols))
+            one = csr_matrix(([1.0], ([i[0]], [j[0]])), shape=shape)
+            blk = csr.arrays(csr.matrix(blk, shape) + one)
         return blk
 
     monkeypatch.setattr(nk_analyzer, "gram", shifted)
@@ -507,8 +511,8 @@ def test_a_sign_flipped_g_term_fails_bianchi_and_antisymmetry(monkeypatch):
     2/3 on f4 cyclic and 4/3 on g2 node 1."""
     def flipped(rows, dm):
         once = nk_analyzer._moved(rows, dm, "zxy", rows[2])
-        return nk_analyzer._merged(csr_plus_csr, nk_analyzer._moved(rows, dm, "yxz", rows[2]),
-                                   nk_analyzer._moved(once, dm, "zxy", once[2]), dm * dm)
+        return csr.merged(csr_plus_csr, nk_analyzer._moved(rows, dm, "yxz", rows[2]),
+                          nk_analyzer._moved(once, dm, "zxy", once[2]), dm * dm)
 
     monkeypatch.setattr(nk_analyzer, "_swapped_pairs", flipped)
     for space, want in ((realize("g", 2, "A3III", (2,)), 1.0), (realize("b", 3, "A3III", (2,)), 1.0),
@@ -568,19 +572,19 @@ def test_moves_match_a_lexsort_reference():
         for _, slab, half in curvature(space).slabs():
             for rows in (slab, half):
                 for to in ("xyz", "xzy", "yxz", "yzx", "zxy", "zyx"):
-                    moved = _csr(nk_analyzer._moved(nk_analyzer._arrays(rows), dm, to, rows.data), rows.shape)
+                    moved = _csr(nk_analyzer._moved(csr.arrays(rows), dm, to, rows.data), rows.shape)
                     if to not in ("xyz", "yxz", "zxy"):
                         moved.sort_indices()
                     assert _canonical(moved), (space.name, to)
                     assert _same_bytes(moved, _lexsort_moved(rows, dm, to, rows.data)), (space.name, to)
-            pairs = _csr(nk_analyzer._swapped_pairs(nk_analyzer._arrays(half), dm), half.shape)
+            pairs = _csr(nk_analyzer._swapped_pairs(csr.arrays(half), dm), half.shape)
             want = _lexsort_moved(half, dm, "yxz", -half.data) + _lexsort_moved(half, dm, "yzx", half.data)
             assert _canonical(pairs) and _same_bytes(pairs, want), space.name
             bianchi = slab + _lexsort_moved(slab, dm, "zxy", slab.data) \
                 + _lexsort_moved(slab, dm, "yzx", slab.data)
             last = slab + _lexsort_moved(slab, dm, "xzy", slab.data)
             want = (float(abs(bianchi.data).max(initial=0.0)), float(abs(last.data).max(initial=0.0)))
-            assert nk_analyzer._symmetries(nk_analyzer._arrays(slab), dm) == want, space.name
+            assert nk_analyzer._symmetries(csr.arrays(slab), dm) == want, space.name
 
 
 def test_the_build_sorts_three_operators_per_slab(monkeypatch):
@@ -627,6 +631,46 @@ def test_the_build_forms_a_few_scipy_matrices_per_slab(make, slabs, monkeypatch)
     monkeypatch.setattr(scipy_compressed._cs_matrix, "__init__", counted)
     cv.identities
     assert len(formed) <= 8 * slabs + 8, len(formed)
+
+
+@pytest.mark.parametrize("algebra, make, bound", [
+    (("g", 2), lambda: realize("g", 2, "A3IV", (1,)), 28),
+    (("a", 2), lambda: realize_cyclic_c3(cached_algebra("a", 2)), 31),
+    (("d", 4), lambda: realize_triality_d4(cached_algebra("d", 4)), 50),
+    (("b", 5), lambda: realize("b", 5, "A3III", (4,)), 38),
+], ids=["g2-node-1", "a2-cyclic", "triality", "b5-node-4"])
+def test_a_space_forms_few_scipy_matrices_outside_the_build(algebra, make, bound, monkeypatch):
+    """Realizing a space and running ``verify_space`` on it, outside R's build
+    (``Curvature._build``, bounded per slab above), forms at most a quarter of
+    the scipy matrices, compressed or COO, that scipy's operators formed there:
+    112 on g2 node 1, 124 on a2 cyclic, 203 on the triality and 153 on b5
+    node 4.  The float stages run scipy's kernels on CSR arrays (``csr``); the
+    matrices left are chiefly what they return (sigma, the frames, X, K, J)."""
+    cached_algebra(*algebra)
+    formed, counting = [], [True]
+
+    def counter(real):
+        def counted(self, *args, **kwargs):
+            if counting[0]:
+                formed.append(type(self).__name__)
+            return real(self, *args, **kwargs)
+        return counted
+
+    build = Curvature.__dict__["_build"]
+    real_build = build.func
+
+    def uncounted(self):
+        counting[0] = False
+        try:
+            return real_build(self)
+        finally:
+            counting[0] = True
+
+    for cls in (scipy_compressed._cs_matrix, scipy_coo._coo_base):
+        monkeypatch.setattr(cls, "__init__", counter(cls.__init__))
+    monkeypatch.setattr(build, "func", uncounted)
+    verify_space(make())
+    assert len(formed) <= bound, formed
 
 
 def test_j_outside_a_signed_permutation_basis_raises():
@@ -777,8 +821,8 @@ def test_every_blocked_loop_takes_the_entry_budget(monkeypatch):
         monkeypatch.setattr(module, "slab_cuts", spy)
     monkeypatch.setattr(compactform, "SLAB_ENTRIES", 1 << 10)
     assert outputs() == want
-    assert sorted(runs) == ["_commutator_gram", "_jacobi_worst", "_symmetries", "slabs",
-                            "verify_min_connection_identity"]
+    assert sorted(runs) == ["_commutator_gram", "_jacobi_worst", "_symmetries", "min_connection",
+                            "slabs"]
     assert max(runs.pop("_symmetries")) > 1, runs
     assert all(min(counts) > 1 for counts in runs.values()), runs
 
