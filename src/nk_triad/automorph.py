@@ -24,8 +24,8 @@ import scipy.sparse as sp
 
 from .chevalley import ChevalleyData
 from .compactform import CompactAlgebra, adjoint_action_exp, slab_cuts
-from .csr import (arrays, canonical, coo_rows, csr_minus_csr, csr_plus_csr, dropped, entry_rows,
-                  matrix, merged, product, split, transpose)
+from .csr import (arrays, canonical, coo_rows, csr_minus_csr, csr_plus_csr, csr_todense, dropped,
+                  entry_rows, matrix, merged, product, sliced, split, transpose)
 from .rootsys import (NK_TYPE, TRIALITY_NAME, ClassificationMismatch, InnerClass, NotOrderThree,
                       VerificationFailure)
 
@@ -166,10 +166,11 @@ def realize_inner(ca: CompactAlgebra, spec: InnerClass, name: str = "") -> Order
     layers = {lbl: (2 * np.searchsorted(m_roots, roots)[:, None] + pair).ravel().tolist()
               for lbl, roots in layer_roots.items()}
     planes = lambda roots: ca.u_index(roots[:, None], pair).ravel()
-    eye = sp.identity(ca.dim, format="csc")
+    cols = lambda at: matrix(coo_rows(at, np.arange(at.size), np.ones(at.size), (ca.dim, at.size)),
+                             (ca.dim, at.size))                  # basis vectors ``at`` as columns
     space = OrderThreeSymmetricSpace(
         ca, spec.kind, adjoint_action_exp(ca, *spec.levels(rs)),
-        eye[:, np.r_[:rs.rank, planes(k_roots)]], eye[:, planes(m_roots)], h_spec=spec,
+        cols(np.r_[:rs.rank, planes(k_roots)]), cols(planes(m_roots)), h_spec=spec,
         layers=layers, name=name or f"{rs.type_label} {spec.describe()}",
         weight_block=np.arange(2 * len(m_roots)) // 2, torus=rs.rank,
     )
@@ -408,23 +409,25 @@ def _commutator_gram(ak: tuple, dm: int, frame) -> np.ndarray:
     of ``ak`` (K^T stacked as (dk dm, dm)) and the frame operators S_k.  As A_s
     is antisymmetric, [A_s, S_k] = A_s S_k + (A_s S_k^T)^T: one sparse product
     of a slab of generators, cut by ``slab_cuts``, with the frame laid out as
-    [p, (q, k)] and [q, (p, k)] side by side; the commutators are stacked, one
-    row per entry (s, i, j) they reach, and summed into G slab by slab."""
+    [p, (q, k)] and [q, (p, k)] side by side, no run under its width; the
+    commutators are stacked, one row per entry (s, i, j) they reach, and each
+    slab's Gram is added into G in place."""
     p, q, coord, value = frame
-    (ptr, col, val), nc = ak, int(coord.max()) + 1
+    (ptr, col, _), nc = ak, int(coord.max()) + 1
     dk, width = (len(ptr) - 1) // dm, 2 * dm * nc
     both = canonical(coo_rows(np.r_[p, q], np.r_[q * nc, (dm + p) * nc] + np.tile(coord, 2),
                               np.tile(value, 2), (dm, width)), width)
     gen = entry_rows(ptr) // dm
     gram = np.zeros((nc, nc))
-    for s0, s1 in slab_cuts(np.bincount(gen, np.diff(both[0])[col], minlength=dk)):
-        lo, hi = ptr[s0 * dm], ptr[s1 * dm]
-        t = product((ptr[s0 * dm:s1 * dm + 1] - lo, col[lo:hi], val[lo:hi]), both, width)
-        (s, i), (half, j), k = split(entry_rows(t[0]), dm), split(t[1] // nc, dm), t[1] % nc
-        entry = np.where(half, j * dm + i, i * dm + j)  # (i, j) of A_s S_k, (j, i) of -S_k A_s
-        _, rows = np.unique(s * dm * dm + entry, return_inverse=True)
-        stack = canonical(coo_rows(rows, k, t[2], (rows.max(initial=-1) + 1, nc)), nc)
-        gram += matrix(product(transpose(stack, nc), stack, nc), (nc, nc)).toarray()
+    for s0, s1 in slab_cuts(np.bincount(gen, np.diff(both[0])[col], minlength=dk), width):
+        t = product(sliced(ak, s0 * dm, s1 * dm), both, width)
+        (s, i), (half, j) = split(entry_rows(t[0]), dm), split(t[1] // nc, dm)
+        key = s * dm * dm + np.where(half, j * dm + i, i * dm + j)  # (s, i, j), (s, j, i) on -S_k A_s
+        del s, i, half, j                               # freed before the sort: it sets the peak
+        rows = np.unique(key, return_inverse=True)[1]
+        stack = canonical(coo_rows(rows, t[1] % nc, t[2], (rows.max(initial=-1) + 1, nc)), nc)
+        del t, rows, key
+        csr_todense(nc, nc, *product(transpose(stack, nc), stack, nc), gram)   # adds into G
     return gram
 
 

@@ -34,8 +34,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .chevalley import ChevalleyData
-from .csr import (ZERO_DROP, arrays, canonical, coo_rows, csr_plus_csr, dropped, entry_rows, matrix,
-                  merged, split)
+from .csr import (ZERO_DROP, arrays, canonical, coo_rows, csr_plus_csr, dropped, entry_rows,
+                  gathered, matrix, merged, product, sliced, split)
 from .rootsys import NotOrderThree, VerificationFailure
 
 DUAL_COXETER = {
@@ -49,24 +49,18 @@ DUAL_COXETER = {
 }
 
 
-SLAB_ENTRIES = 1 << 18    # sparse entries gathered per slab of a blocked sum or product
+SLAB_ENTRIES = 1 << 16    # sparse entries gathered per slab of a blocked sum or product
 GENERATION_COND = 1e8     # a certificate block past this condition number is singular
 
 
-def drop_noise(mat: sp.csr_matrix) -> sp.csr_matrix:
-    """``mat`` with its entries below ``ZERO_DROP`` removed, in place."""
-    mat.data[np.abs(mat.data) < ZERO_DROP] = 0.0
-    mat.eliminate_zeros()
-    return mat
-
-
-def slab_cuts(weight) -> list[tuple[int, int]]:
+def slab_cuts(weight, width: int = 0) -> list[tuple[int, int]]:
     """Runs [i0, i1) of a blocked loop over the indices of ``weight``, in order:
     n = ceil(sum / budget), cut where the weight before an index crosses a
-    multiple of sum / n, with the budget ``SLAB_ENTRIES`` read per call.
-    Trailing weightless indices join the last run."""
+    multiple of sum / n, with the budget ``SLAB_ENTRIES`` read per call, or
+    ``width``, the columns of the loop's product, if larger: each product call
+    sets up an accumulator that wide.  Trailing weightless indices join the last run."""
     weight = np.asarray(weight, dtype=float)
-    n = math.ceil(weight.sum() / SLAB_ENTRIES)
+    n = math.ceil(weight.sum() / max(SLAB_ENTRIES, width))
     if n <= 1:
         return [(0, len(weight))] if len(weight) else []
     cuts = np.flatnonzero(np.diff((np.cumsum(weight) - weight) * n // weight.sum())) + 1
@@ -261,7 +255,8 @@ class CompactAlgebra:
         sweep runs over slabs of consecutive j, cut by ``slab_cuts`` on the
         exact entry count of the slab's three sparse products: lhs, F(i, j, k)
         and F(j, i, k), the last two grouped into rows (i, j) by one counting
-        sort, so the residual is lhs + (F(i, j, k) - F(j, i, k)).
+        sort, so the residual is lhs + (F(i, j, k) - F(j, i, k)), each on CSR
+        arrays (``csr``) by the kernels and operands of scipy's operators.
         """
         self._certify_generation()
         d, c, gens = self.dim, self.C, self.generators
@@ -276,52 +271,55 @@ class CompactAlgebra:
         s = sp.csr_matrix((coo.data, (second, first * d + coo.col)), shape=(d, d * d))
         sg = sp.csr_matrix((coo.data[on], (second[on], place[first[on]] * d + coo.col[on])),
                            shape=(d, gens.size * d))
-        cg = c[(gens[:, None] * d + np.arange(d)).ravel()].tocoo()   # rows (g, k): [e_i, e_k]
+        cg = gathered(arrays(c), (gens[:, None] * d + np.arange(d)).ravel())  # [e_i, e_k] at (g, k)
         # entries per j: lhs reads row l of T at each entry of C[i, j, l]; F(i, j, k)
         # reads S[l, (j, .)], nnz C[j, l, :], at each entry of cg in column l;
         # F(j, i, k) reads row l of SG at each entry of C[j, k, l]
-        weight = np.bincount(cg.row % d, weights=np.bincount(first, minlength=d)[cg.col],
+        weight = np.bincount(entry_rows(cg[0]) % d, weights=np.bincount(first, minlength=d)[cg[1]],
                              minlength=d) \
-            + np.diff(c.indptr).reshape(d, d) @ np.bincount(cg.col, minlength=d) \
+            + np.diff(c.indptr).reshape(d, d) @ np.bincount(cg[1], minlength=d) \
             + np.bincount(first, weights=np.diff(sg.indptr)[coo.col], minlength=d)
-        cg = cg.tocsr()
+        s, t, sg = arrays(s), arrays(t), arrays(sg)
         worst, where, value = 0.0, 0, 0.0     # where: the triple (i, j, k) as (i d + j) d + k
 
         def keep_worst(res, i, j):
-            """Fold the largest entry of res, whose row r is the pair
+            """Fold the largest entry of res (CSR arrays), whose row r is the pair
             (i[r], j[r]), into (worst, where, value); ties keep the first triple."""
             nonlocal worst, where, value
-            mag = np.abs(res.data)
+            mag = np.abs(res[2])
             ranked = np.where(np.isnan(mag), np.inf, mag)
             top = ranked.max(initial=0.0)
             if top == 0.0 or top < worst:
                 return
             at = np.flatnonzero(ranked == top)   # columns are unsorted within a row
-            row = np.searchsorted(res.indptr, at, side="right") - 1
-            keys = (i[row] * d + j[row]) * d + res.indices[at] // d
+            row = np.searchsorted(res[0], at, side="right") - 1
+            keys = (i[row] * d + j[row]) * d + res[1][at] // d
             n = int(keys.argmin())
             if top > worst or keys[n] < where:
                 worst, where, value = float(top), int(keys[n]), float(mag[at[n]])
 
-        def terms(product, width, inner):
-            """(rows (g, j), columns (k, m), values) of F(i, j, k) from its
-            product [(g, k), (j, m)] if ``inner``, else of -F(j, i, k) from [(j, k), (g, m)]."""
-            f = product.tocoo()
-            (a, k), (b, m) = np.divmod(f.row, d), np.divmod(f.col, d)
-            return (a * width + b, k * d + m, f.data) if inner else \
-                (b * width + a, k * d + m, -f.data)
+        def terms(f, width, inner):
+            """(rows (g, j), columns (k, m), values) of F(i, j, k) from the CSR arrays of
+            its product [(g, k), (j, m)] if ``inner``, else of -F(j, i, k) from [(j, k), (g, m)]."""
+            (a, k), (b, m) = split(entry_rows(f[0]), d), split(f[1], d)
+            return (a * width + b, k * d + m, f[2]) if inner else \
+                (b * width + a, k * d + m, -f[2])
 
         for j0, j1 in slab_cuts(weight):
             width = j1 - j0
+            inside = (s[1] >= j0 * d) & (s[1] < j1 * d)   # S[:, (j, .)] of the slab
+            s_slab = (np.r_[0, np.cumsum(inside)][s[0]].astype(s[0].dtype), s[1][inside] - j0 * d,
+                      s[2][inside])
             # a row (g, j) holds F(i, j, k) before -F(j, i, k) at a column (k, m),
             # and sparse addition sums the two duplicates in that order
             shape = (gens.size * width, d * d)        # grouped by row in order: one counting pass
-            diff = matrix(coo_rows(*map(np.concatenate, zip(
-                terms(cg @ s[:, j0 * d:j1 * d], width, True),
-                terms(c[j0 * d:j1 * d] @ sg, width, False))), shape), shape)
-            rows = np.arange(gens.size * width)
-            keep_worst(c[(gens[:, None] * d + np.arange(j0, j1)).ravel()] @ t + diff,
-                       gens[rows // width], j0 + rows % width)
+            diff = coo_rows(*map(np.concatenate, zip(
+                terms(product(cg, s_slab, width * d), width, True),
+                terms(product(sliced(arrays(c), j0 * d, j1 * d), sg, gens.size * d), width, False))),
+                shape)
+            at = np.arange(gens.size * width)             # the slab's rows (g, j) of cg
+            lhs = product(gathered(cg, at // width * d + j0 + at % width), t, d * d)
+            keep_worst(merged(csr_plus_csr, lhs, diff, d * d), gens[at // width], j0 + at % width)
         return value, (where // (d * d), where // d % d, where % d)
 
     def jacobi_max_residual(self) -> float:

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import (coo_tocsr, csr_eliminate_zeros, csr_has_canonical_format,
                                        csr_has_sorted_indices, csr_matmat, csr_matmat_maxnnz,
                                        csr_minus_csr, csr_plus_csr, csr_sort_indices,
-                                       csr_sum_duplicates, csr_tocsc, expandptr)
+                                       csr_sum_duplicates, csr_tocsc, csr_todense, expandptr)
 
 ZERO_DROP = 1e-13         # entries below this are float noise on exact zeros
 
@@ -17,6 +17,22 @@ def arrays(mat: sp.csr_matrix) -> tuple:
 
 def matrix(csr, shape) -> sp.csr_matrix:
     return sp.csr_matrix(csr[::-1], shape=shape)
+
+
+def sliced(csr, r0: int, r1: int) -> tuple:
+    """Rows [r0, r1) of CSR arrays, as a row slice: views of the entries, rebased pointers."""
+    ptr, col, val = csr
+    lo, hi = ptr[r0], ptr[r1]
+    return ptr[r0:r1 + 1] - lo, col[lo:hi], val[lo:hi]
+
+
+def gathered(csr, at: np.ndarray) -> tuple:
+    """Rows ``at`` of CSR arrays in that order, entries in row order, as scipy's row indexing."""
+    ptr, col, val = csr
+    size = ptr[at + 1] - ptr[at]
+    out = np.r_[0, np.cumsum(size)].astype(ptr.dtype)
+    take = np.repeat(ptr[at] - out[:-1], size) + np.arange(out[-1])
+    return out, col[take], val[take]
 
 
 def entry_rows(ptr: np.ndarray) -> np.ndarray:
@@ -84,8 +100,9 @@ def merged(kernel, first, second, n: int) -> tuple:
 
 
 def dropped(csr, n: int) -> tuple:
-    """Entries below ``ZERO_DROP`` removed in place, as ``compactform.drop_noise`` does."""
+    """Entries below ``ZERO_DROP``, float noise on exact zeros, removed in place."""
     ptr, col, val = csr
     val[(val > -ZERO_DROP) & (val < ZERO_DROP)] = 0.0     # |val| < ZERO_DROP, with no |val| copy
     csr_eliminate_zeros(len(ptr) - 1, n, ptr, col, val)
     return _trimmed(ptr, col, val)
+

@@ -37,8 +37,8 @@ rows (a, i) for the frame traces.  J's identities are index relabellings of
 X and K.  Each identity is a maximum over all (a, b, c, d), or over the
 layers it names, and memory follows the nonzeros of a slab, never dm^4.
 The slabs' entries move between rows by stable counting passes that leave
-every row sorted (``_moved``).  J, r, the layer suites and R's build past a
-slab's two Gram products run scipy's kernels on CSR arrays (``csr``):
+every row sorted (``_moved``).  J, r, the layer suites and R's build run
+scipy's kernels on CSR arrays (``csr``), the Gram products of its slabs too:
 scipy's sums, bit for bit.  J, X, K and R's slabs are scipy CSR matrices.
 """
 
@@ -52,9 +52,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .automorph import OrderThreeSymmetricSpace, classify_type
-from .compactform import antisymmetry_max_residual, drop_noise, slab_cuts
+from .compactform import antisymmetry_max_residual, slab_cuts
 from .csr import (arrays, canonical, coo_rows, csr_minus_csr, csr_plus_csr, csr_sort_indices,
-                  dropped, entry_rows, matrix, merged, product, split, transpose)
+                  dropped, entry_rows, gathered, matrix, merged, product, sliced, split, transpose)
 from .exact import (FixedVectorInM, IdentityViolation, NKReport, constant_report, einstein_check,
                     inner_report, verify_prop_table_relations)
 # bound here only because bench/layers.py WRAPPED traces them as nk_analyzer.exact_*
@@ -110,8 +110,8 @@ def gram(x: sp.csr_matrix, rows, cols) -> tuple:
     """The block G[rows][:, cols] of G = X X^T as CSR arrays, formed from those rows of
     X alone, its noise dropped.  Each entry sums over k in the order of X's row, as a
     whole X X^T would, so the block holds G's entries bit for bit."""
-    return dropped(product(arrays(x[rows]), transpose(arrays(x[cols]), x.shape[1]), len(cols)),
-                   len(cols))
+    x, n = arrays(x), x.shape[1]
+    return dropped(product(gathered(x, rows), transpose(gathered(x, cols), n), len(cols)), len(cols))
 
 
 def _j_checks(slab, half, a0: int, dm: int, jj, ric, ric_star) -> float:
@@ -121,14 +121,16 @@ def _j_checks(slab, half, a0: int, dm: int, jj, ric, ric_star) -> float:
     s_c is a signed permutation (``canonical_J``), so is kron(J, J), ``jj`` =
     (pi c dm + pi d, s_c s_d) at (c, d), and R kron(J, J) is the slab with its
     columns so relabelled and signed.  Ric* is its trace over b = pi d, Ric
-    the slab's over b = d; each (a, c) of a trace takes terms from one slab alone."""
+    the slab's over b = d; each (a, c) of a trace takes terms from one slab
+    alone, so a slab adds to its own a's entries of the traces, no others."""
     (perm, sign), (ptr, col, val), n = jj, slab, dm * dm
+    own = slice(a0 * dm, a0 * dm + len(ptr) - 1)    # (a, c) of the slab's a: as many as its rows
     a, b = split(entry_rows(ptr), dm)
     jd, jcol = val * sign[col], perm[col]
     for trace, at, v in ((ric, col, val), (ric_star, jcol, jd)):
         c, d = split(at, dm)
         on = b == d                                 # the entries the trace reads
-        trace += np.bincount((a[on] + a0) * dm + c[on], v[on], n)
+        trace[own] += np.bincount(a[on] * dm + c[on], v[on], len(ptr) - 1)
         del c, d, on                                # freed before the next split or sum
     del a, b
     csr_sort_indices(len(ptr) - 1, ptr, jcol, jd)   # so the merge reads sorted rows, no dm^2 scratch
@@ -169,11 +171,9 @@ def _symmetries(slab, dm: int) -> tuple[float, float]:
     copies small.  Moving R[a,x,y,z] to [(a,z),(x,y)] once and twice gives
     both Bianchi terms, and the first of them moved by "yxz" is R[a,b,d,c]:
     every move comes out with its rows sorted, so none is sorted by comparison."""
-    (ptr, col, val), n = slab, dm * dm
-    bianchi = antisymmetry = 0.0
-    for b0, b1 in slab_cuts(3 * np.diff(ptr[::dm])):
-        lo, hi = ptr[b0 * dm], ptr[b1 * dm]
-        sub = ptr[b0 * dm:b1 * dm + 1] - lo, col[lo:hi], val[lo:hi]
+    n, bianchi, antisymmetry = dm * dm, 0.0, 0.0
+    for b0, b1 in slab_cuts(3 * np.diff(slab[0][::dm])):
+        sub = sliced(slab, b0 * dm, b1 * dm)
         once = _moved(sub, dm, "zxy", sub[2])
         last = merged(csr_plus_csr, sub, _moved(once, dm, "yxz", once[2]), n)[2]
         two, twice = merged(csr_plus_csr, sub, once, n), _moved(once, dm, "zxy", once[2])
@@ -232,27 +232,27 @@ class Curvature:
     def slabs(self) -> Iterator[tuple[int, sp.csr_matrix, sp.csr_matrix]]:
         """R's row slabs in order, each (a0, slab, half): the rows (a, b) of R
         and of G, both sorted, for a block of a from a0 (``slab_cuts`` on
-        ``row_weight``), a counted from a0.  G's rows are formed from X and
-        read as 2G, -G[a,c,b,d] and G[a,d,b,c] (``_swapped_pairs``); only
-        K K^T's and G's rows are sorted by comparison.  The slab, (K K^T + 2G)
-        + (-G[acbd] + G[adbc]), is summed by ``csr_plus_csr`` merges of sorted
-        rows and yielded as a scipy CSR matrix that owns its arrays."""
-        dm, (xi, kc) = self.dm, self.space.tensors()
-        xt, kt, n = xi.T.tocsr(), kc.T.tocsr(), dm * dm
-        for a0, a1 in slab_cuts(self.row_weight):
-            own = slice(a0 * dm, a1 * dm)
-            ka = kc[own] @ kt                           # R^min's rows
-            ka.sort_indices()
-            half = drop_noise(xi[own] @ xt)             # G's rows, as ``gram`` forms them
-            half.sort_indices()
-            g = arrays(half)
-            ka = merged(csr_plus_csr, arrays(ka), (*g[:2], 2.0 * g[2]), n)
+        ``row_weight``, no run under dm^2), a counted from a0.  The block's
+        rows of K and X, views of their arrays, times K^T and X^T give R^min's
+        rows and G's, read as 2G, -G[a,c,b,d] and G[a,d,b,c] (``_swapped_pairs``);
+        only those two are sorted by comparison.  The slab, (K K^T + 2G) +
+        (-G[acbd] + G[adbc]), is summed by ``csr_plus_csr`` merges of sorted
+        rows; it and G's rows are yielded as scipy CSR matrices."""
+        dm, n, (x, kc) = self.dm, self.dm ** 2, map(arrays, self.space.tensors())
+        xt, kt = transpose(x, dm), transpose(kc, self.space.dim_k)
+        for a0, a1 in slab_cuts(self.row_weight, n):
+            ka = product(sliced(kc, a0 * dm, a1 * dm), kt, n)     # R^min's rows
+            csr_sort_indices(len(ka[0]) - 1, *ka)
+            g = dropped(product(sliced(x, a0 * dm, a1 * dm), xt, n), n)   # G's rows, as ``gram``
+            csr_sort_indices(len(g[0]) - 1, *g)
+            ka = merged(csr_plus_csr, ka, (*g[:2], 2.0 * g[2]), n)
             rest = merged(csr_plus_csr, ka, _swapped_pairs(g, dm), n)
-            del ka, g
-            slab = matrix(dropped(rest, n), half.shape)
+            del ka
+            shape = ((a1 - a0) * dm, n)
+            slab = matrix(dropped(rest, n), shape)
             del rest
-            yield a0, slab, half
-            del slab, half
+            yield a0, slab, matrix(g, shape)
+            del slab, g
 
     @cached_property
     def _build(self) -> tuple[dict[str, float], np.ndarray, np.ndarray]:
@@ -274,7 +274,8 @@ class Curvature:
         dm, js, xi = self.dm, self.j, self.space.tensors()[0]
         jj = (js.indices[:, None] * dm + js.indices).ravel(), (js.data[:, None] * js.data).ravel()
         swap = (np.arange(dm)[:, None] + np.arange(dm) * dm).ravel()    # rows (p, q) -> (q, p)
-        e = drop_noise(xi + xi[swap])
+        x = arrays(xi)
+        e = matrix(dropped(merged(csr_plus_csr, x, gathered(x, swap), dm), dm), xi.shape)
         ric, ric_star, worst = np.zeros(dm * dm), np.zeros(dm * dm), [[0.0] * 4]
         for a0, slab, half in self.slabs():
             own = slice(a0 * dm, a0 * dm + slab.shape[0])
@@ -309,14 +310,14 @@ class Curvature:
         B[(p,a),(q,b)] = G[p,a,q,b] gives 4B at [(a,b),(q,p)] and -4B at [(a,b),(p,q)]."""
         vert, horiz = _vertical_split(self.space)
         dm, nv, (x, kc) = self.dm, len(vert), self.space.tensors()
-        vv, vm, n = _pairs(vert, vert, dm), _pairs(vert, np.arange(dm), dm), nv * nv
-        kv, worst, most = transpose(arrays(kc[vv]), kc.shape[1]), 0.0, 0.0
+        vv, vm, n, k = _pairs(vert, vert, dm), _pairs(vert, np.arange(dm), dm), nv * nv, arrays(kc)
+        kv, worst, most = transpose(gathered(k, vv), kc.shape[1]), 0.0, 0.0
         for h0, h1 in slab_cuts(self.row_weight[horiz]):
             a = horiz[h0:h1]
             rows = _pairs(a, np.arange(dm), dm)
             g = gram(x, rows, vv)
             most = max(most, _max_abs(g[2]))
-            slab = merged(csr_plus_csr, product(arrays(kc[rows]), kv, n), (*g[:2], 4.0 * g[2]), n)
+            slab = merged(csr_plus_csr, product(gathered(k, rows), kv, n), (*g[:2], 4.0 * g[2]), n)
             blk = gram(x, _pairs(vert, a, dm), vm)
             (p, i), (q, b) = split(entry_rows(blk[0]), len(a)), split(blk[1], dm)
             pair = canonical(coo_rows(np.tile(i * dm + b, 2), np.concatenate([q * nv + p, p * nv + q]),
@@ -490,7 +491,7 @@ def verify_sat_identities(space, tol=1e-9, seed=0) -> dict[str, float]:
     sub, nh = tensor_r(space)[np.ix_(horiz, horiz)], len(horiz)
     for name, frame in (("vertical", vert), ("horizontal", horiz)):
         nf = len(frame)                             # P's rows: X's rows (a, i), nf at a time
-        ptr, col, val = arrays(x[_pairs(horiz, frame, dm)])
+        ptr, col, val = gathered(arrays(x), _pairs(horiz, frame, dm))
         p = canonical((ptr[::nf].copy(), entry_rows(ptr) % nf * dm + col, val), nf * dm)
         traced = 8.0 * matrix(product(p, transpose(p, nf * dm), nh), (nh, nh)).toarray()
         res[f"trace_identity_{name}_frame"] = float(np.abs(traced - sub).max())

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from nk_triad.automorph import _SPAN_TOL
 from nk_triad.chevalley import SignInconsistency
-from nk_triad.compactform import SLAB_ENTRIES, ZERO_DROP, drop_noise
+from nk_triad.compactform import SLAB_ENTRIES, ZERO_DROP
 from nk_triad.fibration import NotInvolutive
 from nk_triad.nk_analyzer import _max_abs, _vertical_split, curvature, tensor_r
 from nk_triad.rootsys import NotARoot, RootSystem, SubsystemType
@@ -836,6 +836,14 @@ def _worst(dm: int, *terms, only=None) -> float:
     """max |sum of coef * M[perm]| over the tuples of ``_slabs``, which build
     those tuples alone."""
     return max((_max_abs(slab) for slab in _slabs(dm, *terms, only=only)), default=0.0)
+
+
+def drop_noise(mat: sp.csr_matrix) -> sp.csr_matrix:
+    """``mat`` with its entries below ``ZERO_DROP`` removed, in place, by scipy's
+    operators: the reference for ``csr.dropped``."""
+    mat.data[np.abs(mat.data) < ZERO_DROP] = 0.0
+    mat.eliminate_zeros()
+    return mat
 
 
 def whole_g(space) -> sp.csr_matrix:

@@ -308,8 +308,24 @@ def test_slab_cuts_reads_the_budget_at_call_time(monkeypatch):
     assert slab_cuts([]) == []
 
 
+@pytest.mark.parametrize("weight", [[5, 0, 3, 2], [1] * 9, [0, 4, 4, 0, 1, 7, 2, 0], [9, 1, 1, 1, 1, 1]])
+def test_slab_cuts_makes_no_run_under_the_width(weight, monkeypatch):
+    """``slab_cuts(weight, width)`` gives one run whenever the weight sums to at
+    most ``width``, and, when ``width`` is at most the budget, the runs it
+    gives with no width."""
+    monkeypatch.setattr(compactform, "SLAB_ENTRIES", 2)
+    total = sum(weight)
+    for width in range(total + 3):
+        runs = slab_cuts(weight, width)
+        if total <= width:
+            assert runs == [(0, len(weight))], width
+        if width <= 2:
+            assert runs == slab_cuts(weight), width
+        _assert_runs(weight, runs, max(2, width))
+
+
 def test_jacobi_sweep_memory_is_bounded(algebra):
-    """The e8 sweep's working set follows SLAB_ENTRIES (about 8 MiB traced)."""
+    """The e8 sweep's working set follows SLAB_ENTRIES (about 3.3 MiB traced)."""
     ca = algebra("e", 8)
     tracemalloc.start()
     try:

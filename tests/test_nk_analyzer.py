@@ -609,19 +609,19 @@ def test_the_build_sorts_three_operators_per_slab(monkeypatch):
     assert len(sorts) == 3 * len(compactform.slab_cuts(cv.row_weight)), len(sorts)
 
 
-@pytest.mark.parametrize("make, slabs", [(lambda: realize("e", 8, "A3IV", (2,)), 6),
-                                         (lambda: realize_cyclic_c3(cached_algebra("f", 4)), 9)],
+@pytest.mark.parametrize("make, slabs", [(lambda: realize("e", 8, "A3IV", (2,)), 22),
+                                         (lambda: realize_cyclic_c3(cached_algebra("f", 4)), 36)],
                          ids=["e8-node-2", "f4-cyclic"])
 def test_the_build_forms_a_few_scipy_matrices_per_slab(make, slabs, monkeypatch):
-    """On e8 node 2 (6 slabs) and f4 cyclic (9 slabs), R's build forms at most
-    8 scipy matrices per slab, and 8 per build: the two Gram products and the
-    slab it yields.  Its moves and merges run scipy's kernels on CSR arrays,
-    where scipy operators formed 34 to 45 matrices per slab."""
+    """On e8 node 2 (22 slabs) and f4 cyclic (36 slabs), R's build forms at
+    most 2 scipy matrices per slab, the slab and G's rows it yields, and 8 per
+    build.  The Gram products, moves and merges run scipy's kernels on CSR
+    arrays, where scipy operators formed 34 to 45 matrices per slab."""
     space = make()
     space.tensors()
     cv = Curvature(space)
     cv.j, cv.row_weight
-    assert len(compactform.slab_cuts(cv.row_weight)) == slabs
+    assert len(compactform.slab_cuts(cv.row_weight, space.dim_m ** 2)) == slabs
     formed, real = [], scipy_compressed._cs_matrix.__init__
 
     def counted(self, *args, **kwargs):
@@ -630,14 +630,14 @@ def test_the_build_forms_a_few_scipy_matrices_per_slab(make, slabs, monkeypatch)
 
     monkeypatch.setattr(scipy_compressed._cs_matrix, "__init__", counted)
     cv.identities
-    assert len(formed) <= 8 * slabs + 8, len(formed)
+    assert len(formed) <= 2 * slabs + 8, len(formed)
 
 
 @pytest.mark.parametrize("algebra, make, bound", [
-    (("g", 2), lambda: realize("g", 2, "A3IV", (1,)), 28),
+    (("g", 2), lambda: realize("g", 2, "A3IV", (1,)), 13),
     (("a", 2), lambda: realize_cyclic_c3(cached_algebra("a", 2)), 31),
     (("d", 4), lambda: realize_triality_d4(cached_algebra("d", 4)), 50),
-    (("b", 5), lambda: realize("b", 5, "A3III", (4,)), 38),
+    (("b", 5), lambda: realize("b", 5, "A3III", (4,)), 15),
 ], ids=["g2-node-1", "a2-cyclic", "triality", "b5-node-4"])
 def test_a_space_forms_few_scipy_matrices_outside_the_build(algebra, make, bound, monkeypatch):
     """Realizing a space and running ``verify_space`` on it, outside R's build
@@ -645,7 +645,10 @@ def test_a_space_forms_few_scipy_matrices_outside_the_build(algebra, make, bound
     the scipy matrices, compressed or COO, that scipy's operators formed there:
     112 on g2 node 1, 124 on a2 cyclic, 203 on the triality and 153 on b5
     node 4.  The float stages run scipy's kernels on CSR arrays (``csr``); the
-    matrices left are chiefly what they return (sigma, the frames, X, K, J)."""
+    matrices left are chiefly what they return (sigma, the frames, X, K, J).
+    An inner space's frames are basis columns selected by one counting pass,
+    and the layer suites gather X's and K's rows on their arrays, so g2 node 1
+    and b5 node 4 form 13 and 15."""
     cached_algebra(*algebra)
     formed, counting = [], [True]
 
@@ -722,13 +725,14 @@ def _bound_spaces():
     yield realize_cyclic_c3(cached_algebra("e", 7))       # dm 266
 
 
-def test_row_weight_bounds_g_rows_without_forming_g():
+def test_row_weight_bounds_g_rows_without_forming_g(monkeypatch):
     """``row_weight`` is K K^T's multiply-adds per a plus three times a bound on
     the entries of G's rows (a, .), the multiply-adds of X X^T, each capped at
     dm^3, the entries rows (a, .) can hold: at least the true count of a whole
-    G on every space the benchmark draws and on e7 cyclic.  The cap leaves the
-    triality's build one slab.  On e7 cyclic it allocates under a tenth of G's
-    bytes, so it forms no G."""
+    G on every space the benchmark draws and on e7 cyclic.  The cap, without
+    which the triality's weight overstates its R's entries 120-fold, keeps
+    its build one slab at a budget of 2^18 entries (three at 2^16).  On e7
+    cyclic it allocates under a tenth of G's bytes, so it forms no G."""
     for space in _bound_spaces():
         (x, kc), dm = space.tensors(), space.dim_m
         ones = lambda mat: csr_matrix((np.ones(mat.nnz), mat.indices, mat.indptr), shape=mat.shape)
@@ -746,7 +750,8 @@ def test_row_weight_bounds_g_rows_without_forming_g():
         assert (bound >= np.diff(g.indptr[::dm])).all(), space.name
     assert peak < (g.data.nbytes + g.indices.nbytes + g.indptr.nbytes) / 10
     triality = realize_triality_d4(cached_algebra("d", 4))
-    assert len(compactform.slab_cuts(Curvature(triality).row_weight)) == 1
+    monkeypatch.setattr(compactform, "SLAB_ENTRIES", 1 << 18)
+    assert len(compactform.slab_cuts(Curvature(triality).row_weight, triality.dim_m ** 2)) == 1
 
 
 def test_curvature_identities_from_the_tensors_hold_under_two_and_a_half_r():
@@ -763,6 +768,27 @@ def test_curvature_identities_from_the_tensors_hold_under_two_and_a_half_r():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * _r_bytes(space)
+
+
+@pytest.mark.parametrize("make, mib", [(lambda: realize("e", 8, "A3IV", (2,)), 5),
+                                       (lambda: realize_cyclic_c3(cached_algebra("f", 4)), 4)],
+                         ids=["e8-node-2", "f4-cyclic"])
+def test_the_build_peaks_under_a_few_mib(make, mib):
+    """From the tensors, R's build (``Curvature._build``: J, the row weights,
+    every slab with its reads) peaks under 5 MiB traced on e8 node 2 and
+    under 4 MiB on f4 cyclic: its slabs hold 2^16 entries of their products,
+    and each slab's temporaries are freed before the next is formed.  At
+    2^18 entries a slab's temporaries took 10.5 and 7.8 MiB."""
+    space = make()
+    space.tensors()
+    cv = Curvature(space)
+    tracemalloc.start()
+    try:
+        cv._build
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mib * 2 ** 20, peak
 
 
 def test_curvature_identities_from_the_tensors_hold_under_a_quarter_of_r():
@@ -794,13 +820,15 @@ def test_curvature_holds_no_g():
 
 
 def test_every_blocked_loop_takes_the_entry_budget(monkeypatch):
-    """With ``compactform.SLAB_ENTRIES`` at 2^10, each of the five blocked
-    loops cuts more than one run with ``slab_cuts``: on a8 nodes 2,5 (dm 52,
-    one slab at the default budget), g2 cyclic and the f4 Jacobi sweep; the
-    symmetry reads cut one slab of a alone into one run, so they need only
-    cut more than one somewhere.  R's slabs stacked, Ric, every
-    ``verify_space`` residual and Jacobi's worst residual and triple equal
-    those at the default budget bit for bit."""
+    """With ``compactform.SLAB_ENTRIES`` at 2^10, four blocked loops cut more
+    than one run with ``slab_cuts``: R's build and the minimal-connection
+    suite on a8 nodes 2,5 (dm 52, one slab at the default budget) and g2
+    cyclic, and the f4 Jacobi sweep; the symmetry reads cut one slab of a
+    alone into one run, so they need only cut more than one somewhere.  R's
+    slabs stacked, Ric, every ``verify_space`` residual and Jacobi's worst
+    residual and triple equal those at the default budget bit for bit.  The
+    width floor keeps g2 cyclic's commutant loop, 2 880 entries against a
+    width of 3 584 columns, at one run."""
     def outputs():
         out = [cached_algebra("f", 4)._jacobi_worst()]
         for space in (realize("a", 8, "A3II", (2, 5)), realize_cyclic_c3(cached_algebra("g", 2))):
@@ -824,7 +852,26 @@ def test_every_blocked_loop_takes_the_entry_budget(monkeypatch):
     assert sorted(runs) == ["_commutator_gram", "_jacobi_worst", "_symmetries", "min_connection",
                             "slabs"]
     assert max(runs.pop("_symmetries")) > 1, runs
+    assert runs.pop("_commutator_gram") == [1]
     assert all(min(counts) > 1 for counts in runs.values()), runs
+
+
+def test_the_commutant_gram_takes_the_budget_above_its_width(monkeypatch):
+    """On the triality the commutant's product has 5 488 columns and its
+    generators 32 928 entries, so a budget of 2^13 cuts the loop into 5 runs,
+    and one of 2^10 into 6, one per width.  Summed slab by slab into one Gram
+    in place, the Gram equals the one-run Gram to rounding."""
+    space = realize_triality_d4(cached_algebra("d", 4))
+    ak = automorph._ad_k_blocks(space)
+    frame = automorph._weight_frame(automorph._checked_blocks(space, ak))
+    whole, real = automorph._commutator_gram(ak, space.dim_m, frame), compactform.slab_cuts
+    for budget, count in ((1 << 13, 5), (1 << 10, 6)):
+        runs = []
+        monkeypatch.setattr(automorph, "slab_cuts", lambda *args: runs.append(real(*args)) or runs[-1])
+        monkeypatch.setattr(compactform, "SLAB_ENTRIES", budget)
+        gram = automorph._commutator_gram(ak, space.dim_m, frame)
+        assert [len(cuts) for cuts in runs] == [count]
+        assert np.abs(gram - whole).max() <= 1e-12 * np.abs(whole).max()
 
 
 def test_structure_identities(su3_flag):

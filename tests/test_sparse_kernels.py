@@ -15,9 +15,11 @@ import scipy.sparse as sp
 
 from nk_triad import csr
 from nk_triad.automorph import realize_cyclic_c3, realize_triality_d4
-from nk_triad.compactform import ZERO_DROP, drop_noise
+from nk_triad.compactform import ZERO_DROP
 from nk_triad.nk_analyzer import _moved, curvature
 from nk_triad.tables import cached_algebra, realize
+
+from conftest import drop_noise
 
 
 def _unsorted(mat: sp.csr_matrix) -> sp.csr_matrix:
@@ -183,12 +185,39 @@ def _csr_tocsc(operands, factors, entries):
             for _, first, _ in factors]
 
 
+def _csr_todense(operands, factors, entries):
+    """The kernel adding an operator into a dense array in place, as the commutant
+    Gram calls it, against adding scipy's ``toarray``, sorted and unsorted operators."""
+    rng, out = np.random.default_rng(46), []
+    for _, first, _ in factors:
+        dense = rng.standard_normal(first.shape)
+        got = dense.copy()
+        csr.csr_todense(*first.shape, *csr.arrays(first), got)
+        out.append(((got,), (dense + first.toarray(),)))
+    return out
+
+
 CHECKS = {"coo_tocsr": _coo_tocsr, "csr_plus_csr": _csr_plus_csr, "csr_minus_csr": _csr_minus_csr,
           "csr_sort_indices": _csr_sort_indices, "expandptr": _expandptr,
           "csr_eliminate_zeros": _csr_eliminate_zeros, "csr_matmat": _csr_matmat,
           "csr_matmat_maxnnz": _csr_matmat, "csr_tocsc": _csr_tocsc,
           "csr_has_canonical_format": _canonical, "csr_has_sorted_indices": _canonical,
-          "csr_sum_duplicates": _canonical}
+          "csr_sum_duplicates": _canonical, "csr_todense": _csr_todense}
+
+
+def test_row_reads_equal_scipy_row_indexing(factors):
+    """``sliced`` equals scipy's row slice and ``gathered`` its row indexing,
+    in dtype and bytes, repeated and reordered rows included."""
+    rng = np.random.default_rng(47)
+    for name, first, _ in factors:
+        n = first.shape[0]
+        for r0, r1 in ((0, n), (1, n - 1), (n // 2, n // 2)):
+            want = first[r0:r1]
+            for g, w in zip(csr.sliced(csr.arrays(first), r0, r1), csr.arrays(want)):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (name, r0, r1)
+        at = rng.integers(n, size=2 * n)
+        for g, w in zip(csr.gathered(csr.arrays(first), at), csr.arrays(first[at])):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
 
 
 def test_the_helpers_call_these_kernels_alone():
